@@ -12,16 +12,23 @@
 Both derive node tapes as ``RngFactory(seed).stream("tape", node)`` —
 the same derivation the message-reduction transformer uses, so outputs
 are comparable bit for bit across all three execution modes.
+:func:`node_draws` serves the vector populations the same tapes as
+memoized arrays.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+import numpy as np
+
+from repro import obs
 from repro.algorithms.base import LocalAlgorithm, NodeInit
 from repro.errors import ProtocolError
-from repro.local.engine import VectorRuntime, resolve_round_engine
+from repro.local.engine import VectorProgram, VectorRuntime, resolve_round_engine
 from repro.local.faults import FaultPlan
 from repro.local.message import Inbound
 from repro.local.metrics import MessageStats, RunReport
@@ -30,12 +37,93 @@ from repro.local.node import Context, NodeProgram
 from repro.local.runtime import run_program
 from repro.rng import RngFactory
 
-__all__ = ["run_direct", "run_inprocess", "DirectOutcome", "node_tape"]
+__all__ = ["run_direct", "run_inprocess", "DirectOutcome", "node_tape", "node_draws"]
 
 
 def node_tape(seed: int, node: int):
     """The canonical per-node randomness tape (shared across backends)."""
     return RngFactory(seed).stream("tape", node)
+
+
+class _DrawMemo:
+    """Thread-safe LRU of draw arrays, bounded by their total bytes.
+
+    Evicts least recently used entries first; an entry larger than the
+    whole budget is never kept.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.nbytes = 0
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[tuple, tuple[np.ndarray, int]] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: tuple) -> np.ndarray | None:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key: tuple, draws: np.ndarray, size: int) -> np.ndarray:
+        """Keep ``draws`` (``size`` bytes) unless an equal entry won the race."""
+        if size > self.budget:
+            return draws
+        with self._lock:
+            entry = self._entries.setdefault(key, (draws, size))
+            if entry[0] is draws:
+                self.nbytes += size
+                while self.nbytes > self.budget:
+                    _, (_, evicted) = self._entries.popitem(last=False)
+                    self.nbytes -= evicted
+            return entry[0]
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+
+# Warm serving replays the same randomized payloads on the same graph,
+# so their tapes are drawn once per (seed, n, count, bound).  An entry is
+# a pure function of its key, so one process-wide memo changes no answer.
+_DRAWS = _DrawMemo(8 << 20)
+
+
+def node_draws(
+    seed: int, n: int, count: int, bound: int | np.ndarray | None = None
+) -> np.ndarray:
+    """Each node's first ``count`` tape draws as a read-only ``(n, count)`` array.
+
+    Row ``v`` holds what ``node_tape(seed, v)`` yields for ``count``
+    successive ``random()`` calls (``bound=None``, float64) or
+    ``randrange(b)`` calls (int64), where ``b`` is ``bound`` itself or
+    ``bound[v]`` for a per-node array.  Memoized per
+    ``(seed, n, count, bound)`` under a byte budget; a miss draws every
+    tape in Python, as the per-node programs' ``init`` does.
+    """
+    per_node = None
+    if bound is not None and not np.isscalar(bound):
+        per_node = np.asarray(bound, dtype=np.int64)
+    key = (seed, n, count, bound if per_node is None else per_node.tobytes())
+    draws = _DRAWS.get(key)
+    if draws is not None:
+        return draws
+    draws = np.empty((n, count), dtype=np.float64 if bound is None else np.int64)
+    bounds = [bound] * n if per_node is None else per_node.tolist()
+    for v in range(n):
+        tape = node_tape(seed, v)
+        if bound is None:
+            draws[v] = [tape.random() for _ in range(count)]
+        else:
+            draws[v] = [tape.randrange(bounds[v]) for _ in range(count)]
+    draws.flags.writeable = False
+    key_bytes = 0 if per_node is None else per_node.nbytes
+    return _DRAWS.put(key, draws, draws.nbytes + key_bytes)
 
 
 @dataclass(frozen=True)
@@ -120,6 +208,24 @@ class _AlgorithmProgram(NodeProgram):
         ctx.halt()
 
 
+def _vector_or_fallback(
+    algo: LocalAlgorithm, network: Network, seed: int, corrupt_plan: bool
+) -> VectorProgram | None:
+    """The vector population for ``algo``, or ``None`` — announced as an
+    ``algorithms/reference_fallback`` event — when the reference
+    interpreter must run it instead."""
+    from repro.algorithms.vector import vector_population
+
+    population = None if corrupt_plan else vector_population(algo, network, seed)
+    if population is None:
+        obs.event(
+            "algorithms/reference_fallback",
+            algo=algo.name,
+            reason="corrupt_plan" if corrupt_plan else "unregistered",
+        )
+    return population
+
+
 def run_direct(
     network: Network,
     algo: LocalAlgorithm,
@@ -134,16 +240,15 @@ def run_direct(
     ``round_engine`` selects the execution engine (``"vector"`` /
     ``"reference"``, default the process-wide ``REPRO_ROUND_ENGINE``).
     The vector path runs registered algorithms as array populations and
-    silently falls back to the reference interpreter for everything
-    else — and for corrupt-capable fault plans, whose tampered payloads
-    only the per-node programs' error behaviour defines.
+    falls back to the reference interpreter for everything else — and
+    for corrupt-capable fault plans, whose tampered payloads only the
+    per-node programs' error behaviour defines.  Each fallback emits an
+    ``algorithms/reference_fallback`` event on the telemetry plane.
     """
     t = algo.rounds(network.n)
     plan = faults or FaultPlan.none()
-    if resolve_round_engine(round_engine) == "vector" and not plan.can_corrupt:
-        from repro.algorithms.vector import vector_population
-
-        population = vector_population(algo, network, seed)
+    if resolve_round_engine(round_engine) == "vector":
+        population = _vector_or_fallback(algo, network, seed, plan.can_corrupt)
         if population is not None:
             report = VectorRuntime(
                 network, population, max_rounds=t + 2, faults=faults
@@ -175,12 +280,11 @@ def run_inprocess(
 
     Under the vector round engine, registered algorithms execute as
     array populations (same outputs, no per-node Python stepping);
-    everything else runs the original message-free loop.
+    everything else runs the original message-free loop, announced by
+    an ``algorithms/reference_fallback`` event.
     """
     if resolve_round_engine(round_engine) == "vector":
-        from repro.algorithms.vector import vector_population
-
-        population = vector_population(algo, network, seed)
+        population = _vector_or_fallback(algo, network, seed, False)
         if population is not None:
             t = algo.rounds(network.n)
             return VectorRuntime(

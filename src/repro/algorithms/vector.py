@@ -1,24 +1,29 @@
-"""Vector populations for the array-friendly algorithms library entries.
+"""Vector populations for the :mod:`repro.algorithms` library.
 
 Each class here is the struct-of-arrays twin of one
 :class:`~repro.algorithms.base.LocalAlgorithm` run through
 ``_AlgorithmProgram``: same round structure (``algo.step(r)`` for
 ``r = 0..t``, step-``t`` outbox discarded, every node halts after step
-``t``), same per-node randomness (coloring pre-draws from the identical
-``node_tape`` stream), same outputs — so
+``t``), same per-node randomness (the randomized populations read the
+identical ``node_tape`` draws through
+:func:`~repro.algorithms.runner.node_draws`), same outputs — so
 :func:`~repro.algorithms.runner.run_direct` is RunReport-identical
-across engines.
+across engines.  Every population updates its state from the delivered
+inbox alone, never from what a sender *would* have said, so the two
+engines also agree under drop plans.
 
 A message in these populations always carries "the value its sender
-last announced", so no payload columns ride on the outbox: the
-population keeps one ``sent_*`` array per node and delivered rows read
-``sent_*[sender]``.  That works because sends of round ``r`` are
-delivered in round ``r + 1``, *before* the sender's next announcement
-is written.
+last announced" (or a value the receiver can recompute from the
+sender's id and the round), so no payload columns ride on the outbox:
+delivered rows read ``sent_*[sender]``.  That works because sends of
+round ``r`` are delivered in round ``r + 1``, *before* the sender's
+next announcement is written.
 
 :func:`vector_population` is the registry lookup the runner dispatches
-through; algorithms without an entry (Luby MIS, matching, Baswana–Sen)
-simply fall back to the reference interpreter.
+through.  All six library payloads are registered; anything else (the
+Baswana–Sen baseline, user algorithms) runs on the reference
+interpreter, and the runner announces that fallback on the telemetry
+plane.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ from repro.algorithms.aggregation import BallCollect, MinIdAggregation
 from repro.algorithms.base import LocalAlgorithm
 from repro.algorithms.bfs import BfsLayers
 from repro.algorithms.coloring import RandomizedColoring
+from repro.algorithms.matching import RandomMatching
+from repro.algorithms.mis import LubyMis
+from repro.algorithms.runner import node_draws
 from repro.local.engine import (
     PopulationInbox,
     PopulationOutbox,
@@ -66,6 +74,13 @@ class _AlgoPopulation(VectorProgram):
             np.arange(self._n, dtype=np.int64), np.diff(inbox.indptr)
         )
 
+    @staticmethod
+    def _segments(inbox: PopulationInbox) -> tuple[np.ndarray, np.ndarray]:
+        """``(receivers, starts)`` of the non-empty inbox segments, in
+        the form ``ufunc.reduceat`` takes per-receiver reductions."""
+        receivers = np.flatnonzero(np.diff(inbox.indptr))
+        return receivers, inbox.indptr[receivers]
+
     @property
     def live(self) -> int:
         return self._live
@@ -90,11 +105,8 @@ class _VectorBfs(_AlgoPopulation):
     ) -> PopulationOutbox | None:
         newly = np.empty(0, dtype=np.int64)
         if inbox.senders.size:
-            receivers = self._receivers(inbox)
-            values = self._dist[inbox.senders]
-            starts = np.flatnonzero(np.r_[True, receivers[1:] != receivers[:-1]])
-            segmin = np.minimum.reduceat(values, starts)
-            uniq = receivers[starts]
+            uniq, starts = self._segments(inbox)
+            segmin = np.minimum.reduceat(self._dist[inbox.senders], starts)
             unset = self._dist[uniq] < 0
             newly = uniq[unset]
             self._dist[newly] = segmin[unset] + 1
@@ -104,9 +116,8 @@ class _VectorBfs(_AlgoPopulation):
         return self._broadcast(newly) if newly.size else None
 
     def outputs(self) -> dict[int, int | None]:
-        dist = self._dist
         return {
-            v: (int(dist[v]) if dist[v] >= 0 else None) for v in range(self._n)
+            v: (d if d >= 0 else None) for v, d in enumerate(self._dist.tolist())
         }
 
 
@@ -128,11 +139,8 @@ class _VectorMinId(_AlgoPopulation):
         self, round_index: int, inbox: PopulationInbox
     ) -> PopulationOutbox | None:
         if inbox.senders.size:
-            receivers = self._receivers(inbox)
-            values = self._sent[inbox.senders]
-            starts = np.flatnonzero(np.r_[True, receivers[1:] != receivers[:-1]])
-            segmin = np.minimum.reduceat(values, starts)
-            uniq = receivers[starts]
+            uniq, starts = self._segments(inbox)
+            segmin = np.minimum.reduceat(self._sent[inbox.senders], starts)
             np.minimum.at(self._best, uniq, segmin)
         if round_index >= self._t:
             self._live = 0
@@ -144,7 +152,7 @@ class _VectorMinId(_AlgoPopulation):
         return self._broadcast(changed)
 
     def outputs(self) -> dict[int, int]:
-        return {v: int(self._best[v]) for v in range(self._n)}
+        return dict(enumerate(self._best.tolist()))
 
 
 class _VectorBallCollect(_AlgoPopulation):
@@ -170,12 +178,10 @@ class _VectorBallCollect(_AlgoPopulation):
     ) -> PopulationOutbox | None:
         emitters = np.empty(0, dtype=np.int64)
         if inbox.senders.size:
-            receivers = self._receivers(inbox)
-            starts = np.flatnonzero(np.r_[True, receivers[1:] != receivers[:-1]])
+            uniq, starts = self._segments(inbox)
             orred = np.bitwise_or.reduceat(
                 self._sent[inbox.senders], starts, axis=0
             )
-            uniq = receivers[starts]
             fresh = orred & ~self._known[uniq]
             sel = (fresh != 0).any(axis=1)
             self._known[uniq] |= fresh
@@ -191,10 +197,7 @@ class _VectorBallCollect(_AlgoPopulation):
         bits = np.unpackbits(
             self._known.view(np.uint8), axis=1, bitorder="little"
         )[:, : self._n]
-        return {
-            v: tuple(int(o) for o in np.flatnonzero(bits[v]))
-            for v in range(self._n)
-        }
+        return {v: tuple(np.flatnonzero(bits[v]).tolist()) for v in range(self._n)}
 
 
 class _VectorColoring(_AlgoPopulation):
@@ -210,20 +213,12 @@ class _VectorColoring(_AlgoPopulation):
         self, algo: RandomizedColoring, network: Network, seed: int
     ) -> None:
         super().__init__(algo, network)
-        from repro.algorithms.runner import node_tape
-
         n, t = self._n, self._t
         self._palette = self._degs + 1
         max_palette = int(self._palette.max()) if n else 1
         self._words = (max_palette + 63) // 64
-        # Identical coin consumption to the reference init: one
-        # randrange(palette) per node per round 0..t.
-        draws = np.empty((n, t + 1), dtype=np.int64)
-        for v in range(n):
-            tape = node_tape(seed, v)
-            pal = int(self._palette[v])
-            draws[v] = [tape.randrange(pal) for _ in range(t + 1)]
-        self._draws = draws
+        # The reference init draws one randrange(palette) per round 0..t.
+        self._draws = node_draws(seed, n, t + 1, self._palette)
         self._fixed = np.full(n, -1, dtype=np.int64)
         self._proposal = np.full(n, -1, dtype=np.int64)
         self._nfixed = np.zeros((n, self._words), dtype=np.uint64)
@@ -307,10 +302,164 @@ class _VectorColoring(_AlgoPopulation):
         return self._emit_round(round_index)
 
     def outputs(self) -> dict[int, int | None]:
-        fixed = self._fixed
         return {
-            v: (int(fixed[v]) if fixed[v] >= 0 else None)
-            for v in range(self._n)
+            v: (c if c >= 0 else None) for v, c in enumerate(self._fixed.tolist())
+        }
+
+
+_UNDECIDED, _IN, _OUT = 0, 1, 2
+
+
+class _VectorLuby(_AlgoPopulation):
+    """:class:`LubyMis`: priority exchange on even rounds, winners on odd.
+
+    An undecided node has never absorbed a ``"winner"`` (absorbing one
+    makes it ``out``), so its live ports are all its ports: it announces
+    on every port, and the reference's live-port filters never exclude
+    a message it receives.  Even steps only ever deliver winner
+    notifications and odd steps only priorities, so a delivered row's
+    value is the sender's priority for the current phase.
+    """
+
+    def __init__(self, algo: LubyMis, network: Network, seed: int) -> None:
+        super().__init__(algo, network)
+        self._priority = node_draws(seed, self._n, algo.phases(self._n))
+        self._status = np.full(self._n, _UNDECIDED, dtype=np.int8)
+
+    def on_start(self) -> PopulationOutbox | None:
+        if self._t == 0:
+            return None
+        return self._broadcast(np.arange(self._n, dtype=np.int64))
+
+    def step_population(
+        self, round_index: int, inbox: PopulationInbox
+    ) -> PopulationOutbox | None:
+        status = self._status
+        phase, odd = divmod(round_index, 2)
+        if odd:
+            # Local maxima among the priorities heard join the MIS.
+            own = self._priority[:, phase]
+            wins = status == _UNDECIDED
+            if inbox.senders.size:
+                uniq, starts = self._segments(inbox)
+                heard = np.maximum.reduceat(own[inbox.senders], starts)
+                wins[uniq[heard >= own[uniq]]] = False
+            emitters = np.flatnonzero(wins)
+            status[emitters] = _IN
+        else:
+            # A winner notification knocks an undecided receiver out.
+            if inbox.senders.size:
+                heard = np.flatnonzero(np.diff(inbox.indptr))
+                status[heard[status[heard] == _UNDECIDED]] = _OUT
+            emitters = np.flatnonzero(status == _UNDECIDED)
+        if round_index >= self._t:
+            self._live = 0
+            return None
+        return self._broadcast(emitters) if emitters.size else None
+
+    def outputs(self) -> dict[int, bool | None]:
+        value = {_UNDECIDED: None, _IN: True, _OUT: False}
+        return {v: value[s] for v, s in enumerate(self._status.tolist())}
+
+
+class _VectorMatching(_AlgoPopulation):
+    """:class:`RandomMatching`: propose, accept, confirm-and-announce.
+
+    A node's live edges are a mask over its incidence slots (its
+    incident eids, ascending), so the reference's
+    ``sorted(live)[(draw >> 1) % len(live)]`` is the pick-th live slot
+    of the node's segment.  A ``"matched"`` announcement clears the
+    receiver's slot for that eid.  Round ``t`` is an absorb-only step
+    whose effect no output reads, so it is skipped.
+    """
+
+    def __init__(
+        self, algo: RandomMatching, network: Network, seed: int
+    ) -> None:
+        super().__init__(algo, network)
+        n = self._n
+        self._draws = node_draws(seed, n, algo.phases(n), 2**30)
+        self._slot_live = np.ones(self._inc.size, dtype=bool)
+        # (node, eid) -> incidence slot, by searchsorted on node * span + eid.
+        self._span = int(self._inc.max()) + 1 if self._inc.size else 1
+        owners = np.repeat(np.arange(n, dtype=np.int64), self._degs)
+        self._slot_key = owners * self._span + self._inc
+        self._matched = np.full(n, -1, dtype=np.int64)
+        self._proposal = np.full(n, -1, dtype=np.int64)
+        self._acceptor = np.zeros(n, dtype=bool)
+        self._announced = np.zeros(n, dtype=bool)
+
+    def on_start(self) -> PopulationOutbox | None:
+        if self._t == 0:
+            return None
+        return self._propose(0)
+
+    def step_population(
+        self, round_index: int, inbox: PopulationInbox
+    ) -> PopulationOutbox | None:
+        if round_index >= self._t:
+            self._live = 0
+            return None
+        phase, stage = divmod(round_index, 3)
+        if stage == 0:
+            if inbox.senders.size:
+                slots = np.searchsorted(
+                    self._slot_key,
+                    self._receivers(inbox) * self._span + inbox.eids,
+                )
+                self._slot_live[slots] = False
+            return self._propose(phase)
+        if stage == 1:
+            return self._accept(inbox)
+        return self._confirm(inbox)
+
+    def _propose(self, phase: int) -> PopulationOutbox | None:
+        """Stage 0: free nodes take a role; proposers pick a live edge."""
+        # alive_before[i] = live slots among slots 0..i-1.
+        alive_before = np.concatenate(([0], np.cumsum(self._slot_live)))
+        first = alive_before[self._indptr[:-1]]
+        live = alive_before[self._indptr[1:]] - first
+        draw = self._draws[:, phase]
+        free = (self._matched < 0) & (live > 0)
+        odd = (draw & 1).astype(bool)
+        self._acceptor = free & odd
+        proposers = np.flatnonzero(free & ~odd)
+        self._proposal.fill(-1)
+        if proposers.size == 0:
+            return None
+        pick = (draw[proposers] >> 1) % live[proposers]
+        slots = np.searchsorted(alive_before, first[proposers] + pick + 1) - 1
+        eids = self._inc[slots]
+        self._proposal[proposers] = eids
+        return PopulationOutbox(eids=eids, senders=proposers)
+
+    def _accept(self, inbox: PopulationInbox) -> PopulationOutbox | None:
+        """Stage 1: each acceptor binds to its smallest proposing edge."""
+        if not inbox.senders.size:
+            return None
+        uniq, starts = self._segments(inbox)
+        smallest = np.minimum.reduceat(inbox.eids, starts)
+        chosen = self._acceptor[uniq]
+        acceptors = uniq[chosen]
+        if acceptors.size == 0:
+            return None
+        self._matched[acceptors] = smallest[chosen]
+        return PopulationOutbox(eids=smallest[chosen], senders=acceptors)
+
+    def _confirm(self, inbox: PopulationInbox) -> PopulationOutbox | None:
+        """Stage 2: accepted proposers match; new matches announce."""
+        if inbox.senders.size:
+            receivers = self._receivers(inbox)
+            accepted = self._proposal[receivers] == inbox.eids
+            self._matched[receivers[accepted]] = inbox.eids[accepted]
+        fresh = np.flatnonzero((self._matched >= 0) & ~self._announced)
+        self._announced[fresh] = True
+        return self._broadcast(fresh) if fresh.size else None
+
+    def outputs(self) -> dict[int, int | None]:
+        return {
+            v: (e if e >= 0 else None)
+            for v, e in enumerate(self._matched.tolist())
         }
 
 
@@ -319,6 +468,8 @@ _BUILDERS: dict[type, Callable[..., VectorProgram]] = {
     MinIdAggregation: lambda algo, network, seed: _VectorMinId(algo, network),
     BallCollect: lambda algo, network, seed: _VectorBallCollect(algo, network),
     RandomizedColoring: _VectorColoring,
+    LubyMis: _VectorLuby,
+    RandomMatching: _VectorMatching,
 }
 
 

@@ -229,14 +229,21 @@ class VectorRuntime:
         self._max_rounds = max_rounds
         self._fixed_rounds = fixed_rounds
         self._faults = faults or FaultPlan.none()
-        _eid_row, ep_u, ep_v = network.endpoints_flat()
+        eid_row, ep_u, ep_v = network.endpoints_flat()
         self._ep_u = np.frombuffer(ep_u, dtype=np.int64)
         self._ep_v = np.frombuffer(ep_v, dtype=np.int64)
-        # Rows of the endpoint table are sorted by eid, so the sorted
-        # eid array turns eid -> row into one searchsorted per round.
-        self._eid_sorted = np.fromiter(
-            network.edge_ids, dtype=np.int64, count=network.m
+        # Consecutive ids make every eid its own endpoint row.  Otherwise
+        # rows are sorted by eid, so the sorted eid array turns
+        # eid -> row into one searchsorted per round.
+        self._eid_sorted = (
+            None
+            if eid_row is None
+            else np.fromiter(network.edge_ids, dtype=np.int64, count=network.m)
         )
+        # Receivers fit uint16 below 2**16 nodes, where NumPy's stable
+        # sort is a radix sort; a stable sort's permutation is unique,
+        # so either key width yields the same inbox.
+        self._receiver_dtype = np.uint16 if network.n <= 1 << 16 else np.int64
 
     def run(self) -> RunReport:
         stats = MessageStats()
@@ -345,13 +352,18 @@ class VectorRuntime:
                 corrupted=np.empty(0, dtype=bool),
                 data=None,
             )
-        table_rows = np.searchsorted(self._eid_sorted, in_flight.eids)
+        if self._eid_sorted is None:
+            table_rows = in_flight.eids
+        else:
+            table_rows = np.searchsorted(self._eid_sorted, in_flight.eids)
         receivers = (
             self._ep_u[table_rows] + self._ep_v[table_rows] - in_flight.senders
         )
         # Stable sort by receiver keeps in-flight order inside each
         # segment — exactly the reference per-receiver inbox order.
-        order = np.argsort(receivers, kind="stable")
+        order = np.argsort(
+            receivers.astype(self._receiver_dtype, copy=False), kind="stable"
+        )
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(receivers, minlength=n), out=indptr[1:])
         return PopulationInbox(

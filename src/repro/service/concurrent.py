@@ -65,9 +65,13 @@ __all__ = [
 ]
 
 # The recently-completed side of the batching window is pruned by age
-# (merge_window seconds) on every registration; the cap below bounds it
-# against a caller that floods distinct tokens faster than they age out.
+# (merge_window seconds) on every registration.  On every publish it is
+# also held, oldest first, to the caps below, against a caller that
+# floods distinct tokens faster than they age out: an entry count, and
+# the node outputs the retained responses hold (2**16 is about 32
+# responses at n = 2000), so large graphs cannot pin gigabytes.
 _RECENT_CAP = 256
+_RECENT_OUTPUTS = 1 << 16
 
 
 @dataclass
@@ -211,6 +215,7 @@ class ConcurrentSimulationService:
         self._merge_lock = threading.Lock()
         self._pending: dict[tuple, _Pending] = {}
         self._recent: dict[tuple, tuple[SimulationResponse, float]] = {}
+        self._recent_outputs = 0  # sum(len(outputs)) over _recent
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
 
@@ -395,6 +400,12 @@ class ConcurrentSimulationService:
         with self._merge_lock:
             self._pending.pop(token, None)
             self._recent[token] = (response, time.monotonic())
+            self._recent_outputs += len(response.outputs)
+            while (
+                len(self._recent) > _RECENT_CAP
+                or self._recent_outputs > _RECENT_OUTPUTS
+            ):
+                self._forget(next(iter(self._recent)))
         pending.response = response
         pending.event.set()
 
@@ -410,9 +421,12 @@ class ConcurrentSimulationService:
             if now - stamp > self.merge_window
         ]
         for key in expired:
-            del self._recent[key]
-        while len(self._recent) > _RECENT_CAP:
-            del self._recent[next(iter(self._recent))]
+            self._forget(key)
+
+    def _forget(self, token: tuple) -> None:
+        entry = self._recent.pop(token, None)
+        if entry is not None:
+            self._recent_outputs -= len(entry[0].outputs)
 
     # ------------------------------------------------------------------
     # singleflight

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+import repro.service.concurrent as front_module
 from repro.algorithms import BfsLayers, MinIdAggregation
 from repro.core import SamplerParams
 from repro.errors import ServiceTimeout
@@ -203,6 +204,35 @@ class TestBatchingWindow:
         second = front.submit(payload)
         assert front.metrics.snapshot()["merged"] == 0
         assert first.report.outputs == second.report.outputs
+
+    def test_window_retains_bounded_outputs(self, net, monkeypatch):
+        # Every response holds net.n outputs; the budget keeps three.
+        budget = 3 * net.n
+        monkeypatch.setattr(front_module, "_RECENT_OUTPUTS", budget)
+        front = ConcurrentSimulationService(
+            net, params=PARAMS, seed=0, merge_window=60.0
+        )
+        payloads = [MinIdAggregation(t) for t in range(1, 9)]
+        for payload in payloads:
+            last = front.submit(payload)
+            retained = [response for response, _ in front._recent.values()]
+            assert sum(len(r.outputs) for r in retained) <= budget
+            assert front._recent_outputs == sum(len(r.outputs) for r in retained)
+        assert len(front._recent) == 3
+        # A duplicate arriving just after its leader completed merges.
+        assert front.submit(payloads[-1]) is last
+        assert front.metrics.snapshot()["merged"] == 1
+
+    def test_oversized_response_is_not_retained(self, net, monkeypatch):
+        monkeypatch.setattr(front_module, "_RECENT_OUTPUTS", net.n - 1)
+        front = ConcurrentSimulationService(
+            net, params=PARAMS, seed=0, merge_window=60.0
+        )
+        payload = MinIdAggregation(2)
+        front.submit(payload)
+        assert not front._recent and front._recent_outputs == 0
+        front.submit(payload)
+        assert front.metrics.snapshot()["merged"] == 0
 
     def test_merging_disabled_with_zero_window(self, net):
         front = ConcurrentSimulationService(

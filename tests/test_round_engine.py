@@ -14,9 +14,13 @@ witnesses.
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import obs
 from repro.algorithms import (
     BallCollect,
     BfsLayers,
@@ -25,11 +29,15 @@ from repro.algorithms import (
     RandomMatching,
     RandomizedColoring,
     run_direct,
+    run_inprocess,
 )
+from repro.algorithms.vector import vector_population
+from repro.baselines import BaswanaSenLocal
 from repro.core import SamplerParams
 from repro.core.distributed import build_spanner_distributed
 from repro.core.distributed.program import SamplerProgram
 from repro.core.distributed.schedule import Schedule
+from repro.dynamic import ChurnPlan, apply_churn
 from repro.errors import ProtocolError
 from repro.graphs import barabasi_albert, dense_gnm, erdos_renyi, torus
 from repro.local import FaultPlan, Network
@@ -57,7 +65,29 @@ ALGORITHMS = (
     MinIdAggregation(3),
     RandomMatching(1),
     RandomizedColoring(2),
+    LubyMis(),
+    RandomMatching(4),
 )
+ALGORITHM_IDS = (
+    "ball-collect",
+    "bfs-layers",
+    "luby-mis",
+    "min-id",
+    "rand-matching",
+    "rand-coloring",
+    "luby-mis-default",
+    "rand-matching-4",
+)
+# t = 0: step 0 runs, nothing is sent, every node halts in round 0.
+ZERO_ROUND_ALGORITHMS = (
+    BallCollect(0),
+    BfsLayers(0, 0),
+    LubyMis(0),
+    MinIdAggregation(0),
+    RandomMatching(0),
+    RandomizedColoring(0),
+)
+DROP_PLANS = ("none", "drops")
 
 _SETTINGS = settings(
     max_examples=15,
@@ -67,14 +97,25 @@ _SETTINGS = settings(
 
 
 def assert_reports_equal(vec, ref):
+    assert vec.halted == ref.halted
+    assert_outcomes_equal(vec, ref)
+
+
+def assert_outcomes_equal(vec, ref):
+    """Equal outputs, rounds and message metering (RunReport or DirectOutcome)."""
     assert vec.outputs == ref.outputs
     assert vec.rounds == ref.rounds
-    assert vec.halted == ref.halted
     assert vec.messages.total == ref.messages.total
     assert vec.messages.by_tag == ref.messages.by_tag
     assert vec.messages.per_round == ref.messages.per_round
     assert vec.messages.dropped == ref.messages.dropped
     assert vec.messages.corrupted == ref.messages.corrupted
+
+
+def assert_engines_agree(net, algo, seed=1, faults=None):
+    vec = run_direct(net, algo, seed=seed, round_engine="vector", faults=faults)
+    ref = run_direct(net, algo, seed=seed, round_engine="reference", faults=faults)
+    assert_outcomes_equal(vec, ref)
 
 
 def run_gossip(net: Network, rounds: int, seed: int, faults, engine: str):
@@ -239,7 +280,12 @@ class TestGossipEngine:
 # registered LOCAL algorithm populations
 # ---------------------------------------------------------------------------
 class TestAlgorithmEngine:
-    @pytest.mark.parametrize("algo", ALGORITHMS, ids=lambda a: a.name)
+    def test_every_algorithm_has_a_population(self):
+        net = FAMILIES["gnp"]()
+        for algo in ALGORITHMS + ZERO_ROUND_ALGORITHMS:
+            assert vector_population(algo, net, 0) is not None, algo.name
+
+    @pytest.mark.parametrize("algo", ALGORITHMS, ids=ALGORITHM_IDS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_run_direct_identical(self, algo, seed):
         net = FAMILIES["gnp"]()
@@ -251,7 +297,7 @@ class TestAlgorithmEngine:
         assert vec.messages.by_tag == ref.messages.by_tag
         assert vec.messages.per_round == ref.messages.per_round
 
-    @pytest.mark.parametrize("algo", ALGORITHMS, ids=lambda a: a.name)
+    @pytest.mark.parametrize("algo", ALGORITHMS, ids=ALGORITHM_IDS)
     def test_run_direct_under_drops(self, algo):
         net = FAMILIES["torus"]()
         plan = PLANS["drops"]
@@ -289,14 +335,37 @@ class TestAlgorithmEngine:
         else:
             assert outcomes["vector"] == outcomes["reference"]
 
+    @pytest.mark.parametrize("algo", ALGORITHMS, ids=ALGORITHM_IDS)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("plan", DROP_PLANS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_full_matrix_identical(self, algo, family, plan, seed):
+        assert_engines_agree(FAMILIES[family](), algo, seed, PLANS[plan])
+
     def test_isolated_nodes(self):
-        net = Network.from_edge_pairs(4, [(0, 1)])
-        for algo in (MinIdAggregation(2), BallCollect(3)):
-            vec = run_direct(net, algo, seed=1, round_engine="vector")
-            ref = run_direct(net, algo, seed=1, round_engine="reference")
-            assert vec.outputs == ref.outputs
-            assert vec.rounds == ref.rounds
-            assert vec.messages.per_round == ref.messages.per_round
+        # Nodes 2, 3 and 6 have no ports; a portless network closes the test.
+        net = Network.from_edge_pairs(7, [(0, 1), (1, 5), (4, 5)])
+        for algo in ALGORITHMS + ZERO_ROUND_ALGORITHMS:
+            for seed in SEEDS:
+                assert_engines_agree(net, algo, seed)
+        assert_engines_agree(Network(3, []), LubyMis(2))
+
+    @pytest.mark.parametrize("algo", ZERO_ROUND_ALGORITHMS, ids=lambda a: a.name)
+    def test_zero_rounds(self, algo):
+        net = FAMILIES["ba"]()
+        vec = run_direct(net, algo, seed=2, round_engine="vector")
+        ref = run_direct(net, algo, seed=2, round_engine="reference")
+        assert_outcomes_equal(vec, ref)
+        assert vec.rounds == 0 and vec.messages.total == 0
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_run_inprocess_identical(self, family):
+        net = FAMILIES[family]()
+        for algo in ALGORITHMS + ZERO_ROUND_ALGORITHMS:
+            for seed in SEEDS:
+                vec = run_inprocess(net, algo, seed, round_engine="vector")
+                ref = run_inprocess(net, algo, seed, round_engine="reference")
+                assert vec == ref, (algo.name, seed)
 
     @_SETTINGS
     @given(
@@ -311,6 +380,88 @@ class TestAlgorithmEngine:
         assert vec.outputs == ref.outputs
         assert vec.rounds == ref.rounds
         assert vec.messages.per_round == ref.messages.per_round
+
+
+# ---------------------------------------------------------------------------
+# announced fallbacks
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def obs_on():
+    previous = obs.set_enabled(True)
+    obs.collector().reset()
+    yield
+    obs.collector().reset()
+    obs.set_enabled(previous)
+
+
+def fallback_events():
+    return [
+        record["attrs"]
+        for record in obs.collector().finished()
+        if record["name"] == "algorithms/reference_fallback"
+    ]
+
+
+class TestReferenceFallback:
+    def test_unregistered_algorithm_announced_once(self, obs_on):
+        net = FAMILIES["gnp"]()
+        run_inprocess(net, BaswanaSenLocal(2), seed=1, round_engine="vector")
+        assert fallback_events() == [{"algo": "baswana-sen", "reason": "unregistered"}]
+
+    def test_library_algorithms_announce_nothing(self, obs_on):
+        net = FAMILIES["gnp"]()
+        for algo in ALGORITHMS:
+            run_direct(net, algo, seed=1, round_engine="vector")
+            run_inprocess(net, algo, seed=1, round_engine="vector")
+        assert fallback_events() == []
+
+    def test_corrupt_plan_announced(self, obs_on):
+        net = FAMILIES["torus"]()
+        plan = FaultPlan(corrupt_probability=0.05, seed=3)
+        out = run_direct(
+            net, RandomMatching(2), seed=1, round_engine="vector", faults=plan
+        )
+        assert out.messages.corrupted > 0
+        assert fallback_events() == [
+            {"algo": "rand-matching", "reason": "corrupt_plan"}
+        ]
+
+    def test_reference_engine_announces_nothing(self, obs_on):
+        net = FAMILIES["gnp"]()
+        run_inprocess(net, BaswanaSenLocal(2), seed=1, round_engine="reference")
+        assert fallback_events() == []
+
+
+# ---------------------------------------------------------------------------
+# the two delivery paths
+# ---------------------------------------------------------------------------
+class TestDeliveryPaths:
+    """Consecutive eids and n <= 2**16 take the fast delivery path; the
+    inputs below keep the searchsorted lookup or the int64 sort."""
+
+    def test_non_consecutive_eids(self):
+        base = erdos_renyi(80, 0.1, seed=2)
+        net, _ = apply_churn(
+            base, ChurnPlan(seed=3, edge_removal=0.1, edge_addition=0.05)
+        )
+        assert net.endpoints_flat()[0] is not None  # ids have gaps
+        population = vector_population(MinIdAggregation(2), net, 0)
+        assert VectorRuntime(net, population)._eid_sorted is not None
+        for algo in ALGORITHMS:
+            for plan in DROP_PLANS:
+                assert_engines_agree(net, algo, seed=4, faults=PLANS[plan])
+
+    def test_more_nodes_than_uint16(self):
+        n = (1 << 16) + 5
+        rng = random.Random(11)
+        pairs = {(rng.randrange(n // 2), rng.randrange(n // 2, n)) for _ in range(600)}
+        # Receivers at or above 2**16 would wrap under a uint16 key.
+        top = range(1 << 16, n)
+        pairs |= {(v - 1, v) for v in top} | {(7, v) for v in top}
+        net = Network.from_edge_pairs(n, sorted(pairs))
+        population = vector_population(MinIdAggregation(2), net, 0)
+        assert VectorRuntime(net, population)._receiver_dtype is np.int64
+        assert_engines_agree(net, MinIdAggregation(2), seed=1)
 
 
 # ---------------------------------------------------------------------------
