@@ -46,6 +46,7 @@ __all__ = [
     "resolve_engine",
     "adjacency_csr",
     "csr_from_adjacency",
+    "component_labels",
     "balls_and_eccentricities",
     "distance_blocks",
     "ball_matrix_blocks",
@@ -62,8 +63,11 @@ _UNREACHABLE = math.inf
 # Cap on unpacked-matrix cells (rows x n) per source block; the packed
 # bitset state is 64x smaller, so this bounds the unpack/extract stage.
 _BLOCK_CELLS = 1 << 25
-# Distance-tracking sweeps hold an int32 (rows, n) matrix; cap it lower.
+# Distance-tracking sweeps end in an int32 (rows, n) matrix; cap it lower.
 _BLOCK_CELLS_DIST = 1 << 23
+# A uint8 distance counter holds up to L + 1 after L levels, so a sweep
+# widens it when it reaches this level.
+_COUNTER_LEVELS = np.iinfo(np.uint8).max
 
 
 def default_engine() -> str:
@@ -116,6 +120,34 @@ def csr_from_adjacency(adj: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.nda
     return indptr, indices
 
 
+def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Connected-component label of every node: its component's minimum.
+
+    ``u``/``v`` are the edge endpoint arrays (any int64 buffer, such as
+    :meth:`Network.endpoints_flat`'s, is read without a copy).
+    Vectorized hook-and-jump in O(m) per round: every root adjacent to a
+    smaller root hooks onto the smallest such root, then pointer jumping
+    flattens the forest so each node points at its root again.  Labels
+    only ever decrease, so the forest stays acyclic and the fixed point
+    is the minimum.
+    """
+    labels = np.arange(n, dtype=np.int64)
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    while True:
+        lu, lv = labels[u], labels[v]
+        differ = lu != lv
+        if not differ.any():
+            return labels
+        lu, lv = lu[differ], lv[differ]
+        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
 def _block_rows(n: int, n_sources: int, *, track_dist: bool = False) -> int:
     cells = _BLOCK_CELLS_DIST if track_dist else _BLOCK_CELLS
     return max(1, min(n_sources, cells // max(1, n)))
@@ -156,10 +188,13 @@ def _sweep(
     word_of = np.arange(rows) >> 6
     visited = np.zeros((n, words), dtype=np.uint64)
     visited[sources, word_of] = bits
-    dist = None
+    # Distances are tracked as per-cell counters: every level adds the
+    # unpacked ``visited`` rows, so after the last level L a cell first
+    # reached at level d has counted L - d + 1 (never reached: 0).
+    count = None
     if track_dist:
-        dist = np.full((n, rows), -1, dtype=np.int32)
-        dist[sources, np.arange(rows)] = 0
+        count = np.zeros((n, rows), dtype=np.uint8)
+        count[sources, np.arange(rows)] = 1
     ecc = np.zeros(rows, dtype=np.int64)
     # reduceat boundaries over non-isolated nodes only: consecutive
     # boundaries then always cut non-empty, correctly-owned segments
@@ -183,12 +218,23 @@ def _sweep(
             np.unpackbits(alive.view(np.uint8), bitorder="little")[:rows]
         )[0]
         ecc[alive_sources] = level
-        if dist is not None:
-            unpacked = np.unpackbits(
-                newly.view(np.uint8), axis=1, bitorder="little"
-            )[:, :rows]
-            dist[unpacked.view(bool)] = level
+        if count is not None:
+            if level == _COUNTER_LEVELS:
+                # From here on a uint8 counter would wrap: widen it once
+                # to the int32 the distances end in.
+                count = count.astype(np.int32)
+            count += np.unpackbits(
+                visited.view(np.uint8), axis=1, count=rows, bitorder="little"
+            )
         frontier = newly
+    if count is None:
+        return visited, None, ecc
+    # dist = L + 1 - count, in place once the counter is int32; cells
+    # never reached (count 0) come out as L + 1 and are marked -1.
+    dist = count.astype(np.int32, copy=False)
+    del count
+    np.subtract(level + 1, dist, out=dist)
+    dist[dist == level + 1] = -1
     return visited, dist, ecc
 
 
@@ -282,6 +328,38 @@ class BallFamily(Sequence):
                 (len(s) for s in self._sets), dtype=np.int64, count=len(self._sets)
             )
         return _popcounts(self._packed)
+
+    def holds_components(self, sources: Sequence[int], labels: np.ndarray) -> np.ndarray:
+        """Per source ``i``: does set ``i`` hold node ``i``'s whole component?
+
+        ``labels`` gives every node's component label
+        (:func:`component_labels`); source ``i`` stands for node ``i``,
+        as in a flood schedule.  Each row is tested on packed bits as
+        ``popcount(row & component mask) == component size``, in row
+        blocks, so no member set is unpacked and a set's size alone
+        never decides the answer.
+        """
+        idx = np.asarray(sources, dtype=np.int64)
+        n = self._n
+        _, comp = np.unique(labels, return_inverse=True)
+        nodes = np.arange(n, dtype=np.int64)
+        masks = np.zeros((int(comp.max(initial=-1)) + 1, (n + 7) >> 3), dtype=np.uint8)
+        np.bitwise_or.at(
+            masks, (comp, nodes >> 3), (1 << (nodes & 7)).astype(np.uint8)
+        )
+        need = np.bincount(comp, minlength=len(masks))
+        held = np.empty(len(idx), dtype=bool)
+        block = _block_rows(n, len(idx))
+        for start in range(0, len(idx), block):
+            chunk = idx[start : start + block]
+            rows = (
+                self._packed[chunk]
+                if self._packed is not None
+                else _pack_rows(self.membership_rows(chunk))
+            )
+            rows &= masks[comp[chunk]]
+            held[start : start + block] = _popcounts(rows) == need[comp[chunk]]
+        return held
 
     def packed_rows(self) -> np.ndarray:
         """The whole family as a ``(rows, ceil(n/8))`` uint8 bitset.

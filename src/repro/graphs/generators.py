@@ -19,6 +19,7 @@ import networkx as nx
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.graphs.distance import component_labels
 from repro.local.knowledge import Knowledge
 from repro.local.network import Network
 
@@ -109,26 +110,14 @@ def _sample_distinct_indices(
     return have
 
 
-def _components_union_find(n: int, u: np.ndarray, v: np.ndarray) -> list[list[int]]:
-    """Connected components (each sorted) via plain union-find."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for a, b in zip(u.tolist(), v.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    buckets: dict[int, list[int]] = {}
-    for node in range(n):
-        buckets.setdefault(find(node), []).append(node)
-    return [buckets[root] for root in sorted(buckets)]
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> list[list[int]]:
+    """Connected components, each sorted, in ascending-minimum order."""
+    labels = component_labels(n, u, v)
+    # A stable sort by label keeps each component's nodes ascending;
+    # labels are component minima, so components come out in order.
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return [part.tolist() for part in np.split(order, cuts)]
 
 
 def _connect_components_array(
@@ -141,7 +130,7 @@ def _connect_components_array(
     from its own ``random.Random`` so the added edges are reproducible
     from ``seed`` alone.
     """
-    comps = _components_union_find(n, u, v)
+    comps = _components(n, u, v)
     if len(comps) <= 1:
         return u, v
     rng = random.Random(seed ^ 0x5EED)

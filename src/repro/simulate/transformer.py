@@ -40,12 +40,16 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
+import numpy as np
+
+from repro import obs
 from repro.algorithms.base import LocalAlgorithm, NodeInit
 from repro.algorithms.runner import node_tape, run_inprocess
 from repro.graphs.distance import (
     BallFamily,
     adjacency_csr,
     ball_matrix_blocks,
+    component_labels,
     resolve_engine,
 )
 from repro.local.metrics import MessageStats
@@ -202,12 +206,7 @@ def _replay_shared(
     keeps this path output-identical to ``engine="runtime"`` always.
 
     The coverage verdict ``B_t(center) ⊆ ball(center)`` is computed by
-    the distance plane: a member-only BFS from ``center`` hits a
-    non-member within ``t`` hops iff the full ``B_t`` contains a
-    non-member (walk any shortest path to the offending node — its
-    first non-member lies within ``t`` hops through members), so the
-    vector engine checks ``B_t & ~ball`` over boolean rows while the
-    reference engine keeps the early-exiting member-only Python BFS.
+    :func:`_uncovered_centers`.
     """
     engine = resolve_engine(engine)
     n = network.n
@@ -217,11 +216,55 @@ def _replay_shared(
         if isinstance(balls, BallFamily)
         else BallFamily.from_sets([frozenset(b) for b in balls], n)
     )
-    sizes = family.sizes()
-    # A ball that already holds all n nodes covers any B_t trivially.
-    candidates = [center for center in range(n) if sizes[center] != n]
+    if not obs.enabled():
+        uncovered, _, _ = _uncovered_centers(network, family, t, engine)
+    else:
+        with obs.span("simulate/coverage", t=t) as coverage_span:
+            uncovered, short, component_covered = _uncovered_centers(
+                network, family, t, engine
+            )
+            coverage_span.set(
+                short=short,
+                component_covered=component_covered,
+                uncovered=len(uncovered),
+            )
+
+    # The global replay serves the covered centers; skip it when the
+    # flood covered nobody (every output would be overwritten below).
+    outputs = (
+        {}
+        if len(uncovered) == n
+        else run_inprocess(network, algo, seed, round_engine=round_engine)
+    )
+    for center in uncovered:
+        reports = {x: network.incident(x) for x in family[center]}
+        outputs[center] = replay_ball(algo, center, reports, t, seed, n)
+    return outputs
+
+
+def _uncovered_centers(
+    network: Network, family: BallFamily, t: int, engine: str
+) -> tuple[list[int], int, int]:
+    """``(uncovered, short, component_covered)`` for the shared replay.
+
+    ``uncovered`` lists the centers whose ball misses part of their
+    ``B_t`` in ``G``.  A ball holding all ``n`` nodes covers any
+    ``B_t``; only the ``short`` remainder is checked.  The vector engine
+    first applies the component rule — ``B_t(c) ⊆ comp(c)``, so a ball
+    holding the center's whole connected component covers it
+    (``component_covered`` counts those) — and runs the batched ``B_t``
+    sweep for the rest only.  That sweep checks ``B_t & ~ball`` over
+    boolean rows; the reference engine keeps the early-exiting
+    member-only Python BFS.  Both are exact: a member-only BFS from the
+    center hits a non-member within ``t`` hops iff the full ``B_t``
+    contains one (walk any shortest path to the offending node — its
+    first non-member lies within ``t`` hops through members).
+    """
+    n = network.n
+    candidates = np.flatnonzero(family.sizes() != n).tolist()
+    short = len(candidates)
     uncovered: list[int] = []
-    if candidates and engine == "reference":
+    if engine == "reference":
         neighbors = [network.neighbors(v) for v in range(n)]
         for center in candidates:
             members = family[center]
@@ -246,7 +289,13 @@ def _replay_shared(
                 frontier = layer
             if not ok:
                 uncovered.append(center)
-    elif candidates:
+        return uncovered, short, 0
+    if not candidates:
+        return uncovered, 0, 0
+    _, ep_u, ep_v = network.endpoints_flat()
+    held = family.holds_components(candidates, component_labels(n, ep_u, ep_v))
+    candidates = [c for c, whole in zip(candidates, held.tolist()) if not whole]
+    if candidates:
         indptr, indices = adjacency_csr(network)
         for offset, b_t in ball_matrix_blocks(indptr, indices, candidates, t):
             chunk = candidates[offset : offset + b_t.shape[0]]
@@ -255,18 +304,7 @@ def _replay_shared(
             uncovered.extend(
                 center for center, is_bad in zip(chunk, bad.tolist()) if is_bad
             )
-
-    # The global replay serves the covered centers; skip it when the
-    # flood covered nobody (every output would be overwritten below).
-    outputs = (
-        {}
-        if len(uncovered) == n
-        else run_inprocess(network, algo, seed, round_engine=round_engine)
-    )
-    for center in uncovered:
-        reports = {x: network.incident(x) for x in family[center]}
-        outputs[center] = replay_ball(algo, center, reports, t, seed, n)
-    return outputs
+    return uncovered, short, short - len(candidates)
 
 
 def replay_ball(

@@ -19,7 +19,8 @@ The module also owns :class:`FloodProfile`, the *extendable* form of a
 flood schedule: instead of one schedule per radius it persists the
 radius-capped distance matrix of the spanner, from which the exact
 :class:`~repro.simulate.tlocal.FloodSchedule` of **any** smaller radius
-is re-derived by truncation — balls are ``dist <= r`` rows, capped
+(and of any radius at all once every BFS ended below the cap) is
+re-derived by truncation — balls are ``dist <= r`` rows, capped
 eccentricities are row maxima, and the message counters come from the
 same suffix-sum code path the live derivation uses
 (:func:`~repro.simulate.tlocal.flood_stats`).
@@ -380,9 +381,21 @@ class FloodProfile:
     counters come from :func:`~repro.simulate.tlocal.flood_stats` — the
     very code path the live derivation uses, so equality with
     ``flood_schedule(spanner, r')`` is structural.
+
+    A profile is :attr:`exhausted` when every stored distance is below
+    its radius: each BFS then died before the cap, so the matrix holds
+    every finite distance and serves any radius, larger ones included.
     """
 
-    __slots__ = ("fingerprint", "radius", "engine", "_dist", "_degs", "_schedules")
+    __slots__ = (
+        "fingerprint",
+        "radius",
+        "engine",
+        "exhausted",
+        "_dist",
+        "_degs",
+        "_schedules",
+    )
 
     def __init__(
         self,
@@ -397,6 +410,7 @@ class FloodProfile:
         self.engine = engine
         self._dist = dist
         self._degs = degs
+        self.exhausted = bool(dist.max(initial=_UNREACHED) < radius)
         # Truncated schedules memoized per requested radius.  Schedules
         # are immutable by the simulator's result conventions, so one
         # object safely serves every request at that radius; distinct
@@ -436,14 +450,20 @@ class FloodProfile:
             for offset, block, _ in distance_blocks(
                 indptr, indices, range(n), cutoff=radius
             ):
-                dist[offset : offset + block.shape[0]] = block
+                # Hop distances are symmetric, so the sweep's node-major
+                # block lands as columns: a plain copy, not a transpose.
+                dist[:, offset : offset + block.shape[0]] = block.T
         degs = np.asarray([spanner.degree(v) for v in range(n)], dtype=np.int64)
         return cls(spanner.fingerprint(), radius, name, dist, degs)
 
+    def serves(self, radius: int) -> bool:
+        """Whether :meth:`schedule` can derive ``radius`` exactly."""
+        return radius <= self.radius or self.exhausted
+
     def schedule(self, radius: int) -> FloodSchedule:
-        """The exact :class:`FloodSchedule` for any ``radius <= self.radius``."""
+        """The exact :class:`FloodSchedule` for any radius it :meth:`serves`."""
         radius = max(0, radius)
-        if radius > self.radius:
+        if not self.serves(radius):
             raise ValueError(
                 f"profile holds radius {self.radius}, cannot serve {radius}"
             )

@@ -88,10 +88,18 @@ class FetchInfo(NamedTuple):
     source: str  # "memory" | "disk" | "built" | "bypass"
     truncated: bool = False  # schedule served from a larger-radius profile
     extended: bool = False  # profile rebuilt because the radius grew
+    exhausted: bool = False  # profile complete: it serves every radius
 
     @property
     def hit(self) -> bool:
         return self.source in ("memory", "disk")
+
+
+def _served(source: str, profile: FloodProfile, radius: int) -> FetchInfo:
+    """Provenance of a schedule a cached profile served."""
+    return FetchInfo(
+        source, truncated=radius < profile.radius, exhausted=profile.exhausted
+    )
 
 
 @dataclass
@@ -406,7 +414,8 @@ class ArtifactStore:
 
         One :class:`FloodProfile` entry per (spanner, engine) holds the
         largest radius requested so far: a smaller radius is served by
-        truncation, a larger one rebuilds (extends) the profile.
+        truncation, a larger one by the same profile when it is
+        exhausted, and otherwise rebuilds (extends) the profile.
         Profiles whose ``n^2`` exceeds :data:`PROFILE_CELL_LIMIT` are
         never cached — the schedule is derived directly (a "bypass"),
         bounding the store's memory at large ``n``.
@@ -419,7 +428,7 @@ class ArtifactStore:
             schedule, info = self._fetch_flood_impl(
                 spanner, radius, engine=engine
             )
-            fetch_span.set(source=info.source)
+            fetch_span.set(source=info.source, exhausted=info.exhausted)
         return schedule, info
 
     def _fetch_flood_impl(
@@ -446,12 +455,9 @@ class ArtifactStore:
             source = "disk"
             if profile is not None:
                 self._remember(key, profile)
-        if profile is not None and profile.radius >= radius:
+        if profile is not None and profile.serves(radius):
             self.stats.bump(**{f"{source}_hits": 1})
-            return (
-                profile.schedule(radius),
-                FetchInfo(source, truncated=radius < profile.radius),
-            )
+            return profile.schedule(radius), _served(source, profile, radius)
         extended = profile is not None  # cached, but radius outgrew it
         with self._build_lock(key) as lock:
             # A waited-out live holder may have written a large-enough
@@ -459,18 +465,17 @@ class ArtifactStore:
             # matching note in fetch_spanner).
             if lock is not None and lock.contended:
                 fresh = self._load(key, self._checked_profile, fingerprint, name)
-                if fresh is not None and fresh.radius >= radius:
+                if fresh is not None and fresh.serves(radius):
                     self.stats.bump(disk_hits=1)
                     self._remember(key, fresh)
-                    return (
-                        fresh.schedule(radius),
-                        FetchInfo("disk", truncated=radius < fresh.radius),
-                    )
+                    return fresh.schedule(radius), _served("disk", fresh, radius)
             self.stats.bump(misses=1)
             profile = FloodProfile.build(spanner, radius, engine=name)
             self._remember(key, profile)
             self._persist(key, lambda path, p: p.to_npz(path), profile)
-        return profile.schedule(radius), FetchInfo("built", extended=extended)
+        return profile.schedule(radius), FetchInfo(
+            "built", extended=extended, exhausted=profile.exhausted
+        )
 
     def flood_schedule(
         self,

@@ -14,13 +14,17 @@ from __future__ import annotations
 import math
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.graphs.distance as distance_plane
+import repro.simulate.transformer as transformer
 from repro.algorithms import BallCollect, MinIdAggregation
 from repro.analysis.stretch import adjacent_pair_stretch, bfs_distances, pairwise_stretch
 from repro.core import SamplerParams, build_spanner
+from repro.dynamic import ChurnPlan, apply_churn
 from repro.graphs import barabasi_albert, dense_gnm, erdos_renyi, torus
 from repro.graphs.distance import (
     DISTANCE_ENGINES,
@@ -28,6 +32,8 @@ from repro.graphs.distance import (
     adjacency_csr,
     ball_matrix_blocks,
     balls_and_eccentricities,
+    bfs_exhausted,
+    component_labels,
     csr_from_adjacency,
     default_engine,
     distance_blocks,
@@ -62,6 +68,72 @@ def _thinned(edges: frozenset[int], seed: int, keep: float) -> list[int]:
     rng = random.Random(seed)
     kept = [eid for eid in sorted(edges) if rng.random() < keep]
     return kept
+
+
+def _disjoint_union(*parts: Network, isolated: int = 0) -> Network:
+    """The parts side by side (node ids shifted), plus isolated nodes."""
+    pairs, offset = [], 0
+    for part in parts:
+        pairs.extend(
+            (a + offset, b + offset)
+            for a, b in (part.endpoints(eid) for eid in part.edge_ids)
+        )
+        offset += part.n
+    return Network.from_edge_pairs(offset + isolated, pairs, name="union")
+
+
+def _path(n: int, seed: int) -> Network:
+    """A path through the nodes in a seeded random order."""
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    return Network.from_edge_pairs(n, list(zip(order, order[1:])), name="path")
+
+
+# Disconnected graphs: isolated nodes and at least three components.
+_DISCONNECTED = {
+    "union": lambda: _disjoint_union(
+        erdos_renyi(18, 0.25, seed=3),
+        torus(3, 4),
+        Network.from_edge_pairs(2, [(0, 1)]),
+        isolated=3,
+    ),
+    "churned": lambda: apply_churn(
+        erdos_renyi(50, 0.08, seed=9),
+        ChurnPlan(seed=4, edge_removal=0.1, node_crash=0.1),
+        epoch=0,
+    )[0],
+}
+
+
+def _nx_graph(net: Network) -> nx.Graph:
+    graph = nx.Graph()
+    graph.add_nodes_from(range(net.n))
+    graph.add_edges_from(net.endpoints(eid) for eid in net.edge_ids)
+    return graph
+
+
+def _brute_force_uncovered(net: Network, balls, t: int) -> list[int]:
+    """Centers whose ball misses part of their exact ``B_t`` in ``net``."""
+    adj = [list(net.neighbors(v)) for v in range(net.n)]
+    return [
+        center
+        for center in range(net.n)
+        if not set(single_source_distances(adj, center, t)) <= set(balls[center])
+    ]
+
+
+@pytest.fixture
+def replayed(monkeypatch):
+    """Records the centers the shared replay hands to ``replay_ball``."""
+    centers: list[int] = []
+    original = transformer.replay_ball
+
+    def recording(algo, center, *args):
+        centers.append(center)
+        return original(algo, center, *args)
+
+    monkeypatch.setattr(transformer, "replay_ball", recording)
+    return centers
 
 
 class TestFloodScheduleEquality:
@@ -166,6 +238,84 @@ class TestSimulationEquality:
         ]
         assert outcomes[0] == outcomes[1]
 
+    @pytest.mark.parametrize("radius", [0, 1, 2, None])
+    @pytest.mark.parametrize("keep", [1.0, 0.6])
+    @pytest.mark.parametrize("graph", sorted(_DISCONNECTED))
+    def test_disconnected_graphs(self, graph, keep, radius, replayed):
+        """On graphs with isolated nodes and several components both
+        engines agree, and each replays exactly the centers a
+        brute-force ``B_t ⊆ ball`` check finds uncovered."""
+        net = _DISCONNECTED[graph]()
+        components = list(nx.connected_components(_nx_graph(net)))
+        assert len(components) >= 3
+        assert any(len(c) == 1 for c in components)
+        result = build_spanner(net, SamplerParams(k=2, h=2, seed=9))
+        edges = sorted(result.edges) if keep >= 1.0 else _thinned(result.edges, 9, keep)
+        algo = BallCollect(2)
+        t = algo.rounds(net.n)
+        flood_radius = radius if radius is not None else result.stretch_bound * t
+        balls = flood_schedule(net.subnetwork(edges), flood_radius).balls
+        outcomes = {}
+        for engine in DISTANCE_ENGINES:
+            replayed.clear()
+            outcomes[engine] = simulate_over_spanner(
+                net,
+                edges,
+                result.stretch_bound,
+                algo,
+                seed=7,
+                radius=radius,
+                distance_engine=engine,
+            )
+            assert sorted(replayed) == _brute_force_uncovered(net, balls, t)
+        assert outcomes["vector"] == outcomes["reference"]
+
+    @pytest.mark.parametrize("graph", sorted(_DISCONNECTED))
+    def test_schedule_from_another_graph(self, graph, replayed):
+        """A schedule measured on a different graph over the same nodes
+        holds balls that need not contain the center's component, even
+        when they are as large: the engines must still agree."""
+        net = _DISCONNECTED[graph]()
+        labels = component_labels(net.n, *net.endpoints_flat()[1:])
+        comp_size = np.bincount(labels, minlength=net.n)[labels]
+        # A star over every node but one of the largest component: its
+        # balls hold n - 1 nodes, yet miss that node.
+        missing = int(np.argmax(comp_size))
+        hub = (missing + 1) % net.n
+        other = Network.from_edge_pairs(
+            net.n, [(hub, w) for w in range(net.n) if w not in (hub, missing)]
+        )
+        schedule = flood_schedule(other, 3)
+        sizes = schedule.balls.sizes()
+        fooled = [
+            c
+            for c in range(net.n)
+            if sizes[c] >= comp_size[c]
+            and not {w for w in range(net.n) if labels[w] == labels[c]}
+            <= schedule.balls[c]
+        ]
+        assert fooled  # a size-only rule would call these covered
+        result = build_spanner(net, SamplerParams(k=2, h=2, seed=9))
+        algo = BallCollect(2)
+        outcomes = {}
+        for engine in DISTANCE_ENGINES:
+            replayed.clear()
+            outcomes[engine] = simulate_over_spanner(
+                net,
+                result.edges,
+                result.stretch_bound,
+                algo,
+                seed=7,
+                radius=3,
+                schedule=schedule,
+                distance_engine=engine,
+            )
+            assert sorted(replayed) == _brute_force_uncovered(
+                net, schedule.balls, algo.rounds(net.n)
+            )
+        assert outcomes["vector"] == outcomes["reference"]
+        assert set(fooled) & set(replayed)
+
     def test_one_stage_under_reference_engine(self):
         from repro.simulate import run_one_stage
 
@@ -178,18 +328,59 @@ class TestSimulationEquality:
 
 
 class TestBatchedPrimitives:
-    def test_distance_blocks_match_single_source(self):
-        net = barabasi_albert(50, 2, seed=4)
-        adj = [list(net.neighbors(v)) for v in range(net.n)]
-        indptr, indices = csr_from_adjacency(adj)
-        for cutoff in (math.inf, 2, 3.5):
-            for offset, dist, exhausted in distance_blocks(
-                indptr, indices, range(net.n), cutoff=cutoff
-            ):
-                for i in range(dist.shape[0]):
-                    ref = single_source_distances(adj, offset + i, cutoff)
-                    got = {w: int(d) for w, d in enumerate(dist[i]) if d >= 0}
-                    assert got == ref
+    def test_distance_blocks_match_single_source(self, monkeypatch):
+        cases = [
+            (barabasi_albert(50, 2, seed=4), (math.inf, 0, 1, 2, 3.5)),
+            # more than 255 levels: the distance counters must widen
+            (_path(300, seed=1), (math.inf, 299, 254, 1)),
+            (_DISCONNECTED["union"](), (math.inf, 0, 1, 3)),
+            (_DISCONNECTED["churned"](), (math.inf, 0, 1, 2)),
+            (Network.from_edge_pairs(6, []), (math.inf, 0, 1)),
+        ]
+        for net, cutoffs in cases:
+            adj = [list(net.neighbors(v)) for v in range(net.n)]
+            indptr, indices = csr_from_adjacency(adj)
+            for split in (False, True):
+                with monkeypatch.context() as patch:
+                    if split:
+                        # a third of the rows per block: several blocks
+                        rows = max(2, net.n // 3)
+                        patch.setattr(distance_plane, "_BLOCK_CELLS_DIST", rows * net.n)
+                    for cutoff in cutoffs:
+                        blocks = list(
+                            distance_blocks(indptr, indices, range(net.n), cutoff=cutoff)
+                        )
+                        assert (len(blocks) > 1) == split
+                        for offset, dist, exhausted in blocks:
+                            assert dist.dtype == np.int32
+                            for i in range(dist.shape[0]):
+                                ref = single_source_distances(adj, offset + i, cutoff)
+                                got = {w: int(d) for w, d in enumerate(dist[i]) if d >= 0}
+                                assert got == ref
+                                assert bool(exhausted[i]) == bfs_exhausted(ref, cutoff)
+
+    @pytest.mark.parametrize("case", ["path", "star", "edgeless", "single", "union"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_component_labels_match_networkx(self, case, seed):
+        rng = random.Random(seed)
+        if case == "path":
+            net = _path(40 + seed, seed)
+        elif case == "star":
+            n = 25 + seed
+            hub = rng.randrange(n)
+            net = Network.from_edge_pairs(n, [(hub, w) for w in range(n) if w != hub])
+        elif case == "edgeless":
+            net = Network.from_edge_pairs(7 + seed, [])
+        elif case == "single":
+            net = Network.from_edge_pairs(1, [])
+        else:
+            net = _DISCONNECTED["union"]()
+        labels = component_labels(net.n, *net.endpoints_flat()[1:])
+        assert labels.shape == (net.n,)
+        expected = np.empty(net.n, dtype=np.int64)
+        for component in nx.connected_components(_nx_graph(net)):
+            expected[sorted(component)] = min(component)
+        assert np.array_equal(labels, expected)
 
     def test_adjacency_csr_matches_neighbors(self):
         net = erdos_renyi(30, 0.2, seed=8)
@@ -259,6 +450,24 @@ class TestBallFamily:
         assert frozenset(np.nonzero(rows[0])[0].tolist()) == sets[0]
         set_rows = sets.membership_rows([0, 3])
         assert np.array_equal(rows, set_rows)
+
+    def test_holds_components_tests_members_not_sizes(self):
+        # components {0, 1, 2}, {3, 4}, {5}
+        labels = np.array([0, 0, 0, 3, 3, 5])
+        sets = [
+            frozenset({0, 1, 2}),  # its whole component
+            frozenset({1, 3, 4}),  # as large, but misses 0 and 2
+            frozenset({0, 1, 2, 3, 4, 5}),
+            frozenset({3}),  # misses 4
+            frozenset({0, 3, 4}),
+            frozenset({0, 1}),  # misses its own center
+        ]
+        expected = [True, False, True, False, True, False]
+        by_sets = BallFamily.from_sets(sets, 6)
+        packed = BallFamily.from_packed(by_sets.packed_rows(), 6)
+        for family in (by_sets, packed):
+            assert family.holds_components(range(6), labels).tolist() == expected
+            assert family.holds_components([5, 1], labels).tolist() == [False, False]
 
     def test_unhashable_and_constructor_guard(self):
         packed, _ = self._family_pair()

@@ -135,6 +135,66 @@ class TestArrayEngine:
         assert degrees[0] >= attach  # arrivals bring `attach` stubs
         assert degrees[-1] > 2 * attach  # heavy tail exists
 
+    @pytest.mark.parametrize(
+        "build, fingerprint",
+        [
+            (
+                lambda: erdos_renyi(1000, 0.002, seed=0, engine="array"),
+                "2d865bbc29450a0ad658bb16ce9564b3d055fb0b0d93099cbb75bfcebb03de8c",
+            ),
+            (
+                lambda: erdos_renyi(1000, 0.002, seed=1, engine="array"),
+                "1917daf25eb0ee7da680046ddb67a3af64beb41404bed562a379075fe01ac4c0",
+            ),
+            (
+                lambda: dense_gnm(200, 150, seed=0, engine="array"),
+                "65f339c78d55561d4d4ca835880882d75bb13add844f7164d881084c85847aa9",
+            ),
+            (
+                lambda: dense_gnm(200, 150, seed=1, engine="array"),
+                "6cc2ea1d7a2971e9556488e34104246088bed233a496065be39cc83c7fe80fde",
+            ),
+            (
+                lambda: barabasi_albert(300, 2, seed=0, engine="array"),
+                "6628551e0ffa7e27823106d6b7727de05a13293c38cbbd188c6e2e8b4163e769",
+            ),
+        ],
+    )
+    def test_array_graphs_keep_their_fingerprints(self, build, fingerprint):
+        """Sparse draws leave many components for the connecting pass;
+        the pinned graphs must not change with its implementation."""
+        assert build().fingerprint() == fingerprint
+
+    @pytest.mark.parametrize("n, m, seed", [(1, 0, 0), (60, 20, 1), (200, 150, 2)])
+    def test_components_match_union_find(self, n, m, seed):
+        """The vectorized components equal a plain union-find's: same
+        members, each sorted, in ascending-minimum order."""
+        import random
+
+        import numpy as np
+
+        from repro.graphs.generators import _components
+
+        rng = random.Random(seed)
+        pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(m)}
+        u = np.array([a for a, _ in pairs], dtype=np.int64)
+        v = np.array([b for _, b in pairs], dtype=np.int64)
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for a, b in pairs:
+            ra, rb = find(a), find(b)
+            parent[max(ra, rb)] = min(ra, rb)
+        buckets = {}
+        for node in range(n):
+            buckets.setdefault(find(node), []).append(node)
+        expected = [buckets[root] for root in sorted(buckets)]
+        assert _components(n, u, v) == expected
+
     def test_default_engine_unchanged(self):
         """engine='reference' is the default and stays byte-identical —
         existing seeds must keep reproducing their committed graphs."""

@@ -147,6 +147,68 @@ class TestDeterminism:
         assert scheme[0]["attrs"]["messages"] == report.simulation.messages.total
 
 
+class TestCoverageTelemetry:
+    """``simulate/coverage`` counts what the component rule settled, and
+    ``store/fetch_flood_schedule`` says whether its profile is exhausted."""
+
+    # components {0..3} (a path), {4, 5, 6} (a path), five isolated nodes
+    EDGES = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)]
+
+    def _simulate(self, radius, store=None, engine="vector"):
+        from repro.algorithms import BallCollect
+        from repro.local.network import Network
+        from repro.simulate import simulate_over_spanner
+
+        net = Network.from_edge_pairs(12, self.EDGES)
+        return simulate_over_spanner(
+            net,
+            net.edge_ids,
+            3,
+            BallCollect(2),
+            seed=1,
+            radius=radius,
+            store=store,
+            distance_engine=engine,
+        )
+
+    def _attrs(self, name, *keys):
+        return [
+            tuple(record["attrs"][key] for key in keys)
+            for record in obs.collector().finished()
+            if record["name"] == name
+        ]
+
+    def test_coverage_span_counts(self, obs_on):
+        from repro.store import ArtifactStore
+
+        store = ArtifactStore()
+        for radius in (1, 4, 6):
+            self._simulate(radius, store=store)
+        coverage = self._attrs(
+            "simulate/coverage", "short", "component_covered", "uncovered"
+        )
+        # radius 1: the isolated nodes and node 5 hold their components;
+        # 0, 1, 2, 3, 4 and 6 miss part of their B_2.
+        assert coverage == [(12, 6, 6), (12, 12, 0), (12, 12, 0)]
+        fetches = self._attrs("store/fetch_flood_schedule", "source", "exhausted")
+        assert fetches == [("built", False), ("built", True), ("memory", True)]
+
+    def test_reference_engine_reports_no_component_rule(self, obs_on):
+        self._simulate(1, engine="reference")
+        coverage = self._attrs(
+            "simulate/coverage", "short", "component_covered", "uncovered"
+        )
+        assert coverage == [(12, 0, 6)]
+
+    def test_off_path_records_nothing_and_agrees(self, obs_off):
+        baseline = self._simulate(1)
+        assert obs.collector().finished() == []
+        obs.set_enabled(True)
+        traced = self._simulate(1)
+        obs.set_enabled(False)
+        assert traced == baseline
+
+
 class TestParallelMerge:
     def test_worker_shard_spans_merge_parent_side(self, net, obs_on):
         serial = build_spanner(net, PARAMS)

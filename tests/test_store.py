@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core import SamplerParams
 from repro.core.distributed import build_spanner_distributed
 from repro.core.spanner import SpannerResult
-from repro.graphs import barabasi_albert, erdos_renyi, torus
+from repro.graphs import barabasi_albert, complete_graph, erdos_renyi, torus
 from repro.graphs.distance import BallFamily
 from repro.local.network import Network
 from repro.simulate import flood_schedule, run_one_stage
@@ -152,14 +152,31 @@ class TestFloodProfile:
         keep=st.floats(min_value=0.3, max_value=1.0),
         engine=st.sampled_from(["vector", "reference"]),
     )
-    def test_truncation_equals_live_derivation(self, net, radius, keep, engine):
+    def test_truncation_equals_live_derivation(
+        self, tmp_path_factory, net, radius, keep, engine
+    ):
         # A random (possibly disconnected) subnetwork stands in for a
-        # spanner: the profile must serve every smaller radius exactly.
+        # spanner: the profile must serve every smaller radius exactly,
+        # and every larger one exactly when it is exhausted.
         eids = [e for i, e in enumerate(net.edge_ids) if (i * 2654435761 % 100) / 100 < keep]
         sub = net.subnetwork(eids)
         profile = FloodProfile.build(sub, radius, engine=engine)
-        for smaller in {0, min(1, radius), radius // 2, radius}:
-            assert profile.schedule(smaller) == flood_schedule(sub, smaller)
+        path = tmp_path_factory.mktemp("profile") / "profile.npz"
+        profile.to_npz(path)
+        loaded = FloodProfile.from_npz(path)
+        # exhausted: every BFS stopped before the cap
+        complete = max(flood_schedule(sub, radius).ecc) < radius
+        assert profile.exhausted == loaded.exhausted == complete
+        for r in range(radius + 4):
+            if r <= radius or complete:
+                expected = flood_schedule(sub, r)
+                assert profile.schedule(r) == expected
+                assert loaded.schedule(r) == expected
+            else:
+                for cut_short in (profile, loaded):
+                    assert not cut_short.serves(r)
+                    with pytest.raises(ValueError, match="cannot serve"):
+                        cut_short.schedule(r)
 
     def test_profile_npz_round_trip(self, tmp_path):
         sub = torus(5, 5)
@@ -170,6 +187,7 @@ class TestFloodProfile:
 
     def test_radius_beyond_profile_is_refused(self):
         profile = FloodProfile.build(torus(4, 4), 2)
+        assert not profile.exhausted  # diameter 4: the cap cut it short
         with pytest.raises(ValueError, match="cannot serve"):
             profile.schedule(3)
 
@@ -232,18 +250,37 @@ class TestArtifactStore:
         sub = torus(5, 5)
         _, built = store.fetch_flood_schedule(sub, 4)
         assert built.source == "built" and not built.extended
+        assert not built.exhausted  # radius 4 = the diameter
         exact, hit = store.fetch_flood_schedule(sub, 4)
         assert hit.source == "memory" and not hit.truncated
         truncated, info = store.fetch_flood_schedule(sub, 2)
         assert info.source == "memory" and info.truncated
         assert truncated == flood_schedule(sub, 2)
         extended, info = store.fetch_flood_schedule(sub, 6)
-        assert info.source == "built" and info.extended
+        assert info.source == "built" and info.extended and info.exhausted
         assert extended == flood_schedule(sub, 6)
         # after the extension, the larger profile serves the old radius
         again, info = store.fetch_flood_schedule(sub, 4)
         assert info.source == "memory" and info.truncated
         assert again == exact
+
+    def test_exhausted_profile_serves_a_larger_radius(self, tmp_path):
+        sub = complete_graph(7)  # diameter 1: a radius-2 BFS ends early
+        store = ArtifactStore(tmp_path)
+        _, built = store.fetch_flood_schedule(sub, 2)
+        assert built.source == "built" and built.exhausted
+        misses = store.stats.misses
+        larger, info = store.fetch_flood_schedule(sub, 6)
+        assert info.source == "memory" and info.exhausted
+        assert not info.extended and not info.truncated
+        assert store.stats.misses == misses
+        assert larger == flood_schedule(sub, 6)
+        # a profile read back from disk is exhausted too
+        warm = ArtifactStore(tmp_path)
+        again, info = warm.fetch_flood_schedule(sub, 9)
+        assert info.source == "disk" and info.exhausted
+        assert warm.stats.misses == 0
+        assert again == flood_schedule(sub, 9)
 
     def test_byte_budget_evicts_heavy_profiles(self):
         store = ArtifactStore(byte_budget=1)  # any profile overflows it

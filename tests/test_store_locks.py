@@ -18,11 +18,14 @@ import time
 import pytest
 
 from repro.core import SamplerParams
-from repro.graphs import erdos_renyi
+from repro.graphs import complete_graph, erdos_renyi
+from repro.graphs.distance import resolve_engine
+from repro.simulate import flood_schedule
 from repro.store import (
     ArtifactStore,
     FileLock,
     LockTimeout,
+    flood_key,
     pid_alive,
     plant_stale_lock,
     spanner_key,
@@ -198,6 +201,28 @@ class TestStoreLocking:
             holder.release()
         assert info.source == "built"
         assert store.stats.lock_contended >= 1
+
+    def test_contended_reread_serves_an_exhausted_profile(self, tmp_path, monkeypatch):
+        """While this fetch waits on a live holder, the holder writes a
+        smaller but exhausted profile; the re-read serves the larger
+        radius from it instead of building."""
+        sub = complete_graph(6)
+        store = ArtifactStore(tmp_path)
+        store.fetch_flood_schedule(sub, 0)  # cached, but cannot serve 5
+        key = flood_key(sub.fingerprint(), resolve_engine(None))
+        holder = FileLock(store._lock_path(key)).acquire()
+
+        def hand_over(lock, attempt):
+            ArtifactStore(tmp_path, locking=False).fetch_flood_schedule(sub, 2)
+            holder.release()
+            return 0.0
+
+        monkeypatch.setattr(FileLock, "_wait", hand_over)
+        schedule, info = store.fetch_flood_schedule(sub, 5)
+        assert info.source == "disk" and info.exhausted and not info.extended
+        assert store.stats.lock_contended == 1
+        assert store.stats.misses == 1  # the radius-0 build only
+        assert schedule == flood_schedule(sub, 5)
 
     def test_memory_only_store_never_locks(self, net):
         store = ArtifactStore()
