@@ -135,3 +135,66 @@ class SamplerTrace:
             )
             for lvl in self.levels
         )
+
+    def full_signature(self) -> tuple:
+        """Every field of the trace as one canonical, comparable tuple.
+
+        :meth:`signature` covers only what the distributed run can
+        observe; this also covers per-node degrees, draws, pool sizes
+        and trial stats, the active/stale edge split, cluster heights
+        and the finished records.  Sets and dicts are sorted, and
+        labels appear by name, so ``repr`` of the result is stable
+        across processes (the full-trace goldens hash it).
+        """
+
+        def node(t: NodeLevelTrace) -> tuple:
+            stats = tuple(
+                (
+                    s.trial_index,
+                    s.pool_before,
+                    s.draws,
+                    s.queried_eids,
+                    s.new_neighbors,
+                    s.peeled_edges,
+                )
+                for s in t.trial_stats
+            )
+            return (
+                t.vid,
+                t.label.name,
+                t.trials,
+                t.draws,
+                t.queries_sent,
+                t.neighbors_found,
+                t.inactive_found,
+                t.pool_initial,
+                t.pool_final,
+                t.degree,
+                t.target,
+                t.query_budget,
+                t.f_active,
+                t.f_inactive,
+                stats,
+            )
+
+        levels = tuple(
+            (
+                lvl.level,
+                lvl.population,
+                lvl.active_edges,
+                lvl.stale_edges,
+                tuple(sorted(lvl.cluster_sizes.items())),
+                tuple(sorted(lvl.cluster_heights.items())),
+                tuple(node(lvl.nodes[vid]) for vid in sorted(lvl.nodes)),
+                lvl.centers,
+                lvl.joins,
+                lvl.unclustered,
+                tuple(sorted(lvl.f_edges)),
+            )
+            for lvl in self.levels
+        )
+        finished = tuple(
+            (f.cid, f.level, f.label.name, tuple(sorted(f.live_edges)))
+            for f in (self.finished[cid] for cid in sorted(self.finished))
+        )
+        return (self.n, self.m, repr(self.params), levels, finished)

@@ -1,4 +1,5 @@
-"""Regenerate ``tests/data/golden_signatures.json``.
+"""Regenerate ``tests/data/golden_signatures.json`` (or, with
+``--full``, ``tests/data/golden_full_traces.json``).
 
 The golden file pins sha256 digests of centralized ``SamplerTrace``
 signatures so that future optimizations of the hot paths can prove they
@@ -6,17 +7,28 @@ stayed bit-identical to the seed implementation.  Run from the repo
 root::
 
     PYTHONPATH=src python tools/capture_golden_signatures.py
+    PYTHONPATH=src python tools/capture_golden_signatures.py --full
 
-Only regenerate the file when a *deliberate* semantic change to the
+``--full`` digests the sorted spanner edges plus
+``SamplerTrace.full_signature()`` — every trace field, including the
+per-node degrees, draws, pool sizes and trial stats, the active/stale
+edge split, cluster heights and finished records that
+``signature()`` leaves out.  It refuses to write unless the seed
+recount strategy (``incremental=False``) yields the same digest on
+every case.
+
+Only regenerate either file when a *deliberate* semantic change to the
 sampler is being made (and say so in the PR description) — the whole
-point of the file is to freeze the seed behaviour.
+point of the files is to freeze the seed behaviour.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
+import sys
 
 from repro.core import SamplerParams, build_spanner
 from repro.graphs import (
@@ -31,6 +43,12 @@ from repro.graphs import (
 
 def signature_digest(trace) -> str:
     return hashlib.sha256(repr(trace.signature()).encode()).hexdigest()
+
+
+def full_digest(result) -> str:
+    """sha256 over the sorted spanner edges plus the full trace."""
+    document = (tuple(sorted(result.edges)), result.trace.full_signature())
+    return hashlib.sha256(repr(document).encode()).hexdigest()
 
 
 def equivalence_cases() -> list[tuple[str, object, SamplerParams]]:
@@ -81,11 +99,25 @@ def family_cases() -> list[tuple[str, object, SamplerParams]]:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--full",
+        action="store_true",
+        help="write the full-trace digests (golden_full_traces.json)",
+    )
+    args = parser.parse_args()
     goldens: dict[str, str] = {}
     for name, net, params in equivalence_cases() + family_cases():
-        goldens[name] = signature_digest(build_spanner(net, params).trace)
+        if args.full:
+            goldens[name] = full_digest(build_spanner(net, params))
+            reference = full_digest(build_spanner(net, params, incremental=False))
+            if reference != goldens[name]:
+                sys.exit(f"{name}: the recount strategy disagrees; nothing written")
+        else:
+            goldens[name] = signature_digest(build_spanner(net, params).trace)
         print(f"{name}: {goldens[name][:16]}…")
-    out = os.path.join(os.path.dirname(__file__), "..", "tests", "data", "golden_signatures.json")
+    filename = "golden_full_traces.json" if args.full else "golden_signatures.json"
+    out = os.path.join(os.path.dirname(__file__), "..", "tests", "data", filename)
     with open(os.path.normpath(out), "w", encoding="utf-8") as handle:
         json.dump(goldens, handle, indent=2, sort_keys=True)
         handle.write("\n")
