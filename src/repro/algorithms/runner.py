@@ -28,7 +28,8 @@ import numpy as np
 from repro import obs
 from repro.algorithms.base import LocalAlgorithm, NodeInit
 from repro.errors import ProtocolError
-from repro.local.engine import VectorProgram, VectorRuntime, resolve_round_engine
+from repro.execution import Exec
+from repro.local.engine import VectorProgram, VectorRuntime
 from repro.local.faults import FaultPlan
 from repro.local.message import Inbound
 from repro.local.metrics import MessageStats, RunReport
@@ -231,23 +232,23 @@ def run_direct(
     algo: LocalAlgorithm,
     seed: int = 0,
     *,
-    scheduler: str = "active",
-    round_engine: str | None = None,
+    execution: Exec | None = None,
     faults: FaultPlan | None = None,
 ) -> DirectOutcome:
     """Execute on the kernel; messages and rounds are metered exactly.
 
-    ``round_engine`` selects the execution engine (``"vector"`` /
-    ``"reference"``, default the process-wide ``REPRO_ROUND_ENGINE``).
+    ``execution`` selects the round engine (``"vector"`` /
+    ``"reference"``) and, on the reference path, the scheduler.
     The vector path runs registered algorithms as array populations and
     falls back to the reference interpreter for everything else — and
     for corrupt-capable fault plans, whose tampered payloads only the
     per-node programs' error behaviour defines.  Each fallback emits an
     ``algorithms/reference_fallback`` event on the telemetry plane.
     """
+    execution = execution or Exec()
     t = algo.rounds(network.n)
     plan = faults or FaultPlan.none()
-    if resolve_round_engine(round_engine) == "vector":
+    if execution.round_engine == "vector":
         population = _vector_or_fallback(algo, network, seed, plan.can_corrupt)
         if population is not None:
             report = VectorRuntime(
@@ -264,7 +265,7 @@ def run_direct(
         seed=seed,
         max_rounds=t + 2,
         faults=faults,
-        scheduler=scheduler,
+        execution=execution,
     )
     return DirectOutcome(outputs=report.outputs, messages=report.messages, rounds=report.rounds)
 
@@ -274,7 +275,7 @@ def run_inprocess(
     algo: LocalAlgorithm,
     seed: int = 0,
     *,
-    round_engine: str | None = None,
+    execution: Exec | None = None,
 ) -> dict[int, Any]:
     """Fast synchronous evaluation (no kernel); outputs only.
 
@@ -283,7 +284,7 @@ def run_inprocess(
     everything else runs the original message-free loop, announced by
     an ``algorithms/reference_fallback`` event.
     """
-    if resolve_round_engine(round_engine) == "vector":
+    if (execution or Exec()).round_engine == "vector":
         population = _vector_or_fallback(algo, network, seed, False)
         if population is not None:
             t = algo.rounds(network.n)

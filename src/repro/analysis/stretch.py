@@ -11,10 +11,10 @@ Distances come from the shared distance plane
 (:mod:`repro.graphs.distance`, DESIGN.md §3.7): the default ``vector``
 engine batches one truncated BFS per queried source through NumPy
 bitset sweeps, which keeps *exact* measurement usable at tens of
-thousands of nodes; ``engine="reference"`` runs the original deque BFS
-per source.  Both engines produce equal :class:`StretchReport` values
-(sums are accumulated order-independently), which the property tests
-enforce.
+thousands of nodes; ``Exec(distance_engine="reference")`` runs the
+original deque BFS per source.  Both engines produce equal
+:class:`StretchReport` values (sums are accumulated
+order-independently), which the property tests enforce.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from repro.execution import Exec
 from repro.graphs.distance import (
     bfs_exhausted,
     csr_from_adjacency,
     distance_blocks,
-    resolve_engine,
     single_source_distances,
 )
 from repro.local.network import Network
@@ -122,16 +122,16 @@ def adjacent_pair_stretch(
     sample: int | None = None,
     seed: int = 0,
     cutoff: float = _UNREACHABLE,
-    engine: str | None = None,
+    execution: Exec | None = None,
 ) -> StretchReport:
     """Measure ``dist_H`` over edges of ``G`` (the spanner-defining pairs).
 
     ``sample=None`` measures every edge; otherwise ``sample`` edges are
     drawn without replacement with a seeded RNG.  ``cutoff`` truncates
     BFS (useful when the caller only needs to check a known bound).
-    ``engine`` selects the distance plane implementation.
+    ``execution`` selects the distance plane implementation.
     """
-    engine = resolve_engine(engine)
+    engine = (execution or Exec()).distance_engine
     spanner_adj = _adjacency(network, sorted(set(spanner_edges)))
     eids = list(network.edge_ids)
     if sample is not None and sample < len(eids):
@@ -179,7 +179,7 @@ def pairwise_stretch(
     *,
     sources: int | None = None,
     seed: int = 0,
-    engine: str | None = None,
+    execution: Exec | None = None,
 ) -> StretchReport:
     """Max/mean of ``dist_H / dist_G`` over (sampled-source) node pairs.
 
@@ -187,7 +187,7 @@ def pairwise_stretch(
     of target enumeration order), so the two engines return identical
     reports even though they walk targets in different orders.
     """
-    engine = resolve_engine(engine)
+    engine = (execution or Exec()).distance_engine
     g_adj = _adjacency(network)
     h_adj = _adjacency(network, sorted(set(spanner_edges)))
     nodes = list(network.nodes())

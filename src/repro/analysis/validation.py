@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from repro.analysis.stretch import StretchReport, adjacent_pair_stretch
 from repro.core.spanner import SpannerResult
 from repro.errors import ValidationError
+from repro.execution import Exec
 
 __all__ = ["SpannerValidation", "validate_spanner"]
 
@@ -27,7 +28,7 @@ def validate_spanner(
     check_size_envelope: bool = True,
     stretch_sample: int | None = None,
     seed: int = 0,
-    engine: str | None = None,
+    execution: Exec | None = None,
 ) -> SpannerValidation:
     """Raise :class:`ValidationError` unless ``result`` is a valid spanner.
 
@@ -49,7 +50,7 @@ def validate_spanner(
         sample=stretch_sample,
         seed=seed,
         cutoff=bound + 1,
-        engine=engine,
+        execution=execution,
     )
     if report.unreachable_pairs or report.beyond_cutoff:
         # Both buckets violate the bound here: the BFS cutoff is bound+1,

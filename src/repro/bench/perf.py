@@ -38,13 +38,9 @@ failures are diagnosable.  The JSON also records environment metadata
 can be interpreted across hosts; metadata and medians never participate
 in the regression check.
 
-The flagship kernel (``spanner/gnp/n2000`` — ``G(n=2000)`` at average
-degree 8) is additionally timed under the seed recount strategy
-(``build_spanner(..., incremental=False)``) so the optimized/seed
-speedup is recorded alongside the absolute numbers.  The
-``spanner_dist/*`` kernels carry the analogous comparison for the round
-engine: each entry's ``baseline_seconds``/``speedup`` time the same
-input under ``scheduler="dense"`` (DESIGN.md §3.6).
+The ``spanner_dist/*`` kernels carry a comparison for the round engine:
+each entry's ``baseline_seconds``/``speedup`` time the same input under
+``Exec(scheduler="dense")`` (DESIGN.md §3.6).
 """
 
 from __future__ import annotations
@@ -82,6 +78,7 @@ from repro.analysis.stretch import adjacent_pair_stretch
 from repro.core import SamplerParams, build_spanner
 from repro.core.distributed import build_spanner_distributed
 from repro.dynamic import ChurnPlan, apply_churn, repair_spanner
+from repro.execution import Exec
 from repro.graphs import barabasi_albert, dense_gnm, erdos_renyi, torus
 from repro.local.network import Network
 from repro.service import ConcurrentSimulationService, SimulationService
@@ -105,7 +102,6 @@ __all__ = [
 BENCH_FILE = "BENCH_core.json"
 REGRESSION_TOLERANCE = 0.25  # fail --check beyond +25% on any kernel
 SPREAD_WARNING = 0.20  # warn when (max - min) / min across samples exceeds this
-FLAGSHIP = "spanner/gnp/n2000"
 
 _SPANNER_PARAMS = SamplerParams(k=2, h=2, seed=1)
 _SCHEME_PARAMS = SamplerParams(k=1, h=3, seed=19, c_query=0.7, c_target=1.0)
@@ -157,12 +153,8 @@ def _spanner_par(net: Network) -> object:
     return build_spanner(net, _SPANNER_PARAMS, jobs=2)
 
 
-def _spanner_reference(net: Network) -> object:
-    return build_spanner(net, _SPANNER_PARAMS, incremental=False)
-
-
 def _spanner_obs_off(net: Network) -> object:
-    """The flagship build with the telemetry plane forced off — the
+    """The ``spanner/gnp/n2000`` build with the telemetry plane forced off — the
     ``obs/overhead`` kernel's measured body.  Forcing (rather than
     inheriting the environment) keeps the committed baseline meaningful
     even when the suite itself runs under ``REPRO_OBS=1``."""
@@ -179,7 +171,7 @@ def _spanner_obs_on(net: Network) -> object:
     """The same build with the telemetry plane collecting; recorded as
     the kernel's ``baseline_seconds``, so the committed ``speedup`` is
     the measured obs on-cost ratio (DESIGN.md §3.13's overhead
-    contract: the *off* side must stay within the flagship's gate)."""
+    contract: the *off* side must stay within that kernel's gate)."""
     from repro import obs
 
     previous = obs.set_enabled(True)
@@ -430,28 +422,30 @@ def _repair_rebuild(built: tuple) -> object:
 # same RunReport, different engine (acceptance: >= 3x on flood and
 # gossip).
 def _vec_flood(engine: str):
+    execution = Exec(flood_engine="runtime", round_engine=engine)
+
     def run(net: Network) -> object:
         return t_local_broadcast(
-            net,
-            payload_of=lambda v: (v,),
-            radius=2,
-            engine="runtime",
-            round_engine=engine,
+            net, payload_of=lambda v: (v,), radius=2, execution=execution
         )
 
     return run
 
 
 def _vec_gossip(engine: str):
+    execution = Exec(round_engine=engine)
+
     def run(net: Network) -> object:
-        return run_push_pull(net, rounds=12, t=2, seed=3, round_engine=engine)
+        return run_push_pull(net, rounds=12, t=2, seed=3, execution=execution)
 
     return run
 
 
 def _vec_algo(engine: str):
+    execution = Exec(round_engine=engine)
+
     def run(net: Network) -> object:
-        return run_direct(net, BallCollect(2), seed=7, round_engine=engine)
+        return run_direct(net, BallCollect(2), seed=7, execution=execution)
 
     return run
 
@@ -489,7 +483,7 @@ def _spanner_dist(family: str):
 def _spanner_dist_dense(family: str):
     def run(net: Network) -> object:
         return build_spanner_distributed(
-            net, _DIST_PARAMS[family], scheduler="dense"
+            net, _DIST_PARAMS[family], execution=Exec(scheduler="dense")
         )
 
     return run
@@ -538,7 +532,7 @@ def default_kernels() -> list[Kernel]:
     for n in (500, 1000, 2000):
         kernels.append(Kernel(f"spanner/gnp/n{n}", lambda n=n: _gnp(n), _spanner))
     # The telemetry-plane overhead contract (DESIGN.md §3.13): the
-    # measured body is the flagship build with REPRO_OBS forced off —
+    # measured body is the spanner/gnp/n2000 build with REPRO_OBS forced off —
     # its gate entry proves disabled instrumentation stays free — and
     # the baseline re-runs it with spans collecting, putting the
     # on-cost ratio on record as the kernel's ``speedup``.
@@ -752,13 +746,11 @@ def _peak_rss_mb() -> float | None:
     return round(max(own, kids) / 1024, 1)
 
 
-def _measure_kernel(kernel: Kernel, repeats: int | None) -> tuple[dict, dict | None]:
-    """Build and time one kernel; returns ``(entry, flagship_or_None)``.
+def _measure_kernel(kernel: Kernel, repeats: int | None) -> dict:
+    """Build and time one kernel; returns its entry.
 
     The entry carries best (``seconds``) and ``median_seconds`` over the
-    samples plus input sizes and the post-run peak RSS; the flagship
-    kernel also times the seed recount path so the optimized/seed
-    speedup stays on record.
+    samples plus input sizes and the post-run peak RSS.
     """
     built = kernel.build()
     net = _net_of(built)
@@ -782,19 +774,10 @@ def _measure_kernel(kernel: Kernel, repeats: int | None) -> tuple[dict, dict | N
         baseline = min(_samples(kernel.baseline, built, best_of))
         entry["baseline_seconds"] = round(baseline, 4)
         entry["speedup"] = round(baseline / seconds, 2)
-    flagship = None
-    if kernel.name == FLAGSHIP:
-        reference = min(_samples(_spanner_reference, built, best_of))
-        flagship = {
-            "kernel": FLAGSHIP,
-            "optimized_seconds": round(seconds, 4),
-            "reference_seconds": round(reference, 4),
-            "speedup": round(reference / seconds, 2),
-        }
-    return entry, flagship
+    return entry
 
 
-def _measure_named_kernel(name: str, repeats: int | None) -> tuple[dict, dict | None]:
+def _measure_named_kernel(name: str, repeats: int | None) -> dict:
     """Worker entry point for ``--jobs``: kernels hold closures, so the
     pool ships names and each worker rebuilds its kernel locally."""
     for kernel in default_kernels():
@@ -901,7 +884,7 @@ def run_perf_suite(
         for kernel in default_kernels()
         if _matches(kernel.name, filter_patterns)
     ]
-    results: dict[str, tuple[dict, dict | None]] = {}
+    results: dict[str, dict] = {}
     if jobs > 1 and len(names) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             pending = {
@@ -914,23 +897,14 @@ def run_perf_suite(
                     name = pending.pop(future)
                     results[name] = future.result()
                     if progress:
-                        progress(_progress_line(name, results[name][0]))
+                        progress(_progress_line(name, results[name]))
     else:
         for name in names:
             results[name] = _measure_named_kernel(name, repeats)
             if progress:
-                progress(_progress_line(name, results[name][0]))
+                progress(_progress_line(name, results[name]))
     for name in names:
-        entry, flagship = results[name]
-        doc["kernels"][name] = entry
-        if flagship is not None:
-            doc["flagship"] = flagship
-            if progress:
-                progress(
-                    f"{FLAGSHIP} seed-path reference: "
-                    f"{flagship['reference_seconds']:.3f}s "
-                    f"(speedup {flagship['speedup']:.2f}x)"
-                )
+        doc["kernels"][name] = results[name]
     return doc
 
 
@@ -986,14 +960,6 @@ def format_report(doc: dict) -> str:
         if "spread" in entry:
             line += f"   !spread {entry['spread'] * 100:.0f}%"
         lines.append(line)
-    flagship = doc.get("flagship")
-    if flagship:
-        lines.append(
-            f"  flagship {flagship['kernel']}: optimized "
-            f"{flagship['optimized_seconds']:.3f}s vs seed-path "
-            f"{flagship['reference_seconds']:.3f}s -> "
-            f"{flagship['speedup']:.2f}x"
-        )
     return "\n".join(lines)
 
 
@@ -1111,21 +1077,11 @@ def render_readme_section(doc: dict) -> str:
             f"| `{name}` | {entry['n']} | {entry['m']} | "
             f"{entry['seconds']:.3f}s | {median} | {baseline} |"
         )
-    flagship = doc.get("flagship")
-    if flagship:
-        lines.append("")
-        lines.append(
-            f"Flagship comparison on `{flagship['kernel']}`: the incremental "
-            f"flat-array path runs in {flagship['optimized_seconds']:.3f}s vs "
-            f"{flagship['reference_seconds']:.3f}s for the seed recount path — "
-            f"a **{flagship['speedup']:.2f}x** speedup on the same trace-"
-            f"identical output."
-        )
     lines.append("")
     lines.append(
         "`spanner_dist/*` kernels time the distributed `Sampler` under the "
         "active-set scheduler; their dense-baseline column times the same "
-        "input with `scheduler=\"dense\"` (identical `RunReport`s, "
+        "input with `Exec(scheduler=\"dense\")` (identical `RunReport`s, "
         "DESIGN.md §3.6).  `flood/*` kernels time the Lemma 12 schedule "
         "derivation and `stretch/*` the exact footnote-1 measurement, both "
         "on the vector distance plane (NumPy bitset BFS, DESIGN.md §3.7); "
@@ -1146,7 +1102,7 @@ def render_readme_section(doc: dict) -> str:
         "paper's `m >> n` regime), a push–pull gossip run, and a "
         "registered LOCAL algorithm; their reference baseline re-runs "
         "the identical body on the per-node interpreter "
-        "(`REPRO_ROUND_ENGINE=reference`, identical `RunReport`s, "
+        "(`Exec(round_engine=\"reference\")`, identical `RunReport`s, "
         "DESIGN.md §3.10).  `spanner_par/*` and `spanner/gnp/n100000` "
         "time the shard-parallel centralized build (`jobs=2`, "
         "DESIGN.md §3.11); their serial baseline re-runs the identical "

@@ -24,6 +24,7 @@ from repro.core.params import SamplerParams
 from repro.core.spanner import SpannerResult
 from repro.core.trace import LevelTrace, NodeLevelTrace, SamplerTrace
 from repro.errors import SimulationError
+from repro.execution import Exec
 from repro.local.network import Network
 from repro.local.runtime import run_program
 
@@ -34,21 +35,20 @@ def build_spanner_distributed(
     network: Network,
     params: SamplerParams,
     *,
-    scheduler: str = "active",
-    engine: str | None = None,
+    execution: Exec | None = None,
 ) -> SpannerResult:
     """Execute ``Sampler`` as a real message-passing LOCAL algorithm.
 
-    ``scheduler`` selects the stepping discipline: ``"active"``
-    (default) steps only nodes with pending messages or due wake rounds
-    — the ``SamplerProgram`` derives its wake set from the global
-    :class:`Schedule` — while ``"dense"`` is the step-everyone seed
-    baseline; both produce identical reports (DESIGN.md §3.6).
-    ``engine`` selects the round engine (DESIGN.md §3.10): under
-    ``"vector"`` the active scheduler services the program's declared
-    hybrid planes (query/response and the status handshake) during
-    delivery; ``"reference"`` keeps every message on the per-node
-    dispatch path.  Reports are identical either way.
+    ``execution`` picks the scheduler and the round engine.  The
+    ``"active"`` scheduler (default) steps only nodes with pending
+    messages or due wake rounds — the ``SamplerProgram`` derives its
+    wake set from the global :class:`Schedule` — while ``"dense"`` is
+    the step-everyone seed baseline; both produce identical reports
+    (DESIGN.md §3.6).  Under the ``"vector"`` round engine the active
+    scheduler services the program's declared hybrid planes
+    (query/response and the status handshake) during delivery;
+    ``"reference"`` keeps every message on the per-node dispatch path
+    (DESIGN.md §3.10).  Reports are identical either way.
     """
     schedule = Schedule.build(params)
     with obs.span(
@@ -60,8 +60,7 @@ def build_spanner_distributed(
             seed=params.seed,
             max_rounds=schedule.total_rounds + 2,
             n_hint=network.n,
-            scheduler=scheduler,
-            engine=engine,
+            execution=execution,
         )
         build_span.set(
             rounds=report.rounds, messages=report.messages.total

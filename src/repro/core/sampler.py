@@ -19,21 +19,17 @@ finished clusters that never announced (only possible for the rare
 ``STRANDED`` label) remain in ``X_v`` and are discovered and peeled via
 an ``active=False`` query response.
 
-Two execution strategies produce bit-identical traces (the
-``test_perf_contracts`` suite enforces this):
-
-* **incremental** (the default): each cluster's dedup'd pool is carried
-  across levels and merged by symmetric difference on
-  :meth:`ClusterForest.attach` — an edge appearing in both merging pools
-  has both endpoint-incidences inside the merged cluster, i.e. it became
-  intra-cluster and cancels.  Finish announcements accumulate in
-  per-cluster ``dead`` sets (unioned on merge) and are subtracted only
-  when ``X_v`` is read.  Cluster lookups and edge endpoints come from
-  flat arrays (``ClusterForest.root_of``, ``Network.endpoints_flat``).
-* **reference**: the seed implementation — recount every pool from a
-  ``Counter`` over all member-incident edges at every level and rebuild
-  the neighbor maps from per-edge dict lookups.  Kept as the equivalence
-  baseline and as the ``--perf`` harness's speedup reference.
+Pools are maintained incrementally: each cluster's dedup'd pool is
+carried across levels and merged by symmetric difference on
+:meth:`ClusterForest.attach` — an edge appearing in both merging pools
+has both endpoint-incidences inside the merged cluster, i.e. it became
+intra-cluster and cancels.  Finish announcements accumulate in
+per-cluster ``dead`` sets (unioned on merge) and are subtracted only
+when ``X_v`` is read.  Cluster lookups and edge endpoints come from
+flat arrays (``ClusterForest.root_of``, ``Network.endpoints_flat``).
+The seed implementation recounted every pool at every level; its full
+traces are frozen in ``tests/data/golden_full_traces.json``, which this
+strategy must keep matching bit for bit.
 
 Randomness is drawn from per-``(purpose, level, cluster)`` streams of a
 :class:`~repro.rng.RngFactory` rooted at ``params.seed``, which is what
@@ -51,7 +47,7 @@ from repro.core.forest import ClusterForest
 from repro.core.params import SamplerParams
 from repro.core.spanner import SpannerResult
 from repro.core.trace import FinishedCluster, LevelTrace, NodeLevelTrace, SamplerTrace
-from repro.core.trials import QueryResult, TrialMachine
+from repro.core.trials import TrialMachine
 from repro.errors import ConfigurationError, SimulationError
 from repro.local.network import Network
 from repro.rng import RngFactory
@@ -85,7 +81,6 @@ class SamplerRun:
         network: Network,
         params: SamplerParams,
         *,
-        incremental: bool = True,
         jobs: int | None = None,
     ) -> None:
         self.network = network
@@ -95,37 +90,32 @@ class SamplerRun:
         self.trace = SamplerTrace(n=network.n, m=network.m, params=params)
         self._rngf = RngFactory(params.seed)
         self._active: set[int] = set(network.nodes())
-        self._phys_dead: dict[int, set[int]] = {}
         self._finished: dict[int, FinishedCluster] = {}
         self._level_done = 0
-        self._incremental = incremental
         # jobs > 1 shards the per-level trial population across worker
-        # processes (repro.core.parallel); only meaningful on the
-        # incremental strategy — the reference strategy is the seed
-        # equivalence baseline and always runs serial.
+        # processes (repro.core.parallel).
         self._jobs = resolve_jobs(jobs)
         self._engine = None
         self._eid_row, self._ep_u, self._ep_v = network.endpoints_flat()
-        if incremental:
-            # Pool invariant: ``_pools[cid]`` holds exactly the edges with
-            # one endpoint-incidence inside cluster ``cid``.  Clusters that
-            # never merged are *absent*: they are level-0 singletons whose
-            # pool is simply ``network.incident(cid)``.
-            self._pools: dict[int, set[int]] = {}
-            self._dead: dict[int, set[int]] = {}
-            # Parallel levels keep announcements factored instead of
-            # eagerly unioned: ``_dead_pairs[receiver]`` is the set of
-            # finished clusters that announced to ``receiver``, and
-            # ``_payloads[finisher]`` the announced edge array.  The
-            # receiver's dead set is (by definition) the union of its
-            # announcers' payloads; workers apply it by membership
-            # without anyone ever materializing the union.
-            self._dead_pairs: dict[int, set[int]] = {}
-            self._payloads: dict[int, object] = {}
-            # Parallel levels stop maintaining ``_pools`` (workers derive
-            # every pool from the shared-memory root arrays); once unset,
-            # ``_live_edges`` falls back to recounting member incidences.
-            self._pools_valid = True
+        # Pool invariant: ``_pools[cid]`` holds exactly the edges with
+        # one endpoint-incidence inside cluster ``cid``.  Clusters that
+        # never merged are *absent*: they are level-0 singletons whose
+        # pool is simply ``network.incident(cid)``.
+        self._pools: dict[int, set[int]] = {}
+        self._dead: dict[int, set[int]] = {}
+        # Parallel levels keep announcements factored instead of
+        # eagerly unioned: ``_dead_pairs[receiver]`` is the set of
+        # finished clusters that announced to ``receiver``, and
+        # ``_payloads[finisher]`` the announced edge array.  The
+        # receiver's dead set is (by definition) the union of its
+        # announcers' payloads; workers apply it by membership
+        # without anyone ever materializing the union.
+        self._dead_pairs: dict[int, set[int]] = {}
+        self._payloads: dict[int, object] = {}
+        # Parallel levels stop maintaining ``_pools`` (workers derive
+        # every pool from the shared-memory root arrays); once unset,
+        # ``_live_edges`` falls back to recounting member incidences.
+        self._pools_valid = True
 
     # ------------------------------------------------------------------
     # public driver
@@ -185,33 +175,14 @@ class SamplerRun:
     def _run_level_inner(self, j: int) -> LevelTrace:
         if self._active and self._parallel_level_ok(j):
             return self._run_level_parallel(j)
-        incremental = self._incremental
         live = {cid: self._live_edges(cid) for cid in self._active}
-        if incremental:
-            by_neighbor = {
-                cid: self._group_by_neighbor(cid, edges) for cid, edges in live.items()
-            }
-            edge_neighbor = None
-        else:
-            by_neighbor = {
-                cid: self._group_by_neighbor_reference(cid, edges)
-                for cid, edges in live.items()
-            }
-            edge_neighbor = {
-                cid: {
-                    eid: other
-                    for other, bundle in groups.items()
-                    for eid in bundle
-                }
-                for cid, groups in by_neighbor.items()
-            }
+        by_neighbor = {
+            cid: self._group_by_neighbor(cid, edges) for cid, edges in live.items()
+        }
         sizes = {cid: self.forest.size(cid) for cid in self._active}
-        if incremental:
-            heights = self.forest.heights_of(self._active)
-        else:
-            heights = {cid: self.forest.tree(cid).height for cid in self._active}
+        heights = self.forest.heights_of(self._active)
 
-        machines = self._run_trials(j, live, by_neighbor, edge_neighbor)
+        machines = self._run_trials(j, live, by_neighbor)
 
         level_f: set[int] = set()
         for machine in machines.values():
@@ -253,15 +224,13 @@ class SamplerRun:
         # Apply the level's outcome.
         for joiner, center, eid in joins:
             self.forest.attach(joiner, center, eid)
-            if incremental:
-                self._merge_pools(joiner, center)
+            self._merge_pools(joiner, center)
         for cid in unclustered:
             self._finish_cluster(cid, j, machines[cid], live[cid])
-        if incremental:
-            for cid in unclustered:
-                self._pools.pop(cid, None)
-                self._dead.pop(cid, None)
-                self._dead_pairs.pop(cid, None)
+        for cid in unclustered:
+            self._pools.pop(cid, None)
+            self._dead.pop(cid, None)
+            self._dead_pairs.pop(cid, None)
         self._after_level(j, level_trace)
         self._active = set(centers) if j < self.params.k else set()
         self._level_done = j + 1
@@ -275,73 +244,63 @@ class SamplerRun:
         j: int,
         live: dict[int, list[int]],
         by_neighbor: dict[int, dict[int, list[int]]],
-        edge_neighbor: dict[int, dict[int, int]] | None,
     ) -> dict[int, TrialMachine]:
         """Run every active cluster's trial machine to completion.
 
-        Split out of :meth:`run_level` as the override point for
-        :class:`~repro.dynamic.repair.RepairRun`, which replays the
-        machines whose inputs a churn epoch provably did not change.
-        ``edge_neighbor`` is only supplied on the reference path.
+        Each cluster first goes through :meth:`_replay`; only the
+        clusters it declines run a real machine.
         """
         machines: dict[int, TrialMachine] = {}
-        if self._incremental:
-            trial_rng = self._rngf.prefix("trials", j)
-            n = self.network.n
-            target_j = self.params.target(j, n)
-            budget_j = self.params.queries_per_trial(j, n)
-            eid_row = self._eid_row
-            ep_u = self._ep_u
-            ep_v = self._ep_v
-            root = self.forest.root_of
-            active = self._active
-            # One Random instance re-seeded per machine: each machine runs
-            # to completion before the next is built, so the draw sequence
-            # is identical to giving every machine a fresh Random.
-            shared_rng = random.Random()
-            for cid in sorted(active):
-                shared_rng.seed(trial_rng.child_seed(cid))
-                machine = TrialMachine(
-                    vid=cid,
-                    level=j,
-                    incident_edges=live[cid],
-                    params=self.params,
-                    n=n,
-                    rng=shared_rng,
-                    target=target_j,
-                    budget=budget_j,
-                )
-                groups = by_neighbor[cid]
-                while machine.wants_trial():
-                    # Plain eid-first tuples: deliver() unpacks positionally,
-                    # so the QueryResult envelope is skipped on the hot path.
-                    results = []
-                    for eid in machine.begin_trial():
-                        row = eid if eid_row is None else eid_row[eid]
-                        ca = root[ep_u[row]]
-                        other = root[ep_v[row]] if ca == cid else ca
-                        results.append((eid, other, groups[other], other in active))
-                    machine.deliver(results)
-                machines[cid] = machine
-        else:
-            for cid in sorted(self._active):
-                machine = TrialMachine(
-                    vid=cid,
-                    level=j,
-                    incident_edges=live[cid],
-                    params=self.params,
-                    n=self.network.n,
-                    rng=self._rngf.stream("trials", j, cid),
-                )
-                while machine.wants_trial():
-                    queried = machine.begin_trial()
-                    results = [
-                        self._resolve(cid, eid, by_neighbor, edge_neighbor)
-                        for eid in queried
-                    ]
-                    machine.deliver(results)
-                machines[cid] = machine
+        trial_rng = self._rngf.prefix("trials", j)
+        n = self.network.n
+        target_j = self.params.target(j, n)
+        budget_j = self.params.queries_per_trial(j, n)
+        eid_row = self._eid_row
+        ep_u = self._ep_u
+        ep_v = self._ep_v
+        root = self.forest.root_of
+        active = self._active
+        replay = self._replay
+        # One Random instance re-seeded per machine: each machine runs
+        # to completion before the next is built, so the draw sequence
+        # is identical to giving every machine a fresh Random.
+        shared_rng = random.Random()
+        for cid in sorted(active):
+            replayed = replay(cid, live[cid])
+            if replayed is not None:
+                machines[cid] = replayed
+                continue
+            shared_rng.seed(trial_rng.child_seed(cid))
+            machine = TrialMachine(
+                vid=cid,
+                level=j,
+                incident_edges=live[cid],
+                params=self.params,
+                n=n,
+                rng=shared_rng,
+                target=target_j,
+                budget=budget_j,
+            )
+            groups = by_neighbor[cid]
+            while machine.wants_trial():
+                # Plain eid-first tuples: deliver() unpacks positionally,
+                # so the QueryResult envelope is skipped on the hot path.
+                results = []
+                for eid in machine.begin_trial():
+                    row = eid if eid_row is None else eid_row[eid]
+                    ca = root[ep_u[row]]
+                    other = root[ep_v[row]] if ca == cid else ca
+                    results.append((eid, other, groups[other], other in active))
+                machine.deliver(results)
+            machines[cid] = machine
         return machines
+
+    def _replay(self, cid: int, live: list[int]) -> TrialMachine | None:
+        """A finished stand-in for ``cid``'s machine, or ``None`` to run
+        it.  The base run replays nothing; the override point for
+        :class:`~repro.dynamic.repair.RepairRun`, which replays the
+        machines whose inputs a churn epoch provably did not change."""
+        return None
 
     # ------------------------------------------------------------------
     # process-parallel level execution (repro.core.parallel)
@@ -352,7 +311,7 @@ class SamplerRun:
         Override point: ``RepairRun`` additionally requires an empty
         clean set (a pure-rebuild level), since replay decisions are
         interleaved with the serial trial loop."""
-        return self._jobs > 1 and self._incremental
+        return self._jobs > 1
 
     def _note_parallel_trials(self, j: int, part) -> None:
         """Hook invoked in place of :meth:`_run_trials` bookkeeping when
@@ -553,41 +512,32 @@ class SamplerRun:
 
     def _live_edges(self, cid: int) -> list[int]:
         """``X_v`` at level start: dedup minus received finish payloads."""
-        if self._incremental:
-            pool = self._pools.get(cid)
-            dead = self._dead.get(cid)
-            pairs = self._dead_pairs.get(cid)
-            if pairs:
-                # Fold factored parallel-level announcements back into
-                # an explicit dead set (only reachable when a serial
-                # level reads state a parallel level produced).
-                dead = set(dead) if dead else set()
-                for finisher in pairs:
-                    dead.update(self._payloads[finisher].tolist())
-            if not self._pools_valid:
-                # Recount the dedup'd pool from member incidences (the
-                # reference rule) — parallel levels do not maintain
-                # ``_pools``, so a serial read rebuilds it on the spot.
-                counts: Counter[int] = Counter()
-                for phys in self.forest.members(cid):
-                    counts.update(self.network.incident(phys))
-                pool = {e for e, c in counts.items() if c == 1}
-            if pool is None:  # never merged: singleton, cid is its phys id
-                incident = self.network.incident(cid)
-                if not dead:
-                    return list(incident)
-                return [e for e in incident if e not in dead]
-            if dead:
-                return sorted(pool - dead)
-            return sorted(pool)
-        counts: Counter[int] = Counter()
-        dead_set: set[int] = set()
-        for phys in self.forest.members(cid):
-            counts.update(self.network.incident(phys))
-            phys_dead = self._phys_dead.get(phys)
-            if phys_dead:
-                dead_set |= phys_dead
-        return sorted(e for e, c in counts.items() if c == 1 and e not in dead_set)
+        pool = self._pools.get(cid)
+        dead = self._dead.get(cid)
+        pairs = self._dead_pairs.get(cid)
+        if pairs:
+            # Fold factored parallel-level announcements back into an
+            # explicit dead set (only reachable when a serial level
+            # reads state a parallel level produced).
+            dead = set(dead) if dead else set()
+            for finisher in pairs:
+                dead.update(self._payloads[finisher].tolist())
+        if not self._pools_valid:
+            # Recount the dedup'd pool from member incidences —
+            # parallel levels do not maintain ``_pools``, so a serial
+            # read rebuilds it on the spot.
+            counts: Counter[int] = Counter()
+            for phys in self.forest.members(cid):
+                counts.update(self.network.incident(phys))
+            pool = {e for e, c in counts.items() if c == 1}
+        if pool is None:  # never merged: singleton, cid is its phys id
+            incident = self.network.incident(cid)
+            if not dead:
+                return list(incident)
+            return [e for e in incident if e not in dead]
+        if dead:
+            return sorted(pool - dead)
+        return sorted(pool)
 
     def _merge_pools(self, joiner: int, center: int) -> None:
         """Fold ``joiner``'s pool and dead set into ``center``'s.
@@ -662,59 +612,13 @@ class SamplerRun:
                 bundle.append(eid)
         return groups
 
-    def _group_by_neighbor_reference(
-        self, cid: int, edges: list[int]
-    ) -> dict[int, tuple[int, ...]]:
-        """Seed-path grouping via per-edge endpoint tuples and dict lookups."""
-        groups: dict[int, list[int]] = {}
-        for eid in edges:
-            a, b = self.network.endpoints(eid)
-            ca = self.forest.cluster_of(a)
-            other = self.forest.cluster_of(b) if ca == cid else ca
-            if other == cid:
-                raise SimulationError(f"edge {eid} is intra-cluster for {cid}")
-            groups.setdefault(other, []).append(eid)
-        return {other: tuple(bundle) for other, bundle in groups.items()}
-
-    def _resolve(
-        self,
-        cid: int,
-        eid: int,
-        by_neighbor: dict[int, dict[int, tuple[int, ...]]],
-        edge_neighbor: dict[int, dict[int, int]],
-    ) -> QueryResult:
-        """Answer one query edge exactly as the network would.
-
-        The distributed responder ships its whole edge list ``E_j(u)``;
-        the querying machine then intersects it with ``X_v``, i.e. uses
-        exactly ``E_j(v, u)``.  The centralized oracle hands over that
-        intersection directly — byte-identical machine behaviour at a
-        fraction of the cost (see test_core_equivalence).
-        """
-        other = edge_neighbor[cid][eid]
-        return QueryResult(
-            eid=eid,
-            neighbor=other,
-            neighbor_edges=by_neighbor[cid][other],
-            active=other in self._active,
-        )
-
     def _form_clusters(
         self, j: int, machines: dict[int, TrialMachine]
     ) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...], tuple[int, ...]]:
         """Second step of ``Cluster_j``: centers, joins, unclustered."""
         p_j = self.params.center_probability(j, self.network.n)
-        if self._incremental:
-            center_rng = self._rngf.prefix("center", j)
-            centers = {
-                cid for cid in self._active if center_rng.uniform(cid) < p_j
-            }
-        else:
-            centers = {
-                cid
-                for cid in self._active
-                if self._rngf.uniform("center", j, cid) < p_j
-            }
+        center_rng = self._rngf.prefix("center", j)
+        centers = {cid for cid in self._active if center_rng.uniform(cid) < p_j}
         # Read-only view of each finished machine's neighbor map; trials
         # are over, so sharing the internal dict is safe and copy-free.
         outgoing = {cid: machines[cid]._f_active for cid in self._active}
@@ -759,18 +663,15 @@ class SamplerRun:
         for _neighbor, eid in machine.f_active.items():
             a, b = self.network.endpoints(eid)
             receiver = b if a in members else a
-            if self._incremental:
-                # Announcements travel with the receiver's *current*
-                # cluster: merges union dead sets, so this is exactly the
-                # union of member phys-level announcements in the seed.
-                rcid = self.forest.cluster_of(receiver)
-                dead = self._dead.get(rcid)
-                if dead is None:
-                    self._dead[rcid] = set(payload)
-                else:
-                    dead |= payload
+            # Announcements travel with the receiver's *current* cluster:
+            # merges union dead sets, so this is exactly the union of
+            # member phys-level announcements in the seed.
+            rcid = self.forest.cluster_of(receiver)
+            dead = self._dead.get(rcid)
+            if dead is None:
+                self._dead[rcid] = set(payload)
             else:
-                self._phys_dead.setdefault(receiver, set()).update(payload)
+                dead |= payload
 
     def _node_trace(
         self, cid: int, machine: TrialMachine, live: list[int], degree: int
@@ -804,7 +705,6 @@ def build_spanner(
     network: Network,
     params: SamplerParams,
     *,
-    incremental: bool = True,
     jobs: int | None = None,
 ) -> SpannerResult:
     """Run centralized ``Sampler`` and return the spanner with its trace.
@@ -812,7 +712,6 @@ def build_spanner(
     ``jobs`` (default: ``REPRO_BUILD_JOBS``, else 1) shards each level's
     trial population across that many worker processes over a shared
     -memory view of the graph — bit-identical results, see DESIGN.md
-    §3.11.  Ignored on ``incremental=False``: the reference strategy is
-    the seed equivalence baseline and always runs serial.
+    §3.11.
     """
-    return SamplerRun(network, params, incremental=incremental, jobs=jobs).run()
+    return SamplerRun(network, params, jobs=jobs).run()

@@ -11,7 +11,7 @@ The trace is the single source of truth for:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import NamedTuple
 
 from repro.core.params import SamplerParams
@@ -148,34 +148,8 @@ class SamplerTrace:
         """
 
         def node(t: NodeLevelTrace) -> tuple:
-            stats = tuple(
-                (
-                    s.trial_index,
-                    s.pool_before,
-                    s.draws,
-                    s.queried_eids,
-                    s.new_neighbors,
-                    s.peeled_edges,
-                )
-                for s in t.trial_stats
-            )
-            return (
-                t.vid,
-                t.label.name,
-                t.trials,
-                t.draws,
-                t.queries_sent,
-                t.neighbors_found,
-                t.inactive_found,
-                t.pool_initial,
-                t.pool_final,
-                t.degree,
-                t.target,
-                t.query_budget,
-                t.f_active,
-                t.f_inactive,
-                stats,
-            )
+            stats = tuple(astuple(s) for s in t.trial_stats)
+            return tuple(t._replace(label=t.label.name, trial_stats=stats))
 
         levels = tuple(
             (

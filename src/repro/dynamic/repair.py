@@ -36,7 +36,6 @@ centralized rebuild.
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 from repro.core.params import SamplerParams
@@ -88,9 +87,7 @@ class RepairRun(SamplerRun):
 
     ``parent`` is the spanner of the pre-churn graph (its trace is the
     replay source); ``touched`` the set of physical nodes incident to
-    any removed or added edge.  Runs on the incremental strategy only —
-    the reference strategy exists as an equivalence baseline and gains
-    nothing from replay.
+    any removed or added edge.
     """
 
     def __init__(
@@ -102,7 +99,7 @@ class RepairRun(SamplerRun):
         touched: frozenset[int],
         jobs: int | None = None,
     ) -> None:
-        super().__init__(network, params, incremental=True, jobs=jobs)
+        super().__init__(network, params, jobs=jobs)
         if parent.params != params:
             raise ConfigurationError(
                 "repair requires the parent's construction parameters"
@@ -128,6 +125,9 @@ class RepairRun(SamplerRun):
         self._clean: set[int] = set(network.nodes()) - set(touched)
         # Mid-level dirty marks from announcement divergence.
         self._marked: set[int] = set()
+        # The parent run's view of the current level, set per level.
+        self._old_nodes: dict[int, NodeLevelTrace] = {}
+        self._old_active: set[int] = set()
         self._replayed_now: set[int] = set()
         self._old_unclustered_now: set[int] = set()
         self.replayed_clusters = 0
@@ -176,65 +176,32 @@ class RepairRun(SamplerRun):
         j: int,
         live: dict[int, list[int]],
         by_neighbor: dict[int, dict[int, list[int]]],
-        edge_neighbor: dict[int, dict[int, int]] | None,
     ) -> dict[int, TrialMachine]:
         old_level = self._old_levels[j]
-        old_nodes = old_level.nodes
-        old_active = set(old_nodes)
+        self._old_nodes = old_level.nodes
+        self._old_active = set(old_level.nodes)
         self._old_unclustered_now = set(old_level.unclustered)
         replayed = self._replayed_now = set()
-
-        machines: dict[int, TrialMachine] = {}
-        trial_rng = self._rngf.prefix("trials", j)
-        n = self.network.n
-        target_j = self.params.target(j, n)
-        budget_j = self.params.queries_per_trial(j, n)
-        eid_row = self._eid_row
-        ep_u = self._ep_u
-        ep_v = self._ep_v
-        root = self.forest.root_of
-        active = self._active
-        old_root = self._old_root
-        clean = self._clean
-        shared_rng = random.Random()
-        for cid in sorted(active):
-            if cid in clean:
-                entry = old_nodes.get(cid)
-                if (
-                    entry is not None
-                    and entry.pool_initial == len(live[cid])
-                    and self._environment_clean(cid, live[cid], old_active)
-                ):
-                    # Same pool, same RNG stream, same query responses:
-                    # a fresh machine would retrace the parent's exact
-                    # trajectory, so hand back its recorded outcome.
-                    machines[cid] = _ReplayedMachine(entry)  # type: ignore[assignment]
-                    replayed.add(cid)
-                    continue
-            shared_rng.seed(trial_rng.child_seed(cid))
-            machine = TrialMachine(
-                vid=cid,
-                level=j,
-                incident_edges=live[cid],
-                params=self.params,
-                n=n,
-                rng=shared_rng,
-                target=target_j,
-                budget=budget_j,
-            )
-            groups = by_neighbor[cid]
-            while machine.wants_trial():
-                results = []
-                for eid in machine.begin_trial():
-                    row = eid if eid_row is None else eid_row[eid]
-                    ca = root[ep_u[row]]
-                    other = root[ep_v[row]] if ca == cid else ca
-                    results.append((eid, other, groups[other], other in active))
-                machine.deliver(results)
-            machines[cid] = machine
+        machines = super()._run_trials(j, live, by_neighbor)
         self.replayed_clusters += len(replayed)
         self.fresh_clusters += len(machines) - len(replayed)
         return machines
+
+    def _replay(self, cid: int, live: list[int]) -> TrialMachine | None:
+        if cid not in self._clean:
+            return None
+        entry = self._old_nodes.get(cid)
+        if (
+            entry is None
+            or entry.pool_initial != len(live)
+            or not self._environment_clean(cid, live, self._old_active)
+        ):
+            return None
+        # Same pool, same RNG stream, same query responses: a fresh
+        # machine would retrace the parent's exact trajectory, so hand
+        # back its recorded outcome.
+        self._replayed_now.add(cid)
+        return _ReplayedMachine(entry)  # type: ignore[return-value]
 
     def _environment_clean(
         self, cid: int, edges: list[int], old_active: set[int]

@@ -13,10 +13,8 @@
 """
 
 from repro.graphs.distance import (
-    DISTANCE_ENGINES,
     BallFamily,
     balls_and_eccentricities,
-    default_engine,
     eccentricities,
 )
 from repro.graphs.generators import (
@@ -35,11 +33,9 @@ from repro.graphs.contraction import contract
 
 __all__ = [
     "BallFamily",
-    "DISTANCE_ENGINES",
     "LevelMultigraph",
     "balls_and_eccentricities",
     "barabasi_albert",
-    "default_engine",
     "eccentricities",
     "caveman",
     "complete_graph",

@@ -7,43 +7,39 @@ computationally, the same kernel: level sets of an unweighted BFS,
 capped at a radius, from one or many sources.  This module owns that
 kernel once, in two interchangeable engines:
 
-* ``engine="vector"`` (default) — NumPy bitset frontier sweeps.  The
-  graph lives as a flat neighbor CSR (``indptr``/``indices``); a block
-  of sources is packed along a uint64 bit dimension, so one BFS level
-  is a row-gather of the packed frontier through ``indices`` plus a
-  segmented ``bitwise_or.reduceat`` per destination node, then
+* ``distance_engine="vector"`` (default) — NumPy bitset frontier
+  sweeps.  The graph lives as a flat neighbor CSR
+  (``indptr``/``indices``); a block of sources is packed along a
+  uint64 bit dimension, so one BFS level is a row-gather of the packed
+  frontier through ``indices`` plus a segmented
+  ``bitwise_or.reduceat`` per destination node, then
   ``newly = expanded & ~visited`` — all 64 sources of a word advance
   per machine word.  No per-node Python loop ever runs; memory is
   bounded by processing sources in blocks sized so the *unpacked*
   ``(rows, n)`` stages stay under a fixed cell budget.
-* ``engine="reference"`` — the pure-Python frontier-list/deque BFS the
-  repo shipped with, kept verbatim as the equivalence baseline
-  (DESIGN.md §3.4 step 1).  The test suite asserts value-identical
-  results between the engines across families × radii × seeds, and CI
-  runs a tier-1 job with ``REPRO_DISTANCE_ENGINE=reference`` so this
-  fallback cannot rot.
+* ``distance_engine="reference"`` — the pure-Python frontier-list/deque
+  BFS the repo shipped with, kept verbatim as the only oracle for this
+  plane (DESIGN.md §3.4 step 1).  The test suite asserts value-identical
+  results between the engines across families × radii × seeds.
 
-The default engine is overridable per call (``engine=...``) or per
-process (the ``REPRO_DISTANCE_ENGINE`` environment variable), which is
-how the reference-engine CI job drives every consumer through the
-pure-Python path without touching call sites.
+The engine is a field of :class:`~repro.execution.Exec` (``execution=``
+on the public functions), whose default comes from the
+``REPRO_DISTANCE_ENGINE`` environment variable.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from collections.abc import Sequence
 from typing import Iterator
 
 import numpy as np
 
+from repro.execution import Exec
+
 __all__ = [
-    "DISTANCE_ENGINES",
     "BallFamily",
-    "default_engine",
-    "resolve_engine",
     "adjacency_csr",
     "csr_from_adjacency",
     "component_labels",
@@ -55,9 +51,6 @@ __all__ = [
     "eccentricities",
 ]
 
-DISTANCE_ENGINES = ("vector", "reference")
-ENGINE_ENV = "REPRO_DISTANCE_ENGINE"
-
 _UNREACHABLE = math.inf
 
 # Cap on unpacked-matrix cells (rows x n) per source block; the packed
@@ -68,20 +61,6 @@ _BLOCK_CELLS_DIST = 1 << 23
 # A uint8 distance counter holds up to L + 1 after L levels, so a sweep
 # widens it when it reaches this level.
 _COUNTER_LEVELS = np.iinfo(np.uint8).max
-
-
-def default_engine() -> str:
-    """The process-wide engine: ``vector`` unless the env var says not."""
-    return os.environ.get(ENGINE_ENV, "vector")
-
-
-def resolve_engine(engine: str | None) -> str:
-    name = default_engine() if engine is None else engine
-    if name not in DISTANCE_ENGINES:
-        raise ValueError(
-            f"unknown distance engine {name!r}; expected one of {DISTANCE_ENGINES}"
-        )
-    return name
 
 
 # ----------------------------------------------------------------------
@@ -478,7 +457,7 @@ def balls_and_eccentricities(
     network,
     radius: int,
     *,
-    engine: str | None = None,
+    execution: Exec | None = None,
 ) -> tuple[BallFamily, list[int]]:
     """Radius-balls and capped eccentricities for *every* node.
 
@@ -489,9 +468,8 @@ def balls_and_eccentricities(
     (:class:`BallFamily`); consumers that only need sizes or membership
     never pay for Python set materialization.
     """
-    name = resolve_engine(engine)
     n = network.n
-    if name == "reference":
+    if (execution or Exec()).distance_engine == "reference":
         adjacency = [network.neighbors(v) for v in range(n)]
         sets, ecc = _reference_balls(adjacency, radius, range(n))
         return BallFamily.from_sets(sets, n), ecc
@@ -573,7 +551,9 @@ def ball_matrix_blocks(
         yield start, _unpack_bool(visited, len(chunk)).T
 
 
-def eccentricities(network, *, engine: str | None = None) -> tuple[list[int], list[int]]:
+def eccentricities(
+    network, *, execution: Exec | None = None
+) -> tuple[list[int], list[int]]:
     """Uncapped eccentricity and reached-component size for every node.
 
     Returns ``(ecc, reached)`` lists: ``ecc[v]`` is the greatest
@@ -581,9 +561,8 @@ def eccentricities(network, *, engine: str | None = None) -> tuple[list[int], li
     size of ``v``'s connected component — enough to derive diameters
     and detect disconnection without a per-node Python BFS.
     """
-    name = resolve_engine(engine)
     n = network.n
-    if name == "reference":
+    if (execution or Exec()).distance_engine == "reference":
         adjacency = [network.neighbors(v) for v in range(n)]
         ecc: list[int] = []
         reached: list[int] = []

@@ -20,17 +20,13 @@ Public surface:
 * :class:`~repro.local.engine.VectorRuntime` /
   :class:`~repro.local.engine.VectorProgram` — the array-native round
   engine for homogeneous populations (DESIGN.md §3.10), selected by
-  ``REPRO_ROUND_ENGINE`` / ``round_engine=``.
+  :class:`~repro.execution.Exec` ``round_engine`` (default
+  ``REPRO_ROUND_ENGINE``).
 * :class:`~repro.local.knowledge.Knowledge` — KT0 / EDGE_IDS / KT1.
 """
 
 from repro.local.edges import EdgeRef
-from repro.local.engine import (
-    VectorProgram,
-    VectorRuntime,
-    default_round_engine,
-    resolve_round_engine,
-)
+from repro.local.engine import VectorProgram, VectorRuntime
 from repro.local.knowledge import Knowledge
 from repro.local.message import Inbound
 from repro.local.metrics import MessageStats, RunReport
@@ -54,6 +50,4 @@ __all__ = [
     "Runtime",
     "VectorProgram",
     "VectorRuntime",
-    "default_round_engine",
-    "resolve_round_engine",
 ]

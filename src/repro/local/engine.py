@@ -21,10 +21,11 @@ Three pieces (DESIGN.md §3.10):
   byte-identical.  Fault plans are applied as drop/corrupt masks over
   the same per-message coin stream, so dropped/corrupted counters agree
   with the reference engine bit for bit.
-* the ``REPRO_ROUND_ENGINE`` switch — same shape as
-  ``REPRO_DISTANCE_ENGINE``: ``"vector"`` (default) uses array kernels
-  where a population is available and falls back to the reference
-  interpreter otherwise; ``"reference"`` forces the per-node path.
+* the ``round_engine`` field of :class:`~repro.execution.Exec`
+  (default ``$REPRO_ROUND_ENGINE``): ``"vector"`` (default) uses array
+  kernels where a population is available and falls back to the
+  reference interpreter otherwise; ``"reference"`` forces the per-node
+  path.
 
 The equality contract is *RunReport-identical*: outputs, rounds,
 halted, ``total``/``by_tag``/``per_round``/``dropped``/``corrupted``
@@ -36,7 +37,6 @@ every population shipped here.
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any
@@ -49,10 +49,6 @@ from repro.local.metrics import MessageStats, RunReport
 from repro.local.network import Network
 
 __all__ = [
-    "ROUND_ENGINES",
-    "ENGINE_ENV",
-    "default_round_engine",
-    "resolve_round_engine",
     "PopulationOutbox",
     "PopulationInbox",
     "VectorProgram",
@@ -60,25 +56,6 @@ __all__ = [
     "gather_segments",
     "broadcast_outbox",
 ]
-
-ROUND_ENGINES = ("vector", "reference")
-ENGINE_ENV = "REPRO_ROUND_ENGINE"
-
-
-def default_round_engine() -> str:
-    """The process-wide round engine: ``$REPRO_ROUND_ENGINE`` or ``"vector"``."""
-    return os.environ.get(ENGINE_ENV, "vector")
-
-
-def resolve_round_engine(engine: str | None) -> str:
-    """Validate an explicit choice or fall back to :func:`default_round_engine`."""
-    resolved = default_round_engine() if engine is None else engine
-    if resolved not in ROUND_ENGINES:
-        raise ValueError(
-            f"unknown round engine {resolved!r}; expected one of {ROUND_ENGINES}"
-        )
-    return resolved
-
 
 @dataclass
 class PopulationOutbox:

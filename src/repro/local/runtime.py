@@ -16,7 +16,8 @@ Semantics (fully synchronous LOCAL model):
 The engine is deterministic: nodes are stepped in increasing id order
 and per-node randomness comes from streams derived off the run seed.
 
-Two schedulers drive the rounds (DESIGN.md §3.6):
+Two schedulers drive the rounds (DESIGN.md §3.6), chosen by the
+``scheduler`` field of :class:`~repro.execution.Exec`:
 
 * ``scheduler="active"`` (default) steps only the *active set* each
   round — nodes with a pending inbox, nodes whose declared wake round
@@ -26,8 +27,10 @@ Two schedulers drive the rounds (DESIGN.md §3.6):
   observationally identical to dense stepping while skipping the idle
   windows that dominate schedule-driven protocols.
 * ``scheduler="dense"`` is the seed baseline: every non-halted node is
-  stepped every round.  It is never deleted (DESIGN.md §3.4 step 1) and
-  the test suite asserts :class:`RunReport` equality between the two.
+  stepped every round.  It is the only oracle for the sleep contract on
+  arbitrary programs, so it is never deleted (DESIGN.md §3.4 step 1),
+  and the test suite asserts :class:`RunReport` equality between the
+  two.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro import obs
 from repro.errors import SimulationError
-from repro.local.engine import resolve_round_engine
+from repro.execution import Exec
 from repro.local.faults import CORRUPTED, FaultPlan
 from repro.local.message import Inbound, Outbound
 from repro.local.metrics import MessageStats, RunReport
@@ -44,11 +47,9 @@ from repro.local.network import Network
 from repro.local.node import Context, HybridPlane, NodeProgram
 from repro.rng import RngFactory
 
-__all__ = ["Runtime", "ProgramFactory", "SCHEDULERS"]
+__all__ = ["Runtime", "ProgramFactory"]
 
 ProgramFactory = Callable[[int], NodeProgram]
-
-SCHEDULERS = ("active", "dense")
 
 
 def _merge_sorted(a: list[int], b: list[int]) -> list[int]:
@@ -84,20 +85,16 @@ class Runtime:
         fixed_rounds: int | None = None,
         n_hint: int | None = None,
         faults: FaultPlan | None = None,
-        scheduler: str = "active",
-        engine: str | None = None,
+        execution: Exec | None = None,
     ) -> None:
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}"
-            )
+        execution = execution or Exec()
         self._network = network
         self._seed = seed
         self._max_rounds = max_rounds
         self._fixed_rounds = fixed_rounds
         self._n_hint = n_hint if n_hint is not None else network.n
         self._faults = faults or FaultPlan.none()
-        self._scheduler = scheduler
+        self._scheduler = execution.scheduler
         rng_factory = RngFactory(seed)
         node_rng = rng_factory.prefix("node")
         self._programs: list[NodeProgram] = []
@@ -142,10 +139,9 @@ class Runtime:
         # delivery instead of by stepping the receivers.  Corrupt-capable
         # plans disable the planes — a tampered payload has no declared
         # effect, only the per-node dispatch defines its error behavior.
-        self._engine = resolve_round_engine(engine)
         self._planes: dict[str, HybridPlane] | None = None
         if (
-            self._engine == "vector"
+            execution.round_engine == "vector"
             and not self._faults.can_corrupt
             and self._programs
         ):
@@ -550,8 +546,7 @@ def run_program(
     fixed_rounds: int | None = None,
     n_hint: int | None = None,
     faults: FaultPlan | None = None,
-    scheduler: str = "active",
-    engine: str | None = None,
+    execution: Exec | None = None,
 ) -> RunReport:
     """Convenience wrapper: build a :class:`Runtime` and run it."""
     runtime = Runtime(
@@ -562,7 +557,6 @@ def run_program(
         fixed_rounds=fixed_rounds,
         n_hint=n_hint,
         faults=faults,
-        scheduler=scheduler,
-        engine=engine,
+        execution=execution,
     )
     return runtime.run()

@@ -8,8 +8,8 @@ one artifact build instead of trampling each other.  Three layers of
 sharing, outermost first:
 
 * a **batching window** (``merge_window`` seconds) merges *identical*
-  requests — same payload object, same knobs, the exact identity token
-  of ``serve()``'s intra-batch dedupe — across callers into one shared
+  requests — equal :meth:`SimulationRequest.identity`, the token of
+  ``serve()``'s intra-batch dedupe — across callers into one shared
   replay.  Followers wait on the in-flight serve, repeats within the
   window reuse the completed response; both are counted ``merged``;
 * a per-artifact-key **singleflight** gate: N concurrent requests on a
@@ -262,7 +262,7 @@ class ConcurrentSimulationService:
         started = time.monotonic()
         expires = None if limit is None else started + limit
         spans = {"serve": 0.0}
-        token = self._token(request)
+        token = request.identity()
         pending: _Pending | None = None
         try:
             if self.merge_window > 0:
@@ -346,25 +346,6 @@ class ConcurrentSimulationService:
     # ------------------------------------------------------------------
     # the batching window
     # ------------------------------------------------------------------
-    def _token(self, request: SimulationRequest) -> tuple:
-        # The exact identity token of SimulationService.serve()'s
-        # intra-batch dedupe — holding the payload object itself keeps
-        # it alive so a recycled id can never alias two algorithms.
-        return (
-            request.algo,
-            None if request.network is None else request.network.fingerprint(),
-            request.t,
-            request.radius,
-            request.params,
-            request.seed,
-            request.engine,
-            request.scheduler,
-            request.distance_engine,
-            request.round_engine,
-            request.faults,
-            request.allow_stale,
-        )
-
     def _join_or_lead(
         self, token: tuple, expires: float | None
     ) -> tuple[SimulationResponse | None, _Pending | None]:

@@ -40,6 +40,7 @@ from repro.core.spanner import SpannerResult
 from repro.dynamic.churn import ChurnPlan, MutationLog
 from repro.dynamic.churn import apply_churn as _apply_churn
 from repro.dynamic.repair import repair_spanner
+from repro.execution import Exec
 from repro.local.faults import FaultPlan
 from repro.local.network import Network
 from repro.simulate.scheme import SchemeReport, theorem3_params
@@ -75,10 +76,10 @@ class SimulationRequest:
     silently honoured).  ``radius`` overrides the flood radius
     ``alpha * t`` the same way it does on
     :func:`~repro.simulate.transformer.simulate_over_spanner`.
-    ``faults`` requires ``engine="runtime"``.  ``round_engine`` selects
-    the round engine backing every kernel execution of the serve
-    (``"vector"``/``"reference"``, DESIGN.md §3.10) — responses are
-    identical either way.  ``allow_stale`` opts the
+    ``execution`` (:class:`~repro.execution.Exec`, ``None`` for the
+    defaults) picks the implementation of every stage of the serve —
+    responses are identical under all of them; ``faults`` requires its
+    ``flood_engine="runtime"``.  ``allow_stale`` opts the
     request into degraded answers: when the requested graph's spanner is
     not cached but a cached churn *ancestor* is, the service serves the
     ancestor's graph outright (marked ``"stale"`` in the response) —
@@ -92,12 +93,27 @@ class SimulationRequest:
     radius: int | None = None
     params: SamplerParams | None = None
     seed: int | None = None
-    engine: str = "fast"
-    scheduler: str = "active"
-    distance_engine: str | None = None
-    round_engine: str | None = None
+    execution: Exec | None = None
     faults: FaultPlan | None = None
     allow_stale: bool = False
+
+    def identity(self) -> tuple:
+        """The dedupe token: two requests with equal identities get one
+        answer.  It holds the payload object itself (identity hash),
+        which keeps it alive while the token is held, so a recycled
+        ``id`` can never alias two algorithms; every other field
+        compares by value."""
+        return (
+            self.algo,
+            None if self.network is None else self.network.fingerprint(),
+            self.t,
+            self.radius,
+            self.params,
+            self.seed,
+            self.execution,
+            self.faults,
+            self.allow_stale,
+        )
 
 
 @dataclass(frozen=True)
@@ -106,7 +122,7 @@ class SimulationResponse:
 
     report: SchemeReport
     spanner_info: FetchInfo
-    schedule_info: FetchInfo | None  # None under engine="runtime"
+    schedule_info: FetchInfo | None  # None under flood_engine="runtime"
     construction_messages_paid: int  # 0 on a warm serve
 
     @property
@@ -436,13 +452,12 @@ class SimulationService:
     def serve(self, requests: Iterable[SimulationRequest | LocalAlgorithm]) -> list[SimulationResponse]:
         """Serve a batch; exact repeats within the batch share one replay.
 
-        Deduplication is by object identity of the request's payload
-        (plus every scalar knob): submitting the *same* algorithm
-        instance twice in one batch re-serves the first response instead
-        of replaying — the only equality the pure-state-machine
-        interface lets the service assume.  The token holds the payload
-        object itself (identity hash), which also keeps it alive for the
-        batch so a recycled ``id`` can never alias two algorithms.
+        Deduplication is by :meth:`SimulationRequest.identity`: the
+        object identity of the request's payload plus every other
+        field.  Submitting the *same* algorithm instance twice in one
+        batch re-serves the first response instead of replaying — the
+        only equality the pure-state-machine interface lets the service
+        assume.
 
         Metrics count every request; a deduplicated repeat is recorded
         as pure cache traffic (no construction paid, no new simulation
@@ -456,20 +471,7 @@ class SimulationService:
                 if isinstance(item, SimulationRequest)
                 else SimulationRequest(algo=item)
             )
-            token = (
-                request.algo,  # identity hash; held alive by the dict
-                None if request.network is None else request.network.fingerprint(),
-                request.t,
-                request.radius,
-                request.params,  # frozen dataclass: hashable, equality by value
-                request.seed,
-                request.engine,
-                request.scheduler,
-                request.distance_engine,
-                request.round_engine,
-                request.faults,
-                request.allow_stale,
-            )
+            token = request.identity()
             cached = shared.get(token)
             if cached is None:
                 cached = shared[token] = self._answer(request)
@@ -500,6 +502,7 @@ class SimulationService:
             raise ValueError("request has no network and the service has no default")
         params = request.params if request.params is not None else self._params
         seed = request.seed if request.seed is not None else self._seed
+        execution = request.execution or Exec()
         algo = request.algo
         t = algo.rounds(network.n)
         if request.t is not None and request.t != t:
@@ -507,7 +510,9 @@ class SimulationService:
                 f"request declares t={request.t} but {algo.name} runs "
                 f"{t} rounds on n={network.n}"
             )
-        spanner, spanner_info = self._fetch_spanner_resilient(network, params, request)
+        spanner, spanner_info = self._fetch_spanner_resilient(
+            network, params, request.allow_stale, execution
+        )
         if spanner_info.source == "stale":
             # Degraded serve: answer over the cached ancestor's graph.
             # Churn preserves the node universe, so the payload's round
@@ -516,7 +521,7 @@ class SimulationService:
         radius = request.radius if request.radius is not None else spanner.stretch_bound * t
         schedule = None
         schedule_info = None
-        if request.engine == "fast":
+        if execution.flood_engine == "fast":
             sub_key = (network.fingerprint(), spanner.edges)
             spanner_net = self._subnets.get(sub_key)
             if spanner_net is None:
@@ -524,7 +529,7 @@ class SimulationService:
                 while len(self._subnets) > _SUBNET_MEMO_CAP:
                     self._subnets.pop(next(iter(self._subnets)))
             schedule, schedule_info = self.store.fetch_flood_schedule(
-                spanner_net, radius, engine=request.distance_engine
+                spanner_net, radius, execution=execution
             )
         simulation = simulate_over_spanner(
             network,
@@ -533,10 +538,7 @@ class SimulationService:
             algo=algo,
             seed=seed,
             radius=radius,
-            engine=request.engine,
-            scheduler=request.scheduler,
-            distance_engine=request.distance_engine,
-            round_engine=request.round_engine,
+            execution=execution,
             schedule=schedule,
             faults=request.faults,
         )
@@ -562,7 +564,8 @@ class SimulationService:
         self,
         network: Network,
         params: SamplerParams,
-        request: SimulationRequest,
+        allow_stale: bool,
+        execution: Exec,
     ) -> tuple[SpannerResult, FetchInfo]:
         """Fetch with graceful degradation instead of failure.
 
@@ -579,7 +582,7 @@ class SimulationService:
         if spanner is None:
             ancestor, logs = self._lineage_base(network, params)
             if ancestor is not None:
-                if request.allow_stale:
+                if allow_stale:
                     return ancestor, FetchInfo("stale")
                 repaired = self._try_repair(ancestor, network, logs)
                 if repaired is not None:
@@ -589,10 +592,7 @@ class SimulationService:
                     return repaired, FetchInfo("repaired")
             known = fingerprint in self._served or fingerprint in self._lineage
             spanner, info = self.store.fetch_spanner(
-                network,
-                params,
-                scheduler=request.scheduler,
-                round_engine=request.round_engine,
+                network, params, execution=execution
             )
             if info.source == "built" and known:
                 self.metrics.bump(rebuilds=1)

@@ -28,8 +28,8 @@ from repro.local.engine import (
     PopulationOutbox,
     VectorProgram,
     VectorRuntime,
-    resolve_round_engine,
 )
+from repro.execution import Exec
 from repro.local.faults import CORRUPTED, FaultPlan
 from repro.local.message import Inbound
 from repro.local.metrics import MessageStats
@@ -222,14 +222,14 @@ def run_push_pull(
     t: int,
     seed: int = 0,
     *,
-    scheduler: str = "active",
-    round_engine: str | None = None,
+    execution: Exec | None = None,
     faults: FaultPlan | None = None,
 ) -> PushPullReport:
     """Run push–pull for ``rounds`` rounds; measure ``t``-ball coverage."""
     from repro.graphs.distance import balls_and_eccentricities
 
-    if resolve_round_engine(round_engine) == "vector":
+    execution = execution or Exec()
+    if execution.round_engine == "vector":
         report = VectorRuntime(
             network,
             _VectorGossip(network, seed),
@@ -245,9 +245,9 @@ def run_push_pull(
             fixed_rounds=rounds,
             max_rounds=rounds + 1,
             faults=faults,
-            scheduler=scheduler,
+            execution=execution,
         )
-    balls, _ = balls_and_eccentricities(network, t)
+    balls, _ = balls_and_eccentricities(network, t, execution=execution)
     delivered = 0
     required = 0
     for node in network.nodes():

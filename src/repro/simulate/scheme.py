@@ -21,6 +21,7 @@ from typing import Any
 from repro import obs
 from repro.algorithms.base import LocalAlgorithm
 from repro.core.params import SamplerParams
+from repro.execution import Exec
 from repro.core.spanner import SpannerResult
 from repro.core.distributed import build_spanner_distributed
 from repro.local.network import Network
@@ -94,26 +95,19 @@ def run_one_stage(
     gamma: int = 1,
     params: SamplerParams | None = None,
     seed: int = 0,
-    engine: str = "fast",
-    scheduler: str = "active",
-    distance_engine: str | None = None,
-    round_engine: str | None = None,
+    execution: Exec | None = None,
     store=None,
 ) -> SchemeReport:
     """Simulate ``algo`` with the spanner-based scheme, metering both stages.
 
     ``params`` overrides the Theorem 3 parameter choice when supplied
-    (used by experiments that tune the practical constants).  ``engine``
-    selects the simulation-stage implementation: the array-native
-    ``"fast"`` path or the literal ``"runtime"`` baseline; both produce
-    identical reports (DESIGN.md §3.5).  ``scheduler`` selects the round
-    engine for every kernel execution in the pipeline — the distributed
-    construction stage and, under ``engine="runtime"``, the simulated
-    flood; ``"dense"`` is the step-everyone baseline (DESIGN.md §3.6).
-    ``distance_engine`` selects the fast path's distance plane
-    (DESIGN.md §3.7) and ``round_engine`` the round engine backing
-    every kernel execution (DESIGN.md §3.10); every combination
-    produces identical reports.
+    (used by experiments that tune the practical constants).
+    ``execution`` picks the implementation of every stage (DESIGN.md
+    §3.14): the simulation stage's flood engine (§3.5), the scheduler
+    and round engine of every kernel execution — the distributed
+    construction and, under ``flood_engine="runtime"``, the simulated
+    flood (§3.6, §3.10) — and the fast path's distance plane (§3.7).
+    Every combination produces identical reports.
 
     ``store`` (an :class:`~repro.store.ArtifactStore`, or ``None`` for
     the ``REPRO_STORE``-driven process default) reuses the
@@ -123,6 +117,7 @@ def run_one_stage(
     off, cold, or warm (DESIGN.md §3.8).
     """
     sampler_params = params if params is not None else theorem3_params(gamma, seed=seed)
+    execution = execution or Exec()
     from repro.store.store import resolve_store  # lazy: store sits above simulate
 
     with obs.span(
@@ -131,14 +126,11 @@ def run_one_stage(
         active_store = resolve_store(store)
         if active_store is not None:
             spanner = active_store.spanner(
-                network,
-                sampler_params,
-                scheduler=scheduler,
-                round_engine=round_engine,
+                network, sampler_params, execution=execution
             )
         else:
             spanner = build_spanner_distributed(
-                network, sampler_params, scheduler=scheduler, engine=round_engine
+                network, sampler_params, execution=execution
             )
         simulation = simulate_over_spanner(
             network,
@@ -146,10 +138,7 @@ def run_one_stage(
             alpha=spanner.stretch_bound,
             algo=algo,
             seed=seed,
-            engine=engine,
-            scheduler=scheduler,
-            distance_engine=distance_engine,
-            round_engine=round_engine,
+            execution=execution,
             store=active_store,
         )
         scheme_span.set(messages=simulation.messages.total)

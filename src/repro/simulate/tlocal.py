@@ -10,9 +10,10 @@ message (the LOCAL model does not meter message size), so the total is
 at most ``2 |S| * alpha * t`` — the bound used in the proof of
 Lemma 12.
 
-Two engines compute the outcome (DESIGN.md §3.5):
+Two flood engines compute the outcome (DESIGN.md §3.5), chosen by the
+``flood_engine`` field of :class:`~repro.execution.Exec`:
 
-* ``engine="fast"`` (default) derives the :class:`FloodReport` directly
+* ``flood_engine="fast"`` (default) derives the :class:`FloodReport` directly
   from batched CSR frontier sweeps (the distance plane, DESIGN.md
   §3.7): the flood is a deterministic function of the spanner and the
   radius, so collected sets are radius-balls in ``H`` and the exact
@@ -21,11 +22,11 @@ Two engines compute the outcome (DESIGN.md §3.5):
   reached it in round ``r``, i.e. iff ``r`` is at most ``v``'s
   (radius-capped) eccentricity in ``H``.  No ``Inbound``/``Outbound``
   object is ever allocated.
-* ``engine="runtime"`` runs the literal :class:`_FloodProgram` on the
-  synchronous kernel — the equivalence baseline (DESIGN.md §3.4 keeps
-  every optimized path's seed behaviour reachable); the test suite
-  asserts report equality between the engines across graph families,
-  radii, and seeds.
+* ``flood_engine="runtime"`` runs the literal :class:`_FloodProgram`
+  on the synchronous kernel — the equivalence baseline and the only
+  engine that runs under a fault plan; the test suite asserts report
+  equality between the engines across graph families, radii, and
+  seeds.
 
 Within the fast engine, ``distance_engine`` further selects the
 distance plane's implementation: ``"vector"`` (NumPy bitset sweeps) or
@@ -41,6 +42,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.execution import Exec
 from repro.graphs.distance import BallFamily, balls_and_eccentricities
 from repro.local.engine import (
     PopulationInbox,
@@ -48,7 +50,6 @@ from repro.local.engine import (
     VectorProgram,
     VectorRuntime,
     broadcast_outbox,
-    resolve_round_engine,
 )
 from repro.local.faults import CORRUPTED
 from repro.local.message import Inbound
@@ -64,8 +65,6 @@ __all__ = [
     "flood_stats",
     "t_local_broadcast",
 ]
-
-FLOOD_ENGINES = ("fast", "runtime")
 
 
 @dataclass(frozen=True)
@@ -254,7 +253,7 @@ class _VectorFlood(VectorProgram):
 
 
 def flood_schedule(
-    spanner: Network, radius: int, *, engine: str | None = None
+    spanner: Network, radius: int, *, execution: Exec | None = None
 ) -> FloodSchedule:
     """Compute the flood's outcome without simulating it.
 
@@ -269,12 +268,12 @@ def flood_schedule(
     * round ``radius`` sends are never delivered and are not metered
       (the runtime discards them the same way).
 
-    ``engine`` selects the distance plane's implementation
-    (``"vector"``/``"reference"``, default the process-wide engine);
-    both produce equal schedules, which the property tests enforce.
+    ``execution`` selects the distance plane's implementation
+    (``"vector"``/``"reference"``); both produce equal schedules, which
+    the property tests enforce.
     """
     n = spanner.n
-    balls, ecc = balls_and_eccentricities(spanner, radius, engine=engine)
+    balls, ecc = balls_and_eccentricities(spanner, radius, execution=execution)
     degs = [spanner.degree(v) for v in range(n)]
     return FloodSchedule(
         balls=balls,
@@ -325,25 +324,22 @@ def t_local_broadcast(
     radius: int,
     *,
     seed: int = 0,
-    engine: str = "fast",
-    scheduler: str = "active",
-    distance_engine: str | None = None,
-    round_engine: str | None = None,
+    execution: Exec | None = None,
     faults=None,
     store=None,
 ) -> FloodReport:
     """Flood each node's payload ``radius`` hops through ``spanner``.
 
     ``spanner`` is typically ``network.subnetwork(S)``; payloads opaque.
-    ``engine="fast"`` derives the report from batched CSR sweeps
-    (:func:`flood_schedule`, honouring ``distance_engine``);
-    ``engine="runtime"`` runs the literal node-program simulation —
-    under ``scheduler="active"`` only the flood frontier is stepped,
-    under ``"dense"`` every node every round.  All combinations produce
-    equal reports.
+    Under ``execution``'s ``flood_engine="fast"`` the report is derived
+    from batched CSR sweeps (:func:`flood_schedule`, on its
+    ``distance_engine``); ``"runtime"`` runs the literal node-program
+    simulation — under ``scheduler="active"`` only the flood frontier is
+    stepped, under ``"dense"`` every node every round.  All
+    combinations produce equal reports.
 
     ``faults`` (a :class:`~repro.local.faults.FaultPlan`) injects
-    message drops and requires ``engine="runtime"`` — the fast engine is
+    message drops and requires ``flood_engine="runtime"`` — the fast engine is
     an analytic derivation of the failure-free flood, so a non-noop plan
     under it raises.  ``store`` (an
     :class:`~repro.store.ArtifactStore`, or ``None`` for the
@@ -351,10 +347,9 @@ def t_local_broadcast(
     cached :class:`FloodSchedule` for this spanner; omitted or off, the
     schedule is derived from scratch exactly as before (DESIGN.md §3.8).
     """
-    if engine not in FLOOD_ENGINES:
-        raise ValueError(f"unknown flood engine {engine!r}; expected one of {FLOOD_ENGINES}")
-    if engine == "runtime":
-        if resolve_round_engine(round_engine) == "vector":
+    execution = execution or Exec()
+    if execution.flood_engine == "runtime":
+        if execution.round_engine == "vector":
             # Flooding is seed-free and single-tag: the bitset
             # population is RunReport-identical to the per-node
             # program under every scheduler, fault plan included.
@@ -373,7 +368,7 @@ def t_local_broadcast(
                 fixed_rounds=radius,
                 max_rounds=radius + 1,
                 faults=faults,
-                scheduler=scheduler,
+                execution=execution,
             )
         return FloodReport(
             collected=report.outputs,
@@ -382,16 +377,16 @@ def t_local_broadcast(
         )
     if faults is not None and not faults.is_noop:
         raise ValueError(
-            "fault plans require engine='runtime': the fast engine derives "
-            "the failure-free flood analytically"
+            "fault plans require flood_engine='runtime': the fast engine "
+            "derives the failure-free flood analytically"
         )
     from repro.store.store import resolve_store  # lazy: store sits above simulate
 
     active_store = resolve_store(store)
     if active_store is not None:
-        schedule = active_store.flood_schedule(spanner, radius, engine=distance_engine)
+        schedule = active_store.flood_schedule(spanner, radius, execution=execution)
     else:
-        schedule = flood_schedule(spanner, radius, engine=distance_engine)
+        schedule = flood_schedule(spanner, radius, execution=execution)
     payloads = [payload_of(v) for v in range(spanner.n)]
     collected = {
         v: {origin: payloads[origin] for origin in ball}

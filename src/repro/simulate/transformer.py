@@ -18,10 +18,10 @@ to the direct runner's derivation, so the simulated outputs equal the
 direct outputs *bit for bit* — the property the test suite asserts for
 every payload algorithm.
 
-Engines (DESIGN.md §3.5).  ``engine="runtime"`` is the literal
-reference: a simulated flood, then one independent replay per center,
-each rebuilding its own ``owners``/``endpoint_of`` maps from the
-collected reports.  ``engine="fast"`` (default) exploits that the
+Flood engines (DESIGN.md §3.5).  ``flood_engine="runtime"`` is the
+literal reference: a simulated flood, then one independent replay per
+center, each rebuilding its own ``owners``/``endpoint_of`` maps from the
+collected reports.  ``flood_engine="fast"`` (default) exploits that the
 replays are all prefixes of one deterministic execution: the flood's
 first-learn schedule (:func:`~repro.simulate.tlocal.flood_schedule`)
 gives every center's collected ball, the reconstruction every center
@@ -45,17 +45,16 @@ import numpy as np
 from repro import obs
 from repro.algorithms.base import LocalAlgorithm, NodeInit
 from repro.algorithms.runner import node_tape, run_inprocess
+from repro.execution import Exec
 from repro.graphs.distance import (
     BallFamily,
     adjacency_csr,
     ball_matrix_blocks,
     component_labels,
-    resolve_engine,
 )
 from repro.local.metrics import MessageStats
 from repro.local.network import Network
 from repro.simulate.tlocal import (
-    FLOOD_ENGINES,
     FloodReport,
     FloodSchedule,
     flood_schedule,
@@ -88,25 +87,19 @@ def simulate_over_spanner(
     seed: int = 0,
     *,
     radius: int | None = None,
-    engine: str = "fast",
-    scheduler: str = "active",
-    distance_engine: str | None = None,
-    round_engine: str | None = None,
+    execution: Exec | None = None,
     schedule: FloodSchedule | None = None,
     faults=None,
     store=None,
 ) -> SimulationOutcome:
     """Run ``algo`` via ``t``-local broadcast over the given spanner.
 
-    ``scheduler`` only matters under ``engine="runtime"`` (the fast
-    engine never touches the round engine); both settings produce
-    identical outcomes (DESIGN.md §3.6).  ``distance_engine`` selects
-    the fast path's distance plane (``"vector"``/``"reference"``,
-    DESIGN.md §3.7) — again outcome-identical either way.
-    ``round_engine`` selects the round engine (DESIGN.md §3.10): under
-    ``engine="runtime"`` it picks the flood's execution backend, under
-    ``engine="fast"`` it picks the shared replay's backend — identical
-    outcomes in all four combinations.
+    ``execution`` picks the implementation of every stage; all of its
+    combinations produce identical outcomes.  Its ``scheduler`` only
+    matters under ``flood_engine="runtime"`` (DESIGN.md §3.6), and its
+    ``distance_engine`` only under ``"fast"`` (DESIGN.md §3.7).  Its
+    ``round_engine`` (DESIGN.md §3.10) backs the flood under
+    ``"runtime"`` and the shared replay under ``"fast"``.
 
     ``schedule`` lets a caller that already holds this spanner's
     :class:`FloodSchedule` at exactly the flood radius (the simulation
@@ -114,22 +107,19 @@ def simulate_over_spanner(
     is unchanged.  ``store`` (or the ``REPRO_STORE`` process default)
     caches the derivation instead (DESIGN.md §3.8); an explicit
     ``schedule`` wins over both.  ``faults`` injects message drops and
-    requires ``engine="runtime"`` (the fast engine is the analytic
-    failure-free derivation).
+    requires ``flood_engine="runtime"`` (the fast engine is the
+    analytic failure-free derivation).
     """
-    if engine not in FLOOD_ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {FLOOD_ENGINES}")
+    execution = execution or Exec()
     t = algo.rounds(network.n)
     flood_radius = radius if radius is not None else alpha * t
-    if engine == "runtime":
+    if execution.flood_engine == "runtime":
         flood: FloodReport = t_local_broadcast(
             network.subnetwork(spanner_edges),
             payload_of=lambda node: tuple(network.incident(node)),
             radius=flood_radius,
             seed=seed,
-            engine="runtime",
-            scheduler=scheduler,
-            round_engine=round_engine,
+            execution=execution,
             faults=faults,
         )
         outputs = {
@@ -146,8 +136,8 @@ def simulate_over_spanner(
         )
     if faults is not None and not faults.is_noop:
         raise ValueError(
-            "fault plans require engine='runtime': the fast engine derives "
-            "the failure-free flood analytically"
+            "fault plans require flood_engine='runtime': the fast engine "
+            "derives the failure-free flood analytically"
         )
     if schedule is None:
         # The spanner subnetwork exists only to derive the schedule, so
@@ -158,24 +148,16 @@ def simulate_over_spanner(
         active_store = resolve_store(store)
         if active_store is not None:
             schedule = active_store.flood_schedule(
-                spanner, flood_radius, engine=distance_engine
+                spanner, flood_radius, execution=execution
             )
         else:
-            schedule = flood_schedule(spanner, flood_radius, engine=distance_engine)
+            schedule = flood_schedule(spanner, flood_radius, execution=execution)
     elif schedule.rounds != max(0, flood_radius):
         raise ValueError(
             f"precomputed schedule covers radius {schedule.rounds}, "
             f"this simulation floods radius {flood_radius}"
         )
-    outputs = _replay_shared(
-        network,
-        algo,
-        t,
-        seed,
-        schedule,
-        engine=distance_engine,
-        round_engine=round_engine,
-    )
+    outputs = _replay_shared(network, algo, t, seed, schedule, execution)
     return SimulationOutcome(
         outputs=outputs,
         messages=schedule.messages,
@@ -191,9 +173,7 @@ def _replay_shared(
     t: int,
     seed: int,
     schedule: FloodSchedule,
-    *,
-    engine: str | None = None,
-    round_engine: str | None = None,
+    execution: Exec,
 ) -> dict[int, Any]:
     """One global replay serving every center whose ball is covered.
 
@@ -203,12 +183,13 @@ def _replay_shared(
     global one — so those centers share a single ``t``-round execution.
     Centers left uncovered by the flood (radius below ``alpha * t``, or
     a non-spanner edge set) replay literally on their partial ball, which
-    keeps this path output-identical to ``engine="runtime"`` always.
+    keeps this path output-identical to ``flood_engine="runtime"``
+    always.
 
     The coverage verdict ``B_t(center) ⊆ ball(center)`` is computed by
     :func:`_uncovered_centers`.
     """
-    engine = resolve_engine(engine)
+    engine = execution.distance_engine
     n = network.n
     balls = schedule.balls
     family = (
@@ -234,7 +215,7 @@ def _replay_shared(
     outputs = (
         {}
         if len(uncovered) == n
-        else run_inprocess(network, algo, seed, round_engine=round_engine)
+        else run_inprocess(network, algo, seed, execution=execution)
     )
     for center in uncovered:
         reports = {x: network.incident(x) for x in family[center]}

@@ -25,6 +25,7 @@ from typing import Any
 from repro.algorithms.base import LocalAlgorithm
 from repro.baselines.baswana_sen import BaswanaSenLocal
 from repro.core.params import SamplerParams
+from repro.execution import Exec
 from repro.core.spanner import SpannerResult
 from repro.core.distributed import build_spanner_distributed
 from repro.local.network import Network
@@ -88,24 +89,18 @@ def run_two_stage(
     stage1_params: SamplerParams,
     stage2_k: int = 3,
     seed: int = 0,
-    engine: str = "fast",
-    scheduler: str = "active",
-    distance_engine: str | None = None,
-    round_engine: str | None = None,
+    execution: Exec | None = None,
     store=None,
 ) -> TwoStageReport:
     """Run the full two-stage pipeline, metering every stage.
 
-    ``engine`` selects the simulation-stage implementation for both
-    simulated stages — ``"fast"`` (array-native flood + shared replay)
-    or ``"runtime"`` (the literal baseline); reports are identical.
-    ``scheduler`` selects the round engine for every kernel execution
-    (stage-1 construction and, under ``engine="runtime"``, both
-    simulated floods); ``"dense"`` is the baseline (DESIGN.md §3.6).
-    ``distance_engine`` selects the fast path's distance plane
-    (DESIGN.md §3.7) and ``round_engine`` the round engine backing
-    every kernel execution (DESIGN.md §3.10); every combination
-    produces identical reports.
+    ``execution`` picks the implementation of every stage (DESIGN.md
+    §3.14): the flood engine of both simulated stages — ``"fast"``
+    (array-native flood + shared replay) or ``"runtime"`` (the literal
+    baseline) — the scheduler and round engine of every kernel
+    execution (stage-1 construction and, under ``"runtime"``, both
+    simulated floods), and the fast path's distance plane.  Every
+    combination produces identical reports.
 
     ``store`` (or the ``REPRO_STORE`` process default) caches the
     payload-independent artifacts of *all three* stages: the ``H1``
@@ -117,17 +112,13 @@ def run_two_stage(
     """
     from repro.store.store import resolve_store  # lazy: store sits above simulate
 
+    execution = execution or Exec()
     active_store = resolve_store(store)
     if active_store is not None:
-        stage1 = active_store.spanner(
-            network,
-            stage1_params,
-            scheduler=scheduler,
-            round_engine=round_engine,
-        )
+        stage1 = active_store.spanner(network, stage1_params, execution=execution)
     else:
         stage1 = build_spanner_distributed(
-            network, stage1_params, scheduler=scheduler, engine=round_engine
+            network, stage1_params, execution=execution
         )
 
     stage2_algo = BaswanaSenLocal(k=stage2_k, coin_seed=seed)
@@ -137,10 +128,7 @@ def run_two_stage(
         alpha=stage1.stretch_bound,
         algo=stage2_algo,
         seed=seed,
-        engine=engine,
-        scheduler=scheduler,
-        distance_engine=distance_engine,
-        round_engine=round_engine,
+        execution=execution,
         store=active_store,
     )
     stage2_edges: set[int] = set()
@@ -153,10 +141,7 @@ def run_two_stage(
         alpha=stage2_algo.stretch_bound,
         algo=algo,
         seed=seed,
-        engine=engine,
-        scheduler=scheduler,
-        distance_engine=distance_engine,
-        round_engine=round_engine,
+        execution=execution,
         store=active_store,
     )
     return TwoStageReport(

@@ -42,11 +42,11 @@ from repro.core.trace import (
     SamplerTrace,
 )
 from repro.core.trials import NodeLabel, TrialStats
+from repro.execution import Exec
 from repro.graphs.distance import (
     BallFamily,
     adjacency_csr,
     distance_blocks,
-    resolve_engine,
     single_source_distances,
 )
 from repro.local.metrics import MessageStats
@@ -427,15 +427,16 @@ class FloodProfile:
         return int(self._dist.nbytes + self._degs.nbytes)
 
     @classmethod
-    def build(cls, spanner: Network, radius: int, *, engine: str | None = None) -> "FloodProfile":
+    def build(
+        cls, spanner: Network, radius: int, *, execution: Exec | None = None
+    ) -> "FloodProfile":
         """Measure the spanner's truncated distances once, up front.
 
-        ``engine`` follows the distance plane's convention
-        (``"vector"``/``"reference"``, default the process-wide engine);
-        both produce identical profiles, so the engine only selects the
-        measurement implementation — it is recorded for the store key.
+        ``execution``'s distance engine (``"vector"``/``"reference"``)
+        selects the measurement implementation; both produce identical
+        profiles, and the engine's name is recorded for the store key.
         """
-        name = resolve_engine(engine)
+        name = (execution or Exec()).distance_engine
         n = spanner.n
         radius = max(0, radius)
         dtype = np.int16 if radius < 2**15 - 1 else np.int32

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from repro import obs
 from repro.core.params import SamplerParams
 from repro.core.spanner import SpannerResult
-from repro.graphs.distance import resolve_engine
+from repro.execution import Exec
 from repro.local.network import Network
 from repro.rng import stable_uniform
 from repro.simulate.tlocal import FloodSchedule
@@ -281,25 +281,20 @@ class ArtifactStore:
         network: Network,
         params: SamplerParams,
         *,
-        scheduler: str = "active",
-        round_engine: str | None = None,
+        execution: Exec | None = None,
     ) -> tuple[SpannerResult, FetchInfo]:
         """Get-or-build the distributed ``Sampler`` construction.
 
-        ``scheduler`` and ``round_engine`` are forwarded to the builder
-        on a miss but are not part of the key: every scheduler/engine
+        ``execution`` (its scheduler and round engine) is forwarded to
+        the builder on a miss but is not part of the key: every
         combination produces identical ``RunReport``s (the DESIGN.md
         §3.6 / §3.10 equivalence contracts), so a hit under any of them
         is exact.
         """
         if not obs.enabled():
-            return self._fetch_spanner_impl(
-                network, params, scheduler=scheduler, round_engine=round_engine
-            )
+            return self._fetch_spanner_impl(network, params, execution)
         with obs.span("store/fetch_spanner", n=network.n) as fetch_span:
-            result, info = self._fetch_spanner_impl(
-                network, params, scheduler=scheduler, round_engine=round_engine
-            )
+            result, info = self._fetch_spanner_impl(network, params, execution)
             fetch_span.set(source=info.source)
         return result, info
 
@@ -307,9 +302,7 @@ class ArtifactStore:
         self,
         network: Network,
         params: SamplerParams,
-        *,
-        scheduler: str = "active",
-        round_engine: str | None = None,
+        execution: Exec | None,
     ) -> tuple[SpannerResult, FetchInfo]:
         cached, info = self.peek_spanner(network, params)
         if cached is not None:
@@ -328,9 +321,7 @@ class ArtifactStore:
                 if cached is not None:
                     return cached, info
             self.stats.bump(misses=1)
-            built = build_spanner_distributed(
-                network, params, scheduler=scheduler, engine=round_engine
-            )
+            built = build_spanner_distributed(network, params, execution=execution)
             self.put_spanner(built)
         return built, FetchInfo("built")
 
@@ -393,12 +384,9 @@ class ArtifactStore:
         network: Network,
         params: SamplerParams,
         *,
-        scheduler: str = "active",
-        round_engine: str | None = None,
+        execution: Exec | None = None,
     ) -> SpannerResult:
-        return self.fetch_spanner(
-            network, params, scheduler=scheduler, round_engine=round_engine
-        )[0]
+        return self.fetch_spanner(network, params, execution=execution)[0]
 
     # ------------------------------------------------------------------
     # flood schedules
@@ -408,43 +396,38 @@ class ArtifactStore:
         spanner: Network,
         radius: int,
         *,
-        engine: str | None = None,
+        execution: Exec | None = None,
     ) -> tuple[FloodSchedule, FetchInfo]:
         """Get-or-build the Lemma 12 flood schedule for ``spanner``.
 
-        One :class:`FloodProfile` entry per (spanner, engine) holds the
-        largest radius requested so far: a smaller radius is served by
-        truncation, a larger one by the same profile when it is
-        exhausted, and otherwise rebuilds (extends) the profile.
+        One :class:`FloodProfile` entry per (spanner, distance engine)
+        holds the largest radius requested so far: a smaller radius is
+        served by truncation, a larger one by the same profile when it
+        is exhausted, and otherwise rebuilds (extends) the profile.
         Profiles whose ``n^2`` exceeds :data:`PROFILE_CELL_LIMIT` are
         never cached — the schedule is derived directly (a "bypass"),
         bounding the store's memory at large ``n``.
         """
+        execution = execution or Exec()
         if not obs.enabled():
-            return self._fetch_flood_impl(spanner, radius, engine=engine)
+            return self._fetch_flood_impl(spanner, radius, execution)
         with obs.span(
             "store/fetch_flood_schedule", radius=int(radius)
         ) as fetch_span:
-            schedule, info = self._fetch_flood_impl(
-                spanner, radius, engine=engine
-            )
+            schedule, info = self._fetch_flood_impl(spanner, radius, execution)
             fetch_span.set(source=info.source, exhausted=info.exhausted)
         return schedule, info
 
     def _fetch_flood_impl(
-        self,
-        spanner: Network,
-        radius: int,
-        *,
-        engine: str | None = None,
+        self, spanner: Network, radius: int, execution: Exec
     ) -> tuple[FloodSchedule, FetchInfo]:
         from repro.simulate.tlocal import flood_schedule as derive
 
         radius = max(0, radius)
-        name = resolve_engine(engine)
+        name = execution.distance_engine
         if spanner.n * spanner.n > PROFILE_CELL_LIMIT:
             self.stats.bump(bypasses=1)
-            return derive(spanner, radius, engine=name), FetchInfo("bypass")
+            return derive(spanner, radius, execution=execution), FetchInfo("bypass")
         fingerprint = spanner.fingerprint()
         key = flood_key(fingerprint, name)
         with self._mem_lock:
@@ -470,7 +453,7 @@ class ArtifactStore:
                     self._remember(key, fresh)
                     return fresh.schedule(radius), _served("disk", fresh, radius)
             self.stats.bump(misses=1)
-            profile = FloodProfile.build(spanner, radius, engine=name)
+            profile = FloodProfile.build(spanner, radius, execution=execution)
             self._remember(key, profile)
             self._persist(key, lambda path, p: p.to_npz(path), profile)
         return profile.schedule(radius), FetchInfo(
@@ -482,9 +465,9 @@ class ArtifactStore:
         spanner: Network,
         radius: int,
         *,
-        engine: str | None = None,
+        execution: Exec | None = None,
     ) -> FloodSchedule:
-        return self.fetch_flood_schedule(spanner, radius, engine=engine)[0]
+        return self.fetch_flood_schedule(spanner, radius, execution=execution)[0]
 
     @staticmethod
     def _checked_spanner(path, network: Network, params: SamplerParams) -> SpannerResult:
@@ -524,7 +507,9 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # small payload-independent memos (in-memory only)
     # ------------------------------------------------------------------
-    def graph_diameter(self, network: Network, *, engine: str | None = None) -> int:
+    def graph_diameter(
+        self, network: Network, *, execution: Exec | None = None
+    ) -> int:
         """Memoized exact diameter (see ``simulate.global_tasks``)."""
         key = network.fingerprint()
         with self._mem_lock:
@@ -532,7 +517,7 @@ class ArtifactStore:
         if cached is None:
             from repro.simulate.global_tasks import graph_diameter
 
-            cached = graph_diameter(network, engine=engine)
+            cached = graph_diameter(network, execution=execution)
             with self._mem_lock:
                 self._diameters[key] = cached
         return cached

@@ -22,6 +22,7 @@ import repro.service.concurrent as front_module
 from repro.algorithms import BfsLayers, MinIdAggregation
 from repro.core import SamplerParams
 from repro.errors import ServiceTimeout
+from repro.execution import Exec
 from repro.graphs import erdos_renyi
 from repro.service import (
     ChaosPlan,
@@ -193,6 +194,25 @@ class TestBatchingWindow:
             front.serve([MinIdAggregation(2), BfsLayers(0, 2)])
         snapshot = front.metrics.snapshot()
         assert snapshot["merged"] == 0
+
+    def test_requests_differing_only_in_execution_are_not_merged(self, net):
+        payload = MinIdAggregation(2)
+        requests = [
+            SimulationRequest(algo=payload, execution=Exec(scheduler=scheduler))
+            for scheduler in ("active", "dense")
+        ]
+        assert requests[0].identity() != requests[1].identity()
+        service = SimulationService(net, params=PARAMS, seed=0)
+        first, second = service.serve(requests)
+        assert first is not second
+        front = ConcurrentSimulationService(
+            net, params=PARAMS, seed=0, max_workers=4, merge_window=0.5
+        )
+        with front:
+            first, second = front.serve(requests)
+        assert front.metrics.snapshot()["merged"] == 0
+        assert first is not second
+        assert first.report == second.report
 
     def test_window_expires(self, net):
         front = ConcurrentSimulationService(

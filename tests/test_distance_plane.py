@@ -26,8 +26,8 @@ from repro.analysis.stretch import adjacent_pair_stretch, bfs_distances, pairwis
 from repro.core import SamplerParams, build_spanner
 from repro.dynamic import ChurnPlan, apply_churn
 from repro.graphs import barabasi_albert, dense_gnm, erdos_renyi, torus
+from repro.execution import Exec
 from repro.graphs.distance import (
-    DISTANCE_ENGINES,
     BallFamily,
     adjacency_csr,
     ball_matrix_blocks,
@@ -35,10 +35,8 @@ from repro.graphs.distance import (
     bfs_exhausted,
     component_labels,
     csr_from_adjacency,
-    default_engine,
     distance_blocks,
     eccentricities,
-    resolve_engine,
     single_source_distances,
 )
 from repro.local.network import Network
@@ -146,8 +144,8 @@ class TestFloodScheduleEquality:
     def test_engines_agree(self, family, radius, seed):
         net = _FAMILIES[family](seed)
         sub = net.subnetwork(_spanner_edges(net, seed))
-        fast = flood_schedule(sub, radius, engine="vector")
-        ref = flood_schedule(sub, radius, engine="reference")
+        fast = flood_schedule(sub, radius, execution=Exec(distance_engine="vector"))
+        ref = flood_schedule(sub, radius, execution=Exec(distance_engine="reference"))
         assert fast.ecc == ref.ecc
         assert fast.rounds == ref.rounds
         assert fast.messages.total == ref.messages.total
@@ -169,8 +167,8 @@ class TestFloodScheduleEquality:
         still match (frontiers die early on islands)."""
         net = _FAMILIES[family](seed)
         sub = net.subnetwork(_thinned(_spanner_edges(net, seed), seed, keep))
-        fast = flood_schedule(sub, 4, engine="vector")
-        ref = flood_schedule(sub, 4, engine="reference")
+        fast = flood_schedule(sub, 4, execution=Exec(distance_engine="vector"))
+        ref = flood_schedule(sub, 4, execution=Exec(distance_engine="reference"))
         assert fast == ref
 
 
@@ -186,8 +184,12 @@ class TestStretchReportEquality:
         net = _FAMILIES[family](seed)
         edges = _spanner_edges(net, seed)
         spanner = sorted(edges) if keep >= 1.0 else _thinned(edges, seed, keep)
-        fast = adjacent_pair_stretch(net, spanner, cutoff=cutoff, engine="vector")
-        ref = adjacent_pair_stretch(net, spanner, cutoff=cutoff, engine="reference")
+        fast = adjacent_pair_stretch(
+            net, spanner, cutoff=cutoff, execution=Exec(distance_engine="vector")
+        )
+        ref = adjacent_pair_stretch(
+            net, spanner, cutoff=cutoff, execution=Exec(distance_engine="reference")
+        )
         assert fast == ref
         # thinned spanners must be able to produce both buckets
         assert fast.unreachable_pairs >= 0 and fast.beyond_cutoff >= 0
@@ -203,15 +205,31 @@ class TestStretchReportEquality:
         net = _FAMILIES[family](seed)
         edges = _spanner_edges(net, seed)
         spanner = sorted(edges) if keep >= 1.0 else _thinned(edges, seed, keep)
-        fast = pairwise_stretch(net, spanner, sources=sources, seed=seed, engine="vector")
-        ref = pairwise_stretch(net, spanner, sources=sources, seed=seed, engine="reference")
+        fast = pairwise_stretch(
+            net,
+            spanner,
+            sources=sources,
+            seed=seed,
+            execution=Exec(distance_engine="vector"),
+        )
+        ref = pairwise_stretch(
+            net,
+            spanner,
+            sources=sources,
+            seed=seed,
+            execution=Exec(distance_engine="reference"),
+        )
         assert fast == ref
 
     def test_sampling_path_engines_agree(self):
         net = erdos_renyi(80, 0.1, seed=6)
         edges = _spanner_edges(net, 6)
-        fast = adjacent_pair_stretch(net, edges, sample=40, seed=3, engine="vector")
-        ref = adjacent_pair_stretch(net, edges, sample=40, seed=3, engine="reference")
+        fast = adjacent_pair_stretch(
+            net, edges, sample=40, seed=3, execution=Exec(distance_engine="vector")
+        )
+        ref = adjacent_pair_stretch(
+            net, edges, sample=40, seed=3, execution=Exec(distance_engine="reference")
+        )
         assert fast == ref
         assert fast.pairs_measured == 40
 
@@ -232,9 +250,9 @@ class TestSimulationEquality:
                 algo,
                 seed=7,
                 radius=radius,
-                distance_engine=engine,
+                execution=Exec(distance_engine=engine),
             )
-            for engine in DISTANCE_ENGINES
+            for engine in ("vector", "reference")
         ]
         assert outcomes[0] == outcomes[1]
 
@@ -256,7 +274,7 @@ class TestSimulationEquality:
         flood_radius = radius if radius is not None else result.stretch_bound * t
         balls = flood_schedule(net.subnetwork(edges), flood_radius).balls
         outcomes = {}
-        for engine in DISTANCE_ENGINES:
+        for engine in ("vector", "reference"):
             replayed.clear()
             outcomes[engine] = simulate_over_spanner(
                 net,
@@ -265,7 +283,7 @@ class TestSimulationEquality:
                 algo,
                 seed=7,
                 radius=radius,
-                distance_engine=engine,
+                execution=Exec(distance_engine=engine),
             )
             assert sorted(replayed) == _brute_force_uncovered(net, balls, t)
         assert outcomes["vector"] == outcomes["reference"]
@@ -298,7 +316,7 @@ class TestSimulationEquality:
         result = build_spanner(net, SamplerParams(k=2, h=2, seed=9))
         algo = BallCollect(2)
         outcomes = {}
-        for engine in DISTANCE_ENGINES:
+        for engine in ("vector", "reference"):
             replayed.clear()
             outcomes[engine] = simulate_over_spanner(
                 net,
@@ -308,7 +326,7 @@ class TestSimulationEquality:
                 seed=7,
                 radius=3,
                 schedule=schedule,
-                distance_engine=engine,
+                execution=Exec(distance_engine=engine),
             )
             assert sorted(replayed) == _brute_force_uncovered(
                 net, schedule.balls, algo.rounds(net.n)
@@ -392,39 +410,51 @@ class TestBatchedPrimitives:
     def test_ball_matrix_blocks_match_family(self):
         net = torus(5, 5)
         indptr, indices = adjacency_csr(net)
-        family, _ = balls_and_eccentricities(net, 2, engine="vector")
+        family, _ = balls_and_eccentricities(
+            net, 2, execution=Exec(distance_engine="vector")
+        )
         for offset, rows in ball_matrix_blocks(indptr, indices, range(net.n), 2):
             for i in range(rows.shape[0]):
                 assert frozenset(np.nonzero(rows[i])[0].tolist()) == family[offset + i]
 
     def test_eccentricities_and_diameter(self):
         net = torus(5, 5)  # wraparound grid, diameter 4
-        ecc_v, reached_v = eccentricities(net, engine="vector")
-        ecc_r, reached_r = eccentricities(net, engine="reference")
+        ecc_v, reached_v = eccentricities(net, execution=Exec(distance_engine="vector"))
+        ecc_r, reached_r = eccentricities(
+            net, execution=Exec(distance_engine="reference")
+        )
         assert (ecc_v, reached_v) == (ecc_r, reached_r)
         assert graph_diameter(net) == 4
         two = Network.from_edge_pairs(4, [(0, 1), (2, 3)], name="two-islands")
         with pytest.raises(ValueError):
             graph_diameter(two)
         with pytest.raises(ValueError):
-            graph_diameter(two, engine="reference")
+            graph_diameter(two, execution=Exec(distance_engine="reference"))
 
     def test_single_node_and_edgeless(self):
         lone = Network.from_edge_pairs(1, [])
-        assert flood_schedule(lone, 3, engine="vector") == flood_schedule(
-            lone, 3, engine="reference"
+        vector = Exec(distance_engine="vector")
+        reference = Exec(distance_engine="reference")
+        assert flood_schedule(lone, 3, execution=vector) == flood_schedule(
+            lone, 3, execution=reference
         )
         islands = Network.from_edge_pairs(5, [])
-        fast = flood_schedule(islands, 2, engine="vector")
+        fast = flood_schedule(islands, 2, execution=Exec(distance_engine="vector"))
         assert all(ball == {v} for v, ball in enumerate(fast.balls))
-        assert fast == flood_schedule(islands, 2, engine="reference")
+        assert fast == flood_schedule(
+            islands, 2, execution=Exec(distance_engine="reference")
+        )
 
 
 class TestBallFamily:
     def _family_pair(self):
         net = erdos_renyi(30, 0.12, seed=2)
-        packed, ecc_p = balls_and_eccentricities(net, 2, engine="vector")
-        sets, ecc_s = balls_and_eccentricities(net, 2, engine="reference")
+        packed, ecc_p = balls_and_eccentricities(
+            net, 2, execution=Exec(distance_engine="vector")
+        )
+        sets, ecc_s = balls_and_eccentricities(
+            net, 2, execution=Exec(distance_engine="reference")
+        )
         return packed, sets
 
     def test_sequence_protocol(self):
@@ -478,21 +508,6 @@ class TestBallFamily:
 
 
 class TestEngineSelection:
-    def test_resolve_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            resolve_engine("warp")
-        with pytest.raises(ValueError):
-            flood_schedule(torus(3, 3), 1, engine="warp")
-        with pytest.raises(ValueError):
-            adjacent_pair_stretch(torus(3, 3), [], engine="warp")
-
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISTANCE_ENGINE", "reference")
-        assert default_engine() == "reference"
-        assert resolve_engine(None) == "reference"
-        monkeypatch.delenv("REPRO_DISTANCE_ENGINE")
-        assert default_engine() == "vector"
-
     def test_bfs_distances_alias(self):
         net = torus(4, 4)
         adj = [list(net.neighbors(v)) for v in range(net.n)]

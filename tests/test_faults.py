@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from repro.execution import Exec
 from repro.local import CORRUPTED, FaultPlan, NodeProgram
 from repro.local.metrics import MessageStats
 from repro.local.runtime import run_program
@@ -129,7 +130,7 @@ class TestCorruptionSemantics:
                 seed=2,
                 faults=plan,
                 fixed_rounds=fixed,
-                scheduler=scheduler,
+                execution=Exec(scheduler=scheduler),
             )
 
         dense, active = run("dense"), run("active")
@@ -205,7 +206,11 @@ class TestBatchedMetering:
         monkeypatch.setattr(runtime_mod, "MessageStats", make_spy)
         plan = FaultPlan(corrupt_probability=0.5, seed=7)
         report = run_program(
-            path4, lambda n: Collector(2), seed=0, faults=plan, scheduler=scheduler
+            path4,
+            lambda n: Collector(2),
+            seed=0,
+            faults=plan,
+            execution=Exec(scheduler=scheduler),
         )
         assert spies, "runtime did not construct its stats object"
         assert sum(s.record_calls for s in spies) == 0
@@ -235,7 +240,11 @@ class TestBatchedMetering:
         plan = FaultPlan(corrupt_probability=0.4, seed=11)
         active = run_program(path4, lambda n: Collector(2), seed=0, faults=plan)
         dense = run_program(
-            path4, lambda n: Collector(2), seed=0, faults=plan, scheduler="dense"
+            path4,
+            lambda n: Collector(2),
+            seed=0,
+            faults=plan,
+            execution=Exec(scheduler="dense"),
         )
         assert active.messages.total == dense.messages.total
         assert active.messages.per_round == dense.messages.per_round

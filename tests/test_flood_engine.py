@@ -1,7 +1,7 @@
 """Engine-equivalence tests for the fast flood (DESIGN.md §3.5).
 
 The fast engine derives :class:`FloodReport` from CSR frontier sweeps;
-``engine="runtime"`` simulates the literal ``_FloodProgram``.  The
+``flood_engine="runtime"`` simulates the literal ``_FloodProgram``.  The
 contract: *equal reports* — collected sets, rounds, and the full
 ``MessageStats`` (total, ``by_tag``, ``per_round``) — on every tested
 family × radius × seed combination, and identical simulation outcomes
@@ -15,6 +15,7 @@ import pytest
 from repro.algorithms import BallCollect, LubyMis, MinIdAggregation, run_direct
 from repro.analysis.stretch import bfs_distances
 from repro.core import SamplerParams, build_spanner
+from repro.execution import Exec
 from repro.graphs import barabasi_albert, erdos_renyi, torus
 from repro.simulate import (
     flood_schedule,
@@ -43,8 +44,12 @@ class TestEngineEquivalence:
     def test_flood_reports_equal(self, family, make, radius, seed):
         net = make(seed)
         sub, _ = _spanner_sub(net, seed)
-        fast = t_local_broadcast(sub, lambda v: (v, "p"), radius, engine="fast")
-        slow = t_local_broadcast(sub, lambda v: (v, "p"), radius, engine="runtime")
+        fast = t_local_broadcast(
+            sub, lambda v: (v, "p"), radius, execution=Exec(flood_engine="fast")
+        )
+        slow = t_local_broadcast(
+            sub, lambda v: (v, "p"), radius, execution=Exec(flood_engine="runtime")
+        )
         assert fast.collected == slow.collected
         assert fast.rounds == slow.rounds
         assert fast.messages.total == slow.messages.total
@@ -58,10 +63,20 @@ class TestEngineEquivalence:
         sub, result = _spanner_sub(net, 3)
         for algo in (BallCollect(2), MinIdAggregation(2), LubyMis(phases=3)):
             fast = simulate_over_spanner(
-                net, result.edges, result.stretch_bound, algo, seed=11, engine="fast"
+                net,
+                result.edges,
+                result.stretch_bound,
+                algo,
+                seed=11,
+                execution=Exec(flood_engine="fast"),
             )
             slow = simulate_over_spanner(
-                net, result.edges, result.stretch_bound, algo, seed=11, engine="runtime"
+                net,
+                result.edges,
+                result.stretch_bound,
+                algo,
+                seed=11,
+                execution=Exec(flood_engine="runtime"),
             )
             assert fast.outputs == slow.outputs
             assert fast.messages == slow.messages
@@ -79,11 +94,11 @@ class TestEngineEquivalence:
         for radius in (0, 1, 2):
             fast = simulate_over_spanner(
                 net, result.edges, result.stretch_bound, algo,
-                seed=7, radius=radius, engine="fast",
+                seed=7, radius=radius, execution=Exec(flood_engine="fast"),
             )
             slow = simulate_over_spanner(
                 net, result.edges, result.stretch_bound, algo,
-                seed=7, radius=radius, engine="runtime",
+                seed=7, radius=radius, execution=Exec(flood_engine="runtime"),
             )
             assert fast.outputs == slow.outputs
             assert fast.messages == slow.messages
@@ -91,9 +106,15 @@ class TestEngineEquivalence:
     def test_unknown_engine_rejected(self):
         net = torus(4, 4)
         with pytest.raises(ValueError):
-            t_local_broadcast(net, lambda v: v, 2, engine="warp")
+            t_local_broadcast(net, lambda v: v, 2, execution=Exec(flood_engine="warp"))
         with pytest.raises(ValueError):
-            simulate_over_spanner(net, net.edge_ids, 1, BallCollect(1), engine="warp")
+            simulate_over_spanner(
+                net,
+                net.edge_ids,
+                1,
+                BallCollect(1),
+                execution=Exec(flood_engine="warp"),
+            )
 
     @pytest.mark.parametrize("family,make", FAMILIES, ids=[f[0] for f in FAMILIES])
     def test_distance_engines_agree_through_broadcast(self, family, make):
@@ -101,9 +122,11 @@ class TestEngineEquivalence:
         produce the same FloodReport through t_local_broadcast."""
         net = make(4)
         sub, _ = _spanner_sub(net, 4)
-        vector = t_local_broadcast(sub, lambda v: (v, "p"), 3, distance_engine="vector")
+        vector = t_local_broadcast(
+            sub, lambda v: (v, "p"), 3, execution=Exec(distance_engine="vector")
+        )
         reference = t_local_broadcast(
-            sub, lambda v: (v, "p"), 3, distance_engine="reference"
+            sub, lambda v: (v, "p"), 3, execution=Exec(distance_engine="reference")
         )
         assert vector == reference
 
@@ -151,8 +174,12 @@ class TestSchemesThroughEngines:
         net = erdos_renyi(60, 0.18, seed=14)
         algo = MinIdAggregation(2)
         params = SamplerParams(k=1, h=2, seed=5)
-        fast = run_one_stage(net, algo, params=params, seed=2, engine="fast")
-        slow = run_one_stage(net, algo, params=params, seed=2, engine="runtime")
+        fast = run_one_stage(
+            net, algo, params=params, seed=2, execution=Exec(flood_engine="fast")
+        )
+        slow = run_one_stage(
+            net, algo, params=params, seed=2, execution=Exec(flood_engine="runtime")
+        )
         direct = run_direct(net, algo, seed=2)
         assert fast.outputs == slow.outputs == direct.outputs
         assert fast.total_messages == slow.total_messages
@@ -162,8 +189,22 @@ class TestSchemesThroughEngines:
         net = erdos_renyi(60, 0.18, seed=14)
         algo = BallCollect(2)
         params = SamplerParams(k=1, h=2, seed=5)
-        fast = run_two_stage(net, algo, stage1_params=params, stage2_k=2, seed=2, engine="fast")
-        slow = run_two_stage(net, algo, stage1_params=params, stage2_k=2, seed=2, engine="runtime")
+        fast = run_two_stage(
+            net,
+            algo,
+            stage1_params=params,
+            stage2_k=2,
+            seed=2,
+            execution=Exec(flood_engine="fast"),
+        )
+        slow = run_two_stage(
+            net,
+            algo,
+            stage1_params=params,
+            stage2_k=2,
+            seed=2,
+            execution=Exec(flood_engine="runtime"),
+        )
         direct = run_direct(net, algo, seed=2)
         assert fast.outputs == slow.outputs == direct.outputs
         assert fast.stage2_edges == slow.stage2_edges

@@ -18,6 +18,7 @@ import pytest
 from repro import obs
 from repro.algorithms import MinIdAggregation
 from repro.core import SamplerParams, build_spanner
+from repro.execution import Exec
 from repro.graphs import erdos_renyi
 from repro.local.metrics import MessageStats
 from repro.simulate import run_one_stage
@@ -168,7 +169,7 @@ class TestCoverageTelemetry:
             seed=1,
             radius=radius,
             store=store,
-            distance_engine=engine,
+            execution=Exec(distance_engine=engine),
         )
 
     def _attrs(self, name, *keys):

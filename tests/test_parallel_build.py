@@ -85,14 +85,6 @@ class TestBitIdentity:
         assert run._engine is None
         assert result == build_spanner(net, _PARAMS)
 
-    def test_reference_strategy_ignores_jobs(self):
-        """incremental=False is the seed equivalence baseline; jobs must
-        be a no-op there, not an error."""
-        net = erdos_renyi(60, 0.15, seed=3)
-        ref = build_spanner(net, _PARAMS, incremental=False, jobs=4)
-        assert ref == build_spanner(net, _PARAMS, incremental=False)
-        assert _no_leaked_segments()
-
 
 class TestJobsResolution:
     def test_explicit_wins_over_env(self, monkeypatch):

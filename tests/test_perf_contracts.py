@@ -5,12 +5,12 @@ Two kinds of guards:
 * **structural** — the CSR fast paths must not fall back to per-edge
   object churn (counted by instrumenting ``EdgeRef``), and cached
   accessors must return the same object on repeated calls;
-* **equivalence** — the incremental sampler strategy must stay
-  *bit-identical* to the seed recount strategy, pinned both against each
-  other (full-trace equality) and against the sha256 digests captured
-  from the seed implementation before the refactor
-  (``tests/data/golden_signatures.json``, regenerated only deliberately
-  via ``tools/capture_golden_signatures.py``).
+* **equivalence** — the sampler must stay *bit-identical* to the seed
+  recount strategy, pinned against the sha256 digests of that strategy's
+  full traces (``tests/data/golden_full_traces.json``, captured before
+  it was deleted) and of the seed implementation's signatures
+  (``tests/data/golden_signatures.json``); both are regenerated only
+  deliberately via ``tools/capture_golden_signatures.py``.
 """
 
 from __future__ import annotations
@@ -27,16 +27,28 @@ from repro.core.sampler import SamplerRun
 from repro.graphs import barabasi_albert, erdos_renyi, random_regular
 from repro.local import EdgeRef, Network
 
-GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_signatures.json"
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _digest(trace) -> str:
     return hashlib.sha256(repr(trace.signature()).encode()).hexdigest()
 
 
+def full_digest(result) -> str:
+    """sha256 over the sorted spanner edges plus the full trace — the
+    digest ``tools/capture_golden_signatures.py --full`` records."""
+    document = (tuple(sorted(result.edges)), result.trace.full_signature())
+    return hashlib.sha256(repr(document).encode()).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def goldens() -> dict[str, str]:
-    return json.loads(GOLDEN_PATH.read_text())
+    return json.loads((DATA / "golden_signatures.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def full_goldens() -> dict[str, str]:
+    return json.loads((DATA / "golden_full_traces.json").read_text())
 
 
 @pytest.fixture()
@@ -148,15 +160,13 @@ class TestIncrementalBitIdentical:
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("seed", range(5))
-    def test_trace_identical(self, family, seed, goldens):
+    def test_trace_identical(self, family, seed, goldens, full_goldens):
         net, params = FAMILIES[family](seed)
-        optimized = SamplerRun(net, params, incremental=True).run()
-        reference = SamplerRun(net, params, incremental=False).run()
-        assert optimized.edges == reference.edges
-        assert optimized.trace.levels == reference.trace.levels
-        assert optimized.trace.finished == reference.trace.finished
-        digest = _digest(optimized.trace)
-        assert digest == _digest(reference.trace)
-        assert digest == goldens[f"{family}-s{seed}"], (
-            f"{family}-s{seed}: trace diverged from the frozen seed behaviour"
+        result = SamplerRun(net, params).run()
+        case = f"{family}-s{seed}"
+        assert full_digest(result) == full_goldens[case], (
+            f"{case}: full trace diverged from the frozen recount strategy"
+        )
+        assert _digest(result.trace) == goldens[case], (
+            f"{case}: trace diverged from the frozen seed behaviour"
         )

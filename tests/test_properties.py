@@ -16,6 +16,7 @@ from repro.analysis.stretch import adjacent_pair_stretch
 from repro.core import SamplerParams, build_spanner
 from repro.core.distributed.schedule import PhaseKind, Schedule
 from repro.core.trials import NodeLabel, QueryResult, TrialMachine
+from repro.execution import Exec
 from repro.graphs import LevelMultigraph, contract, dense_gnm
 from repro.graphs.contraction import contraction_census
 from repro.local import FaultPlan
@@ -283,7 +284,7 @@ class TestSchedulerEquivalenceProperties:
                 fixed_rounds=radius,
                 max_rounds=radius + 1,
                 faults=plan,
-                scheduler=scheduler,
+                execution=Exec(scheduler=scheduler),
             )
 
         dense = run("dense")

@@ -39,9 +39,10 @@ from repro.core.distributed.program import SamplerProgram
 from repro.core.distributed.schedule import Schedule
 from repro.dynamic import ChurnPlan, apply_churn
 from repro.errors import ProtocolError
+from repro.execution import Exec
 from repro.graphs import barabasi_albert, dense_gnm, erdos_renyi, torus
 from repro.local import FaultPlan, Network
-from repro.local.engine import VectorRuntime, resolve_round_engine
+from repro.local.engine import VectorRuntime
 from repro.local.runtime import run_program
 from repro.simulate import t_local_broadcast
 from repro.simulate.gossip import PushPullGossip, _VectorGossip, run_push_pull
@@ -113,8 +114,12 @@ def assert_outcomes_equal(vec, ref):
 
 
 def assert_engines_agree(net, algo, seed=1, faults=None):
-    vec = run_direct(net, algo, seed=seed, round_engine="vector", faults=faults)
-    ref = run_direct(net, algo, seed=seed, round_engine="reference", faults=faults)
+    vec = run_direct(
+        net, algo, seed=seed, execution=Exec(round_engine="vector"), faults=faults
+    )
+    ref = run_direct(
+        net, algo, seed=seed, execution=Exec(round_engine="reference"), faults=faults
+    )
     assert_outcomes_equal(vec, ref)
 
 
@@ -160,8 +165,7 @@ class TestFloodEngine:
                 net,
                 payload_of=lambda v: ("ball", v),
                 radius=3,
-                engine="runtime",
-                round_engine=engine,
+                execution=Exec(flood_engine="runtime", round_engine=engine),
                 faults=PLANS[plan],
             )
             for engine in ("vector", "reference")
@@ -179,15 +183,18 @@ class TestFloodEngine:
     def test_against_both_reference_schedulers(self, scheduler):
         net = FAMILIES["gnp"]()
         vec = t_local_broadcast(
-            net, lambda v: (v,), radius=2, engine="runtime", round_engine="vector"
+            net,
+            lambda v: (v,),
+            radius=2,
+            execution=Exec(flood_engine="runtime", round_engine="vector"),
         )
         ref = t_local_broadcast(
             net,
             lambda v: (v,),
             radius=2,
-            engine="runtime",
-            round_engine="reference",
-            scheduler=scheduler,
+            execution=Exec(
+                flood_engine="runtime", round_engine="reference", scheduler=scheduler
+            ),
         )
         assert vec.collected == ref.collected
         assert vec.messages.per_round == ref.messages.per_round
@@ -198,7 +205,10 @@ class TestFloodEngine:
         net = Network.from_edge_pairs(7, [(0, 1), (1, 2), (2, 3)])
         reports = [
             t_local_broadcast(
-                net, lambda v: v, radius=2, engine="runtime", round_engine=engine
+                net,
+                lambda v: v,
+                radius=2,
+                execution=Exec(flood_engine="runtime", round_engine=engine),
             )
             for engine in ("vector", "reference")
         ]
@@ -217,8 +227,7 @@ class TestFloodEngine:
                 net,
                 payload_of=lambda v: (v, v * v),
                 radius=radius,
-                engine="runtime",
-                round_engine=engine,
+                execution=Exec(flood_engine="runtime", round_engine=engine),
                 faults=PLANS[plan],
             )
             for engine in ("vector", "reference")
@@ -245,9 +254,15 @@ class TestGossipEngine:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_coverage_report_identical(self, scheduler, seed):
         net = FAMILIES["ba"]()
-        vec = run_push_pull(net, rounds=6, t=2, seed=seed, round_engine="vector")
+        vec = run_push_pull(
+            net, rounds=6, t=2, seed=seed, execution=Exec(round_engine="vector")
+        )
         ref = run_push_pull(
-            net, rounds=6, t=2, seed=seed, round_engine="reference", scheduler=scheduler
+            net,
+            rounds=6,
+            t=2,
+            seed=seed,
+            execution=Exec(round_engine="reference", scheduler=scheduler),
         )
         assert vec.coverage == ref.coverage
         assert vec.rounds == ref.rounds
@@ -289,8 +304,8 @@ class TestAlgorithmEngine:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_run_direct_identical(self, algo, seed):
         net = FAMILIES["gnp"]()
-        vec = run_direct(net, algo, seed=seed, round_engine="vector")
-        ref = run_direct(net, algo, seed=seed, round_engine="reference")
+        vec = run_direct(net, algo, seed=seed, execution=Exec(round_engine="vector"))
+        ref = run_direct(net, algo, seed=seed, execution=Exec(round_engine="reference"))
         assert vec.outputs == ref.outputs
         assert vec.rounds == ref.rounds
         assert vec.messages.total == ref.messages.total
@@ -301,8 +316,12 @@ class TestAlgorithmEngine:
     def test_run_direct_under_drops(self, algo):
         net = FAMILIES["torus"]()
         plan = PLANS["drops"]
-        vec = run_direct(net, algo, seed=1, round_engine="vector", faults=plan)
-        ref = run_direct(net, algo, seed=1, round_engine="reference", faults=plan)
+        vec = run_direct(
+            net, algo, seed=1, execution=Exec(round_engine="vector"), faults=plan
+        )
+        ref = run_direct(
+            net, algo, seed=1, execution=Exec(round_engine="reference"), faults=plan
+        )
         assert vec.outputs == ref.outputs
         assert vec.messages.per_round == ref.messages.per_round
         assert vec.messages.dropped == ref.messages.dropped
@@ -318,7 +337,11 @@ class TestAlgorithmEngine:
 
         def run(engine):
             return run_direct(
-                net, MinIdAggregation(3), seed=2, round_engine=engine, faults=plan
+                net,
+                MinIdAggregation(3),
+                seed=2,
+                execution=Exec(round_engine=engine),
+                faults=plan,
             )
 
         outcomes = {}
@@ -353,8 +376,8 @@ class TestAlgorithmEngine:
     @pytest.mark.parametrize("algo", ZERO_ROUND_ALGORITHMS, ids=lambda a: a.name)
     def test_zero_rounds(self, algo):
         net = FAMILIES["ba"]()
-        vec = run_direct(net, algo, seed=2, round_engine="vector")
-        ref = run_direct(net, algo, seed=2, round_engine="reference")
+        vec = run_direct(net, algo, seed=2, execution=Exec(round_engine="vector"))
+        ref = run_direct(net, algo, seed=2, execution=Exec(round_engine="reference"))
         assert_outcomes_equal(vec, ref)
         assert vec.rounds == 0 and vec.messages.total == 0
 
@@ -363,8 +386,12 @@ class TestAlgorithmEngine:
         net = FAMILIES[family]()
         for algo in ALGORITHMS + ZERO_ROUND_ALGORITHMS:
             for seed in SEEDS:
-                vec = run_inprocess(net, algo, seed, round_engine="vector")
-                ref = run_inprocess(net, algo, seed, round_engine="reference")
+                vec = run_inprocess(
+                    net, algo, seed, execution=Exec(round_engine="vector")
+                )
+                ref = run_inprocess(
+                    net, algo, seed, execution=Exec(round_engine="reference")
+                )
                 assert vec == ref, (algo.name, seed)
 
     @_SETTINGS
@@ -375,8 +402,8 @@ class TestAlgorithmEngine:
     )
     def test_property_run_direct(self, net: Network, seed: int, index: int):
         algo = ALGORITHMS[index]
-        vec = run_direct(net, algo, seed=seed, round_engine="vector")
-        ref = run_direct(net, algo, seed=seed, round_engine="reference")
+        vec = run_direct(net, algo, seed=seed, execution=Exec(round_engine="vector"))
+        ref = run_direct(net, algo, seed=seed, execution=Exec(round_engine="reference"))
         assert vec.outputs == ref.outputs
         assert vec.rounds == ref.rounds
         assert vec.messages.per_round == ref.messages.per_round
@@ -405,21 +432,27 @@ def fallback_events():
 class TestReferenceFallback:
     def test_unregistered_algorithm_announced_once(self, obs_on):
         net = FAMILIES["gnp"]()
-        run_inprocess(net, BaswanaSenLocal(2), seed=1, round_engine="vector")
+        run_inprocess(
+            net, BaswanaSenLocal(2), seed=1, execution=Exec(round_engine="vector")
+        )
         assert fallback_events() == [{"algo": "baswana-sen", "reason": "unregistered"}]
 
     def test_library_algorithms_announce_nothing(self, obs_on):
         net = FAMILIES["gnp"]()
         for algo in ALGORITHMS:
-            run_direct(net, algo, seed=1, round_engine="vector")
-            run_inprocess(net, algo, seed=1, round_engine="vector")
+            run_direct(net, algo, seed=1, execution=Exec(round_engine="vector"))
+            run_inprocess(net, algo, seed=1, execution=Exec(round_engine="vector"))
         assert fallback_events() == []
 
     def test_corrupt_plan_announced(self, obs_on):
         net = FAMILIES["torus"]()
         plan = FaultPlan(corrupt_probability=0.05, seed=3)
         out = run_direct(
-            net, RandomMatching(2), seed=1, round_engine="vector", faults=plan
+            net,
+            RandomMatching(2),
+            seed=1,
+            execution=Exec(round_engine="vector"),
+            faults=plan,
         )
         assert out.messages.corrupted > 0
         assert fallback_events() == [
@@ -428,7 +461,9 @@ class TestReferenceFallback:
 
     def test_reference_engine_announces_nothing(self, obs_on):
         net = FAMILIES["gnp"]()
-        run_inprocess(net, BaswanaSenLocal(2), seed=1, round_engine="reference")
+        run_inprocess(
+            net, BaswanaSenLocal(2), seed=1, execution=Exec(round_engine="reference")
+        )
         assert fallback_events() == []
 
 
@@ -472,8 +507,12 @@ class TestSamplerEngine:
     def test_spanner_results_identical(self, family):
         net = FAMILIES[family]()
         params = SamplerParams(k=1, h=3, seed=11, c_query=0.7, c_target=1.0)
-        vec = build_spanner_distributed(net, params, engine="vector")
-        ref = build_spanner_distributed(net, params, engine="reference")
+        vec = build_spanner_distributed(
+            net, params, execution=Exec(round_engine="vector")
+        )
+        ref = build_spanner_distributed(
+            net, params, execution=Exec(round_engine="reference")
+        )
         assert vec.edges == ref.edges
         assert vec.rounds == ref.rounds
         assert vec.trace.signature() == ref.trace.signature()
@@ -483,8 +522,12 @@ class TestSamplerEngine:
     def test_vector_engine_vs_dense_scheduler(self):
         net = FAMILIES["gnp"]()
         params = SamplerParams(k=2, h=2, seed=7)
-        vec = build_spanner_distributed(net, params, engine="vector")
-        dense = build_spanner_distributed(net, params, scheduler="dense")
+        vec = build_spanner_distributed(
+            net, params, execution=Exec(round_engine="vector")
+        )
+        dense = build_spanner_distributed(
+            net, params, execution=Exec(scheduler="dense")
+        )
         assert vec.edges == dense.edges
         assert vec.trace.signature() == dense.trace.signature()
         assert vec.messages.per_round == dense.messages.per_round
@@ -508,7 +551,7 @@ class TestSamplerEngine:
                 n_hint=net.n,
                 faults=plan,
                 fixed_rounds=schedule.total_rounds,
-                engine=engine,
+                execution=Exec(round_engine=engine),
             )
 
         try:
@@ -542,7 +585,7 @@ class TestSamplerEngine:
                 n_hint=net.n,
                 faults=plan,
                 fixed_rounds=schedule.total_rounds,
-                engine=engine,
+                execution=Exec(round_engine=engine),
             )
 
         outcomes = {}
@@ -555,19 +598,3 @@ class TestSamplerEngine:
             assert_reports_equal(outcomes["vector"][1], outcomes["reference"][1])
         else:
             assert outcomes["vector"] == outcomes["reference"]
-
-
-# ---------------------------------------------------------------------------
-# the switch itself
-# ---------------------------------------------------------------------------
-class TestEngineSwitch:
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ROUND_ENGINE", raising=False)
-        assert resolve_round_engine(None) == "vector"
-        monkeypatch.setenv("REPRO_ROUND_ENGINE", "reference")
-        assert resolve_round_engine(None) == "reference"
-        assert resolve_round_engine("vector") == "vector"
-
-    def test_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown round engine"):
-            resolve_round_engine("simd")

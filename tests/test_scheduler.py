@@ -24,6 +24,7 @@ from repro.core.distributed import build_spanner_distributed
 from repro.core.distributed.program import SamplerProgram
 from repro.core.distributed.schedule import Schedule
 from repro.errors import ProtocolError
+from repro.execution import Exec
 from repro.graphs import barabasi_albert, erdos_renyi, torus
 from repro.local import FaultPlan, Network, NodeProgram
 from repro.local.runtime import run_program
@@ -56,7 +57,7 @@ def run_sampler(net, params, scheduler):
         seed=params.seed,
         max_rounds=schedule.total_rounds + 2,
         n_hint=net.n,
-        scheduler=scheduler,
+        execution=Exec(scheduler=scheduler),
     )
 
 
@@ -74,8 +75,12 @@ class TestSamplerEquivalence:
     def test_spanner_results_identical(self, family):
         net = FAMILIES[family]()
         params = SamplerParams(k=1, h=3, seed=11, c_query=0.7, c_target=1.0)
-        dense = build_spanner_distributed(net, params, scheduler="dense")
-        active = build_spanner_distributed(net, params, scheduler="active")
+        dense = build_spanner_distributed(
+            net, params, execution=Exec(scheduler="dense")
+        )
+        active = build_spanner_distributed(
+            net, params, execution=Exec(scheduler="active")
+        )
         assert dense.edges == active.edges
         assert dense.rounds == active.rounds
         assert dense.trace.signature() == active.trace.signature()
@@ -96,7 +101,7 @@ class TestSamplerEquivalence:
                 n_hint=er_small.n,
                 faults=plan,
                 fixed_rounds=schedule.total_rounds,
-                scheduler=scheduler,
+                execution=Exec(scheduler=scheduler),
             )
 
         # Dropped broadcasts can strand convergecasts, so run under a
@@ -125,8 +130,7 @@ class TestSimulatePathsEquivalence:
                 payload_of=lambda v: ("ball", v),
                 radius=3,
                 seed=seed,
-                engine="runtime",
-                scheduler=scheduler,
+                execution=Exec(flood_engine="runtime", scheduler=scheduler),
             )
         dense, active = reports["dense"], reports["active"]
         assert dense.collected == active.collected
@@ -138,8 +142,10 @@ class TestSimulatePathsEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_direct_runner(self, er_small, seed):
         algo = MinIdAggregation(2)
-        dense = run_direct(er_small, algo, seed=seed, scheduler="dense")
-        active = run_direct(er_small, algo, seed=seed, scheduler="active")
+        dense = run_direct(er_small, algo, seed=seed, execution=Exec(scheduler="dense"))
+        active = run_direct(
+            er_small, algo, seed=seed, execution=Exec(scheduler="active")
+        )
         assert dense.outputs == active.outputs
         assert dense.rounds == active.rounds
         assert dense.messages.total == active.messages.total
@@ -150,8 +156,8 @@ class TestSimulatePathsEquivalence:
         # not change rounds, outputs, or metering on either scheduler.
         net = Network.from_edge_pairs(4, [(0, 1)])
         algo = MinIdAggregation(2)
-        dense = run_direct(net, algo, seed=1, scheduler="dense")
-        active = run_direct(net, algo, seed=1, scheduler="active")
+        dense = run_direct(net, algo, seed=1, execution=Exec(scheduler="dense"))
+        active = run_direct(net, algo, seed=1, execution=Exec(scheduler="active"))
         assert dense.outputs == active.outputs
         assert dense.rounds == active.rounds == algo.rounds(net.n)
         assert dense.messages.total == active.messages.total
@@ -161,16 +167,20 @@ class TestSimulatePathsEquivalence:
         # t on BOTH schedulers (the dense one steps them every round).
         net = Network.from_edge_pairs(3, [])
         algo = BallCollect(4)
-        dense = run_direct(net, algo, seed=1, scheduler="dense")
-        active = run_direct(net, algo, seed=1, scheduler="active")
+        dense = run_direct(net, algo, seed=1, execution=Exec(scheduler="dense"))
+        active = run_direct(net, algo, seed=1, execution=Exec(scheduler="active"))
         assert dense.outputs == active.outputs
         assert dense.rounds == active.rounds == algo.rounds(net.n)
         assert dense.messages.per_round == active.messages.per_round
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_push_pull_gossip(self, er_small, seed):
-        dense = run_push_pull(er_small, rounds=6, t=2, seed=seed, scheduler="dense")
-        active = run_push_pull(er_small, rounds=6, t=2, seed=seed, scheduler="active")
+        dense = run_push_pull(
+            er_small, rounds=6, t=2, seed=seed, execution=Exec(scheduler="dense")
+        )
+        active = run_push_pull(
+            er_small, rounds=6, t=2, seed=seed, execution=Exec(scheduler="active")
+        )
         assert dense.coverage == active.coverage
         assert dense.rounds == active.rounds
         assert dense.messages.total == active.messages.total
@@ -180,16 +190,30 @@ class TestSimulatePathsEquivalence:
         net = erdos_renyi(80, 0.15, seed=13)
         params = SamplerParams(k=1, h=2, seed=7, c_query=0.7, c_target=1.0)
         payload = BallCollect(2)
-        one_d = run_one_stage(net, payload, params=params, seed=5, scheduler="dense")
-        one_a = run_one_stage(net, payload, params=params, seed=5, scheduler="active")
+        one_d = run_one_stage(
+            net, payload, params=params, seed=5, execution=Exec(scheduler="dense")
+        )
+        one_a = run_one_stage(
+            net, payload, params=params, seed=5, execution=Exec(scheduler="active")
+        )
         assert one_d.outputs == one_a.outputs
         assert one_d.total_messages == one_a.total_messages
         assert one_d.total_rounds == one_a.total_rounds
         two_d = run_two_stage(
-            net, payload, stage1_params=params, stage2_k=3, seed=5, scheduler="dense"
+            net,
+            payload,
+            stage1_params=params,
+            stage2_k=3,
+            seed=5,
+            execution=Exec(scheduler="dense"),
         )
         two_a = run_two_stage(
-            net, payload, stage1_params=params, stage2_k=3, seed=5, scheduler="active"
+            net,
+            payload,
+            stage1_params=params,
+            stage2_k=3,
+            seed=5,
+            execution=Exec(scheduler="active"),
         )
         assert two_d.outputs == two_a.outputs
         assert two_d.total_messages == two_a.total_messages
@@ -197,9 +221,14 @@ class TestSimulatePathsEquivalence:
 
     def test_runtime_engine_matches_fast_engine_under_active(self):
         net = erdos_renyi(70, 0.12, seed=3)
-        fast = t_local_broadcast(net, lambda v: v, radius=3, engine="fast")
+        fast = t_local_broadcast(
+            net, lambda v: v, radius=3, execution=Exec(flood_engine="fast")
+        )
         runtime = t_local_broadcast(
-            net, lambda v: v, radius=3, engine="runtime", scheduler="active"
+            net,
+            lambda v: v,
+            radius=3,
+            execution=Exec(flood_engine="runtime", scheduler="active"),
         )
         assert fast.collected == runtime.collected
         assert fast.messages.total == runtime.messages.total
@@ -241,14 +270,22 @@ class TestWakeContract:
     def test_sleeping_nodes_not_stepped_on_empty_rounds(self, path4):
         _Sleeper.steps = 0
         report = run_program(
-            path4, lambda n: _Sleeper(), seed=0, fixed_rounds=5, scheduler="active"
+            path4,
+            lambda n: _Sleeper(),
+            seed=0,
+            fixed_rounds=5,
+            execution=Exec(scheduler="active"),
         )
         assert _Sleeper.steps == 0
         assert report.rounds == 5
         # dense steps them every round; outputs are still identical
         _Sleeper.steps = 0
         dense = run_program(
-            path4, lambda n: _Sleeper(), seed=0, fixed_rounds=5, scheduler="dense"
+            path4,
+            lambda n: _Sleeper(),
+            seed=0,
+            fixed_rounds=5,
+            execution=Exec(scheduler="dense"),
         )
         assert _Sleeper.steps == 4 * 5
         assert dense.rounds == report.rounds
@@ -259,7 +296,7 @@ class TestWakeContract:
             path4,
             lambda n: _TimerProgram((2, 5, 7)),
             seed=0,
-            scheduler="active",
+            execution=Exec(scheduler="active"),
         )
         assert report.rounds == 7
         assert all(out == (2, 5, 7) for out in report.outputs.values())
@@ -291,7 +328,10 @@ class TestWakeContract:
                 return tuple(self.woken_at)
 
         report = run_program(
-            net, lambda n: Poker() if n == 0 else Sleepy(), seed=0, scheduler="active"
+            net,
+            lambda n: Poker() if n == 0 else Sleepy(),
+            seed=0,
+            execution=Exec(scheduler="active"),
         )
         # woken once by the message at round 1, again by the timer at 9
         assert report.outputs[1] == ((1, 1), (9, 0))
@@ -305,7 +345,9 @@ class TestWakeContract:
                 pass
 
         with pytest.raises(ProtocolError):
-            run_program(path4, lambda n: Bad(), seed=0, scheduler="active")
+            run_program(
+                path4, lambda n: Bad(), seed=0, execution=Exec(scheduler="active")
+            )
 
     def test_unsorted_bulk_schedule_raises(self, path4):
         class Bad(NodeProgram):
@@ -316,11 +358,15 @@ class TestWakeContract:
                 pass
 
         with pytest.raises(ProtocolError):
-            run_program(path4, lambda n: Bad(), seed=0, scheduler="active")
+            run_program(
+                path4, lambda n: Bad(), seed=0, execution=Exec(scheduler="active")
+            )
 
     def test_unknown_scheduler_rejected(self, path4):
         with pytest.raises(ValueError):
-            run_program(path4, lambda n: _Sleeper(), seed=0, scheduler="eager")
+            run_program(
+                path4, lambda n: _Sleeper(), seed=0, execution=Exec(scheduler="eager")
+            )
 
     def test_wake_cancels_sleep(self, path4):
         class Napper(NodeProgram):
@@ -340,7 +386,7 @@ class TestWakeContract:
                 return self.steps
 
         report = run_program(
-            path4, lambda n: Napper(), seed=0, scheduler="active"
+            path4, lambda n: Napper(), seed=0, execution=Exec(scheduler="active")
         )
         # slept through rounds 1-2, then stepped 3, 4, 5
         assert all(out == 3 for out in report.outputs.values())
@@ -400,7 +446,7 @@ class TestReactiveFaultsFixedRoundsInterplay:
             seed=2,
             faults=plan,
             fixed_rounds=fixed,
-            scheduler=scheduler,
+            execution=Exec(scheduler=scheduler),
         )
         assert sum(report.messages.per_round) == report.messages.total
         if fixed is not None:
@@ -420,7 +466,7 @@ class TestReactiveFaultsFixedRoundsInterplay:
                 seed=2,
                 faults=plan,
                 fixed_rounds=fixed,
-                scheduler=scheduler,
+                execution=Exec(scheduler=scheduler),
             )
 
         assert_reports_equal(run("dense"), run("active"))
@@ -432,7 +478,7 @@ class TestReactiveFaultsFixedRoundsInterplay:
             lambda n: _Prober(10),
             seed=0,
             fixed_rounds=2,
-            scheduler=scheduler,
+            execution=Exec(scheduler=scheduler),
         )
         delivered = sum(len(out) for out in report.outputs.values())
         assert report.messages.total == delivered

@@ -22,6 +22,7 @@ from repro.algorithms import (
 )
 from repro.core import SamplerParams
 from repro.dynamic import ChurnPlan, apply_churn
+from repro.execution import Exec
 from repro.graphs import erdos_renyi, torus
 from repro.local.faults import FaultPlan
 from repro.service import SimulationRequest, SimulationService
@@ -68,15 +69,20 @@ class TestServedEqualsRunOneStage:
 
     def test_runtime_engine_served_exactly(self, net):
         service = SimulationService(net, params=PARAMS, seed=5)
-        request = SimulationRequest(algo=BallCollect(2), engine="runtime")
+        runtime = Exec(flood_engine="runtime")
+        request = SimulationRequest(algo=BallCollect(2), execution=runtime)
         response = service.submit(request)
-        fresh = run_one_stage(net, BallCollect(2), params=PARAMS, seed=5, engine="runtime")
+        fresh = run_one_stage(
+            net, BallCollect(2), params=PARAMS, seed=5, execution=runtime
+        )
         assert response.report == fresh
         assert response.schedule_info is None  # no schedule cache involved
 
     def test_reference_distance_engine_served_exactly(self, net):
         service = SimulationService(net, params=PARAMS, seed=5)
-        request = SimulationRequest(algo=BallCollect(2), distance_engine="reference")
+        request = SimulationRequest(
+            algo=BallCollect(2), execution=Exec(distance_engine="reference")
+        )
         response = service.submit(request)
         fresh = run_one_stage(net, BallCollect(2), params=PARAMS, seed=5)
         assert response.outputs == fresh.outputs
@@ -109,7 +115,11 @@ class TestRequestValidation:
         service = SimulationService(net, params=PARAMS, seed=5)
         plan = FaultPlan(drop_probability=0.2, seed=4)
         response = service.submit(
-            SimulationRequest(algo=BallCollect(1), engine="runtime", faults=plan)
+            SimulationRequest(
+                algo=BallCollect(1),
+                execution=Exec(flood_engine="runtime"),
+                faults=plan,
+            )
         )
         spanner = response.spanner
         direct = simulate_over_spanner(
@@ -118,11 +128,27 @@ class TestRequestValidation:
             alpha=spanner.stretch_bound,
             algo=BallCollect(1),
             seed=5,
-            engine="runtime",
+            execution=Exec(flood_engine="runtime"),
             faults=plan,
         )
         assert response.simulation == direct
         assert direct.messages.dropped > 0  # the plan actually bit
+
+    @pytest.mark.parametrize(
+        "field", ["flood_engine", "scheduler", "distance_engine", "round_engine"]
+    )
+    def test_unknown_implementation_refused_before_any_work(self, net, field):
+        """A misspelt choice fails when the request is built: no
+        construction is paid, cached, or counted as a miss."""
+        service = SimulationService(net, params=PARAMS, seed=5)
+        with pytest.raises(ValueError, match="unknown"):
+            service.submit(
+                SimulationRequest(
+                    algo=BallCollect(2), execution=Exec(**{field: "typo"})
+                )
+            )
+        assert service.store.stats.misses == 0
+        assert not service.store.contains_spanner(net, PARAMS)
 
     def test_no_network_anywhere_is_refused(self):
         service = SimulationService(params=PARAMS, seed=5)

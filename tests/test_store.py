@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core import SamplerParams
 from repro.core.distributed import build_spanner_distributed
 from repro.core.spanner import SpannerResult
+from repro.execution import Exec
 from repro.graphs import barabasi_albert, complete_graph, erdos_renyi, torus
 from repro.graphs.distance import BallFamily
 from repro.local.network import Network
@@ -124,7 +125,8 @@ class TestFloodScheduleRoundTrip:
         self, tmp_path_factory, net, radius, engine
     ):
         path = tmp_path_factory.mktemp("store") / "schedule.npz"
-        schedule = flood_schedule(net, radius, engine=engine)
+        execution = Exec(distance_engine=engine)
+        schedule = flood_schedule(net, radius, execution=execution)
         save_flood_schedule(path, schedule)
         loaded = load_flood_schedule(path)
         assert isinstance(loaded.balls, BallFamily)
@@ -137,8 +139,10 @@ class TestFloodScheduleRoundTrip:
 
     def test_cross_engine_equality_survives_the_disk(self, tmp_path):
         net = torus(5, 5)
-        vector = flood_schedule(net, 3, engine="vector")
-        reference = flood_schedule(net, 3, engine="reference")
+        vector = flood_schedule(net, 3, execution=Exec(distance_engine="vector"))
+        reference = flood_schedule(
+            net, 3, execution=Exec(distance_engine="reference")
+        )
         path = tmp_path / "ref.npz"
         save_flood_schedule(path, reference)
         assert load_flood_schedule(path) == vector
@@ -160,7 +164,9 @@ class TestFloodProfile:
         # and every larger one exactly when it is exhausted.
         eids = [e for i, e in enumerate(net.edge_ids) if (i * 2654435761 % 100) / 100 < keep]
         sub = net.subnetwork(eids)
-        profile = FloodProfile.build(sub, radius, engine=engine)
+        profile = FloodProfile.build(
+            sub, radius, execution=Exec(distance_engine=engine)
+        )
         path = tmp_path_factory.mktemp("profile") / "profile.npz"
         profile.to_npz(path)
         loaded = FloodProfile.from_npz(path)
@@ -319,9 +325,8 @@ class TestArtifactStore:
         victim, impostor = torus(4, 4), torus(4, 5)
         store.fetch_flood_schedule(impostor, 2)
         from repro.store.keys import flood_key
-        from repro.graphs.distance import resolve_engine
 
-        engine = resolve_engine(None)
+        engine = Exec().distance_engine
         wrong = tmp_path / f"{flood_key(impostor.fingerprint(), engine)}.npz"
         right = tmp_path / f"{flood_key(victim.fingerprint(), engine)}.npz"
         right.write_bytes(wrong.read_bytes())
