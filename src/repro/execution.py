@@ -26,7 +26,7 @@ stay separate arguments: they are not interchangeable implementations.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 __all__ = ["Exec"]
 
@@ -52,11 +52,10 @@ class Exec:
     round_engine: str = _from_env("REPRO_ROUND_ENGINE")
 
     def __post_init__(self) -> None:
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            choices = _CHOICES[spec.name]
+        for name, choices in _CHOICES.items():
+            value = getattr(self, name)
             if value not in choices:
                 raise ValueError(
-                    f"unknown {spec.name.replace('_', ' ')} {value!r}; "
+                    f"unknown {name.replace('_', ' ')} {value!r}; "
                     f"expected one of {choices}"
                 )
