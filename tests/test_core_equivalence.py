@@ -90,12 +90,17 @@ class TestSeedGoldens:
     ``SamplerTrace.signature()`` captured from the original (pre-flat-
     array) implementation for every CASES entry.  Both drivers — the
     optimized centralized run and the distributed run — must still hash
-    to those digests.  Regenerate only for deliberate semantic changes
-    (``tools/capture_golden_signatures.py``).
+    to those digests.  ``tests/data/golden_full_traces.json`` pins the
+    full traces (every field) of the seed recount strategy, captured
+    before it was deleted.  Regenerate only for deliberate semantic
+    changes (``tools/capture_golden_signatures.py``, ``--full``).
     """
 
     GOLDENS = json.loads(
         (pathlib.Path(__file__).parent / "data" / "golden_signatures.json").read_text()
+    )
+    FULL_GOLDENS = json.loads(
+        (pathlib.Path(__file__).parent / "data" / "golden_full_traces.json").read_text()
     )
 
     @pytest.mark.parametrize("name", [c[0] for c in CASES])
@@ -112,15 +117,10 @@ class TestSeedGoldens:
         digest = hashlib.sha256(repr(result.trace.signature()).encode()).hexdigest()
         assert digest == self.GOLDENS[name]
 
-    FULL_GOLDENS = json.loads(
-        (pathlib.Path(__file__).parent / "data" / "golden_full_traces.json").read_text()
-    )
-
     @pytest.mark.parametrize("name", [c[0] for c in CASES])
     def test_reference_strategy_matches_seed_trace(self, name):
         """The full trace — every field, not just the signature — equals
-        the one the seed recount strategy produced before it was deleted
-        (``tools/capture_golden_signatures.py --full``)."""
+        the one the seed recount strategy produced."""
         _name, build, params = next(c for c in CASES if c[0] == name)
         result = build_spanner(build(), params)
         document = (tuple(sorted(result.edges)), result.trace.full_signature())

@@ -101,7 +101,9 @@ def family_cases() -> list[tuple[str, object, SamplerParams]]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(
+        description="Regenerate the sampler's golden trace digests."
+    )
     parser.add_argument(
         "--full",
         action="store_true",
