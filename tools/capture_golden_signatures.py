@@ -1,5 +1,6 @@
 """Regenerate ``tests/data/golden_signatures.json`` (or, with
-``--full``, ``tests/data/golden_full_traces.json``).
+``--full``, ``tests/data/golden_full_traces.json``; with ``--schemes``,
+``tests/data/golden_schemes.json``).
 
 The golden file pins sha256 digests of centralized ``SamplerTrace``
 signatures so that future optimizations of the hot paths can prove they
@@ -8,6 +9,7 @@ root::
 
     PYTHONPATH=src python tools/capture_golden_signatures.py
     PYTHONPATH=src python tools/capture_golden_signatures.py --full
+    PYTHONPATH=src python tools/capture_golden_signatures.py --schemes
 
 ``--full`` digests the sorted spanner edges plus
 ``SamplerTrace.full_signature()`` — every trace field, including the
@@ -19,9 +21,14 @@ refuses to write unless the shard-parallel build (``jobs=2``), whose
 workers derive every pool independently of the serial path, yields
 the same digest on every case.
 
-Only regenerate either file when a *deliberate* semantic change to the
-sampler is being made (and say so in the PR description) — the whole
-point of the files is to freeze the seed behaviour.
+``--schemes`` digests what the pipelines produce on the cases of
+``tests/scheme_cases.py`` (one-stage, two-stage and churned serving);
+it refuses to write unless ``Exec(round_engine="reference",
+distance_engine="reference")`` yields the same digests.
+
+Only regenerate a file for a *deliberate* semantic change to the sampler
+or the pipelines (and say so in the PR description) — the whole point
+of the files is to freeze the existing behaviour.
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ from repro.graphs import (
     random_regular,
     torus,
 )
+
+TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests")
 
 
 def signature_digest(trace) -> str:
@@ -104,12 +113,21 @@ def main() -> None:
     parser = argparse.ArgumentParser(
         description="Regenerate the sampler's golden trace digests."
     )
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--full",
         action="store_true",
         help="write the full-trace digests (golden_full_traces.json)",
     )
+    mode.add_argument(
+        "--schemes",
+        action="store_true",
+        help="write the pipeline digests (golden_schemes.json)",
+    )
     args = parser.parse_args()
+    if args.schemes:
+        _write("golden_schemes.json", scheme_goldens())
+        return
     goldens: dict[str, str] = {}
     for name, net, params in equivalence_cases() + family_cases():
         if args.full:
@@ -120,8 +138,32 @@ def main() -> None:
         else:
             goldens[name] = signature_digest(build_spanner(net, params).trace)
         print(f"{name}: {goldens[name][:16]}…")
-    filename = "golden_full_traces.json" if args.full else "golden_signatures.json"
-    out = os.path.join(os.path.dirname(__file__), "..", "tests", "data", filename)
+    _write(
+        "golden_full_traces.json" if args.full else "golden_signatures.json",
+        goldens,
+    )
+
+
+def scheme_goldens() -> dict[str, str]:
+    """The scheme digests, checked against the reference engines."""
+    from repro.execution import Exec
+
+    sys.path.insert(0, TESTS)
+    from scheme_cases import scheme_digests
+
+    goldens = scheme_digests()
+    reference = scheme_digests(
+        Exec(round_engine="reference", distance_engine="reference")
+    )
+    for name, digest in goldens.items():
+        if reference.get(name) != digest:
+            sys.exit(f"{name}: the reference engines disagree; nothing written")
+        print(f"{name}: {digest[:16]}…")
+    return goldens
+
+
+def _write(filename: str, goldens: dict[str, str]) -> None:
+    out = os.path.join(TESTS, "data", filename)
     with open(os.path.normpath(out), "w", encoding="utf-8") as handle:
         json.dump(goldens, handle, indent=2, sort_keys=True)
         handle.write("\n")
