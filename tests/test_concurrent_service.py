@@ -54,6 +54,11 @@ class TestSingleflight:
         test usually wins.
         """
         n_threads = 6
+        algos = [MinIdAggregation(2) for _ in range(n_threads)]
+        # Before patching: under REPRO_STORE the reference run builds
+        # through the default store, whose lazy import would otherwise
+        # pick up the gated build and wait for a flight that never comes.
+        reference = _reference(net, algos[0])
         front = ConcurrentSimulationService(
             net, params=PARAMS, seed=0, max_workers=n_threads, merge_window=0.0
         )
@@ -78,7 +83,6 @@ class TestSingleflight:
         monkeypatch.setattr(
             "repro.core.distributed.build_spanner_distributed", gated_build
         )
-        algos = [MinIdAggregation(2) for _ in range(n_threads)]
         with front:
             responses = front.serve(algos)
         assert len(calls) == 1
@@ -86,7 +90,6 @@ class TestSingleflight:
         assert snapshot["spanner_builds"] == 1
         assert snapshot["coalesced"] == n_threads - 1
         assert snapshot["requests"] == n_threads
-        reference = _reference(net, algos[0])
         assert all(
             response.report.outputs == reference.outputs
             for response in responses
