@@ -1,4 +1,5 @@
-"""Process-parallel execution of a level's trial population (DESIGN.md §3.11).
+"""The level kernel of ``Sampler``: one level as a columnar group-by
+(DESIGN.md §3.11).
 
 Inside one level of ``Sampler`` every active cluster's trial machine is
 independent: per-``(purpose, level, cluster)`` RNG streams
@@ -6,23 +7,26 @@ independent: per-``(purpose, level, cluster)`` RNG streams
 function of ``(graph, params, level state)``, regardless of execution
 order.  This module exploits that:
 
-* :class:`ParallelBuildEngine` publishes the :class:`Network` CSR arrays
-  into one :mod:`multiprocessing.shared_memory` segment at build start
-  (zero-copy for every worker), plus a per-level block — cluster
-  assignment ``root_of``, active flags, and a members-by-cluster index —
-  rewritten by the parent at each level boundary.
-* The sorted active cluster set is partitioned into contiguous shards;
-  a persistent :class:`~concurrent.futures.ProcessPoolExecutor` runs one
-  task per shard.  A worker derives each shard cluster's unexplored pool
-  ``X_v`` directly from shared memory (the cut edges incident to the
-  cluster, minus finish announcements — exactly the incremental-pool
-  invariant of :mod:`repro.core.sampler`), executes the level's trials,
-  and returns columnar partials: pools, ``F`` edges, per-cluster trace
+* :func:`_run_shard_impl` is the kernel.  For a contiguous range of the
+  sorted active clusters it derives each cluster's unexplored pool
+  ``X_v`` from flat arrays (the cut edges incident to the cluster,
+  minus finish announcements), executes the level's trials, and
+  returns columnar partials: pools, ``F`` edges, per-cluster trace
   columns, center coins, and active/stale edge counts.
+* :class:`ParallelBuildEngine` owns the arrays the kernel reads: the
+  :class:`Network` CSR arrays, written once per build, plus a per-level
+  block — cluster assignment ``root_of``, active flags, and a
+  members-by-cluster index — rewritten at each level boundary.  At
+  ``jobs=1`` these are plain in-process arrays and the kernel runs in
+  the calling thread over every active cluster at once.  At ``jobs>1``
+  they live in one :mod:`multiprocessing.shared_memory` segment
+  (zero-copy for every worker) and a persistent
+  :class:`~concurrent.futures.ProcessPoolExecutor` runs one shard of
+  clusters per worker.
 * Because shards are ascending-``cid`` ranges and every per-cluster
-  output is keyed by ``cid``, the parent's reduce is plain concatenation
-  in shard order — deterministic for any shard count, which is why
-  ``jobs=2`` and ``jobs=8`` produce bit-identical traces.
+  output is keyed by ``cid``, the reduce is plain concatenation in
+  shard order — deterministic for any shard count, which is why
+  ``jobs=1`` and ``jobs=8`` produce bit-identical traces.
 
 The fast path vectorizes the *exhaustive* trial (pool no larger than the
 query budget — the overwhelmingly common case under the repo's budget
@@ -33,12 +37,9 @@ is a pure group-by over ``(cluster, neighbor, eid)`` — one ``lexsort``
 per shard.  Clusters whose pool exceeds the budget (or any cluster when
 ``exhaustive_small_pools`` is off) fall back to a real
 :class:`~repro.core.trials.TrialMachine` seeded from the identical
-``("trials", j, cid)`` stream, so the parallel path never approximates:
-``SpannerResult`` equality including the full trace against the serial
-path is enforced by tests/test_parallel_build.py.
-
-The serial path in :mod:`repro.core.sampler` is never deleted; it is the
-equivalence baseline and remains the default (``jobs=1``).
+``("trials", j, cid)`` stream, so the kernel never approximates: its
+full trace equals the serial reference in ``tests/reference_sampler.py``
+(tests/test_parallel_build.py) and the frozen seed traces.
 """
 
 from __future__ import annotations
@@ -46,10 +47,8 @@ from __future__ import annotations
 import os
 import random
 import weakref
-from concurrent.futures import ProcessPoolExecutor
-from itertools import islice
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -61,7 +60,7 @@ from repro.errors import SimulationError
 from repro.local.network import Network
 from repro.rng import RngFactory
 
-__all__ = ["ParallelBuildEngine", "LevelPartial", "TraceMachine"]
+__all__ = ["ParallelBuildEngine", "LevelPartial"]
 
 # Names of shared-memory segments this process created and has not yet
 # unlinked — the leak detector used by the worker-crash tests.
@@ -116,21 +115,27 @@ def _views(buf, fields: dict, writeable: bool) -> dict[str, np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# worker side
+# kernel state
 # ----------------------------------------------------------------------
-class _WorkerState:
-    __slots__ = (
-        "shm",
-        "views",
-        "params",
-        "n",
-        "m",
-        "identity",
-        "rngf",
-    )
+class _KernelState:
+    """Everything the kernel reads: the array views (CSR + level block),
+    params, ``n``, ``m``, the consecutive-eid flag and the RNG factory.
+    ``shm`` keeps a worker's mapping alive for the views' lifetime."""
+
+    __slots__ = ("views", "params", "n", "m", "identity", "rngf", "shm")
+
+    def __init__(self, views, params, n, m, identity, shm=None) -> None:
+        self.views = views
+        self.params = params
+        self.n = n
+        self.m = m
+        self.identity = identity
+        self.rngf = RngFactory(params.seed)
+        self.shm = shm
 
 
-_WORKER: _WorkerState | None = None
+# The pool worker's state, set once by its initializer.
+_WORKER: _KernelState | None = None
 
 
 def _attach_worker(shm_name: str, n: int, m: int, identity: bool, params) -> None:
@@ -154,15 +159,8 @@ def _attach_worker(shm_name: str, n: int, m: int, identity: bool, params) -> Non
     finally:
         resource_tracker.register = original_register
     fields, _ = _layout(n, m, identity)
-    state = _WorkerState()
-    state.shm = shm  # keep the mapping alive for the views' lifetime
-    state.views = _views(shm.buf, fields, writeable=False)
-    state.params = params
-    state.n = n
-    state.m = m
-    state.identity = identity
-    state.rngf = RngFactory(params.seed)
-    _WORKER = state
+    views = _views(shm.buf, fields, writeable=False)
+    _WORKER = _KernelState(views, params, n, m, identity, shm)
     atexit.register(_detach_worker)
 
 
@@ -193,7 +191,7 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _node_trace_of(
     cid: int, machine: TrialMachine, pool_initial: int, degree: int
 ) -> NodeLevelTrace:
-    """Mirror of ``SamplerRun._node_trace`` for worker-run machines."""
+    """The trace of one fallback cluster's finished machine."""
     stats = machine.stats
     draws = queries = 0
     for s in stats:
@@ -218,23 +216,18 @@ def _node_trace_of(
     )
 
 
-def _run_shard(
-    j: int, lo: int, hi: int, dead_items: tuple, pair_items: tuple | None = None
-) -> dict:
-    """Run one shard of the level's trial population; return partials.
-
-    ``dead_items`` is ``((cid, dead eid array), ...)`` restricted to
-    this shard's clusters (arrays unordered — only membership matters).
-    All outputs are keyed by ascending cluster id, so the parent reduce
-    is concatenation in shard order.
+def _run_shard(j: int, lo: int, hi: int, pair_items: tuple | None) -> dict:
+    """Pool task: run one shard on this worker's state; return partials.
 
     When the obs plane is on, the shard's span tree (a ``build/shard``
     root tagged with the worker pid) rides back to the parent as a
     ``"spans"`` columnar partial, drained from this worker's collector
     so persistent workers never accumulate state across levels.
     """
+    if os.environ.get(_CRASH_ENV):
+        os._exit(13)
     if not obs.enabled():
-        return _run_shard_impl(j, lo, hi, dead_items, pair_items)
+        return _run_shard_impl(_WORKER, j, lo, hi, pair_items)
     # Forked workers inherit the parent collector's finished records;
     # shipping those back would make the parent re-adopt its own
     # history (duplicating it per shard, compounding per build).  Only
@@ -243,18 +236,21 @@ def _run_shard(
     with obs.span(
         "build/shard", level=int(j), lo=int(lo), hi=int(hi)
     ) as shard_span:
-        out = _run_shard_impl(j, lo, hi, dead_items, pair_items)
+        out = _run_shard_impl(_WORKER, j, lo, hi, pair_items)
         shard_span.set(clusters=int(hi - lo))
     out["spans"] = obs.collector().drain_records()
     return out
 
 
 def _run_shard_impl(
-    j: int, lo: int, hi: int, dead_items: tuple, pair_items: tuple | None = None
+    st: _KernelState, j: int, lo: int, hi: int, pair_items: tuple | None
 ) -> dict:
-    if os.environ.get(_CRASH_ENV):
-        os._exit(13)
-    st = _WORKER
+    """The kernel: level ``j`` for active clusters ``[lo, hi)``.
+
+    ``pair_items`` carries the factored finish announcements received
+    by this range's clusters (see :meth:`ParallelBuildEngine.submit_level`).
+    All outputs are keyed by ascending cluster id.
+    """
     views = st.views
     params = st.params
     n = st.n
@@ -281,23 +277,6 @@ def _run_shard_impl(
     rv = root[views["ep_v"][rows]]
     other = np.where(ru == C, rv, ru)
     keep = other != C  # both-endpoints-inside edges are intra-cluster
-    if dead_items:
-        # One sort-based membership pass over combined (cluster, eid)
-        # keys; a per-cluster loop would be O(|dead clusters| * |E|).
-        span = st.m if st.identity else int(views["eids"][-1]) + 1
-        if int(cids[-1]) * span < 2**62:
-            dead_keys = np.concatenate(
-                [
-                    np.asarray(dead, dtype=np.int64) + cid * span
-                    for cid, dead in dead_items
-                ]
-            )
-            keep &= ~np.isin(C * span + E, dead_keys)
-        else:  # combined key would overflow: rare huge-eid graphs
-            for cid, dead in dead_items:
-                keep &= ~(
-                    (C == cid) & np.isin(E, np.asarray(dead, dtype=np.int64))
-                )
     if pair_items is not None:
         # Factored announcements: an edge of cluster C is dead iff its
         # far cluster O is a finisher that announced to C (pair test)
@@ -564,18 +543,9 @@ class LevelPartial:
     fallback: dict[int, NodeLevelTrace]
     _index: dict[int, int] | None = field(default=None, repr=False)
 
-    def live_list(self, cid: int) -> list[int]:
-        """The level-start pool ``X_v`` of ``cid`` as a sorted list."""
-        index = self._index
-        if index is None:
-            index = self._index = {
-                int(c): i for i, c in enumerate(self.cids.tolist())
-            }
-        i = index[cid]
-        return self.live[self.live_off[i] : self.live_off[i + 1]].tolist()
-
     def live_array(self, cid: int) -> np.ndarray:
-        """Same slice as :meth:`live_list`, as an int64 array view."""
+        """The level-start pool ``X_v`` of ``cid``, ascending, as an
+        int64 array view."""
         index = self._index
         if index is None:
             index = self._index = {
@@ -690,24 +660,6 @@ class LevelPartial:
         )
 
 
-class TraceMachine:
-    """A finished machine stand-in over a :class:`NodeLevelTrace` —
-    the same pattern as ``repro.dynamic.repair._ReplayedMachine``, used
-    by the parallel level loop wherever the serial loop reads a
-    machine (finish announcements need ``label`` and ``f_active``)."""
-
-    __slots__ = ("label", "_f_active", "_f_inactive")
-
-    def __init__(self, entry: NodeLevelTrace) -> None:
-        self.label = entry.label
-        self._f_active = dict(entry.f_active)
-        self._f_inactive = dict(entry.f_inactive)
-
-    @property
-    def f_active(self) -> dict[int, int]:
-        return dict(self._f_active)
-
-
 def _release(shm, executor, views: dict) -> None:
     """Idempotent teardown shared by ``close()``, GC, and exit."""
     if executor is not None:
@@ -729,118 +681,101 @@ def _release(shm, executor, views: dict) -> None:
 
 
 class ParallelBuildEngine:
-    """Shared-memory publication + persistent worker pool for one build.
+    """The level kernel's arrays for one build, and its workers.
 
     Created lazily by :class:`~repro.core.sampler.SamplerRun` on its
-    first parallel level, reused for every later level of the same run
-    (the static CSR block is written exactly once per build), and closed
-    by the run — with a :func:`weakref.finalize` backstop so a crashed
-    or abandoned run can never leak the segment.
+    first level and reused for every later level of the same run (the
+    static CSR block is written exactly once per build).  At ``jobs=1``
+    the arrays are plain in-process NumPy arrays and :meth:`submit_level`
+    runs the kernel in the calling thread: no shared memory, no pool, no
+    :mod:`multiprocessing` import.  At ``jobs>1`` they live in one
+    shared-memory segment that a persistent worker pool maps read-only;
+    the run closes the engine, with a :func:`weakref.finalize` backstop
+    so a crashed or abandoned run can never leak the segment.
     """
 
     def __init__(
         self, network: Network, params: SamplerParams, jobs: int
     ) -> None:
-        from multiprocessing import shared_memory
-
-        if jobs < 2:
-            raise SimulationError("the parallel engine needs jobs >= 2")
         self._jobs = jobs
-        self._n = network.n
+        n = self._n = network.n
         m = network.m
         eid_row, ep_u, ep_v = network.endpoints_flat()
-        self._identity = eid_row is None
-        self._fields, total = _layout(self._n, m, self._identity)
+        identity = eid_row is None
+        indptr, inc = network.incidence_csr()
+        static = {
+            "ep_u": np.frombuffer(ep_u, dtype=np.int64),
+            "ep_v": np.frombuffer(ep_v, dtype=np.int64),
+            "indptr": np.frombuffer(indptr, dtype=np.int64),
+            "inc": np.frombuffer(inc, dtype=np.int64),
+        }
+        if not identity:
+            # Rows are sorted by eid, so the row array itself is the
+            # sorted key the kernel binary-searches.
+            static["eids"] = np.asarray(network.edge_ids, dtype=np.int64)
+        self._shm = self._pool = None
+        self._closed = False
+        if jobs == 1:
+            self._views = dict(
+                static,
+                root=np.empty(n, dtype=np.int64),
+                member_order=np.empty(n, dtype=np.int64),
+                roots_sorted=np.empty(n, dtype=np.int64),
+                active_sorted=np.empty(n, dtype=np.int64),
+                aflags=np.zeros(n, dtype=np.uint8),
+            )
+            self._state = _KernelState(self._views, params, n, m, identity)
+            return
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import shared_memory
+
+        fields, total = _layout(n, m, identity)
         self._shm = shared_memory.SharedMemory(create=True, size=total)
         _LIVE_SEGMENTS.add(self._shm.name)
-        self._views = _views(self._shm.buf, self._fields, writeable=True)
-        self._views["ep_u"][:] = np.frombuffer(ep_u, dtype=np.int64)
-        self._views["ep_v"][:] = np.frombuffer(ep_v, dtype=np.int64)
-        indptr, inc = network.incidence_csr()
-        self._views["indptr"][:] = np.frombuffer(indptr, dtype=np.int64)
-        self._views["inc"][:] = np.frombuffer(inc, dtype=np.int64)
-        if not self._identity:
-            # Rows are sorted by eid, so the row array itself is the
-            # sorted key workers binary-search.
-            self._views["eids"][:] = np.asarray(
-                network.edge_ids, dtype=np.int64
-            )
+        self._views = _views(self._shm.buf, fields, writeable=True)
+        for name, array in static.items():
+            self._views[name][:] = array
         self._pool = ProcessPoolExecutor(
             max_workers=jobs,
             initializer=_attach_worker,
-            initargs=(self._shm.name, self._n, m, self._identity, params),
+            initargs=(self._shm.name, n, m, identity, params),
         )
-        self._closed = False
         self._finalizer = weakref.finalize(
             self, _release, self._shm, self._pool, self._views
         )
-
-    @property
-    def jobs(self) -> int:
-        return self._jobs
-
-    @property
-    def segment_name(self) -> str:
-        return self._shm.name
 
     def close(self) -> None:
         """Shut the pool down and unlink the segment (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        self._finalizer.detach()
-        _release(self._shm, self._pool, self._views)
+        if self._pool is not None:
+            self._finalizer.detach()
+            _release(self._shm, self._pool, self._views)
 
     # ------------------------------------------------------------------
-    def run_level(
-        self,
-        j: int,
-        *,
-        root_of: list[int],
-        active_sorted: list[int],
-        dead: dict[int, set[int]],
-        dead_pairs: dict[int, set[int]] | None = None,
-        payloads: dict | None = None,
-    ) -> LevelPartial:
-        """Execute one level's trial population across the worker pool.
-
-        Convenience wrapper: :meth:`submit_level` then :meth:`collect`.
-        Callers with per-level bookkeeping of their own should use the
-        split form and do that work between the two calls, overlapped
-        with worker execution.
-        """
-        return self.collect(
-            self.submit_level(
-                j,
-                root_of=root_of,
-                active_sorted=active_sorted,
-                dead=dead,
-                dead_pairs=dead_pairs,
-                payloads=payloads,
-            )
-        )
-
     def submit_level(
         self,
         j: int,
         *,
         root_of: list[int],
         active_sorted: list[int],
-        dead: dict[int, set[int]],
-        dead_pairs: dict[int, set[int]] | None = None,
-        payloads: dict | None = None,
+        dead_pairs: dict[int, set[int]],
+        payloads: dict,
     ) -> list:
-        """Publish the level state into shared memory and enqueue the
-        shard jobs; returns the futures for :meth:`collect`.
+        """Write the level state and start the kernel over every active
+        cluster; :meth:`collect` finishes the level.
 
-        ``dead`` carries explicit receiver dead *sets* (built by serial
-        levels); ``dead_pairs``/``payloads`` the factored announcements
-        of earlier parallel levels — receiver -> announcing finishers,
-        finisher -> announced edge array — which workers apply by
-        membership without materializing the per-receiver unions.
+        ``dead_pairs``/``payloads`` are the factored finish
+        announcements of earlier levels — receiver -> announcing
+        finishers, finisher -> announced edge array — which the kernel
+        applies by membership without materializing the per-receiver
+        unions.  At ``jobs=1`` the kernel has already run when this
+        returns (the partials themselves come back); at ``jobs>1`` the
+        shard futures do.
         """
         if self._closed:
-            raise SimulationError("parallel engine already closed")
+            raise SimulationError("level kernel already closed")
         A = len(active_sorted)
         views = self._views
         root = np.asarray(root_of, dtype=np.int64)
@@ -859,64 +794,47 @@ class ParallelBuildEngine:
             for chunk in np.array_split(np.arange(A), self._jobs)
             if len(chunk)
         ]
-        dead_by_shard: dict[int, list] = {}
-        for cid, eids in dead.items():
-            if not eids or not aflags[cid]:
+        shard_recv: dict[int, tuple[list, list]] = {}
+        for cid, finishers in dead_pairs.items():
+            if not finishers or not aflags[cid]:
                 continue
-            shard_i = 0
             pos = int(np.searchsorted(active_np, cid))
-            for i, (lo, hi) in enumerate(shards):
-                if lo <= pos < hi:
-                    shard_i = i
-                    break
-            # Unordered array transport: membership masking needs no
-            # sort, and pickling an int64 array is a plain byte copy.
-            dead_by_shard.setdefault(shard_i, []).append(
-                (int(cid), np.fromiter(eids, dtype=np.int64, count=len(eids)))
+            shard_i = next(i for i, (lo, hi) in enumerate(shards) if pos < hi)
+            recv_l, fin_l = shard_recv.setdefault(shard_i, ([], []))
+            recv_l.extend([cid] * len(finishers))
+            fin_l.extend(finishers)
+        pairs_by_shard = {
+            shard_i: (
+                np.asarray(recv_l, dtype=np.int64),
+                np.asarray(fin_l, dtype=np.int64),
+                {fid: payloads[fid] for fid in set(fin_l)},
             )
-        pairs_by_shard: dict[int, tuple] = {}
-        if dead_pairs:
-            shard_recv: dict[int, tuple[list, list]] = {}
-            for cid, finishers in dead_pairs.items():
-                if not finishers or not aflags[cid]:
-                    continue
-                pos = int(np.searchsorted(active_np, cid))
-                shard_i = 0
-                for i, (lo, hi) in enumerate(shards):
-                    if lo <= pos < hi:
-                        shard_i = i
-                        break
-                recv_l, fin_l = shard_recv.setdefault(shard_i, ([], []))
-                recv_l.extend([cid] * len(finishers))
-                fin_l.extend(finishers)
-            for shard_i, (recv_l, fin_l) in shard_recv.items():
-                pairs_by_shard[shard_i] = (
-                    np.asarray(recv_l, dtype=np.int64),
-                    np.asarray(fin_l, dtype=np.int64),
-                    {fid: payloads[fid] for fid in set(fin_l)},
-                )
+            for shard_i, (recv_l, fin_l) in shard_recv.items()
+        }
+        if self._pool is None:
+            return [
+                _run_shard_impl(self._state, j, lo, hi, pairs_by_shard.get(i))
+                for i, (lo, hi) in enumerate(shards)
+            ]
         return [
-            self._pool.submit(
-                _run_shard,
-                j,
-                lo,
-                hi,
-                tuple(dead_by_shard.get(i, ())),
-                pairs_by_shard.get(i),
-            )
+            self._pool.submit(_run_shard, j, lo, hi, pairs_by_shard.get(i))
             for i, (lo, hi) in enumerate(shards)
         ]
 
-    def collect(self, futures: list) -> LevelPartial:
-        """Await one :meth:`submit_level` batch and reduce it.
+    def collect(self, pending: list) -> LevelPartial:
+        """Finish one :meth:`submit_level` batch and reduce it.
 
         The reduce concatenates shard columns in shard order — shards
         are contiguous ascending-cid ranges, so the result is identical
         for any shard count.
         """
+        if self._pool is None:
+            return self._reduce(pending)
+        from concurrent.futures.process import BrokenProcessPool
+
         parts = []
         try:
-            for future in futures:
+            for future in pending:
                 parts.append(future.result())
         except BrokenProcessPool as exc:
             self.close()

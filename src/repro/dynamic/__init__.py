@@ -4,8 +4,7 @@ The static pipeline builds a spanner once and serves payloads forever;
 this package is what happens when the graph refuses to sit still.
 :mod:`repro.dynamic.churn` mutates networks deterministically and logs
 provenance; :mod:`repro.dynamic.repair` heals a cached spanner onto the
-mutated graph, bit-identical to a fresh build at a fraction of the
-work.  The simulation service composes both into graceful degradation
+mutated graph by a checked rebuild, bit-identical to a fresh build.  The simulation service composes both into graceful degradation
 (DESIGN.md §3.9).
 """
 

@@ -61,17 +61,6 @@ class MutationLog:
         """True when the epoch changed nothing (fingerprint preserved)."""
         return not self.removed_edges and not self.added_edges
 
-    def touched_nodes(self) -> frozenset[int]:
-        """Endpoints of every changed edge — the repair layer's dirty seed."""
-        touched: set[int] = set()
-        for _eid, u, v in self.removed_edges:
-            touched.add(u)
-            touched.add(v)
-        for _eid, u, v in self.added_edges:
-            touched.add(u)
-            touched.add(v)
-        return frozenset(touched)
-
 
 @dataclass(frozen=True)
 class ChurnPlan:

@@ -14,6 +14,7 @@ import pathlib
 
 import pytest
 
+from reference_sampler import reference_build
 from repro.core import SamplerParams, build_spanner
 from repro.core.accounting import (
     expected_message_counts,
@@ -92,8 +93,10 @@ class TestSeedGoldens:
     optimized centralized run and the distributed run — must still hash
     to those digests.  ``tests/data/golden_full_traces.json`` pins the
     full traces (every field) of the seed recount strategy, captured
-    before it was deleted.  Regenerate only for deliberate semantic
-    changes (``tools/capture_golden_signatures.py``, ``--full``).
+    before it was deleted.  The serial reference of
+    ``tests/reference_sampler.py``, the oracle of the level kernel,
+    hashes to both.  Regenerate only for deliberate semantic changes
+    (``tools/capture_golden_signatures.py``, ``--full``).
     """
 
     GOLDENS = json.loads(
@@ -123,6 +126,17 @@ class TestSeedGoldens:
         the one the seed recount strategy produced."""
         _name, build, params = next(c for c in CASES if c[0] == name)
         result = build_spanner(build(), params)
+        document = (tuple(sorted(result.edges)), result.trace.full_signature())
+        digest = hashlib.sha256(repr(document).encode()).hexdigest()
+        assert digest == self.FULL_GOLDENS[name]
+
+
+    @pytest.mark.parametrize("name", [c[0] for c in CASES])
+    def test_serial_reference_matches_seed_traces(self, name):
+        _name, build, params = next(c for c in CASES if c[0] == name)
+        result = reference_build(build(), params)
+        signature = repr(result.trace.signature()).encode()
+        assert hashlib.sha256(signature).hexdigest() == self.GOLDENS[name]
         document = (tuple(sorted(result.edges)), result.trace.full_signature())
         digest = hashlib.sha256(repr(document).encode()).hexdigest()
         assert digest == self.FULL_GOLDENS[name]

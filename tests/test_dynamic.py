@@ -210,7 +210,7 @@ class TestRepair:
 
     def test_repair_from_distributed_parent(self):
         """The store's cached artifacts are distributed builds; repair
-        must replay from their marker-laden traces just as well."""
+        must accept them as parents just as well."""
         net = erdos_renyi(150, 0.08, seed=9)
         parent = build_spanner_distributed(net, _PARAMS)
         child, log = apply_churn(net, _mixed_plan(17, 0.05), epoch=0)
@@ -220,20 +220,6 @@ class TestRepair:
         assert repaired.edges == rebuilt.edges
         assert repaired.trace.signature() == rebuilt.trace.signature()
         assert repaired.messages is None  # repair meters nothing
-
-    def test_repair_actually_replays(self):
-        """At low churn most cluster machines come from the parent trace."""
-        net = erdos_renyi(300, 0.04, seed=10)
-        parent = build_spanner(net, _PARAMS)
-        child, log = apply_churn(
-            net, ChurnPlan(seed=19, edge_removal=0.01), epoch=0
-        )
-        run = RepairRun(
-            child, _PARAMS, parent=parent, touched=log.touched_nodes()
-        )
-        result = run.run()
-        assert result == build_spanner(child, _PARAMS)
-        assert run.replayed_clusters > run.fresh_clusters
 
     def test_repair_refuses_broken_chains(self, er_medium):
         parent = build_spanner(er_medium, _PARAMS)
@@ -253,12 +239,7 @@ class TestRepair:
         parent = build_spanner(er_medium, _PARAMS)
         child, log = apply_churn(er_medium, _mixed_plan(37, 0.1), epoch=0)
         with pytest.raises(ConfigurationError):
-            RepairRun(
-                child,
-                SamplerParams(k=2, h=3, seed=1),
-                parent=parent,
-                touched=frozenset(),
-            )
+            RepairRun(child, SamplerParams(k=2, h=3, seed=1), parent=parent)
 
 
 class TestNetworkMutated:

@@ -1,10 +1,13 @@
-"""Parallel build engine: bit-identity with the serial path (DESIGN.md §3.11).
+"""The level kernel: bit-identity with the serial reference (DESIGN.md §3.11).
 
 The contract is absolute: ``build_spanner(..., jobs=j)`` for any ``j``
 returns a ``SpannerResult`` that compares equal — edges, full trace with
 every per-node ``NodeLevelTrace``, finished-cluster certificates — to
-the serial build.  These tests pin that across graph families, seeds,
-shard counts, and both trial strategies, plus the operational contract:
+the serial reference in ``tests/reference_sampler.py``, which shares no
+code with the kernel.  These tests pin that across graph families,
+seeds, worker counts (1 = in-process), both trial strategies and a
+level with no active cluster, plus the operational contract: a
+``jobs=1`` build touches no shared memory and starts no process, and
 shared-memory segments never outlive a build, even when a worker dies
 mid-level.
 """
@@ -16,6 +19,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from reference_sampler import reference_build
 from repro.core import SamplerParams, build_spanner
 from repro.core import parallel
 from repro.core.sampler import JOBS_ENV, resolve_jobs
@@ -38,52 +42,67 @@ def _no_leaked_segments() -> bool:
 
 class TestBitIdentity:
     @pytest.mark.parametrize("family", sorted(_FAMILIES), ids=str)
-    @pytest.mark.parametrize("jobs", [2, 4])
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 4])
     def test_equals_serial(self, family, jobs):
         net = _FAMILIES[family]()
-        serial = build_spanner(net, _PARAMS, jobs=1)
-        par = build_spanner(net, _PARAMS, jobs=jobs)
-        assert par == serial  # full equality: edges, trace, certificates
+        # full equality: edges, trace, certificates
+        assert build_spanner(net, _PARAMS, jobs=jobs) == reference_build(net, _PARAMS)
         assert _no_leaked_segments()
 
     @pytest.mark.parametrize("family", sorted(_FAMILIES), ids=str)
     def test_equals_serial_without_exhaustive_fast_path(self, family):
         """``exhaustive_small_pools=False`` forces every cluster through
-        the real TrialMachine fallback inside the workers."""
+        the kernel's real TrialMachine fallback."""
         params = SamplerParams(k=2, h=2, seed=1, exhaustive_small_pools=False)
         net = _FAMILIES[family]()
-        assert build_spanner(net, params, jobs=2) == build_spanner(
-            net, params, jobs=1
-        )
+        expected = reference_build(net, params)
+        for jobs in (1, 2, 3, 4):
+            assert build_spanner(net, params, jobs=jobs) == expected, jobs
         assert _no_leaked_segments()
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+    def test_level_with_no_active_cluster(self, jobs):
+        """Every cluster can leave the hierarchy before the last level;
+        the kernel then yields an empty level trace."""
+        net = erdos_renyi(5, 0.4, seed=0)
+        params = SamplerParams(k=2, h=1, seed=0)
+        result = build_spanner(net, params, jobs=jobs)
+        assert result.trace.populations == [5, 5, 0]
+        assert result == reference_build(net, params)
 
     @given(
         seed=st.integers(0, 200),
         n=st.integers(min_value=30, max_value=120),
-        jobs=st.sampled_from([2, 3, 4]),
+        jobs=st.sampled_from([1, 2, 3, 4]),
+        exhaustive=st.booleans(),
     )
     @settings(
         max_examples=12,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_equals_serial_property(self, seed, n, jobs):
+    def test_equals_serial_property(self, seed, n, jobs, exhaustive):
         net = erdos_renyi(n, min(0.95, 8 / max(1, n - 1)), seed=seed)
-        params = SamplerParams(k=2, h=2, seed=seed + 1)
-        assert build_spanner(net, params, jobs=jobs) == build_spanner(
-            net, params, jobs=1
+        params = SamplerParams(
+            k=2, h=2, seed=seed + 1, exhaustive_small_pools=exhaustive
         )
+        assert build_spanner(net, params, jobs=jobs) == reference_build(net, params)
         assert _no_leaked_segments()
 
-    def test_jobs_one_is_the_serial_path(self):
-        """jobs=1 must not even construct an engine — it IS the old code."""
-        net = _FAMILIES["gnp"]()
-        from repro.core.sampler import SamplerRun
+    def test_jobs_one_is_the_serial_path(self, monkeypatch):
+        """jobs=1 runs the kernel in-process: it creates no
+        shared-memory segment and starts no process."""
+        import multiprocessing.process
+        from multiprocessing import shared_memory
 
-        run = SamplerRun(net, _PARAMS, jobs=1)
-        result = run.run()
-        assert run._engine is None
-        assert result == build_spanner(net, _PARAMS)
+        def refuse(*args, **kwargs):
+            raise AssertionError("a jobs=1 build used multiprocessing")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        net = _FAMILIES["gnp"]()
+        assert build_spanner(net, _PARAMS, jobs=1) == reference_build(net, _PARAMS)
+        assert _no_leaked_segments()
 
 
 class TestJobsResolution:
@@ -156,9 +175,8 @@ class TestRepairParallel:
         return net, child, log
 
     def test_repair_of_parallel_parent(self):
-        """Repairing a parallel-built parent replays its trace exactly
-        as if it had been built serially — the traces are equal, so the
-        repairs must be too."""
+        """Repair reads nothing from the parent's trace, so a
+        parallel-built parent repairs exactly like a serial one."""
         net, child, log = self._churned()
         par_parent = build_spanner(net, _PARAMS, jobs=2)
         ser_parent = build_spanner(net, _PARAMS, jobs=1)
@@ -169,13 +187,12 @@ class TestRepairParallel:
 
     @pytest.mark.parametrize("rate", [0.05, 0.4])
     def test_parallel_repair_equals_serial_repair(self, rate):
-        """repair_spanner(jobs=2) shards the fresh (non-replayable)
-        levels; replay-capable levels stay serial.  Either way the
-        result is the fresh serial build."""
+        """repair_spanner(jobs=2) runs every level on the worker pool;
+        either way the result is the serial reference's build."""
         net, child, log = self._churned(seed=11, rate=rate)
         parent = build_spanner(net, _PARAMS)
         par = repair_spanner(parent, child, log, jobs=2)
         ser = repair_spanner(parent, child, log)
         assert par == ser
-        assert par == build_spanner(child, _PARAMS)
+        assert par == reference_build(child, _PARAMS)
         assert _no_leaked_segments()

@@ -5,10 +5,12 @@ Two kinds of guards:
 * **structural** — the CSR fast paths must not fall back to per-edge
   object churn (counted by instrumenting ``EdgeRef``), and cached
   accessors must return the same object on repeated calls;
-* **equivalence** — the sampler must stay *bit-identical* to the seed
-  recount strategy, pinned against the sha256 digests of that strategy's
-  full traces (``tests/data/golden_full_traces.json``, captured before
-  it was deleted) and of the seed implementation's signatures
+* **equivalence** — the sampler, and the serial reference of
+  ``tests/reference_sampler.py`` that is its oracle, must stay
+  *bit-identical* to the seed recount strategy, pinned against the
+  sha256 digests of that strategy's full traces
+  (``tests/data/golden_full_traces.json``, captured before it was
+  deleted) and of the seed implementation's signatures
   (``tests/data/golden_signatures.json``); both are regenerated only
   deliberately via ``tools/capture_golden_signatures.py``.
 """
@@ -22,6 +24,7 @@ import time
 
 import pytest
 
+from reference_sampler import reference_build
 from repro.core import SamplerParams
 from repro.core.sampler import SamplerRun
 from repro.graphs import barabasi_albert, erdos_renyi, random_regular
@@ -170,3 +173,12 @@ class TestIncrementalBitIdentical:
         assert _digest(result.trace) == goldens[case], (
             f"{case}: trace diverged from the frozen seed behaviour"
         )
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_serial_reference_identical(self, family, seed, goldens, full_goldens):
+        net, params = FAMILIES[family](seed)
+        result = reference_build(net, params)
+        case = f"{family}-s{seed}"
+        assert full_digest(result) == full_goldens[case]
+        assert _digest(result.trace) == goldens[case]

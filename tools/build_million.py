@@ -45,7 +45,10 @@ def main(argv: list[str] | None = None) -> int:
         "--degree", type=float, default=8.0, help="average degree of G(n, p)"
     )
     parser.add_argument(
-        "--jobs", type=int, default=2, help="parallel build workers (1 = serial)"
+        "--jobs",
+        type=int,
+        default=2,
+        help="parallel build workers (1 = the in-process kernel)",
     )
     parser.add_argument("--seed", type=int, default=1, help="graph + sampler seed")
     parser.add_argument(

@@ -16,10 +16,10 @@ root::
 per-node degrees, draws, pool sizes and trial stats, the active/stale
 edge split, cluster heights and finished records that
 ``signature()`` leaves out.  The committed file was captured from the
-seed recount strategy, which has since been deleted; the tool now
-refuses to write unless the shard-parallel build (``jobs=2``), whose
-workers derive every pool independently of the serial path, yields
-the same digest on every case.
+seed recount strategy, which has since left ``src/``; the tool now
+refuses to write unless the serial reference in
+``tests/reference_sampler.py``, which shares no code with the level
+kernel, yields the same digest on every case.
 
 ``--schemes`` digests what the pipelines produce on the cases of
 ``tests/scheme_cases.py`` (one-stage, two-stage and churned serving);
@@ -128,13 +128,15 @@ def main() -> None:
     if args.schemes:
         _write("golden_schemes.json", scheme_goldens())
         return
+    if args.full:
+        sys.path.insert(0, TESTS)
+        from reference_sampler import reference_build
     goldens: dict[str, str] = {}
     for name, net, params in equivalence_cases() + family_cases():
         if args.full:
             goldens[name] = full_digest(build_spanner(net, params))
-            sharded = full_digest(build_spanner(net, params, jobs=2))
-            if sharded != goldens[name]:
-                sys.exit(f"{name}: the jobs=2 build disagrees; nothing written")
+            if full_digest(reference_build(net, params)) != goldens[name]:
+                sys.exit(f"{name}: the serial reference disagrees; nothing written")
         else:
             goldens[name] = signature_digest(build_spanner(net, params).trace)
         print(f"{name}: {goldens[name][:16]}…")

@@ -81,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="N",
         help="parallel-build worker count for the profiled run "
-        "(sets REPRO_BUILD_JOBS; 1 = serial)",
+        "(sets REPRO_BUILD_JOBS; 1 = the in-process kernel)",
     )
     parser.add_argument(
         "--top-alloc",
