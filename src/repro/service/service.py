@@ -40,6 +40,7 @@ from repro.core.spanner import SpannerResult
 from repro.dynamic.churn import ChurnPlan, MutationLog
 from repro.dynamic.churn import apply_churn as _apply_churn
 from repro.dynamic.repair import repair_spanner
+from repro.errors import ConfigurationError, SimulationError
 from repro.execution import Exec
 from repro.local.faults import FaultPlan
 from repro.local.network import Network
@@ -60,8 +61,8 @@ __all__ = [
 _SUBNET_MEMO_CAP = 16
 
 # How far back the service walks a churn lineage looking for a cached
-# ancestor to repair from; beyond this a full rebuild is cheaper than
-# replaying an epoch avalanche.
+# ancestor to repair from; past it the miss falls through to the
+# store's cold build.
 _LINEAGE_DEPTH_CAP = 16
 
 
@@ -334,10 +335,11 @@ class SimulationService:
         self._params = params if params is not None else theorem3_params(gamma, seed=seed)
         self._seed = seed
         # Worker count for the centralized construction work the service
-        # performs itself (incremental repairs).  ``None`` defers to
-        # ``REPRO_BUILD_JOBS`` at call time.  Full rebuilds on a cache
-        # miss are the store's *distributed* metered construction and
-        # are unaffected — message metering is the artifact there.
+        # performs itself (repairs, which rebuild on the level kernel;
+        # 1 = in-process).  ``None`` defers to ``REPRO_BUILD_JOBS`` at
+        # call time.  Full rebuilds on a cache miss are the store's
+        # *distributed* metered construction and are unaffected —
+        # message metering is the artifact there.
         self._build_jobs = build_jobs
         self.store = store if store is not None else ArtifactStore()
         self.metrics = ServiceMetrics()
@@ -349,8 +351,8 @@ class SimulationService:
         self._subnets: dict[tuple[str, frozenset[int]], Network] = {}
         # Churn lineage: child fingerprint -> (parent network, mutation
         # log).  This is what lets a cache miss on a post-churn graph
-        # degrade to an incremental repair (or a stale serve) instead of
-        # a cold rebuild.
+        # degrade to a repair (or a stale serve) instead of a cold
+        # rebuild.
         self._lineage: dict[str, tuple[Network, MutationLog]] = {}
         # Fingerprints this service has already answered — a forced full
         # build on one of these is a *re*build (cache loss), not a
@@ -551,7 +553,7 @@ class SimulationService:
             spanner_info=spanner_info,
             schedule_info=schedule_info,
             # A repaired spanner carries no message meter (repair is a
-            # centralized replay, not a metered distributed run) — and
+            # centralized rebuild, not a metered distributed run) — and
             # pays none: that is the point.
             construction_messages_paid=(
                 spanner.messages.total
@@ -605,10 +607,14 @@ class SimulationService:
         network: Network,
         logs: tuple[MutationLog, ...],
     ) -> SpannerResult | None:
-        """Attempt incremental repair; any failure degrades to rebuild."""
+        """Attempt repair.  A refused lineage (broken chain, other
+        params, changed node universe) or a crashed build worker
+        degrades to the rebuild the caller counts; anything else is a
+        bug and propagates."""
         try:
             return repair_spanner(ancestor, network, logs, jobs=self._build_jobs)
-        except Exception:
+        except (ConfigurationError, SimulationError) as exc:
+            obs.event("service/repair_failed", error=type(exc).__name__)
             return None
 
     def _sync_retries(self) -> None:

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.algorithms import (
     BallCollect,
     BfsLayers,
@@ -22,6 +23,7 @@ from repro.algorithms import (
 )
 from repro.core import SamplerParams
 from repro.dynamic import ChurnPlan, apply_churn
+from repro.errors import ConfigurationError
 from repro.execution import Exec
 from repro.graphs import erdos_renyi, torus
 from repro.local.faults import FaultPlan
@@ -366,15 +368,41 @@ class TestResilientServing:
         service.submit(BallCollect(2))
         child, _ = service.apply_churn(churn_plan(seed=61))
 
+        def refused(*args, **kwargs):
+            raise ConfigurationError("mutation chain does not connect")
+
+        monkeypatch.setattr("repro.service.service.repair_spanner", refused)
+        previous = obs.set_enabled(True)
+        obs.collector().reset()
+        try:
+            response = service.submit(BallCollect(2))  # never crashes
+            events = [
+                r for r in obs.collector().finished()
+                if r["name"] == "service/repair_failed"
+            ]
+        finally:
+            obs.collector().reset()
+            obs.set_enabled(previous)
+        assert response.spanner_info.source == "built"
+        assert service.metrics.rebuilds == 1
+        assert [e["attrs"]["error"] for e in events] == ["ConfigurationError"]
+        fresh = run_one_stage(child, BallCollect(2), params=PARAMS, seed=5)
+        assert response.report == fresh
+
+    def test_a_bug_in_repair_propagates(self, net, monkeypatch):
+        """Only declared refusals degrade to a rebuild; a bug inside
+        repair must not become a silent, counted rebuild."""
+        service = SimulationService(net, params=PARAMS, seed=5)
+        service.submit(BallCollect(2))
+        service.apply_churn(churn_plan(seed=61))
+
         def boom(*args, **kwargs):
             raise RuntimeError("repair machinery down")
 
         monkeypatch.setattr("repro.service.service.repair_spanner", boom)
-        response = service.submit(BallCollect(2))  # never crashes
-        assert response.spanner_info.source == "built"
-        assert service.metrics.rebuilds == 1
-        fresh = run_one_stage(child, BallCollect(2), params=PARAMS, seed=5)
-        assert response.report == fresh
+        with pytest.raises(RuntimeError, match="machinery down"):
+            service.submit(BallCollect(2))
+        assert service.metrics.rebuilds == 0
 
     def test_cache_loss_on_a_served_graph_counts_as_rebuild(self, net, tmp_path):
         store = ArtifactStore(tmp_path)
