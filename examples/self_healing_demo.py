@@ -3,10 +3,10 @@
 
 A ``G(n=2000)`` network goes through five deterministic churn epochs
 (edge removal + addition, node crash + recovery).  After each epoch the
-cached spanner is *repaired* onto the mutated graph — replaying every
-cluster trial the churn provably did not affect — and compared against
-a cold distributed rebuild of the same graph: identical edges,
-identical trace, a fraction of the time.  The repaired result then
+cached spanner is *repaired* onto the mutated graph — the mutation
+chain is checked, then the spanner is rebuilt on the level kernel — and
+compared against a cold distributed rebuild of the same graph:
+identical edges, identical trace, a fraction of the time.  The repaired result then
 serves as the cache entry for the next epoch, so the provenance chain
 grows one fingerprint per epoch.
 
@@ -81,9 +81,9 @@ def main() -> None:
         f"{net.fingerprint()[:8]})"
     )
     print(
-        "every repair replayed the untouched cluster trials from the parent "
-        "trace and re-ran only the churn-affected ones — same spanner, "
-        "fraction of the work."
+        "every repair checked its mutation chain and rebuilt on the level "
+        "kernel without simulating a message — same spanner, fraction of "
+        "the work."
     )
 
 

@@ -387,10 +387,9 @@ def _concurrent_procs(built: tuple[Network, object]) -> object:
 
 # repair/* kernels time the self-healing path (DESIGN.md §3.9): one
 # churn epoch hits a cached spanner, and the measured body repairs it
-# onto the mutated graph — replaying untouched cluster trials from the
-# parent trace, re-running only the churn-affected ones.  The baseline
-# is the store's real alternative on a miss: a cold distributed rebuild
-# of the same post-churn graph (acceptance: >= 3x at n=2000).
+# onto the mutated graph — a checked rebuild on the level kernel.  The
+# baseline is the store's other option on a miss: a cold distributed
+# rebuild of the same post-churn graph, which meters every message.
 _REPAIR_PLAN = ChurnPlan(seed=5, epochs=1, edge_removal=0.02, edge_addition=0.01)
 
 
@@ -502,9 +501,9 @@ def default_kernels() -> list[Kernel]:
     its reference interpreter on flood/gossip/algorithm bodies."""
     kernels: list[Kernel] = []
     # Scale kernels (DESIGN.md §3.11): the shard-parallel centralized
-    # build against its serial twin on the same input — bit-identical
-    # SpannerResults, so the recorded ``speedup`` is pure execution
-    # engine.  They run FIRST in the suite and, within each kernel,
+    # build against the in-process level kernel (jobs=1) on the same
+    # input — bit-identical SpannerResults, so the recorded ``speedup``
+    # is pure execution engine.  They run FIRST in the suite and, within each kernel,
     # the measured body before the serial baseline: fork(2) workers
     # inherit the parent heap copy-on-write, so a parent bloated by
     # earlier kernels taxes every worker page-touch and understates
@@ -681,9 +680,9 @@ def default_kernels() -> list[Kernel]:
             repeats=1,
         )
     )
-    # repair/* kernels: incremental spanner repair after one churn
-    # epoch, with the cold distributed rebuild of the post-churn graph
-    # as the baseline (acceptance: >= 3x at n=2000, DESIGN.md §3.9).
+    # repair/* kernels: spanner repair (a checked rebuild on the level
+    # kernel) after one churn epoch, with the cold distributed rebuild
+    # of the post-churn graph as the baseline (DESIGN.md §3.9).
     for family, build in (
         ("gnp", lambda: _repair_input(_gnp(2000))),
         ("ba", lambda: _repair_input(barabasi_albert(2000, 4, seed=1))),
@@ -1094,8 +1093,9 @@ def render_readme_section(doc: dict) -> str:
         "and 4 thread workers and across 2 processes sharing one locked "
         "store directory; their serial baseline replays the identical "
         "workload through a 1-worker `submit()` loop (DESIGN.md §3.12)."
-        "  `repair/*` kernels time the incremental spanner "
-        "repair after one churn epoch; their rebuild baseline is a cold "
+        "  `repair/*` kernels time the spanner repair (a checked "
+        "rebuild on the level kernel) after one churn epoch; their "
+        "rebuild baseline is a cold "
         "distributed construction of the same post-churn graph "
         "(DESIGN.md §3.9).  `runtime_vec/*` kernels time the array-"
         "native round engine on a runtime flood (dense `G(n,m)`, the "
@@ -1106,8 +1106,9 @@ def render_readme_section(doc: dict) -> str:
         "DESIGN.md §3.10).  `spanner_par/*` and `spanner/gnp/n100000` "
         "time the shard-parallel centralized build (`jobs=2`, "
         "DESIGN.md §3.11); their serial baseline re-runs the identical "
-        "input at `jobs=1` — bit-identical `SpannerResult`s, so the "
-        "speedup is pure execution engine.  Every entry also records "
+        "input at `jobs=1`, the same level kernel in-process — "
+        "bit-identical `SpannerResult`s, so the speedup is pure "
+        "execution engine.  Every entry also records "
         "`peak_rss_mb` (process high-water RSS including build "
         "workers); gate it with `--memory-budget MB`."
     )
