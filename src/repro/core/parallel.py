@@ -661,23 +661,22 @@ class LevelPartial:
 
 
 def _release(shm, executor, views: dict) -> None:
-    """Idempotent teardown shared by ``close()``, GC, and exit."""
-    if executor is not None:
-        try:
-            executor.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-    if shm is not None:
-        views.clear()  # drop the buffer exports or the mmap cannot close
-        try:
-            shm.close()
-        except Exception:
-            pass
-        try:
-            shm.unlink()
-        except Exception:
-            pass
-        _LIVE_SEGMENTS.discard(shm.name)
+    """Idempotent teardown of a pool engine, shared by ``close()``, GC,
+    and exit."""
+    try:
+        executor.shutdown(wait=False, cancel_futures=True)
+    except Exception:
+        pass
+    views.clear()  # drop the buffer exports or the mmap cannot close
+    try:
+        shm.close()
+    except Exception:
+        pass
+    try:
+        shm.unlink()
+    except Exception:
+        pass
+    _LIVE_SEGMENTS.discard(shm.name)
 
 
 class ParallelBuildEngine:
@@ -698,7 +697,7 @@ class ParallelBuildEngine:
         self, network: Network, params: SamplerParams, jobs: int
     ) -> None:
         self._jobs = jobs
-        n = self._n = network.n
+        n = network.n
         m = network.m
         eid_row, ep_u, ep_v = network.endpoints_flat()
         identity = eid_row is None

@@ -39,8 +39,9 @@ class RepairRun(SamplerRun):
     ``parent``: refused unless the parameters and the node universe are
     the parent's, and recorded in the result's provenance."""
 
-    # The serving benchmark reads both counters until it retires
-    # ``dynamic.replayed_share``: a rebuild replays no cluster.
+    # The serving benchmark reads both counters until a benchmark
+    # change retires ``dynamic.replayed_share``; a rebuild replays no
+    # cluster.
     replayed_clusters = 0
 
     def __init__(
