@@ -130,7 +130,6 @@ class TestSeedGoldens:
         digest = hashlib.sha256(repr(document).encode()).hexdigest()
         assert digest == self.FULL_GOLDENS[name]
 
-
     @pytest.mark.parametrize("name", [c[0] for c in CASES])
     def test_serial_reference_matches_seed_traces(self, name):
         _name, build, params = next(c for c in CASES if c[0] == name)
