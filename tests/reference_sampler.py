@@ -1,5 +1,5 @@
 """A serial reference of centralized ``Sampler``: the oracle for the
-level kernel of :mod:`repro.core.sampler`.
+level kernel that :mod:`repro.core.sampler` runs on.
 
 This is the seed's per-level recount, kept deliberately plain and slow
 (the tests run it at n <= 150).  At every level each active cluster's
@@ -34,10 +34,13 @@ def reference_build(network, params) -> SpannerResult:
     active = set(network.nodes())
     for j in range(params.levels):
         pools = {cid: _pool(network, forest, announced, cid) for cid in active}
-        groups = {cid: _by_neighbor(network, forest, cid, pools[cid]) for cid in active}
+        groups = {
+            cid: _by_neighbor(network, forest, cid, pools[cid]) for cid in active
+        }
         machines = {}
         for cid in sorted(active):
-            machine = TrialMachine(cid, j, pools[cid], params, n, rngf.stream("trials", j, cid))
+            rng = rngf.stream("trials", j, cid)
+            machine = TrialMachine(cid, j, pools[cid], params, n, rng)
             while machine.wants_trial():
                 results = []
                 for eid in machine.begin_trial():
@@ -46,7 +49,8 @@ def reference_build(network, params) -> SpannerResult:
                     results.append((eid, other, groups[cid][other], other in active))
                 machine.deliver(results)
             machines[cid] = machine
-        level_f = {eid for m in machines.values() for eid in m.f_active.values()}
+        found = {cid: machine.f_active for cid, machine in machines.items()}
+        level_f = {eid for f in found.values() for eid in f.values()}
         spanner |= level_f
 
         centers: list[int] = []
@@ -55,14 +59,10 @@ def reference_build(network, params) -> SpannerResult:
             p_j = params.center_probability(j, n)
             centers = sorted(c for c in active if rngf.uniform("center", j, c) < p_j)
             for vid in sorted(active - set(centers)):
-                options = [
-                    (u, eid) for u, eid in machines[vid].f_active.items() if u in centers
-                ]
-                options += [
-                    (u, machines[u].f_active[vid])
-                    for u in centers
-                    if vid in machines[u].f_active
-                ]
+                # Join the smallest center found from either side, over
+                # the smallest edge between the pair.
+                options = [(u, eid) for u, eid in found[vid].items() if u in centers]
+                options += [(u, found[u][vid]) for u in centers if vid in found[u]]
                 if options:
                     joins.append((vid, *min(options)))
         joined = {vid for vid, _u, _e in joins}
@@ -104,7 +104,7 @@ def reference_build(network, params) -> SpannerResult:
             )
             if j < params.k:
                 members = set(forest.members(cid))
-                for eid in machines[cid].f_active.values():
+                for eid in found[cid].values():
                     a, b = network.endpoints(eid)
                     announced[b if a in members else a] |= set(pools[cid])
         active = set(centers)
