@@ -5,8 +5,9 @@ returns a ``SpannerResult`` that compares equal — edges, full trace with
 every per-node ``NodeLevelTrace``, finished-cluster certificates — to
 the serial reference in ``tests/reference_sampler.py``, which shares no
 code with the kernel.  These tests pin that across graph families,
-seeds, worker counts (1 = in-process), both trial strategies and a
-level with no active cluster, plus the operational contract: a
+seeds, worker counts (1 = in-process), both trial strategies, stale
+edges to finished clusters that never announced, and a level with no
+active cluster, plus the operational contract: a
 ``jobs=1`` build touches no shared memory and starts no process, and
 shared-memory segments never outlive a build, even when a worker dies
 mid-level.
@@ -70,21 +71,43 @@ class TestBitIdentity:
         assert result.trace.populations == [5, 5, 0]
         assert result == reference_build(net, params)
 
+    @pytest.mark.parametrize("exhaustive", [True, False])
+    def test_finished_neighbours_that_never_announced(self, exhaustive):
+        """A small query budget lets clusters finish without finding
+        every neighbour; their edges stay in the neighbours' pools as
+        stale edges, whose queries are answered ``active=False``."""
+        net = erdos_renyi(100, 0.2, seed=4)
+        params = SamplerParams(
+            k=2,
+            h=2,
+            seed=4,
+            c_query=0.1,
+            c_target=0.3,
+            exhaustive_small_pools=exhaustive,
+        )
+        expected = reference_build(net, params)
+        assert sum(level.stale_edges for level in expected.trace.levels) > 0
+        for jobs in (1, 2, 3, 4):
+            assert build_spanner(net, params, jobs=jobs) == expected, jobs
+        assert _no_leaked_segments()
+
     @given(
         seed=st.integers(0, 200),
         n=st.integers(min_value=30, max_value=120),
         jobs=st.sampled_from([1, 2, 3, 4]),
         exhaustive=st.booleans(),
+        small_budget=st.booleans(),
     )
     @settings(
         max_examples=12,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_equals_serial_property(self, seed, n, jobs, exhaustive):
+    def test_equals_serial_property(self, seed, n, jobs, exhaustive, small_budget):
         net = erdos_renyi(n, min(0.95, 8 / max(1, n - 1)), seed=seed)
+        budget = dict(c_query=0.1, c_target=0.3) if small_budget else {}
         params = SamplerParams(
-            k=2, h=2, seed=seed + 1, exhaustive_small_pools=exhaustive
+            k=2, h=2, seed=seed + 1, exhaustive_small_pools=exhaustive, **budget
         )
         assert build_spanner(net, params, jobs=jobs) == reference_build(net, params)
         assert _no_leaked_segments()
