@@ -630,7 +630,7 @@ class LevelPartial:
         return nodes
 
     def joins(self, n: int) -> tuple[tuple[int, int, int], ...]:
-        """Vectorized replay of the serial join rule: every active
+        """The join step of ``Cluster_j``, vectorized: every active
         non-center picks its minimum candidate center, tie-broken by the
         minimum edge id between the pair (outgoing or incoming)."""
         centers = self.centers
