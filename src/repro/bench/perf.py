@@ -230,8 +230,9 @@ def _stretch(built: tuple[Network, frozenset[int]]) -> object:
 # so the flood profile is built once and truncated thereafter.  The
 # measured body is a *warm* batch — spanner and flood profile already
 # cached — and the baseline is the same batch served cold (fresh
-# in-memory store, so the distributed construction and the profile
-# measurement are paid inside the timing).  Fresh payload instances per
+# in-memory store, so the spanner construction — the level kernel,
+# priced in the distributed run's messages and rounds (DESIGN.md
+# §3.15) — and the profile measurement are paid inside the timing).  Fresh payload instances per
 # batch keep the service's identity-dedup out of the measurement: every
 # warm request pays its real shared replay.
 def _service_payloads() -> list:
@@ -633,7 +634,10 @@ def default_kernels() -> list[Kernel]:
     )
     # service/* kernels: warm-batch throughput with the cold serve as
     # the baseline, so `speedup` records the amortization factor the
-    # artifact store buys (acceptance: >= 5x on service/gnp/n2000).
+    # artifact store buys.  The cold serve prices the construction
+    # instead of simulating it, which shrank the factor from ~100x to
+    # 12-15x on gnp and 8-12x on ba (2-core host); the floor stays
+    # >= 5x on service/gnp/n2000.
     for family, build in (
         ("gnp", lambda: _service_input(_gnp(2000))),
         ("ba", lambda: _service_input(barabasi_albert(2000, 4, seed=1))),
@@ -976,8 +980,8 @@ def render_serving_section(doc: dict) -> str:
 
     Each kernel serves one mixed batch of ``len(_service_payloads())``
     payload requests; requests/sec follows directly from the measured
-    batch times, cold (empty store: construction + flood profile paid
-    inside the serve) vs warm (both artifacts cached).
+    batch times, cold (empty store: the priced construction + flood
+    profile paid inside the serve) vs warm (both artifacts cached).
     """
     batch = len(_service_payloads())
     lines = [
@@ -1004,8 +1008,10 @@ def render_serving_section(doc: dict) -> str:
     lines.append(
         f"Each batch serves {batch} distinct payload algorithms (aggregation, "
         "matching, coloring, BFS, MIS) through `SimulationService`.  The cold "
-        "column pays the distributed `Sampler` construction and the flood-"
-        "profile measurement inside the serve; the warm column reuses both "
+        "column pays the `Sampler` construction (the level kernel, priced in "
+        "the messages and rounds of the distributed run, DESIGN.md §3.15) "
+        "and the flood-profile measurement inside the serve; the warm column "
+        "reuses both "
         "from the artifact store and pays only the per-payload shared "
         "replays — the paper's free lunch as a served-traffic number "
         "(DESIGN.md §3.8)."

@@ -18,7 +18,9 @@ Layout:
 * :mod:`repro.core.distributed` — the LOCAL-model implementation
   (Section 5), executed on :mod:`repro.local`.
 * :mod:`repro.core.accounting` — closed-form message accounting,
-  cross-validated against the distributed run.
+  cross-validated against the distributed run, and
+  ``build_spanner_priced``: a level-kernel build priced in the
+  distributed run's messages and rounds.
 """
 
 from repro.core.params import SamplerParams

@@ -17,8 +17,10 @@ class SpannerResult:
     """A constructed spanner ``H = (V, S)`` plus execution evidence.
 
     ``messages`` is ``None`` for the centralized driver and holds the
-    exact metered counts for the distributed driver.  ``rounds`` follows
-    the same convention.
+    exact message counts of the distributed construction otherwise:
+    metered by ``build_spanner_distributed`` or priced by
+    ``build_spanner_priced``, equal by contract (DESIGN.md §3.15).
+    ``rounds`` follows the same convention.
 
     ``provenance`` is the fingerprint chain of ancestor *graphs* a
     repaired spanner descends from, oldest first (empty for a fresh

@@ -1,7 +1,7 @@
 """Self-healing spanner repair: a checked rebuild on the level kernel.
 
 :func:`repair_spanner` takes a cached :class:`SpannerResult` (typically
-the distributed construction the artifact store holds), the post-churn
+the priced construction the artifact store holds), the post-churn
 :class:`Network`, and the :class:`~repro.dynamic.churn.MutationLog`
 chain connecting the two, and produces the spanner of the *new* graph:
 exactly ``build_spanner(new_network, params)`` (and therefore

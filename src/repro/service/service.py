@@ -11,8 +11,11 @@ view of LOCAL simulation.
 :class:`SimulationService` wraps an :class:`~repro.store.ArtifactStore`
 and answers :class:`SimulationRequest`\\ s:
 
-* the first request on a graph pays the distributed construction and
-  the flood-profile measurement (a *cold* serve);
+* the first request on a graph pays the spanner construction and the
+  flood-profile measurement (a *cold* serve).  The store builds the
+  spanner on the level kernel and prices it: its messages and rounds
+  are the counts the metered distributed run sends, equal by contract
+  (DESIGN.md §3.15);
 * every later request — any payload algorithm, any round budget ``t``
   whose flood radius fits the cached profile — reuses the spanner and
   truncates the schedule (a *warm* serve); a larger radius extends the
@@ -35,6 +38,7 @@ from typing import Any, Iterable
 
 from repro import obs
 from repro.algorithms.base import LocalAlgorithm
+from repro.core.accounting import expected_total_messages
 from repro.core.params import SamplerParams
 from repro.core.spanner import SpannerResult
 from repro.dynamic.churn import ChurnPlan, MutationLog
@@ -142,6 +146,21 @@ class SimulationResponse:
     def cold(self) -> bool:
         """Whether this serve paid the spanner construction."""
         return self.spanner_info.source == "built"
+
+    @property
+    def construction_messages_priced(self) -> int:
+        """The closed-form message cost of a distributed construction of
+        the served spanner, whether or not this serve paid it.
+
+        A store build carries its priced stats; a repaired spanner (a
+        level-kernel rebuild, not priced) is priced from its trace, and
+        a stale serve prices the ancestor it serves.  Computed on read,
+        so serves that never ask pay nothing for it.
+        """
+        spanner = self.spanner
+        if spanner.messages is not None:
+            return spanner.messages.total
+        return expected_total_messages(spanner.trace)
 
     def summary(self) -> str:
         source = self.spanner_info.source
@@ -334,12 +353,11 @@ class SimulationService:
         self._network = network
         self._params = params if params is not None else theorem3_params(gamma, seed=seed)
         self._seed = seed
-        # Worker count for the centralized construction work the service
-        # performs itself (repairs, which rebuild on the level kernel;
-        # 1 = in-process).  ``None`` defers to ``REPRO_BUILD_JOBS`` at
-        # call time.  Full rebuilds on a cache miss are the store's
-        # *distributed* metered construction and are unaffected —
-        # message metering is the artifact there.
+        # Worker count for the repairs the service runs itself (rebuilds
+        # on the level kernel; 1 = in-process).  ``None`` defers to
+        # ``REPRO_BUILD_JOBS`` at call time.  A full build on a cache
+        # miss is the store's priced build, which runs the level kernel
+        # at the process default whatever this says.
         self._build_jobs = build_jobs
         self.store = store if store is not None else ArtifactStore()
         self.metrics = ServiceMetrics()
@@ -495,6 +513,8 @@ class SimulationService:
                 spanner_source=response.spanner_info.source,
                 cold=response.cold,
                 messages=response.simulation.total_messages,
+                construction_paid=response.construction_messages_paid,
+                construction_priced=response.construction_messages_priced,
             )
         return response
 
@@ -513,7 +533,7 @@ class SimulationService:
                 f"{t} rounds on n={network.n}"
             )
         spanner, spanner_info = self._fetch_spanner_resilient(
-            network, params, request.allow_stale, execution
+            network, params, request.allow_stale
         )
         if spanner_info.source == "stale":
             # Degraded serve: answer over the cached ancestor's graph.
@@ -552,13 +572,12 @@ class SimulationService:
             report=report,
             spanner_info=spanner_info,
             schedule_info=schedule_info,
-            # A repaired spanner carries no message meter (repair is a
-            # centralized rebuild, not a metered distributed run) — and
-            # pays none: that is the point.
+            # Only a cold serve pays the construction, at its price
+            # (construction_messages_priced).  A repair rebuilds on the
+            # level kernel and a warm or stale serve reuses a cached
+            # spanner: none of them sends a construction message.
             construction_messages_paid=(
-                spanner.messages.total
-                if spanner_info.source == "built" and spanner.messages is not None
-                else 0
+                spanner.messages.total if spanner_info.source == "built" else 0
             ),
         )
 
@@ -567,7 +586,6 @@ class SimulationService:
         network: Network,
         params: SamplerParams,
         allow_stale: bool,
-        execution: Exec,
     ) -> tuple[SpannerResult, FetchInfo]:
         """Fetch with graceful degradation instead of failure.
 
@@ -593,9 +611,7 @@ class SimulationService:
                     self._served.add(fingerprint)
                     return repaired, FetchInfo("repaired")
             known = fingerprint in self._served or fingerprint in self._lineage
-            spanner, info = self.store.fetch_spanner(
-                network, params, execution=execution
-            )
+            spanner, info = self.store.fetch_spanner(network, params)
             if info.source == "built" and known:
                 self.metrics.bump(rebuilds=1)
         self._served.add(fingerprint)

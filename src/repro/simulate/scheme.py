@@ -104,17 +104,19 @@ def run_one_stage(
     (used by experiments that tune the practical constants).
     ``execution`` picks the implementation of every stage (DESIGN.md
     §3.14): the simulation stage's flood engine (§3.5), the scheduler
-    and round engine of every kernel execution — the distributed
-    construction and, under ``flood_engine="runtime"``, the simulated
-    flood (§3.6, §3.10) — and the fast path's distance plane (§3.7).
-    Every combination produces identical reports.
+    and round engine of every kernel execution — the metered
+    distributed construction and, under ``flood_engine="runtime"``, the
+    simulated flood (§3.6, §3.10) — and the fast path's distance plane
+    (§3.7).  Every combination produces identical reports.
 
     ``store`` (an :class:`~repro.store.ArtifactStore`, or ``None`` for
     the ``REPRO_STORE``-driven process default) reuses the
     payload-independent artifacts — the constructed spanner and, under
     the fast engine, the flood schedule — across calls that share a
     graph and parameters; reports are bit-identical with the store on,
-    off, cold, or warm (DESIGN.md §3.8).
+    off, cold, or warm (DESIGN.md §3.8).  A store builds the spanner
+    priced on the level kernel instead of metering the distributed run;
+    the two results are equal by contract (§3.15).
     """
     sampler_params = params if params is not None else theorem3_params(gamma, seed=seed)
     execution = execution or Exec()
@@ -125,9 +127,7 @@ def run_one_stage(
     ) as scheme_span:
         active_store = resolve_store(store)
         if active_store is not None:
-            spanner = active_store.spanner(
-                network, sampler_params, execution=execution
-            )
+            spanner = active_store.spanner(network, sampler_params)
         else:
             spanner = build_spanner_distributed(
                 network, sampler_params, execution=execution

@@ -108,14 +108,16 @@ def run_two_stage(
     stage-2 algorithm, and — because flood artifacts are keyed by the
     spanner's own fingerprint — the payload flood over ``H2`` as well,
     since the assembled ``H2`` is deterministic per (graph, seed).
-    Reports are bit-identical with the store on or off (DESIGN.md §3.8).
+    Reports are bit-identical with the store on or off (DESIGN.md §3.8);
+    a store prices the ``H1`` construction on the level kernel instead
+    of metering it, with an equal result (§3.15).
     """
     from repro.store.store import resolve_store  # lazy: store sits above simulate
 
     execution = execution or Exec()
     active_store = resolve_store(store)
     if active_store is not None:
-        stage1 = active_store.spanner(network, stage1_params, execution=execution)
+        stage1 = active_store.spanner(network, stage1_params)
     else:
         stage1 = build_spanner_distributed(
             network, stage1_params, execution=execution

@@ -2,7 +2,9 @@
 
 :class:`ArtifactStore` memoizes the message-expensive, payload-
 independent artifacts of the paper's two-stage scheme — the distributed
-``Sampler`` construction (:class:`~repro.core.spanner.SpannerResult`)
+``Sampler`` construction (:class:`~repro.core.spanner.SpannerResult`,
+built on a miss by the level kernel and priced in messages and rounds,
+DESIGN.md §3.15)
 and the Lemma 12 flood schedule in its extendable
 :class:`~repro.store.serialize.FloodProfile` form — keyed by
 :meth:`Network.fingerprint` plus the parameters that determine each
@@ -33,6 +35,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro import obs
+from repro.core import accounting
 from repro.core.params import SamplerParams
 from repro.core.spanner import SpannerResult
 from repro.execution import Exec
@@ -277,38 +280,29 @@ class ArtifactStore:
     # spanners
     # ------------------------------------------------------------------
     def fetch_spanner(
-        self,
-        network: Network,
-        params: SamplerParams,
-        *,
-        execution: Exec | None = None,
+        self, network: Network, params: SamplerParams
     ) -> tuple[SpannerResult, FetchInfo]:
-        """Get-or-build the distributed ``Sampler`` construction.
+        """Get-or-build the spanner of ``network`` under ``params``.
 
-        ``execution`` (its scheduler and round engine) is forwarded to
-        the builder on a miss but is not part of the key: every
-        combination produces identical ``RunReport``s (the DESIGN.md
-        §3.6 / §3.10 equivalence contracts), so a hit under any of them
-        is exact.
+        A miss runs :func:`~repro.core.accounting.build_spanner_priced`:
+        the level kernel, priced.  Its result equals what the metered
+        distributed run returns, messages and rounds included
+        (DESIGN.md §3.15), so an artifact serves every consumer of the
+        distributed construction.
         """
         if not obs.enabled():
-            return self._fetch_spanner_impl(network, params, execution)
+            return self._fetch_spanner_impl(network, params)
         with obs.span("store/fetch_spanner", n=network.n) as fetch_span:
-            result, info = self._fetch_spanner_impl(network, params, execution)
+            result, info = self._fetch_spanner_impl(network, params)
             fetch_span.set(source=info.source)
         return result, info
 
     def _fetch_spanner_impl(
-        self,
-        network: Network,
-        params: SamplerParams,
-        execution: Exec | None,
+        self, network: Network, params: SamplerParams
     ) -> tuple[SpannerResult, FetchInfo]:
         cached, info = self.peek_spanner(network, params)
         if cached is not None:
             return cached, info
-        from repro.core.distributed import build_spanner_distributed
-
         key = spanner_key(network.fingerprint(), params)
         with self._build_lock(key) as lock:
             # Re-check only after waiting out a *live* holder — it was
@@ -321,7 +315,7 @@ class ArtifactStore:
                 if cached is not None:
                     return cached, info
             self.stats.bump(misses=1)
-            built = build_spanner_distributed(network, params, execution=execution)
+            built = accounting.build_spanner_priced(network, params)
             self.put_spanner(built)
         return built, FetchInfo("built")
 
@@ -379,14 +373,8 @@ class ArtifactStore:
         failed peek the service answered by repair instead of build)."""
         self.stats.bump(misses=1)
 
-    def spanner(
-        self,
-        network: Network,
-        params: SamplerParams,
-        *,
-        execution: Exec | None = None,
-    ) -> SpannerResult:
-        return self.fetch_spanner(network, params, execution=execution)[0]
+    def spanner(self, network: Network, params: SamplerParams) -> SpannerResult:
+        return self.fetch_spanner(network, params)[0]
 
     # ------------------------------------------------------------------
     # flood schedules

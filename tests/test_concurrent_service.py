@@ -56,16 +56,16 @@ class TestSingleflight:
         n_threads = 6
         algos = [MinIdAggregation(2) for _ in range(n_threads)]
         # Before patching: under REPRO_STORE the reference run builds
-        # through the default store, whose lazy import would otherwise
-        # pick up the gated build and wait for a flight that never comes.
+        # through the default store, which would otherwise call the
+        # gated build and wait for a flight that never comes.
         reference = _reference(net, algos[0])
         front = ConcurrentSimulationService(
             net, params=PARAMS, seed=0, max_workers=n_threads, merge_window=0.0
         )
         key = spanner_key(net.fingerprint(), PARAMS)
-        import repro.core.distributed as distributed
+        import repro.core.accounting as accounting
 
-        real_build = distributed.build_spanner_distributed
+        real_build = accounting.build_spanner_priced
         calls = []
 
         def gated_build(*args, **kwargs):
@@ -81,7 +81,7 @@ class TestSingleflight:
             return real_build(*args, **kwargs)
 
         monkeypatch.setattr(
-            "repro.core.distributed.build_spanner_distributed", gated_build
+            "repro.core.accounting.build_spanner_priced", gated_build
         )
         with front:
             responses = front.serve(algos)
@@ -273,16 +273,16 @@ class TestDeadlines:
             net, params=PARAMS, seed=0, max_workers=2, merge_window=0.0
         )
         release = threading.Event()
-        import repro.core.distributed as distributed
+        import repro.core.accounting as accounting
 
-        real_build = distributed.build_spanner_distributed
+        real_build = accounting.build_spanner_priced
 
         def slow_build(*args, **kwargs):
             release.wait(timeout=30.0)
             return real_build(*args, **kwargs)
 
         monkeypatch.setattr(
-            "repro.core.distributed.build_spanner_distributed", slow_build
+            "repro.core.accounting.build_spanner_priced", slow_build
         )
         pool = front._ensure_pool()
         leader = pool.submit(front.submit, MinIdAggregation(2))

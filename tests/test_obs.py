@@ -134,7 +134,10 @@ class TestDeterminism:
         )
         assert all(r["parent"] == roots[0]["id"] for r in levels)
 
-    def test_runtime_span_carries_roll_ups(self, net, obs_on):
+    def test_runtime_span_carries_roll_ups(self, net, obs_on, monkeypatch):
+        # The store-less path meters the distributed run; a store would
+        # price the construction and record no runtime/run span.
+        monkeypatch.delenv("REPRO_STORE", raising=False)
         report = run_one_stage(net, MinIdAggregation(2), params=PARAMS, seed=0)
         records = obs.collector().finished()
         runs = [r for r in records if r["name"] == "runtime/run"]
@@ -402,6 +405,29 @@ class TestServiceIntegration:
         assert len(answers) == 2  # one cold build, one warm cache hit
         sources = [r["attrs"]["spanner_source"] for r in answers]
         assert sorted(sources) == ["built", "memory"]
+
+    def test_cold_serve_records_the_priced_build(self, net, obs_on):
+        from repro.service import SimulationService
+
+        service = SimulationService(net, params=PARAMS, seed=0)
+        response = service.submit(MinIdAggregation(2))
+        assert response.cold
+        records = obs.collector().finished()
+        by_id = {r["id"]: r for r in records}
+        (price,) = [r for r in records if r["name"] == "build/price"]
+        assert price["attrs"]["messages"] == response.construction_messages_paid
+        assert price["attrs"]["rounds"] == response.spanner.rounds
+        (build,) = [r for r in records if r["name"] == "build/spanner"]
+        for span in (price, build):
+            assert by_id[span["parent"]]["name"] == "store/fetch_spanner"
+        levels = [r for r in records if r["name"] == "build/level"]
+        assert len(levels) == PARAMS.levels
+        assert all(r["parent"] == build["id"] for r in levels)
+        names = {r["name"] for r in records}
+        assert not names & {"build/distributed", "runtime/run"}
+        (answer,) = [r for r in records if r["name"] == "service/answer"]
+        assert answer["attrs"]["construction_paid"] == price["attrs"]["messages"]
+        assert answer["attrs"]["construction_priced"] == price["attrs"]["messages"]
 
     def test_trace_file_merges_with_build_spans(self, net, tmp_path, obs_on):
         """The acceptance flow in miniature: parallel build + serve →

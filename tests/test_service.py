@@ -22,6 +22,7 @@ from repro.algorithms import (
     RandomizedColoring,
 )
 from repro.core import SamplerParams
+from repro.core.distributed import build_spanner_distributed
 from repro.dynamic import ChurnPlan, apply_churn
 from repro.errors import ConfigurationError
 from repro.execution import Exec
@@ -287,6 +288,47 @@ def churn_plan(seed: int = 21, epochs: int = 1) -> ChurnPlan:
         node_crash=0.01,
         node_recovery=0.5,
     )
+
+
+class TestConstructionPrice:
+    """Every response carries the closed-form message cost of a
+    distributed construction of the spanner it serves."""
+
+    def test_built_response_is_priced_at_what_it_paid(self, net):
+        service = SimulationService(net, params=PARAMS, seed=5)
+        cold = service.submit(BallCollect(2))
+        warm = service.submit(BallCollect(2))
+        metered = build_spanner_distributed(net, PARAMS).messages.total
+        assert cold.construction_messages_paid == metered
+        assert cold.construction_messages_priced == metered
+        assert warm.construction_messages_paid == 0
+        assert warm.construction_messages_priced == metered
+
+    def test_repaired_response_is_priced_at_a_metered_rebuild(self, net):
+        service = SimulationService(net, params=PARAMS, seed=5)
+        service.submit(BallCollect(2))
+        child, _ = service.apply_churn(churn_plan())
+        response = service.submit(BallCollect(2))
+        assert response.spanner_info.source == "repaired"
+        assert response.spanner.messages is None
+        assert response.construction_messages_paid == 0
+        metered = build_spanner_distributed(child, PARAMS).messages.total
+        assert response.construction_messages_priced == metered
+
+    def test_stale_response_prices_the_ancestor_it_serves(self, net):
+        service = SimulationService(net, params=PARAMS, seed=5)
+        service.submit(BallCollect(2))
+        plan = churn_plan(seed=41, epochs=2)
+        child, _ = service.apply_churn(plan, 0)
+        service.submit(BallCollect(2))  # repaired: child is now cached
+        service.apply_churn(plan, 1)
+        stale = service.submit(
+            SimulationRequest(algo=BallCollect(2), allow_stale=True)
+        )
+        assert stale.spanner_info.source == "stale"
+        metered = build_spanner_distributed(child, PARAMS).messages.total
+        assert stale.construction_messages_priced == metered
+        assert stale.construction_messages_paid == 0
 
 
 class TestResilientServing:
