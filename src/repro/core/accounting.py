@@ -94,18 +94,19 @@ def expected_rounds(params: SamplerParams) -> int:
 def expected_per_round(network: Network, trace: SamplerTrace) -> list[int]:
     """Messages *sent* in each round of the distributed run, round 0 first.
 
-    ``total_rounds + 1`` buckets.  Every level's tree sessions run over
-    the cluster trees at the level's start, which the trace's joins
-    determine: replayed on a :class:`ClusterForest`, each joiner is
-    re-rooted at its endpoint of the join edge and hung below the
-    center's.  With ``d(x)`` a member's depth and ``h(x)`` the height
-    of its subtree, a convergecast member sends at ``start + h(x)``, a
-    broadcast reaches it by a message sent at ``start + d(x) - 1``, and
-    the re-root flood reaches a joiner member at tree distance ``δ``
-    from the join endpoint by a message sent at ``start + δ - 1``.
-    Point-to-point phases send everything at their start (RESPONSE and
-    STATUS_REP one round after their request).  DESIGN.md §3.15 lists
-    the rules phase by phase.
+    ``total_rounds + 1`` buckets.  Every level's broadcasts and
+    convergecasts run over the cluster trees at the level's start,
+    which the trace's joins determine: replayed on a
+    :class:`ClusterForest`, each joiner is re-rooted at its endpoint of
+    the join edge and hung below the center's.  With ``d(x)`` a
+    member's depth and ``h(x)`` the height of its subtree, a
+    convergecast member sends at ``start + h(x)``, a broadcast reaches
+    it by a message sent at ``start + d(x) - 1``, and the re-root flood
+    reaches a joiner member at tree distance ``δ`` from the join
+    endpoint by a message sent at ``start + δ - 1``.  Point-to-point
+    phases send everything at their start (RESPONSE and STATUS_REP one
+    round after their request).  DESIGN.md §3.15 lists the rules phase
+    by phase.
     """
     params = trace.params
     schedule = Schedule.build(params)
@@ -212,16 +213,15 @@ def build_spanner_priced(
     at the process-default ``jobs``) and returns what
     :func:`~repro.core.distributed.build_spanner_distributed` returns
     for the same inputs, field for field: the kernel's edges, its trace
-    in the driver's distributed view, the schedule's round count, and
-    message stats whose ``total``, ``by_tag`` and ``per_round`` are the
-    closed forms above.  ``tests/test_pricing.py`` holds the two
-    builders equal.
+    in the distributed view, the schedule's round count, and message
+    stats whose ``total``, ``by_tag`` and ``per_round`` are the closed
+    forms above.  ``tests/test_pricing.py`` holds the two equal.
 
-    Raises :class:`SimulationError` where the metered driver does: on a
+    Raises :class:`SimulationError` where the metered run does: on a
     level with population 0 every node halts before the schedule ends,
-    which the driver refuses as a round mismatch.  It also raises when
-    the priced counts disagree with each other; it never falls back to
-    the simulation.
+    which ``build_spanner_distributed`` refuses as a round mismatch.
+    It also raises when the priced counts disagree with each other; it
+    never falls back to the simulation.
     """
     built = build_spanner(network, params)
     with obs.span("build/price", n=network.n) as price_span:
@@ -252,10 +252,10 @@ def build_spanner_priced(
 
 
 def _distributed_view(trace: SamplerTrace) -> SamplerTrace:
-    """The trace as the distributed driver reconstructs it: the fields
-    no node observes locally — degrees in ``G_j``, the active/stale
-    edge split, tree heights and the finished records — are ``-1`` or
-    empty."""
+    """The trace as ``build_spanner_distributed`` reconstructs it: the
+    fields no node observes locally — degrees in ``G_j``, the
+    active/stale edge split, tree heights and the finished records —
+    are ``-1`` or empty."""
     levels = [
         dataclasses.replace(
             level,

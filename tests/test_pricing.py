@@ -3,10 +3,10 @@
 ``build_spanner_priced`` runs the level kernel and prices the
 construction in closed form; ``build_spanner_distributed`` runs the
 message-passing protocol and meters it.  The contract is full
-:class:`SpannerResult` equality — edges, the trace in the driver's
-distributed view, rounds, and message stats down to ``per_round`` — on
-every input the metered driver accepts, and the same refusal on the
-inputs it refuses (a level with population 0).
+:class:`SpannerResult` equality — edges, the trace in its distributed
+view, rounds, and message stats down to ``per_round`` — on every input
+the metered run accepts, and the same refusal on the inputs it refuses
+(a level with population 0).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.core.distributed import build_spanner_distributed
 from repro.errors import SimulationError
 from repro.graphs import barabasi_albert, erdos_renyi, grid, torus
 from repro.local.network import Network
+from repro.local.runtime import Runtime
 from repro.store import ArtifactStore
 from test_core_equivalence import CASES
 
@@ -124,7 +125,7 @@ class TestDisconnected:
 
 class TestAtlas:
     """Exhaustive over the small connected graphs: equal wherever the
-    metered driver runs, and refused wherever it refuses."""
+    metered run completes, and refused wherever it refuses."""
 
     def test_atlas_has_thirty_connected_graphs(self):
         assert len(connected_atlas()) == 30
@@ -137,9 +138,9 @@ class TestAtlas:
             for seed in (0, 1):
                 params = SamplerParams(k=k, h=2, seed=seed)
                 if 0 in build_spanner(net, params).trace.populations:
-                    for builder in (build_spanner_priced, build_spanner_distributed):
+                    for build in (build_spanner_priced, build_spanner_distributed):
                         with pytest.raises(SimulationError):
-                            builder(net, params)
+                            build(net, params)
                 else:
                     assert_priced_equals_metered(net, params)
                     compared += 1
@@ -147,7 +148,7 @@ class TestAtlas:
 
 
 class TestEmptyLevel:
-    def test_both_builders_refuse_an_empty_level(self):
+    def test_priced_and_metered_refuse_an_empty_level(self):
         net = erdos_renyi(5, 0.4, seed=0)
         params = SamplerParams(k=2, h=1, seed=0)
         assert build_spanner(net, params).trace.populations[-1] == 0
@@ -175,7 +176,7 @@ class TestStorePrices:
         def refuse(*_args, **_kwargs):
             raise AssertionError("the store must price, not simulate")
 
-        monkeypatch.setattr("repro.core.distributed.driver.run_program", refuse)
+        monkeypatch.setattr(Runtime, "run", refuse)
         built, info = ArtifactStore().fetch_spanner(net, params)
         assert info.source == "built"
         assert built == metered
@@ -205,8 +206,8 @@ def test_priced_equals_metered_property(
         k=k, h=h, seed=seed, exhaustive_small_pools=exhaustive, **budget
     )
     if 0 in build_spanner(net, params).trace.populations:
-        for builder in (build_spanner_priced, build_spanner_distributed):
+        for build in (build_spanner_priced, build_spanner_distributed):
             with pytest.raises(SimulationError):
-                builder(net, params)
+                build(net, params)
     else:
         assert_priced_equals_metered(net, params)
