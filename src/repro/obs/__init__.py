@@ -1,10 +1,11 @@
 """repro.obs -- the unified telemetry plane (DESIGN.md §3.13).
 
-Hierarchical spans + a metrics registry + three exporters, all gated by
-``REPRO_OBS`` (default off: no-op spans, zero allocation).  This package
-imports nothing from the rest of ``repro`` -- instrumented modules
-import it, never the other way round -- so it can sit underneath every
-layer without cycles.
+Hierarchical spans, the one counter type (:class:`Counters`) with a
+metrics registry, and three exporters.  Spans are gated by
+``REPRO_OBS`` (default off: no-op spans, zero allocation); counters
+always count.  This package imports nothing from the rest of ``repro``
+-- instrumented modules import it, never the other way round -- so it
+can sit underneath every layer without cycles.
 """
 
 from .export import (
@@ -18,7 +19,7 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
-from .registry import Counter, Gauge, MetricsRegistry, registry
+from .registry import Counters, MetricsRegistry, registry
 from .report import format_report, report_file, summarize
 from .spans import (
     ENV_VAR,
@@ -37,8 +38,7 @@ __all__ = [
     "ENV_VAR",
     "NOOP_SPAN",
     "Collector",
-    "Counter",
-    "Gauge",
+    "Counters",
     "MetricsRegistry",
     "Span",
     "as_record",

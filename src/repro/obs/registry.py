@@ -1,23 +1,26 @@
-"""The metrics half of the telemetry plane: one registry, many sources.
+"""The metrics half of the telemetry plane: one counter type, one registry.
 
-The repo grew four counter families before it grew a common schema:
-``MessageStats`` (simulation), ``ServiceMetrics`` (serving),
-``StoreStats`` (artifact store), and the chaos counters folded into
-``StoreStats``.  Rather than rewrite them, the registry absorbs
-anything with a ``snapshot() -> dict`` method -- all four already have
-one (``MessageStats`` gained its own in this PR).  On top of that it
-offers typed first-class :class:`Counter`/:class:`Gauge` instruments
-for code that has no legacy stats object to lean on.
+:class:`Counters` is the one counter type of the serving stack: a
+subclass lists its names once in ``NAMES`` and gets one lock, an atomic
+:meth:`~Counters.bump`, a consistent :meth:`~Counters.snapshot` and a
+read-only attribute per name.  ``StoreStats`` and ``ServiceMetrics``
+are such subclasses, and each counter has exactly one owner: the
+service does not copy the store's counters, a reader asks the store.
 
-``collect()`` returns ``{source_name: snapshot_dict}``; the Prometheus
-exporter in :mod:`repro.obs.export` renders that as a text exposition
-page.
+The registry absorbs anything with a ``snapshot() -> dict`` method --
+``Counters`` subclasses and ``MessageStats`` alike -- under a source
+name.  ``collect()`` returns ``{source_name: snapshot_dict}``; the
+Prometheus exporter in :mod:`repro.obs.export` renders that as a text
+exposition page.  Counters stay owned by the store or service that
+bumps them rather than by the registry: those objects are created and
+dropped freely (a fresh store per benchmark cycle, per test), and
+registration is how a long-lived process chooses which to expose.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Protocol, runtime_checkable
+from typing import Any, Dict, Protocol, Tuple, runtime_checkable
 
 
 @runtime_checkable
@@ -28,66 +31,53 @@ class SnapshotSource(Protocol):
         ...
 
 
-class Counter:
-    """A monotonically increasing integer."""
+class Counters:
+    """Named integer counters behind one lock.
 
-    __slots__ = ("name", "_value", "_lock")
+    Subclasses set ``NAMES``; each name reads as an attribute.  Every
+    mutation goes through :meth:`bump` and :meth:`snapshot` reads under
+    the same lock, so worker threads can hammer one object and any
+    snapshot is internally consistent (it never shows half of a bump).
+    """
 
-    def __init__(self, name: str):
-        self.name = name
-        self._value = 0
+    NAMES: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        for name in cls.NAMES:
+            setattr(cls, name, property(lambda self, name=name: self._values[name]))
+
+    def __init__(self) -> None:
         self._lock = threading.Lock()
+        self._values = dict.fromkeys(self.NAMES, 0)
 
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up; use a Gauge")
+    def bump(self, **deltas: int) -> None:
+        """Atomically add to any subset of counters.
+
+        A name not in ``NAMES`` raises ``AttributeError`` before any
+        counter moves: a misspelt counter must fail, not vanish.
+        """
+        if not deltas.keys() <= self._values.keys():
+            unknown = sorted(deltas.keys() - self._values.keys())
+            raise AttributeError(f"{type(self).__name__} has no counter {unknown}")
         with self._lock:
-            self._value += amount
+            for name, delta in deltas.items():
+                self._values[name] += delta
 
-    @property
-    def value(self) -> int:
+    def snapshot(self) -> Dict[str, int]:
         with self._lock:
-            return self._value
+            return dict(self._values)
 
-    def snapshot(self) -> Dict[str, Any]:
-        return {self.name: self.value}
-
-
-class Gauge:
-    """A value that can move both ways (queue depth, cache size, ...)."""
-
-    __slots__ = ("name", "_value", "_lock")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    def add(self, delta: float) -> None:
-        with self._lock:
-            self._value += delta
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {self.name: self.value}
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.snapshot()})"
 
 
 class MetricsRegistry:
-    """Named snapshot sources plus registry-owned instruments."""
+    """Named snapshot sources, collected together."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._sources: Dict[str, SnapshotSource] = {}
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
 
     def register(self, name: str, source: SnapshotSource) -> SnapshotSource:
         """Attach a snapshot()-bearing source under ``name``.
@@ -109,26 +99,12 @@ class MetricsRegistry:
         with self._lock:
             self._sources.pop(name, None)
 
-    def counter(self, name: str) -> Counter:
-        with self._lock:
-            instrument = self._counters.get(name)
-            if instrument is None:
-                instrument = self._counters[name] = Counter(name)
-            return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            instrument = self._gauges.get(name)
-            if instrument is None:
-                instrument = self._gauges[name] = Gauge(name)
-            return instrument
-
     def sources(self) -> Dict[str, SnapshotSource]:
         with self._lock:
             return dict(self._sources)
 
     def collect(self) -> Dict[str, Dict[str, Any]]:
-        """Snapshot every source and instrument, keyed by source name.
+        """Snapshot every source, keyed by source name.
 
         Sources snapshot outside the registry lock -- their own locks
         order the reads, and a slow source must not stall register().
@@ -136,25 +112,13 @@ class MetricsRegistry:
 
         with self._lock:
             sources = dict(self._sources)
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-        out: Dict[str, Dict[str, Any]] = {}
-        for name, source in sorted(sources.items()):
-            out[name] = dict(source.snapshot())
-        instruments: Dict[str, Any] = {}
-        for name, counter in sorted(counters.items()):
-            instruments[name] = counter.value
-        for name, gauge in sorted(gauges.items()):
-            instruments[name] = gauge.value
-        if instruments:
-            out["obs"] = instruments
-        return out
+        return {
+            name: dict(source.snapshot()) for name, source in sorted(sources.items())
+        }
 
     def reset(self) -> None:
         with self._lock:
             self._sources.clear()
-            self._counters.clear()
-            self._gauges.clear()
 
 
 _registry = MetricsRegistry()

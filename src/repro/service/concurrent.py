@@ -8,10 +8,10 @@ one artifact build instead of trampling each other.  Three layers of
 sharing, outermost first:
 
 * a **batching window** (``merge_window`` seconds) merges *identical*
-  requests — equal :meth:`SimulationRequest.identity`, the token of
-  ``serve()``'s intra-batch dedupe — across callers into one shared
-  replay.  Followers wait on the in-flight serve, repeats within the
-  window reuse the completed response; both are counted ``merged``;
+  requests — equal :meth:`SimulationRequest.identity` — across callers
+  into one shared replay; it is the serving stack's only dedupe layer.
+  Followers wait on the in-flight serve, repeats within the window
+  reuse the completed response; both are counted ``merged``;
 * a per-artifact-key **singleflight** gate: N concurrent requests on a
   *cold* graph elect one leader to pay the spanner construction while
   the followers block on its completion and then serve warm — exactly
@@ -170,30 +170,22 @@ class ConcurrentSimulationService:
         service: SimulationService | None = None,
         store: ArtifactStore | None = None,
         params: SamplerParams | None = None,
-        gamma: int = 1,
-        seed: int = 0,
-        build_jobs: int | None = None,
+        gamma: int | None = None,
+        seed: int | None = None,
         max_workers: int = 4,
         merge_window: float = 0.05,
         deadline: float | None = None,
         trace: bool = True,
     ) -> None:
-        if service is not None and (
-            network is not None or store is not None or params is not None
-        ):
+        inner = {"store": store, "params": params, "gamma": gamma, "seed": seed}
+        inner = {name: value for name, value in inner.items() if value is not None}
+        if service is not None and (network is not None or inner):
             raise ValueError(
                 "pass either service= or the inner service's constructor "
                 "arguments, not both"
             )
         if service is None:
-            service = SimulationService(
-                network,
-                store=store,
-                params=params,
-                gamma=gamma,
-                seed=seed,
-                build_jobs=build_jobs,
-            )
+            service = SimulationService(network, **inner)
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if merge_window < 0:
@@ -206,9 +198,8 @@ class ConcurrentSimulationService:
         self._traces: list[RequestTrace] = []
         self._next_id = 0
         self._trace_lock = threading.Lock()
-        # The inner service's replay path (subnet memo, lineage walk,
-        # metrics sync) is single-threaded by design; every actual
-        # serve holds this.
+        # The inner service's replay path (subnet memo, lineage walk)
+        # is single-threaded by design; every actual serve holds this.
         self._serve_lock = threading.Lock()
         self._flight_lock = threading.Lock()
         self._flights: dict[str, _Flight] = {}
@@ -268,7 +259,6 @@ class ConcurrentSimulationService:
             if self.merge_window > 0:
                 shared, pending = self._join_or_lead(token, expires)
                 if shared is not None:
-                    self.metrics.bump(merged=1)
                     self.metrics.observe_shared(shared)
                     self._record(request, started, spans, "merged", shared)
                     return shared

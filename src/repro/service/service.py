@@ -32,9 +32,8 @@ the free lunch visible as a served-traffic number.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+from dataclasses import dataclass
+from typing import Any
 
 from repro import obs
 from repro.algorithms.base import LocalAlgorithm
@@ -103,8 +102,9 @@ class SimulationRequest:
     allow_stale: bool = False
 
     def identity(self) -> tuple:
-        """The dedupe token: two requests with equal identities get one
-        answer.  It holds the payload object itself (identity hash),
+        """The dedupe token: the concurrent front's batching window
+        gives requests with equal identities one answer (DESIGN.md
+        §3.12).  It holds the payload object itself (identity hash),
         which keeps it alive while the token is held, so a recycled
         ``id`` can never alias two algorithms; every other field
         compares by value."""
@@ -180,58 +180,24 @@ class SimulationResponse:
         )
 
 
-@dataclass
-class ServiceMetrics:
-    """Cumulative served-traffic accounting.
+class ServiceMetrics(obs.Counters):
+    """Cumulative served-traffic accounting (thread-safe, see
+    :class:`repro.obs.Counters`): the concurrent front's worker threads
+    share one object, and a snapshot never shows a request without the
+    hit or build it implied.  The store's own counters (retries, locks,
+    corruption) live in ``service.store.stats``."""
 
-    Thread-safe: observations and :meth:`bump` mutate under one
-    internal lock, and :meth:`snapshot` reads under it, so the
-    concurrent front's worker threads can hammer one metrics object and
-    any snapshot is internally consistent (a request is never visible
-    without the hit/build it implied).
-    """
-
-    requests: int = 0
-    cold_serves: int = 0
-    spanner_hits: int = 0
-    spanner_builds: int = 0
-    repairs: int = 0
-    rebuilds: int = 0
-    retries: int = 0
-    stale_served: int = 0
-    coalesced: int = 0  # singleflight followers sharing a leader's build
-    merged: int = 0  # batching-window repeats sharing one replay
-    timeouts: int = 0  # requests that hit their deadline
-    lock_contended: int = 0  # mirrored from StoreStats by the service
-    lock_reclaimed: int = 0
-    schedule_hits: int = 0
-    schedule_builds: int = 0
-    schedule_truncations: int = 0
-    schedule_extensions: int = 0
-    schedule_bypasses: int = 0
-    construction_messages_paid: int = 0
-    construction_rounds_paid: int = 0
-    simulation_messages: int = 0
-    simulation_rounds: int = 0
-
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    _COUNTERS = (
+    NAMES = (
         "requests",
         "cold_serves",
         "spanner_hits",
         "spanner_builds",
         "repairs",
         "rebuilds",
-        "retries",
         "stale_served",
-        "coalesced",
-        "merged",
-        "timeouts",
-        "lock_contended",
-        "lock_reclaimed",
+        "coalesced",  # singleflight followers sharing a leader's build
+        "merged",  # batching-window repeats sharing one replay
+        "timeouts",  # requests that hit their deadline
         "schedule_hits",
         "schedule_builds",
         "schedule_truncations",
@@ -243,61 +209,51 @@ class ServiceMetrics:
         "simulation_rounds",
     )
 
-    def bump(self, **deltas: int) -> None:
-        """Atomically add to any subset of counters."""
-        with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {name: getattr(self, name) for name in self._COUNTERS}
-
     def observe(self, response: SimulationResponse) -> None:
-        with self._lock:
-            self.requests += 1
-            source = response.spanner_info.source
-            if response.cold:
-                self.cold_serves += 1
-                self.spanner_builds += 1
-                self.construction_messages_paid += response.construction_messages_paid
-                rounds = response.spanner.rounds
-                self.construction_rounds_paid += rounds if rounds is not None else 0
-            elif source == "repaired":
-                # Neither a hit nor a cold build: construction was healed
-                # from a cached ancestor at no metered message cost.
-                self.repairs += 1
-            elif source == "stale":
-                self.stale_served += 1
-                self.spanner_hits += 1  # served entirely from cache — an
-                # ancestor's entry, which is exactly what the flag allows
-            else:
-                self.spanner_hits += 1
-            info = response.schedule_info
-            if info is not None:
-                if info.source == "built":
-                    self.schedule_builds += 1
-                elif info.source == "bypass":
-                    self.schedule_bypasses += 1
-                else:
-                    self.schedule_hits += 1
-                self.schedule_truncations += int(info.truncated)
-                self.schedule_extensions += int(info.extended)
-            self.simulation_messages += response.simulation.total_messages
-            self.simulation_rounds += response.simulation.rounds
+        source = response.spanner_info.source
+        deltas = {
+            "requests": 1,
+            "simulation_messages": response.simulation.total_messages,
+            "simulation_rounds": response.simulation.rounds,
+        }
+        if response.cold:
+            deltas.update(
+                cold_serves=1,
+                spanner_builds=1,
+                construction_messages_paid=response.construction_messages_paid,
+                construction_rounds_paid=response.spanner.rounds or 0,
+            )
+        elif source == "repaired":
+            # Neither a hit nor a cold build: construction was healed
+            # from a cached ancestor at no metered message cost.
+            deltas["repairs"] = 1
+        elif source == "stale":
+            # Served entirely from cache — an ancestor's entry, which is
+            # exactly what the flag allows.
+            deltas.update(stale_served=1, spanner_hits=1)
+        else:
+            deltas["spanner_hits"] = 1
+        info = response.schedule_info
+        if info is not None:
+            kinds = {"built": "schedule_builds", "bypass": "schedule_bypasses"}
+            deltas[kinds.get(info.source, "schedule_hits")] = 1
+            deltas["schedule_truncations"] = int(info.truncated)
+            deltas["schedule_extensions"] = int(info.extended)
+        self.bump(**deltas)
 
     def observe_shared(self, response: SimulationResponse) -> None:
-        """Record a deduplicated repeat of an already-served response.
+        """Record a merged repeat of an already-served response.
 
         The repeat is real traffic (``requests``) answered entirely from
         caches — it paid no construction and sent no new simulation
-        messages, so only the hit counters move.
+        messages, so only ``merged`` and the hit counters move.
         """
-        with self._lock:
-            self.requests += 1
-            self.spanner_hits += 1
-            if response.schedule_info is not None:
-                self.schedule_hits += 1
+        self.bump(
+            requests=1,
+            merged=1,
+            spanner_hits=1,
+            schedule_hits=int(response.schedule_info is not None),
+        )
 
     # ------------------------------------------------------------------
     # the amortization story
@@ -348,17 +304,10 @@ class SimulationService:
         params: SamplerParams | None = None,
         gamma: int = 1,
         seed: int = 0,
-        build_jobs: int | None = None,
     ) -> None:
         self._network = network
         self._params = params if params is not None else theorem3_params(gamma, seed=seed)
         self._seed = seed
-        # Worker count for the repairs the service runs itself (rebuilds
-        # on the level kernel; 1 = in-process).  ``None`` defers to
-        # ``REPRO_BUILD_JOBS`` at call time.  A full build on a cache
-        # miss is the store's priced build, which runs the level kernel
-        # at the process default whatever this says.
-        self._build_jobs = build_jobs
         self.store = store if store is not None else ArtifactStore()
         self.metrics = ServiceMetrics()
         # Spanner subnetworks memoized per (graph, edge set): building
@@ -376,8 +325,6 @@ class SimulationService:
         # build on one of these is a *re*build (cache loss), not a
         # first-contact cold serve, and is counted separately.
         self._served: set[str] = set()
-        self._retries_seen = 0
-        self._locks_seen = (0, 0)  # (lock_contended, lock_reclaimed)
 
     @property
     def network(self) -> Network | None:
@@ -469,38 +416,6 @@ class SimulationService:
         self.metrics.observe(response)
         return response
 
-    def serve(self, requests: Iterable[SimulationRequest | LocalAlgorithm]) -> list[SimulationResponse]:
-        """Serve a batch; exact repeats within the batch share one replay.
-
-        Deduplication is by :meth:`SimulationRequest.identity`: the
-        object identity of the request's payload plus every other
-        field.  Submitting the *same* algorithm instance twice in one
-        batch re-serves the first response instead of replaying — the
-        only equality the pure-state-machine interface lets the service
-        assume.
-
-        Metrics count every request; a deduplicated repeat is recorded
-        as pure cache traffic (no construction paid, no new simulation
-        messages — nothing extra was actually sent).
-        """
-        shared: dict[tuple, SimulationResponse] = {}
-        responses: list[SimulationResponse] = []
-        for item in requests:
-            request = (
-                item
-                if isinstance(item, SimulationRequest)
-                else SimulationRequest(algo=item)
-            )
-            token = request.identity()
-            cached = shared.get(token)
-            if cached is None:
-                cached = shared[token] = self._answer(request)
-                self.metrics.observe(cached)
-            else:
-                self.metrics.observe_shared(cached)
-            responses.append(cached)
-        return responses
-
     # ------------------------------------------------------------------
     def _answer(self, request: SimulationRequest) -> SimulationResponse:
         if not obs.enabled():
@@ -567,7 +482,6 @@ class SimulationService:
         report = SchemeReport(
             outputs=simulation.outputs, spanner=spanner, simulation=simulation
         )
-        self._sync_retries()
         return SimulationResponse(
             report=report,
             spanner_info=spanner_info,
@@ -628,23 +542,7 @@ class SimulationService:
         degrades to the rebuild the caller counts; anything else is a
         bug and propagates."""
         try:
-            return repair_spanner(ancestor, network, logs, jobs=self._build_jobs)
+            return repair_spanner(ancestor, network, logs)
         except (ConfigurationError, SimulationError) as exc:
             obs.event("service/repair_failed", error=type(exc).__name__)
             return None
-
-    def _sync_retries(self) -> None:
-        """Surface the store's resilience counters in service metrics.
-
-        Deltas (not absolutes) so a store shared by several services
-        attributes each retry/lock event to at most one of them.
-        """
-        snap = self.store.stats.snapshot()
-        contended, reclaimed = self._locks_seen
-        self.metrics.bump(
-            retries=snap["retries"] - self._retries_seen,
-            lock_contended=snap["lock_contended"] - contended,
-            lock_reclaimed=snap["lock_reclaimed"] - reclaimed,
-        )
-        self._retries_seen = snap["retries"]
-        self._locks_seen = (snap["lock_contended"], snap["lock_reclaimed"])

@@ -105,40 +105,19 @@ def _served(source: str, profile: FloodProfile, radius: int) -> FetchInfo:
     )
 
 
-@dataclass
-class StoreStats:
-    """Cumulative counters over one store's lifetime.
+class StoreStats(obs.Counters):
+    """Cumulative counters over one store's lifetime (thread-safe, see
+    :class:`repro.obs.Counters`): a snapshot taken while worker threads
+    hammer the store never shows, say, a retry whose miss is missing."""
 
-    Thread-safe: every mutation goes through :meth:`bump` under one
-    internal lock, and :meth:`snapshot` reads under the same lock, so a
-    snapshot taken while worker threads hammer the store is internally
-    consistent (it never shows, say, a retry whose miss is missing).
-    """
-
-    memory_hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    corrupt: int = 0
-    puts: int = 0
-    bypasses: int = 0
-    retries: int = 0
-    backoff_waits: int = 0
-    lock_contended: int = 0
-    lock_reclaimed: int = 0
-    chaos_injected: int = 0
-
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    _COUNTERS = (
+    NAMES = (
         "memory_hits",
         "disk_hits",
         "misses",
         "evictions",
         "corrupt",
         "puts",
+        "write_failures",
         "bypasses",
         "retries",
         "backoff_waits",
@@ -150,16 +129,6 @@ class StoreStats:
     @property
     def hits(self) -> int:
         return self.memory_hits + self.disk_hits
-
-    def bump(self, **deltas: int) -> None:
-        """Atomically add to any subset of counters."""
-        with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {name: getattr(self, name) for name in self._COUNTERS}
 
 
 @dataclass
@@ -649,7 +618,8 @@ class ArtifactStore:
             raise ArtifactError(f"chaos: injected corrupt read for {key[:12]}…")
 
     def _persist(self, key: str, saver, artifact) -> None:
-        """Atomic write-through; I/O failure degrades to memory-only."""
+        """Atomic write-through; I/O failure degrades to memory-only,
+        counted in ``stats.write_failures``."""
         if self._dir is None:
             return
         path = self._entry_path(key)
@@ -659,8 +629,11 @@ class ArtifactStore:
             saver(tmp, artifact)
             os.replace(tmp, path)
             self.stats.bump(puts=1)
-        except OSError:
-            # A full or read-only disk must not take the service down.
+        except OSError as exc:
+            # A full or read-only disk must not take the service down;
+            # the entry stays in memory and the failure is counted.
+            self.stats.bump(write_failures=1)
+            obs.event("store/write_failed", key=key[:12], error=type(exc).__name__)
             try:
                 tmp.unlink(missing_ok=True)
             except OSError:

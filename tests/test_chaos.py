@@ -178,4 +178,3 @@ class TestInjectedFaults:
         assert bfs.report.outputs == run_one_stage(
             net, BfsLayers(0, 2), params=PARAMS, seed=0
         ).outputs
-        assert service.metrics.retries == store.stats.retries

@@ -161,8 +161,6 @@ class TestSingleflight:
         assert response.report.outputs == _reference(
             net, MinIdAggregation(2)
         ).outputs
-        snapshot = front.metrics.snapshot()
-        assert snapshot["lock_reclaimed"] == 1
         assert store.stats.lock_reclaimed == 1
 
 
@@ -188,6 +186,12 @@ class TestBatchingWindow:
             responses[0].simulation.total_messages
         )
         assert all(response is responses[0] for response in responses)
+        # Construction was paid once, at the fresh run's price; the
+        # merged repeats are cache traffic.
+        assert snapshot["cold_serves"] == snapshot["spanner_builds"] == 1
+        fresh = _reference(net, MinIdAggregation(2))
+        assert snapshot["construction_messages_paid"] == fresh.construction_messages
+        assert snapshot["spanner_hits"] == snapshot["schedule_hits"] == 7
 
     def test_distinct_payloads_are_not_merged(self, net):
         front = ConcurrentSimulationService(
@@ -205,9 +209,6 @@ class TestBatchingWindow:
             for scheduler in ("active", "dense")
         ]
         assert requests[0].identity() != requests[1].identity()
-        service = SimulationService(net, params=PARAMS, seed=0)
-        first, second = service.serve(requests)
-        assert first is not second
         front = ConcurrentSimulationService(
             net, params=PARAMS, seed=0, max_workers=4, merge_window=0.5
         )
@@ -265,6 +266,26 @@ class TestBatchingWindow:
         front.submit(payload)
         front.submit(payload)
         assert front.metrics.snapshot()["merged"] == 0
+
+
+class TestConstructor:
+    @pytest.mark.parametrize(
+        "argument", ["network", "store", "params", "gamma", "seed"]
+    )
+    def test_inner_arguments_next_to_service_are_refused(self, net, argument):
+        """An inner-service argument beside ``service=`` would be dropped
+        silently (the front serves with the given service's own), so it
+        is refused instead."""
+        values = {
+            "network": net,
+            "store": ArtifactStore(),
+            "params": PARAMS,
+            "gamma": 3,
+            "seed": 7,
+        }
+        service = SimulationService(net, params=PARAMS, seed=0)
+        with pytest.raises(ValueError, match="not both"):
+            ConcurrentSimulationService(service=service, **{argument: values[argument]})
 
 
 class TestDeadlines:

@@ -311,13 +311,17 @@ class TestExporters:
         assert 'repro_simulation_by_tag{key="bcast"} 1' in text
 
     def test_registry_collect_includes_instruments(self):
+        """The registry's instruments are the live counter objects
+        registered with it; collect() reads them at call time."""
+        from repro.service import ServiceMetrics
+
         registry = obs.MetricsRegistry()
-        registry.counter("requests").inc(2)
-        registry.gauge("depth").set(1.5)
+        metrics = registry.register("service", ServiceMetrics())
+        metrics.bump(requests=2, merged=1)
         collected = registry.collect()
-        assert collected["obs"] == {"requests": 2, "depth": 1.5}
-        with pytest.raises(ValueError):
-            registry.counter("requests").inc(-1)
+        assert collected["service"] == metrics.snapshot()
+        assert collected["service"]["requests"] == 2
+        assert collected["service"]["merged"] == 1
         with pytest.raises(TypeError):
             registry.register("bad", object())
 

@@ -160,39 +160,10 @@ class TestRequestValidation:
 
 
 class TestBatchServing:
-    def test_batch_equals_sequential_submits(self, net):
-        batch_service = SimulationService(net, params=PARAMS, seed=5)
-        responses = batch_service.serve(payload_suite())
-        sequential = SimulationService(net, params=PARAMS, seed=5)
-        for response, algo in zip(responses, payload_suite()):
-            assert response.report == sequential.submit(algo).report
-
-    def test_identical_requests_share_one_replay(self, net):
-        service = SimulationService(net, params=PARAMS, seed=5)
-        shared = BallCollect(2)
-        responses = service.serve([shared, shared, BallCollect(2)])
-        assert responses[0] is responses[1]  # same instance: shared replay
-        assert responses[2] is not responses[0]  # new instance: replayed
-        assert responses[2].report == responses[0].report
-        assert service.metrics.requests == 3  # accounting counts traffic
-
-    def test_deduplicated_cold_response_is_not_double_paid(self, net):
-        service = SimulationService(net, params=PARAMS, seed=5)
-        shared = BallCollect(2)
-        cold_batch = service.serve([shared, shared])
-        assert cold_batch[0] is cold_batch[1]
-        metrics = service.metrics
-        # construction was sent once; the dedup repeat is cache traffic
-        assert metrics.cold_serves == 1 and metrics.spanner_builds == 1
-        fresh = run_one_stage(net, BallCollect(2), params=PARAMS, seed=5)
-        assert metrics.construction_messages_paid == fresh.construction_messages
-        assert metrics.simulation_messages == fresh.simulation_messages
-        assert metrics.spanner_hits == 1 and metrics.schedule_hits == 1
-
     def test_metrics_accumulate_the_amortization(self, net):
         service = SimulationService(net, params=PARAMS, seed=5)
-        service.serve(payload_suite())
-        service.serve(payload_suite())
+        for algo in payload_suite() + payload_suite():
+            service.submit(algo)
         metrics = service.metrics
         assert metrics.requests == 10
         assert metrics.cold_serves == 1
@@ -208,8 +179,9 @@ class TestBatchServing:
 
     def test_second_batch_is_all_warm(self, net):
         service = SimulationService(net, params=PARAMS, seed=5)
-        service.serve(payload_suite())
-        warm = service.serve(payload_suite())
+        for algo in payload_suite():
+            service.submit(algo)
+        warm = [service.submit(algo) for algo in payload_suite()]
         assert all(not response.cold for response in warm)
         assert all(
             response.schedule_info is not None and response.schedule_info.hit
@@ -479,4 +451,4 @@ class TestResilientServing:
         monkeypatch.setattr("repro.store.serialize.load_spanner", flaky)
         warm = service.submit(BallCollect(2))
         assert warm.spanner_info.source == "disk"
-        assert service.metrics.retries == 1
+        assert store.stats.retries == 1

@@ -25,6 +25,7 @@ from repro.local.network import Network
 from repro.simulate import flood_schedule, run_one_stage
 from repro.simulate.tlocal import FloodSchedule
 from repro.algorithms import BallCollect
+from repro.service import ServiceMetrics
 from repro.store import (
     ArtifactError,
     ArtifactStore,
@@ -240,6 +241,26 @@ class TestArtifactStore:
         # ...and the rebuilt entry replaced the corrupt file
         fresh = ArtifactStore(tmp_path)
         assert fresh.fetch_spanner(net, params)[1].source == "disk"
+
+    def test_failed_write_through_is_counted(self, tmp_path, monkeypatch):
+        """A full disk degrades the entry to memory-only, counted."""
+
+        def failing_save(path, result):
+            path.write_bytes(b"partial")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr("repro.store.serialize.save_spanner", failing_save)
+        net = self._net()
+        params = SamplerParams(k=1, h=1, seed=2)
+        store = ArtifactStore(tmp_path)
+        built, info = store.fetch_spanner(net, params)
+        assert info.source == "built"
+        assert built == build_spanner_distributed(net, params)
+        again, info = store.fetch_spanner(net, params)
+        assert info.source == "memory" and again is built
+        assert store.stats.write_failures == 1
+        assert store.stats.puts == 0
+        assert not [p for p in os.listdir(tmp_path) if ".tmp-" in p]
 
     def test_lru_evicts_and_counts(self):
         store = ArtifactStore(capacity=1)
@@ -537,30 +558,59 @@ class TestRetryBackoff:
 
 
 class TestStatsThreadSafety:
-    """StoreStats.bump/snapshot hold one lock: concurrent counting is exact."""
+    """Counters.bump/snapshot hold one lock: concurrent counting is exact."""
 
-    def test_concurrent_bumps_are_not_lost(self):
+    @pytest.mark.parametrize(
+        "counters, names",
+        [
+            (StoreStats, ("misses", "retries")),
+            (ServiceMetrics, ("requests", "simulation_messages")),
+        ],
+        ids=["StoreStats", "ServiceMetrics"],
+    )
+    def test_concurrent_bumps_are_not_lost(self, counters, names):
+        import sys
         import threading
+        import time
 
-        stats = StoreStats()
+        stats = counters()
+        first, second = names
         rounds = 2000
 
         def hammer():
             for _ in range(rounds):
-                stats.bump(misses=1, retries=2)
+                stats.bump(**{first: 1, second: 2})
 
         threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        torn = 0  # snapshots showing half of a bump
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 60
+            while any(t.is_alive() for t in threads) and time.monotonic() < deadline:
+                snap = stats.snapshot()
+                torn += snap[second] != 2 * snap[first]
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert torn == 0
         snap = stats.snapshot()
-        assert snap["misses"] == 8 * rounds
-        assert snap["retries"] == 16 * rounds
+        assert snap[first] == 8 * rounds
+        assert snap[second] == 16 * rounds
+        # a misspelt name is refused before any counter moves
+        typo = first[:-1]
+        with pytest.raises(AttributeError, match=typo):
+            stats.bump(**{first: 1, typo: 1})
+        assert stats.snapshot() == snap
 
     def test_snapshot_carries_every_counter(self):
         snap = StoreStats().snapshot()
         for name in (
+            "write_failures",
             "backoff_waits",
             "lock_contended",
             "lock_reclaimed",
