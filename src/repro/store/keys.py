@@ -36,7 +36,9 @@ from repro.core.params import SamplerParams
 
 __all__ = ["STORE_SCHEMA", "flood_key", "spanner_key", "store_key"]
 
-STORE_SCHEMA = 1
+# 2: the manifest is a UTF-8 ``uint8`` member and the trace is row-encoded
+# (DESIGN.md §3.8); schema-1 files are misses.
+STORE_SCHEMA = 2
 
 
 def store_key(kind: str, graph_fingerprint: str, **fields) -> str:

@@ -2,10 +2,12 @@
 
 Layout conventions (DESIGN.md §3.8):
 
-* every artifact file is a single ``.npz`` whose arrays carry the bulky
-  numeric payload (bit-packed ball rows, distance matrices, per-round
-  counters) and whose ``manifest`` entry is one JSON string carrying
-  the structured remainder (params, trace, counters, fingerprints);
+* every artifact file is a single ``.npz``, deflated at one fixed level
+  (:data:`_DEFLATE_LEVEL`), whose arrays carry the bulky numeric
+  payload (bit-packed ball rows, distance matrices, per-round counters)
+  and whose ``manifest`` entry is UTF-8 JSON bytes (a 1-D ``uint8``
+  array) carrying the structured remainder (params, the row-encoded
+  trace, counters, fingerprints);
 * loaders validate the embedded ``schema``/``kind`` and, where a
   ``Network`` is required to rebind the artifact, its fingerprint —
   a mismatch raises :class:`ArtifactError`, which the store treats as
@@ -29,6 +31,7 @@ same suffix-sum code path the live derivation uses
 from __future__ import annotations
 
 import json
+import zipfile
 from collections import Counter
 
 import numpy as np
@@ -71,12 +74,26 @@ class ArtifactError(ValueError):
 # ----------------------------------------------------------------------
 # low-level npz helpers
 # ----------------------------------------------------------------------
+# Deflate level of every member.  Level 1 deflates a distance matrix in a
+# tenth of the time ``np.savez_compressed``'s level 6 takes, for about a
+# third more bytes; storing uncompressed is cheaper still but about five
+# times larger than level 1 (measurements in DESIGN.md §3.8).
+_DEFLATE_LEVEL = 1
+
+
 def _write_npz(path, manifest: dict, **arrays: np.ndarray) -> None:
-    payload = json.dumps(manifest, sort_keys=True)
-    with open(path, "wb") as handle:
-        np.savez_compressed(
-            handle, manifest=np.asarray(payload), **arrays
-        )
+    """What ``np.savez_compressed`` writes, at :data:`_DEFLATE_LEVEL`.
+
+    The manifest is UTF-8 JSON bytes stored as a 1-D ``uint8`` member.
+    """
+    payload = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    members = {"manifest": np.frombuffer(payload, dtype=np.uint8), **arrays}
+    with open(path, "wb") as handle, zipfile.ZipFile(
+        handle, "w", zipfile.ZIP_DEFLATED, compresslevel=_DEFLATE_LEVEL
+    ) as archive:
+        for name, array in members.items():
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, array, allow_pickle=False)
 
 
 def _read_npz(path) -> tuple[dict, dict]:
@@ -91,10 +108,19 @@ def _read_npz(path) -> tuple[dict, dict]:
         raise
     except Exception as exc:  # zip/format damage of any shape
         raise ArtifactError(f"unreadable artifact {path}: {exc}") from exc
+    raw = arrays.pop("manifest", None)
+    if raw is None or raw.dtype != np.uint8 or raw.ndim != 1:
+        found = "absent" if raw is None else f"a {raw.ndim}-D {raw.dtype} array"
+        raise ArtifactError(
+            f"artifact {path} has no valid manifest: the 'manifest' member "
+            f"is {found}, not a 1-D uint8 array"
+        )
     try:
-        manifest = json.loads(str(arrays.pop("manifest")[()]))
-    except (KeyError, ValueError) as exc:
-        raise ArtifactError(f"artifact {path} has no valid manifest") from exc
+        manifest = json.loads(raw.tobytes().decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise ArtifactError(f"artifact {path} has no valid manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ArtifactError(f"artifact {path} has no valid manifest: not a JSON object")
     if manifest.get("schema") != STORE_SCHEMA:
         raise ArtifactError(
             f"artifact {path} has schema {manifest.get('schema')!r}, "
@@ -136,9 +162,7 @@ def _decode_stats(doc: dict | None) -> MessageStats | None:
     return MessageStats(
         total=int(doc["total"]),
         dropped=int(doc["dropped"]),
-        # Absent in artifacts written before corruption metering existed;
-        # those runs could not have corrupted anything.
-        corrupted=int(doc.get("corrupted", 0)),
+        corrupted=int(doc["corrupted"]),
         by_tag=Counter({str(tag): int(c) for tag, c in doc["by_tag"].items()}),
         per_round=_int_list(doc["per_round"]),
         stage_offsets=_int_list(doc["stage_offsets"]),
@@ -149,23 +173,27 @@ def _decode_stats(doc: dict | None) -> MessageStats | None:
 # SamplerTrace (exact round-trip: dataclass equality with the original)
 # ----------------------------------------------------------------------
 def _encode_trace(trace: SamplerTrace) -> dict:
-    def node(entry: NodeLevelTrace) -> dict:
-        doc = entry._asdict()
-        doc["label"] = entry.label.value
-        doc["f_active"] = [list(p) for p in entry.f_active]
-        doc["f_inactive"] = [list(p) for p in entry.f_inactive]
-        doc["trial_stats"] = [
-            {
-                "trial_index": t.trial_index,
-                "pool_before": t.pool_before,
-                "draws": t.draws,
-                "queried_eids": list(t.queried_eids),
-                "new_neighbors": t.new_neighbors,
-                "peeled_edges": t.peeled_edges,
-            }
-            for t in entry.trial_stats
+    """The trace as positional rows (DESIGN.md §3.8).
+
+    A :class:`NodeLevelTrace` is one array in field order (the label by
+    value, each trial stat an array in :class:`TrialStats` field order);
+    cluster sizes and heights are ``[cid, value]`` pairs and finished
+    clusters ``[cid, level, label, live_edges]`` rows.  Tuples encode
+    as JSON arrays, so the node fields go out as they are.
+    """
+
+    def node(entry: NodeLevelTrace) -> list:
+        # entry[2:14] runs from ``trials`` through ``f_inactive``.
+        return [
+            entry.vid,
+            entry.label.value,
+            *entry[2:14],
+            [
+                (t.trial_index, t.pool_before, t.draws, t.queried_eids,
+                 t.new_neighbors, t.peeled_edges)
+                for t in entry.trial_stats
+            ],
         ]
-        return doc
 
     return {
         "n": trace.n,
@@ -176,55 +204,45 @@ def _encode_trace(trace: SamplerTrace) -> dict:
                 "population": lvl.population,
                 "active_edges": lvl.active_edges,
                 "stale_edges": lvl.stale_edges,
-                "cluster_sizes": {str(c): s for c, s in lvl.cluster_sizes.items()},
-                "cluster_heights": {str(c): h for c, h in lvl.cluster_heights.items()},
-                "nodes": {str(vid): node(entry) for vid, entry in lvl.nodes.items()},
-                "centers": list(lvl.centers),
-                "joins": [list(j) for j in lvl.joins],
-                "unclustered": list(lvl.unclustered),
+                "cluster_sizes": list(lvl.cluster_sizes.items()),
+                "cluster_heights": list(lvl.cluster_heights.items()),
+                "nodes": [node(entry) for entry in lvl.nodes.values()],
+                "centers": lvl.centers,
+                "joins": lvl.joins,
+                "unclustered": lvl.unclustered,
                 "f_edges": sorted(lvl.f_edges),
             }
             for lvl in trace.levels
         ],
-        "finished": {
-            str(cid): {
-                "cid": fin.cid,
-                "level": fin.level,
-                "label": fin.label.value,
-                "live_edges": sorted(fin.live_edges),
-            }
-            for cid, fin in trace.finished.items()
-        },
+        "finished": [
+            (fin.cid, fin.level, fin.label.value, sorted(fin.live_edges))
+            for fin in trace.finished.values()
+        ],
     }
 
 
 def _decode_trace(doc: dict, params: SamplerParams) -> SamplerTrace:
-    def node(entry: dict) -> NodeLevelTrace:
+    def pairs(rows) -> tuple[tuple[int, int], ...]:
+        return tuple((int(a), int(b)) for a, b in rows)
+
+    def node(row: list) -> NodeLevelTrace:
+        (vid, label, *counts, f_active, f_inactive, trial_stats) = row
         return NodeLevelTrace(
-            vid=int(entry["vid"]),
-            label=NodeLabel(entry["label"]),
-            trials=int(entry["trials"]),
-            draws=int(entry["draws"]),
-            queries_sent=int(entry["queries_sent"]),
-            neighbors_found=int(entry["neighbors_found"]),
-            inactive_found=int(entry["inactive_found"]),
-            pool_initial=int(entry["pool_initial"]),
-            pool_final=int(entry["pool_final"]),
-            degree=int(entry["degree"]),
-            target=int(entry["target"]),
-            query_budget=int(entry["query_budget"]),
-            f_active=tuple((int(c), int(e)) for c, e in entry["f_active"]),
-            f_inactive=tuple((int(c), int(e)) for c, e in entry["f_inactive"]),
+            int(vid),
+            NodeLabel(label),
+            *_int_list(counts),
+            f_active=pairs(f_active),
+            f_inactive=pairs(f_inactive),
             trial_stats=tuple(
                 TrialStats(
-                    trial_index=int(t["trial_index"]),
-                    pool_before=int(t["pool_before"]),
-                    draws=int(t["draws"]),
-                    queried_eids=tuple(_int_list(t["queried_eids"])),
-                    new_neighbors=int(t["new_neighbors"]),
-                    peeled_edges=int(t["peeled_edges"]),
+                    trial_index=int(index),
+                    pool_before=int(pool),
+                    draws=int(draws),
+                    queried_eids=tuple(_int_list(queried)),
+                    new_neighbors=int(found),
+                    peeled_edges=int(peeled),
                 )
-                for t in entry["trial_stats"]
+                for index, pool, draws, queried, found, peeled in trial_stats
             ),
         )
 
@@ -234,9 +252,9 @@ def _decode_trace(doc: dict, params: SamplerParams) -> SamplerTrace:
             population=int(lvl["population"]),
             active_edges=int(lvl["active_edges"]),
             stale_edges=int(lvl["stale_edges"]),
-            cluster_sizes={int(c): int(s) for c, s in lvl["cluster_sizes"].items()},
-            cluster_heights={int(c): int(h) for c, h in lvl["cluster_heights"].items()},
-            nodes={int(vid): node(entry) for vid, entry in lvl["nodes"].items()},
+            cluster_sizes=dict(pairs(lvl["cluster_sizes"])),
+            cluster_heights=dict(pairs(lvl["cluster_heights"])),
+            nodes={entry.vid: entry for entry in map(node, lvl["nodes"])},
             centers=tuple(_int_list(lvl["centers"])),
             joins=tuple((int(a), int(b), int(e)) for a, b, e in lvl["joins"]),
             unclustered=tuple(_int_list(lvl["unclustered"])),
@@ -246,12 +264,12 @@ def _decode_trace(doc: dict, params: SamplerParams) -> SamplerTrace:
     ]
     finished = {
         int(cid): FinishedCluster(
-            cid=int(fin["cid"]),
-            level=int(fin["level"]),
-            label=NodeLabel(fin["label"]),
-            live_edges=frozenset(_int_list(fin["live_edges"])),
+            cid=int(cid),
+            level=int(level),
+            label=NodeLabel(label),
+            live_edges=frozenset(_int_list(live)),
         )
-        for cid, fin in doc["finished"].items()
+        for cid, level, label, live in doc["finished"]
     }
     return SamplerTrace(
         n=int(doc["n"]), m=int(doc["m"]), params=params, levels=levels, finished=finished
@@ -294,8 +312,7 @@ def load_spanner(path, network: Network) -> SpannerResult:
         trace = _decode_trace(manifest["trace"], params)
         messages = _decode_stats(manifest["messages"])
         rounds = manifest["rounds"]
-        # Absent in artifacts written before repair lineage existed.
-        provenance = tuple(str(fp) for fp in manifest.get("provenance", ()))
+        provenance = tuple(str(fp) for fp in manifest["provenance"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactError(f"artifact {path} is structurally damaged: {exc}") from exc
     return SpannerResult(

@@ -9,13 +9,14 @@ disk behaviour, atomic writes, corruption tolerance, and the
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.core import SamplerParams
+from repro.core import SamplerParams, build_spanner
 from repro.core.distributed import build_spanner_distributed
 from repro.core.spanner import SpannerResult
 from repro.execution import Exec
@@ -27,6 +28,7 @@ from repro.simulate.tlocal import FloodSchedule
 from repro.algorithms import BallCollect
 from repro.service import ServiceMetrics
 from repro.store import (
+    STORE_SCHEMA,
     ArtifactError,
     ArtifactStore,
     FloodProfile,
@@ -90,14 +92,36 @@ class TestKeys:
 
 class TestSpannerRoundTrip:
     @_SETTINGS
-    @given(net=family_network(), seed=st.integers(min_value=0, max_value=40))
-    def test_round_trip_is_exact(self, tmp_path_factory, net, seed):
+    @given(
+        net=family_network(),
+        seed=st.integers(min_value=0, max_value=40),
+        builder=st.sampled_from([build_spanner, build_spanner_distributed]),
+        k=st.sampled_from([1, 2, 3]),
+        small_budget=st.booleans(),
+    )
+    # Finished clusters, cluster heights, HEAVY and STRANDED labels and
+    # stale edges, all in one centralized trace.
+    @example(
+        net=erdos_renyi(36, 0.16, seed=3),
+        seed=1,
+        builder=build_spanner,
+        k=2,
+        small_budget=True,
+    )
+    def test_round_trip_is_exact(
+        self, tmp_path_factory, net, seed, builder, k, small_budget
+    ):
+        # The centralized trace is the one repaired spanners write through
+        # ``put_spanner``; the distributed view leaves finished records,
+        # heights and the active/stale split empty.
+        budget = {"c_query": 0.1, "c_target": 0.3} if small_budget else {}
         path = tmp_path_factory.mktemp("store") / "spanner.npz"
-        result = build_spanner_distributed(net, SamplerParams(k=1, h=1, seed=seed))
+        result = builder(net, SamplerParams(k=k, h=2, seed=seed, **budget))
         result.to_npz(path)
         loaded = SpannerResult.from_npz(path, net)
         assert loaded == result  # edges, params, trace, messages, rounds
         assert loaded.trace.signature() == result.trace.signature()
+        assert loaded.trace.full_signature() == result.trace.full_signature()
 
     def test_rebinding_to_a_different_graph_is_refused(self, tmp_path):
         net = erdos_renyi(24, 0.2, seed=2)
@@ -112,6 +136,28 @@ class TestSpannerRoundTrip:
         path = tmp_path / "junk.npz"
         path.write_bytes(b"not a zip archive at all")
         with pytest.raises(ArtifactError):
+            SpannerResult.from_npz(path, erdos_renyi(10, 0.3, seed=1))
+
+    @pytest.mark.parametrize(
+        "manifest, message",
+        [
+            (None, "'manifest' member is absent"),
+            # the schema-1 layout: one numpy unicode scalar
+            (np.asarray('{"schema": 1}'), "'manifest' member is a 0-D <U13 array"),
+            (np.zeros((2, 4), dtype=np.uint8), "'manifest' member is a 2-D uint8 array"),
+            (np.arange(3, dtype=np.int64), "'manifest' member is a 1-D int64 array"),
+            (np.frombuffer(b"\xff{}", dtype=np.uint8), "no valid manifest"),
+            (np.frombuffer(b'{"schema": ', dtype=np.uint8), "no valid manifest"),
+            (np.frombuffer(b"[2]", dtype=np.uint8), "not a JSON object"),
+        ],
+    )
+    def test_manifest_must_be_utf8_json_bytes(self, tmp_path, manifest, message):
+        path = tmp_path / "odd.npz"
+        members = {"edges": np.arange(3)}
+        if manifest is not None:
+            members["manifest"] = manifest
+        np.savez(path, **members)
+        with pytest.raises(ArtifactError, match=message):
             SpannerResult.from_npz(path, erdos_renyi(10, 0.3, seed=1))
 
 
@@ -357,17 +403,40 @@ class TestArtifactStore:
         assert schedule == flood_schedule(victim, 2)
 
     def test_manifest_missing_graph_field_is_artifact_error(self, tmp_path):
-        import json
-
-        import numpy as np
-
         net = erdos_renyi(12, 0.3, seed=1)
         path = tmp_path / "holey.npz"
-        manifest = {"schema": 1, "kind": "spanner"}  # no "graph"
+        manifest = {"schema": STORE_SCHEMA, "kind": "spanner"}  # no "graph"
+        payload = json.dumps(manifest).encode("utf-8")
         with open(path, "wb") as handle:
-            np.savez(handle, manifest=np.asarray(json.dumps(manifest)))
+            np.savez(handle, manifest=np.frombuffer(payload, dtype=np.uint8))
         with pytest.raises(ArtifactError, match="different graph"):
             SpannerResult.from_npz(path, net)
+
+    def test_schema_1_file_under_a_current_key_is_a_counted_miss(self, tmp_path):
+        # The upgrade path: a file in the schema-1 container (the manifest
+        # a numpy unicode scalar, written by ``np.savez_compressed``) at a
+        # current key's path is refused, rebuilt and overwritten.
+        net = self._net()
+        params = SamplerParams(k=1, h=1, seed=2)
+        built, _ = ArtifactStore(tmp_path).fetch_spanner(net, params)
+        path = tmp_path / f"{spanner_key(net.fingerprint(), params)}.npz"
+        with np.load(path, allow_pickle=False) as data:
+            manifest = json.loads(data["manifest"].tobytes())
+            edges = data["edges"]
+        manifest["schema"] = 1
+        with open(path, "wb") as handle:
+            np.savez_compressed(
+                handle,
+                manifest=np.asarray(json.dumps(manifest, sort_keys=True)),
+                edges=edges,
+            )
+        recovering = ArtifactStore(tmp_path)
+        rebuilt, info = recovering.fetch_spanner(net, params)
+        assert info.source == "built"
+        assert recovering.stats.corrupt == 1 and recovering.stats.misses == 1
+        assert rebuilt == built
+        loaded, info = ArtifactStore(tmp_path).fetch_spanner(net, params)
+        assert info.source == "disk" and loaded == built
 
     def test_profile_cell_limit_bypasses_caching(self, monkeypatch):
         monkeypatch.setattr("repro.store.store.PROFILE_CELL_LIMIT", 10)
