@@ -134,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="MB",
         help="with --perf: fail (exit 1) if any kernel's peak RSS — "
-        "process high-water mark including parallel-build workers — "
+        "process high-water mark including child processes — "
         "exceeds this many megabytes",
     )
     parser.add_argument(

@@ -21,8 +21,8 @@ has a trajectory to beat:
   compare only those kernels);
 * ``--perf --repeats N``  override every kernel's best-of count;
 * ``--perf --memory-budget MB``  exit non-zero when any kernel's
-  recorded ``peak_rss_mb`` (process high-water mark, parallel-build
-  workers included) exceeds the budget;
+  recorded ``peak_rss_mb`` (process high-water mark, child processes
+  included) exceeds the budget;
 * ``--perf --jobs N``   time independent kernels in ``N`` worker
   processes (each kernel is seed-deterministic, so results merge
   order-independently; wall-clock timings share the machine, so prefer
@@ -145,12 +145,6 @@ def _gnp_array(n: int) -> Network:
 
 def _spanner(net: Network) -> object:
     return build_spanner(net, _SPANNER_PARAMS)
-
-
-def _spanner_par(net: Network) -> object:
-    """The shard-parallel build (DESIGN.md §3.11) at two workers —
-    bit-identical SpannerResult to ``_spanner`` on the same input."""
-    return build_spanner(net, _SPANNER_PARAMS, jobs=2)
 
 
 def _spanner_obs_off(net: Network) -> object:
@@ -466,10 +460,6 @@ def _baseline_label(name: str) -> str:
         return "rebuild"
     if name.startswith("runtime_vec/"):
         return "reference"
-    if name.startswith(("spanner_par/", "spanner/")):
-        # the parallel-build kernels re-run the same input at jobs=1
-        # (note: "spanner/" does not prefix-match "spanner_dist/")
-        return "serial"
     if name.startswith("obs/"):
         # obs/overhead measures the telemetry-off build and baselines
         # the same build with spans collecting: speedup == on-cost
@@ -505,32 +495,14 @@ def default_kernels() -> list[Kernel]:
     their cold-store baselines, and the vector round engine against
     its reference interpreter on flood/gossip/algorithm bodies."""
     kernels: list[Kernel] = []
-    # Scale kernels (DESIGN.md §3.11): the shard-parallel centralized
-    # build against the in-process level kernel (jobs=1) on the same
-    # input — bit-identical SpannerResults, so the recorded ``speedup``
-    # is pure execution engine.  They run FIRST in the suite and, within each kernel,
-    # the measured body before the serial baseline: fork(2) workers
-    # inherit the parent heap copy-on-write, so a parent bloated by
-    # earlier kernels taxes every worker page-touch and understates
-    # the speedup by ~15-20%.  n=10^5 is the tentpole scale target and
-    # runs best-of-1: the body is seconds-long and the serial baseline
-    # doubles the bill.
-    kernels.append(
-        Kernel(
-            "spanner_par/gnp/n20000",
-            lambda: _gnp_array(20000),
-            _spanner_par,
-            repeats=2,
-            baseline=_spanner,
-        )
-    )
+    # The scale kernel (DESIGN.md §3.11): n=10^5 runs best-of-1, since
+    # the body is seconds-long.
     kernels.append(
         Kernel(
             "spanner/gnp/n100000",
             lambda: _gnp_array(100000),
-            _spanner_par,
+            _spanner,
             repeats=1,
-            baseline=_spanner,
         )
     )
     for n in (500, 1000, 2000):
@@ -1113,14 +1085,11 @@ def render_readme_section(doc: dict) -> str:
         "registered LOCAL algorithm; their reference baseline re-runs "
         "the identical body on the per-node interpreter "
         "(`Exec(round_engine=\"reference\")`, identical `RunReport`s, "
-        "DESIGN.md §3.10).  `spanner_par/*` and `spanner/gnp/n100000` "
-        "time the shard-parallel centralized build (`jobs=2`, "
-        "DESIGN.md §3.11); their serial baseline re-runs the identical "
-        "input at `jobs=1`, the same level kernel in-process — "
-        "bit-identical `SpannerResult`s, so the speedup is pure "
-        "execution engine.  Every entry also records "
-        "`peak_rss_mb` (process high-water RSS including build "
-        "workers); gate it with `--memory-budget MB`."
+        "DESIGN.md §3.10).  `spanner/gnp/n100000` times the "
+        "centralized build at the scale target, best-of-1 "
+        "(DESIGN.md §3.11).  Every entry also records "
+        "`peak_rss_mb` (process high-water RSS including child "
+        "processes); gate it with `--memory-budget MB`."
     )
     lines.append("")
     lines.append(

@@ -209,8 +209,8 @@ def build_spanner_priced(
 ) -> SpannerResult:
     """The metered distributed run's :class:`SpannerResult`, priced.
 
-    Runs the level kernel (:func:`~repro.core.sampler.build_spanner`
-    at the process-default ``jobs``) and returns what
+    Runs the level kernel (:func:`~repro.core.sampler.build_spanner`)
+    and returns what
     :func:`~repro.core.distributed.build_spanner_distributed` returns
     for the same inputs, field for field: the kernel's edges, its trace
     in the distributed view, the schedule's round count, and message

@@ -7,26 +7,18 @@ independent: per-``(purpose, level, cluster)`` RNG streams
 function of ``(graph, params, level state)``, regardless of execution
 order.  This module exploits that:
 
-* :func:`_run_shard_impl` is the kernel.  For a contiguous range of the
-  sorted active clusters it derives each cluster's unexplored pool
-  ``X_v`` from flat arrays (the cut edges incident to the cluster,
-  minus finish announcements), executes the level's trials, and
-  returns columnar partials: pools, ``F`` edges, per-cluster trace
-  columns, center coins, and active/stale edge counts.
-* :class:`ParallelBuildEngine` owns the arrays the kernel reads: the
-  :class:`Network` CSR arrays, written once per build, plus a per-level
+* :func:`_run_level_kernel` is the kernel.  For the sorted active
+  clusters it derives each cluster's unexplored pool ``X_v`` from flat
+  arrays (the cut edges incident to the cluster, minus finish
+  announcements), executes the level's trials, and returns one columnar
+  :class:`LevelPartial`: pools, ``F`` edges, per-cluster trace columns,
+  center coins, and active/stale edge counts, all keyed by ascending
+  cluster id.
+* :class:`LevelKernel` owns the arrays the kernel reads: views of the
+  :class:`Network` CSR arrays, set up once per build, plus a per-level
   block — cluster assignment ``root_of``, active flags, and a
-  members-by-cluster index — rewritten at each level boundary.  At
-  ``jobs=1`` these are plain in-process arrays and the kernel runs in
-  the calling thread over every active cluster at once.  At ``jobs>1``
-  they live in one :mod:`multiprocessing.shared_memory` segment
-  (zero-copy for every worker) and a persistent
-  :class:`~concurrent.futures.ProcessPoolExecutor` runs one shard of
-  clusters per worker.
-* Because shards are ascending-``cid`` ranges and every per-cluster
-  output is keyed by ``cid``, the reduce is plain concatenation in
-  shard order — deterministic for any shard count, which is why
-  ``jobs=1`` and ``jobs=8`` produce bit-identical traces.
+  members-by-cluster index — replaced at each level boundary.  The
+  kernel runs in the calling thread over every active cluster at once.
 
 The fast path vectorizes the *exhaustive* trial (pool no larger than the
 query budget — the overwhelmingly common case under the repo's budget
@@ -34,7 +26,7 @@ formulas): such a machine runs exactly one trial that queries its whole
 sorted pool, peels every edge, keeps the minimum edge id per discovered
 neighbor, draws nothing from its RNG, and ends ``LIGHT``.  That outcome
 is a pure group-by over ``(cluster, neighbor, eid)`` — one ``lexsort``
-per shard.  Clusters whose pool exceeds the budget (or any cluster when
+per level.  Clusters whose pool exceeds the budget (or any cluster when
 ``exhaustive_small_pools`` is off) fall back to a real
 :class:`~repro.core.trials.TrialMachine` seeded from the identical
 ``("trials", j, cid)`` stream, so the kernel never approximates: its
@@ -44,137 +36,19 @@ full trace equals the serial reference in ``tests/reference_sampler.py``
 
 from __future__ import annotations
 
-import os
 import random
-import weakref
 from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
 
-from repro import obs
 from repro.core.params import SamplerParams
 from repro.core.trace import NodeLevelTrace
 from repro.core.trials import NodeLabel, TrialMachine, TrialStats
-from repro.errors import SimulationError
 from repro.local.network import Network
 from repro.rng import RngFactory
 
-__all__ = ["ParallelBuildEngine", "LevelPartial"]
-
-# Names of shared-memory segments this process created and has not yet
-# unlinked — the leak detector used by the worker-crash tests.
-_LIVE_SEGMENTS: set[str] = set()
-
-# Test hook: when set in the environment, every shard task dies before
-# doing any work, simulating a hard worker crash mid-level.
-_CRASH_ENV = "REPRO_PARALLEL_CRASH_SHARD"
-
-
-# ----------------------------------------------------------------------
-# shared-memory layout
-# ----------------------------------------------------------------------
-def _layout(n: int, m: int, identity: bool) -> tuple[dict, int]:
-    """``{field: (byte offset, element count, dtype)}`` plus total bytes.
-
-    Static fields (written once per build): the CSR endpoint arrays,
-    incidence index, and — only when edge ids are non-consecutive — the
-    sorted edge-id array workers binary-search for row lookup.  Dynamic
-    fields (rewritten per level): cluster assignment, active flags, the
-    stable members-by-cluster permutation with its sorted key array, and
-    the sorted active cluster ids.
-    """
-    fields: dict[str, tuple[int, int, object]] = {}
-    offset = 0
-
-    def add(name: str, count: int, dtype) -> None:
-        nonlocal offset
-        fields[name] = (offset, count, dtype)
-        offset += count * np.dtype(dtype).itemsize
-
-    add("ep_u", m, np.int64)
-    add("ep_v", m, np.int64)
-    add("indptr", n + 1, np.int64)
-    add("inc", 2 * m, np.int64)
-    add("eids", 0 if identity else m, np.int64)
-    add("root", n, np.int64)
-    add("member_order", n, np.int64)
-    add("roots_sorted", n, np.int64)
-    add("active_sorted", n, np.int64)
-    add("aflags", n, np.uint8)
-    return fields, max(offset, 1)
-
-
-def _views(buf, fields: dict, writeable: bool) -> dict[str, np.ndarray]:
-    views: dict[str, np.ndarray] = {}
-    for name, (offset, count, dtype) in fields.items():
-        view = np.frombuffer(buf, dtype=dtype, count=count, offset=offset)
-        view.flags.writeable = writeable
-        views[name] = view
-    return views
-
-
-# ----------------------------------------------------------------------
-# kernel state
-# ----------------------------------------------------------------------
-class _KernelState:
-    """Everything the kernel reads: the array views (CSR + level block),
-    params, ``n``, ``m``, the consecutive-eid flag and the RNG factory.
-    ``shm`` keeps a worker's mapping alive for the views' lifetime."""
-
-    __slots__ = ("views", "params", "n", "m", "identity", "rngf", "shm")
-
-    def __init__(self, views, params, n, m, identity, shm=None) -> None:
-        self.views = views
-        self.params = params
-        self.n = n
-        self.m = m
-        self.identity = identity
-        self.rngf = RngFactory(params.seed)
-        self.shm = shm
-
-
-# The pool worker's state, set once by its initializer.
-_WORKER: _KernelState | None = None
-
-
-def _attach_worker(shm_name: str, n: int, m: int, identity: bool, params) -> None:
-    """Pool initializer: map the segment read-only, build array views."""
-    global _WORKER
-    import atexit
-    from multiprocessing import resource_tracker, shared_memory
-
-    # Attaching would register the segment with the resource tracker as
-    # if this process owned it; the parent is the sole owner/unlinker,
-    # so suppress registration (the 3.13 ``track=False`` knob,
-    # hand-rolled for 3.10-3.12 — bpo-39959).
-    original_register = resource_tracker.register
-    try:
-        resource_tracker.register = (
-            lambda name, rtype: None
-            if rtype == "shared_memory"
-            else original_register(name, rtype)
-        )
-        shm = shared_memory.SharedMemory(name=shm_name)
-    finally:
-        resource_tracker.register = original_register
-    fields, _ = _layout(n, m, identity)
-    views = _views(shm.buf, fields, writeable=False)
-    _WORKER = _KernelState(views, params, n, m, identity, shm)
-    atexit.register(_detach_worker)
-
-
-def _detach_worker() -> None:
-    """Drop the views (buffer exports) so the mapping closes cleanly."""
-    global _WORKER
-    state, _WORKER = _WORKER, None
-    if state is None:
-        return
-    state.views.clear()
-    try:
-        state.shm.close()
-    except Exception:
-        pass
+__all__ = ["LevelKernel", "LevelPartial"]
 
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -216,45 +90,18 @@ def _node_trace_of(
     )
 
 
-def _run_shard(j: int, lo: int, hi: int, pair_items: tuple | None) -> dict:
-    """Pool task: run one shard on this worker's state; return partials.
-
-    When the obs plane is on, the shard's span tree (a ``build/shard``
-    root tagged with the worker pid) rides back to the parent as a
-    ``"spans"`` columnar partial, drained from this worker's collector
-    so persistent workers never accumulate state across levels.
-    """
-    if os.environ.get(_CRASH_ENV):
-        os._exit(13)
-    if not obs.enabled():
-        return _run_shard_impl(_WORKER, j, lo, hi, pair_items)
-    # Forked workers inherit the parent collector's finished records;
-    # shipping those back would make the parent re-adopt its own
-    # history (duplicating it per shard, compounding per build).  Only
-    # records produced by THIS task may ride back, so clear first.
-    obs.collector().drain_records()
-    with obs.span(
-        "build/shard", level=int(j), lo=int(lo), hi=int(hi)
-    ) as shard_span:
-        out = _run_shard_impl(_WORKER, j, lo, hi, pair_items)
-        shard_span.set(clusters=int(hi - lo))
-    out["spans"] = obs.collector().drain_records()
-    return out
-
-
-def _run_shard_impl(
-    st: _KernelState, j: int, lo: int, hi: int, pair_items: tuple | None
-) -> dict:
-    """The kernel: level ``j`` for active clusters ``[lo, hi)``.
+def _run_level_kernel(
+    st: LevelKernel, j: int, cids: np.ndarray, pair_items: tuple | None
+) -> LevelPartial:
+    """The kernel: level ``j`` for the sorted active clusters ``cids``.
 
     ``pair_items`` carries the factored finish announcements received
-    by this range's clusters (see :meth:`ParallelBuildEngine.submit_level`).
-    All outputs are keyed by ascending cluster id.
+    by these clusters (see :meth:`LevelKernel.run_level`).  All outputs
+    are keyed by ascending cluster id.
     """
     views = st.views
     params = st.params
     n = st.n
-    cids = views["active_sorted"][lo:hi]
     A = len(cids)
     target_j = params.target(j, n)
     budget_j = params.queries_per_trial(j, n)
@@ -389,7 +236,7 @@ def _run_shard_impl(
             budget_j,
         )
 
-    # --- center coins (deterministic replay of the parent's stream) --
+    # --- center coins (the per-cluster ("center", j, cid) streams) ---
     centers = np.empty(0, dtype=np.int64)
     if j < params.k:
         pref = st.rngf.prefix("center", j)
@@ -400,22 +247,23 @@ def _run_shard_impl(
             dtype=np.int64,
         )
 
-    return {
-        "cids": np.ascontiguousarray(cids),
-        "live": live,
-        "live_off": live_off,
-        "fa_o": fa_o,
-        "fa_e": fa_e,
-        "fa_cnt": np.ascontiguousarray(fa_cnt),
-        "fi_o": fi_o,
-        "fi_e": fi_e,
-        "fi_cnt": np.ascontiguousarray(fi_cnt),
-        "deg": np.ascontiguousarray(deg),
-        "active_edges": int(act.sum()),
-        "stale_edges": int(len(E) - int(act.sum())),
-        "centers": centers,
-        "fallback": fallback,
-    }
+    active_edges = int(act.sum())
+    return LevelPartial(
+        cids=cids,
+        live=live,
+        live_off=live_off,
+        fa_o=fa_o,
+        fa_e=fa_e,
+        fa_cnt=fa_cnt,
+        fi_o=fi_o,
+        fi_e=fi_e,
+        fi_cnt=fi_cnt,
+        deg=deg,
+        active_edges=active_edges,
+        stale_edges=len(E) - active_edges,
+        centers=centers,
+        fallback=fallback,
+    )
 
 
 def _run_fallback_machines(
@@ -515,17 +363,10 @@ def _run_fallback_machines(
     )
 
 
-# ----------------------------------------------------------------------
-# parent side
-# ----------------------------------------------------------------------
 @dataclass
 class LevelPartial:
-    """The deterministic reduce of one level's shard outputs.
-
-    Columnar, keyed by ascending cluster id throughout; identical for
-    every shard count because shards are contiguous ``cid`` ranges and
-    each column is concatenated in shard order.
-    """
+    """One level's kernel output: columnar, keyed by ascending cluster
+    id throughout."""
 
     cids: np.ndarray
     live: np.ndarray
@@ -558,7 +399,7 @@ class LevelPartial:
         self, level: int, params: SamplerParams, n: int
     ) -> dict[int, NodeLevelTrace]:
         """Per-cluster traces: vector-assembled for exhaustive trials,
-        the worker-built machine trace for fallback clusters."""
+        the machine's own trace for fallback clusters."""
         target_j = params.target(level, n)
         budget_j = params.queries_per_trial(level, n)
         cids = self.cids.tolist()
@@ -660,100 +501,37 @@ class LevelPartial:
         )
 
 
-def _release(shm, executor, views: dict) -> None:
-    """Idempotent teardown of a pool engine, shared by ``close()``, GC,
-    and exit."""
-    try:
-        executor.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
-    views.clear()  # drop the buffer exports or the mmap cannot close
-    try:
-        shm.close()
-    except Exception:
-        pass
-    try:
-        shm.unlink()
-    except Exception:
-        pass
-    _LIVE_SEGMENTS.discard(shm.name)
+class LevelKernel:
+    """The arrays the level kernel reads, for one build.
 
-
-class ParallelBuildEngine:
-    """The level kernel's arrays for one build, and its workers.
-
-    Created lazily by :class:`~repro.core.sampler.SamplerRun` on its
-    first level and reused for every later level of the same run (the
-    static CSR block is written exactly once per build).  At ``jobs=1``
-    the arrays are plain in-process NumPy arrays and :meth:`submit_level`
-    runs the kernel in the calling thread: no shared memory, no pool, no
-    :mod:`multiprocessing` import.  At ``jobs>1`` they live in one
-    shared-memory segment that a persistent worker pool maps read-only;
-    the run closes the engine, with a :func:`weakref.finalize` backstop
-    so a crashed or abandoned run can never leak the segment.
+    Created by :class:`~repro.core.sampler.SamplerRun` and reused for
+    every level of the run: the static block (views of the network's
+    CSR arrays) is set up once, the per-level block by each
+    :meth:`run_level`.  The kernel functions read the views, ``params``,
+    ``n``, ``m``, the consecutive-eid flag ``identity`` and the RNG
+    factory off this object.
     """
 
-    def __init__(
-        self, network: Network, params: SamplerParams, jobs: int
-    ) -> None:
-        self._jobs = jobs
-        n = network.n
-        m = network.m
+    def __init__(self, network: Network, params: SamplerParams) -> None:
         eid_row, ep_u, ep_v = network.endpoints_flat()
-        identity = eid_row is None
         indptr, inc = network.incidence_csr()
-        static = {
+        self.views: dict[str, np.ndarray] = {
             "ep_u": np.frombuffer(ep_u, dtype=np.int64),
             "ep_v": np.frombuffer(ep_v, dtype=np.int64),
             "indptr": np.frombuffer(indptr, dtype=np.int64),
             "inc": np.frombuffer(inc, dtype=np.int64),
         }
-        if not identity:
+        self.identity = eid_row is None
+        if not self.identity:
             # Rows are sorted by eid, so the row array itself is the
             # sorted key the kernel binary-searches.
-            static["eids"] = np.asarray(network.edge_ids, dtype=np.int64)
-        self._shm = self._pool = None
-        self._closed = False
-        if jobs == 1:
-            self._views = dict(
-                static,
-                root=np.empty(n, dtype=np.int64),
-                member_order=np.empty(n, dtype=np.int64),
-                roots_sorted=np.empty(n, dtype=np.int64),
-                active_sorted=np.empty(n, dtype=np.int64),
-                aflags=np.zeros(n, dtype=np.uint8),
-            )
-            self._state = _KernelState(self._views, params, n, m, identity)
-            return
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import shared_memory
+            self.views["eids"] = np.asarray(network.edge_ids, dtype=np.int64)
+        self.params = params
+        self.n = network.n
+        self.m = network.m
+        self.rngf = RngFactory(params.seed)
 
-        fields, total = _layout(n, m, identity)
-        self._shm = shared_memory.SharedMemory(create=True, size=total)
-        _LIVE_SEGMENTS.add(self._shm.name)
-        self._views = _views(self._shm.buf, fields, writeable=True)
-        for name, array in static.items():
-            self._views[name][:] = array
-        self._pool = ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_attach_worker,
-            initargs=(self._shm.name, n, m, identity, params),
-        )
-        self._finalizer = weakref.finalize(
-            self, _release, self._shm, self._pool, self._views
-        )
-
-    def close(self) -> None:
-        """Shut the pool down and unlink the segment (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._pool is not None:
-            self._finalizer.detach()
-            _release(self._shm, self._pool, self._views)
-
-    # ------------------------------------------------------------------
-    def submit_level(
+    def run_level(
         self,
         j: int,
         *,
@@ -761,130 +539,38 @@ class ParallelBuildEngine:
         active_sorted: list[int],
         dead_pairs: dict[int, set[int]],
         payloads: dict,
-    ) -> list:
-        """Write the level state and start the kernel over every active
-        cluster; :meth:`collect` finishes the level.
+    ) -> LevelPartial:
+        """Set the level state and run the kernel over every active
+        cluster.
 
         ``dead_pairs``/``payloads`` are the factored finish
         announcements of earlier levels — receiver -> announcing
         finishers, finisher -> announced edge array — which the kernel
         applies by membership without materializing the per-receiver
-        unions.  At ``jobs=1`` the kernel has already run when this
-        returns (the partials themselves come back); at ``jobs>1`` the
-        shard futures do.
+        unions.
         """
-        if self._closed:
-            raise SimulationError("level kernel already closed")
-        A = len(active_sorted)
-        views = self._views
+        views = self.views
         root = np.asarray(root_of, dtype=np.int64)
-        views["root"][:] = root
         member_order = np.argsort(root, kind="stable")
-        views["member_order"][:] = member_order
-        views["roots_sorted"][:] = root[member_order]
-        active_np = np.asarray(active_sorted, dtype=np.int64)
-        views["active_sorted"][:A] = active_np
-        aflags = views["aflags"]
-        aflags[:] = 0
-        aflags[active_np] = 1
+        views["root"] = root
+        views["member_order"] = member_order
+        views["roots_sorted"] = root[member_order]
+        cids = np.asarray(active_sorted, dtype=np.int64)
+        aflags = np.zeros(self.n, dtype=np.uint8)
+        aflags[cids] = 1
+        views["aflags"] = aflags
 
-        shards = [
-            (int(chunk[0]), int(chunk[-1]) + 1)
-            for chunk in np.array_split(np.arange(A), self._jobs)
-            if len(chunk)
-        ]
-        shard_recv: dict[int, tuple[list, list]] = {}
+        recv_l: list[int] = []
+        fin_l: list[int] = []
         for cid, finishers in dead_pairs.items():
-            if not finishers or not aflags[cid]:
-                continue
-            pos = int(np.searchsorted(active_np, cid))
-            shard_i = next(i for i, (lo, hi) in enumerate(shards) if pos < hi)
-            recv_l, fin_l = shard_recv.setdefault(shard_i, ([], []))
-            recv_l.extend([cid] * len(finishers))
-            fin_l.extend(finishers)
-        pairs_by_shard = {
-            shard_i: (
+            if finishers and aflags[cid]:
+                recv_l.extend([cid] * len(finishers))
+                fin_l.extend(finishers)
+        pair_items = None
+        if recv_l:
+            pair_items = (
                 np.asarray(recv_l, dtype=np.int64),
                 np.asarray(fin_l, dtype=np.int64),
                 {fid: payloads[fid] for fid in set(fin_l)},
             )
-            for shard_i, (recv_l, fin_l) in shard_recv.items()
-        }
-        if self._pool is None:
-            return [
-                _run_shard_impl(self._state, j, lo, hi, pairs_by_shard.get(i))
-                for i, (lo, hi) in enumerate(shards)
-            ]
-        return [
-            self._pool.submit(_run_shard, j, lo, hi, pairs_by_shard.get(i))
-            for i, (lo, hi) in enumerate(shards)
-        ]
-
-    def collect(self, pending: list) -> LevelPartial:
-        """Finish one :meth:`submit_level` batch and reduce it.
-
-        The reduce concatenates shard columns in shard order — shards
-        are contiguous ascending-cid ranges, so the result is identical
-        for any shard count.
-        """
-        if self._pool is None:
-            return self._reduce(pending)
-        from concurrent.futures.process import BrokenProcessPool
-
-        parts = []
-        try:
-            for future in pending:
-                parts.append(future.result())
-        except BrokenProcessPool as exc:
-            self.close()
-            raise SimulationError(
-                "parallel build worker crashed; shared-memory segment "
-                "released, rerun with jobs=1 to diagnose"
-            ) from exc
-        # Adopt worker span partials in shard order (deterministic) and
-        # strip them before the columnar reduce sees the dicts.
-        for part in parts:
-            spans = part.pop("spans", None)
-            if spans and obs.enabled():
-                obs.collector().adopt(spans)
-        return self._reduce(parts)
-
-    def _reduce(self, parts: list[dict]) -> LevelPartial:
-        """Concatenate shard partials in shard order (ascending cid)."""
-
-        def cat(key: str) -> np.ndarray:
-            arrays = [part[key] for part in parts]
-            if not arrays:
-                return np.empty(0, dtype=np.int64)
-            return np.concatenate(arrays)
-
-        live_off = np.zeros(
-            sum(len(part["cids"]) for part in parts) + 1, dtype=np.int64
-        )
-        cursor = 0
-        base = 0
-        for part in parts:
-            offs = part["live_off"]
-            count = len(offs) - 1
-            live_off[cursor + 1 : cursor + 1 + count] = offs[1:] + base
-            base += int(offs[-1])
-            cursor += count
-        fallback: dict[int, NodeLevelTrace] = {}
-        for part in parts:
-            fallback.update(part["fallback"])
-        return LevelPartial(
-            cids=cat("cids"),
-            live=cat("live"),
-            live_off=live_off,
-            fa_o=cat("fa_o"),
-            fa_e=cat("fa_e"),
-            fa_cnt=cat("fa_cnt"),
-            fi_o=cat("fi_o"),
-            fi_e=cat("fi_e"),
-            fi_cnt=cat("fi_cnt"),
-            deg=cat("deg"),
-            active_edges=sum(part["active_edges"] for part in parts),
-            stale_edges=sum(part["stale_edges"] for part in parts),
-            centers=cat("centers"),
-            fallback=fallback,
-        )
+        return _run_level_kernel(self, j, cids, pair_items)

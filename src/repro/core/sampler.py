@@ -18,12 +18,11 @@ finished clusters that never announced (only possible for the rare
 ``STRANDED`` label) remain in ``X_v`` and are discovered and peeled via
 an ``active=False`` query response.
 
-Each level is one group-by over the active clusters, computed by the
-columnar level kernel of :mod:`repro.core.parallel`: in-process at
-``jobs=1``, sharded over a worker pool at ``jobs>1``, bit-identical
-either way.  Pools are derived afresh at every level from the cluster
-assignment (``ClusterForest.root_of``) and the factored announcements
-this run keeps; the seed recount strategy's full traces are frozen in
+Each level is one group-by over the active clusters, computed
+in-process by the columnar level kernel of :mod:`repro.core.parallel`.
+Pools are derived afresh at every level from the cluster assignment
+(``ClusterForest.root_of``) and the factored announcements this run
+keeps; the seed recount strategy's full traces are frozen in
 ``tests/data/golden_full_traces.json``, which the kernel must keep
 matching bit for bit, and ``tests/reference_sampler.py`` keeps a plain
 serial recount as the oracle for random inputs.
@@ -35,50 +34,24 @@ makes the centralized and distributed runs bit-identical.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro import obs
 from repro.core.forest import ClusterForest
-from repro.core.parallel import ParallelBuildEngine, _concat_ranges
+from repro.core.parallel import LevelKernel, _concat_ranges
 from repro.core.params import SamplerParams
 from repro.core.spanner import SpannerResult
 from repro.core.trace import FinishedCluster, LevelTrace, SamplerTrace
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.local.network import Network
 
-__all__ = ["build_spanner", "SamplerRun", "resolve_jobs"]
-
-JOBS_ENV = "REPRO_BUILD_JOBS"
-
-
-def resolve_jobs(jobs: int | None) -> int:
-    """Resolve the ``jobs=`` worker count: explicit value, else
-    ``REPRO_BUILD_JOBS``, else 1 (the in-process kernel)."""
-    if jobs is None:
-        raw = os.environ.get(JOBS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{JOBS_ENV} must be an integer, got {raw!r}"
-            ) from None
-    return max(1, int(jobs))
+__all__ = ["build_spanner", "SamplerRun"]
 
 
 class SamplerRun:
     """One centralized execution; exposed for step-by-step inspection."""
 
-    def __init__(
-        self,
-        network: Network,
-        params: SamplerParams,
-        *,
-        jobs: int | None = None,
-    ) -> None:
+    def __init__(self, network: Network, params: SamplerParams) -> None:
         self.network = network
         self.params = params
         self.forest = ClusterForest(network)
@@ -86,17 +59,7 @@ class SamplerRun:
         self.trace = SamplerTrace(n=network.n, m=network.m, params=params)
         self._active: set[int] = set(network.nodes())
         self._level_done = 0
-        # The level kernel (repro.core.parallel), created on the first
-        # level: in-process at jobs=1, a worker pool at jobs > 1.
-        self._jobs = resolve_jobs(jobs)
-        self._engine: ParallelBuildEngine | None = None
-        eid_row, ep_u, ep_v = network.endpoints_flat()
-        self._ep_u = np.frombuffer(ep_u, dtype=np.int64)
-        self._ep_v = np.frombuffer(ep_v, dtype=np.int64)
-        # Sorted edge ids, when they are not the endpoint rows themselves.
-        self._eids = (
-            None if eid_row is None else np.asarray(network.edge_ids, dtype=np.int64)
-        )
+        self._kernel = LevelKernel(network, params)
         # Finish announcements stay factored: ``_dead_pairs[receiver]``
         # is the set of finished clusters that announced to
         # ``receiver``, and ``_payloads[finisher]`` the announced edge
@@ -111,29 +74,13 @@ class SamplerRun:
     # ------------------------------------------------------------------
     def run(self) -> SpannerResult:
         with obs.span(
-            "build/spanner",
-            n=self.network.n,
-            m=self.network.m,
-            jobs=self._jobs,
+            "build/spanner", n=self.network.n, m=self.network.m
         ) as build_span:
-            try:
-                for j in range(self.params.levels):
-                    self.run_level(j)
-            finally:
-                self.close()
+            for j in range(self.params.levels):
+                self.run_level(j)
             result = self.result()
             build_span.set(edges=len(result.edges))
         return result
-
-    def close(self) -> None:
-        """Release the level kernel (pool + shared memory at jobs > 1).
-
-        ``run()`` always calls this; step-by-step drivers should too
-        (the engine's own finalizer is the backstop)."""
-        engine = self._engine
-        if engine is not None:
-            self._engine = None
-            engine.close()
 
     def result(self) -> SpannerResult:
         return SpannerResult(
@@ -162,25 +109,19 @@ class SamplerRun:
         """One invocation of ``Cluster_j`` on the level kernel.
 
         The trial population executes in :mod:`repro.core.parallel` and
-        comes back as one columnar :class:`LevelPartial` whose reduce
-        order is independent of the shard count.  A level with no active
-        cluster yields an empty partial and an empty trace.
+        comes back as one columnar :class:`LevelPartial`.  A level with
+        no active cluster yields an empty partial and an empty trace.
         """
-        if self._engine is None:
-            self._engine = ParallelBuildEngine(
-                self.network, self.params, self._jobs
-            )
         active_sorted = sorted(self._active)
-        pending = self._engine.submit_level(
+        part = self._kernel.run_level(
             j,
             root_of=self.forest.root_of,
             active_sorted=active_sorted,
             dead_pairs=self._dead_pairs,
             payloads=self._payloads,
         )
-        # Per-level bookkeeping overlaps worker execution at jobs > 1:
-        # both read the same pre-level forest state.  Sizes and heights
-        # come from vectorized sweeps — O(n * tree height) in total.
+        # Sizes and heights of the pre-level clusters, from vectorized
+        # sweeps — O(n * tree height) in total.
         n = self.network.n
         root_np = np.asarray(self.forest.root_of, dtype=np.int64)
         active_np = np.asarray(active_sorted, dtype=np.int64)
@@ -205,7 +146,6 @@ class SamplerRun:
         tree_h = np.zeros(n, dtype=np.int64)
         np.maximum.at(tree_h, root_np, depth)
         heights = dict(zip(active_sorted, tree_h[active_np].tolist()))
-        part = self._engine.collect(pending)
 
         nodes = part.node_traces(j, self.params, n)
         level_f = frozenset(part.fa_e.tolist())
@@ -255,9 +195,12 @@ class SamplerRun:
     # internals
     # ------------------------------------------------------------------
     def _endpoints(self, eids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both endpoint columns of ``eids``."""
-        rows = eids if self._eids is None else np.searchsorted(self._eids, eids)
-        return self._ep_u[rows], self._ep_v[rows]
+        """Both endpoint columns of ``eids``, read off the kernel's CSR
+        views."""
+        views = self._kernel.views
+        if not self._kernel.identity:
+            eids = np.searchsorted(views["eids"], eids)
+        return views["ep_u"][eids], views["ep_v"][eids]
 
     def _apply_joins(self, joins) -> None:
         """Attach every joiner to its center and fold the joiner's
@@ -327,17 +270,9 @@ class SamplerRun:
                 pairs_r.add(o)
 
 
-def build_spanner(
-    network: Network,
-    params: SamplerParams,
-    *,
-    jobs: int | None = None,
-) -> SpannerResult:
+def build_spanner(network: Network, params: SamplerParams) -> SpannerResult:
     """Run centralized ``Sampler`` and return the spanner with its trace.
 
-    ``jobs`` (default: ``REPRO_BUILD_JOBS``, else 1) above 1 shards each
-    level's trial population across that many worker processes over a
-    shared-memory view of the graph; 1 runs the same kernel in-process.
-    The results are bit-identical, see DESIGN.md §3.11.
+    Every level runs on the in-process level kernel, DESIGN.md §3.11.
     """
-    return SamplerRun(network, params, jobs=jobs).run()
+    return SamplerRun(network, params).run()

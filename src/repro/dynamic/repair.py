@@ -50,7 +50,6 @@ class RepairRun(SamplerRun):
         params: SamplerParams,
         *,
         parent: SpannerResult,
-        jobs: int | None = None,
     ) -> None:
         if parent.params != params:
             raise ConfigurationError(
@@ -61,7 +60,7 @@ class RepairRun(SamplerRun):
                 f"node universe changed ({parent.network.n} -> {network.n}); "
                 "churn keeps n fixed, so this is not a churn descendant"
             )
-        super().__init__(network, params, jobs=jobs)
+        super().__init__(network, params)
         self._provenance = parent.provenance + (parent.network.fingerprint(),)
 
     @property
@@ -77,8 +76,6 @@ def repair_spanner(
     parent: SpannerResult,
     network: Network,
     logs: MutationLog | Sequence[MutationLog],
-    *,
-    jobs: int | None = None,
 ) -> SpannerResult:
     """Repair ``parent``'s spanner onto the post-churn ``network``.
 
@@ -88,8 +85,7 @@ def repair_spanner(
     The result equals ``build_spanner(network, parent.params)`` — same
     edges, same full trace — with ``provenance`` extended by the parent
     graph's fingerprint, and ``messages``/``rounds`` of ``None`` (repair
-    is centralized work; it meters no distributed messages).  ``jobs``
-    follows :func:`~repro.core.sampler.build_spanner`.
+    is centralized work; it meters no distributed messages).
     """
     chain = (logs,) if isinstance(logs, MutationLog) else tuple(logs)
     if not chain:
@@ -107,4 +103,4 @@ def repair_spanner(
             f"mutation chain ends at {expected[:12]}…, but the target "
             f"network is {network.fingerprint()[:12]}…"
         )
-    return RepairRun(network, parent.params, parent=parent, jobs=jobs).run()
+    return RepairRun(network, parent.params, parent=parent).run()

@@ -19,8 +19,8 @@ The two engine fields default to ``$REPRO_DISTANCE_ENGINE`` and
 ``$REPRO_ROUND_ENGINE``, read when an ``Exec`` is built (never at
 import); this module is the only reader of those variables.  Every
 field is validated on construction, so a misspelt name fails before any
-work is done.  Worker counts (``jobs``) and artifact caches (``store``)
-stay separate arguments: they are not interchangeable implementations.
+work is done.  Artifact caches (``store``) stay a separate argument:
+they are not an interchangeable implementation.
 """
 
 from __future__ import annotations

@@ -102,7 +102,8 @@ def chrome_trace(spans: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
 
     Every span becomes a complete ("X") event with microsecond
     timestamps; ``pid``/``thread`` map onto the trace's process/thread
-    lanes so worker shards show up as their own rows in the viewer.
+    lanes so every process and thread shows up as its own row in the
+    viewer.
     """
 
     events = []

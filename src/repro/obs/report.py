@@ -21,7 +21,6 @@ _SUMMED_ATTRS = (
     "corrupted",
     "edges",
     "population",
-    "clusters",
 )
 
 

@@ -17,9 +17,8 @@ the instrumented code must never depend on whether anyone is watching,
 and the determinism suite asserts exactly that.
 
 Timestamps come from :func:`time.perf_counter`, which on Linux is the
-system-wide ``CLOCK_MONOTONIC`` -- worker processes forked by the
-parallel build engine share the same clock, so their span intervals are
-directly comparable to the parent's after :meth:`Collector.adopt`.
+system-wide ``CLOCK_MONOTONIC``, so spans recorded by different
+processes share one clock.
 """
 
 from __future__ import annotations
@@ -225,40 +224,6 @@ class Collector:
         with self._lock:
             self._finished.append(record)
         return span_id
-
-    # -- cross-process merge ------------------------------------------
-
-    def drain_records(self) -> List[Dict[str, Any]]:
-        """Return and clear the finished spans (worker-side handoff)."""
-
-        with self._lock:
-            records, self._finished = self._finished, []
-        return records
-
-    def adopt(self, records: List[Dict[str, Any]]) -> None:
-        """Merge spans drained from another process into this tree.
-
-        Worker ids are re-assigned from this collector's counter so ids
-        stay unique, internal parent links are remapped, and records
-        with no parent in the batch are attached to the caller's current
-        open span.  ``pid``/``thread`` are preserved -- they are the
-        evidence that the work really ran in a worker.
-        """
-
-        if not records:
-            return
-        stack = self._stack()
-        top = stack[-1] if stack else 0
-        mapping: Dict[int, int] = {}
-        adopted = []
-        for record in records:
-            new_id = self._next_id()
-            mapping[record["id"]] = new_id
-            adopted.append(dict(record, id=new_id))
-        for record in adopted:
-            record["parent"] = mapping.get(record["parent"], top)
-        with self._lock:
-            self._finished.extend(adopted)
 
     # -- reading -----------------------------------------------------
 

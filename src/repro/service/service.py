@@ -43,7 +43,7 @@ from repro.core.spanner import SpannerResult
 from repro.dynamic.churn import ChurnPlan, MutationLog
 from repro.dynamic.churn import apply_churn as _apply_churn
 from repro.dynamic.repair import repair_spanner
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.execution import Exec
 from repro.local.faults import FaultPlan
 from repro.local.network import Network
@@ -538,11 +538,10 @@ class SimulationService:
         logs: tuple[MutationLog, ...],
     ) -> SpannerResult | None:
         """Attempt repair.  A refused lineage (broken chain, other
-        params, changed node universe) or a crashed build worker
-        degrades to the rebuild the caller counts; anything else is a
-        bug and propagates."""
+        params, changed node universe) degrades to the rebuild the
+        caller counts; anything else is a bug and propagates."""
         try:
             return repair_spanner(ancestor, network, logs)
-        except (ConfigurationError, SimulationError) as exc:
+        except ConfigurationError as exc:
             obs.event("service/repair_failed", error=type(exc).__name__)
             return None

@@ -623,7 +623,11 @@ class ArtifactStore:
         if self._dir is None:
             return
         path = self._entry_path(key)
-        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+        # One temp file per writer: two threads writing one key at once
+        # must not truncate each other's file or race one os.replace.
+        tmp = path.with_name(
+            f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}"
+        )
         try:
             self._dir.mkdir(parents=True, exist_ok=True)
             saver(tmp, artifact)

@@ -5,8 +5,7 @@ instrumented result is bit-identical with ``REPRO_OBS`` on, off, or
 flipped mid-process, and span trees are structurally stable across
 repeated runs — and *schema round-trips* — the JSON-lines, Chrome
 ``trace_event``, and Prometheus exporters all render the same collector
-state without loss, including worker-shard spans merged across process
-boundaries by the parallel build engine.
+state without loss, build and request lanes in one file.
 """
 
 from __future__ import annotations
@@ -213,47 +212,6 @@ class TestCoverageTelemetry:
         assert traced == baseline
 
 
-class TestParallelMerge:
-    def test_worker_shard_spans_merge_parent_side(self, net, obs_on):
-        serial = build_spanner(net, PARAMS)
-        serial_records = obs.collector().finished()
-        obs.collector().reset()
-        parallel = build_spanner(net, PARAMS, jobs=2)
-        records = obs.collector().finished()
-        assert parallel == serial  # obs never perturbs the parallel path
-        shards = [r for r in records if r["name"] == "build/shard"]
-        assert shards, "no worker shard spans adopted"
-        import os
-
-        assert all(r["pid"] != os.getpid() for r in shards)
-        assert {r["attrs"]["level"] for r in shards} <= set(
-            range(PARAMS.levels)
-        )
-        # adopted spans re-parent under the level that collected them
-        by_id = {r["id"]: r for r in records}
-        for shard in shards:
-            assert by_id[shard["parent"]]["name"] == "build/level"
-        assert not [
-            r for r in serial_records if r["name"] == "build/shard"
-        ]
-
-    def test_adopt_remaps_ids_and_parents(self, obs_on):
-        collector = obs.collector()
-        worker = obs.Collector()
-        with worker.span("build/shard", level=0):
-            with worker.span("inner"):
-                pass
-        drained = worker.drain_records()
-        assert worker.finished() == []
-        with collector.span("build/level", level=0):
-            collector.adopt(drained)
-        records = collector.finished()
-        names = {r["name"]: r for r in records}
-        assert names["build/shard"]["parent"] == names["build/level"]["id"]
-        assert names["inner"]["parent"] == names["build/shard"]["id"]
-        assert len({r["id"] for r in records}) == 3
-
-
 class TestExporters:
     def test_jsonl_round_trip_and_append(self, tmp_path, obs_on):
         with obs.span("a", x=1):
@@ -434,11 +392,11 @@ class TestServiceIntegration:
         assert answer["attrs"]["construction_priced"] == price["attrs"]["messages"]
 
     def test_trace_file_merges_with_build_spans(self, net, tmp_path, obs_on):
-        """The acceptance flow in miniature: parallel build + serve →
-        one file report + chrome both load."""
+        """The acceptance flow in miniature: build + serve → one file
+        report + chrome both load."""
         from repro.service import ConcurrentSimulationService
 
-        build_spanner(net, PARAMS, jobs=2)
+        build_spanner(net, PARAMS)
         front = ConcurrentSimulationService(
             net, params=PARAMS, seed=0, max_workers=2, merge_window=0.0
         )
@@ -449,9 +407,9 @@ class TestServiceIntegration:
         records = obs.read_jsonl(path)
         assert len(records) == count
         names = {r["name"] for r in records}
-        assert {"build/spanner", "build/shard", "service/request"} <= names
-        rows = obs.summarize(records)
-        assert any(row["pids"] > 1 for row in rows if row["name"] == "build/shard")
+        assert {"build/spanner", "build/level", "service/request"} <= names
+        rows = {row["name"]: row for row in obs.summarize(records)}
+        assert rows["build/level"]["count"] >= PARAMS.levels
         chrome = tmp_path / "merged.trace.json"
         assert obs.write_chrome_trace(records, chrome) == count
         assert obs.validate_chrome_trace(chrome) == count

@@ -44,12 +44,13 @@ def two_components_and_an_isolated_node():
     )
 
 
-def connected_atlas():
-    """All 30 connected graphs on 2-5 nodes."""
+def connected_atlas(max_nodes=5):
+    """Every connected atlas graph on 2 to ``max_nodes`` nodes: 30 up to
+    5 nodes, 142 up to 6."""
     return [
         g
         for g in nx.graph_atlas_g()
-        if 2 <= g.number_of_nodes() <= 5 and nx.is_connected(g)
+        if 2 <= g.number_of_nodes() <= max_nodes and nx.is_connected(g)
     ]
 
 

@@ -24,7 +24,7 @@ from repro.algorithms import (
 from repro.core import SamplerParams
 from repro.core.distributed import build_spanner_distributed
 from repro.dynamic import ChurnPlan, apply_churn
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.execution import Exec
 from repro.graphs import erdos_renyi, torus
 from repro.local.faults import FaultPlan
@@ -403,18 +403,21 @@ class TestResilientServing:
         fresh = run_one_stage(child, BallCollect(2), params=PARAMS, seed=5)
         assert response.report == fresh
 
-    def test_a_bug_in_repair_propagates(self, net, monkeypatch):
-        """Only declared refusals degrade to a rebuild; a bug inside
-        repair must not become a silent, counted rebuild."""
+    @pytest.mark.parametrize("error", [RuntimeError, SimulationError])
+    def test_a_bug_in_repair_propagates(self, net, monkeypatch, error):
+        """Only a refused lineage (ConfigurationError) degrades to a
+        rebuild; a bug inside repair must not become a silent, counted
+        rebuild.  Repair runs the level kernel in-process, so a
+        SimulationError there is a misuse of ``SamplerRun`` too."""
         service = SimulationService(net, params=PARAMS, seed=5)
         service.submit(BallCollect(2))
         service.apply_churn(churn_plan(seed=61))
 
         def boom(*args, **kwargs):
-            raise RuntimeError("repair machinery down")
+            raise error("repair machinery down")
 
         monkeypatch.setattr("repro.service.service.repair_spanner", boom)
-        with pytest.raises(RuntimeError, match="machinery down"):
+        with pytest.raises(error, match="machinery down"):
             service.submit(BallCollect(2))
         assert service.metrics.rebuilds == 0
 

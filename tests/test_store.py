@@ -308,6 +308,48 @@ class TestArtifactStore:
         assert store.stats.puts == 0
         assert not [p for p in os.listdir(tmp_path) if ".tmp-" in p]
 
+    def test_concurrent_writes_of_one_key_both_land(self, tmp_path, monkeypatch):
+        """Two threads writing one key at once each write their own temp
+        file; sharing one made the second ``os.replace`` fail and count
+        a write failure for a write that did not fail."""
+        import threading
+
+        from repro.store import serialize
+
+        save = serialize.save_spanner
+        both_written = threading.Barrier(2, timeout=30)
+
+        def save_then_wait(path, result):
+            save(path, result)
+            both_written.wait()
+
+        monkeypatch.setattr(serialize, "save_spanner", save_then_wait)
+        net = self._net()
+        params = SamplerParams(k=1, h=1, seed=2)
+        result = build_spanner_distributed(net, params)
+        store = ArtifactStore(tmp_path)
+        errors = []
+
+        def put():
+            try:
+                store.put_spanner(result)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=put) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        assert store.stats.puts == 2
+        assert store.stats.write_failures == 0
+        assert not [p for p in os.listdir(tmp_path) if ".tmp-" in p]
+        loaded, info = ArtifactStore(tmp_path).fetch_spanner(net, params)
+        assert info.source == "disk"
+        assert loaded == result
+
     def test_lru_evicts_and_counts(self):
         store = ArtifactStore(capacity=1)
         net = self._net()

@@ -1,17 +1,16 @@
 #!/usr/bin/env python
 """Guarded end-to-end spanner build at n = 10^6 (DESIGN.md §3.11).
 
-The scale target of the shard-parallel build engine, runnable on
-demand rather than inside the test or bench suites — a million-node
-sparse G(n, p) needs a few GB of RSS and minutes of wall clock, which
-is real money on CI::
+The scale target of the level kernel, runnable on demand rather than
+inside the test or bench suites — a million-node sparse G(n, p) needs a
+few GB of RSS and minutes of wall clock, which is real money on CI::
 
     PYTHONPATH=src python tools/build_million.py
-    PYTHONPATH=src python tools/build_million.py --n 300000 --jobs 4
+    PYTHONPATH=src python tools/build_million.py --n 300000
     PYTHONPATH=src python tools/build_million.py --degree 6 --seed 3
 
 Prints per-stage wall times (generation, build), the spanner size and
-density, and the process peak RSS (workers included).  The graph comes
+density, and the process peak RSS.  The graph comes
 from the O(m) array generator — the reference per-pair generator is
 quadratic-ish in wall clock at this n and would dwarf the build.
 """
@@ -31,9 +30,8 @@ except ImportError:  # pragma: no cover - non-POSIX
 def _peak_rss_mb() -> float | None:
     if resource is None:  # pragma: no cover - non-POSIX
         return None
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    kids = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return max(own, kids) / 1024  # Linux reports kilobytes
+    # Linux reports kilobytes
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -43,12 +41,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n", type=int, default=1_000_000, help="node count")
     parser.add_argument(
         "--degree", type=float, default=8.0, help="average degree of G(n, p)"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=2,
-        help="parallel build workers (1 = the in-process kernel)",
     )
     parser.add_argument("--seed", type=int, default=1, help="graph + sampler seed")
     parser.add_argument(
@@ -71,18 +63,18 @@ def main(argv: list[str] | None = None) -> int:
 
     params = SamplerParams(k=args.k, h=2, seed=args.seed)
     t0 = time.perf_counter()
-    result = build_spanner(net, params, jobs=args.jobs)
+    result = build_spanner(net, params)
     t_build = time.perf_counter() - t0
     print(
         f"built spanner: |S|={result.size} "
         f"(density {result.density_ratio():.3f}, "
         f"stretch bound {result.stretch_bound}) "
-        f"in {t_build:.1f}s at jobs={args.jobs}",
+        f"in {t_build:.1f}s",
         flush=True,
     )
     peak = _peak_rss_mb()
     if peak is not None:
-        print(f"peak RSS {peak:.0f} MB (workers included)")
+        print(f"peak RSS {peak:.0f} MB")
     levels = result.trace.populations
     print(f"level populations: {levels}")
     return 0

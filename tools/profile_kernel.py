@@ -6,26 +6,24 @@ Hot-path PRs should start from data, not guesses::
     PYTHONPATH=src python tools/profile_kernel.py spanner_dist/gnp/n2000
     PYTHONPATH=src python tools/profile_kernel.py scheme/one_stage/gnp --sort tottime
     PYTHONPATH=src python tools/profile_kernel.py spanner_dist/gnp/n2000 --engine reference
-    PYTHONPATH=src python tools/profile_kernel.py spanner_par/gnp/n20000 --jobs 4
     PYTHONPATH=src python tools/profile_kernel.py spanner/gnp/n2000 --top-alloc
     PYTHONPATH=src python tools/profile_kernel.py spanner/gnp/n2000 --obs-trace /tmp/build.trace.json
     PYTHONPATH=src python tools/profile_kernel.py --list
 
 The kernel's ``build()`` (input construction) runs outside the profile;
 only the measured body is profiled — the same split the harness times.
-``--engine`` / ``--distance-engine`` / ``--jobs`` pin the round engine
-(``REPRO_ROUND_ENGINE``), the distance plane
-(``REPRO_DISTANCE_ENGINE``), and the parallel build width
-(``REPRO_BUILD_JOBS``) for the profiled process, so comparing the
+``--engine`` / ``--distance-engine`` pin the round engine
+(``REPRO_ROUND_ENGINE``) and the distance plane
+(``REPRO_DISTANCE_ENGINE``) for the profiled process, so comparing the
 competing paths needs no env-var juggling.  ``--top-alloc`` swaps the
 time profile for a ``tracemalloc`` allocation profile: the top
 ``--limit`` allocation sites plus the traced-peak size — the place to
 start when a kernel's ``peak_rss_mb`` regresses.  (tracemalloc sees
-this process only; parallel-build worker allocations stay off-book.)
+this process only.)
 ``--obs-trace PATH`` additionally runs the body under ``REPRO_OBS=1``
 and writes its span tree as a Chrome ``trace_event`` file — open it in
 chrome://tracing or Perfetto to see where the profiled wall-time went
-per phase (worker shards included; their spans merge parent-side).
+per phase.
 """
 
 from __future__ import annotations
@@ -76,14 +74,6 @@ def main(argv: list[str] | None = None) -> int:
         help="distance plane for the profiled run (sets REPRO_DISTANCE_ENGINE)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="parallel-build worker count for the profiled run "
-        "(sets REPRO_BUILD_JOBS; 1 = the in-process kernel)",
-    )
-    parser.add_argument(
         "--top-alloc",
         action="store_true",
         help="profile allocations (tracemalloc) instead of time: top "
@@ -105,8 +95,6 @@ def main(argv: list[str] | None = None) -> int:
         os.environ["REPRO_ROUND_ENGINE"] = args.engine
     if args.distance_engine:
         os.environ["REPRO_DISTANCE_ENGINE"] = args.distance_engine
-    if args.jobs is not None:
-        os.environ["REPRO_BUILD_JOBS"] = str(args.jobs)
     if args.obs_trace:
         os.environ["REPRO_OBS"] = "1"
 
