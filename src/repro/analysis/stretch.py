@@ -8,13 +8,11 @@ adjacent-pair condition ``dist_H(u, v) <= alpha`` for every edge
 or over a seeded sample of edges for large ones.
 
 Distances come from the shared distance plane
-(:mod:`repro.graphs.distance`, DESIGN.md §3.7): the default ``vector``
-engine batches one truncated BFS per queried source through NumPy
-bitset sweeps, which keeps *exact* measurement usable at tens of
-thousands of nodes; ``Exec(distance_engine="reference")`` runs the
-original deque BFS per source.  Both engines produce equal
-:class:`StretchReport` values (sums are accumulated
-order-independently), which the property tests enforce.
+(:mod:`repro.graphs.distance`, DESIGN.md §3.7), which batches one
+truncated BFS per queried source through NumPy bitset sweeps; that
+keeps *exact* measurement usable at tens of thousands of nodes.  The
+test suite holds both reports equal to the seed's deque BFS per source
+(``tests/reference_distance.py``).
 """
 
 from __future__ import annotations
@@ -24,16 +22,10 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.execution import Exec
-from repro.graphs.distance import (
-    bfs_exhausted,
-    csr_from_adjacency,
-    distance_blocks,
-    single_source_distances,
-)
+from repro.graphs.distance import adjacency_csr, distance_blocks
 from repro.local.network import Network
 
-__all__ = ["StretchReport", "adjacent_pair_stretch", "pairwise_stretch", "bfs_distances"]
+__all__ = ["StretchReport", "adjacent_pair_stretch", "pairwise_stretch"]
 
 _UNREACHABLE = math.inf
 
@@ -60,48 +52,15 @@ class StretchReport:
         return self.unreachable_pairs == 0
 
 
-def _adjacency(network: Network, edge_ids: Iterable[int] | None = None) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(network.n)]
-    eids = network.edge_ids if edge_ids is None else edge_ids
-    for eid in eids:
-        u, v = network.endpoints(eid)
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
-def bfs_distances(
-    adj: Sequence[Sequence[int]], source: int, cutoff: float = _UNREACHABLE
-) -> dict[int, int]:
-    """Unweighted single-source distances, optionally truncated at ``cutoff``.
-
-    Thin alias of :func:`repro.graphs.distance.single_source_distances`
-    — the distance plane's reference BFS — kept here because callers
-    across the simulate layer import it under this name.
-    """
-    return single_source_distances(adj, source, cutoff)
-
-
-def _distance_rows(
-    adj: Sequence[Sequence[int]],
-    sources: Sequence[int],
-    cutoff: float,
-    engine: str,
-):
-    """Yield ``(source, lookup, exhausted)`` per queried source.
+def _distance_rows(graph: Network, sources: Sequence[int], cutoff: float):
+    """Yield ``(source, lookup, exhausted)`` per queried source of ``graph``.
 
     ``lookup(target)`` returns the distance or ``None`` when the target
-    was not reached; ``exhausted`` mirrors
-    :func:`~repro.graphs.distance.bfs_exhausted`.  The vector engine
-    batches all sources through the bitset sweep; the reference engine
-    runs the original per-source deque BFS.
+    was not reached; ``exhausted`` says the truncated search explored
+    its whole component (see
+    :func:`~repro.graphs.distance.distance_blocks`).
     """
-    if engine == "reference":
-        for source in sources:
-            dist = single_source_distances(adj, source, cutoff=cutoff)
-            yield source, dist.get, bfs_exhausted(dist, cutoff)
-        return
-    indptr, indices = csr_from_adjacency(adj)
+    indptr, indices = adjacency_csr(graph)
     for offset, dist, exhausted in distance_blocks(
         indptr, indices, sources, cutoff=cutoff
     ):
@@ -122,17 +81,14 @@ def adjacent_pair_stretch(
     sample: int | None = None,
     seed: int = 0,
     cutoff: float = _UNREACHABLE,
-    execution: Exec | None = None,
 ) -> StretchReport:
     """Measure ``dist_H`` over edges of ``G`` (the spanner-defining pairs).
 
     ``sample=None`` measures every edge; otherwise ``sample`` edges are
     drawn without replacement with a seeded RNG.  ``cutoff`` truncates
     BFS (useful when the caller only needs to check a known bound).
-    ``execution`` selects the distance plane implementation.
     """
-    engine = (execution or Exec()).distance_engine
-    spanner_adj = _adjacency(network, sorted(set(spanner_edges)))
+    spanner = network.subnetwork(spanner_edges)
     eids = list(network.edge_ids)
     if sample is not None and sample < len(eids):
         eids = random.Random(seed).sample(eids, sample)
@@ -149,9 +105,7 @@ def adjacent_pair_stretch(
     beyond = 0
     measured = 0
     sources = list(by_source)
-    for source, lookup, exhausted in _distance_rows(
-        spanner_adj, sources, cutoff, engine
-    ):
+    for source, lookup, exhausted in _distance_rows(spanner, sources, cutoff):
         for target in by_source[source]:
             measured += 1
             d = lookup(target)
@@ -179,17 +133,12 @@ def pairwise_stretch(
     *,
     sources: int | None = None,
     seed: int = 0,
-    execution: Exec | None = None,
 ) -> StretchReport:
     """Max/mean of ``dist_H / dist_G`` over (sampled-source) node pairs.
 
-    Ratios are summed with :func:`math.fsum` (exact, hence independent
-    of target enumeration order), so the two engines return identical
-    reports even though they walk targets in different orders.
+    Ratios are summed with :func:`math.fsum`: exact, hence independent
+    of target enumeration order.
     """
-    engine = (execution or Exec()).distance_engine
-    g_adj = _adjacency(network)
-    h_adj = _adjacency(network, sorted(set(spanner_edges)))
     nodes = list(network.nodes())
     if sources is not None and sources < len(nodes):
         nodes = random.Random(seed).sample(nodes, sources)
@@ -197,8 +146,8 @@ def pairwise_stretch(
     ratios: list[float] = []
     measured = 0
     unreachable = 0
-    rows_g = _distance_rows(g_adj, nodes, _UNREACHABLE, engine)
-    rows_h = _distance_rows(h_adj, nodes, _UNREACHABLE, engine)
+    rows_g = _distance_rows(network, nodes, _UNREACHABLE)
+    rows_h = _distance_rows(network.subnetwork(spanner_edges), nodes, _UNREACHABLE)
     for (source, dg, _), (_, dh, _) in zip(rows_g, rows_h):
         for target in range(network.n):
             d_g = dg(target)

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from repro.analysis.stretch import StretchReport, adjacent_pair_stretch
 from repro.core.spanner import SpannerResult
 from repro.errors import ValidationError
-from repro.execution import Exec
 
 __all__ = ["SpannerValidation", "validate_spanner"]
 
@@ -28,7 +27,6 @@ def validate_spanner(
     check_size_envelope: bool = True,
     stretch_sample: int | None = None,
     seed: int = 0,
-    execution: Exec | None = None,
 ) -> SpannerValidation:
     """Raise :class:`ValidationError` unless ``result`` is a valid spanner.
 
@@ -50,7 +48,6 @@ def validate_spanner(
         sample=stretch_sample,
         seed=seed,
         cutoff=bound + 1,
-        execution=execution,
     )
     if report.unreachable_pairs or report.beyond_cutoff:
         # Both buckets violate the bound here: the BFS cutoff is bound+1,

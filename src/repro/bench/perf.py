@@ -562,9 +562,9 @@ def default_kernels() -> list[Kernel]:
             _flood,
         )
     )
-    # The n >= 10^4 instances are feasible only under the vector
-    # distance engine (DESIGN.md §3.7): the per-node Python BFS they
-    # replaced needs minutes at this scale.
+    # The n >= 10^4 instances are feasible only on the batched distance
+    # plane (DESIGN.md §3.7): the per-node Python BFS it replaced needs
+    # minutes at this scale.
     kernels.append(
         Kernel(
             "flood/gnp/n10000",

@@ -10,17 +10,16 @@ takes one ``execution: Exec | None`` argument, where ``None`` means
   runs under a fault plan (§3.5);
 * ``scheduler`` — ``"active"`` or ``"dense"``, the oracle for the
   ``Context`` sleep contract (§3.6);
-* ``distance_engine`` — ``"vector"`` bitset sweeps or the
-  ``"reference"`` per-node BFS (§3.7);
 * ``round_engine`` — ``"vector"`` populations or the ``"reference"``
   per-node interpreter (§3.10).
 
-The two engine fields default to ``$REPRO_DISTANCE_ENGINE`` and
-``$REPRO_ROUND_ENGINE``, read when an ``Exec`` is built (never at
-import); this module is the only reader of those variables.  Every
-field is validated on construction, so a misspelt name fails before any
-work is done.  Artifact caches (``store``) stay a separate argument:
-they are not an interchangeable implementation.
+The distance plane (§3.7) has one implementation; its oracle lives
+under ``tests/``.  ``round_engine`` defaults to ``$REPRO_ROUND_ENGINE``,
+read when an ``Exec`` is built (never at import); this module is the
+only reader of that variable.  Every field is validated on
+construction, so a misspelt name fails before any work is done.
+Artifact caches (``store``) stay a separate argument: they are not an
+interchangeable implementation.
 """
 
 from __future__ import annotations
@@ -33,13 +32,8 @@ __all__ = ["Exec"]
 _CHOICES = {
     "flood_engine": ("fast", "runtime"),
     "scheduler": ("active", "dense"),
-    "distance_engine": ("vector", "reference"),
     "round_engine": ("vector", "reference"),
 }
-
-
-def _from_env(variable: str):
-    return field(default_factory=lambda: os.environ.get(variable, "vector"))
 
 
 @dataclass(frozen=True)
@@ -48,8 +42,9 @@ class Exec:
 
     flood_engine: str = "fast"
     scheduler: str = "active"
-    distance_engine: str = _from_env("REPRO_DISTANCE_ENGINE")
-    round_engine: str = _from_env("REPRO_ROUND_ENGINE")
+    round_engine: str = field(
+        default_factory=lambda: os.environ.get("REPRO_ROUND_ENGINE", "vector")
+    )
 
     def __post_init__(self) -> None:
         for name, choices in _CHOICES.items():

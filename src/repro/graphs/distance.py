@@ -5,49 +5,38 @@ schedule, the footnote-1 stretch measurement, the transformer's
 ``B_t``-coverage check, diameter/eccentricity precomputes — is,
 computationally, the same kernel: level sets of an unweighted BFS,
 capped at a radius, from one or many sources.  This module owns that
-kernel once, in two interchangeable engines:
+kernel once, as NumPy bitset frontier sweeps.  The graph lives as a
+flat neighbor CSR (``indptr``/``indices``); a block of sources is
+packed along a uint64 bit dimension, so one BFS level is a row-gather
+of the packed frontier through ``indices`` plus a segmented
+``bitwise_or.reduceat`` per destination node, then
+``newly = expanded & ~visited`` — all 64 sources of a word advance per
+machine word.  No per-node Python loop ever runs; memory is bounded by
+processing sources in blocks sized so the *unpacked* ``(rows, n)``
+stages stay under a fixed cell budget.
 
-* ``distance_engine="vector"`` (default) — NumPy bitset frontier
-  sweeps.  The graph lives as a flat neighbor CSR
-  (``indptr``/``indices``); a block of sources is packed along a
-  uint64 bit dimension, so one BFS level is a row-gather of the packed
-  frontier through ``indices`` plus a segmented
-  ``bitwise_or.reduceat`` per destination node, then
-  ``newly = expanded & ~visited`` — all 64 sources of a word advance
-  per machine word.  No per-node Python loop ever runs; memory is
-  bounded by processing sources in blocks sized so the *unpacked*
-  ``(rows, n)`` stages stay under a fixed cell budget.
-* ``distance_engine="reference"`` — the pure-Python frontier-list/deque
-  BFS the repo shipped with, kept verbatim as the only oracle for this
-  plane (DESIGN.md §3.4 step 1).  The test suite asserts value-identical
-  results between the engines across families × radii × seeds.
-
-The engine is a field of :class:`~repro.execution.Exec` (``execution=``
-on the public functions), whose default comes from the
-``REPRO_DISTANCE_ENGINE`` environment variable.
+The seed's pure-Python BFS is the plane's oracle.  It lives in
+``tests/reference_distance.py`` with the flood schedule,
+eccentricities and stretch reports written on it, and the test suite
+holds every consumer here equal to it, on every connected graph of up
+to 7 nodes among others (DESIGN.md §3.4 step 1).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Sequence
 from typing import Iterator
 
 import numpy as np
 
-from repro.execution import Exec
-
 __all__ = [
     "BallFamily",
     "adjacency_csr",
-    "csr_from_adjacency",
     "component_labels",
     "balls_and_eccentricities",
     "distance_blocks",
     "ball_matrix_blocks",
-    "single_source_distances",
-    "bfs_exhausted",
     "eccentricities",
 ]
 
@@ -86,19 +75,6 @@ def adjacency_csr(network) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
-def csr_from_adjacency(adj: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Neighbor CSR from plain adjacency lists (one copy, no validation)."""
-    n = len(adj)
-    counts = np.fromiter((len(row) for row in adj), dtype=np.int64, count=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    total = int(indptr[-1])
-    indices = np.fromiter(
-        (w for row in adj for w in row), dtype=np.int64, count=total
-    )
-    return indptr, indices
-
-
 def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Connected-component label of every node: its component's minimum.
 
@@ -133,7 +109,7 @@ def _block_rows(n: int, n_sources: int, *, track_dist: bool = False) -> int:
 
 
 # ----------------------------------------------------------------------
-# the batched sweep (vector engine core)
+# the batched sweep
 # ----------------------------------------------------------------------
 def _sweep(
     indptr: np.ndarray,
@@ -243,8 +219,9 @@ class BallFamily(Sequence):
     i-th source's set, materialized lazily and cached — while exposing
     the array forms the hot paths consume: :meth:`sizes` (popcounts,
     no materialization) and :meth:`membership_rows` (boolean indicator
-    rows for vectorized subset tests).  The reference engine builds it
-    from plain frozensets; equality compares element sets, so mixed
+    rows for vectorized subset tests).  The distance plane builds it
+    packed; the test oracle and hand-built schedules build it from plain
+    frozensets.  Equality compares element sets, so mixed
     representations compare correctly.
     """
 
@@ -340,18 +317,6 @@ class BallFamily(Sequence):
             held[start : start + block] = _popcounts(rows) == need[comp[chunk]]
         return held
 
-    def packed_rows(self) -> np.ndarray:
-        """The whole family as a ``(rows, ceil(n/8))`` uint8 bitset.
-
-        Row ``i`` holds source ``i``'s member set little-endian
-        bit-packed — the canonical serialized form the artifact store
-        writes to ``.npz`` (DESIGN.md §3.8).  Packed-backed families
-        return their backing matrix; set-backed families pack on demand.
-        """
-        if self._packed is not None:
-            return self._packed
-        return _pack_rows(self.membership_rows(range(len(self))))
-
     def membership_rows(self, sources: Sequence[int]) -> np.ndarray:
         """Boolean ``(len(sources), n)`` indicator rows for those sources."""
         idx = np.asarray(sources, dtype=np.int64)
@@ -388,91 +353,19 @@ class BallFamily(Sequence):
 
 
 # ----------------------------------------------------------------------
-# reference engine (the seed BFS implementations, verbatim)
-# ----------------------------------------------------------------------
-def single_source_distances(
-    adj: Sequence[Sequence[int]], source: int, cutoff: float = _UNREACHABLE
-) -> dict[int, int]:
-    """Unweighted single-source distances, optionally truncated at ``cutoff``.
-
-    This *is* the reference BFS (formerly ``analysis.stretch.
-    bfs_distances``); the vector engine's distance rows are asserted
-    equal to it by the property tests.
-    """
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        d = dist[node]
-        if d >= cutoff:
-            continue
-        for nxt in adj[node]:
-            if nxt not in dist:
-                dist[nxt] = d + 1
-                queue.append(nxt)
-    return dist
-
-
-def bfs_exhausted(dist: dict[int, int], cutoff: float) -> bool:
-    """Whether a truncated BFS provably explored its whole component.
-
-    When no node sits at distance ``cutoff`` the frontier died before
-    the truncation could bite, so any node missing from ``dist`` is
-    genuinely disconnected; otherwise a missing node may merely lie
-    beyond the cutoff.
-    """
-    return cutoff == _UNREACHABLE or all(d < cutoff for d in dist.values())
-
-
-def _reference_balls(
-    adjacency: Sequence[Sequence[int]], radius: int, sources: Sequence[int]
-) -> tuple[list[frozenset[int]], list[int]]:
-    """Frontier-list truncated BFS per source (the seed flood kernel)."""
-    balls: list[frozenset[int]] = []
-    ecc: list[int] = []
-    for source in sources:
-        ball = {source}
-        frontier = [source]
-        reached = 0
-        for r in range(1, radius + 1):
-            layer: list[int] = []
-            for u in frontier:
-                for w in adjacency[u]:
-                    if w not in ball:
-                        ball.add(w)
-                        layer.append(w)
-            if not layer:
-                break
-            reached = r
-            frontier = layer
-        ecc.append(reached)
-        balls.append(frozenset(ball))
-    return balls, ecc
-
-
-# ----------------------------------------------------------------------
 # public batched APIs
 # ----------------------------------------------------------------------
-def balls_and_eccentricities(
-    network,
-    radius: int,
-    *,
-    execution: Exec | None = None,
-) -> tuple[BallFamily, list[int]]:
+def balls_and_eccentricities(network, radius: int) -> tuple[BallFamily, list[int]]:
     """Radius-balls and capped eccentricities for *every* node.
 
     ``balls[v]`` is the radius-ball around ``v`` (itself included);
     ``ecc[v]`` is the last level at which ``v``'s BFS found anything
     new, capped at ``radius`` — exactly the flood schedule's two
-    ingredients.  The vector engine keeps the balls packed
-    (:class:`BallFamily`); consumers that only need sizes or membership
-    never pay for Python set materialization.
+    ingredients.  The balls stay packed (:class:`BallFamily`);
+    consumers that only need sizes or membership never pay for Python
+    set materialization.
     """
     n = network.n
-    if (execution or Exec()).distance_engine == "reference":
-        adjacency = [network.neighbors(v) for v in range(n)]
-        sets, ecc = _reference_balls(adjacency, radius, range(n))
-        return BallFamily.from_sets(sets, n), ecc
     indptr, indices = adjacency_csr(network)
     packed_rows: list[np.ndarray] = []
     ecc_out: list[int] = []
@@ -505,12 +398,13 @@ def distance_blocks(
 
     ``dist`` is ``(rows, n)`` int32 — ``dist[i, w]`` is the distance
     from ``sources[offset + i]`` to ``w``, ``-1`` when ``w`` was not
-    reached.  ``exhausted[i]`` mirrors :func:`bfs_exhausted`: True when
-    the truncated search provably explored its whole component, i.e.
-    unreached nodes are disconnected rather than beyond the cutoff.
+    reached.  ``exhausted[i]`` is True when the truncated search
+    provably explored its whole component, i.e. unreached nodes are
+    disconnected rather than beyond the cutoff: the frontier died before
+    the cutoff could bite.
 
-    A node at distance ``d`` expands while ``d < cutoff`` (the reference
-    BFS's rule), so distances up to ``ceil(cutoff)`` are recorded.
+    A node at distance ``d`` expands while ``d < cutoff``, so distances
+    up to ``ceil(cutoff)`` are recorded.
     """
     n = len(indptr) - 1
     levels = None if math.isinf(cutoff) else int(math.ceil(cutoff))
@@ -551,9 +445,7 @@ def ball_matrix_blocks(
         yield start, _unpack_bool(visited, len(chunk)).T
 
 
-def eccentricities(
-    network, *, execution: Exec | None = None
-) -> tuple[list[int], list[int]]:
+def eccentricities(network) -> tuple[list[int], list[int]]:
     """Uncapped eccentricity and reached-component size for every node.
 
     Returns ``(ecc, reached)`` lists: ``ecc[v]`` is the greatest
@@ -562,15 +454,6 @@ def eccentricities(
     and detect disconnection without a per-node Python BFS.
     """
     n = network.n
-    if (execution or Exec()).distance_engine == "reference":
-        adjacency = [network.neighbors(v) for v in range(n)]
-        ecc: list[int] = []
-        reached: list[int] = []
-        for v in range(n):
-            dist = single_source_distances(adjacency, v)
-            ecc.append(max(dist.values()))
-            reached.append(len(dist))
-        return ecc, reached
     indptr, indices = adjacency_csr(network)
     ecc_out: list[int] = []
     reached_out: list[int] = []

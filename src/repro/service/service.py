@@ -466,7 +466,7 @@ class SimulationService:
                 while len(self._subnets) > _SUBNET_MEMO_CAP:
                     self._subnets.pop(next(iter(self._subnets)))
             schedule, schedule_info = self.store.fetch_flood_schedule(
-                spanner_net, radius, execution=execution
+                spanner_net, radius
             )
         simulation = simulate_over_spanner(
             network,

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from repro.execution import Exec
 from repro.graphs.distance import eccentricities
 from repro.core.params import SamplerParams
 from repro.core.spanner import SpannerResult
@@ -55,9 +54,9 @@ class GlobalComputation:
         return self.spanner.rounds + self.flood_rounds
 
 
-def graph_diameter(network: Network, *, execution: Exec | None = None) -> int:
+def graph_diameter(network: Network) -> int:
     """Exact diameter via the distance plane's batched eccentricities."""
-    ecc, reached = eccentricities(network, execution=execution)
+    ecc, reached = eccentricities(network)
     if any(count != network.n for count in reached):
         raise ValueError("diameter undefined: graph is disconnected")
     return max(ecc)

@@ -247,7 +247,7 @@ def run_push_pull(
             faults=faults,
             execution=execution,
         )
-    balls, _ = balls_and_eccentricities(network, t, execution=execution)
+    balls, _ = balls_and_eccentricities(network, t)
     delivered = 0
     required = 0
     for node in network.nodes():

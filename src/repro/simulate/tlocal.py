@@ -28,10 +28,9 @@ Two flood engines compute the outcome (DESIGN.md §3.5), chosen by the
   equality between the engines across graph families, radii, and
   seeds.
 
-Within the fast engine, ``distance_engine`` further selects the
-distance plane's implementation: ``"vector"`` (NumPy bitset sweeps) or
-``"reference"`` (the pure-Python per-node BFS), both producing equal
-:class:`FloodSchedule` values.
+The fast engine's sweeps have one implementation; the test suite holds
+its :class:`FloodSchedule` equal to one built on the seed's
+frontier-list BFS (``tests/reference_distance.py``).
 """
 
 from __future__ import annotations
@@ -91,9 +90,9 @@ class FloodSchedule:
     are exactly what the literal runtime meters for the same flood.
 
     ``balls`` is a :class:`~repro.graphs.distance.BallFamily`: it
-    indexes and iterates as frozensets, but stays bit-packed under the
-    vector distance engine so schedule derivation never materializes
-    millions of Python sets unless a consumer actually asks for them.
+    indexes and iterates as frozensets, but stays bit-packed so schedule
+    derivation never materializes millions of Python sets unless a
+    consumer actually asks for them.
     """
 
     balls: Sequence[frozenset[int]]
@@ -252,9 +251,7 @@ class _VectorFlood(VectorProgram):
         return self._live
 
 
-def flood_schedule(
-    spanner: Network, radius: int, *, execution: Exec | None = None
-) -> FloodSchedule:
+def flood_schedule(spanner: Network, radius: int) -> FloodSchedule:
     """Compute the flood's outcome without simulating it.
 
     One batched truncated BFS over the spanner (the distance plane,
@@ -267,13 +264,9 @@ def flood_schedule(
       ``v`` whose BFS layer ``r`` is non-empty, i.e. ``ecc[v] >= r``;
     * round ``radius`` sends are never delivered and are not metered
       (the runtime discards them the same way).
-
-    ``execution`` selects the distance plane's implementation
-    (``"vector"``/``"reference"``); both produce equal schedules, which
-    the property tests enforce.
     """
     n = spanner.n
-    balls, ecc = balls_and_eccentricities(spanner, radius, execution=execution)
+    balls, ecc = balls_and_eccentricities(spanner, radius)
     degs = [spanner.degree(v) for v in range(n)]
     return FloodSchedule(
         balls=balls,
@@ -332,11 +325,11 @@ def t_local_broadcast(
 
     ``spanner`` is typically ``network.subnetwork(S)``; payloads opaque.
     Under ``execution``'s ``flood_engine="fast"`` the report is derived
-    from batched CSR sweeps (:func:`flood_schedule`, on its
-    ``distance_engine``); ``"runtime"`` runs the literal node-program
-    simulation — under ``scheduler="active"`` only the flood frontier is
-    stepped, under ``"dense"`` every node every round.  All
-    combinations produce equal reports.
+    from batched CSR sweeps (:func:`flood_schedule`); ``"runtime"``
+    runs the literal node-program simulation — under
+    ``scheduler="active"`` only the flood frontier is stepped, under
+    ``"dense"`` every node every round.  All combinations produce equal
+    reports.
 
     ``faults`` (a :class:`~repro.local.faults.FaultPlan`) injects
     message drops and requires ``flood_engine="runtime"`` — the fast engine is
@@ -384,9 +377,9 @@ def t_local_broadcast(
 
     active_store = resolve_store(store)
     if active_store is not None:
-        schedule = active_store.flood_schedule(spanner, radius, execution=execution)
+        schedule = active_store.flood_schedule(spanner, radius)
     else:
-        schedule = flood_schedule(spanner, radius, execution=execution)
+        schedule = flood_schedule(spanner, radius)
     payloads = [payload_of(v) for v in range(spanner.n)]
     collected = {
         v: {origin: payloads[origin] for origin in ball}

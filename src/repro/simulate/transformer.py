@@ -96,8 +96,7 @@ def simulate_over_spanner(
 
     ``execution`` picks the implementation of every stage; all of its
     combinations produce identical outcomes.  Its ``scheduler`` only
-    matters under ``flood_engine="runtime"`` (DESIGN.md §3.6), and its
-    ``distance_engine`` only under ``"fast"`` (DESIGN.md §3.7).  Its
+    matters under ``flood_engine="runtime"`` (DESIGN.md §3.6).  Its
     ``round_engine`` (DESIGN.md §3.10) backs the flood under
     ``"runtime"`` and the shared replay under ``"fast"``.
 
@@ -147,11 +146,9 @@ def simulate_over_spanner(
 
         active_store = resolve_store(store)
         if active_store is not None:
-            schedule = active_store.flood_schedule(
-                spanner, flood_radius, execution=execution
-            )
+            schedule = active_store.flood_schedule(spanner, flood_radius)
         else:
-            schedule = flood_schedule(spanner, flood_radius, execution=execution)
+            schedule = flood_schedule(spanner, flood_radius)
     elif schedule.rounds != max(0, flood_radius):
         raise ValueError(
             f"precomputed schedule covers radius {schedule.rounds}, "
@@ -189,7 +186,6 @@ def _replay_shared(
     The coverage verdict ``B_t(center) ⊆ ball(center)`` is computed by
     :func:`_uncovered_centers`.
     """
-    engine = execution.distance_engine
     n = network.n
     balls = schedule.balls
     family = (
@@ -198,11 +194,11 @@ def _replay_shared(
         else BallFamily.from_sets([frozenset(b) for b in balls], n)
     )
     if not obs.enabled():
-        uncovered, _, _ = _uncovered_centers(network, family, t, engine)
+        uncovered, _, _ = _uncovered_centers(network, family, t)
     else:
         with obs.span("simulate/coverage", t=t) as coverage_span:
             uncovered, short, component_covered = _uncovered_centers(
-                network, family, t, engine
+                network, family, t
             )
             coverage_span.set(
                 short=short,
@@ -224,53 +220,24 @@ def _replay_shared(
 
 
 def _uncovered_centers(
-    network: Network, family: BallFamily, t: int, engine: str
+    network: Network, family: BallFamily, t: int
 ) -> tuple[list[int], int, int]:
     """``(uncovered, short, component_covered)`` for the shared replay.
 
     ``uncovered`` lists the centers whose ball misses part of their
     ``B_t`` in ``G``.  A ball holding all ``n`` nodes covers any
-    ``B_t``; only the ``short`` remainder is checked.  The vector engine
-    first applies the component rule — ``B_t(c) ⊆ comp(c)``, so a ball
-    holding the center's whole connected component covers it
-    (``component_covered`` counts those) — and runs the batched ``B_t``
-    sweep for the rest only.  That sweep checks ``B_t & ~ball`` over
-    boolean rows; the reference engine keeps the early-exiting
-    member-only Python BFS.  Both are exact: a member-only BFS from the
-    center hits a non-member within ``t`` hops iff the full ``B_t``
-    contains one (walk any shortest path to the offending node — its
-    first non-member lies within ``t`` hops through members).
+    ``B_t``; only the ``short`` remainder is checked.  The component
+    rule comes first — ``B_t(c) ⊆ comp(c)``, so a ball holding the
+    center's whole connected component covers it (``component_covered``
+    counts those) — and the batched ``B_t`` sweep runs for the rest
+    only, checking ``B_t & ~ball`` over boolean rows.  The test suite
+    holds the verdict equal to a brute-force ``B_t ⊆ ball`` check on the
+    seed's BFS.
     """
     n = network.n
     candidates = np.flatnonzero(family.sizes() != n).tolist()
     short = len(candidates)
     uncovered: list[int] = []
-    if engine == "reference":
-        neighbors = [network.neighbors(v) for v in range(n)]
-        for center in candidates:
-            members = family[center]
-            # Exact B_t(center) in G, truncated BFS over cached adjacency.
-            seen = {center}
-            frontier = [center]
-            ok = True
-            for _ in range(t):
-                if not ok or not frontier:
-                    break
-                layer: list[int] = []
-                for u in frontier:
-                    for w in neighbors[u]:
-                        if w not in seen:
-                            if w not in members:
-                                ok = False
-                                break
-                            seen.add(w)
-                            layer.append(w)
-                    if not ok:
-                        break
-                frontier = layer
-            if not ok:
-                uncovered.append(center)
-        return uncovered, short, 0
     if not candidates:
         return uncovered, 0, 0
     _, ep_u, ep_v = network.endpoints_flat()

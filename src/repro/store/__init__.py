@@ -9,9 +9,8 @@ number of ``t``-round simulations.  This package makes that operational
 * :mod:`repro.store.keys` — the content-addressed key schema
   (``Network.fingerprint()`` + artifact parameters + schema version);
 * :mod:`repro.store.serialize` — exact ``.npz``/JSON codecs for
-  :class:`~repro.core.spanner.SpannerResult` and
-  :class:`~repro.simulate.tlocal.FloodSchedule`, plus
-  :class:`FloodProfile`, the truncatable cached form of a flood;
+  :class:`~repro.core.spanner.SpannerResult` and :class:`FloodProfile`,
+  the truncatable cached form of a flood schedule;
 * :mod:`repro.store.store` — :class:`ArtifactStore` (in-memory LRU +
   optional on-disk layer with atomic writes, corruption-tolerant
   reads with seeded-jitter retry backoff, and per-key cross-process
@@ -28,9 +27,7 @@ from repro.store.locks import FileLock, LockTimeout, pid_alive, plant_stale_lock
 from repro.store.serialize import (
     ArtifactError,
     FloodProfile,
-    load_flood_schedule,
     load_spanner,
-    save_flood_schedule,
     save_spanner,
 )
 from repro.store.store import (
@@ -52,12 +49,10 @@ __all__ = [
     "StoreStats",
     "default_store",
     "flood_key",
-    "load_flood_schedule",
     "load_spanner",
     "pid_alive",
     "plant_stale_lock",
     "resolve_store",
-    "save_flood_schedule",
     "save_spanner",
     "spanner_key",
     "store_key",

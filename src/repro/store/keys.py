@@ -14,8 +14,9 @@ function of the *content* that determines the artifact:
   active and dense schedulers produce identical ``RunReport``s — the
   equivalence contract of DESIGN.md §3.6, enforced by
   ``tests/test_scheduler.py``);
-* ``flood`` — *spanner* fingerprint + the resolved distance engine.
-  The radius is **not** part of the key: one
+* ``flood`` — the *spanner* fingerprint alone.  The distance plane has
+  one implementation, so no engine name enters the key.  The radius is
+  **not** part of the key either: one
   :class:`~repro.store.serialize.FloodProfile` entry per spanner holds
   the largest radius ever requested and serves any smaller radius by
   truncation, so keying on radius would defeat the sharing the paper's
@@ -38,7 +39,8 @@ __all__ = ["STORE_SCHEMA", "flood_key", "spanner_key", "store_key"]
 
 # 2: the manifest is a UTF-8 ``uint8`` member and the trace is row-encoded
 # (DESIGN.md §3.8); schema-1 files are misses.
-STORE_SCHEMA = 2
+# 3: flood keys and profile manifests name no distance engine.
+STORE_SCHEMA = 3
 
 
 def store_key(kind: str, graph_fingerprint: str, **fields) -> str:
@@ -58,6 +60,6 @@ def spanner_key(graph_fingerprint: str, params: SamplerParams) -> str:
     return store_key("spanner", graph_fingerprint, params=asdict(params))
 
 
-def flood_key(spanner_fingerprint: str, engine: str) -> str:
+def flood_key(spanner_fingerprint: str) -> str:
     """Key of a flood profile over one spanner (radius-independent)."""
-    return store_key("flood", spanner_fingerprint, engine=engine)
+    return store_key("flood", spanner_fingerprint)

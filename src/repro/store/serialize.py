@@ -4,8 +4,7 @@ Layout conventions (DESIGN.md §3.8):
 
 * every artifact file is a single ``.npz``, deflated at one fixed level
   (:data:`_DEFLATE_LEVEL`), whose arrays carry the bulky numeric
-  payload (bit-packed ball rows, distance matrices, per-round counters)
-  and whose ``manifest`` entry is UTF-8 JSON bytes (a 1-D ``uint8``
+  payload (spanner edges, distance matrices, degrees) and whose ``manifest`` entry is UTF-8 JSON bytes (a 1-D ``uint8``
   array) carrying the structured remainder (params, the row-encoded
   trace, counters, fingerprints);
 * loaders validate the embedded ``schema``/``kind`` and, where a
@@ -13,9 +12,8 @@ Layout conventions (DESIGN.md §3.8):
   a mismatch raises :class:`ArtifactError`, which the store treats as
   a cache miss (corruption can degrade service, never crash it);
 * round-trips are exact: ``load(save(x)) == x`` under each artifact's
-  dataclass equality, including cross-representation
-  :class:`~repro.graphs.distance.BallFamily` comparisons and the full
-  :class:`~repro.core.trace.SamplerTrace` (tests/test_store.py).
+  equality, including the full :class:`~repro.core.trace.SamplerTrace`
+  (tests/test_store.py).
 
 The module also owns :class:`FloodProfile`, the *extendable* form of a
 flood schedule: instead of one schedule per radius it persists the
@@ -45,13 +43,7 @@ from repro.core.trace import (
     SamplerTrace,
 )
 from repro.core.trials import NodeLabel, TrialStats
-from repro.execution import Exec
-from repro.graphs.distance import (
-    BallFamily,
-    adjacency_csr,
-    distance_blocks,
-    single_source_distances,
-)
+from repro.graphs.distance import BallFamily, adjacency_csr, distance_blocks
 from repro.local.metrics import MessageStats
 from repro.local.network import Network
 from repro.simulate.tlocal import FloodSchedule, flood_stats
@@ -60,9 +52,7 @@ from repro.store.keys import STORE_SCHEMA
 __all__ = [
     "ArtifactError",
     "FloodProfile",
-    "load_flood_schedule",
     "load_spanner",
-    "save_flood_schedule",
     "save_spanner",
 ]
 
@@ -327,60 +317,6 @@ def load_spanner(path, network: Network) -> SpannerResult:
 
 
 # ----------------------------------------------------------------------
-# FloodSchedule (bit-packed standalone form)
-# ----------------------------------------------------------------------
-def save_flood_schedule(path, schedule: FloodSchedule, *, n: int | None = None) -> None:
-    """Persist one :class:`FloodSchedule` with bit-packed ball rows.
-
-    ``n`` (the node universe) defaults to the ball count, which is
-    correct for every schedule the flood engine produces (one ball per
-    node); pass it explicitly for hand-built families over a larger
-    universe.
-    """
-    balls = schedule.balls
-    universe = n
-    if universe is None:
-        universe = balls.universe if isinstance(balls, BallFamily) else len(balls)
-    family = (
-        balls
-        if isinstance(balls, BallFamily)
-        else BallFamily.from_sets([frozenset(b) for b in balls], universe)
-    )
-    manifest = {
-        "schema": STORE_SCHEMA,
-        "kind": "flood_schedule",
-        "n": universe,
-        "rounds": schedule.rounds,
-        "messages": _encode_stats(schedule.messages),
-    }
-    _write_npz(
-        path,
-        manifest,
-        packed=family.packed_rows(),
-        ecc=np.asarray(schedule.ecc, dtype=np.int64),
-    )
-
-
-def load_flood_schedule(path) -> FloodSchedule:
-    manifest, arrays = _read_npz(path)
-    _expect_kind(manifest, "flood_schedule", path)
-    try:
-        balls = BallFamily.from_packed(
-            np.ascontiguousarray(arrays["packed"], dtype=np.uint8),
-            int(manifest["n"]),
-        )
-        schedule = FloodSchedule(
-            balls=balls,
-            ecc=tuple(_int_list(arrays["ecc"])),
-            messages=_decode_stats(manifest["messages"]),
-            rounds=int(manifest["rounds"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"artifact {path} is structurally damaged: {exc}") from exc
-    return schedule
-
-
-# ----------------------------------------------------------------------
 # FloodProfile — the extendable cached form of a flood schedule
 # ----------------------------------------------------------------------
 _UNREACHED = -1
@@ -407,7 +343,6 @@ class FloodProfile:
     __slots__ = (
         "fingerprint",
         "radius",
-        "engine",
         "exhausted",
         "_dist",
         "_degs",
@@ -418,13 +353,11 @@ class FloodProfile:
         self,
         fingerprint: str,
         radius: int,
-        engine: str,
         dist: np.ndarray,
         degs: np.ndarray,
     ) -> None:
         self.fingerprint = fingerprint
         self.radius = radius
-        self.engine = engine
         self._dist = dist
         self._degs = degs
         self.exhausted = bool(dist.max(initial=_UNREACHED) < radius)
@@ -444,35 +377,21 @@ class FloodProfile:
         return int(self._dist.nbytes + self._degs.nbytes)
 
     @classmethod
-    def build(
-        cls, spanner: Network, radius: int, *, execution: Exec | None = None
-    ) -> "FloodProfile":
-        """Measure the spanner's truncated distances once, up front.
-
-        ``execution``'s distance engine (``"vector"``/``"reference"``)
-        selects the measurement implementation; both produce identical
-        profiles, and the engine's name is recorded for the store key.
-        """
-        name = (execution or Exec()).distance_engine
+    def build(cls, spanner: Network, radius: int) -> "FloodProfile":
+        """Measure the spanner's truncated distances once, up front."""
         n = spanner.n
         radius = max(0, radius)
         dtype = np.int16 if radius < 2**15 - 1 else np.int32
         dist = np.full((n, n), _UNREACHED, dtype=dtype)
-        if name == "reference":
-            adjacency = [spanner.neighbors(v) for v in range(n)]
-            for v in range(n):
-                for w, d in single_source_distances(adjacency, v, cutoff=radius).items():
-                    dist[v, w] = d
-        else:
-            indptr, indices = adjacency_csr(spanner)
-            for offset, block, _ in distance_blocks(
-                indptr, indices, range(n), cutoff=radius
-            ):
-                # Hop distances are symmetric, so the sweep's node-major
-                # block lands as columns: a plain copy, not a transpose.
-                dist[:, offset : offset + block.shape[0]] = block.T
+        indptr, indices = adjacency_csr(spanner)
+        for offset, block, _ in distance_blocks(
+            indptr, indices, range(n), cutoff=radius
+        ):
+            # Hop distances are symmetric, so the sweep's node-major
+            # block lands as columns: a plain copy, not a transpose.
+            dist[:, offset : offset + block.shape[0]] = block.T
         degs = np.asarray([spanner.degree(v) for v in range(n)], dtype=np.int64)
-        return cls(spanner.fingerprint(), radius, name, dist, degs)
+        return cls(spanner.fingerprint(), radius, dist, degs)
 
     def serves(self, radius: int) -> bool:
         """Whether :meth:`schedule` can derive ``radius`` exactly."""
@@ -512,7 +431,6 @@ class FloodProfile:
         return (
             self.fingerprint == other.fingerprint
             and self.radius == other.radius
-            and self.engine == other.engine
             and np.array_equal(self._dist, other._dist)
             and np.array_equal(self._degs, other._degs)
         )
@@ -520,7 +438,7 @@ class FloodProfile:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FloodProfile(n={self.n}, radius={self.radius}, "
-            f"engine={self.engine!r}, graph={self.fingerprint[:12]}…)"
+            f"graph={self.fingerprint[:12]}…)"
         )
 
     def to_npz(self, path) -> None:
@@ -529,7 +447,6 @@ class FloodProfile:
             "kind": "flood_profile",
             "graph": self.fingerprint,
             "radius": self.radius,
-            "engine": self.engine,
         }
         _write_npz(path, manifest, dist=self._dist, degs=self._degs)
 
@@ -549,7 +466,6 @@ class FloodProfile:
             profile = cls(
                 str(manifest["graph"]),
                 int(manifest["radius"]),
-                str(manifest["engine"]),
                 dist,
                 degs,
             )

@@ -38,7 +38,6 @@ from repro import obs
 from repro.core import accounting
 from repro.core.params import SamplerParams
 from repro.core.spanner import SpannerResult
-from repro.execution import Exec
 from repro.local.network import Network
 from repro.rng import stable_uniform
 from repro.simulate.tlocal import FloodSchedule
@@ -118,6 +117,7 @@ class StoreStats(obs.Counters):
         "corrupt",
         "puts",
         "write_failures",
+        "read_failures",
         "bypasses",
         "retries",
         "backoff_waits",
@@ -349,49 +349,43 @@ class ArtifactStore:
     # flood schedules
     # ------------------------------------------------------------------
     def fetch_flood_schedule(
-        self,
-        spanner: Network,
-        radius: int,
-        *,
-        execution: Exec | None = None,
+        self, spanner: Network, radius: int
     ) -> tuple[FloodSchedule, FetchInfo]:
         """Get-or-build the Lemma 12 flood schedule for ``spanner``.
 
-        One :class:`FloodProfile` entry per (spanner, distance engine)
-        holds the largest radius requested so far: a smaller radius is
-        served by truncation, a larger one by the same profile when it
-        is exhausted, and otherwise rebuilds (extends) the profile.
+        One :class:`FloodProfile` entry per spanner holds the largest
+        radius requested so far: a smaller radius is served by
+        truncation, a larger one by the same profile when it is
+        exhausted, and otherwise rebuilds (extends) the profile.
         Profiles whose ``n^2`` exceeds :data:`PROFILE_CELL_LIMIT` are
         never cached — the schedule is derived directly (a "bypass"),
         bounding the store's memory at large ``n``.
         """
-        execution = execution or Exec()
         if not obs.enabled():
-            return self._fetch_flood_impl(spanner, radius, execution)
+            return self._fetch_flood_impl(spanner, radius)
         with obs.span(
             "store/fetch_flood_schedule", radius=int(radius)
         ) as fetch_span:
-            schedule, info = self._fetch_flood_impl(spanner, radius, execution)
+            schedule, info = self._fetch_flood_impl(spanner, radius)
             fetch_span.set(source=info.source, exhausted=info.exhausted)
         return schedule, info
 
     def _fetch_flood_impl(
-        self, spanner: Network, radius: int, execution: Exec
+        self, spanner: Network, radius: int
     ) -> tuple[FloodSchedule, FetchInfo]:
         from repro.simulate.tlocal import flood_schedule as derive
 
         radius = max(0, radius)
-        name = execution.distance_engine
         if spanner.n * spanner.n > PROFILE_CELL_LIMIT:
             self.stats.bump(bypasses=1)
-            return derive(spanner, radius, execution=execution), FetchInfo("bypass")
+            return derive(spanner, radius), FetchInfo("bypass")
         fingerprint = spanner.fingerprint()
-        key = flood_key(fingerprint, name)
+        key = flood_key(fingerprint)
         with self._mem_lock:
             profile = self._lru.get(key)
         source = "memory"
         if profile is None:
-            profile = self._load(key, self._checked_profile, fingerprint, name)
+            profile = self._load(key, self._checked_profile, fingerprint)
             source = "disk"
             if profile is not None:
                 self._remember(key, profile)
@@ -404,27 +398,21 @@ class ArtifactStore:
             # profile; re-read before building (and only then — see the
             # matching note in fetch_spanner).
             if lock is not None and lock.contended:
-                fresh = self._load(key, self._checked_profile, fingerprint, name)
+                fresh = self._load(key, self._checked_profile, fingerprint)
                 if fresh is not None and fresh.serves(radius):
                     self.stats.bump(disk_hits=1)
                     self._remember(key, fresh)
                     return fresh.schedule(radius), _served("disk", fresh, radius)
             self.stats.bump(misses=1)
-            profile = FloodProfile.build(spanner, radius, execution=execution)
+            profile = FloodProfile.build(spanner, radius)
             self._remember(key, profile)
             self._persist(key, lambda path, p: p.to_npz(path), profile)
         return profile.schedule(radius), FetchInfo(
             "built", extended=extended, exhausted=profile.exhausted
         )
 
-    def flood_schedule(
-        self,
-        spanner: Network,
-        radius: int,
-        *,
-        execution: Exec | None = None,
-    ) -> FloodSchedule:
-        return self.fetch_flood_schedule(spanner, radius, execution=execution)[0]
+    def flood_schedule(self, spanner: Network, radius: int) -> FloodSchedule:
+        return self.fetch_flood_schedule(spanner, radius)[0]
 
     @staticmethod
     def _checked_spanner(path, network: Network, params: SamplerParams) -> SpannerResult:
@@ -445,7 +433,7 @@ class ArtifactStore:
         return result
 
     @staticmethod
-    def _checked_profile(path, fingerprint: str, engine: str) -> FloodProfile:
+    def _checked_profile(path, fingerprint: str) -> FloodProfile:
         """Load a profile and verify it matches the requesting spanner.
 
         A file copied or renamed under another key's path must degrade
@@ -453,20 +441,17 @@ class ArtifactStore:
         fingerprint check — never serve another graph's distances.
         """
         profile = FloodProfile.from_npz(path)
-        if profile.fingerprint != fingerprint or profile.engine != engine:
+        if profile.fingerprint != fingerprint:
             raise ArtifactError(
                 f"artifact {path} holds a profile for graph "
-                f"{profile.fingerprint[:12]}…/{profile.engine}, expected "
-                f"{fingerprint[:12]}…/{engine}"
+                f"{profile.fingerprint[:12]}…, expected {fingerprint[:12]}…"
             )
         return profile
 
     # ------------------------------------------------------------------
     # small payload-independent memos (in-memory only)
     # ------------------------------------------------------------------
-    def graph_diameter(
-        self, network: Network, *, execution: Exec | None = None
-    ) -> int:
+    def graph_diameter(self, network: Network) -> int:
         """Memoized exact diameter (see ``simulate.global_tasks``)."""
         key = network.fingerprint()
         with self._mem_lock:
@@ -474,7 +459,7 @@ class ArtifactStore:
         if cached is None:
             from repro.simulate.global_tasks import graph_diameter
 
-            cached = graph_diameter(network, execution=execution)
+            cached = graph_diameter(network)
             with self._mem_lock:
                 self._diameters[key] = cached
         return cached
@@ -566,9 +551,10 @@ class ArtifactStore:
         transient ``OSError`` earns up to ``self.retries`` re-reads
         (counted in ``stats.retries``, separated by the seeded
         :meth:`_backoff_sleep`) before the entry likewise degrades to a
-        miss — flaky I/O may cost a rebuild, but it can never raise out
-        of the store.  An active :class:`ChaosPlan` injects its faults
-        here, upstream of the same handling paths real damage takes.
+        miss, counted in ``stats.read_failures`` — flaky I/O may cost a
+        rebuild, but it can never raise out of the store.  An active
+        :class:`ChaosPlan` injects its faults here, upstream of the same
+        handling paths real damage takes.
         """
         if self._dir is None:
             return None
@@ -586,8 +572,12 @@ class ArtifactStore:
                 return None
             except FileNotFoundError:
                 return None  # raced away since exists(): a plain miss
-            except OSError:
+            except OSError as exc:
                 if attempt >= self.retries:
+                    self.stats.bump(read_failures=1)
+                    obs.event(
+                        "store/read_failed", key=key[:12], error=type(exc).__name__
+                    )
                     return None
                 self.stats.bump(retries=1)
                 obs.event("store/retry", key=key[:12], attempt=attempt)

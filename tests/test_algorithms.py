@@ -5,6 +5,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from reference_distance import single_source_distances
 from repro.algorithms import (
     BallCollect,
     BfsLayers,
@@ -14,7 +15,6 @@ from repro.algorithms import (
     run_direct,
     run_inprocess,
 )
-from repro.analysis.stretch import bfs_distances
 
 ALGOS = [
     ("ball2", lambda n: BallCollect(2)),
@@ -52,7 +52,7 @@ class TestBallCollect:
         outputs = run_inprocess(er_small, BallCollect(t), seed=0)
         adj = [er_small.neighbors(v) for v in er_small.nodes()]
         for v in er_small.nodes():
-            ball = sorted(bfs_distances(adj, v, cutoff=t))
+            ball = sorted(single_source_distances(adj, v, cutoff=t))
             assert outputs[v] == tuple(ball)
 
 

@@ -1,26 +1,30 @@
 """A census of the process-wide knobs and catch-all handlers in ``src/repro``.
 
-Two AST checks keep both counts from creeping back (ROADMAP aims 2 and 3):
+Three checks keep these counts from creeping back (ROADMAP aims 2 and 3):
 
 * the ``REPRO_*`` environment variables the package names as whole
   string constants are exactly :data:`ENV_VARS`;
 * every ``except Exception``, ``except BaseException`` and bare
-  ``except`` sits in a function listed in :data:`CATCH_ALLS`.
+  ``except`` sits in a function listed in :data:`CATCH_ALLS`;
+* the fields of :class:`repro.Exec`, one per pair of interchangeable
+  implementations, are exactly :data:`EXEC_FIELDS`.
 
-A change that adds a variable or a catch-all has to edit these lists,
-with its reason, in its own diff.
+A change that adds a variable, a catch-all or an engine twin has to
+edit these lists, with its reason, in its own diff.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
+
+from repro.execution import Exec
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 ENV_VARS = {
-    "REPRO_DISTANCE_ENGINE",  # default distance plane of an Exec
     "REPRO_OBS",  # the telemetry plane's gate
     "REPRO_ROUND_ENGINE",  # default round engine of an Exec
     "REPRO_STORE",  # directory of the process-default artifact store
@@ -34,6 +38,12 @@ CATCH_ALLS = {
     # Records the failed request's outcome, then re-raises.
     "service/concurrent.py::ConcurrentSimulationService.submit",
 }
+
+EXEC_FIELDS = (
+    "flood_engine",  # the fast flood derivation or the literal program
+    "scheduler",  # the oracle of the Context sleep contract
+    "round_engine",  # vector populations or the per-node interpreter
+)
 
 _ENV_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
 _BROAD = {"Exception", "BaseException"}
@@ -98,3 +108,7 @@ def test_catch_alls_sit_in_allowlisted_functions():
     assert stray == [], f"catch-all handler outside CATCH_ALLS at {stray}"
     stale = CATCH_ALLS - {scope for scope, _ in found}
     assert not stale, f"CATCH_ALLS entries without a catch-all: {sorted(stale)}"
+
+
+def test_exec_fields_are_the_census():
+    assert tuple(f.name for f in dataclasses.fields(Exec)) == EXEC_FIELDS

@@ -132,6 +132,7 @@ class TestInjectedFaults:
         assert info.source == "built"  # degraded, never raised
         assert snap["retries"] == store.retries
         assert snap["misses"] == 1
+        assert snap["read_failures"] == 1
 
     def test_corrupt_reads_counted_as_corrupt(self, net, tmp_path):
         self._seeded(tmp_path, net)

@@ -1,12 +1,15 @@
-"""The distance plane's engine-equivalence contract (DESIGN.md §3.7).
+"""The distance plane against its oracle (DESIGN.md §3.7).
 
-The vector engine (NumPy bitset sweeps) and the reference engine (the
-seed pure-Python BFS) must produce *equal values* for every consumer:
-``FloodSchedule`` (balls, ecc, per_round, by_tag), ``StretchReport``
-(including truncated-cutoff and disconnected-spanner cases),
-eccentricities/diameter, and the transformer's coverage verdicts.
-Hypothesis drives families × radii × seeds through both engines; the
-unit tests pin the edge cases property shrinking tends to miss.
+The vector engine (NumPy bitset sweeps) and the oracle in
+``tests/reference_distance.py`` (the seed pure-Python BFS) must produce
+*equal values* for every consumer: ``FloodSchedule`` (balls, ecc,
+per_round, by_tag), ``StretchReport`` (including truncated-cutoff and
+disconnected-spanner cases), eccentricities/diameter, and the
+transformer's coverage verdicts, whose oracle is a brute-force
+``B_t ⊆ ball`` check.  Hypothesis drives families × radii × seeds
+through both; the unit tests pin the edge cases property shrinking
+tends to miss, and :class:`TestAtlas` runs every connected graph on 2 to
+7 nodes.
 """
 
 from __future__ import annotations
@@ -19,10 +22,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import reference_distance as oracle
 import repro.graphs.distance as distance_plane
 import repro.simulate.transformer as transformer
+from reference_distance import bfs_exhausted, single_source_distances
 from repro.algorithms import BallCollect, MinIdAggregation
-from repro.analysis.stretch import adjacent_pair_stretch, bfs_distances, pairwise_stretch
+from repro.analysis.stretch import adjacent_pair_stretch, pairwise_stretch
 from repro.core import SamplerParams, build_spanner
 from repro.dynamic import ChurnPlan, apply_churn
 from repro.graphs import barabasi_albert, dense_gnm, erdos_renyi, torus
@@ -32,16 +37,14 @@ from repro.graphs.distance import (
     adjacency_csr,
     ball_matrix_blocks,
     balls_and_eccentricities,
-    bfs_exhausted,
     component_labels,
-    csr_from_adjacency,
     distance_blocks,
     eccentricities,
-    single_source_distances,
 )
 from repro.local.network import Network
 from repro.simulate import flood_schedule, simulate_over_spanner
 from repro.simulate.global_tasks import graph_diameter
+from test_pricing import connected_atlas
 
 _SETTINGS = settings(
     max_examples=25,
@@ -144,8 +147,8 @@ class TestFloodScheduleEquality:
     def test_engines_agree(self, family, radius, seed):
         net = _FAMILIES[family](seed)
         sub = net.subnetwork(_spanner_edges(net, seed))
-        fast = flood_schedule(sub, radius, execution=Exec(distance_engine="vector"))
-        ref = flood_schedule(sub, radius, execution=Exec(distance_engine="reference"))
+        fast = flood_schedule(sub, radius)
+        ref = oracle.flood_schedule(sub, radius)
         assert fast.ecc == ref.ecc
         assert fast.rounds == ref.rounds
         assert fast.messages.total == ref.messages.total
@@ -167,9 +170,7 @@ class TestFloodScheduleEquality:
         still match (frontiers die early on islands)."""
         net = _FAMILIES[family](seed)
         sub = net.subnetwork(_thinned(_spanner_edges(net, seed), seed, keep))
-        fast = flood_schedule(sub, 4, execution=Exec(distance_engine="vector"))
-        ref = flood_schedule(sub, 4, execution=Exec(distance_engine="reference"))
-        assert fast == ref
+        assert flood_schedule(sub, 4) == oracle.flood_schedule(sub, 4)
 
 
 class TestStretchReportEquality:
@@ -184,13 +185,8 @@ class TestStretchReportEquality:
         net = _FAMILIES[family](seed)
         edges = _spanner_edges(net, seed)
         spanner = sorted(edges) if keep >= 1.0 else _thinned(edges, seed, keep)
-        fast = adjacent_pair_stretch(
-            net, spanner, cutoff=cutoff, execution=Exec(distance_engine="vector")
-        )
-        ref = adjacent_pair_stretch(
-            net, spanner, cutoff=cutoff, execution=Exec(distance_engine="reference")
-        )
-        assert fast == ref
+        fast = adjacent_pair_stretch(net, spanner, cutoff=cutoff)
+        assert fast == oracle.adjacent_pair_stretch(net, spanner, cutoff=cutoff)
         # thinned spanners must be able to produce both buckets
         assert fast.unreachable_pairs >= 0 and fast.beyond_cutoff >= 0
 
@@ -205,64 +201,53 @@ class TestStretchReportEquality:
         net = _FAMILIES[family](seed)
         edges = _spanner_edges(net, seed)
         spanner = sorted(edges) if keep >= 1.0 else _thinned(edges, seed, keep)
-        fast = pairwise_stretch(
-            net,
-            spanner,
-            sources=sources,
-            seed=seed,
-            execution=Exec(distance_engine="vector"),
-        )
-        ref = pairwise_stretch(
-            net,
-            spanner,
-            sources=sources,
-            seed=seed,
-            execution=Exec(distance_engine="reference"),
-        )
-        assert fast == ref
+        fast = pairwise_stretch(net, spanner, sources=sources, seed=seed)
+        assert fast == oracle.pairwise_stretch(net, spanner, sources=sources, seed=seed)
 
     def test_sampling_path_engines_agree(self):
         net = erdos_renyi(80, 0.1, seed=6)
         edges = _spanner_edges(net, 6)
-        fast = adjacent_pair_stretch(
-            net, edges, sample=40, seed=3, execution=Exec(distance_engine="vector")
-        )
-        ref = adjacent_pair_stretch(
-            net, edges, sample=40, seed=3, execution=Exec(distance_engine="reference")
-        )
-        assert fast == ref
+        fast = adjacent_pair_stretch(net, edges, sample=40, seed=3)
+        assert fast == oracle.adjacent_pair_stretch(net, edges, sample=40, seed=3)
         assert fast.pairs_measured == 40
 
 
 class TestSimulationEquality:
     @pytest.mark.parametrize("radius", [0, 1, 2, None])
-    def test_transformer_distance_engines_agree(self, radius):
-        """Vector and reference coverage checks pick the same uncovered
-        centers — outcomes are identical even under-flooded."""
+    def test_transformer_distance_engines_agree(self, radius, replayed):
+        """The vector coverage check replays exactly the centers the
+        oracle's brute-force ``B_t ⊆ ball`` check finds uncovered, and
+        the outcome equals the runtime flood's, even under-flooded."""
         net = erdos_renyi(40, 0.08, seed=9)
         result = build_spanner(net, SamplerParams(k=1, h=2, seed=9))
         algo = BallCollect(2)
-        outcomes = [
-            simulate_over_spanner(
+        t = algo.rounds(net.n)
+        flood_radius = radius if radius is not None else result.stretch_bound * t
+        balls = oracle.flood_schedule(net.subnetwork(result.edges), flood_radius).balls
+
+        def simulate(engine):
+            return simulate_over_spanner(
                 net,
                 result.edges,
                 result.stretch_bound,
                 algo,
                 seed=7,
                 radius=radius,
-                execution=Exec(distance_engine=engine),
+                execution=Exec(flood_engine=engine),
             )
-            for engine in ("vector", "reference")
-        ]
-        assert outcomes[0] == outcomes[1]
+
+        fast = simulate("fast")
+        assert sorted(replayed) == _brute_force_uncovered(net, balls, t)
+        assert fast == simulate("runtime")
 
     @pytest.mark.parametrize("radius", [0, 1, 2, None])
     @pytest.mark.parametrize("keep", [1.0, 0.6])
     @pytest.mark.parametrize("graph", sorted(_DISCONNECTED))
     def test_disconnected_graphs(self, graph, keep, radius, replayed):
-        """On graphs with isolated nodes and several components both
-        engines agree, and each replays exactly the centers a
-        brute-force ``B_t ⊆ ball`` check finds uncovered."""
+        """On graphs with isolated nodes and several components the
+        shared replay hands exactly the centers a brute-force
+        ``B_t ⊆ ball`` check finds uncovered to ``replay_ball``, and the
+        outcome equals the runtime flood's."""
         net = _DISCONNECTED[graph]()
         components = list(nx.connected_components(_nx_graph(net)))
         assert len(components) >= 3
@@ -272,9 +257,9 @@ class TestSimulationEquality:
         algo = BallCollect(2)
         t = algo.rounds(net.n)
         flood_radius = radius if radius is not None else result.stretch_bound * t
-        balls = flood_schedule(net.subnetwork(edges), flood_radius).balls
+        balls = oracle.flood_schedule(net.subnetwork(edges), flood_radius).balls
         outcomes = {}
-        for engine in ("vector", "reference"):
+        for engine in ("fast", "runtime"):
             replayed.clear()
             outcomes[engine] = simulate_over_spanner(
                 net,
@@ -283,16 +268,18 @@ class TestSimulationEquality:
                 algo,
                 seed=7,
                 radius=radius,
-                execution=Exec(distance_engine=engine),
+                execution=Exec(flood_engine=engine),
             )
-            assert sorted(replayed) == _brute_force_uncovered(net, balls, t)
-        assert outcomes["vector"] == outcomes["reference"]
+            if engine == "fast":
+                assert sorted(replayed) == _brute_force_uncovered(net, balls, t)
+        assert outcomes["fast"] == outcomes["runtime"]
 
     @pytest.mark.parametrize("graph", sorted(_DISCONNECTED))
     def test_schedule_from_another_graph(self, graph, replayed):
         """A schedule measured on a different graph over the same nodes
         holds balls that need not contain the center's component, even
-        when they are as large: the engines must still agree."""
+        when they are as large: the replayed centers must still be the
+        brute-force verdict's."""
         net = _DISCONNECTED[graph]()
         labels = component_labels(net.n, *net.endpoints_flat()[1:])
         comp_size = np.bincount(labels, minlength=net.n)[labels]
@@ -315,34 +302,38 @@ class TestSimulationEquality:
         assert fooled  # a size-only rule would call these covered
         result = build_spanner(net, SamplerParams(k=2, h=2, seed=9))
         algo = BallCollect(2)
-        outcomes = {}
-        for engine in ("vector", "reference"):
-            replayed.clear()
-            outcomes[engine] = simulate_over_spanner(
-                net,
-                result.edges,
-                result.stretch_bound,
-                algo,
-                seed=7,
-                radius=3,
-                schedule=schedule,
-                execution=Exec(distance_engine=engine),
-            )
-            assert sorted(replayed) == _brute_force_uncovered(
-                net, schedule.balls, algo.rounds(net.n)
-            )
-        assert outcomes["vector"] == outcomes["reference"]
+        simulate_over_spanner(
+            net,
+            result.edges,
+            result.stretch_bound,
+            algo,
+            seed=7,
+            radius=3,
+            schedule=schedule,
+        )
+        assert sorted(replayed) == _brute_force_uncovered(
+            net, schedule.balls, algo.rounds(net.n)
+        )
         assert set(fooled) & set(replayed)
 
     def test_one_stage_under_reference_engine(self):
+        """The whole pipeline under the runtime flood and the reference
+        round engine, which touch no distance-plane code, equals the
+        default run on the plane."""
         from repro.simulate import run_one_stage
 
         net = erdos_renyi(50, 0.15, seed=3)
         algo = MinIdAggregation(2)
         params = SamplerParams(k=1, h=2, seed=5)
         fast = run_one_stage(net, algo, params=params, seed=2)
-        # process-default engine flows through the whole pipeline
-        assert fast.outputs  # sanity: covered by engine-equality above
+        reference = run_one_stage(
+            net,
+            algo,
+            params=params,
+            seed=2,
+            execution=Exec(flood_engine="runtime", round_engine="reference"),
+        )
+        assert fast == reference
 
 
 class TestBatchedPrimitives:
@@ -357,7 +348,7 @@ class TestBatchedPrimitives:
         ]
         for net, cutoffs in cases:
             adj = [list(net.neighbors(v)) for v in range(net.n)]
-            indptr, indices = csr_from_adjacency(adj)
+            indptr, indices = adjacency_csr(net)
             for split in (False, True):
                 with monkeypatch.context() as patch:
                     if split:
@@ -410,51 +401,34 @@ class TestBatchedPrimitives:
     def test_ball_matrix_blocks_match_family(self):
         net = torus(5, 5)
         indptr, indices = adjacency_csr(net)
-        family, _ = balls_and_eccentricities(
-            net, 2, execution=Exec(distance_engine="vector")
-        )
+        family, _ = balls_and_eccentricities(net, 2)
         for offset, rows in ball_matrix_blocks(indptr, indices, range(net.n), 2):
             for i in range(rows.shape[0]):
                 assert frozenset(np.nonzero(rows[i])[0].tolist()) == family[offset + i]
 
     def test_eccentricities_and_diameter(self):
         net = torus(5, 5)  # wraparound grid, diameter 4
-        ecc_v, reached_v = eccentricities(net, execution=Exec(distance_engine="vector"))
-        ecc_r, reached_r = eccentricities(
-            net, execution=Exec(distance_engine="reference")
-        )
-        assert (ecc_v, reached_v) == (ecc_r, reached_r)
+        assert eccentricities(net) == oracle.eccentricities(net)
         assert graph_diameter(net) == 4
         two = Network.from_edge_pairs(4, [(0, 1), (2, 3)], name="two-islands")
+        assert eccentricities(two) == oracle.eccentricities(two)
         with pytest.raises(ValueError):
             graph_diameter(two)
-        with pytest.raises(ValueError):
-            graph_diameter(two, execution=Exec(distance_engine="reference"))
 
     def test_single_node_and_edgeless(self):
         lone = Network.from_edge_pairs(1, [])
-        vector = Exec(distance_engine="vector")
-        reference = Exec(distance_engine="reference")
-        assert flood_schedule(lone, 3, execution=vector) == flood_schedule(
-            lone, 3, execution=reference
-        )
+        assert flood_schedule(lone, 3) == oracle.flood_schedule(lone, 3)
         islands = Network.from_edge_pairs(5, [])
-        fast = flood_schedule(islands, 2, execution=Exec(distance_engine="vector"))
+        fast = flood_schedule(islands, 2)
         assert all(ball == {v} for v, ball in enumerate(fast.balls))
-        assert fast == flood_schedule(
-            islands, 2, execution=Exec(distance_engine="reference")
-        )
+        assert fast == oracle.flood_schedule(islands, 2)
 
 
 class TestBallFamily:
     def _family_pair(self):
         net = erdos_renyi(30, 0.12, seed=2)
-        packed, ecc_p = balls_and_eccentricities(
-            net, 2, execution=Exec(distance_engine="vector")
-        )
-        sets, ecc_s = balls_and_eccentricities(
-            net, 2, execution=Exec(distance_engine="reference")
-        )
+        packed, _ = balls_and_eccentricities(net, 2)
+        sets = oracle.flood_schedule(net, 2).balls
         return packed, sets
 
     def test_sequence_protocol(self):
@@ -494,7 +468,9 @@ class TestBallFamily:
         ]
         expected = [True, False, True, False, True, False]
         by_sets = BallFamily.from_sets(sets, 6)
-        packed = BallFamily.from_packed(by_sets.packed_rows(), 6)
+        packed = BallFamily.from_packed(
+            np.packbits(by_sets.membership_rows(range(6)), axis=1, bitorder="little"), 6
+        )
         for family in (by_sets, packed):
             assert family.holds_components(range(6), labels).tolist() == expected
             assert family.holds_components([5, 1], labels).tolist() == [False, False]
@@ -507,10 +483,64 @@ class TestBallFamily:
             BallFamily(3)
 
 
-class TestEngineSelection:
-    def test_bfs_distances_alias(self):
-        net = torus(4, 4)
-        adj = [list(net.neighbors(v)) for v in range(net.n)]
-        assert bfs_distances(adj, 0, cutoff=2) == single_source_distances(
-            adj, 0, cutoff=2
-        )
+class TestAtlas:
+    """Every connected graph on 2 to 7 nodes (networkx's atlas), against
+    the oracle.  A failure names the atlas graph and the radius, cutoff
+    or ``t``."""
+
+    @pytest.fixture(scope="class")
+    def atlas(self):
+        return [
+            (graph.name, Network.from_graph(graph))
+            for graph in connected_atlas(max_nodes=7)
+        ]
+
+    def test_schedules_eccentricities_and_distances(self, atlas):
+        schedules = 0
+        for name, net in atlas:
+            for radius in range(net.n + 1):
+                expected = oracle.flood_schedule(net, radius)
+                assert flood_schedule(net, radius) == expected, (name, radius)
+                schedules += 1
+            assert eccentricities(net) == oracle.eccentricities(net), name
+            adj = oracle.adjacency(net)
+            indptr, indices = adjacency_csr(net)
+            for cutoff in (math.inf, 1, 2):
+                for offset, dist, exhausted in distance_blocks(
+                    indptr, indices, range(net.n), cutoff=cutoff
+                ):
+                    for i, row in enumerate(dist):
+                        ref = single_source_distances(adj, offset + i, cutoff)
+                        got = {w: int(d) for w, d in enumerate(row) if d >= 0}
+                        assert got == ref, (name, cutoff, offset + i)
+                        assert bool(exhausted[i]) == bfs_exhausted(ref, cutoff), (
+                            name,
+                            cutoff,
+                            offset + i,
+                        )
+        assert schedules == 7775
+
+    def test_stretch_and_coverage_on_a_thinned_spanner(self, atlas):
+        verdicts = 0
+        for name, net in atlas:
+            thinned = sorted(net.edge_ids)[::2]
+            for cutoff in (math.inf, 2):
+                assert adjacent_pair_stretch(
+                    net, thinned, cutoff=cutoff
+                ) == oracle.adjacent_pair_stretch(net, thinned, cutoff=cutoff), (
+                    name,
+                    cutoff,
+                )
+            assert pairwise_stretch(net, thinned) == oracle.pairwise_stretch(
+                net, thinned
+            ), name
+            spanner = net.subnetwork(thinned)
+            for radius in range(3):
+                balls = flood_schedule(spanner, radius).balls
+                for t in range(1, 4):
+                    uncovered, _, _ = transformer._uncovered_centers(net, balls, t)
+                    assert sorted(uncovered) == _brute_force_uncovered(
+                        net, balls, t
+                    ), (name, radius, t)
+                    verdicts += 1
+        assert verdicts == 8955

@@ -2,12 +2,12 @@
 
 Three contracts:
 
-* **Pipeline equality** — all 16 combinations of the four choices give
+* **Pipeline equality** — all 8 combinations of the three choices give
   identical one-stage and two-stage reports and identical served
   responses on one graph;
-* **Environment defaults** — the two engine fields come from
-  ``REPRO_DISTANCE_ENGINE`` / ``REPRO_ROUND_ENGINE`` when an ``Exec`` is
-  built, never at import, and an explicit choice wins;
+* **Environment defaults** — ``round_engine`` comes from
+  ``REPRO_ROUND_ENGINE`` when an ``Exec`` is built, never at import,
+  and an explicit choice wins;
 * **Validation** — an unknown name is refused when the value is built.
 """
 
@@ -31,7 +31,6 @@ EVERY_EXEC = [
     for choice in itertools.product(
         ("fast", "runtime"),
         ("active", "dense"),
-        ("vector", "reference"),
         ("vector", "reference"),
     )
 ]
@@ -86,17 +85,8 @@ class TestPipelineEquality:
 
 class TestEnvironmentDefaults:
     def test_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISTANCE_ENGINE", raising=False)
         monkeypatch.delenv("REPRO_ROUND_ENGINE", raising=False)
-        assert Exec() == Exec("fast", "active", "vector", "vector")
-
-    def test_distance_engine_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISTANCE_ENGINE", "reference")
-        assert Exec().distance_engine == "reference"
-        assert Exec(scheduler="dense").distance_engine == "reference"
-        assert Exec(distance_engine="vector").distance_engine == "vector"
-        monkeypatch.delenv("REPRO_DISTANCE_ENGINE")
-        assert Exec().distance_engine == "vector"
+        assert Exec() == Exec("fast", "active", "vector")
 
     def test_round_engine_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_ROUND_ENGINE", raising=False)
@@ -115,17 +105,13 @@ class TestEnvironmentDefaults:
 
 
 class TestValidation:
-    def test_unknown_distance_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown distance engine 'warp'"):
-            Exec(distance_engine="warp")
-
     def test_unknown_round_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown round engine 'simd'"):
             Exec(round_engine="simd")
 
     def test_unknown_environment_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISTANCE_ENGINE", "warp")
-        with pytest.raises(ValueError, match="unknown distance engine"):
+        monkeypatch.setenv("REPRO_ROUND_ENGINE", "warp")
+        with pytest.raises(ValueError, match="unknown round engine"):
             Exec()
 
     def test_frozen_and_hashable(self):

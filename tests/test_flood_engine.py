@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import pytest
 
+import reference_distance as oracle
 from repro.algorithms import BallCollect, LubyMis, MinIdAggregation, run_direct
-from repro.analysis.stretch import bfs_distances
 from repro.core import SamplerParams, build_spanner
 from repro.execution import Exec
 from repro.graphs import barabasi_albert, erdos_renyi, torus
@@ -118,17 +118,18 @@ class TestEngineEquivalence:
 
     @pytest.mark.parametrize("family,make", FAMILIES, ids=[f[0] for f in FAMILIES])
     def test_distance_engines_agree_through_broadcast(self, family, make):
-        """The fast engine's two distance planes (vector / reference)
-        produce the same FloodReport through t_local_broadcast."""
+        """The fast engine's FloodReport, derived on the vector distance
+        plane, is the one the oracle's frontier-list BFS implies."""
         net = make(4)
         sub, _ = _spanner_sub(net, 4)
-        vector = t_local_broadcast(
-            sub, lambda v: (v, "p"), 3, execution=Exec(distance_engine="vector")
-        )
-        reference = t_local_broadcast(
-            sub, lambda v: (v, "p"), 3, execution=Exec(distance_engine="reference")
-        )
-        assert vector == reference
+        report = t_local_broadcast(sub, lambda v: (v, "p"), 3)
+        schedule = oracle.flood_schedule(sub, 3)
+        assert report.collected == {
+            v: {origin: (origin, "p") for origin in ball}
+            for v, ball in enumerate(schedule.balls)
+        }
+        assert report.messages == schedule.messages
+        assert report.rounds == schedule.rounds
 
 
 class TestFloodSchedule:
@@ -138,7 +139,9 @@ class TestFloodSchedule:
         adj = [sub.neighbors(v) for v in sub.nodes()]
         schedule = flood_schedule(sub, 3)
         for v in sub.nodes():
-            assert schedule.balls[v] == frozenset(bfs_distances(adj, v, cutoff=3))
+            assert schedule.balls[v] == frozenset(
+                oracle.single_source_distances(adj, v, cutoff=3)
+            )
 
     def test_ecc_is_capped_eccentricity(self):
         net = torus(5, 5)  # diameter 4 (wraparound grid)

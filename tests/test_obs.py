@@ -17,7 +17,6 @@ import pytest
 from repro import obs
 from repro.algorithms import MinIdAggregation
 from repro.core import SamplerParams, build_spanner
-from repro.execution import Exec
 from repro.graphs import erdos_renyi
 from repro.local.metrics import MessageStats
 from repro.simulate import run_one_stage
@@ -157,7 +156,7 @@ class TestCoverageTelemetry:
     # components {0..3} (a path), {4, 5, 6} (a path), five isolated nodes
     EDGES = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)]
 
-    def _simulate(self, radius, store=None, engine="vector"):
+    def _simulate(self, radius, store=None):
         from repro.algorithms import BallCollect
         from repro.local.network import Network
         from repro.simulate import simulate_over_spanner
@@ -171,7 +170,6 @@ class TestCoverageTelemetry:
             seed=1,
             radius=radius,
             store=store,
-            execution=Exec(distance_engine=engine),
         )
 
     def _attrs(self, name, *keys):
@@ -195,13 +193,6 @@ class TestCoverageTelemetry:
         assert coverage == [(12, 6, 6), (12, 12, 0), (12, 12, 0)]
         fetches = self._attrs("store/fetch_flood_schedule", "source", "exhausted")
         assert fetches == [("built", False), ("built", True), ("memory", True)]
-
-    def test_reference_engine_reports_no_component_rule(self, obs_on):
-        self._simulate(1, engine="reference")
-        coverage = self._attrs(
-            "simulate/coverage", "short", "component_covered", "uncovered"
-        )
-        assert coverage == [(12, 0, 6)]
 
     def test_off_path_records_nothing_and_agrees(self, obs_off):
         baseline = self._simulate(1)

@@ -81,16 +81,6 @@ class TestServedEqualsRunOneStage:
         assert response.report == fresh
         assert response.schedule_info is None  # no schedule cache involved
 
-    def test_reference_distance_engine_served_exactly(self, net):
-        service = SimulationService(net, params=PARAMS, seed=5)
-        request = SimulationRequest(
-            algo=BallCollect(2), execution=Exec(distance_engine="reference")
-        )
-        response = service.submit(request)
-        fresh = run_one_stage(net, BallCollect(2), params=PARAMS, seed=5)
-        assert response.outputs == fresh.outputs
-        assert response.simulation.messages == fresh.simulation.messages
-
     def test_disk_store_shared_across_services(self, net, tmp_path):
         first = SimulationService(net, store=ArtifactStore(tmp_path), params=PARAMS, seed=5)
         cold = first.submit(BallCollect(2))
@@ -138,7 +128,7 @@ class TestRequestValidation:
         assert direct.messages.dropped > 0  # the plan actually bit
 
     @pytest.mark.parametrize(
-        "field", ["flood_engine", "scheduler", "distance_engine", "round_engine"]
+        "field", ["flood_engine", "scheduler", "round_engine"]
     )
     def test_unknown_implementation_refused_before_any_work(self, net, field):
         """A misspelt choice fails when the request is built: no

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from reference_distance import single_source_distances
 from repro.algorithms import (
     BallCollect,
     BfsLayers,
@@ -17,7 +18,7 @@ from repro.algorithms import (
     RandomizedColoring,
     run_direct,
 )
-from repro.analysis.stretch import adjacent_pair_stretch, bfs_distances
+from repro.analysis.stretch import adjacent_pair_stretch
 from repro.core import SamplerParams, build_spanner
 from repro.graphs import erdos_renyi, torus
 from repro.simulate import (
@@ -48,7 +49,7 @@ class TestTLocalBroadcast:
         flood = t_local_broadcast(sub, lambda v: f"m{v}", radius)
         adj = [sub.neighbors(v) for v in sub.nodes()]
         for v in net.nodes():
-            ball = bfs_distances(adj, v, cutoff=radius)
+            ball = single_source_distances(adj, v, cutoff=radius)
             for member in ball:
                 assert member in flood.collected[v]
 

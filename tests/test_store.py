@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import reference_distance as oracle
+from repro import obs
 from repro.core import SamplerParams, build_spanner
 from repro.core.distributed import build_spanner_distributed
 from repro.core.spanner import SpannerResult
-from repro.execution import Exec
 from repro.graphs import barabasi_albert, complete_graph, erdos_renyi, torus
-from repro.graphs.distance import BallFamily
 from repro.local.network import Network
 from repro.simulate import flood_schedule, run_one_stage
 from repro.simulate.tlocal import FloodSchedule
@@ -35,9 +35,7 @@ from repro.store import (
     StoreStats,
     default_store,
     flood_key,
-    load_flood_schedule,
     resolve_store,
-    save_flood_schedule,
     spanner_key,
 )
 from repro.store.store import DISK_READ_RETRIES, PROFILE_CELL_LIMIT
@@ -83,11 +81,11 @@ class TestKeys:
         keys = {spanner_key(fp, p) for p in [base] + variants}
         assert len(keys) == len(variants) + 1
 
-    def test_flood_key_separates_engines_and_graphs(self):
+    def test_flood_key_separates_graphs(self):
         a = erdos_renyi(20, 0.2, seed=1).fingerprint()
         b = erdos_renyi(20, 0.2, seed=2).fingerprint()
-        assert flood_key(a, "vector") != flood_key(a, "reference")
-        assert flood_key(a, "vector") != flood_key(b, "vector")
+        assert flood_key(a) == flood_key(a)
+        assert flood_key(a) != flood_key(b)
 
 
 class TestSpannerRoundTrip:
@@ -161,68 +159,33 @@ class TestSpannerRoundTrip:
             SpannerResult.from_npz(path, erdos_renyi(10, 0.3, seed=1))
 
 
-class TestFloodScheduleRoundTrip:
-    @_SETTINGS
-    @given(
-        net=family_network(),
-        radius=st.integers(min_value=0, max_value=6),
-        engine=st.sampled_from(["vector", "reference"]),
-    )
-    def test_round_trip_preserves_everything(
-        self, tmp_path_factory, net, radius, engine
-    ):
-        path = tmp_path_factory.mktemp("store") / "schedule.npz"
-        execution = Exec(distance_engine=engine)
-        schedule = flood_schedule(net, radius, execution=execution)
-        save_flood_schedule(path, schedule)
-        loaded = load_flood_schedule(path)
-        assert isinstance(loaded.balls, BallFamily)
-        assert loaded == schedule and schedule == loaded  # both directions
-        assert np.array_equal(
-            loaded.balls.packed_rows(), schedule.balls.packed_rows()
-        )
-        assert np.array_equal(loaded.balls.sizes(), schedule.balls.sizes())
-        assert loaded.messages == schedule.messages
-
-    def test_cross_engine_equality_survives_the_disk(self, tmp_path):
-        net = torus(5, 5)
-        vector = flood_schedule(net, 3, execution=Exec(distance_engine="vector"))
-        reference = flood_schedule(
-            net, 3, execution=Exec(distance_engine="reference")
-        )
-        path = tmp_path / "ref.npz"
-        save_flood_schedule(path, reference)
-        assert load_flood_schedule(path) == vector
-
-
 class TestFloodProfile:
     @_SETTINGS
     @given(
         net=family_network(),
         radius=st.integers(min_value=0, max_value=8),
         keep=st.floats(min_value=0.3, max_value=1.0),
-        engine=st.sampled_from(["vector", "reference"]),
     )
     def test_truncation_equals_live_derivation(
-        self, tmp_path_factory, net, radius, keep, engine
+        self, tmp_path_factory, net, radius, keep
     ):
         # A random (possibly disconnected) subnetwork stands in for a
         # spanner: the profile must serve every smaller radius exactly,
-        # and every larger one exactly when it is exhausted.
+        # and every larger one exactly when it is exhausted.  Both the
+        # live derivation and the oracle's BFS must agree with it.
         eids = [e for i, e in enumerate(net.edge_ids) if (i * 2654435761 % 100) / 100 < keep]
         sub = net.subnetwork(eids)
-        profile = FloodProfile.build(
-            sub, radius, execution=Exec(distance_engine=engine)
-        )
+        profile = FloodProfile.build(sub, radius)
         path = tmp_path_factory.mktemp("profile") / "profile.npz"
         profile.to_npz(path)
         loaded = FloodProfile.from_npz(path)
         # exhausted: every BFS stopped before the cap
-        complete = max(flood_schedule(sub, radius).ecc) < radius
+        complete = max(oracle.flood_schedule(sub, radius).ecc) < radius
         assert profile.exhausted == loaded.exhausted == complete
         for r in range(radius + 4):
             if r <= radius or complete:
                 expected = flood_schedule(sub, r)
+                assert expected == oracle.flood_schedule(sub, r)
                 assert profile.schedule(r) == expected
                 assert loaded.schedule(r) == expected
             else:
@@ -435,9 +398,8 @@ class TestArtifactStore:
         store.fetch_flood_schedule(impostor, 2)
         from repro.store.keys import flood_key
 
-        engine = Exec().distance_engine
-        wrong = tmp_path / f"{flood_key(impostor.fingerprint(), engine)}.npz"
-        right = tmp_path / f"{flood_key(victim.fingerprint(), engine)}.npz"
+        wrong = tmp_path / f"{flood_key(impostor.fingerprint())}.npz"
+        right = tmp_path / f"{flood_key(victim.fingerprint())}.npz"
         right.write_bytes(wrong.read_bytes())
         recovering = ArtifactStore(tmp_path)
         schedule, info = recovering.fetch_flood_schedule(victim, 2)
@@ -566,6 +528,7 @@ class TestDiskRetries:
         assert loaded == built
         assert store.stats.retries == 1
         assert store.stats.misses == 0 and store.stats.corrupt == 0
+        assert store.stats.read_failures == 0  # the retry healed it
         assert flaky.calls == 2  # failed once, succeeded on the retry
 
     def test_persistent_errors_degrade_to_a_bounded_miss(self, tmp_path, monkeypatch):
@@ -581,6 +544,35 @@ class TestDiskRetries:
         assert store.stats.retries == DISK_READ_RETRIES
         assert flaky.calls == DISK_READ_RETRIES + 1  # bounded, not forever
         assert store.stats.corrupt == 0  # transient ≠ corrupt
+        assert store.stats.read_failures == 1  # the give-up is counted
+
+    def test_read_that_gives_up_is_an_event(self, tmp_path, monkeypatch):
+        """With no retry budget the first OSError gives up at once: one
+        counted read failure and one ``store/read_failed`` event, unlike
+        a plain miss on an empty directory."""
+        net, params, built = self._seeded(tmp_path)
+        from repro.store import serialize
+
+        flaky = _FlakyLoader(serialize.load_spanner, failures=10**9)
+        monkeypatch.setattr("repro.store.serialize.load_spanner", flaky)
+        previous = obs.set_enabled(True)
+        obs.collector().reset()
+        try:
+            store = ArtifactStore(tmp_path, retries=0)
+            rebuilt, info = store.fetch_spanner(net, params)
+            records = obs.collector().finished()
+        finally:
+            obs.collector().reset()
+            obs.set_enabled(previous)
+        assert info.source == "built" and rebuilt == built
+        assert flaky.calls == 1
+        counted = {name: n for name, n in store.stats.snapshot().items() if n}
+        assert counted == {"misses": 1, "puts": 1, "read_failures": 1}
+        events = [r for r in records if r["name"] in ("store/read_failed", "store/retry")]
+        key = spanner_key(net.fingerprint(), params)[:12]
+        assert [(e["name"], e["attrs"]) for e in events] == [
+            ("store/read_failed", {"key": key, "error": "OSError"})
+        ]
 
     def test_deleted_underneath_is_a_plain_miss(self, tmp_path, monkeypatch):
         """A file raced away between exists() and open() burns no retries."""
@@ -594,6 +586,7 @@ class TestDiskRetries:
         assert info.source == "built"
         assert rebuilt == built
         assert store.stats.retries == 0 and store.stats.corrupt == 0
+        assert store.stats.read_failures == 0  # a race, not a failed read
 
 
 class TestRetryBackoff:
@@ -722,6 +715,7 @@ class TestStatsThreadSafety:
         snap = StoreStats().snapshot()
         for name in (
             "write_failures",
+            "read_failures",
             "backoff_waits",
             "lock_contended",
             "lock_reclaimed",

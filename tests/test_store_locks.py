@@ -18,7 +18,6 @@ import time
 import pytest
 
 from repro.core import SamplerParams
-from repro.execution import Exec
 from repro.graphs import complete_graph, erdos_renyi
 from repro.simulate import flood_schedule
 from repro.store import (
@@ -209,7 +208,7 @@ class TestStoreLocking:
         sub = complete_graph(6)
         store = ArtifactStore(tmp_path)
         store.fetch_flood_schedule(sub, 0)  # cached, but cannot serve 5
-        key = flood_key(sub.fingerprint(), Exec().distance_engine)
+        key = flood_key(sub.fingerprint())
         holder = FileLock(store._lock_path(key)).acquire()
 
         def hand_over(lock, attempt):

@@ -23,8 +23,10 @@ kernel, yields the same digest on every case.
 
 ``--schemes`` digests what the pipelines produce on the cases of
 ``tests/scheme_cases.py`` (one-stage, two-stage and churned serving);
-it refuses to write unless ``Exec(round_engine="reference",
-distance_engine="reference")`` yields the same digests.
+it refuses to write unless ``Exec(flood_engine="runtime",
+round_engine="reference")`` yields the same digests.  That value runs
+the literal flood program and one replay per center on the per-node
+interpreter, so the cross-check touches no distance-plane code.
 
 Only regenerate a file for a *deliberate* semantic change to the sampler
 or the pipelines (and say so in the PR description) — the whole point
@@ -154,9 +156,7 @@ def scheme_goldens() -> dict[str, str]:
     from scheme_cases import scheme_digests
 
     goldens = scheme_digests()
-    reference = scheme_digests(
-        Exec(round_engine="reference", distance_engine="reference")
-    )
+    reference = scheme_digests(Exec(flood_engine="runtime", round_engine="reference"))
     for name, digest in goldens.items():
         if reference.get(name) != digest:
             sys.exit(f"{name}: the reference engines disagree; nothing written")

@@ -12,10 +12,9 @@ Hot-path PRs should start from data, not guesses::
 
 The kernel's ``build()`` (input construction) runs outside the profile;
 only the measured body is profiled — the same split the harness times.
-``--engine`` / ``--distance-engine`` pin the round engine
-(``REPRO_ROUND_ENGINE``) and the distance plane
-(``REPRO_DISTANCE_ENGINE``) for the profiled process, so comparing the
-competing paths needs no env-var juggling.  ``--top-alloc`` swaps the
+``--engine`` pins the round engine (``REPRO_ROUND_ENGINE``) for the
+profiled process, so comparing the competing paths needs no env-var
+juggling.  ``--top-alloc`` swaps the
 time profile for a ``tracemalloc`` allocation profile: the top
 ``--limit`` allocation sites plus the traced-peak size — the place to
 start when a kernel's ``peak_rss_mb`` regresses.  (tracemalloc sees
@@ -69,11 +68,6 @@ def main(argv: list[str] | None = None) -> int:
         help="round engine for the profiled run (sets REPRO_ROUND_ENGINE)",
     )
     parser.add_argument(
-        "--distance-engine",
-        choices=("vector", "reference"),
-        help="distance plane for the profiled run (sets REPRO_DISTANCE_ENGINE)",
-    )
-    parser.add_argument(
         "--top-alloc",
         action="store_true",
         help="profile allocations (tracemalloc) instead of time: top "
@@ -93,8 +87,6 @@ def main(argv: list[str] | None = None) -> int:
     # strict means a future eager resolver cannot silently ignore them.
     if args.engine:
         os.environ["REPRO_ROUND_ENGINE"] = args.engine
-    if args.distance_engine:
-        os.environ["REPRO_DISTANCE_ENGINE"] = args.distance_engine
     if args.obs_trace:
         os.environ["REPRO_OBS"] = "1"
 
