@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
-"""Concurrent serving: 16 threads, one build, coalesced cold traffic.
+"""Concurrent serving: 16 threads, one build, merged cold traffic.
 
 ``ConcurrentSimulationService`` fronts the amortized service with two
-collapsing layers: a per-artifact-key singleflight (N threads racing a
-cold spanner perform exactly one build) and a batching window (identical
-payloads arriving close together share a single replay).  This demo
-fires a burst of 16 threaded requests — a mix of duplicated and distinct
-LOCAL payloads — at a cold front and prints what reached the engine:
-the coalescing ratio, the merge count, and the amortized per-request
-message cost that results.
+layers: a batching window (identical payloads arriving close together
+share a single replay) and one serve slot (N threads racing a cold
+spanner pass it one at a time, so exactly one of them builds).  This
+demo fires a burst of 16 threaded requests — a mix of duplicated and
+distinct LOCAL payloads — at a cold front and prints what reached the
+engine: the build count, the merge count, and the amortized
+per-request message cost that results.
 
 Run:  python examples/concurrent_service_demo.py
 """
@@ -72,8 +72,8 @@ def main() -> None:
     print()
     print(front.metrics.summary())
     print(
-        f"singleflight: {snap['spanner_builds']} build for "
-        f"{snap['requests']} requests ({snap['coalesced']} coalesced); "
+        f"serve slot: {snap['spanner_builds']} build for "
+        f"{snap['requests']} requests ({snap['spanner_hits']} spanner hits); "
         f"batching window merged {snap['merged']}, so only {replays} "
         "replays ran"
     )

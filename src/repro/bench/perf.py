@@ -314,7 +314,7 @@ def _concurrent_cold_input() -> tuple[Network, None]:
 
 def _concurrent_cold(built: tuple[Network, None]) -> object:
     """The whole workload against an empty store: the 4 workers race one
-    cold key, singleflight elects one builder, everyone else coalesces."""
+    cold key, the first through the serve slot builds, the rest hit."""
     net, _ = built
     front = ConcurrentSimulationService(
         service=SimulationService(net, params=_SERVICE_PARAMS, seed=33),
@@ -629,7 +629,7 @@ def default_kernels() -> list[Kernel]:
         )
     # service/concurrent/* kernels: the hardened concurrent front's
     # 40-request workload at 1 and 4 thread workers (warm), 4 workers
-    # against an empty store (cold: singleflight pays one build), and
+    # against an empty store (cold: the serve slot admits one build), and
     # two worker processes sharing one store directory (locking; zero
     # corrupt reads asserted in the body).  Baselines are the serial
     # submit() loop over the identical workload (DESIGN.md §3.12).
@@ -1023,7 +1023,7 @@ def render_serving_section(doc: dict) -> str:
             f"The `service/concurrent/*` rows push a {requests}-request "
             f"workload (the same {batch} payload families round-robined "
             f"{_CONCURRENT_DUP}x) through `ConcurrentSimulationService` — "
-            "singleflight coalesces cold builds, the batching window merges "
+            "the serve slot admits one cold build, the batching window merges "
             "duplicate payloads across worker threads, and `procs_p2` splits "
             "the workload over two processes sharing one locked store "
             "directory (zero corrupt reads asserted).  The serial column "

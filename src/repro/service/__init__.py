@@ -2,14 +2,13 @@
 
 See :mod:`repro.service.service` for the request/response types and
 :class:`SimulationService`; :mod:`repro.service.concurrent` for the
-thread-safe front with singleflight coalescing, batching-window
-merging and deadlines; :mod:`repro.service.chaos` for the
-``REPRO_STORE_CHAOS`` fault-injection hook.  The underlying cache
-lives in :mod:`repro.store`.
+thread-safe front with batching-window merging, one serve slot and
+per-call deadlines.  The underlying cache, its cross-process build
+locks and the ``REPRO_STORE_CHAOS`` fault-injection hook live in
+:mod:`repro.store`.
 """
 
 from repro.errors import ServiceTimeout
-from repro.service.chaos import CHAOS_ENV_VAR, ChaosPlan, chaos_from_env
 from repro.service.concurrent import ConcurrentSimulationService, RequestTrace
 from repro.service.service import (
     ServiceMetrics,
@@ -19,8 +18,6 @@ from repro.service.service import (
 )
 
 __all__ = [
-    "CHAOS_ENV_VAR",
-    "ChaosPlan",
     "ConcurrentSimulationService",
     "RequestTrace",
     "ServiceMetrics",
@@ -28,5 +25,4 @@ __all__ = [
     "SimulationRequest",
     "SimulationResponse",
     "SimulationService",
-    "chaos_from_env",
 ]

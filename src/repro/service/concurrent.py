@@ -4,28 +4,27 @@
 :class:`~repro.service.service.SimulationService` under concurrent
 load: thousands of in-flight :class:`SimulationRequest`\\ s from many
 threads (and, through the store's file locks, many processes) share
-one artifact build instead of trampling each other.  Three layers of
-sharing, outermost first:
+one artifact build instead of trampling each other.  Two layers,
+outermost first:
 
 * a **batching window** (``merge_window`` seconds) merges *identical*
   requests — equal :meth:`SimulationRequest.identity` — across callers
   into one shared replay; it is the serving stack's only dedupe layer.
   Followers wait on the in-flight serve, repeats within the window
   reuse the completed response; both are counted ``merged``;
-* a per-artifact-key **singleflight** gate: N concurrent requests on a
-  *cold* graph elect one leader to pay the spanner construction while
-  the followers block on its completion and then serve warm — exactly
-  one build, ``coalesced`` counted per follower.  A leader that fails
-  wakes its followers to re-elect rather than leaving them hung;
 * the **serve slot**: the inner service's replay machinery is
   single-threaded by design, so actual serves serialize through one
-  lock.  Throughput under concurrency comes from the two layers above
-  doing fewer serves, not from racing the interpreter.
+  lock.  It is also the in-process build gate: N requests racing one
+  *cold* graph enter the slot one at a time, the first pays the
+  spanner construction and every later one finds the spanner cached —
+  exactly one build.  Throughput under concurrency comes from the
+  window doing fewer serves, not from racing the interpreter.
 
-Every wait honours a per-request **deadline** (``deadline=`` on the
-service or the call): waiting on a merge, a flight, or the serve slot
-past the deadline raises :class:`~repro.errors.ServiceTimeout` and
-counts ``timeouts`` — a bounded, counted refusal, never an unbounded
+Every wait honours a per-call **deadline** (``deadline=`` on
+:meth:`~ConcurrentSimulationService.submit` or
+:meth:`~ConcurrentSimulationService.serve`): waiting on a merge or the
+serve slot past the deadline raises :class:`~repro.errors.ServiceTimeout`
+and counts ``timeouts`` — a bounded, counted refusal, never an unbounded
 block, and never a half-served response.
 
 Each request leaves a :class:`RequestTrace` span record (outcome,
@@ -55,7 +54,6 @@ from repro.service.service import (
     SimulationResponse,
     SimulationService,
 )
-from repro.store.keys import spanner_key
 from repro.store.store import ArtifactStore
 
 __all__ = [
@@ -90,11 +88,10 @@ class RequestTrace:
     algo: str
     fingerprint: str  # graph fingerprint prefix ("" = service default)
     outcome: str  # "served" | "merged" | "timeout" | "error"
-    coalesced: bool = False  # waited behind a singleflight leader
     cold: bool = False
     spanner_source: str = ""
     schedule_source: str = ""
-    wait_seconds: float = 0.0  # queueing: merge + flight + slot waits
+    wait_seconds: float = 0.0  # queueing: merge + slot waits
     serve_seconds: float = 0.0  # actual replay time inside the slot
     total_seconds: float = 0.0
     thread: str = ""
@@ -116,7 +113,6 @@ class RequestTrace:
                     "algo": self.algo,
                     "fingerprint": self.fingerprint,
                     "outcome": self.outcome,
-                    "coalesced": self.coalesced,
                     "cold": self.cold,
                     "spanner_source": self.spanner_source,
                     "schedule_source": self.schedule_source,
@@ -128,16 +124,6 @@ class RequestTrace:
 
     def to_json(self) -> str:
         return json.dumps(self.to_record(), sort_keys=True)
-
-
-class _Flight:
-    """One in-progress build that singleflight followers wait on."""
-
-    __slots__ = ("event", "waiters")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.waiters = 0
 
 
 class _Pending:
@@ -174,8 +160,6 @@ class ConcurrentSimulationService:
         seed: int | None = None,
         max_workers: int = 4,
         merge_window: float = 0.05,
-        deadline: float | None = None,
-        trace: bool = True,
     ) -> None:
         inner = {"store": store, "params": params, "gamma": gamma, "seed": seed}
         inner = {name: value for name, value in inner.items() if value is not None}
@@ -193,16 +177,13 @@ class ConcurrentSimulationService:
         self.service = service
         self.max_workers = max_workers
         self.merge_window = merge_window
-        self.deadline = deadline
-        self.trace = trace
         self._traces: list[RequestTrace] = []
         self._next_id = 0
         self._trace_lock = threading.Lock()
         # The inner service's replay path (subnet memo, lineage walk)
-        # is single-threaded by design; every actual serve holds this.
+        # is single-threaded by design; every actual serve holds this,
+        # so it is also what admits one build per cold key.
         self._serve_lock = threading.Lock()
-        self._flight_lock = threading.Lock()
-        self._flights: dict[str, _Flight] = {}
         self._merge_lock = threading.Lock()
         self._pending: dict[tuple, _Pending] = {}
         self._recent: dict[tuple, tuple[SimulationResponse, float]] = {}
@@ -243,15 +224,14 @@ class ConcurrentSimulationService:
     ) -> SimulationResponse:
         """Serve one request from the calling thread.
 
-        ``deadline`` (seconds, overriding the service default) bounds
-        every wait — merge, flight, serve slot — not the replay itself
+        ``deadline`` (seconds; ``None`` waits as long as it takes)
+        bounds every wait — merge, serve slot — not the replay itself
         once started; expiry raises :class:`ServiceTimeout`.
         """
         if isinstance(request, LocalAlgorithm):
             request = SimulationRequest(algo=request)
-        limit = self.deadline if deadline is None else deadline
         started = time.monotonic()
-        expires = None if limit is None else started + limit
+        expires = None if deadline is None else started + deadline
         spans = {"serve": 0.0}
         token = request.identity()
         pending: _Pending | None = None
@@ -262,9 +242,7 @@ class ConcurrentSimulationService:
                     self.metrics.observe_shared(shared)
                     self._record(request, started, spans, "merged", shared)
                     return shared
-            response, coalesced = self._serve_singleflight(
-                request, expires, spans
-            )
+            response = self._serve(request, expires, spans)
         except BaseException as exc:
             if pending is not None:
                 self._abandon(token, pending)
@@ -273,9 +251,7 @@ class ConcurrentSimulationService:
             raise
         if pending is not None:
             self._publish(token, pending, response)
-        self._record(
-            request, started, spans, "served", response, coalesced=coalesced
-        )
+        self._record(request, started, spans, "served", response)
         return response
 
     def serve(
@@ -287,9 +263,8 @@ class ConcurrentSimulationService:
         """Serve a batch concurrently; responses come back in order.
 
         The batch fans out over the internal ``max_workers`` pool, so
-        identical requests coalesce through the batching window and
-        cold keys through singleflight exactly as independent callers
-        would.
+        identical requests merge through the batching window and cold
+        keys pass the serve slot exactly as independent callers would.
         """
         items = [
             item
@@ -400,55 +375,6 @@ class ConcurrentSimulationService:
             self._recent_outputs -= len(entry[0].outputs)
 
     # ------------------------------------------------------------------
-    # singleflight
-    # ------------------------------------------------------------------
-    def _serve_singleflight(
-        self,
-        request: SimulationRequest,
-        expires: float | None,
-        spans: dict,
-    ) -> tuple[SimulationResponse, bool]:
-        """Serve with at most one concurrent build per artifact key."""
-        network = (
-            request.network
-            if request.network is not None
-            else self.service.network
-        )
-        params = (
-            request.params if request.params is not None else self.service.params
-        )
-        coalesced = False
-        if network is not None:
-            key = spanner_key(network.fingerprint(), params)
-            while not self.store.contains_spanner(network, params):
-                with self._flight_lock:
-                    flight = self._flights.get(key)
-                    leads = flight is None
-                    if leads:
-                        flight = self._flights[key] = _Flight()
-                    else:
-                        flight.waiters += 1
-                if leads:
-                    try:
-                        return self._serve(request, expires, spans), coalesced
-                    finally:
-                        # Wake followers whatever happened; on failure
-                        # the store is still cold and they re-elect.
-                        with self._flight_lock:
-                            self._flights.pop(key, None)
-                        flight.event.set()
-                if not flight.event.wait(self._remaining(expires)):
-                    self.metrics.bump(timeouts=1)
-                    raise ServiceTimeout(
-                        "deadline expired waiting on the shared build of "
-                        f"{key[:12]}…"
-                    )
-                if not coalesced:
-                    coalesced = True
-                    self.metrics.bump(coalesced=1)
-        return self._serve(request, expires, spans), coalesced
-
-    # ------------------------------------------------------------------
     # the serve slot
     # ------------------------------------------------------------------
     def _serve(
@@ -493,11 +419,7 @@ class ConcurrentSimulationService:
         spans: dict,
         outcome: str,
         response: SimulationResponse | None,
-        *,
-        coalesced: bool = False,
     ) -> None:
-        if not self.trace:
-            return
         total = time.monotonic() - started
         serve_seconds = spans.get("serve", 0.0)
         network = (
@@ -510,7 +432,6 @@ class ConcurrentSimulationService:
             algo=getattr(request.algo, "name", type(request.algo).__name__),
             fingerprint="" if network is None else network.fingerprint()[:12],
             outcome=outcome,
-            coalesced=coalesced,
             cold=response.cold if response is not None else False,
             spanner_source=(
                 response.spanner_info.source if response is not None else ""

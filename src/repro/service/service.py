@@ -65,7 +65,8 @@ _SUBNET_MEMO_CAP = 16
 
 # How far back the service walks a churn lineage looking for a cached
 # ancestor to repair from; past it the miss falls through to the
-# store's cold build.
+# store's cold build.  It also caps the lineage itself, oldest dropped:
+# a walk from the newest graph never reads an older entry.
 _LINEAGE_DEPTH_CAP = 16
 
 
@@ -195,7 +196,6 @@ class ServiceMetrics(obs.Counters):
         "repairs",
         "rebuilds",
         "stale_served",
-        "coalesced",  # singleflight followers sharing a leader's build
         "merged",  # batching-window repeats sharing one replay
         "timeouts",  # requests that hit their deadline
         "schedule_hits",
@@ -317,9 +317,9 @@ class SimulationService:
         # service streaming distinct graphs cannot pin memory unboundedly.
         self._subnets: dict[tuple[str, frozenset[int]], Network] = {}
         # Churn lineage: child fingerprint -> (parent network, mutation
-        # log).  This is what lets a cache miss on a post-churn graph
-        # degrade to a repair (or a stale serve) instead of a cold
-        # rebuild.
+        # log), the last _LINEAGE_DEPTH_CAP epochs.  This is what lets a
+        # cache miss on a post-churn graph degrade to a repair (or a
+        # stale serve) instead of a cold rebuild.
         self._lineage: dict[str, tuple[Network, MutationLog]] = {}
         # Fingerprints this service has already answered — a forced full
         # build on one of these is a *re*build (cache loss), not a
@@ -361,8 +361,7 @@ class SimulationService:
         if base is None:
             raise ValueError("no network to churn and the service has no default")
         child, log = _apply_churn(base, plan, epoch)
-        if not log.is_noop:
-            self._lineage[log.child_fingerprint] = (base, log)
+        self._remember_epoch(base, log)
         if network is None:
             self._network = child
         return child, log
@@ -380,8 +379,20 @@ class SimulationService:
                 f"log says {log.parent_fingerprint[:12]}…, "
                 f"network is {parent.fingerprint()[:12]}…"
             )
-        if not log.is_noop:
-            self._lineage[log.child_fingerprint] = (parent, log)
+        self._remember_epoch(parent, log)
+
+    def _remember_epoch(self, parent: Network, log: MutationLog) -> None:
+        """Record one churn epoch as the newest lineage entry.
+
+        Each entry pins a whole parent graph, so only the
+        :data:`_LINEAGE_DEPTH_CAP` newest stay: a walk from the newest
+        graph never reads further back than that."""
+        if log.is_noop:
+            return
+        self._lineage.pop(log.child_fingerprint, None)
+        self._lineage[log.child_fingerprint] = (parent, log)
+        while len(self._lineage) > _LINEAGE_DEPTH_CAP:
+            self._lineage.pop(next(iter(self._lineage)))
 
     def _lineage_base(
         self, network: Network, params: SamplerParams

@@ -1,16 +1,16 @@
-"""Deterministic fault injection for the serving stack (DESIGN.md §3.12).
+"""Deterministic fault injection for the artifact store (DESIGN.md §3.12).
 
-The robustness contract of the concurrent serving front is *tested*,
-not assumed: every failure mode the store and the lock layer claim to
-degrade through can be switched on deliberately — transient I/O errors
-that a retry heals, persistent errors that cost a rebuild, corrupt
-reads, slow loads that eat a request's deadline, and stale lock files
-left by a crashed holder — and the contract is that each injected
-fault surfaces as a *counted* metric (``StoreStats.retries`` /
-``corrupt`` / ``lock_reclaimed`` / ``chaos_injected``,
-``ServiceMetrics.timeouts``) and a degraded-but-correct response:
-bit-identical to a cold :func:`~repro.simulate.scheme.run_one_stage`
-whenever a response is produced at all.
+The robustness contract of the serving stack is *tested*, not assumed:
+every failure mode the store and the lock layer claim to degrade
+through can be switched on deliberately — transient I/O errors that a
+retry heals, persistent errors that cost a rebuild, corrupt reads,
+slow loads that eat a request's deadline, and stale lock files left by
+a crashed holder — and the contract is that each injected fault
+surfaces as a *counted* metric (``StoreStats.retries`` / ``corrupt`` /
+``lock_reclaimed`` / ``chaos_injected``, ``ServiceMetrics.timeouts``)
+and a degraded-but-correct response: bit-identical to a cold
+:func:`~repro.simulate.scheme.run_one_stage` whenever a response is
+produced at all.
 
 A :class:`ChaosPlan` is a frozen, seeded description of the fault mix.
 Every decision is a deterministic coin from
@@ -19,12 +19,11 @@ plan against the same call sequence injects the same faults, which is
 what makes chaos tests reproducible.  The ``tick`` is a per-store
 monotone counter, so repeated loads of one key draw fresh coins.
 
-Activation: pass ``chaos=ChaosPlan(...)`` to
-:class:`~repro.store.store.ArtifactStore`, or set the process-wide
-``REPRO_STORE_CHAOS`` environment variable to a spec string like
-``"transient=0.3,corrupt=0.1,seed=7"`` (see :meth:`ChaosPlan.parse`).
-The default — no variable, no argument — injects nothing and adds no
-work to any hot path.
+Activation: set the ``REPRO_STORE_CHAOS`` environment variable to a
+spec string like ``"transient=0.3,corrupt=0.1,seed=7"`` (see
+:meth:`ChaosPlan.parse`); each :class:`~repro.store.store.ArtifactStore`
+reads it once, when it is constructed.  Unset, it injects nothing and
+adds no work to any hot path.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ properties rest on:
   against pid liveness via ``os.kill(pid, 0)``) rather than taking a
   free one — the store counts these in ``StoreStats.lock_reclaimed``,
   making every crash visible in metrics;
-* contention (a live holder) is waited out with seeded-jitter
+* contention (a live holder) is waited out with jittered
   exponential backoff, bounded by ``timeout`` —
   :class:`LockTimeout` after that, never an unbounded block.
 
@@ -102,15 +102,10 @@ class FileLock:
     """
 
     def __init__(
-        self,
-        path: str | os.PathLike,
-        *,
-        timeout: float = DEFAULT_TIMEOUT,
-        seed: int = 0,
+        self, path: str | os.PathLike, *, timeout: float = DEFAULT_TIMEOUT
     ) -> None:
         self.path = Path(path)
         self.timeout = timeout
-        self._seed = seed
         self._fd: int | None = None
         self.contended = False
         self.reclaimed = False
@@ -160,14 +155,14 @@ class FileLock:
 
     # ------------------------------------------------------------------
     def _wait(self, attempt: int) -> float:
-        """Seeded-jitter exponential backoff between acquisition polls.
+        """Jittered exponential backoff between acquisition polls.
 
-        Deterministic per (path, attempt, seed) so contention tests
-        replay exactly; the jitter de-synchronizes a herd of followers
-        that all saw the lock drop at once.
+        Deterministic per (path, attempt) so contention tests replay
+        exactly; the jitter de-synchronizes a herd of followers that
+        all saw the lock drop at once.
         """
         step = min(_POLL_BASE * (2**attempt), _POLL_CAP)
-        jitter = stable_uniform(self._seed, ("lock", self.path.name, attempt))
+        jitter = stable_uniform(0, ("lock", self.path.name, attempt))
         return step * (0.5 + jitter)
 
     def _try_acquire(self) -> bool:

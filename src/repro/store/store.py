@@ -10,7 +10,8 @@ and the Lemma 12 flood schedule in its extendable
 :meth:`Network.fingerprint` plus the parameters that determine each
 artifact (:mod:`repro.store.keys`).  Two layers:
 
-* an in-memory LRU (``capacity`` entries) shared by every consumer in
+* an in-memory LRU (:data:`LRU_CAPACITY` entries and
+  :data:`MEMORY_BYTE_BUDGET` weighed bytes) shared by every consumer in
   the process;
 * an optional on-disk directory, enabled by constructing with a path or
   process-wide via the ``REPRO_STORE`` environment variable
@@ -32,23 +33,20 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from repro import obs
 from repro.core import accounting
 from repro.core.params import SamplerParams
 from repro.core.spanner import SpannerResult
 from repro.local.network import Network
-from repro.rng import stable_uniform
 from repro.simulate.tlocal import FloodSchedule
 from repro.store import serialize
+from repro.store.chaos import chaos_from_env
 from repro.store.keys import flood_key, spanner_key
 from repro.store.locks import FileLock, LockTimeout
 from repro.store.locks import plant_stale_lock as _plant_stale_lock
 from repro.store.serialize import ArtifactError, FloodProfile
-
-if TYPE_CHECKING:  # runtime import is lazy — see ArtifactStore.__init__
-    from repro.service.chaos import ChaosPlan
 
 __all__ = [
     "ArtifactStore",
@@ -62,10 +60,12 @@ __all__ = [
 # the store derives schedules directly instead of caching the profile
 # (an int16 matrix at the limit is ~128 MB — fine once, not per entry).
 PROFILE_CELL_LIMIT = 1 << 26
+# Entries the in-memory LRU holds, whatever they weigh.
+LRU_CAPACITY = 64
 # Total weighed bytes the in-memory LRU may pin (flood profiles report
 # their array footprint via FloodProfile.nbytes(); other artifacts are
 # Python object graphs the store cannot meaningfully weigh and count as
-# zero, so the entry-count capacity bounds those).
+# zero, so LRU_CAPACITY bounds those).
 MEMORY_BYTE_BUDGET = 1 << 28
 
 ENV_VAR = "REPRO_STORE"
@@ -73,7 +73,7 @@ ENV_VAR = "REPRO_STORE"
 # How many times a disk read is retried after a transient OSError
 # before the entry degrades to a miss.  Small and bounded: a flaky NFS
 # mount gets a second chance, a dead disk cannot stall the service.
-# Overridable per store via the ``retries=`` constructor argument.
+# The re-reads are immediate.
 DISK_READ_RETRIES = 2
 
 # How long one process waits on another's in-progress build of the same
@@ -120,7 +120,6 @@ class StoreStats(obs.Counters):
         "read_failures",
         "bypasses",
         "retries",
-        "backoff_waits",
         "lock_contended",
         "lock_reclaimed",
         "chaos_injected",
@@ -135,14 +134,12 @@ class StoreStats(obs.Counters):
 class _Lru:
     """Insertion-ordered dict LRU over ``(value, weight)`` entries.
 
-    Evicts past either bound: entry count (``capacity``) or total
-    weighed bytes (``byte_budget``) — flood profiles carry real array
-    footprints, so counting entries alone would let a sweep over many
-    large spanners pin gigabytes.
+    Evicts past either bound: entry count (:data:`LRU_CAPACITY`) or
+    total weighed bytes (:data:`MEMORY_BYTE_BUDGET`) — flood profiles
+    carry real array footprints, so counting entries alone would let a
+    sweep over many large spanners pin gigabytes.
     """
 
-    capacity: int
-    byte_budget: int = MEMORY_BYTE_BUDGET
     entries: dict = field(default_factory=dict)
     weighed_bytes: int = 0
 
@@ -164,8 +161,8 @@ class _Lru:
         # Keep at least the just-inserted entry: anything the cell
         # limit admitted is worth holding even over the byte budget.
         while len(self.entries) > 1 and (
-            len(self.entries) > self.capacity
-            or self.weighed_bytes > self.byte_budget
+            len(self.entries) > LRU_CAPACITY
+            or self.weighed_bytes > MEMORY_BYTE_BUDGET
         ):
             oldest = next(iter(self.entries))
             _, dropped = self.entries.pop(oldest)
@@ -184,50 +181,15 @@ class ArtifactStore:
     concurrent payload simulations.
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike | None = None,
-        *,
-        capacity: int = 64,
-        byte_budget: int = MEMORY_BYTE_BUDGET,
-        retries: int = DISK_READ_RETRIES,
-        backoff: float = 0.0,
-        backoff_seed: int = 0,
-        locking: bool = True,
-        lock_timeout: float = BUILD_LOCK_TIMEOUT,
-        chaos: "ChaosPlan | None" = None,
-    ) -> None:
-        """``retries``/``backoff`` shape the transient-I/O retry loop:
-        attempt ``i`` waits ``backoff * 2**i`` seconds scaled by a
-        deterministic jitter from ``backoff_seed`` (the default
-        ``backoff=0.0`` keeps the historical immediate retry).
-        ``locking`` enables per-key ``fcntl`` build locks on the disk
-        layer so processes sharing the directory coalesce builds;
-        ``chaos`` (or the ``REPRO_STORE_CHAOS`` env spec) injects
-        counted faults into the read path — see :mod:`repro.service.chaos`.
-        """
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if backoff < 0:
-            raise ValueError("backoff must be >= 0")
+    def __init__(self, path: str | os.PathLike | None = None) -> None:
+        """``path`` is the on-disk layer's directory (``None`` keeps the
+        store in memory).  The ``REPRO_STORE_CHAOS`` plan, if any, is
+        read here — see :mod:`repro.store.chaos`."""
         self._dir = Path(path) if path is not None else None
-        self._lru = _Lru(capacity, byte_budget)
+        self._lru = _Lru()
         self._diameters: dict[str, int] = {}
         self.stats = StoreStats()
-        self.retries = retries
-        self.backoff = backoff
-        self.backoff_seed = backoff_seed
-        self.locking = locking
-        self.lock_timeout = lock_timeout
-        if chaos is None:
-            # Lazy: repro.service.chaos sits under the service package,
-            # whose __init__ imports service.py, which imports us.
-            from repro.service.chaos import chaos_from_env
-
-            chaos = chaos_from_env()
-        self.chaos = chaos
+        self.chaos = chaos_from_env()
         # Guards the in-memory layer (LRU order + diameter memos); disk
         # reads/writes run outside it — they are atomic on their own.
         self._mem_lock = threading.RLock()
@@ -309,22 +271,6 @@ class ArtifactStore:
             self._remember(key, loaded)
             return loaded, FetchInfo("disk")
         return None, None
-
-    def contains_spanner(self, network: Network, params: SamplerParams) -> bool:
-        """Uncounted presence probe: is this spanner already cached?
-
-        Touches neither the hit/miss counters nor the LRU recency
-        order — the concurrent front uses it to decide whether a
-        request is cold (worth singleflighting) without the probe
-        itself polluting the metrics the tests assert on.
-        """
-        key = spanner_key(network.fingerprint(), params)
-        with self._mem_lock:
-            if key in self._lru.entries:
-                return True
-        if self._dir is None:
-            return False
-        return self._entry_path(key).exists()
 
     def put_spanner(self, result: SpannerResult) -> None:
         """Insert an externally built (or repaired) spanner, write-through.
@@ -490,15 +436,14 @@ class ArtifactStore:
     def _build_lock(self, key: str):
         """Cross-process exclusion around one artifact key's build.
 
-        Yields with the per-key ``fcntl`` lock held (memory-only stores
-        and ``locking=False`` yield immediately — in-process callers
-        already coalesce via the service's singleflight).  Contention
-        and dead-holder reclamation are counted; a holder that outlives
-        ``lock_timeout`` degrades this caller to an *unlocked* build —
-        duplicate work through the atomic write path, never a wedged
-        store and never corruption.
+        Yields with the per-key ``fcntl`` lock held (a memory-only store
+        yields immediately: it has no other process to share with).
+        Contention and dead-holder reclamation are counted; a holder
+        that outlives :data:`BUILD_LOCK_TIMEOUT` degrades this caller to
+        an *unlocked* build — duplicate work through the atomic write
+        path, never a wedged store and never corruption.
         """
-        if not self.locking or self._dir is None:
+        if self._dir is None:
             yield None
             return
         self._dir.mkdir(parents=True, exist_ok=True)
@@ -508,7 +453,7 @@ class ArtifactStore:
         ) and not path.exists():
             _plant_stale_lock(path)
             self.stats.bump(chaos_injected=1)
-        lock = FileLock(path, timeout=self.lock_timeout, seed=self.backoff_seed)
+        lock = FileLock(path, timeout=BUILD_LOCK_TIMEOUT)
         try:
             lock.acquire()
         except LockTimeout:
@@ -529,30 +474,15 @@ class ArtifactStore:
         finally:
             lock.release()
 
-    def _backoff_sleep(self, key: str, attempt: int) -> None:
-        """Deterministic jittered wait before retry ``attempt + 1``.
-
-        ``backoff * 2**attempt`` scaled into ``[0.5x, 1.5x)`` by a
-        seeded coin — reproducible given ``backoff_seed``, but jittered
-        so a herd of workers retrying one flaky entry spreads out.  The
-        default ``backoff=0.0`` retries immediately (no wait counted),
-        preserving the historical behavior.
-        """
-        if self.backoff <= 0:
-            return
-        jitter = stable_uniform(self.backoff_seed, ("store-backoff", key, attempt))
-        self.stats.bump(backoff_waits=1)
-        time.sleep(self.backoff * (2**attempt) * (0.5 + jitter))
-
     def _load(self, key: str, loader, *args):
         """Disk lookup; any damage is a miss, never an exception.
 
         Corruption (``ArtifactError``) is a permanent counted miss.  A
-        transient ``OSError`` earns up to ``self.retries`` re-reads
-        (counted in ``stats.retries``, separated by the seeded
-        :meth:`_backoff_sleep`) before the entry likewise degrades to a
-        miss, counted in ``stats.read_failures`` — flaky I/O may cost a
-        rebuild, but it can never raise out of the store.  An active
+        transient ``OSError`` earns up to :data:`DISK_READ_RETRIES`
+        immediate re-reads (counted in ``stats.retries``) before the
+        entry likewise degrades to a miss, counted in
+        ``stats.read_failures`` — flaky I/O may cost a rebuild, but it
+        can never raise out of the store.  An active
         :class:`ChaosPlan` injects its faults here, upstream of the same
         handling paths real damage takes.
         """
@@ -561,7 +491,8 @@ class ArtifactStore:
         path = self._entry_path(key)
         if not path.exists():
             return None
-        for attempt in range(self.retries + 1):
+        retries = DISK_READ_RETRIES
+        for attempt in range(retries + 1):
             try:
                 if self.chaos is not None:
                     self._inject_load_chaos(key)
@@ -573,7 +504,7 @@ class ArtifactStore:
             except FileNotFoundError:
                 return None  # raced away since exists(): a plain miss
             except OSError as exc:
-                if attempt >= self.retries:
+                if attempt >= retries:
                     self.stats.bump(read_failures=1)
                     obs.event(
                         "store/read_failed", key=key[:12], error=type(exc).__name__
@@ -581,7 +512,6 @@ class ArtifactStore:
                     return None
                 self.stats.bump(retries=1)
                 obs.event("store/retry", key=key[:12], attempt=attempt)
-                self._backoff_sleep(key, attempt)
         return None
 
     def _inject_load_chaos(self, key: str) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.params import SamplerParams
-from repro.graphs import caveman, complete_graph, erdos_renyi, grid, hypercube, torus
+from repro.graphs import caveman, erdos_renyi, grid, hypercube, torus
 from repro.local.network import Network
 
 
@@ -34,11 +34,6 @@ def er_small() -> Network:
 @pytest.fixture
 def er_medium() -> Network:
     return erdos_renyi(120, 0.12, seed=4)
-
-
-@pytest.fixture
-def dense_small() -> Network:
-    return complete_graph(40)
 
 
 @pytest.fixture

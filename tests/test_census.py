@@ -1,26 +1,32 @@
-"""A census of the process-wide knobs and catch-all handlers in ``src/repro``.
+"""A census of the knobs and catch-all handlers in ``src/repro``.
 
-Three checks keep these counts from creeping back (ROADMAP aims 2 and 3):
+Four checks keep these counts from creeping back (ROADMAP aims 2 and 3):
 
 * the ``REPRO_*`` environment variables the package names as whole
   string constants are exactly :data:`ENV_VARS`;
 * every ``except Exception``, ``except BaseException`` and bare
   ``except`` sits in a function listed in :data:`CATCH_ALLS`;
 * the fields of :class:`repro.Exec`, one per pair of interchangeable
-  implementations, are exactly :data:`EXEC_FIELDS`.
+  implementations, are exactly :data:`EXEC_FIELDS`;
+* the constructor parameters of the serving stack's artifact store,
+  concurrent front and file lock are exactly :data:`CONSTRUCTORS`.
 
-A change that adds a variable, a catch-all or an engine twin has to
-edit these lists, with its reason, in its own diff.
+A change that adds a variable, a catch-all, an engine twin or a
+constructor knob has to edit these lists, with its reason, in its own
+diff.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
 from repro.execution import Exec
+from repro.service import ConcurrentSimulationService
+from repro.store import ArtifactStore, FileLock
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -44,6 +50,25 @@ EXEC_FIELDS = (
     "scheduler",  # the oracle of the Context sleep contract
     "round_engine",  # vector populations or the per-node interpreter
 )
+
+CONSTRUCTORS = {
+    # The disk directory; the tuning values are module constants.
+    ArtifactStore: ("path",),
+    # The inner service's own arguments (or the service itself), the
+    # worker pool's size and the batching window; deadlines are per call.
+    ConcurrentSimulationService: (
+        "network",
+        "service",
+        "store",
+        "params",
+        "gamma",
+        "seed",
+        "max_workers",
+        "merge_window",
+    ),
+    # The lock file and how long to wait on a live holder.
+    FileLock: ("path", "timeout"),
+}
 
 _ENV_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
 _BROAD = {"Exception", "BaseException"}
@@ -112,3 +137,11 @@ def test_catch_alls_sit_in_allowlisted_functions():
 
 def test_exec_fields_are_the_census():
     assert tuple(f.name for f in dataclasses.fields(Exec)) == EXEC_FIELDS
+
+
+def test_serving_constructors_are_the_census():
+    found = {
+        cls: tuple(inspect.signature(cls.__init__).parameters)[1:]
+        for cls in CONSTRUCTORS
+    }
+    assert found == CONSTRUCTORS

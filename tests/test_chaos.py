@@ -16,9 +16,9 @@ from repro.core import SamplerParams
 from repro.errors import ConfigurationError
 from repro.graphs import erdos_renyi
 from repro.service import SimulationService
-from repro.service.chaos import CHAOS_ENV_VAR, ChaosPlan, chaos_from_env
 from repro.simulate import run_one_stage
-from repro.store import ArtifactStore
+from repro.store import CHAOS_ENV_VAR, ArtifactStore, ChaosPlan, chaos_from_env
+from repro.store.store import DISK_READ_RETRIES
 
 PARAMS = SamplerParams(k=1, h=2, seed=13)
 
@@ -112,11 +112,17 @@ class TestInjectedFaults:
     def _seeded(self, tmp_path, net):
         ArtifactStore(tmp_path).fetch_spanner(net, PARAMS)
 
-    def test_transient_faults_counted_and_healed(self, net, tmp_path):
+    @staticmethod
+    def _chaotic(tmp_path, monkeypatch, spec):
+        """A store on ``tmp_path`` under the ``REPRO_STORE_CHAOS`` plan
+        ``spec``."""
+        monkeypatch.setenv(CHAOS_ENV_VAR, spec)
+        return ArtifactStore(tmp_path)
+
+    def test_transient_faults_counted_and_healed(self, net, tmp_path, monkeypatch):
         self._seeded(tmp_path, net)
-        store = ArtifactStore(
-            tmp_path, chaos=ChaosPlan(seed=3, transient=0.5), retries=8
-        )
+        monkeypatch.setattr("repro.store.store.DISK_READ_RETRIES", 8)
+        store = self._chaotic(tmp_path, monkeypatch, "seed=3,transient=0.5")
         result, info = store.fetch_spanner(net, PARAMS)
         snap = store.stats.snapshot()
         # At 0.5 over 9 attempts the read heals within the retry budget.
@@ -124,58 +130,54 @@ class TestInjectedFaults:
         assert snap["retries"] >= 1
         assert snap["chaos_injected"] == snap["retries"]
 
-    def test_persistent_curse_degrades_to_rebuild(self, net, tmp_path):
+    def test_persistent_curse_degrades_to_rebuild(self, net, tmp_path, monkeypatch):
         self._seeded(tmp_path, net)
-        store = ArtifactStore(tmp_path, chaos=ChaosPlan(persistent=1.0))
+        store = self._chaotic(tmp_path, monkeypatch, "persistent=1.0")
         result, info = store.fetch_spanner(net, PARAMS)
         snap = store.stats.snapshot()
         assert info.source == "built"  # degraded, never raised
-        assert snap["retries"] == store.retries
+        assert snap["retries"] == DISK_READ_RETRIES
         assert snap["misses"] == 1
         assert snap["read_failures"] == 1
 
-    def test_corrupt_reads_counted_as_corrupt(self, net, tmp_path):
+    def test_corrupt_reads_counted_as_corrupt(self, net, tmp_path, monkeypatch):
         self._seeded(tmp_path, net)
-        store = ArtifactStore(tmp_path, chaos=ChaosPlan(corrupt=1.0))
+        store = self._chaotic(tmp_path, monkeypatch, "corrupt=1.0")
         result, info = store.fetch_spanner(net, PARAMS)
         assert info.source == "built"
         assert store.stats.corrupt == 1
 
-    def test_slow_loads_counted(self, net, tmp_path):
+    def test_slow_loads_counted(self, net, tmp_path, monkeypatch):
         self._seeded(tmp_path, net)
-        store = ArtifactStore(
-            tmp_path, chaos=ChaosPlan(slow=1.0, slow_seconds=0.001)
-        )
+        store = self._chaotic(tmp_path, monkeypatch, "slow=1.0,slow_seconds=0.001")
         result, info = store.fetch_spanner(net, PARAMS)
         assert info.source == "disk"  # slow, but intact
         assert store.stats.chaos_injected >= 1
 
-    def test_stale_lock_injection_exercises_reclamation(self, net, tmp_path):
-        store = ArtifactStore(tmp_path, chaos=ChaosPlan(stale_lock=1.0))
+    def test_stale_lock_injection_exercises_reclamation(
+        self, net, tmp_path, monkeypatch
+    ):
+        store = self._chaotic(tmp_path, monkeypatch, "stale_lock=1.0")
         result, info = store.fetch_spanner(net, PARAMS)
         assert info.source == "built"
         assert store.stats.lock_reclaimed == 1
 
-    def test_responses_bit_identical_under_chaos(self, net, tmp_path):
+    def test_responses_bit_identical_under_chaos(self, net, tmp_path, monkeypatch):
         """The whole point: chaos costs rebuilds, never changes answers."""
         reference = run_one_stage(
             net, MinIdAggregation(2), params=PARAMS, seed=0
         )
+        bfs_reference = run_one_stage(net, BfsLayers(0, 2), params=PARAMS, seed=0)
         self._seeded(tmp_path, net)
-        store = ArtifactStore(
+        store = self._chaotic(
             tmp_path,
-            chaos=ChaosPlan(
-                seed=11, transient=0.4, corrupt=0.2, slow=0.2,
-                slow_seconds=0.0, stale_lock=0.3,
-            ),
-            backoff=0.0001,
-            backoff_seed=4,
+            monkeypatch,
+            "seed=11,transient=0.4,corrupt=0.2,slow=0.2,slow_seconds=0.0,"
+            "stale_lock=0.3",
         )
         service = SimulationService(net, store=store, params=PARAMS, seed=0)
         for _ in range(4):
             response = service.submit(MinIdAggregation(2))
             assert response.report.outputs == reference.outputs
         bfs = service.submit(BfsLayers(0, 2))
-        assert bfs.report.outputs == run_one_stage(
-            net, BfsLayers(0, 2), params=PARAMS, seed=0
-        ).outputs
+        assert bfs.report.outputs == bfs_reference.outputs

@@ -1,11 +1,11 @@
-"""The concurrent serving front: singleflight, merging, deadlines.
+"""The concurrent serving front: the serve slot, merging, deadlines.
 
-The acceptance claims of ISSUE 9: N concurrent cold requests on one
-artifact key perform exactly one spanner build (``builds == 1``,
-``coalesced == N-1``); every response stays bit-identical to a fresh
-``run_one_stage`` under chaos and under a crashed-then-reclaimed lock
-holder; and two worker processes share one store directory with
-identical results and zero corrupt reads.
+N concurrent cold requests on one artifact key perform exactly one
+spanner build (``spanner_builds == 1``, ``spanner_hits == N-1``); every
+response stays bit-identical to a fresh ``run_one_stage`` under chaos
+and under a crashed-then-reclaimed lock holder; and two worker
+processes share one store directory with identical results and zero
+corrupt reads.
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ from repro.errors import ServiceTimeout
 from repro.execution import Exec
 from repro.graphs import erdos_renyi
 from repro.service import (
-    ChaosPlan,
     ConcurrentSimulationService,
     SimulationRequest,
     SimulationService,
 )
 from repro.simulate import run_one_stage
-from repro.store import ArtifactStore, FileLock, spanner_key
+from repro.store import CHAOS_ENV_VAR, ArtifactStore, FileLock, spanner_key
 
 PARAMS = SamplerParams(k=1, h=2, seed=13)
 
@@ -45,91 +44,83 @@ def _reference(net, algo):
     return run_one_stage(net, algo, params=PARAMS, seed=0)
 
 
-class TestSingleflight:
-    def test_n_threads_one_cold_key_builds_exactly_once(self, net, monkeypatch):
-        """The headline: builds == 1 and coalesced == N-1, exactly.
+def _gate_builds(monkeypatch):
+    """Block the store's builds until the returned event is set; the
+    second event reports that a build is waiting on the gate."""
+    import repro.core.accounting as accounting
 
-        The build is blocked until all N-1 followers are queued on the
-        flight, so the count is deterministic rather than a race the
-        test usually wins.
-        """
-        n_threads = 6
+    real_build = accounting.build_spanner_priced
+    release, building = threading.Event(), threading.Event()
+
+    def gated_build(*args, **kwargs):
+        building.set()
+        release.wait(timeout=30.0)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr("repro.core.accounting.build_spanner_priced", gated_build)
+    return release, building
+
+
+class TestColdBuilds:
+    """The serve slot is the in-process build gate: N threads on one
+    cold key enter it one at a time, so the first builds and every
+    later one finds the spanner cached, whatever the interleaving."""
+
+    def _race(self, front, reference, n_threads):
         algos = [MinIdAggregation(2) for _ in range(n_threads)]
-        # Before patching: under REPRO_STORE the reference run builds
-        # through the default store, which would otherwise call the
-        # gated build and wait for a flight that never comes.
-        reference = _reference(net, algos[0])
-        front = ConcurrentSimulationService(
-            net, params=PARAMS, seed=0, max_workers=n_threads, merge_window=0.0
-        )
-        key = spanner_key(net.fingerprint(), PARAMS)
-        import repro.core.accounting as accounting
-
-        real_build = accounting.build_spanner_priced
-        calls = []
-
-        def gated_build(*args, **kwargs):
-            calls.append(threading.current_thread().name)
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                flight = front._flights.get(key)
-                if flight is not None and flight.waiters >= n_threads - 1:
-                    break
-                time.sleep(0.002)
-            else:  # pragma: no cover - diagnostic on deadlock
-                raise AssertionError("followers never queued on the flight")
-            return real_build(*args, **kwargs)
-
-        monkeypatch.setattr(
-            "repro.core.accounting.build_spanner_priced", gated_build
-        )
         with front:
             responses = front.serve(algos)
-        assert len(calls) == 1
-        snapshot = front.metrics.snapshot()
-        assert snapshot["spanner_builds"] == 1
-        assert snapshot["coalesced"] == n_threads - 1
-        assert snapshot["requests"] == n_threads
         assert all(
             response.report.outputs == reference.outputs
             for response in responses
         )
         assert sum(response.cold for response in responses) == 1
-
-    def test_warm_requests_skip_the_flight(self, net):
-        front = ConcurrentSimulationService(
-            net, params=PARAMS, seed=0, max_workers=4, merge_window=0.0
-        )
-        front.submit(MinIdAggregation(2))  # cold, alone
-        with front:
-            front.serve([MinIdAggregation(2) for _ in range(8)])
         snapshot = front.metrics.snapshot()
+        assert snapshot["requests"] == n_threads
         assert snapshot["spanner_builds"] == 1
-        assert snapshot["coalesced"] == 0  # nothing ever waited
+        assert snapshot["spanner_hits"] == n_threads - 1
 
-    def test_singleflight_under_chaos_stays_bit_identical(self, net, tmp_path):
-        """Acceptance: exactly-one-build + bit-identity while the store
-        injects transient faults, corrupt reads and stale locks."""
-        store = ArtifactStore(
-            tmp_path,
-            chaos=ChaosPlan(
-                seed=7, transient=0.3, corrupt=0.2, stale_lock=0.5
-            ),
-            backoff=0.0001,
+    def test_n_threads_one_cold_key_builds_exactly_once(self, net, monkeypatch):
+        """The headline: builds == 1 and hits == N-1, exactly."""
+        n_threads = 6
+        # Before patching: under REPRO_STORE the reference run builds
+        # through the default store.
+        reference = _reference(net, MinIdAggregation(2))
+        import repro.core.accounting as accounting
+
+        real_build = accounting.build_spanner_priced
+        calls = []
+
+        def counted_build(*args, **kwargs):
+            calls.append(threading.current_thread().name)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.core.accounting.build_spanner_priced", counted_build
         )
+        front = ConcurrentSimulationService(
+            net, params=PARAMS, seed=0, max_workers=n_threads, merge_window=0.0
+        )
+        self._race(front, reference, n_threads)
+        assert len(calls) == 1
+
+    def test_one_build_under_chaos_stays_bit_identical(
+        self, net, tmp_path, monkeypatch
+    ):
+        """Exactly-one-build + bit-identity on a disk store while
+        ``REPRO_STORE_CHAOS`` injects transient faults, corrupt reads
+        and stale locks."""
+        reference = _reference(net, MinIdAggregation(2))  # no chaos here
+        monkeypatch.setenv(
+            CHAOS_ENV_VAR, "seed=7,transient=0.3,corrupt=0.2,stale_lock=0.5"
+        )
+        store = ArtifactStore(tmp_path)
+        assert store.chaos is not None
         service = SimulationService(net, store=store, params=PARAMS, seed=0)
         front = ConcurrentSimulationService(
             service=service, max_workers=6, merge_window=0.0
         )
-        algos = [MinIdAggregation(2) for _ in range(6)]
-        with front:
-            responses = front.serve(algos)
-        reference = _reference(net, algos[0])
-        assert all(
-            response.report.outputs == reference.outputs
-            for response in responses
-        )
-        assert front.metrics.snapshot()["spanner_builds"] == 1
+        self._race(front, reference, 6)
 
     def test_crashed_lock_holder_is_reclaimed_and_served(self, net, tmp_path):
         """Kill a lock-holding builder mid-build; a follower front on the
@@ -290,45 +281,53 @@ class TestConstructor:
 
 class TestDeadlines:
     def test_deadline_on_flight_wait_raises_and_counts(self, net, monkeypatch):
+        """A leader holds the serve slot in a gated, in-flight build;
+        another payload's request times out waiting for the slot and is
+        counted."""
         front = ConcurrentSimulationService(
             net, params=PARAMS, seed=0, max_workers=2, merge_window=0.0
         )
-        release = threading.Event()
-        import repro.core.accounting as accounting
-
-        real_build = accounting.build_spanner_priced
-
-        def slow_build(*args, **kwargs):
-            release.wait(timeout=30.0)
-            return real_build(*args, **kwargs)
-
-        monkeypatch.setattr(
-            "repro.core.accounting.build_spanner_priced", slow_build
-        )
-        pool = front._ensure_pool()
-        leader = pool.submit(front.submit, MinIdAggregation(2))
-        deadline_hit = None
+        release, building = _gate_builds(monkeypatch)
+        leader = front._ensure_pool().submit(front.submit, MinIdAggregation(2))
         try:
-            # wait for the leader to take the flight
-            key = spanner_key(net.fingerprint(), PARAMS)
-            waited = time.monotonic() + 10.0
-            while key not in front._flights and time.monotonic() < waited:
-                time.sleep(0.002)
-            with pytest.raises(ServiceTimeout):
+            assert building.wait(timeout=10.0), "the leader never built"
+            with pytest.raises(ServiceTimeout, match="serve slot"):
                 front.submit(MinIdAggregation(2), deadline=0.05)
-            deadline_hit = True
         finally:
             release.set()
             leader.result(timeout=60.0)
             front.shutdown()
-        assert deadline_hit
         assert front.metrics.snapshot()["timeouts"] == 1
+        assert [t.outcome for t in front.traces] == ["timeout", "served"]
+
+    def test_deadline_on_merge_wait_raises_and_counts(self, net, monkeypatch):
+        """A request for the payload a gated leader is serving times out
+        in the batching window; once the leader publishes, a repeat
+        within the window is merged."""
+        front = ConcurrentSimulationService(
+            net, params=PARAMS, seed=0, max_workers=2, merge_window=60.0
+        )
+        payload = MinIdAggregation(2)
+        release, building = _gate_builds(monkeypatch)
+        leader = front._ensure_pool().submit(front.submit, payload)
+        try:
+            assert building.wait(timeout=10.0), "the leader never built"
+            with pytest.raises(ServiceTimeout, match="merged in-flight serve"):
+                front.submit(payload, deadline=0.05)
+        finally:
+            release.set()
+            served = leader.result(timeout=60.0)
+            front.shutdown()
+        assert front.metrics.snapshot()["timeouts"] == 1
+        repeat = front.submit(payload)
+        assert repeat is served
+        assert repeat.report.outputs == _reference(net, payload).outputs
+        snapshot = front.metrics.snapshot()
+        assert snapshot["merged"] == 1 and snapshot["spanner_builds"] == 1
 
     def test_generous_deadline_serves_normally(self, net):
-        front = ConcurrentSimulationService(
-            net, params=PARAMS, seed=0, deadline=60.0
-        )
-        response = front.submit(MinIdAggregation(2))
+        front = ConcurrentSimulationService(net, params=PARAMS, seed=0)
+        response = front.submit(MinIdAggregation(2), deadline=60.0)
         assert response.report.outputs == _reference(
             net, MinIdAggregation(2)
         ).outputs
@@ -372,20 +371,13 @@ class TestTraces:
         assert front.dump_traces(path, append=True) == 3
         assert len(path.read_text().splitlines()) == 6
 
-    def test_tracing_can_be_disabled(self, net):
-        front = ConcurrentSimulationService(
-            net, params=PARAMS, seed=0, trace=False
-        )
-        front.submit(MinIdAggregation(2))
-        assert front.traces == ()
-
 
 def _worker_outputs(store_dir, chaos_spec, queue):
     """Child-process body for the shared-store test: serve and report."""
     os.environ["REPRO_STORE_CHAOS"] = chaos_spec
     try:
         net = erdos_renyi(50, 0.12, seed=8)
-        store = ArtifactStore(store_dir, backoff=0.0001)
+        store = ArtifactStore(store_dir)
         front = ConcurrentSimulationService(
             service=SimulationService(net, store=store, params=PARAMS, seed=0),
             max_workers=2,

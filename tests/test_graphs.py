@@ -1,4 +1,4 @@
-"""Tests for graph generators, the level multigraph, and contraction."""
+"""Tests for the graph generators."""
 
 from __future__ import annotations
 
@@ -7,11 +7,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.graphs import (
-    LevelMultigraph,
     barabasi_albert,
     caveman,
     complete_graph,
-    contract,
     dense_gnm,
     erdos_renyi,
     grid,
@@ -19,7 +17,6 @@ from repro.graphs import (
     random_regular,
     torus,
 )
-from repro.graphs.contraction import contraction_census
 
 
 class TestGenerators:
@@ -206,78 +203,3 @@ class TestArrayEngine:
     def test_bad_engine_rejected(self):
         with pytest.raises(ConfigurationError):
             erdos_renyi(30, 0.1, seed=1, engine="simd")
-
-
-class TestLevelMultigraph:
-    def test_level_zero(self, triangle):
-        level = LevelMultigraph.level_zero(triangle)
-        assert level.num_nodes == 3
-        assert level.num_edges == 3
-        assert level.neighbors(0) == [1, 2]
-        assert level.volume(0) == 2
-        assert level.degree(0) == 2
-
-    def test_edges_between(self):
-        level = LevelMultigraph({0: {1: [3, 5]}, 2: {1: [7]}})
-        assert level.edges_between(0, 1) == (3, 5)
-        assert level.edges_between(1, 0) == (3, 5)
-        assert level.edges_between(0, 2) == ()
-        assert level.incident_edges(1) == [3, 5, 7]
-        assert level.volume(1) == 3
-
-    def test_edge_endpoints(self):
-        level = LevelMultigraph({0: {1: [3]}})
-        assert level.edge_endpoints(3) == (0, 1)
-        assert level.virtual_neighbor_via(0, 3) == 1
-        assert level.virtual_neighbor_via(1, 3) == 0
-        with pytest.raises(ConfigurationError):
-            level.virtual_neighbor_via(2, 3)
-
-    def test_rejects_self_loop(self):
-        with pytest.raises(ConfigurationError):
-            LevelMultigraph({0: {0: [1]}})
-
-    def test_rejects_edge_in_two_pairs(self):
-        with pytest.raises(ConfigurationError):
-            LevelMultigraph({0: {1: [3]}, 2: {4: [3]}})
-
-    def test_max_volume(self):
-        level = LevelMultigraph({0: {1: [1, 2, 3]}, 4: {1: [5]}})
-        assert level.max_volume() == 4  # node 1 carries all four edges
-
-
-class TestContraction:
-    def test_hand_example(self):
-        # square 0-1-2-3 (edge ids 0..3 around) + diagonal 1-3 (id 4)
-        level = LevelMultigraph(
-            {0: {1: [0], 3: [3]}, 1: {2: [1], 3: [4]}, 2: {3: [2]}}
-        )
-        # clusters {0,1} -> A=0 and {2,3} -> B=2
-        assignment = {0: 0, 1: 0, 2: 2, 3: 2}
-        contracted = contract(level, assignment)
-        assert contracted.num_nodes == 2
-        assert sorted(contracted.edges_between(0, 2)) == [1, 3, 4]
-        census = contraction_census(level, assignment)
-        assert census.survived == 3
-        assert census.became_intra == 2
-        assert census.lost_to_unclustered == 0
-        assert census.total == 5
-
-    def test_unclustered_edges_drop(self):
-        level = LevelMultigraph({0: {1: [0], 2: [1]}})
-        contracted = contract(level, {0: 0})  # 1 and 2 unclustered
-        assert contracted.num_nodes == 1
-        assert contracted.num_edges == 0
-        census = contraction_census(level, {0: 0})
-        assert census.lost_to_unclustered == 2
-
-    def test_multiplicities_accumulate(self, dense_small):
-        level = LevelMultigraph.level_zero(dense_small)
-        assignment = {v: v % 4 for v in range(dense_small.n)}
-        contracted = contract(level, assignment)
-        assert contracted.num_nodes == 4
-        census = contraction_census(level, assignment)
-        assert census.total == dense_small.m
-        assert contracted.num_edges == census.survived
-        # K40 in 4 buckets of 10: intra = 4 * C(10,2) = 180
-        assert census.became_intra == 180

@@ -163,9 +163,9 @@ class TestEmptyLevel:
         store = ArtifactStore()
         with pytest.raises(SimulationError):
             store.fetch_spanner(net, SamplerParams(k=2, h=1, seed=0))
-        assert store.stats.puts == 0 and not store.contains_spanner(
-            net, SamplerParams(k=2, h=1, seed=0)
-        )
+        assert store.stats.puts == 0
+        cached, _ = store.peek_spanner(net, SamplerParams(k=2, h=1, seed=0))
+        assert cached is None
 
 
 class TestStorePrices:

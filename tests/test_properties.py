@@ -1,9 +1,8 @@
 """Property-based tests (hypothesis) on the core invariants.
 
 These cover the parts of the system where hand-picked cases are weakest:
-random graphs x random seeds for the spanner guarantees, random
-multigraph neighborhoods for the trial machine, and random cluster
-assignments for contraction conservation.
+random graphs x random seeds for the spanner guarantees and random
+multigraph neighborhoods for the trial machine.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from repro.core import SamplerParams, build_spanner
 from repro.core.distributed.schedule import PhaseKind, Schedule
 from repro.core.trials import NodeLabel, QueryResult, TrialMachine
 from repro.execution import Exec
-from repro.graphs import LevelMultigraph, contract, dense_gnm
-from repro.graphs.contraction import contraction_census
+from repro.graphs import dense_gnm
 from repro.local import FaultPlan
 from repro.local.network import Network
 from repro.local.runtime import run_program
@@ -296,30 +294,3 @@ class TestSchedulerEquivalenceProperties:
         assert dense.messages.dropped == active.messages.dropped
         assert dense.messages.per_round == active.messages.per_round
         assert dense.messages.by_tag == active.messages.by_tag
-
-
-# ---------------------------------------------------------------------------
-# contraction conservation
-# ---------------------------------------------------------------------------
-class TestContractionProperties:
-    @_SETTINGS
-    @given(
-        net=small_network(),
-        n_clusters=st.integers(min_value=1, max_value=6),
-        drop=st.floats(min_value=0.0, max_value=0.5),
-        seed=st.integers(min_value=0, max_value=100),
-    )
-    def test_census_conserves_edges(self, net, n_clusters, drop, seed):
-        level = LevelMultigraph.level_zero(net)
-        rng = random.Random(seed)
-        assignment = {}
-        for v in level.nodes():
-            if rng.random() >= drop:
-                assignment[v] = rng.randrange(n_clusters)
-        census = contraction_census(level, assignment)
-        assert census.total == net.m
-        contracted = contract(level, assignment)
-        assert contracted.num_edges == census.survived
-        # every surviving edge connects two distinct clusters
-        for v in contracted.nodes():
-            assert v not in contracted.neighbors(v)

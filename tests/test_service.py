@@ -29,6 +29,7 @@ from repro.execution import Exec
 from repro.graphs import erdos_renyi, torus
 from repro.local.faults import FaultPlan
 from repro.service import SimulationRequest, SimulationService
+from repro.service.service import _LINEAGE_DEPTH_CAP
 from repro.simulate import run_one_stage, run_two_stage, simulate_over_spanner
 from repro.simulate.global_tasks import compute_global, elect_leader
 from repro.simulate.tlocal import flood_schedule
@@ -141,7 +142,7 @@ class TestRequestValidation:
                 )
             )
         assert service.store.stats.misses == 0
-        assert not service.store.contains_spanner(net, PARAMS)
+        assert service.store.peek_spanner(net, PARAMS) == (None, None)
 
     def test_no_network_anywhere_is_refused(self):
         service = SimulationService(params=PARAMS, seed=5)
@@ -355,6 +356,24 @@ class TestResilientServing:
         exact = service.submit(BallCollect(2))
         assert exact.spanner_info.source == "repaired"
         assert metrics.stale_served == 1 and metrics.repairs == 2
+
+    def test_lineage_keeps_only_the_walkable_epochs(self, net):
+        """Each lineage entry pins a whole parent graph, so the service
+        keeps the newest ``_LINEAGE_DEPTH_CAP`` epochs, however long it
+        churns; a request every few epochs still repairs."""
+        service = SimulationService(net, params=PARAMS, seed=5)
+        service.submit(BallCollect(2))
+        plan = churn_plan(seed=71, epochs=48)
+        sources = []
+        for epoch in range(48):
+            child, _ = service.apply_churn(plan, epoch)
+            if epoch % 5 == 4:
+                response = service.submit(BallCollect(2))
+                sources.append(response.spanner_info.source)
+        assert len(service._lineage) == _LINEAGE_DEPTH_CAP == 16
+        assert sources == ["repaired"] * 9
+        fresh = run_one_stage(child, BallCollect(2), params=PARAMS, seed=5)
+        assert service.submit(BallCollect(2)).outputs == fresh.outputs
 
     def test_record_churn_validates_the_parent(self, net):
         service = SimulationService(net, params=PARAMS, seed=5)

@@ -313,8 +313,9 @@ class TestArtifactStore:
         assert info.source == "disk"
         assert loaded == result
 
-    def test_lru_evicts_and_counts(self):
-        store = ArtifactStore(capacity=1)
+    def test_lru_evicts_and_counts(self, monkeypatch):
+        monkeypatch.setattr("repro.store.store.LRU_CAPACITY", 1)
+        store = ArtifactStore()
         net = self._net()
         store.fetch_spanner(net, SamplerParams(k=1, h=1, seed=1))
         store.fetch_spanner(net, SamplerParams(k=1, h=1, seed=2))
@@ -360,8 +361,10 @@ class TestArtifactStore:
         assert warm.stats.misses == 0
         assert again == flood_schedule(sub, 9)
 
-    def test_byte_budget_evicts_heavy_profiles(self):
-        store = ArtifactStore(byte_budget=1)  # any profile overflows it
+    def test_byte_budget_evicts_heavy_profiles(self, monkeypatch):
+        # any profile overflows a one-byte budget
+        monkeypatch.setattr("repro.store.store.MEMORY_BYTE_BUDGET", 1)
+        store = ArtifactStore()
         a, b = torus(4, 4), torus(4, 5)
         store.fetch_flood_schedule(a, 2)
         store.fetch_flood_schedule(b, 2)  # evicts a's profile by weight
@@ -555,10 +558,11 @@ class TestDiskRetries:
 
         flaky = _FlakyLoader(serialize.load_spanner, failures=10**9)
         monkeypatch.setattr("repro.store.serialize.load_spanner", flaky)
+        monkeypatch.setattr("repro.store.store.DISK_READ_RETRIES", 0)
         previous = obs.set_enabled(True)
         obs.collector().reset()
         try:
-            store = ArtifactStore(tmp_path, retries=0)
+            store = ArtifactStore(tmp_path)
             rebuilt, info = store.fetch_spanner(net, params)
             records = obs.collector().finished()
         finally:
@@ -589,76 +593,26 @@ class TestDiskRetries:
         assert store.stats.read_failures == 0  # a race, not a failed read
 
 
-class TestRetryBackoff:
-    """The configurable seeded-jitter backoff between read retries."""
+class TestRetryBudget:
+    """``DISK_READ_RETRIES`` bounds the immediate re-reads of an entry."""
 
-    def _seeded(self, tmp_path):
+    def test_retry_budget_bounds_the_rereads(self, tmp_path, monkeypatch):
         net = erdos_renyi(30, 0.2, seed=4)
         params = SamplerParams(k=1, h=1, seed=2)
         ArtifactStore(tmp_path).fetch_spanner(net, params)
-        return net, params
-
-    def _waits(self, tmp_path, monkeypatch, **kwargs):
-        net, params = self._seeded(tmp_path)
         from repro.store import serialize, store as store_module
 
         flaky = _FlakyLoader(serialize.load_spanner, failures=10**9)
         monkeypatch.setattr("repro.store.serialize.load_spanner", flaky)
+        monkeypatch.setattr(store_module, "DISK_READ_RETRIES", 5)
         slept = []
         monkeypatch.setattr(store_module.time, "sleep", slept.append)
-        store = ArtifactStore(tmp_path, **kwargs)
-        _, info = store.fetch_spanner(net, params)
-        assert info.source == "built"
-        return slept, store
-
-    def test_retry_budget_is_configurable(self, tmp_path, monkeypatch):
-        net, params = self._seeded(tmp_path)
-        from repro.store import serialize
-
-        flaky = _FlakyLoader(serialize.load_spanner, failures=10**9)
-        monkeypatch.setattr("repro.store.serialize.load_spanner", flaky)
-        store = ArtifactStore(tmp_path, retries=5)
+        store = ArtifactStore(tmp_path)
         _, info = store.fetch_spanner(net, params)
         assert info.source == "built"
         assert store.stats.retries == 5
         assert flaky.calls == 6
-
-    def test_default_backoff_is_immediate(self, tmp_path, monkeypatch):
-        """backoff=0.0 (the default) keeps the historical no-wait retry."""
-        slept, store = self._waits(tmp_path, monkeypatch)
-        assert slept == []
-        assert store.stats.backoff_waits == 0
-
-    def test_backoff_waits_grow_exponentially_with_jitter(self, tmp_path, monkeypatch):
-        slept, store = self._waits(
-            tmp_path, monkeypatch, retries=4, backoff=0.01, backoff_seed=9
-        )
-        assert len(slept) == 4
-        assert store.stats.backoff_waits == 4
-        for attempt, wait in enumerate(slept):
-            base = 0.01 * (2**attempt)
-            assert 0.5 * base <= wait < 1.5 * base  # jitter in [0.5x, 1.5x)
-        # jitter de-synchronizes: not exactly the unjittered ladder
-        assert slept != [0.01 * (2**attempt) for attempt in range(4)]
-
-    def test_backoff_is_deterministic_per_seed(self, tmp_path, monkeypatch):
-        first, _ = self._waits(
-            tmp_path, monkeypatch, retries=3, backoff=0.01, backoff_seed=9
-        )
-        second, _ = self._waits(
-            tmp_path, monkeypatch, retries=3, backoff=0.01, backoff_seed=9
-        )
-        other, _ = self._waits(
-            tmp_path, monkeypatch, retries=3, backoff=0.01, backoff_seed=10
-        )
-        assert first == second  # reproducible given the seed
-        assert first != other  # but genuinely seeded
-
-    def test_bad_ctor_values_refused(self, tmp_path):
-        with pytest.raises(ValueError):
-            ArtifactStore(tmp_path, retries=-1)
-        with pytest.raises(ValueError):
-            ArtifactStore(tmp_path, backoff=-0.5)
+        assert slept == []  # no wait between re-reads
 
 
 class TestStatsThreadSafety:
@@ -716,7 +670,6 @@ class TestStatsThreadSafety:
         for name in (
             "write_failures",
             "read_failures",
-            "backoff_waits",
             "lock_contended",
             "lock_reclaimed",
             "chaos_injected",

@@ -23,6 +23,7 @@ from repro.simulate import flood_schedule
 from repro.store import (
     ArtifactStore,
     FileLock,
+    FloodProfile,
     LockTimeout,
     flood_key,
     pid_alive,
@@ -183,15 +184,13 @@ class TestStoreLocking:
         assert info.source == "built"
         assert store.stats.lock_reclaimed == 1
 
-    def test_locking_disabled_writes_no_lock_files(self, net, tmp_path):
-        store = ArtifactStore(tmp_path, locking=False)
-        store.fetch_spanner(net, PARAMS)
-        assert not list(tmp_path.glob("*.lock"))
-
-    def test_live_holder_timeout_degrades_to_unlocked_build(self, net, tmp_path):
+    def test_live_holder_timeout_degrades_to_unlocked_build(
+        self, net, tmp_path, monkeypatch
+    ):
         """A wedged-looking (live) holder costs duplicate work, never a
         wedged store: the fetch still completes, contention is counted."""
-        store = ArtifactStore(tmp_path, lock_timeout=0.05)
+        monkeypatch.setattr("repro.store.store.BUILD_LOCK_TIMEOUT", 0.05)
+        store = ArtifactStore(tmp_path)
         lock_path = store._lock_path(spanner_key(net.fingerprint(), PARAMS))
         holder = FileLock(lock_path).acquire()
         try:
@@ -212,7 +211,7 @@ class TestStoreLocking:
         holder = FileLock(store._lock_path(key)).acquire()
 
         def hand_over(lock, attempt):
-            ArtifactStore(tmp_path, locking=False).fetch_flood_schedule(sub, 2)
+            FloodProfile.build(sub, 2).to_npz(store._entry_path(key))
             holder.release()
             return 0.0
 
