@@ -1,8 +1,9 @@
 """The distance plane: batched truncated BFS over CSR arrays (DESIGN.md §3.7).
 
 Every truncated-BFS consumer in the codebase — the Lemma 12 flood
-schedule, the footnote-1 stretch measurement, the transformer's
-``B_t``-coverage check, diameter/eccentricity precomputes — is,
+schedule, the footnote-1 stretch measurement, the shared replay's
+``B_t``-coverage check (:meth:`BallFamily.coverage`),
+diameter/eccentricity precomputes — is,
 computationally, the same kernel: level sets of an unweighted BFS,
 capped at a radius, from one or many sources.  This module owns that
 kernel once, as NumPy bitset frontier sweeps.  The graph lives as a
@@ -223,9 +224,13 @@ class BallFamily(Sequence):
     packed; the test oracle and hand-built schedules build it from plain
     frozensets.  Equality compares element sets, so mixed
     representations compare correctly.
+
+    The packed matrix is read-only, so what the family derives from its
+    members is computed once and kept: :meth:`sizes`, and the
+    :meth:`coverage` verdict per graph and round budget.
     """
 
-    __slots__ = ("_n", "_packed", "_sets", "_cache")
+    __slots__ = ("_n", "_packed", "_sets", "_cache", "_sizes", "_verdicts")
 
     def __init__(
         self,
@@ -236,10 +241,15 @@ class BallFamily(Sequence):
     ) -> None:
         if (packed is None) == (sets is None):
             raise ValueError("exactly one of packed= or sets= is required")
+        if packed is not None:
+            packed.setflags(write=False)
         self._n = n
         self._packed = packed
         self._sets = tuple(sets) if sets is not None else None
         self._cache: dict[int, frozenset[int]] = {}
+        self._sizes: np.ndarray | None = None
+        # (graph fingerprint, t) -> coverage verdict, memoized=True.
+        self._verdicts: dict[tuple[str, int], tuple] = {}
 
     @classmethod
     def from_packed(cls, packed: np.ndarray, n: int) -> "BallFamily":
@@ -278,12 +288,68 @@ class BallFamily(Sequence):
         return cached
 
     def sizes(self) -> np.ndarray:
-        """Per-source member counts (popcounts; nothing materialized)."""
-        if self._sets is not None:
-            return np.fromiter(
-                (len(s) for s in self._sets), dtype=np.int64, count=len(self._sets)
-            )
-        return _popcounts(self._packed)
+        """Per-source member counts (popcounts; nothing materialized).
+
+        Computed on the first call; every call returns that one
+        read-only array.
+        """
+        sizes = self._sizes
+        if sizes is None:
+            if self._sets is not None:
+                sizes = np.fromiter(
+                    (len(s) for s in self._sets), dtype=np.int64, count=len(self._sets)
+                )
+            else:
+                sizes = _popcounts(self._packed)
+            sizes.setflags(write=False)
+            self._sizes = sizes
+        return sizes
+
+    def coverage(self, network, t: int) -> tuple[tuple[int, ...], int, int, bool]:
+        """``(uncovered, short, component_covered, memoized)`` on ``network``.
+
+        Source ``c`` stands for node ``c``, as in a flood schedule.
+        ``uncovered`` lists the centers whose set misses part of their
+        ``B_t`` in ``network``.  A set holding all ``n`` nodes covers any
+        ``B_t``; only the ``short`` remainder is checked.  The component
+        rule comes first — ``B_t(c) ⊆ comp(c)``, so a set holding the
+        center's whole connected component covers it
+        (``component_covered`` counts those) — and the batched ``B_t``
+        sweep runs for the rest only, checking ``B_t & ~set`` over
+        boolean rows.  The test suite holds the verdict equal to a
+        brute-force ``B_t ⊆ ball`` check on the seed's BFS.
+
+        The verdict is memoized per ``(network.fingerprint(), t)``: the
+        family never changes and the fingerprint pins the graph, so a
+        repeat runs no popcount, no component labelling and no sweep,
+        and says so with ``memoized=True``.
+        """
+        key = (network.fingerprint(), t)
+        known = self._verdicts.get(key)
+        if known is not None:
+            return known
+        n = network.n
+        candidates = np.flatnonzero(self.sizes() != n).tolist()
+        short = len(candidates)
+        uncovered: list[int] = []
+        if candidates:
+            _, ep_u, ep_v = network.endpoints_flat()
+            held = self.holds_components(candidates, component_labels(n, ep_u, ep_v))
+            candidates = [
+                c for c, whole in zip(candidates, held.tolist()) if not whole
+            ]
+        if candidates:
+            indptr, indices = adjacency_csr(network)
+            for offset, b_t in ball_matrix_blocks(indptr, indices, candidates, t):
+                chunk = candidates[offset : offset + b_t.shape[0]]
+                bad = (b_t & ~self.membership_rows(chunk)).any(axis=1)
+                uncovered.extend(
+                    center for center, is_bad in zip(chunk, bad.tolist()) if is_bad
+                )
+        verdict = (tuple(uncovered), short, short - len(candidates))
+        # No lock: threads racing a first computation store equal values.
+        self._verdicts[key] = verdict + (True,)
+        return verdict + (False,)
 
     def holds_components(self, sources: Sequence[int], labels: np.ndarray) -> np.ndarray:
         """Per source ``i``: does set ``i`` hold node ``i``'s whole component?

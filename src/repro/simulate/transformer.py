@@ -40,18 +40,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-import numpy as np
-
 from repro import obs
 from repro.algorithms.base import LocalAlgorithm, NodeInit
 from repro.algorithms.runner import node_tape, run_inprocess
 from repro.execution import Exec
-from repro.graphs.distance import (
-    BallFamily,
-    adjacency_csr,
-    ball_matrix_blocks,
-    component_labels,
-)
+from repro.graphs.distance import BallFamily
 from repro.local.metrics import MessageStats
 from repro.local.network import Network
 from repro.simulate.tlocal import (
@@ -183,8 +176,10 @@ def _replay_shared(
     keeps this path output-identical to ``flood_engine="runtime"``
     always.
 
-    The coverage verdict ``B_t(center) ⊆ ball(center)`` is computed by
-    :func:`_uncovered_centers`.
+    The coverage verdict ``B_t(center) ⊆ ball(center)`` is
+    :meth:`BallFamily.coverage`, memoized on the schedule's family per
+    graph and ``t``: a repeated ``(schedule, graph, t)`` costs only the
+    replay.
     """
     n = network.n
     balls = schedule.balls
@@ -194,16 +189,17 @@ def _replay_shared(
         else BallFamily.from_sets([frozenset(b) for b in balls], n)
     )
     if not obs.enabled():
-        uncovered, _, _ = _uncovered_centers(network, family, t)
+        uncovered = family.coverage(network, t)[0]
     else:
         with obs.span("simulate/coverage", t=t) as coverage_span:
-            uncovered, short, component_covered = _uncovered_centers(
-                network, family, t
+            uncovered, short, component_covered, memoized = family.coverage(
+                network, t
             )
             coverage_span.set(
                 short=short,
                 component_covered=component_covered,
                 uncovered=len(uncovered),
+                memoized=memoized,
             )
 
     # The global replay serves the covered centers; skip it when the
@@ -217,42 +213,6 @@ def _replay_shared(
         reports = {x: network.incident(x) for x in family[center]}
         outputs[center] = replay_ball(algo, center, reports, t, seed, n)
     return outputs
-
-
-def _uncovered_centers(
-    network: Network, family: BallFamily, t: int
-) -> tuple[list[int], int, int]:
-    """``(uncovered, short, component_covered)`` for the shared replay.
-
-    ``uncovered`` lists the centers whose ball misses part of their
-    ``B_t`` in ``G``.  A ball holding all ``n`` nodes covers any
-    ``B_t``; only the ``short`` remainder is checked.  The component
-    rule comes first — ``B_t(c) ⊆ comp(c)``, so a ball holding the
-    center's whole connected component covers it (``component_covered``
-    counts those) — and the batched ``B_t`` sweep runs for the rest
-    only, checking ``B_t & ~ball`` over boolean rows.  The test suite
-    holds the verdict equal to a brute-force ``B_t ⊆ ball`` check on the
-    seed's BFS.
-    """
-    n = network.n
-    candidates = np.flatnonzero(family.sizes() != n).tolist()
-    short = len(candidates)
-    uncovered: list[int] = []
-    if not candidates:
-        return uncovered, 0, 0
-    _, ep_u, ep_v = network.endpoints_flat()
-    held = family.holds_components(candidates, component_labels(n, ep_u, ep_v))
-    candidates = [c for c, whole in zip(candidates, held.tolist()) if not whole]
-    if candidates:
-        indptr, indices = adjacency_csr(network)
-        for offset, b_t in ball_matrix_blocks(indptr, indices, candidates, t):
-            chunk = candidates[offset : offset + b_t.shape[0]]
-            members = family.membership_rows(chunk)
-            bad = (b_t & ~members).any(axis=1)
-            uncovered.extend(
-                center for center, is_bad in zip(chunk, bad.tolist()) if is_bad
-            )
-    return uncovered, short, short - len(candidates)
 
 
 def replay_ball(

@@ -6,11 +6,12 @@ as batched bitset sweeps (DESIGN.md §3.7).  This module is that plane's
 second implementation, kept under ``tests/`` as
 :mod:`reference_sampler` is for the level kernel: the deque and
 frontier-list BFS the repo shipped with, plus the flood schedule,
-eccentricities and stretch reports written on it.  It calls no sweep of
-the plane (``_sweep``, ``distance_blocks``, ``ball_matrix_blocks`` or
-``adjacency_csr``).  It shares only the value types (``BallFamily``,
-``FloodSchedule``, ``StretchReport``) and ``flood_stats``, the suffix
-sum that turns eccentricities into message counters.
+eccentricities, stretch reports and coverage verdict written on it.  It
+calls no sweep of the plane (``_sweep``, ``distance_blocks``,
+``ball_matrix_blocks`` or ``adjacency_csr``).  It shares only the value
+types (``BallFamily``, ``FloodSchedule``, ``StretchReport``) and
+``flood_stats``, the suffix sum that turns eccentricities into message
+counters.
 """
 
 from __future__ import annotations
@@ -102,6 +103,17 @@ def flood_schedule(spanner, radius: int) -> FloodSchedule:
         messages=flood_stats(ecc, degs, radius),
         rounds=max(0, radius),
     )
+
+
+def uncovered_centers(network, balls, t: int) -> list[int]:
+    """The coverage verdict by brute force: the centers whose ball misses
+    part of their exact ``B_t`` in ``network``."""
+    adj = adjacency(network)
+    return [
+        center
+        for center in range(network.n)
+        if not set(single_source_distances(adj, center, t)) <= set(balls[center])
+    ]
 
 
 def eccentricities(network) -> tuple[list[int], list[int]]:

@@ -188,6 +188,23 @@ class TestPerfHarness:
         assert main(args + ["--memory-budget", "1000000"]) == 2
         assert "memory check OK" in capsys.readouterr().out
 
+    def test_readme_blocks_are_what_the_renderers_emit(self, tmp_path):
+        """The README's generated blocks equal ``update_readme`` over the
+        committed ``BENCH_core.json``, so a regeneration can neither
+        reorder nor drop a row unnoticed."""
+        import json
+        import pathlib
+
+        from repro.bench.perf import update_readme
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        readme = (root / "README.md").read_bytes()
+        copy = tmp_path / "README.md"
+        copy.write_bytes(readme)
+        doc = json.loads((root / "BENCH_core.json").read_text(encoding="utf-8"))
+        assert update_readme(doc, str(copy))
+        assert copy.read_bytes() == readme
+
     def test_spread_warning(self):
         from repro.bench.perf import _progress_line, _spread
 

@@ -113,16 +113,6 @@ def _nx_graph(net: Network) -> nx.Graph:
     return graph
 
 
-def _brute_force_uncovered(net: Network, balls, t: int) -> list[int]:
-    """Centers whose ball misses part of their exact ``B_t`` in ``net``."""
-    adj = [list(net.neighbors(v)) for v in range(net.n)]
-    return [
-        center
-        for center in range(net.n)
-        if not set(single_source_distances(adj, center, t)) <= set(balls[center])
-    ]
-
-
 @pytest.fixture
 def replayed(monkeypatch):
     """Records the centers the shared replay hands to ``replay_ball``."""
@@ -237,7 +227,7 @@ class TestSimulationEquality:
             )
 
         fast = simulate("fast")
-        assert sorted(replayed) == _brute_force_uncovered(net, balls, t)
+        assert sorted(replayed) == oracle.uncovered_centers(net, balls, t)
         assert fast == simulate("runtime")
 
     @pytest.mark.parametrize("radius", [0, 1, 2, None])
@@ -271,7 +261,7 @@ class TestSimulationEquality:
                 execution=Exec(flood_engine=engine),
             )
             if engine == "fast":
-                assert sorted(replayed) == _brute_force_uncovered(net, balls, t)
+                assert sorted(replayed) == oracle.uncovered_centers(net, balls, t)
         assert outcomes["fast"] == outcomes["runtime"]
 
     @pytest.mark.parametrize("graph", sorted(_DISCONNECTED))
@@ -311,7 +301,7 @@ class TestSimulationEquality:
             radius=3,
             schedule=schedule,
         )
-        assert sorted(replayed) == _brute_force_uncovered(
+        assert sorted(replayed) == oracle.uncovered_centers(
             net, schedule.balls, algo.rounds(net.n)
         )
         assert set(fooled) & set(replayed)
@@ -538,8 +528,8 @@ class TestAtlas:
             for radius in range(3):
                 balls = flood_schedule(spanner, radius).balls
                 for t in range(1, 4):
-                    uncovered, _, _ = transformer._uncovered_centers(net, balls, t)
-                    assert sorted(uncovered) == _brute_force_uncovered(
+                    uncovered = balls.coverage(net, t)[0]
+                    assert sorted(uncovered) == oracle.uncovered_centers(
                         net, balls, t
                     ), (name, radius, t)
                     verdicts += 1

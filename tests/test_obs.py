@@ -194,6 +194,18 @@ class TestCoverageTelemetry:
         fetches = self._attrs("store/fetch_flood_schedule", "source", "exhausted")
         assert fetches == [("built", False), ("built", True), ("memory", True)]
 
+    def test_repeat_reports_the_memoized_verdict(self, obs_on):
+        from repro.store import ArtifactStore
+
+        store = ArtifactStore()
+        for _ in range(2):
+            self._simulate(1, store=store)
+        coverage = self._attrs(
+            "simulate/coverage", "short", "component_covered", "uncovered", "memoized"
+        )
+        # the second run replays the stored schedule: same verdict, memoized
+        assert coverage == [(12, 6, 6, False), (12, 6, 6, True)]
+
     def test_off_path_records_nothing_and_agrees(self, obs_off):
         baseline = self._simulate(1)
         assert obs.collector().finished() == []

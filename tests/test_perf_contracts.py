@@ -3,8 +3,9 @@
 Two kinds of guards:
 
 * **structural** — the CSR fast paths must not fall back to per-edge
-  object churn (counted by instrumenting ``EdgeRef``), and cached
-  accessors must return the same object on repeated calls;
+  object churn (counted by instrumenting ``EdgeRef``), cached
+  accessors must return the same object on repeated calls, and a warm
+  serve must not recompute what its cached flood schedule already knows;
 * **equivalence** — the sampler, and the serial reference of
   ``tests/reference_sampler.py`` that is its oracle, must stay
   *bit-identical* to the seed recount strategy, pinned against the
@@ -20,15 +21,27 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+import sys
+import threading
 import time
+from collections import Counter
 
+import numpy as np
 import pytest
 
+import reference_distance as oracle
+import repro.graphs.distance as distance_plane
 from reference_sampler import reference_build
+from repro import obs
+from repro.algorithms import BallCollect, LubyMis, MinIdAggregation, RandomMatching
 from repro.core import SamplerParams
 from repro.core.sampler import SamplerRun
+from repro.execution import Exec
 from repro.graphs import barabasi_albert, erdos_renyi, random_regular
+from repro.graphs.distance import BallFamily
 from repro.local import EdgeRef, Network
+from repro.service import SimulationRequest, SimulationService
+from repro.simulate import flood_schedule, simulate_over_spanner
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -143,6 +156,155 @@ class TestCachedAccessors:
         assert eid_row is not None
         for eid in keep:
             assert sub.endpoints(eid) == net.endpoints(eid)
+
+
+class TestWarmServeContracts:
+    """A cached flood schedule's ball sizes and ``B_t``-coverage verdict
+    are computed once: a repeated ``(schedule, graph, t)`` runs no
+    popcount, no component labelling and no ``B_t`` sweep (DESIGN.md
+    §3.5, §3.7)."""
+
+    # Two paths and five isolated nodes: no ball holds all 12 nodes, so
+    # a cold verdict takes every step of the check.
+    EDGES = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)]
+
+    @pytest.fixture
+    def plane_calls(self, monkeypatch):
+        """Counts calls to the plane's popcount, component labelling
+        and ``B_t`` sweep."""
+        calls: Counter = Counter()
+        for name in ("_popcounts", "component_labels", "ball_matrix_blocks"):
+            original = getattr(distance_plane, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(distance_plane, name, counting)
+        return calls
+
+    def test_sizes_are_one_read_only_array(self):
+        packed = flood_schedule(erdos_renyi(40, 0.1, seed=2), 2).balls
+        sets = BallFamily.from_sets(list(packed), packed.universe)
+        for family in (packed, sets):
+            sizes = family.sizes()
+            assert family.sizes() is sizes
+            with pytest.raises(ValueError):
+                sizes[0] = 0
+        assert np.array_equal(sets.sizes(), packed.sizes())
+        with pytest.raises(ValueError):
+            packed._packed[0, 0] = 0
+
+    @pytest.mark.parametrize("spans", [False, True], ids=["obs_off", "obs_on"])
+    def test_repeat_serves_run_no_coverage_work(self, spans, plane_calls):
+        net = Network.from_edge_pairs(12, self.EDGES)
+        service = SimulationService(net)
+        previous = obs.set_enabled(spans)
+        obs.collector().reset()
+        try:
+            responses, counts = [], []
+            for _ in range(3):
+                responses.append(
+                    service.submit(SimulationRequest(BallCollect(2), radius=1))
+                )
+                counts.append(dict(plane_calls))
+            coverage = [
+                tuple(record["attrs"][key] for key in ("uncovered", "memoized"))
+                for record in obs.collector().finished()
+                if record["name"] == "simulate/coverage"
+            ]
+        finally:
+            obs.collector().reset()
+            obs.set_enabled(previous)
+        assert set(counts[0]) == {
+            "_popcounts",
+            "component_labels",
+            "ball_matrix_blocks",
+        }
+        assert counts[1] == counts[2] == counts[0]
+        if spans:
+            # 6 of the 12 centers stay uncovered at radius 1
+            assert coverage == [(6, False), (6, True), (6, True)]
+        spanner = responses[0].spanner
+        reference = simulate_over_spanner(
+            net,
+            spanner.edges,
+            spanner.stretch_bound,
+            BallCollect(2),
+            radius=1,
+            execution=Exec(flood_engine="runtime"),
+        )
+        assert all(r.simulation == reference for r in responses)
+
+    def test_verdict_is_keyed_by_graph_and_t(self):
+        # G: an 8-cycle with the chord (0, 4), plus the component {8, 9}.
+        # The family floods radius 1 on G without the chord, which is
+        # also G'.  Consecutive queries change the graph or t, and so
+        # does the verdict, so a key missing either part fails.
+        cycle = [(i, (i + 1) % 8) for i in range(8)] + [(8, 9)]
+        g = Network.from_edge_pairs(10, cycle + [(0, 4)])
+        g_minus = Network.from_edge_pairs(10, cycle)
+        spanner = g.subnetwork(
+            [eid for eid in g.edge_ids if g.endpoints(eid) != (0, 4)]
+        )
+        family = flood_schedule(spanner, 1).balls
+        queries = [
+            (g, 1, [0, 4]),
+            (g_minus, 1, []),
+            (g, 2, list(range(8))),
+            (g_minus, 2, list(range(8))),
+            (g, 1, [0, 4]),
+        ]
+        memoized = []
+        for net, t, expected in queries:
+            assert oracle.uncovered_centers(net, family, t) == expected
+            uncovered, short, component_covered, known = family.coverage(net, t)
+            assert list(uncovered) == expected, (t, expected)
+            fresh = flood_schedule(spanner, 1).balls.coverage(net, t)
+            assert (uncovered, short, component_covered) == fresh[:3]
+            memoized.append(known)
+        assert memoized == [False, False, False, False, True]
+
+    def test_threads_sharing_one_schedule_get_the_serial_outcomes(self):
+        net = erdos_renyi(60, 0.1, seed=5)
+        edges = sorted(net.edge_ids)[::2]  # thinned: some centers stay uncovered
+        spanner = net.subnetwork(edges)
+        payloads = [MinIdAggregation(2), BallCollect(2), LubyMis(1), RandomMatching(1)]
+
+        def run(algo, schedule=None):
+            return simulate_over_spanner(
+                net, edges, 3, algo, seed=4, radius=2, schedule=schedule
+            )
+
+        serial = [run(algo) for algo in payloads]
+        assert any(
+            flood_schedule(spanner, 2).balls.coverage(net, algo.rounds(net.n))[0]
+            for algo in payloads
+        )
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the first computations
+        try:
+            for _ in range(3):
+                shared = flood_schedule(spanner, 2)
+                start = threading.Barrier(len(payloads), timeout=30)
+                results: list = [None] * len(payloads)
+
+                def worker(i):
+                    start.wait()
+                    results[i] = run(payloads[i], shared)
+
+                threads = [
+                    threading.Thread(target=worker, args=(i,))
+                    for i in range(len(payloads))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert results == serial
+        finally:
+            sys.setswitchinterval(switch)
 
 
 FAMILIES = {
