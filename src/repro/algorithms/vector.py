@@ -200,13 +200,69 @@ class _VectorBallCollect(_AlgoPopulation):
         return {v: tuple(np.flatnonzero(bits[v]).tolist()) for v in range(self._n)}
 
 
+# _HIGH_BITS[k]: the bits at or above position k of one uint64 word.
+_HIGH_BITS = np.array(
+    [((1 << 64) - 1) ^ ((1 << k) - 1) for k in range(65)], dtype=np.uint64
+)
+# The in-word search's halving steps: (width, mask of `width` low bits).
+_HALVES = tuple(
+    (np.uint64(width), np.uint64((1 << width) - 1)) for width in (32, 16, 8, 4, 2, 1)
+)
+
+
+def pick_free_colors(blocked: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Each column's ``draw % free``-th clear bit of ``blocked``, or ``-1``.
+
+    ``blocked`` is a ``(words, columns)`` uint64 array holding one color
+    bitset per column (color ``c`` is bit ``c & 63`` of word ``c >> 6``),
+    and ``free`` counts a column's clear bits.  With the bits at or above
+    a node's palette size and its neighbors' fixed colors set, this is
+    the reference's ``allowed[draw % len(allowed)]`` without the list: a
+    cumulative popcount over the words finds the word holding the chosen
+    color, and a 6-step popcount bisection finds its bit.  A column with
+    no clear bit gets ``-1``.
+    """
+    free = ~blocked
+    words, columns = free.shape
+    per_word = np.bitwise_count(free).astype(np.int64)
+    ends = np.cumsum(per_word, axis=0)
+    total = ends[-1]
+    rank = draws % np.maximum(total, 1)
+    word = np.minimum((ends <= rank).sum(axis=0), words - 1)
+    column = np.arange(columns)
+    rank -= ends[word, column] - per_word[word, column]
+    bits = free[word, column]
+    # The chosen bit is the rank-th set bit of `bits` at or above `at`;
+    # each step keeps the low half of the window or passes it.
+    at = np.zeros(columns, dtype=np.uint64)
+    for width, mask in _HALVES:
+        low = np.bitwise_count((bits >> at) & mask).astype(np.int64)
+        up = rank >= low
+        rank -= low * up
+        at += width * up
+    return np.where(total > 0, word * 64 + at.astype(np.int64), -1)
+
+
+def _hold_colors(bitsets: np.ndarray, nodes: np.ndarray, colors: np.ndarray) -> None:
+    """Make column ``v`` of the ``(words, n)`` ``bitsets`` hold just its
+    color, for each ``v`` in ``nodes``."""
+    bitsets[:, nodes] = 0
+    bitsets[colors >> 6, nodes] = np.uint64(1) << (colors & 63).astype(np.uint64)
+
+
 class _VectorColoring(_AlgoPopulation):
     """:class:`RandomizedColoring`: trial-color with pre-drawn tapes.
 
-    Neighbor-fixed colors live in per-node bitsets over the global
-    color range; proposal selection picks the ``draw % |allowed|``-th
-    zero bit below the node's own palette size — the same list indexing
-    the reference does, without building the list.
+    Color sets are ``(words, n)`` uint64 bitsets over the global color
+    range, one column per node.  ``_blocked`` holds the colors a node
+    may not propose: the bits at or above its own palette size, set once
+    at construction, plus every color a neighbor announced as fixed.  A
+    proposal is :func:`pick_free_colors` over the uncolored columns — the
+    reference's list indexing, without the list.  Each node's last
+    message is one bit in ``_said_fixed`` or ``_said_proposal``, so a
+    round folds its receiver-sorted inbox in with one
+    ``np.bitwise_or.reduceat`` per word and kind, and costs
+    O(messages + uncolored * words) word operations.
     """
 
     def __init__(
@@ -214,88 +270,79 @@ class _VectorColoring(_AlgoPopulation):
     ) -> None:
         super().__init__(algo, network)
         n, t = self._n, self._t
-        self._palette = self._degs + 1
-        max_palette = int(self._palette.max()) if n else 1
-        self._words = (max_palette + 63) // 64
+        palette = self._degs + 1
+        words = (int(palette.max()) + 63) // 64 if n else 1
         # The reference init draws one randrange(palette) per round 0..t.
-        self._draws = node_draws(seed, n, t + 1, self._palette)
+        self._draws = node_draws(seed, n, t + 1, palette)
         self._fixed = np.full(n, -1, dtype=np.int64)
         self._proposal = np.full(n, -1, dtype=np.int64)
-        self._nfixed = np.zeros((n, self._words), dtype=np.uint64)
-        self._sent_color = np.zeros(n, dtype=np.int64)
-        self._sent_isfixed = np.zeros(n, dtype=bool)
+        low = palette - 64 * np.arange(words, dtype=np.int64)[:, None]
+        self._blocked = _HIGH_BITS[np.clip(low, 0, 64)]
+        self._said_fixed = np.zeros((words, n), dtype=np.uint64)
+        self._said_proposal = np.zeros((words, n), dtype=np.uint64)
+        self._newly = np.empty(0, dtype=np.int64)
 
     def _emit_round(self, r: int) -> PopulationOutbox | None:
         """Steps 3 of the reference: announce-once + proposals."""
-        n = self._n
-        emit = np.zeros(n, dtype=bool)
-        newly = np.flatnonzero(self._fixed >= 0) if r == 0 else self._newly
+        emit = np.zeros(self._n, dtype=bool)
+        newly = self._newly
         if newly.size:
             emit[newly] = True
-            self._sent_color[newly] = self._fixed[newly]
-            self._sent_isfixed[newly] = True
-            self._proposal[newly] = -1
+            _hold_colors(self._said_fixed, newly, self._fixed[newly])
+            self._said_proposal[:, newly] = 0
         uncolored = np.flatnonzero(self._fixed < 0)
         if uncolored.size:
-            bits = np.unpackbits(
-                self._nfixed[uncolored].view(np.uint8),
-                axis=1,
-                bitorder="little",
+            chosen = pick_free_colors(
+                self._blocked[:, uncolored], self._draws[uncolored, r]
             )
-            cols = np.arange(bits.shape[1], dtype=np.int64)
-            allowed = (bits == 0) & (cols[None, :] < self._palette[uncolored, None])
-            counts = allowed.sum(axis=1)
-            ok = counts > 0
-            if ok.any():
-                pick = self._draws[uncolored, r] % np.maximum(counts, 1)
-                ranks = np.cumsum(allowed, axis=1)
-                chosen = np.argmax(allowed & (ranks == (pick + 1)[:, None]), axis=1)
-                proposers = uncolored[ok]
-                self._proposal[proposers] = chosen[ok]
-                self._sent_color[proposers] = chosen[ok]
-                self._sent_isfixed[proposers] = False
-                emit[proposers] = True
-            self._proposal[uncolored[~ok]] = -1
+            self._proposal[uncolored] = chosen
+            ok = chosen >= 0
+            proposers = uncolored[ok]
+            _hold_colors(self._said_proposal, proposers, chosen[ok])
+            emit[proposers] = True
         emitters = np.flatnonzero(emit)
         return self._broadcast(emitters) if emitters.size else None
 
     def on_start(self) -> PopulationOutbox | None:
-        self._newly = np.empty(0, dtype=np.int64)
         if self._t == 0:
             return None
         return self._emit_round(0)
 
+    def _fold_inbox(self, inbox: PopulationInbox) -> np.ndarray:
+        """OR the fixed colors heard into ``_blocked``; return the
+        ``(words, n)`` bitsets of the proposals heard."""
+        heard = np.zeros_like(self._blocked)
+        if not inbox.senders.size:
+            return heard
+        receivers, starts = self._segments(inbox)
+        senders = inbox.senders
+        # Last round's winners are the only senders of fixed colors.
+        announced = self._newly.size > 0
+        for word in range(heard.shape[0]):
+            if announced:
+                self._blocked[word, receivers] |= np.bitwise_or.reduceat(
+                    self._said_fixed[word, senders], starts
+                )
+            heard[word, receivers] = np.bitwise_or.reduceat(
+                self._said_proposal[word, senders], starts
+            )
+        return heard
+
     def step_population(
         self, round_index: int, inbox: PopulationInbox
     ) -> PopulationOutbox | None:
-        n = self._n
-        props = np.zeros((n, self._words), dtype=np.uint64)
-        if inbox.senders.size:
-            receivers = self._receivers(inbox)
-            colors = self._sent_color[inbox.senders]
-            flags = self._sent_isfixed[inbox.senders]
-            words = colors >> 6
-            bit = np.uint64(1) << (colors & 63).astype(np.uint64)
-            np.bitwise_or.at(
-                self._nfixed, (receivers[flags], words[flags]), bit[flags]
-            )
-            keep = ~flags
-            np.bitwise_or.at(
-                props, (receivers[keep], words[keep]), bit[keep]
-            )
+        heard = self._fold_inbox(inbox)
         # Resolve last round's proposals against proposals + fixed.
         cand = np.flatnonzero((self._fixed < 0) & (self._proposal >= 0))
-        if cand.size:
-            prop = self._proposal[cand]
-            taken = (
-                (self._nfixed[cand, prop >> 6] | props[cand, prop >> 6])
-                >> (prop & 63).astype(np.uint64)
-            ) & np.uint64(1)
-            won = cand[taken == 0]
-            self._fixed[won] = self._proposal[won]
-            self._newly = won
-        else:
-            self._newly = np.empty(0, dtype=np.int64)
+        prop = self._proposal[cand]
+        word = prop >> 6
+        taken = (
+            (self._blocked[word, cand] | heard[word, cand])
+            >> (prop & 63).astype(np.uint64)
+        ) & np.uint64(1)
+        won = taken == 0
+        self._newly = cand[won]
+        self._fixed[self._newly] = prop[won]
         if round_index >= self._t:
             self._live = 0
             return None

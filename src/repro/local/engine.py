@@ -162,10 +162,21 @@ def broadcast_outbox(
 ) -> PopulationOutbox | None:
     """Outbox for "every node in ``nodes`` sends on all its ports".
 
-    ``nodes`` must be ascending; the incident eids of one node are
-    already ascending inside the incidence CSR, which matches the
-    reference ``for port in ctx.ports`` send order.
+    ``nodes`` must be ascending and distinct; the incident eids of one
+    node are already ascending inside the incidence CSR, which matches
+    the reference ``for port in ctx.ports`` send order.  When ``nodes``
+    is every node, the rows are the whole CSR: the outbox takes a
+    read-only view of ``inc_eids`` and one ``np.repeat`` owner column
+    instead of gathering segments.
     """
+    n = indptr.size - 1
+    if nodes.size == n:
+        if inc_eids.size == 0:
+            return None
+        eids = inc_eids.view()
+        eids.flags.writeable = False
+        owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        return PopulationOutbox(eids=eids, senders=owners, data=data)
     owners, eids = gather_segments(indptr, inc_eids, nodes)
     if owners.size == 0:
         return None

@@ -30,7 +30,8 @@ block, and never a half-served response.
 Each request leaves a :class:`RequestTrace` span record (outcome,
 phase timings, fetch provenance) exportable as JSON lines via
 :meth:`ConcurrentSimulationService.dump_traces` — the structured
-complement to the cumulative :class:`ServiceMetrics` counters.
+complement to the cumulative :class:`ServiceMetrics` counters.  The
+front keeps the newest :data:`TRACE_CAPACITY` of them.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import json
 import os
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
@@ -70,6 +72,11 @@ __all__ = [
 # responses at n = 2000), so large graphs cannot pin gigabytes.
 _RECENT_CAP = 256
 _RECENT_OUTPUTS = 1 << 16
+
+# The front keeps the request traces of its newest TRACE_CAPACITY
+# requests (read when a front is constructed); older ones are dropped, so
+# a long-lived front holds a bounded trace list (about 24 MiB at 1 << 16).
+TRACE_CAPACITY = 1 << 16
 
 
 @dataclass
@@ -177,7 +184,7 @@ class ConcurrentSimulationService:
         self.service = service
         self.max_workers = max_workers
         self.merge_window = merge_window
-        self._traces: list[RequestTrace] = []
+        self._traces: deque[RequestTrace] = deque(maxlen=TRACE_CAPACITY)
         self._next_id = 0
         self._trace_lock = threading.Lock()
         # The inner service's replay path (subnet memo, lineage walk)
@@ -285,11 +292,12 @@ class ConcurrentSimulationService:
     # ------------------------------------------------------------------
     @property
     def traces(self) -> tuple[RequestTrace, ...]:
+        """The newest :data:`TRACE_CAPACITY` request traces, oldest first."""
         with self._trace_lock:
             return tuple(self._traces)
 
     def trace_lines(self) -> list[str]:
-        """Every recorded span as one JSON object per line."""
+        """Every retained request trace as one JSON object per line."""
         return [trace.to_json() for trace in self.traces]
 
     def dump_traces(self, path, *, append: bool = False) -> int:

@@ -179,7 +179,7 @@ def _replay_shared(
     The coverage verdict ``B_t(center) ⊆ ball(center)`` is
     :meth:`BallFamily.coverage`, memoized on the schedule's family per
     graph and ``t``: a repeated ``(schedule, graph, t)`` costs only the
-    replay.
+    replay, which the ``simulate/replay`` span times.
     """
     n = network.n
     balls = schedule.balls
@@ -190,18 +190,31 @@ def _replay_shared(
     )
     if not obs.enabled():
         uncovered = family.coverage(network, t)[0]
-    else:
-        with obs.span("simulate/coverage", t=t) as coverage_span:
-            uncovered, short, component_covered, memoized = family.coverage(
-                network, t
-            )
-            coverage_span.set(
-                short=short,
-                component_covered=component_covered,
-                uncovered=len(uncovered),
-                memoized=memoized,
-            )
+        return _replay_centers(network, algo, t, seed, family, uncovered, execution)
+    with obs.span("simulate/coverage", t=t) as coverage_span:
+        uncovered, short, component_covered, memoized = family.coverage(network, t)
+        coverage_span.set(
+            short=short,
+            component_covered=component_covered,
+            uncovered=len(uncovered),
+            memoized=memoized,
+        )
+    with obs.span("simulate/replay", algo=algo.name, t=t, fallbacks=len(uncovered)):
+        return _replay_centers(network, algo, t, seed, family, uncovered, execution)
 
+
+def _replay_centers(
+    network: Network,
+    algo: LocalAlgorithm,
+    t: int,
+    seed: int,
+    family: BallFamily,
+    uncovered: tuple[int, ...],
+    execution: Exec,
+) -> dict[int, Any]:
+    """Every center's output: the shared replay for the covered ones,
+    a literal replay on its collected ball for each uncovered one."""
+    n = network.n
     # The global replay serves the covered centers; skip it when the
     # flood covered nobody (every output would be overwritten below).
     outputs = (

@@ -371,6 +371,23 @@ class TestTraces:
         assert front.dump_traces(path, append=True) == 3
         assert len(path.read_text().splitlines()) == 6
 
+    def test_front_keeps_the_newest_traces(self, net, tmp_path, monkeypatch):
+        monkeypatch.setattr(front_module, "TRACE_CAPACITY", 8)
+        front = ConcurrentSimulationService(
+            net, params=PARAMS, seed=0, merge_window=60.0
+        )
+        payload = MinIdAggregation(2)
+        for _ in range(20):
+            front.submit(payload)
+        newest = list(range(13, 21))
+        assert [trace.request_id for trace in front.traces] == newest
+        path = tmp_path / "traces.jsonl"
+        assert front.dump_traces(path) == 8
+        import json
+
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [record["id"] for record in records] == newest
+
 
 def _worker_outputs(store_dir, chaos_spec, queue):
     """Child-process body for the shared-store test: serve and report."""

@@ -214,6 +214,13 @@ class TestCoverageTelemetry:
         obs.set_enabled(False)
         assert traced == baseline
 
+    def test_replay_span_counts_the_fallbacks(self, obs_on):
+        for radius in (1, 4):
+            self._simulate(radius)
+        replays = self._attrs("simulate/replay", "algo", "t", "fallbacks")
+        # radius 1 leaves the six centers above to their own replays
+        assert replays == [("ball-collect", 2, 6), ("ball-collect", 2, 0)]
+
 
 class TestExporters:
     def test_jsonl_round_trip_and_append(self, tmp_path, obs_on):
@@ -393,6 +400,26 @@ class TestServiceIntegration:
         (answer,) = [r for r in records if r["name"] == "service/answer"]
         assert answer["attrs"]["construction_paid"] == price["attrs"]["messages"]
         assert answer["attrs"]["construction_priced"] == price["attrs"]["messages"]
+
+    def test_warm_serve_times_its_replay(self, net, obs_off):
+        from repro.algorithms import RandomizedColoring
+        from repro.service import SimulationService
+
+        service = SimulationService(net, params=PARAMS, seed=0)
+        algo = RandomizedColoring(2)
+        service.submit(algo)  # cold: builds the spanner and the schedule
+        untraced = service.submit(algo)
+        obs.set_enabled(True)
+        traced = service.submit(algo)
+        obs.set_enabled(False)
+        assert traced.outputs == untraced.outputs
+        records = obs.collector().finished()
+        (answer,) = [r for r in records if r["name"] == "service/answer"]
+        (coverage,) = [r for r in records if r["name"] == "simulate/coverage"]
+        (replay,) = [r for r in records if r["name"] == "simulate/replay"]
+        assert replay["parent"] == coverage["parent"] == answer["id"]
+        assert replay["ts"] >= coverage["ts"] + coverage["dur"]
+        assert replay["attrs"] == {"algo": algo.name, "t": 2, "fallbacks": 0}
 
     def test_trace_file_merges_with_build_spans(self, net, tmp_path, obs_on):
         """The acceptance flow in miniature: build + serve → one file

@@ -31,7 +31,8 @@ from repro.algorithms import (
     run_direct,
     run_inprocess,
 )
-from repro.algorithms.vector import vector_population
+from repro.algorithms.runner import _AlgorithmProgram
+from repro.algorithms.vector import pick_free_colors, vector_population
 from repro.baselines import BaswanaSenLocal
 from repro.core import SamplerParams
 from repro.core.distributed import build_spanner_distributed
@@ -42,7 +43,7 @@ from repro.errors import ProtocolError
 from repro.execution import Exec
 from repro.graphs import barabasi_albert, dense_gnm, erdos_renyi, torus
 from repro.local import FaultPlan, Network
-from repro.local.engine import VectorRuntime
+from repro.local.engine import VectorRuntime, broadcast_outbox, gather_segments
 from repro.local.runtime import run_program
 from repro.simulate import t_local_broadcast
 from repro.simulate.gossip import PushPullGossip, _VectorGossip, run_push_pull
@@ -410,6 +411,125 @@ class TestAlgorithmEngine:
 
 
 # ---------------------------------------------------------------------------
+# coloring palettes wider than one bitset word
+# ---------------------------------------------------------------------------
+def hub_on_a_path(degree: int) -> Network:
+    """Node 0 joined to nodes ``1..degree``, which form a path."""
+    pairs = [(0, v) for v in range(1, degree + 1)]
+    pairs += [(v, v + 1) for v in range(1, degree)]
+    return Network.from_edge_pairs(degree + 1, pairs)
+
+
+# A node of degree d has d + 1 colors, so degree 63 fills one 64-bit
+# word exactly and 64, 65, 127 and 128 need two or three.
+PALETTE_FAMILIES = {
+    **{f"hub{d}": (lambda d=d: hub_on_a_path(d)) for d in (63, 64, 65, 127, 128)},
+    "dense": lambda: dense_gnm(100, 3000, seed=1),
+}
+COLORINGS = (RandomizedColoring(2), RandomizedColoring(5), RandomizedColoring())
+
+
+def color_bitset(colors: set[int], words: int) -> np.ndarray:
+    """``colors`` as ``words`` uint64 words, color ``c`` at bit ``c``."""
+    value = sum(1 << c for c in colors)
+    return np.array(
+        [(value >> (64 * w)) & ((1 << 64) - 1) for w in range(words)], dtype=np.uint64
+    )
+
+
+def reference_color(palette: int, blocked: set[int], draw: int) -> int:
+    """The rule of ``RandomizedColoring.step``, ``-1`` for no free color."""
+    allowed = [c for c in range(palette) if c not in blocked]
+    return allowed[draw % len(allowed)] if allowed else -1
+
+
+class TestColoringPalettes:
+    """The vector coloring keeps its color sets as bitsets of 64-bit
+    words; these graphs have palettes of one, two and three words."""
+
+    def test_families_reach_several_words(self):
+        words = {}
+        for name, make in PALETTE_FAMILIES.items():
+            net = make()
+            palette = max(len(net.incident(v)) for v in net.nodes()) + 1
+            words[name] = (palette + 63) // 64
+        assert words == {
+            "hub63": 1, "hub64": 2, "hub65": 2, "hub127": 2, "hub128": 3, "dense": 2
+        }
+
+    @pytest.mark.parametrize("family", sorted(PALETTE_FAMILIES))
+    @pytest.mark.parametrize("algo", COLORINGS, ids=("t2", "t5", "default"))
+    @pytest.mark.parametrize("plan", DROP_PLANS)
+    def test_full_runreport_identical(self, family, algo, plan):
+        net = PALETTE_FAMILIES[family]()
+        t = algo.rounds(net.n)
+        for seed in SEEDS:
+            vec = VectorRuntime(
+                net,
+                vector_population(algo, net, seed),
+                max_rounds=t + 2,
+                faults=PLANS[plan],
+            ).run()
+            ref = run_program(
+                net,
+                lambda node: _AlgorithmProgram(node, algo, seed, t),
+                seed=seed,
+                max_rounds=t + 2,
+                faults=PLANS[plan],
+                execution=Exec(round_engine="reference"),
+            )
+            assert vec == ref, seed
+
+    @pytest.mark.parametrize("family", sorted(PALETTE_FAMILIES))
+    def test_run_inprocess_identical(self, family):
+        net = PALETTE_FAMILIES[family]()
+        for algo in COLORINGS:
+            for seed in SEEDS:
+                vec = run_inprocess(net, algo, seed, execution=Exec(round_engine="vector"))
+                ref = run_inprocess(
+                    net, algo, seed, execution=Exec(round_engine="reference")
+                )
+                assert vec == ref, (algo.rounds(net.n), seed)
+
+    def test_pick_follows_the_reference_rule(self):
+        """Every palette size 1-130, every draw below it, and blocked sets
+        that are empty, full, full but one, random, or hold colors at or
+        above the palette (a neighbor's, whose palette is larger)."""
+        rng = random.Random(3)
+        words = 3  # colors 0..191: room above the largest palette
+        for palette in range(1, 131):
+            span = range(palette)
+            above = set(range(palette, 64 * words))
+            cases = [set(), set(span), above]
+            for kept in {0, palette // 2, palette - 1, 63, 64, 127, 128}:
+                if kept < palette:
+                    cases.append(set(span) - {kept})
+            for density in (0.2, 0.5, 0.9):
+                below = {c for c in span if rng.random() < density}
+                cases.append(below)
+                cases.append(below | {c for c in above if rng.random() < density})
+            # The population blocks every color at or above the palette.
+            blocked = np.repeat(
+                np.stack([color_bitset(case | above, words) for case in cases], axis=1),
+                palette,
+                axis=1,
+            )
+            draws = np.tile(np.arange(palette, dtype=np.int64), len(cases))
+            expected = [reference_color(palette, case, d) for case in cases for d in span]
+            assert pick_free_colors(blocked, draws).tolist() == expected, palette
+            # The fewest words that hold the palette pick the same colors.
+            narrow = (palette + 63) // 64
+            fits = [
+                index * palette + d
+                for index, case in enumerate(cases)
+                if max(case, default=0) < 64 * narrow
+                for d in span
+            ]
+            picked = pick_free_colors(blocked[:narrow, fits], draws[fits])
+            assert picked.tolist() == [expected[i] for i in fits], palette
+
+
+# ---------------------------------------------------------------------------
 # announced fallbacks
 # ---------------------------------------------------------------------------
 @pytest.fixture
@@ -472,7 +592,8 @@ class TestReferenceFallback:
 # ---------------------------------------------------------------------------
 class TestDeliveryPaths:
     """Consecutive eids and n <= 2**16 take the fast delivery path; the
-    inputs below keep the searchsorted lookup or the int64 sort."""
+    inputs below keep the searchsorted lookup or the int64 sort.  A
+    broadcast from every node takes the incidence CSR as its rows."""
 
     def test_non_consecutive_eids(self):
         base = erdos_renyi(80, 0.1, seed=2)
@@ -485,6 +606,24 @@ class TestDeliveryPaths:
         for algo in ALGORITHMS:
             for plan in DROP_PLANS:
                 assert_engines_agree(net, algo, seed=4, faults=PLANS[plan])
+
+    def test_all_node_broadcast_views_the_incidence(self):
+        net = Network.from_edge_pairs(6, [(0, 1), (0, 2), (1, 2), (3, 4)])
+        indptr, inc = (np.frombuffer(a, dtype=np.int64) for a in net.incidence_csr())
+        every = np.arange(net.n, dtype=np.int64)
+        outbox = broadcast_outbox(indptr, inc, every)
+        owners, eids = gather_segments(indptr, inc, every)
+        assert outbox.senders.tolist() == owners.tolist() == [0, 0, 1, 1, 2, 2, 3, 4]
+        assert outbox.eids.tolist() == eids.tolist()
+        # The rows are the network's own incidence array, which no
+        # consumer of the outbox may write.
+        assert np.shares_memory(outbox.eids, inc)
+        assert not outbox.eids.flags.writeable
+        portless = Network(3, [])
+        indptr, inc = (
+            np.frombuffer(a, dtype=np.int64) for a in portless.incidence_csr()
+        )
+        assert broadcast_outbox(indptr, inc, np.arange(3, dtype=np.int64)) is None
 
     def test_more_nodes_than_uint16(self):
         n = (1 << 16) + 5
