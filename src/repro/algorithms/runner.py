@@ -28,11 +28,10 @@ import numpy as np
 from repro import obs
 from repro.algorithms.base import LocalAlgorithm, NodeInit
 from repro.errors import ProtocolError
-from repro.execution import Exec
 from repro.local.engine import VectorProgram, VectorRuntime
 from repro.local.faults import FaultPlan
 from repro.local.message import Inbound
-from repro.local.metrics import MessageStats, RunReport
+from repro.local.metrics import MessageStats
 from repro.local.network import Network
 from repro.local.node import Context, NodeProgram
 from repro.local.runtime import run_program
@@ -165,7 +164,7 @@ class _AlgorithmProgram(NodeProgram):
             # An isolated node can never receive, so every remaining
             # step sees an empty inbox and is computable right now; the
             # node then sleeps until its halting round t, keeping the
-            # run's round count identical to dense stepping.
+            # run's round count identical to stepping it every round.
             for r in range(1, self._t + 1):
                 self._state, outbox = self._algo.step(self._state, r, {})
                 if r < self._t:
@@ -176,9 +175,9 @@ class _AlgorithmProgram(NodeProgram):
 
     def on_round(self, ctx: Context, inbox: Sequence[Inbound]) -> None:
         if self._precomputed:
-            # Output is ready; halt only at the halting round t so the
-            # dense scheduler (which still steps this node every round)
-            # reports the same rounds as the active one.
+            # Output is ready; halt only at the halting round t so a
+            # loop that steps this node every round reports the same
+            # rounds as one that lets it sleep.
             if ctx.round >= self._t:
                 ctx.halt()
             return
@@ -232,41 +231,31 @@ def run_direct(
     algo: LocalAlgorithm,
     seed: int = 0,
     *,
-    execution: Exec | None = None,
     faults: FaultPlan | None = None,
 ) -> DirectOutcome:
     """Execute on the kernel; messages and rounds are metered exactly.
 
-    ``execution`` selects the round engine (``"vector"`` /
-    ``"reference"``) and, on the reference path, the scheduler.
-    The vector path runs registered algorithms as array populations and
-    falls back to the reference interpreter for everything else — and
-    for corrupt-capable fault plans, whose tampered payloads only the
-    per-node programs' error behaviour defines.  Each fallback emits an
+    Registered algorithms run as array populations; everything else —
+    and every corrupt-capable fault plan, whose tampered payloads only
+    the per-node programs' error behaviour defines — runs on the
+    per-node interpreter.  Each fallback emits an
     ``algorithms/reference_fallback`` event on the telemetry plane.
     """
-    execution = execution or Exec()
     t = algo.rounds(network.n)
     plan = faults or FaultPlan.none()
-    if execution.round_engine == "vector":
-        population = _vector_or_fallback(algo, network, seed, plan.can_corrupt)
-        if population is not None:
-            report = VectorRuntime(
-                network, population, max_rounds=t + 2, faults=faults
-            ).run()
-            return DirectOutcome(
-                outputs=report.outputs,
-                messages=report.messages,
-                rounds=report.rounds,
-            )
-    report: RunReport = run_program(
-        network,
-        lambda node: _AlgorithmProgram(node, algo, seed, t),
-        seed=seed,
-        max_rounds=t + 2,
-        faults=faults,
-        execution=execution,
-    )
+    population = _vector_or_fallback(algo, network, seed, plan.can_corrupt)
+    if population is not None:
+        report = VectorRuntime(
+            network, population, max_rounds=t + 2, faults=faults
+        ).run()
+    else:
+        report = run_program(
+            network,
+            lambda node: _AlgorithmProgram(node, algo, seed, t),
+            seed=seed,
+            max_rounds=t + 2,
+            faults=faults,
+        )
     return DirectOutcome(outputs=report.outputs, messages=report.messages, rounds=report.rounds)
 
 
@@ -274,25 +263,19 @@ def run_inprocess(
     network: Network,
     algo: LocalAlgorithm,
     seed: int = 0,
-    *,
-    execution: Exec | None = None,
 ) -> dict[int, Any]:
     """Fast synchronous evaluation (no kernel); outputs only.
 
-    Under the vector round engine, registered algorithms execute as
-    array populations (same outputs, no per-node Python stepping);
-    everything else runs the original message-free loop, announced by
-    an ``algorithms/reference_fallback`` event.
+    Registered algorithms execute as array populations (same outputs,
+    no per-node Python stepping); everything else runs the original
+    message-free loop, announced by an ``algorithms/reference_fallback``
+    event.
     """
-    if (execution or Exec()).round_engine == "vector":
-        population = _vector_or_fallback(algo, network, seed, False)
-        if population is not None:
-            t = algo.rounds(network.n)
-            return VectorRuntime(
-                network, population, max_rounds=t + 2
-            ).run().outputs
     n = network.n
     t = algo.rounds(n)
+    population = _vector_or_fallback(algo, network, seed, False)
+    if population is not None:
+        return VectorRuntime(network, population, max_rounds=t + 2).run().outputs
     states: list[Any] = []
     for node in network.nodes():
         info = NodeInit(node=node, ports=tuple(network.incident(node)), n=n)

@@ -1,17 +1,17 @@
 """The performance-regression harness (``python -m repro.bench --perf``).
 
 Times the simulator's hot kernels — centralized spanner construction on
-three graph families × three sizes, the *distributed* construction under
-the active scheduler with its dense baseline (``spanner_dist/*``), the
-flood-schedule derivation on a spanner of each family (``flood/*``,
-including the vector-only ``n10000`` instances), the exact adjacent-pair
-stretch measurement (``stretch/*``), the end-to-end one- and
-two-stage message-reduction schemes on each family, the amortized
-simulation service's warm-vs-cold batch throughput (``service/*``,
-DESIGN.md §3.8), and the array-native round engine against the
-reference per-node interpreter (``runtime_vec/*``, DESIGN.md §3.10) —
-and records the results in ``BENCH_core.json`` at the repo root.  Every future PR then
-has a trajectory to beat:
+three graph families × three sizes, the *distributed* construction
+(``spanner_dist/*``), the flood-schedule derivation on a spanner of
+each family (``flood/*``, including the vector-only ``n10000``
+instances), the exact adjacent-pair stretch measurement
+(``stretch/*``), the end-to-end one- and two-stage message-reduction
+schemes on each family, the amortized simulation service's
+warm-vs-cold batch throughput (``service/*``, DESIGN.md §3.8), and the
+array-native round engine on a runtime flood, push–pull gossip and a
+registered payload (``runtime_vec/*``, DESIGN.md §3.10) — and records
+the results in ``BENCH_core.json`` at the repo root.  Every future PR
+then has a trajectory to beat:
 
 * ``--perf``            run the suite, print a table, write the JSON;
 * ``--perf --check``    run the suite and exit non-zero if any kernel is
@@ -37,10 +37,6 @@ failures are diagnosable.  The JSON also records environment metadata
 (python/numpy/networkx versions, platform, machine) so baseline numbers
 can be interpreted across hosts; metadata and medians never participate
 in the regression check.
-
-The ``spanner_dist/*`` kernels carry a comparison for the round engine:
-each entry's ``baseline_seconds``/``speedup`` time the same input under
-``Exec(scheduler="dense")`` (DESIGN.md §3.6).
 """
 
 from __future__ import annotations
@@ -113,8 +109,8 @@ class Kernel:
     """One timed unit of work: ``build()`` makes the input (untimed),
     ``run(input)`` is the measured body.  An optional ``baseline``
     callable is timed alongside on the same input and recorded as
-    ``baseline_seconds`` plus the resulting ``speedup`` — used by the
-    ``spanner_dist/*`` kernels to pin active- vs dense-scheduler cost.
+    ``baseline_seconds`` plus the resulting ``speedup`` — the cold
+    serve, the serial front, the rebuild or the obs-on build.
 
     ``build`` may return any object ``run`` understands; when it is not
     a :class:`Network`, the first element of the returned tuple must be
@@ -193,8 +189,7 @@ FLOOD_RADIUS = 4  # balls reach most of the graph; the kernel times the
 # spanner_dist/* kernels run the Theorem 11 schedule in its quiescent
 # regime — k ~ log log n, h ~ log n (both paper-legal), sparse inputs —
 # where most trial windows are idle for most nodes; this is exactly the
-# workload the active scheduler exists for, so each kernel also times
-# the dense baseline on the same input (DESIGN.md §3.6).
+# workload the runtime's active-set stepping exists for (DESIGN.md §3.6).
 _DIST_PARAMS = {
     "gnp": SamplerParams(k=3, h=11, seed=1),
     "torus": SamplerParams(k=3, h=10, seed=1),
@@ -409,43 +404,26 @@ def _repair_rebuild(built: tuple) -> object:
 
 
 # runtime_vec/* kernels time the array-native round engine (DESIGN.md
-# §3.10) against the reference per-node interpreter on one n=2000
-# instance each: a radius-2 runtime-engine flood on a *dense* G(n,m)
-# with m=90000 — the paper's m >> n regime, where the interpreter
-# pays per message and per bundle entry while the bitset rounds pay
-# one word-OR per 64 origins — 12 rounds of push-pull gossip (long
-# enough that known sets saturate, the reference's worst case), and
-# a registered LOCAL algorithm run end to end.  The baseline column
-# re-runs the *identical* body under ``round_engine="reference"`` —
-# same RunReport, different engine (acceptance: >= 3x on flood and
-# gossip).
-def _vec_flood(engine: str):
-    execution = Exec(flood_engine="runtime", round_engine=engine)
-
-    def run(net: Network) -> object:
-        return t_local_broadcast(
-            net, payload_of=lambda v: (v,), radius=2, execution=execution
-        )
-
-    return run
+# §3.10) on one n=2000 instance each: a radius-2 runtime-engine flood
+# on a *dense* G(n,m) with m=90000 — the paper's m >> n regime, where
+# the bitset rounds pay one word-OR per 64 origins — 12 rounds of
+# push-pull gossip (long enough that known sets saturate), and a
+# registered LOCAL algorithm run end to end.
+def _vec_flood(net: Network) -> object:
+    return t_local_broadcast(
+        net,
+        payload_of=lambda v: (v,),
+        radius=2,
+        execution=Exec(flood_engine="runtime"),
+    )
 
 
-def _vec_gossip(engine: str):
-    execution = Exec(round_engine=engine)
-
-    def run(net: Network) -> object:
-        return run_push_pull(net, rounds=12, t=2, seed=3, execution=execution)
-
-    return run
+def _vec_gossip(net: Network) -> object:
+    return run_push_pull(net, rounds=12, t=2, seed=3)
 
 
-def _vec_algo(engine: str):
-    execution = Exec(round_engine=engine)
-
-    def run(net: Network) -> object:
-        return run_direct(net, BallCollect(2), seed=7, execution=execution)
-
-    return run
+def _vec_algo(net: Network) -> object:
+    return run_direct(net, BallCollect(2), seed=7)
 
 
 def _baseline_label(name: str) -> str:
@@ -458,13 +436,9 @@ def _baseline_label(name: str) -> str:
         return "cold"
     if name.startswith("repair/"):
         return "rebuild"
-    if name.startswith("runtime_vec/"):
-        return "reference"
-    if name.startswith("obs/"):
-        # obs/overhead measures the telemetry-off build and baselines
-        # the same build with spans collecting: speedup == on-cost
-        return "obs-on"
-    return "dense"
+    # obs/overhead measures the telemetry-off build and baselines
+    # the same build with spans collecting: speedup == on-cost
+    return "obs-on"
 
 
 def _spanner_dist(family: str):
@@ -474,26 +448,16 @@ def _spanner_dist(family: str):
     return run
 
 
-def _spanner_dist_dense(family: str):
-    def run(net: Network) -> object:
-        return build_spanner_distributed(
-            net, _DIST_PARAMS[family], execution=Exec(scheduler="dense")
-        )
-
-    return run
-
-
 def default_kernels() -> list[Kernel]:
     """3 graph families × 3 sizes of spanner construction, the
-    distributed construction (active scheduler vs its dense baseline)
-    on one instance per family, the flood-schedule engine over a
+    distributed construction on one instance per family, the flood-schedule engine over a
     spanner of the largest instance of each family (plus the
     vector-only ``n10000`` instances), the exact adjacent-pair stretch
     measurement at ``n5000``, the one- and two-stage schemes
     (distributed stage 1 + every simulation) on a small and one larger
     instance, the simulation service's warm payload batches with
-    their cold-store baselines, and the vector round engine against
-    its reference interpreter on flood/gossip/algorithm bodies."""
+    their cold-store baselines, and the vector round engine on
+    flood/gossip/algorithm bodies."""
     kernels: list[Kernel] = []
     # The scale kernel (DESIGN.md §3.11): n=10^5 runs best-of-1, since
     # the body is seconds-long.
@@ -543,10 +507,8 @@ def default_kernels() -> list[Kernel]:
                 f"spanner_dist/{name}",
                 build,
                 _spanner_dist(family),
-                # best-of-3: the second-long bodies jitter on shared
-                # hosts, and the committed speedup should be steady-state
+                # best-of-3: the second-long bodies jitter on shared hosts
                 repeats=3,
-                baseline=_spanner_dist_dense(family),
             )
         )
     kernels.append(
@@ -676,21 +638,14 @@ def default_kernels() -> list[Kernel]:
                 baseline=_repair_rebuild,
             )
         )
-    # runtime_vec/* kernels: the array-native round engine vs the
-    # reference per-node interpreter on the same body (DESIGN.md §3.10).
-    for label, make, build in (
+    # runtime_vec/* kernels: the array-native round engine (DESIGN.md §3.10).
+    for label, run, build in (
         ("flood", _vec_flood, lambda: dense_gnm(2000, 90000, seed=1)),
         ("gossip", _vec_gossip, lambda: _gnp(2000)),
         ("algo", _vec_algo, lambda: _gnp(2000)),
     ):
         kernels.append(
-            Kernel(
-                f"runtime_vec/{label}/n2000",
-                build,
-                make("vector"),
-                repeats=3,
-                baseline=make("reference"),
-            )
+            Kernel(f"runtime_vec/{label}/n2000", build, run, repeats=3)
         )
     return kernels
 
@@ -768,8 +723,8 @@ def _measure_named_kernel(name: str, repeats: int | None) -> dict:
 def _progress_line(name: str, entry: dict) -> str:
     line = f"{name}: {entry['seconds']:.3f}s (n={entry['n']}, m={entry['m']})"
     if "baseline_seconds" in entry:
-        # spanner_dist/* baselines time the dense scheduler, service/*
-        # the cold (empty-store) serve, repair/* the cold rebuild.
+        # service/* baselines time the cold (empty-store) serve,
+        # repair/* the cold rebuild.
         label = _baseline_label(name)
         line += (
             f"; {label} baseline {entry['baseline_seconds']:.3f}s "
@@ -989,8 +944,12 @@ def render_serving_section(doc: dict) -> str:
         "and the flood-profile measurement inside the serve; the warm column "
         "reuses both "
         "from the artifact store and pays only the per-payload shared "
-        "replays — the paper's free lunch as a served-traffic number "
-        "(DESIGN.md §3.8)."
+        "replays (DESIGN.md §3.8).  At these kernels' parameters the spanner "
+        "keeps every edge of both graphs (7,940 of 7,940 on the G(n, p) "
+        "graph, 7,984 of 7,984 on the BA graph), so the table times "
+        "amortized serving at H = G, not a message reduction; ROADMAP "
+        "\"Gate the free lunch\" tracks the regime where the scheme sends "
+        "fewer messages than direct execution."
     )
     concurrent = {
         name: entry
@@ -1060,10 +1019,8 @@ def render_readme_section(doc: dict) -> str:
         )
     lines.append("")
     lines.append(
-        "`spanner_dist/*` kernels time the distributed `Sampler` under the "
-        "active-set scheduler; their dense-baseline column times the same "
-        "input with `Exec(scheduler=\"dense\")` (identical `RunReport`s, "
-        "DESIGN.md §3.6).  `flood/*` kernels time the Lemma 12 schedule "
+        "`spanner_dist/*` kernels time the distributed `Sampler` on the "
+        "active-set runtime (DESIGN.md §3.6).  `flood/*` kernels time the Lemma 12 schedule "
         "derivation and `stretch/*` the exact footnote-1 measurement, both "
         "on the vector distance plane (NumPy bitset BFS, DESIGN.md §3.7); "
         "the `n10000`/`n5000` instances are feasible only vectorized.  "
@@ -1082,10 +1039,8 @@ def render_readme_section(doc: dict) -> str:
         "(DESIGN.md §3.9).  `runtime_vec/*` kernels time the array-"
         "native round engine on a runtime flood (dense `G(n,m)`, the "
         "paper's `m >> n` regime), a push–pull gossip run, and a "
-        "registered LOCAL algorithm; their reference baseline re-runs "
-        "the identical body on the per-node interpreter "
-        "(`Exec(round_engine=\"reference\")`, identical `RunReport`s, "
-        "DESIGN.md §3.10).  `spanner/gnp/n100000` times the "
+        "registered LOCAL algorithm (DESIGN.md §3.10).  "
+        "`spanner/gnp/n100000` times the "
         "centralized build at the scale target, best-of-1 "
         "(DESIGN.md §3.11).  Every entry also records "
         "`peak_rss_mb` (process high-water RSS including child "

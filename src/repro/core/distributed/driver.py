@@ -24,7 +24,6 @@ from repro.core.params import SamplerParams
 from repro.core.spanner import SpannerResult
 from repro.core.trace import LevelTrace, NodeLevelTrace, SamplerTrace
 from repro.errors import SimulationError
-from repro.execution import Exec
 from repro.local.network import Network
 from repro.local.runtime import run_program
 
@@ -34,21 +33,16 @@ __all__ = ["build_spanner_distributed"]
 def build_spanner_distributed(
     network: Network,
     params: SamplerParams,
-    *,
-    execution: Exec | None = None,
 ) -> SpannerResult:
     """Execute ``Sampler`` as a real message-passing LOCAL algorithm.
 
-    ``execution`` picks the scheduler and the round engine.  The
-    ``"active"`` scheduler (default) steps only nodes with pending
-    messages or due wake rounds — the ``SamplerProgram`` derives its
-    wake set from the global :class:`Schedule` — while ``"dense"`` is
-    the step-everyone seed baseline; both produce identical reports
-    (DESIGN.md §3.6).  Under the ``"vector"`` round engine the active
-    scheduler services the program's declared hybrid planes
-    (query/response and the status handshake) during delivery;
-    ``"reference"`` keeps every message on the per-node dispatch path
-    (DESIGN.md §3.10).  Reports are identical either way.
+    The runtime steps only nodes with pending messages or due wake
+    rounds — the ``SamplerProgram`` derives its wake set from the
+    global :class:`Schedule` (DESIGN.md §3.6) — and services the
+    program's declared hybrid planes (query/response and the status
+    handshake) during delivery (DESIGN.md §3.10).  The tests hold the
+    report equal to the seed's dense loop, which steps every node
+    every round and dispatches every message.
     """
     schedule = Schedule.build(params)
     with obs.span(
@@ -60,7 +54,6 @@ def build_spanner_distributed(
             seed=params.seed,
             max_rounds=schedule.total_rounds + 2,
             n_hint=network.n,
-            execution=execution,
         )
         build_span.set(
             rounds=report.rounds, messages=report.messages.total

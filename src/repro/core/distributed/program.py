@@ -469,7 +469,7 @@ class SamplerProgram(NodeProgram):
         # Wake at the next PLAN start *unconditionally*: in a healthy run
         # wants_trial() decides there (and a "no" ends the chain); in a
         # faulty run with a stranded collect convergecast the call raises
-        # exactly where the dense scheduler's poll would.
+        # exactly where the dense loop's poll would.
         if trial < self._params.trials:
             ctx.sleep_until(
                 self._schedule.start_of(PhaseKind.PLAN, self._phase.level, trial + 1)

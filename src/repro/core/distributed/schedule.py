@@ -92,7 +92,7 @@ class Schedule:
         # CAND is in the skeleton because *every* node acts at its start
         # whenever it is not a center — including a node whose status
         # broadcast was lost (faulty runs), which still opens an empty
-        # candidate convergecast exactly like the dense scheduler's poll.
+        # candidate convergecast exactly like the dense loop's poll.
         self._skeleton = tuple(
             p.start
             for p in phases
@@ -191,7 +191,7 @@ class Schedule:
         GATHER start (open the member convergecast), at each CAND start
         (every non-center opens the candidate convergecast — with its
         *default* state when the status broadcast was lost, exactly as
-        the dense scheduler would), and at END (halt).  Everything else
+        the dense loop would), and at END (halt).  Everything else
         is either leader-only (:meth:`leader_wake_rounds`), conditional
         on state whose *absence* makes the dense step a no-op too —
         plan, status, join handlers register the follow-up round via

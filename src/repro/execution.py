@@ -6,33 +6,24 @@ takes one ``execution: Exec | None`` argument, where ``None`` means
 ``Exec()``:
 
 * ``flood_engine`` — ``"fast"`` derives the flood from distance sweeps;
-  ``"runtime"`` runs the literal flood program, the only engine that
-  runs under a fault plan (§3.5);
-* ``scheduler`` — ``"active"`` or ``"dense"``, the oracle for the
-  ``Context`` sleep contract (§3.6);
-* ``round_engine`` — ``"vector"`` populations or the ``"reference"``
-  per-node interpreter (§3.10).
+  ``"runtime"`` runs the literal flood, the only engine that runs under
+  a fault plan (§3.5).
 
-The distance plane (§3.7) has one implementation; its oracle lives
-under ``tests/``.  ``round_engine`` defaults to ``$REPRO_ROUND_ENGINE``,
-read when an ``Exec`` is built (never at import); this module is the
-only reader of that variable.  Every field is validated on
-construction, so a misspelt name fails before any work is done.
-Artifact caches (``store``) stay a separate argument: they are not an
-interchangeable implementation.
+The round engine (§3.6, §3.10) and the distance plane (§3.7) have one
+implementation each; their per-node oracles live under ``tests/``.
+Every field is validated on construction, so a misspelt name fails
+before any work is done.  Artifact caches (``store``) stay a separate
+argument: they are not an interchangeable implementation.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Exec"]
 
 _CHOICES = {
     "flood_engine": ("fast", "runtime"),
-    "scheduler": ("active", "dense"),
-    "round_engine": ("vector", "reference"),
 }
 
 
@@ -41,10 +32,6 @@ class Exec:
     """Which implementation runs each interchangeable stage."""
 
     flood_engine: str = "fast"
-    scheduler: str = "active"
-    round_engine: str = field(
-        default_factory=lambda: os.environ.get("REPRO_ROUND_ENGINE", "vector")
-    )
 
     def __post_init__(self) -> None:
         for name, choices in _CHOICES.items():
@@ -54,3 +41,12 @@ class Exec:
                     f"unknown {name.replace('_', ' ')} {value!r}; "
                     f"expected one of {choices}"
                 )
+
+    def check_faults(self, faults) -> None:
+        """Refuse a fault plan that ``flood_engine="fast"`` cannot run:
+        it derives the failure-free flood analytically (§3.5)."""
+        if self.flood_engine == "fast" and faults is not None and not faults.is_noop:
+            raise ValueError(
+                "fault plans require flood_engine='runtime': the fast engine "
+                "derives the failure-free flood analytically"
+            )

@@ -16,12 +16,11 @@ Public surface:
   — the per-node program API.
 * :class:`~repro.local.runtime.Runtime` — the synchronous round engine,
   producing a :class:`~repro.local.metrics.RunReport` with exact message
-  and round counts.
+  and round counts; the per-node interpreter for any ``NodeProgram``.
 * :class:`~repro.local.engine.VectorRuntime` /
   :class:`~repro.local.engine.VectorProgram` — the array-native round
-  engine for homogeneous populations (DESIGN.md §3.10), selected by
-  :class:`~repro.execution.Exec` ``round_engine`` (default
-  ``REPRO_ROUND_ENGINE``).
+  engine for homogeneous populations (DESIGN.md §3.10), which runs the
+  registered payloads, the runtime flood and push–pull gossip.
 * :class:`~repro.local.knowledge.Knowledge` — KT0 / EDGE_IDS / KT1.
 """
 

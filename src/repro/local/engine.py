@@ -1,6 +1,6 @@
 """Array-native round engine: populations stepped as NumPy kernels.
 
-The reference :class:`~repro.local.runtime.Runtime` interprets one
+The per-node :class:`~repro.local.runtime.Runtime` interprets one
 ``NodeProgram`` per node and pays Python dispatch for every message and
 every step.  For *homogeneous* populations — every node runs the same
 program, differing only in per-node state — a synchronous round is
@@ -14,22 +14,23 @@ Three pieces (DESIGN.md §3.10):
   :class:`PopulationInbox` (a CSR view of the round's deliveries,
   segmented by receiver in exactly the reference delivery order).
 * :class:`VectorRuntime` — the driver.  Its loop is a line-for-line
-  mirror of the reference schedulers: round 0 is ``on_start``; sends of
+  mirror of the per-node ``Runtime``: round 0 is ``on_start``; sends of
   round ``r`` are delivered at the start of ``r + 1``; under
   ``fixed_rounds`` the final round's sends are discarded unmetered
   (``total == delivered`` always); the ``max_rounds`` error text is
   byte-identical.  Fault plans are applied as drop/corrupt masks over
   the same per-message coin stream, so dropped/corrupted counters agree
-  with the reference engine bit for bit.
-* the ``round_engine`` field of :class:`~repro.execution.Exec`
-  (default ``$REPRO_ROUND_ENGINE``): ``"vector"`` (default) uses array
-  kernels where a population is available and falls back to the
-  reference interpreter otherwise; ``"reference"`` forces the per-node
-  path.
+  with the per-node interpreter bit for bit.
+* the dispatch: registered payloads (:mod:`repro.algorithms.vector`),
+  the runtime flood and push–pull gossip always run as populations;
+  unregistered payloads and corrupt-capable plans fall back to the
+  per-node interpreter.
 
 The equality contract is *RunReport-identical*: outputs, rounds,
 halted, ``total``/``by_tag``/``per_round``/``dropped``/``corrupted``
-all match the reference engine on the same inputs.  Vector populations
+all match the per-node programs on the same inputs; those programs and
+the dense loop that runs them are the oracles of
+``tests/reference_runtime.py``.  Vector populations
 must therefore be port-numbering agnostic (their observable behaviour
 may not depend on ``KT0`` vs ``EDGE_IDS`` port labels), which holds for
 every population shipped here.
@@ -80,7 +81,7 @@ class PopulationInbox:
 
     ``indptr`` has ``n + 1`` entries; receiver ``v``'s messages occupy
     ``slice(indptr[v], indptr[v + 1])`` of the row-aligned columns, in
-    the exact order the reference engine would present them (in-flight
+    the exact order the per-node ``Runtime`` would present them (in-flight
     order, which within one receiver is ascending sender, per-sender
     send order).  ``rows`` are indices into the *previous* outbox, so a
     program recovers its payload columns with ``payload_col[rows]``.
@@ -105,7 +106,7 @@ class VectorProgram(ABC):
 
     ``tag`` is the single message tag the population uses (all shipped
     populations are single-tag; ``by_tag`` metering relies on it).
-    ``live`` must equal the number of nodes the reference engine would
+    ``live`` must equal the number of nodes the per-node ``Runtime`` would
     consider non-halted (reactive halts count as halted).
     """
 
@@ -197,7 +198,7 @@ class _InFlight:
 class VectorRuntime:
     """Drives one :class:`VectorProgram` population over a network.
 
-    The loop mirrors the reference schedulers exactly — same round
+    The loop mirrors the per-node ``Runtime`` exactly — same round
     numbering, same ``fixed_rounds`` discard semantics, same
     ``SimulationError`` text — so a population that steps correctly is
     automatically RunReport-identical to its per-node counterpart.

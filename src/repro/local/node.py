@@ -19,13 +19,12 @@ while can declare it with :meth:`Context.sleep_until` (one wake round,
 or none) or :meth:`Context.wake_me_at` (a bulk schedule of wake rounds).
 The declaration is a *contract*: a sleeping node promises that running
 its ``on_round`` with an empty inbox before the next declared wake round
-would be a no-op, so the runtime's ``scheduler="active"`` may skip those
-invocations entirely.  An inbound message always wakes a sleeping node —
-quiescence never delays delivery — and waking early does not cancel the
-remaining wake schedule.  Under ``scheduler="dense"`` the declarations
-are recorded but every node is stepped every round, which is exactly why
-the two schedulers produce identical runs for contract-honouring
-programs.
+would be a no-op, so the runtime skips those invocations entirely.  An
+inbound message always wakes a sleeping node — quiescence never delays
+delivery — and waking early does not cancel the remaining wake
+schedule.  The dense loop of ``tests/reference_runtime.py`` records the
+declarations but steps every node every round, which is exactly why it
+and the runtime produce identical runs for contract-honouring programs.
 """
 
 from __future__ import annotations
@@ -47,20 +46,20 @@ __all__ = ["Context", "HybridPlane", "NodeProgram"]
 class HybridPlane:
     """Declares that one message tag can be serviced at delivery time.
 
-    Under the vector round engine (DESIGN.md §3.10) a program class may
-    publish ``hybrid_planes``: a mapping from message tag to a plane
-    describing the *entire* effect that delivering such a message has on
-    its receiver.  The runtime then handles those messages inline during
-    delivery — appending an entry to a program attribute and/or queueing
-    a fixed-shape reply — without stepping the receiver at all, which
-    turns the protocol's hottest point-to-point rounds into array-sweep
-    work over the in-flight list.
+    A program class may publish ``hybrid_planes`` (DESIGN.md §3.10): a
+    mapping from message tag to a plane describing the *entire* effect
+    that delivering such a message has on its receiver.  The runtime
+    then handles those messages inline during delivery — appending an
+    entry to a program attribute and/or queueing a fixed-shape reply —
+    without stepping the receiver at all, which turns the protocol's
+    hottest point-to-point rounds into array-sweep work over the
+    in-flight list.
 
     Declaring a plane is a correctness contract, checked by the engine
     equality suite:
 
-    * the reference dispatch of the tag does exactly the declared absorb
-      append and/or reply send — no other state change, no wake
+    * the program's own dispatch of the tag does exactly the declared
+      absorb append and/or reply send — no other state change, no wake
       declarations;
     * the phase action of every round in which the tag can arrive is a
       no-op for receivers that were woken *only* by these messages (or
@@ -73,7 +72,7 @@ class HybridPlane:
     ``"payload0"`` is ``tuple(payload[0])``.  Halted receivers ignore
     the message unless they are reactive and the matching
     ``*_reactive`` flag is set — mirroring the eligibility rule the
-    scheduler applies before stepping a halted node.
+    runtime applies before stepping a halted node.
     """
 
     absorb_into: str | None = None
@@ -142,7 +141,7 @@ class Context:
         self._wake_bulk: Sequence[int] = ()
         self._wake_idx = 0
         self._wake_extra: list[int] = []
-        # Set by every declaration; the scheduler clears it when it
+        # Set by every declaration; the runtime clears it when it
         # re-reads the wake queue, so unchanged sleepers skip the scan.
         self._wake_dirty = False
 
@@ -179,7 +178,7 @@ class Context:
 
         Synchronous LOCAL executions share a global round counter, so
         exposing it is model-faithful; programs that derive control flow
-        from it stay correct under both schedulers.
+        from it stay correct whether or not sleepers are stepped.
         """
         return self._round
 
@@ -219,7 +218,7 @@ class Context:
         """Declare quiescence until ``round_index`` (``None`` = indefinitely).
 
         Contract: until the declared wake round, stepping this node with
-        an empty inbox would be a no-op, so the active scheduler skips
+        an empty inbox would be a no-op, so the runtime skips
         it.  Any inbound message wakes the node regardless; waking early
         keeps the remaining wake schedule.  May be called repeatedly to
         add further wake rounds.

@@ -16,30 +16,28 @@ Semantics (fully synchronous LOCAL model):
 The engine is deterministic: nodes are stepped in increasing id order
 and per-node randomness comes from streams derived off the run seed.
 
-Two schedulers drive the rounds (DESIGN.md §3.6), chosen by the
-``scheduler`` field of :class:`~repro.execution.Exec`:
+The loop steps only the *active set* each round (DESIGN.md §3.6) —
+nodes with a pending inbox, nodes whose declared wake round arrived,
+and nodes that never opted into quiescence — using per-round wake
+buckets and a live non-halted counter.  For programs that honour the
+:class:`~repro.local.node.Context` sleep contract this is
+observationally identical to stepping every non-halted node every
+round, which is what the seed's dense loop did; that loop is the
+contract's oracle and lives in ``tests/reference_runtime.py``, which
+holds the two :class:`RunReport`-identical.
 
-* ``scheduler="active"`` (default) steps only the *active set* each
-  round — nodes with a pending inbox, nodes whose declared wake round
-  arrived, and nodes that never opted into quiescence — using a min-heap
-  wake queue and a live non-halted counter.  For programs that honour
-  the :class:`~repro.local.node.Context` sleep contract this is
-  observationally identical to dense stepping while skipping the idle
-  windows that dominate schedule-driven protocols.
-* ``scheduler="dense"`` is the seed baseline: every non-halted node is
-  stepped every round.  It is the only oracle for the sleep contract on
-  arbitrary programs, so it is never deleted (DESIGN.md §3.4 step 1),
-  and the test suite asserts :class:`RunReport` equality between the
-  two.
+A homogeneous population whose program class declares
+:class:`~repro.local.node.HybridPlane`\\ s has its plane-tagged messages
+serviced during delivery instead of by stepping the receivers
+(DESIGN.md §3.10), except under corrupt-capable fault plans.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from repro import obs
 from repro.errors import SimulationError
-from repro.execution import Exec
 from repro.local.faults import CORRUPTED, FaultPlan
 from repro.local.message import Inbound, Outbound
 from repro.local.metrics import MessageStats, RunReport
@@ -85,16 +83,13 @@ class Runtime:
         fixed_rounds: int | None = None,
         n_hint: int | None = None,
         faults: FaultPlan | None = None,
-        execution: Exec | None = None,
     ) -> None:
-        execution = execution or Exec()
         self._network = network
         self._seed = seed
         self._max_rounds = max_rounds
         self._fixed_rounds = fixed_rounds
         self._n_hint = n_hint if n_hint is not None else network.n
         self._faults = faults or FaultPlan.none()
-        self._scheduler = execution.scheduler
         rng_factory = RngFactory(seed)
         node_rng = rng_factory.prefix("node")
         self._programs: list[NodeProgram] = []
@@ -133,18 +128,14 @@ class Runtime:
                 contexts[u]._port_of(eid),
                 contexts[v]._port_of(eid),
             )
-        # Hybrid rounds (DESIGN.md §3.10): under the vector engine a
-        # homogeneous population whose program class declares
-        # HybridPlanes gets its plane-tagged messages serviced during
-        # delivery instead of by stepping the receivers.  Corrupt-capable
-        # plans disable the planes — a tampered payload has no declared
-        # effect, only the per-node dispatch defines its error behavior.
+        # Hybrid rounds (DESIGN.md §3.10): a homogeneous population
+        # whose program class declares HybridPlanes gets its
+        # plane-tagged messages serviced during delivery instead of by
+        # stepping the receivers.  Corrupt-capable plans disable the
+        # planes — a tampered payload has no declared effect, only the
+        # per-node dispatch defines its error behavior.
         self._planes: dict[str, HybridPlane] | None = None
-        if (
-            execution.round_engine == "vector"
-            and not self._faults.can_corrupt
-            and self._programs
-        ):
+        if not self._faults.can_corrupt and self._programs:
             cls = type(self._programs[0])
             planes = getattr(cls, "hybrid_planes", None)
             if planes and all(type(p) is cls for p in self._programs):
@@ -154,22 +145,11 @@ class Runtime:
     def network(self) -> Network:
         return self._network
 
-    @property
-    def scheduler(self) -> str:
-        return self._scheduler
-
     def run(self) -> RunReport:
         if not obs.enabled():
-            if self._scheduler == "dense":
-                return self._run_dense()
             return self._run_active()
-        with obs.span(
-            "runtime/run", scheduler=self._scheduler, n=self._network.n
-        ) as run_span:
-            if self._scheduler == "dense":
-                report = self._run_dense()
-            else:
-                report = self._run_active()
+        with obs.span("runtime/run", n=self._network.n) as run_span:
+            report = self._run_active()
             run_span.set(
                 rounds=report.rounds,
                 messages=report.messages.total,
@@ -180,83 +160,7 @@ class Runtime:
         return report
 
     # ------------------------------------------------------------------
-    # dense scheduler: the seed baseline — every node, every round
-    # ------------------------------------------------------------------
-    def _run_dense(self) -> RunReport:
-        stats = MessageStats()
-        network = self._network
-        fixed = self._fixed_rounds
-        in_flight: list[Outbound] = []
-
-        # Round 0: on_start at every node.
-        stats.open_round()
-        for node in network.nodes():
-            self._programs[node].on_start(self._contexts[node])
-        if fixed == 0:
-            # No delivery round will ever run: round-0 sends cannot be
-            # delivered, so they are discarded unmetered.
-            self._discard_undelivered()
-        else:
-            in_flight = self._collect(stats, round_index=0)
-
-        rounds = 0
-        while True:
-            if fixed is not None:
-                if rounds >= fixed:
-                    break
-            elif not in_flight and self._all_halted():
-                break
-            if rounds >= self._max_rounds:
-                raise SimulationError(
-                    f"exceeded max_rounds={self._max_rounds} "
-                    f"({stats.total} messages so far)"
-                )
-            rounds += 1
-            stats.open_round()
-            # Pre-sized inboxes indexed by node; the routing table turns
-            # delivery into a dict hit plus two comparisons per message.
-            # In-flight entries are bare tuples in Outbound field order,
-            # unpacked at C level.
-            inboxes: list[list[Inbound] | None] = [None] * network.n
-            route = self._route
-            for eid, sender, payload, tag in in_flight:
-                u, v, port_u, port_v = route[eid]
-                if sender == u:
-                    receiver, port = v, port_v
-                else:
-                    receiver, port = u, port_u
-                box = inboxes[receiver]
-                if box is None:
-                    box = inboxes[receiver] = []
-                box.append(Inbound(port, payload, tag))
-            for node in network.nodes():
-                ctx = self._contexts[node]
-                inbox = inboxes[node] or ()
-                if ctx.halted and not (ctx.reactive and inbox):
-                    continue
-                ctx._round = rounds
-                self._programs[node].on_round(ctx, inbox)
-            if fixed is not None and rounds >= fixed:
-                # Final fixed round: anything queued now can never be
-                # delivered, so metering it would overstate the cost by
-                # up to a full round of sends.
-                self._discard_undelivered()
-                in_flight = []
-                break
-            in_flight = self._collect(stats, round_index=rounds)
-
-        outputs = {
-            node: self._programs[node].output() for node in network.nodes()
-        }
-        return RunReport(
-            rounds=rounds,
-            messages=stats,
-            outputs=outputs,
-            halted=self._all_halted(),
-        )
-
-    # ------------------------------------------------------------------
-    # active scheduler: step only pending-inbox / due-wake / running nodes
+    # step only pending-inbox / due-wake / running nodes
     # ------------------------------------------------------------------
     def _run_active(self) -> RunReport:
         stats = MessageStats()
@@ -267,7 +171,7 @@ class Runtime:
         programs = self._programs
         in_flight: list[Outbound] = []
 
-        # Round 0: on_start at every node (both schedulers agree here).
+        # Round 0: on_start at every node.
         stats.open_round()
         for node in network.nodes():
             programs[node].on_start(contexts[node])
@@ -279,7 +183,7 @@ class Runtime:
         # Classify after round 0: `running` nodes are stepped every round
         # (they never opted into quiescence), sleepers sit in the wake
         # heap, and `live` counts non-halted nodes so termination is O(1)
-        # instead of the dense scheduler's per-round _all_halted scan.
+        # instead of a per-round scan of every context.
         live = 0
         running: set[int] = set()
         # Wake entries live in per-round buckets rather than one global
@@ -346,9 +250,9 @@ class Runtime:
                 # answered right here, in in-flight order — the same
                 # order the receiver's dispatch loop would see — and
                 # never reach an inbox.  Everything happens *before* any
-                # node steps, exactly where the reference engine's
+                # node steps, exactly where the receiver's own
                 # dispatch-before-act places it, and eligibility mirrors
-                # the scheduler's halted/reactive stepping guard.
+                # the halted/reactive stepping guard below.
                 planes_get = planes.get
                 for eid, sender, payload, tag in in_flight:
                     u, v, port_u, port_v = route[eid]
@@ -533,9 +437,6 @@ class Runtime:
         for ctx in self._contexts:
             ctx._drain()
 
-    def _all_halted(self) -> bool:
-        return all(ctx.halted for ctx in self._contexts)
-
 
 def run_program(
     network: Network,
@@ -546,7 +447,6 @@ def run_program(
     fixed_rounds: int | None = None,
     n_hint: int | None = None,
     faults: FaultPlan | None = None,
-    execution: Exec | None = None,
 ) -> RunReport:
     """Convenience wrapper: build a :class:`Runtime` and run it."""
     runtime = Runtime(
@@ -557,6 +457,5 @@ def run_program(
         fixed_rounds=fixed_rounds,
         n_hint=n_hint,
         faults=faults,
-        execution=execution,
     )
     return runtime.run()

@@ -82,9 +82,11 @@ class SimulationRequest:
     ``alpha * t`` the same way it does on
     :func:`~repro.simulate.transformer.simulate_over_spanner`.
     ``execution`` (:class:`~repro.execution.Exec`, ``None`` for the
-    defaults) picks the implementation of every stage of the serve —
-    responses are identical under all of them; ``faults`` requires its
-    ``flood_engine="runtime"``.  ``allow_stale`` opts the
+    defaults) picks the flood engine of the serve — responses are
+    identical under both; ``faults`` requires its
+    ``flood_engine="runtime"``, and a plan the fast flood cannot run is
+    refused here, before the service pays for any artifact.
+    ``allow_stale`` opts the
     request into degraded answers: when the requested graph's spanner is
     not cached but a cached churn *ancestor* is, the service serves the
     ancestor's graph outright (marked ``"stale"`` in the response) —
@@ -101,6 +103,9 @@ class SimulationRequest:
     execution: Exec | None = None
     faults: FaultPlan | None = None
     allow_stale: bool = False
+
+    def __post_init__(self) -> None:
+        (self.execution or Exec()).check_faults(self.faults)
 
     def identity(self) -> tuple:
         """The dedupe token: the concurrent front's batching window

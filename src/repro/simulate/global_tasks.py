@@ -102,7 +102,6 @@ def compute_global(
         network.subnetwork(spanner.edges),
         payload_of=lambda v: payload[v],
         radius=radius,
-        seed=seed,
         store=active_store,
     )
     outputs = {

@@ -9,17 +9,17 @@ substitution note 3); this module provides:
 * :func:`gossip_estimate` — the cited complexity envelope, used in the
   comparison tables (it is the *round blow-up*, not the message count,
   that the paper's scheme improves on);
-* :class:`PushPullGossip` + :func:`run_push_pull` — a concrete classic
-  push–pull protocol, runnable on the kernel, whose measured coverage
-  illustrates why plain gossip needs those extra machinery/rounds on
-  poorly connected graphs.
+* :func:`run_push_pull` — a concrete classic push–pull protocol, run
+  as a bitset population on the vector round engine, whose measured
+  coverage illustrates why plain gossip needs those extra
+  machinery/rounds on poorly connected graphs.  Its per-node program
+  is the population's oracle in ``tests/reference_runtime.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,16 +29,12 @@ from repro.local.engine import (
     VectorProgram,
     VectorRuntime,
 )
-from repro.execution import Exec
-from repro.local.faults import CORRUPTED, FaultPlan
-from repro.local.message import Inbound
+from repro.local.faults import FaultPlan
 from repro.local.metrics import MessageStats
 from repro.local.network import Network
-from repro.local.node import Context, NodeProgram
-from repro.local.runtime import run_program
 from repro.rng import RngFactory
 
-__all__ = ["GossipEstimate", "gossip_estimate", "PushPullGossip", "run_push_pull"]
+__all__ = ["GossipEstimate", "gossip_estimate", "run_push_pull"]
 
 
 @dataclass(frozen=True)
@@ -60,45 +56,14 @@ def gossip_estimate(n: int, t: int, c1: float = 1.0) -> GossipEstimate:
     return GossipEstimate(rounds=rounds, messages=rounds * n)
 
 
-class PushPullGossip(NodeProgram):
-    """Classic push–pull: one partner per round, exchange known sets."""
-
-    def __init__(self, node: int) -> None:
-        self._node = node
-        self._known: set[int] = {node}
-
-    def on_start(self, ctx: Context) -> None:
-        if not ctx.ports:
-            # An isolated node can neither push nor be pulled from:
-            # declare it reactively done so the scheduler never steps it.
-            ctx.halt(reactive=True)
-            return
-        self._push(ctx)
-
-    def on_round(self, ctx: Context, inbox: Sequence[Inbound]) -> None:
-        for msg in inbox:
-            if msg.payload is CORRUPTED:
-                # Garbage in flight: nothing to learn, nothing to answer
-                # (a tampered push is indistinguishable from a reply).
-                continue
-            kind, items = msg.payload
-            self._known.update(items)
-            if kind == "push-pull":
-                ctx.send(msg.port, ("reply", tuple(self._known)), tag="gossip")
-        self._push(ctx)
-
-    def output(self) -> frozenset[int]:
-        return frozenset(self._known)
-
-    def _push(self, ctx: Context) -> None:
-        if not ctx.ports:
-            return
-        partner = ctx.ports[ctx.rng.randrange(len(ctx.ports))]
-        ctx.send(partner, ("push-pull", tuple(self._known)), tag="gossip")
-
-
 class _VectorGossip(VectorProgram):
-    """Bitset population equivalent of :class:`PushPullGossip`.
+    """Classic push–pull: one partner per round, exchange known sets.
+
+    Every node with a port pushes its known set to one uniformly drawn
+    port per round (round 0 included); a node answers each push it
+    receives with a reply holding its known set as of that message,
+    and learns from pushes and replies alike.  Portless nodes halt
+    reactively at once; corrupted messages teach and trigger nothing.
 
     Known sets are Python big-int bitsets: one ``|`` is a single C-level
     word-wise union, and because ints are immutable the mid-inbox reply
@@ -222,31 +187,18 @@ def run_push_pull(
     t: int,
     seed: int = 0,
     *,
-    execution: Exec | None = None,
     faults: FaultPlan | None = None,
 ) -> PushPullReport:
     """Run push–pull for ``rounds`` rounds; measure ``t``-ball coverage."""
     from repro.graphs.distance import balls_and_eccentricities
 
-    execution = execution or Exec()
-    if execution.round_engine == "vector":
-        report = VectorRuntime(
-            network,
-            _VectorGossip(network, seed),
-            fixed_rounds=rounds,
-            max_rounds=rounds + 1,
-            faults=faults,
-        ).run()
-    else:
-        report = run_program(
-            network,
-            lambda node: PushPullGossip(node),
-            seed=seed,
-            fixed_rounds=rounds,
-            max_rounds=rounds + 1,
-            faults=faults,
-            execution=execution,
-        )
+    report = VectorRuntime(
+        network,
+        _VectorGossip(network, seed),
+        fixed_rounds=rounds,
+        max_rounds=rounds + 1,
+        faults=faults,
+    ).run()
     balls, _ = balls_and_eccentricities(network, t)
     delivered = 0
     required = 0

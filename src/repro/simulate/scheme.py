@@ -102,12 +102,8 @@ def run_one_stage(
 
     ``params`` overrides the Theorem 3 parameter choice when supplied
     (used by experiments that tune the practical constants).
-    ``execution`` picks the implementation of every stage (DESIGN.md
-    §3.14): the simulation stage's flood engine (§3.5), the scheduler
-    and round engine of every kernel execution — the metered
-    distributed construction and, under ``flood_engine="runtime"``, the
-    simulated flood (§3.6, §3.10) — and the fast path's distance plane
-    (§3.7).  Every combination produces identical reports.
+    ``execution`` picks the simulation stage's flood engine (DESIGN.md
+    §3.5, §3.14); both produce identical reports.
 
     ``store`` (an :class:`~repro.store.ArtifactStore`, or ``None`` for
     the ``REPRO_STORE``-driven process default) reuses the
@@ -119,7 +115,6 @@ def run_one_stage(
     the two results are equal by contract (§3.15).
     """
     sampler_params = params if params is not None else theorem3_params(gamma, seed=seed)
-    execution = execution or Exec()
     from repro.store.store import resolve_store  # lazy: store sits above simulate
 
     with obs.span(
@@ -129,9 +124,7 @@ def run_one_stage(
         if active_store is not None:
             spanner = active_store.spanner(network, sampler_params)
         else:
-            spanner = build_spanner_distributed(
-                network, sampler_params, execution=execution
-            )
+            spanner = build_spanner_distributed(network, sampler_params)
         simulation = simulate_over_spanner(
             network,
             spanner.edges,

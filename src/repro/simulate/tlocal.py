@@ -22,11 +22,13 @@ Two flood engines compute the outcome (DESIGN.md §3.5), chosen by the
   reached it in round ``r``, i.e. iff ``r`` is at most ``v``'s
   (radius-capped) eccentricity in ``H``.  No ``Inbound``/``Outbound``
   object is ever allocated.
-* ``flood_engine="runtime"`` runs the literal :class:`_FloodProgram`
-  on the synchronous kernel — the equivalence baseline and the only
-  engine that runs under a fault plan; the test suite asserts report
-  equality between the engines across graph families, radii, and
-  seeds.
+* ``flood_engine="runtime"`` simulates the literal forward-new-items
+  flood round by round (:class:`_VectorFlood`, a bitset population on
+  the vector round engine, DESIGN.md §3.10) — the equivalence baseline
+  and the only engine that runs under a fault plan; the test suite
+  asserts report equality between the engines across graph families,
+  radii, and seeds, and holds the population equal to the per-node
+  flood program of ``tests/reference_runtime.py``.
 
 The fast engine's sweeps have one implementation; the test suite holds
 its :class:`FloodSchedule` equal to one built on the seed's
@@ -50,12 +52,8 @@ from repro.local.engine import (
     VectorRuntime,
     broadcast_outbox,
 )
-from repro.local.faults import CORRUPTED
-from repro.local.message import Inbound
 from repro.local.metrics import MessageStats
 from repro.local.network import Network
-from repro.local.node import Context, NodeProgram
-from repro.local.runtime import run_program
 
 __all__ = [
     "FloodReport",
@@ -109,53 +107,15 @@ class FloodSchedule:
         return total / max(1, len(balls))
 
 
-class _FloodProgram(NodeProgram):
-    """Forward-new-items flooding with per-edge aggregation.
-
-    Purely message-driven after round 0: a round with an empty inbox
-    changes nothing, so the program declares quiescence
-    (``ctx.sleep_until(None)``) and the active scheduler steps it only
-    when new items actually arrive — the frontier sweep the fast engine
-    derives analytically, re-created live.
-    """
-
-    def __init__(self, node: int, payload: Any, rounds: int) -> None:
-        self._node = node
-        self._payload = payload
-        self._rounds = rounds
-        self._known: dict[int, Any] = {node: payload}
-
-    def on_start(self, ctx: Context) -> None:
-        if self._rounds <= 0:
-            ctx.halt()
-            return
-        item = (self._node, self._payload)
-        for eid in ctx.ports:
-            ctx.send(eid, ((item,)), tag="flood")
-        ctx.sleep_until(None)
-
-    def on_round(self, ctx: Context, inbox: Sequence[Inbound]) -> None:
-        fresh: list[tuple[int, Any]] = []
-        for msg in inbox:
-            if msg.payload is CORRUPTED:
-                # A tampered bundle carries nothing recoverable; it was
-                # delivered (and metered) but contributes no items.
-                continue
-            for origin, payload in msg.payload:
-                if origin not in self._known:
-                    self._known[origin] = payload
-                    fresh.append((origin, payload))
-        if fresh:
-            bundle = tuple(fresh)
-            for eid in ctx.ports:
-                ctx.send(eid, bundle, tag="flood")
-
-    def output(self) -> dict[int, Any]:
-        return dict(self._known)
-
-
 class _VectorFlood(VectorProgram):
-    """Bitset population equivalent of :class:`_FloodProgram`.
+    """Forward-new-items flooding with per-edge aggregation, as a bitset
+    population.
+
+    Round 0 sends every node's own item on all of its ports; afterwards
+    a node forwards, on all of its ports and bundled into one message
+    per edge, exactly the items it learnt in the previous round, so a
+    round with nothing new sends nothing.  A corrupted bundle is
+    delivered and metered but carries no items.
 
     Per-node knowledge is one row of an ``(n, ceil(n/64))`` uint64
     matrix; a round is a segment-OR of the senders' last bundles into
@@ -316,7 +276,6 @@ def t_local_broadcast(
     payload_of: Callable[[int], Any],
     radius: int,
     *,
-    seed: int = 0,
     execution: Exec | None = None,
     faults=None,
     store=None,
@@ -326,10 +285,7 @@ def t_local_broadcast(
     ``spanner`` is typically ``network.subnetwork(S)``; payloads opaque.
     Under ``execution``'s ``flood_engine="fast"`` the report is derived
     from batched CSR sweeps (:func:`flood_schedule`); ``"runtime"``
-    runs the literal node-program simulation — under
-    ``scheduler="active"`` only the flood frontier is stepped, under
-    ``"dense"`` every node every round.  All combinations produce equal
-    reports.
+    simulates the flood round by round.  Both produce equal reports.
 
     ``faults`` (a :class:`~repro.local.faults.FaultPlan`) injects
     message drops and requires ``flood_engine="runtime"`` — the fast engine is
@@ -342,37 +298,19 @@ def t_local_broadcast(
     """
     execution = execution or Exec()
     if execution.flood_engine == "runtime":
-        if execution.round_engine == "vector":
-            # Flooding is seed-free and single-tag: the bitset
-            # population is RunReport-identical to the per-node
-            # program under every scheduler, fault plan included.
-            report = VectorRuntime(
-                spanner,
-                _VectorFlood(spanner, payload_of, radius),
-                fixed_rounds=radius,
-                max_rounds=radius + 1,
-                faults=faults,
-            ).run()
-        else:
-            report = run_program(
-                spanner,
-                lambda node: _FloodProgram(node, payload_of(node), radius),
-                seed=seed,
-                fixed_rounds=radius,
-                max_rounds=radius + 1,
-                faults=faults,
-                execution=execution,
-            )
+        report = VectorRuntime(
+            spanner,
+            _VectorFlood(spanner, payload_of, radius),
+            fixed_rounds=radius,
+            max_rounds=radius + 1,
+            faults=faults,
+        ).run()
         return FloodReport(
             collected=report.outputs,
             messages=report.messages,
             rounds=report.rounds,
         )
-    if faults is not None and not faults.is_noop:
-        raise ValueError(
-            "fault plans require flood_engine='runtime': the fast engine "
-            "derives the failure-free flood analytically"
-        )
+    execution.check_faults(faults)
     from repro.store.store import resolve_store  # lazy: store sits above simulate
 
     active_store = resolve_store(store)

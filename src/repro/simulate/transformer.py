@@ -87,11 +87,8 @@ def simulate_over_spanner(
 ) -> SimulationOutcome:
     """Run ``algo`` via ``t``-local broadcast over the given spanner.
 
-    ``execution`` picks the implementation of every stage; all of its
-    combinations produce identical outcomes.  Its ``scheduler`` only
-    matters under ``flood_engine="runtime"`` (DESIGN.md §3.6).  Its
-    ``round_engine`` (DESIGN.md §3.10) backs the flood under
-    ``"runtime"`` and the shared replay under ``"fast"``.
+    ``execution`` picks the flood engine (DESIGN.md §3.5); both
+    produce identical outcomes.
 
     ``schedule`` lets a caller that already holds this spanner's
     :class:`FloodSchedule` at exactly the flood radius (the simulation
@@ -110,7 +107,6 @@ def simulate_over_spanner(
             network.subnetwork(spanner_edges),
             payload_of=lambda node: tuple(network.incident(node)),
             radius=flood_radius,
-            seed=seed,
             execution=execution,
             faults=faults,
         )
@@ -126,11 +122,7 @@ def simulate_over_spanner(
             radius=flood_radius,
             mean_reports=mean_reports,
         )
-    if faults is not None and not faults.is_noop:
-        raise ValueError(
-            "fault plans require flood_engine='runtime': the fast engine "
-            "derives the failure-free flood analytically"
-        )
+    execution.check_faults(faults)
     if schedule is None:
         # The spanner subnetwork exists only to derive the schedule, so
         # a caller who supplies one saves the whole construction.
@@ -147,7 +139,7 @@ def simulate_over_spanner(
             f"precomputed schedule covers radius {schedule.rounds}, "
             f"this simulation floods radius {flood_radius}"
         )
-    outputs = _replay_shared(network, algo, t, seed, schedule, execution)
+    outputs = _replay_shared(network, algo, t, seed, schedule)
     return SimulationOutcome(
         outputs=outputs,
         messages=schedule.messages,
@@ -163,7 +155,6 @@ def _replay_shared(
     t: int,
     seed: int,
     schedule: FloodSchedule,
-    execution: Exec,
 ) -> dict[int, Any]:
     """One global replay serving every center whose ball is covered.
 
@@ -190,7 +181,7 @@ def _replay_shared(
     )
     if not obs.enabled():
         uncovered = family.coverage(network, t)[0]
-        return _replay_centers(network, algo, t, seed, family, uncovered, execution)
+        return _replay_centers(network, algo, t, seed, family, uncovered)
     with obs.span("simulate/coverage", t=t) as coverage_span:
         uncovered, short, component_covered, memoized = family.coverage(network, t)
         coverage_span.set(
@@ -200,7 +191,7 @@ def _replay_shared(
             memoized=memoized,
         )
     with obs.span("simulate/replay", algo=algo.name, t=t, fallbacks=len(uncovered)):
-        return _replay_centers(network, algo, t, seed, family, uncovered, execution)
+        return _replay_centers(network, algo, t, seed, family, uncovered)
 
 
 def _replay_centers(
@@ -210,18 +201,13 @@ def _replay_centers(
     seed: int,
     family: BallFamily,
     uncovered: tuple[int, ...],
-    execution: Exec,
 ) -> dict[int, Any]:
     """Every center's output: the shared replay for the covered ones,
     a literal replay on its collected ball for each uncovered one."""
     n = network.n
     # The global replay serves the covered centers; skip it when the
     # flood covered nobody (every output would be overwritten below).
-    outputs = (
-        {}
-        if len(uncovered) == n
-        else run_inprocess(network, algo, seed, execution=execution)
-    )
+    outputs = {} if len(uncovered) == n else run_inprocess(network, algo, seed)
     for center in uncovered:
         reports = {x: network.incident(x) for x in family[center]}
         outputs[center] = replay_ball(algo, center, reports, t, seed, n)

@@ -94,13 +94,10 @@ def run_two_stage(
 ) -> TwoStageReport:
     """Run the full two-stage pipeline, metering every stage.
 
-    ``execution`` picks the implementation of every stage (DESIGN.md
-    §3.14): the flood engine of both simulated stages — ``"fast"``
-    (array-native flood + shared replay) or ``"runtime"`` (the literal
-    baseline) — the scheduler and round engine of every kernel
-    execution (stage-1 construction and, under ``"runtime"``, both
-    simulated floods), and the fast path's distance plane.  Every
-    combination produces identical reports.
+    ``execution`` picks the flood engine of both simulated stages
+    (DESIGN.md §3.14) — ``"fast"`` (array-native flood + shared replay)
+    or ``"runtime"`` (the literal baseline); both produce identical
+    reports.
 
     ``store`` (or the ``REPRO_STORE`` process default) caches the
     payload-independent artifacts of *all three* stages: the ``H1``
@@ -114,14 +111,11 @@ def run_two_stage(
     """
     from repro.store.store import resolve_store  # lazy: store sits above simulate
 
-    execution = execution or Exec()
     active_store = resolve_store(store)
     if active_store is not None:
         stage1 = active_store.spanner(network, stage1_params)
     else:
-        stage1 = build_spanner_distributed(
-            network, stage1_params, execution=execution
-        )
+        stage1 = build_spanner_distributed(network, stage1_params)
 
     stage2_algo = BaswanaSenLocal(k=stage2_k, coin_seed=seed)
     stage2_sim = simulate_over_spanner(

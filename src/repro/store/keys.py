@@ -10,10 +10,8 @@ function of the *content* that determines the artifact:
 
 * ``spanner`` — graph fingerprint + every :class:`SamplerParams` field
   (the construction is a deterministic function of exactly those; the
-  round-engine ``scheduler`` is deliberately **excluded** because the
-  active and dense schedulers produce identical ``RunReport``s — the
-  equivalence contract of DESIGN.md §3.6, enforced by
-  ``tests/test_scheduler.py``);
+  round engine has one implementation, so no engine name enters the
+  key);
 * ``flood`` — the *spanner* fingerprint alone.  The distance plane has
   one implementation, so no engine name enters the key.  The radius is
   **not** part of the key either: one

@@ -1,13 +1,15 @@
 """A census of the knobs and catch-all handlers in ``src/repro``.
 
-Four checks keep these counts from creeping back (ROADMAP aims 2 and 3):
+Five checks keep these counts from creeping back (ROADMAP aims 2 and 3):
 
 * the ``REPRO_*`` environment variables the package names as whole
   string constants are exactly :data:`ENV_VARS`;
 * every ``except Exception``, ``except BaseException`` and bare
   ``except`` sits in a function listed in :data:`CATCH_ALLS`;
 * the fields of :class:`repro.Exec`, one per pair of interchangeable
-  implementations, are exactly :data:`EXEC_FIELDS`;
+  implementations, are exactly :data:`EXEC_FIELDS`, and the functions
+  and fields that take an ``execution`` are exactly
+  :data:`EXECUTION_TAKERS`;
 * the constructor parameters of the serving stack's artifact store,
   concurrent front and file lock are exactly :data:`CONSTRUCTORS`.
 
@@ -32,7 +34,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 ENV_VARS = {
     "REPRO_OBS",  # the telemetry plane's gate
-    "REPRO_ROUND_ENGINE",  # default round engine of an Exec
     "REPRO_STORE",  # directory of the process-default artifact store
     "REPRO_STORE_CHAOS",  # the store's fault-injection hook
 }
@@ -45,11 +46,18 @@ CATCH_ALLS = {
     "service/concurrent.py::ConcurrentSimulationService.submit",
 }
 
-EXEC_FIELDS = (
-    "flood_engine",  # the fast flood derivation or the literal program
-    "scheduler",  # the oracle of the Context sleep contract
-    "round_engine",  # vector populations or the per-node interpreter
-)
+EXEC_FIELDS = ("flood_engine",)  # the fast flood derivation or the literal one
+
+EXECUTION_TAKERS = {
+    # The scheme entry points and the two flood consumers pick the
+    # flood engine; nothing below them has a choice left.
+    "simulate/scheme.py::run_one_stage",
+    "simulate/two_stage.py::run_two_stage",
+    "simulate/transformer.py::simulate_over_spanner",
+    "simulate/tlocal.py::t_local_broadcast",
+    # A served request carries its choice as a field.
+    "service/service.py::SimulationRequest.execution",
+}
 
 CONSTRUCTORS = {
     # The disk directory; the tuning values are module constants.
@@ -119,6 +127,34 @@ def _catch_alls() -> list[tuple[str, str]]:
     return found
 
 
+def _execution_takers() -> set[str]:
+    """``file::function`` with an ``execution`` parameter, and
+    ``file::Class.execution`` for a class-level ``execution`` field."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, rel: str, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                names = args.posonlyargs + args.args + args.kwonlyargs
+                if any(arg.arg == "execution" for arg in names):
+                    found.add(f"{rel}::{'.'.join(scope + (child.name,))}")
+                visit(child, rel, scope + (child.name,))
+            elif isinstance(child, ast.ClassDef):
+                for item in child.body:
+                    if (
+                        isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                        and item.target.id == "execution"
+                    ):
+                        found.add(f"{rel}::{child.name}.execution")
+                visit(child, rel, scope + (child.name,))
+
+    for rel, tree in _modules():
+        visit(tree, rel, ())
+    return found
+
+
 def test_repro_env_vars_are_the_census():
     found = _env_constants()
     assert set(found) == ENV_VARS, {
@@ -137,6 +173,10 @@ def test_catch_alls_sit_in_allowlisted_functions():
 
 def test_exec_fields_are_the_census():
     assert tuple(f.name for f in dataclasses.fields(Exec)) == EXEC_FIELDS
+
+
+def test_execution_takers_are_the_census():
+    assert _execution_takers() == EXECUTION_TAKERS
 
 
 def test_serving_constructors_are_the_census():

@@ -196,8 +196,8 @@ class TestBatchingWindow:
     def test_requests_differing_only_in_execution_are_not_merged(self, net):
         payload = MinIdAggregation(2)
         requests = [
-            SimulationRequest(algo=payload, execution=Exec(scheduler=scheduler))
-            for scheduler in ("active", "dense")
+            SimulationRequest(algo=payload, execution=Exec(flood_engine=engine))
+            for engine in ("fast", "runtime")
         ]
         assert requests[0].identity() != requests[1].identity()
         front = ConcurrentSimulationService(

@@ -306,23 +306,27 @@ class TestSimulationEquality:
         )
         assert set(fooled) & set(replayed)
 
-    def test_one_stage_under_reference_engine(self):
-        """The whole pipeline under the runtime flood and the reference
-        round engine, which touch no distance-plane code, equals the
-        default run on the plane."""
+    def test_one_stage_under_reference_engine(self, monkeypatch):
+        """The whole pipeline under the runtime flood on the per-node
+        oracles, which touch no distance-plane code, equals the default
+        run on the plane."""
+        from reference_runtime import reference_engines
         from repro.simulate import run_one_stage
 
+        monkeypatch.delenv("REPRO_STORE", raising=False)
         net = erdos_renyi(50, 0.15, seed=3)
         algo = MinIdAggregation(2)
         params = SamplerParams(k=1, h=2, seed=5)
         fast = run_one_stage(net, algo, params=params, seed=2)
-        reference = run_one_stage(
-            net,
-            algo,
-            params=params,
-            seed=2,
-            execution=Exec(flood_engine="runtime", round_engine="reference"),
-        )
+        with reference_engines() as calls:
+            reference = run_one_stage(
+                net,
+                algo,
+                params=params,
+                seed=2,
+                execution=Exec(flood_engine="runtime"),
+            )
+        assert calls["dense"] == calls["flood"] == 1
         assert fast == reference
 
 

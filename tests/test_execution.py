@@ -2,18 +2,15 @@
 
 Three contracts:
 
-* **Pipeline equality** — all 8 combinations of the three choices give
-  identical one-stage and two-stage reports and identical served
-  responses on one graph;
-* **Environment defaults** — ``round_engine`` comes from
-  ``REPRO_ROUND_ENGINE`` when an ``Exec`` is built, never at import,
-  and an explicit choice wins;
+* **Pipeline equality** — both values of the one choice give identical
+  one-stage and two-stage reports and identical served responses on
+  one graph;
+* **No environment** — an ``Exec`` reads no environment variable, and
+  the round engine and scheduler it used to name are refused;
 * **Validation** — an unknown name is refused when the value is built.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import pytest
 
@@ -26,14 +23,7 @@ from repro.simulate import run_one_stage, run_two_stage
 
 PARAMS = SamplerParams(k=1, h=2, seed=7, c_query=0.7, c_target=1.0)
 
-EVERY_EXEC = [
-    Exec(*choice)
-    for choice in itertools.product(
-        ("fast", "runtime"),
-        ("active", "dense"),
-        ("vector", "reference"),
-    )
-]
+EVERY_EXEC = [Exec("fast"), Exec("runtime")]
 
 
 @pytest.fixture(scope="module")
@@ -85,37 +75,24 @@ class TestPipelineEquality:
 
 class TestEnvironmentDefaults:
     def test_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ROUND_ENGINE", raising=False)
-        assert Exec() == Exec("fast", "active", "vector")
-
-    def test_round_engine_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ROUND_ENGINE", raising=False)
-        assert Exec().round_engine == "vector"
         monkeypatch.setenv("REPRO_ROUND_ENGINE", "reference")
-        assert Exec().round_engine == "reference"
-        assert Exec(flood_engine="runtime").round_engine == "reference"
-        assert Exec(round_engine="vector").round_engine == "vector"
-
-    def test_environment_read_when_built(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ROUND_ENGINE", raising=False)
-        before = Exec()
-        monkeypatch.setenv("REPRO_ROUND_ENGINE", "reference")
-        assert before.round_engine == "vector"
-        assert Exec().round_engine == "reference"
+        assert Exec() == Exec("fast")
 
 
 class TestValidation:
-    def test_unknown_round_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown round engine 'simd'"):
-            Exec(round_engine="simd")
+    def test_unknown_flood_engine_rejected(self):
+        with pytest.raises(ValueError, match="unknown flood engine 'warp'"):
+            Exec(flood_engine="warp")
 
-    def test_unknown_environment_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ROUND_ENGINE", "warp")
-        with pytest.raises(ValueError, match="unknown round engine"):
-            Exec()
+    def test_unknown_round_engine_rejected(self):
+        # One round engine and one scheduler remain; naming either fails
+        # loudly rather than being ignored.
+        for field in ("round_engine", "scheduler"):
+            with pytest.raises(TypeError, match=field):
+                Exec(**{field: "reference"})
 
     def test_frozen_and_hashable(self):
-        execution = Exec(scheduler="dense")
+        execution = Exec(flood_engine="runtime")
         with pytest.raises(AttributeError):
-            execution.scheduler = "active"  # type: ignore[misc]
-        assert len({execution, Exec(scheduler="dense"), Exec()}) == 2
+            execution.flood_engine = "fast"  # type: ignore[misc]
+        assert len({execution, Exec(flood_engine="runtime"), Exec()}) == 2

@@ -6,10 +6,15 @@ import pickle
 
 import pytest
 
-from repro.execution import Exec
+import reference_runtime
+from reference_runtime import dense_program
 from repro.local import CORRUPTED, FaultPlan, NodeProgram
 from repro.local.metrics import MessageStats
 from repro.local.runtime import run_program
+
+# The runtime steps only the active set; the dense loop of
+# tests/reference_runtime.py is its oracle.
+RUN = {"active": run_program, "dense": dense_program}
 
 
 class Collector(NodeProgram):
@@ -124,13 +129,12 @@ class TestCorruptionSemantics:
                 seed=5,
                 corrupt_rule=lambda r, eid, sender: (r + eid) % 5 == 0,
             )
-            return run_program(
+            return RUN[scheduler](
                 er_small,
                 lambda n: Collector(rounds=3),
                 seed=2,
                 faults=plan,
                 fixed_rounds=fixed,
-                execution=Exec(scheduler=scheduler),
             )
 
         dense, active = run("dense"), run("active")
@@ -204,14 +208,9 @@ class TestBatchedMetering:
             return spy
 
         monkeypatch.setattr(runtime_mod, "MessageStats", make_spy)
+        monkeypatch.setattr(reference_runtime, "MessageStats", make_spy)
         plan = FaultPlan(corrupt_probability=0.5, seed=7)
-        report = run_program(
-            path4,
-            lambda n: Collector(2),
-            seed=0,
-            faults=plan,
-            execution=Exec(scheduler=scheduler),
-        )
+        report = RUN[scheduler](path4, lambda n: Collector(2), seed=0, faults=plan)
         assert spies, "runtime did not construct its stats object"
         assert sum(s.record_calls for s in spies) == 0
         assert sum(s.batch_calls for s in spies) > 0
@@ -236,16 +235,10 @@ class TestBatchedMetering:
     def test_corrupt_only_report_matches_per_message_semantics(self, path4):
         # The batched path must meter exactly what the per-message path
         # would have: same totals, same per-round series, same corrupted
-        # count, on both schedulers.
+        # count, on the runtime and the dense loop.
         plan = FaultPlan(corrupt_probability=0.4, seed=11)
         active = run_program(path4, lambda n: Collector(2), seed=0, faults=plan)
-        dense = run_program(
-            path4,
-            lambda n: Collector(2),
-            seed=0,
-            faults=plan,
-            execution=Exec(scheduler="dense"),
-        )
+        dense = dense_program(path4, lambda n: Collector(2), seed=0, faults=plan)
         assert active.messages.total == dense.messages.total
         assert active.messages.per_round == dense.messages.per_round
         assert active.messages.corrupted == dense.messages.corrupted

@@ -1,7 +1,8 @@
 """Engine-equivalence tests for the fast flood (DESIGN.md §3.5).
 
 The fast engine derives :class:`FloodReport` from CSR frontier sweeps;
-``flood_engine="runtime"`` simulates the literal ``_FloodProgram``.  The
+``flood_engine="runtime"`` simulates the literal flood round by round
+(its per-node oracle is ``tests/reference_runtime.py``).  The
 contract: *equal reports* — collected sets, rounds, and the full
 ``MessageStats`` (total, ``by_tag``, ``per_round``) — on every tested
 family × radius × seed combination, and identical simulation outcomes

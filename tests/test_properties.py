@@ -15,13 +15,12 @@ from repro.analysis.stretch import adjacent_pair_stretch
 from repro.core import SamplerParams, build_spanner
 from repro.core.distributed.schedule import PhaseKind, Schedule
 from repro.core.trials import NodeLabel, QueryResult, TrialMachine
-from repro.execution import Exec
 from repro.graphs import dense_gnm
 from repro.local import FaultPlan
 from repro.local.network import Network
 from repro.local.runtime import run_program
 from repro.rng import RngFactory
-from repro.simulate.tlocal import _FloodProgram
+from reference_runtime import FloodProgram, dense_program
 
 _SETTINGS = settings(
     max_examples=25,
@@ -258,7 +257,7 @@ class TestScheduleProperties:
 
 
 # ---------------------------------------------------------------------------
-# scheduler equivalence under random faults and budgets
+# the runtime and the dense loop under random faults and budgets
 # ---------------------------------------------------------------------------
 class TestSchedulerEquivalenceProperties:
     @_SETTINGS
@@ -274,19 +273,18 @@ class TestSchedulerEquivalenceProperties:
     ):
         plan = FaultPlan(drop_probability=drop, seed=drop_seed)
 
-        def run(scheduler):
-            return run_program(
+        def run(loop):
+            return loop(
                 net,
-                lambda node: _FloodProgram(node, node, radius),
+                lambda node: FloodProgram(node, node, radius),
                 seed=seed,
                 fixed_rounds=radius,
                 max_rounds=radius + 1,
                 faults=plan,
-                execution=Exec(scheduler=scheduler),
             )
 
-        dense = run("dense")
-        active = run("active")
+        dense = run(dense_program)
+        active = run(run_program)
         assert dense.outputs == active.outputs
         assert dense.rounds == active.rounds
         assert dense.halted == active.halted

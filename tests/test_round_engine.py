@@ -1,15 +1,17 @@
 """The array-native round engine contract (DESIGN.md §3.10).
 
-One pillar, checked from many directions: ``round_engine="vector"`` and
-``round_engine="reference"`` produce identical
-:class:`~repro.local.metrics.RunReport`s — outputs, rounds, ``halted``,
+One pillar, checked from many directions: the vector populations, and
+the runtime's hybrid planes, produce the
+:class:`~repro.local.metrics.RunReport`s of the per-node oracles in
+``tests/reference_runtime.py`` — outputs, rounds, ``halted``,
 ``total``/``by_tag``/``per_round``/``dropped``/``corrupted`` — for every
 shipped population (flood, gossip, registered LOCAL algorithms, and the
 hybrid-plane ``Sampler``), across graph families × seeds × fault plans
-(drops *and* corruption) × ``fixed_rounds`` × both reference
-schedulers.  Hypothesis drives the same assertions over random dense
-multigraph-free networks so hand-picked cases are not the only
-witnesses.
+(drops *and* corruption) × ``fixed_rounds``, the per-node programs run
+on the dense loop and, where a parameter names the ``"active"``
+scheduler, on the runtime.  Hypothesis drives the same assertions over
+random dense multigraph-free networks so hand-picked cases are not the
+only witnesses.
 """
 
 from __future__ import annotations
@@ -44,9 +46,19 @@ from repro.execution import Exec
 from repro.graphs import barabasi_albert, dense_gnm, erdos_renyi, torus
 from repro.local import FaultPlan, Network
 from repro.local.engine import VectorRuntime, broadcast_outbox, gather_segments
-from repro.local.runtime import run_program
+from repro.local.runtime import Runtime, run_program
 from repro.simulate import t_local_broadcast
-from repro.simulate.gossip import PushPullGossip, _VectorGossip, run_push_pull
+from repro.simulate.gossip import _VectorGossip, run_push_pull
+from reference_runtime import (
+    dense_program,
+    reference_direct,
+    reference_engines,
+    reference_flood,
+    reference_gossip,
+    reference_push_pull,
+    unregistered,
+)
+from test_pricing import connected_atlas
 
 FAMILIES = {
     "gnp": lambda: erdos_renyi(60, 0.12, seed=5),
@@ -90,6 +102,8 @@ ZERO_ROUND_ALGORITHMS = (
     RandomizedColoring(0),
 )
 DROP_PLANS = ("none", "drops")
+RUN = {"active": run_program, "dense": dense_program}
+RUNTIME_FLOOD = Exec(flood_engine="runtime")
 
 _SETTINGS = settings(
     max_examples=15,
@@ -115,33 +129,29 @@ def assert_outcomes_equal(vec, ref):
 
 
 def assert_engines_agree(net, algo, seed=1, faults=None):
-    vec = run_direct(
-        net, algo, seed=seed, execution=Exec(round_engine="vector"), faults=faults
-    )
-    ref = run_direct(
-        net, algo, seed=seed, execution=Exec(round_engine="reference"), faults=faults
-    )
+    vec = run_direct(net, algo, seed=seed, faults=faults)
+    ref = reference_direct(net, algo, seed=seed, faults=faults)
     assert_outcomes_equal(vec, ref)
 
 
-def run_gossip(net: Network, rounds: int, seed: int, faults, engine: str):
+def outcome(run):
+    """``("ok", result)``, or ``("raised", type, text)`` when ``run`` raises."""
+    try:
+        return ("ok", run())
+    except Exception as exc:  # noqa: BLE001 - comparing verbatim
+        return ("raised", type(exc), str(exc))
+
+
+def vector_gossip(net: Network, rounds: int, seed: int, faults):
     """Full-RunReport gossip run (run_push_pull only reports coverage)."""
-    if engine == "vector":
-        return VectorRuntime(
-            net,
-            _VectorGossip(net, seed),
-            fixed_rounds=rounds,
-            max_rounds=rounds + 1,
-            faults=faults,
-        ).run()
-    return run_program(
+    return VectorRuntime(
         net,
-        lambda node: PushPullGossip(node),
-        seed=seed,
+        _VectorGossip(net, seed),
         fixed_rounds=rounds,
         max_rounds=rounds + 1,
         faults=faults,
-    )
+    ).run()
+
 
 
 @st.composite
@@ -161,17 +171,14 @@ class TestFloodEngine:
     @pytest.mark.parametrize("plan", sorted(PLANS))
     def test_runtime_flood_identical(self, family, plan):
         net = FAMILIES[family]()
-        reports = {
-            engine: t_local_broadcast(
-                net,
-                payload_of=lambda v: ("ball", v),
-                radius=3,
-                execution=Exec(flood_engine="runtime", round_engine=engine),
-                faults=PLANS[plan],
-            )
-            for engine in ("vector", "reference")
-        }
-        vec, ref = reports["vector"], reports["reference"]
+        vec = t_local_broadcast(
+            net,
+            payload_of=lambda v: ("ball", v),
+            radius=3,
+            execution=RUNTIME_FLOOD,
+            faults=PLANS[plan],
+        )
+        ref = reference_flood(net, lambda v: ("ball", v), 3, faults=PLANS[plan])
         assert vec.collected == ref.collected
         assert vec.rounds == ref.rounds
         assert vec.messages.total == ref.messages.total
@@ -183,20 +190,8 @@ class TestFloodEngine:
     @pytest.mark.parametrize("scheduler", ("active", "dense"))
     def test_against_both_reference_schedulers(self, scheduler):
         net = FAMILIES["gnp"]()
-        vec = t_local_broadcast(
-            net,
-            lambda v: (v,),
-            radius=2,
-            execution=Exec(flood_engine="runtime", round_engine="vector"),
-        )
-        ref = t_local_broadcast(
-            net,
-            lambda v: (v,),
-            radius=2,
-            execution=Exec(
-                flood_engine="runtime", round_engine="reference", scheduler=scheduler
-            ),
-        )
+        vec = t_local_broadcast(net, lambda v: (v,), radius=2, execution=RUNTIME_FLOOD)
+        ref = reference_flood(net, lambda v: (v,), 2, run=RUN[scheduler])
         assert vec.collected == ref.collected
         assert vec.messages.per_round == ref.messages.per_round
 
@@ -205,13 +200,8 @@ class TestFloodEngine:
         # the same singleton balls and round count the reference does.
         net = Network.from_edge_pairs(7, [(0, 1), (1, 2), (2, 3)])
         reports = [
-            t_local_broadcast(
-                net,
-                lambda v: v,
-                radius=2,
-                execution=Exec(flood_engine="runtime", round_engine=engine),
-            )
-            for engine in ("vector", "reference")
+            t_local_broadcast(net, lambda v: v, radius=2, execution=RUNTIME_FLOOD),
+            reference_flood(net, lambda v: v, 2),
         ]
         assert reports[0].collected == reports[1].collected
         assert reports[0].rounds == reports[1].rounds
@@ -228,10 +218,10 @@ class TestFloodEngine:
                 net,
                 payload_of=lambda v: (v, v * v),
                 radius=radius,
-                execution=Exec(flood_engine="runtime", round_engine=engine),
+                execution=RUNTIME_FLOOD,
                 faults=PLANS[plan],
-            )
-            for engine in ("vector", "reference")
+            ),
+            reference_flood(net, lambda v: (v, v * v), radius, faults=PLANS[plan]),
         ]
         assert reports[0].collected == reports[1].collected
         assert reports[0].messages.per_round == reports[1].messages.per_round
@@ -247,24 +237,16 @@ class TestGossipEngine:
     @pytest.mark.parametrize("plan", sorted(PLANS))
     def test_full_runreport_identical(self, family, plan):
         net = FAMILIES[family]()
-        vec = run_gossip(net, rounds=5, seed=3, faults=PLANS[plan], engine="vector")
-        ref = run_gossip(net, rounds=5, seed=3, faults=PLANS[plan], engine="reference")
+        vec = vector_gossip(net, rounds=5, seed=3, faults=PLANS[plan])
+        ref = reference_gossip(net, rounds=5, seed=3, faults=PLANS[plan])
         assert_reports_equal(vec, ref)
 
     @pytest.mark.parametrize("scheduler", ("active", "dense"))
     @pytest.mark.parametrize("seed", SEEDS)
     def test_coverage_report_identical(self, scheduler, seed):
         net = FAMILIES["ba"]()
-        vec = run_push_pull(
-            net, rounds=6, t=2, seed=seed, execution=Exec(round_engine="vector")
-        )
-        ref = run_push_pull(
-            net,
-            rounds=6,
-            t=2,
-            seed=seed,
-            execution=Exec(round_engine="reference", scheduler=scheduler),
-        )
+        vec = run_push_pull(net, rounds=6, t=2, seed=seed)
+        ref = reference_push_pull(net, rounds=6, t=2, seed=seed, run=RUN[scheduler])
         assert vec.coverage == ref.coverage
         assert vec.rounds == ref.rounds
         assert vec.messages.total == ref.messages.total
@@ -274,8 +256,8 @@ class TestGossipEngine:
         # An isolated node halts reactively on both engines (it can
         # neither push nor be pulled from) and outputs its own id.
         net = Network.from_edge_pairs(5, [(0, 1), (1, 2)])
-        vec = run_gossip(net, rounds=4, seed=1, faults=None, engine="vector")
-        ref = run_gossip(net, rounds=4, seed=1, faults=None, engine="reference")
+        vec = vector_gossip(net, rounds=4, seed=1, faults=None)
+        ref = reference_gossip(net, rounds=4, seed=1)
         assert_reports_equal(vec, ref)
         assert vec.outputs[4] == frozenset({4})
 
@@ -287,8 +269,8 @@ class TestGossipEngine:
         plan=st.sampled_from(sorted(PLANS)),
     )
     def test_property_gossip(self, net: Network, seed: int, rounds: int, plan: str):
-        vec = run_gossip(net, rounds, seed, PLANS[plan], "vector")
-        ref = run_gossip(net, rounds, seed, PLANS[plan], "reference")
+        vec = vector_gossip(net, rounds, seed, PLANS[plan])
+        ref = reference_gossip(net, rounds, seed, PLANS[plan])
         assert_reports_equal(vec, ref)
 
 
@@ -305,8 +287,8 @@ class TestAlgorithmEngine:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_run_direct_identical(self, algo, seed):
         net = FAMILIES["gnp"]()
-        vec = run_direct(net, algo, seed=seed, execution=Exec(round_engine="vector"))
-        ref = run_direct(net, algo, seed=seed, execution=Exec(round_engine="reference"))
+        vec = run_direct(net, algo, seed=seed)
+        ref = reference_direct(net, algo, seed=seed)
         assert vec.outputs == ref.outputs
         assert vec.rounds == ref.rounds
         assert vec.messages.total == ref.messages.total
@@ -317,47 +299,28 @@ class TestAlgorithmEngine:
     def test_run_direct_under_drops(self, algo):
         net = FAMILIES["torus"]()
         plan = PLANS["drops"]
-        vec = run_direct(
-            net, algo, seed=1, execution=Exec(round_engine="vector"), faults=plan
-        )
-        ref = run_direct(
-            net, algo, seed=1, execution=Exec(round_engine="reference"), faults=plan
-        )
+        vec = run_direct(net, algo, seed=1, faults=plan)
+        ref = reference_direct(net, algo, seed=1, faults=plan)
         assert vec.outputs == ref.outputs
         assert vec.messages.per_round == ref.messages.per_round
         assert vec.messages.dropped == ref.messages.dropped
 
     def test_corrupt_plans_fall_back_identically(self):
-        # Corrupt-capable plans route the vector engine to the reference
+        # Corrupt-capable plans route run_direct to the per-node
         # interpreter (tampered payloads are defined per node program).
         # Pure LOCAL algorithms define no corrupted-payload handling —
         # they fail — so the engine contract here is *identical
         # failure*: same exception type, same message.
         net = FAMILIES["gnp"]()
         plan = PLANS["both"]
-
-        def run(engine):
-            return run_direct(
-                net,
-                MinIdAggregation(3),
-                seed=2,
-                execution=Exec(round_engine=engine),
-                faults=plan,
-            )
-
-        outcomes = {}
-        for engine in ("vector", "reference"):
-            try:
-                outcomes[engine] = ("ok", run(engine))
-            except Exception as exc:  # noqa: BLE001 - comparing verbatim
-                outcomes[engine] = ("raised", type(exc), str(exc))
-        if outcomes["vector"][0] == "ok":
-            vec, ref = outcomes["vector"][1], outcomes["reference"][1]
-            assert vec.outputs == ref.outputs
-            assert vec.messages.per_round == ref.messages.per_round
-            assert vec.messages.corrupted == ref.messages.corrupted
+        vec = outcome(lambda: run_direct(net, MinIdAggregation(3), seed=2, faults=plan))
+        ref = outcome(
+            lambda: reference_direct(net, MinIdAggregation(3), seed=2, faults=plan)
+        )
+        if vec[0] == "ok":
+            assert_outcomes_equal(vec[1], ref[1])
         else:
-            assert outcomes["vector"] == outcomes["reference"]
+            assert vec == ref
 
     @pytest.mark.parametrize("algo", ALGORITHMS, ids=ALGORITHM_IDS)
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -377,8 +340,8 @@ class TestAlgorithmEngine:
     @pytest.mark.parametrize("algo", ZERO_ROUND_ALGORITHMS, ids=lambda a: a.name)
     def test_zero_rounds(self, algo):
         net = FAMILIES["ba"]()
-        vec = run_direct(net, algo, seed=2, execution=Exec(round_engine="vector"))
-        ref = run_direct(net, algo, seed=2, execution=Exec(round_engine="reference"))
+        vec = run_direct(net, algo, seed=2)
+        ref = reference_direct(net, algo, seed=2)
         assert_outcomes_equal(vec, ref)
         assert vec.rounds == 0 and vec.messages.total == 0
 
@@ -387,13 +350,13 @@ class TestAlgorithmEngine:
         net = FAMILIES[family]()
         for algo in ALGORITHMS + ZERO_ROUND_ALGORITHMS:
             for seed in SEEDS:
-                vec = run_inprocess(
-                    net, algo, seed, execution=Exec(round_engine="vector")
+                vec = run_inprocess(net, algo, seed)
+                assert vec == reference_direct(net, algo, seed).outputs, (
+                    algo.name,
+                    seed,
                 )
-                ref = run_inprocess(
-                    net, algo, seed, execution=Exec(round_engine="reference")
-                )
-                assert vec == ref, (algo.name, seed)
+                # The message-free loop that serves unregistered payloads.
+                assert run_inprocess(net, unregistered(algo), seed) == vec
 
     @_SETTINGS
     @given(
@@ -403,8 +366,8 @@ class TestAlgorithmEngine:
     )
     def test_property_run_direct(self, net: Network, seed: int, index: int):
         algo = ALGORITHMS[index]
-        vec = run_direct(net, algo, seed=seed, execution=Exec(round_engine="vector"))
-        ref = run_direct(net, algo, seed=seed, execution=Exec(round_engine="reference"))
+        vec = run_direct(net, algo, seed=seed)
+        ref = reference_direct(net, algo, seed=seed)
         assert vec.outputs == ref.outputs
         assert vec.rounds == ref.rounds
         assert vec.messages.per_round == ref.messages.per_round
@@ -470,13 +433,12 @@ class TestColoringPalettes:
                 max_rounds=t + 2,
                 faults=PLANS[plan],
             ).run()
-            ref = run_program(
+            ref = dense_program(
                 net,
                 lambda node: _AlgorithmProgram(node, algo, seed, t),
                 seed=seed,
                 max_rounds=t + 2,
                 faults=PLANS[plan],
-                execution=Exec(round_engine="reference"),
             )
             assert vec == ref, seed
 
@@ -485,10 +447,8 @@ class TestColoringPalettes:
         net = PALETTE_FAMILIES[family]()
         for algo in COLORINGS:
             for seed in SEEDS:
-                vec = run_inprocess(net, algo, seed, execution=Exec(round_engine="vector"))
-                ref = run_inprocess(
-                    net, algo, seed, execution=Exec(round_engine="reference")
-                )
+                vec = run_inprocess(net, algo, seed)
+                ref = reference_direct(net, algo, seed).outputs
                 assert vec == ref, (algo.rounds(net.n), seed)
 
     def test_pick_follows_the_reference_rule(self):
@@ -552,39 +512,40 @@ def fallback_events():
 class TestReferenceFallback:
     def test_unregistered_algorithm_announced_once(self, obs_on):
         net = FAMILIES["gnp"]()
-        run_inprocess(
-            net, BaswanaSenLocal(2), seed=1, execution=Exec(round_engine="vector")
-        )
+        run_inprocess(net, BaswanaSenLocal(2), seed=1)
         assert fallback_events() == [{"algo": "baswana-sen", "reason": "unregistered"}]
 
     def test_library_algorithms_announce_nothing(self, obs_on):
         net = FAMILIES["gnp"]()
         for algo in ALGORITHMS:
-            run_direct(net, algo, seed=1, execution=Exec(round_engine="vector"))
-            run_inprocess(net, algo, seed=1, execution=Exec(round_engine="vector"))
+            run_direct(net, algo, seed=1)
+            run_inprocess(net, algo, seed=1)
         assert fallback_events() == []
 
     def test_corrupt_plan_announced(self, obs_on):
         net = FAMILIES["torus"]()
         plan = FaultPlan(corrupt_probability=0.05, seed=3)
-        out = run_direct(
-            net,
-            RandomMatching(2),
-            seed=1,
-            execution=Exec(round_engine="vector"),
-            faults=plan,
-        )
+        out = run_direct(net, RandomMatching(2), seed=1, faults=plan)
         assert out.messages.corrupted > 0
         assert fallback_events() == [
             {"algo": "rand-matching", "reason": "corrupt_plan"}
         ]
 
-    def test_reference_engine_announces_nothing(self, obs_on):
-        net = FAMILIES["gnp"]()
-        run_inprocess(
-            net, BaswanaSenLocal(2), seed=1, execution=Exec(round_engine="reference")
-        )
-        assert fallback_events() == []
+    def test_unregistered_subclasses_take_the_per_node_paths(self, obs_on):
+        # The per-node interpreter and the message-free loop serve what
+        # no population does, with the populations' results.
+        net = FAMILIES["torus"]()
+        for algo in ALGORITHMS:
+            twin = unregistered(algo)
+            assert_outcomes_equal(
+                run_direct(net, twin, seed=2), run_direct(net, algo, seed=2)
+            )
+            assert run_inprocess(net, twin, seed=2) == run_inprocess(net, algo, seed=2)
+        assert fallback_events() == [
+            {"algo": algo.name, "reason": "unregistered"}
+            for algo in ALGORITHMS
+            for _ in range(2)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -644,14 +605,16 @@ class TestDeliveryPaths:
 class TestSamplerEngine:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_spanner_results_identical(self, family):
+        # test_scheduler runs the same families at k=1; the planes also
+        # carry the deeper levels' trials here.
         net = FAMILIES[family]()
-        params = SamplerParams(k=1, h=3, seed=11, c_query=0.7, c_target=1.0)
-        vec = build_spanner_distributed(
-            net, params, execution=Exec(round_engine="vector")
-        )
-        ref = build_spanner_distributed(
-            net, params, execution=Exec(round_engine="reference")
-        )
+        params = SamplerParams(k=2, h=3, seed=11)
+        schedule = Schedule.build(params)
+        runtime = Runtime(net, lambda node: SamplerProgram(node, params, schedule))
+        assert runtime._planes  # the runtime services the Sampler's planes
+        vec = build_spanner_distributed(net, params)
+        with reference_engines():
+            ref = build_spanner_distributed(net, params)
         assert vec.edges == ref.edges
         assert vec.rounds == ref.rounds
         assert vec.trace.signature() == ref.trace.signature()
@@ -661,12 +624,9 @@ class TestSamplerEngine:
     def test_vector_engine_vs_dense_scheduler(self):
         net = FAMILIES["gnp"]()
         params = SamplerParams(k=2, h=2, seed=7)
-        vec = build_spanner_distributed(
-            net, params, execution=Exec(round_engine="vector")
-        )
-        dense = build_spanner_distributed(
-            net, params, execution=Exec(scheduler="dense")
-        )
+        vec = build_spanner_distributed(net, params)
+        with reference_engines():
+            dense = build_spanner_distributed(net, params)
         assert vec.edges == dense.edges
         assert vec.trace.signature() == dense.trace.signature()
         assert vec.messages.per_round == dense.messages.per_round
@@ -681,8 +641,8 @@ class TestSamplerEngine:
         params = SamplerParams(k=1, h=2, seed=3)
         schedule = Schedule.build(params)
 
-        def run(engine):
-            return run_program(
+        def run(scheduler):
+            return RUN[scheduler](
                 net,
                 lambda node: SamplerProgram(node, params, schedule),
                 seed=params.seed,
@@ -690,33 +650,32 @@ class TestSamplerEngine:
                 n_hint=net.n,
                 faults=plan,
                 fixed_rounds=schedule.total_rounds,
-                execution=Exec(round_engine=engine),
             )
 
         try:
-            ref = run("reference")
+            ref = run("dense")
         except ProtocolError as exc:
             with pytest.raises(ProtocolError) as vec_exc:
-                run("vector")
+                run("active")
             assert str(vec_exc.value) == str(exc)
             return
-        vec = run("vector")
+        vec = run("active")
         assert_reports_equal(vec, ref)
 
     def test_corruption_disables_planes_not_equality(self):
         # can_corrupt plans keep every message on the per-node dispatch
         # path (hybrid planes are delivery-time absorption and cannot
-        # express tampered payloads), so the engine switch must stay
-        # behaviour-invariant — here, identical reports or identical
-        # failure, since the Sampler defines no corrupted-payload
-        # handling and faults on a handshake tag blow up the protocol.
+        # express tampered payloads), so the runtime must match the
+        # dense loop — here, identical reports or identical failure,
+        # since the Sampler defines no corrupted-payload handling and
+        # faults on a handshake tag blow up the protocol.
         net = FAMILIES["torus"]()
         plan = FaultPlan(corrupt_probability=0.03, seed=5)
         params = SamplerParams(k=1, h=2, seed=3)
         schedule = Schedule.build(params)
 
-        def run(engine):
-            return run_program(
+        def run(scheduler):
+            return RUN[scheduler](
                 net,
                 lambda node: SamplerProgram(node, params, schedule),
                 seed=params.seed,
@@ -724,16 +683,83 @@ class TestSamplerEngine:
                 n_hint=net.n,
                 faults=plan,
                 fixed_rounds=schedule.total_rounds,
-                execution=Exec(round_engine=engine),
             )
 
-        outcomes = {}
-        for engine in ("vector", "reference"):
-            try:
-                outcomes[engine] = ("ok", run(engine))
-            except Exception as exc:  # noqa: BLE001 - comparing verbatim
-                outcomes[engine] = ("raised", type(exc), str(exc))
-        if outcomes["vector"][0] == "ok":
-            assert_reports_equal(outcomes["vector"][1], outcomes["reference"][1])
+        active, dense = outcome(lambda: run("active")), outcome(lambda: run("dense"))
+        if active[0] == "ok":
+            assert_reports_equal(active[1], dense[1])
         else:
-            assert outcomes["vector"] == outcomes["reference"]
+            assert active == dense
+
+
+# ---------------------------------------------------------------------------
+# every small graph
+# ---------------------------------------------------------------------------
+ATLAS_PAYLOADS = (
+    BallCollect(2),
+    BfsLayers(0, 3),
+    LubyMis(2),
+    MinIdAggregation(3),
+    RandomMatching(1),
+    RandomizedColoring(2),
+)
+ATLAS_PLANS = {
+    "none": None,
+    "drops": FaultPlan(drop_probability=0.2, seed=7),
+    "corrupt": FaultPlan(corrupt_probability=0.2, seed=7),
+}
+
+
+@pytest.fixture(scope="module")
+def atlas():
+    return [(graph.name, Network.from_graph(graph)) for graph in connected_atlas(6)]
+
+
+class TestAtlas:
+    """Every connected atlas graph on 2-6 nodes against the oracles:
+    equal outcomes, or the same exception type and text where both
+    sides raise (corrupted payloads break some algorithms, and some
+    Sampler schedules end on an empty level, which the distributed run
+    refuses as a round mismatch).  A failure names the atlas graph, the
+    payload, the seed and the plan."""
+
+    def test_atlas_has_142_connected_graphs(self, atlas):
+        assert len(atlas) == 142
+
+    def test_registered_payloads(self, atlas):
+        for name, net in atlas:
+            for algo in ATLAS_PAYLOADS:
+                for seed in (0, 1):
+                    for plan, faults in ATLAS_PLANS.items():
+                        vec = outcome(lambda: run_direct(net, algo, seed, faults=faults))
+                        ref = outcome(
+                            lambda: reference_direct(net, algo, seed, faults=faults)
+                        )
+                        assert vec == ref, (name, algo.name, seed, plan)
+                    assert (
+                        run_inprocess(net, algo, seed)
+                        == reference_direct(net, algo, seed).outputs
+                    ), (name, algo.name, seed, "inprocess")
+
+    def test_runtime_flood(self, atlas):
+        for name, net in atlas:
+            for radius in range(4):
+                for plan, faults in ATLAS_PLANS.items():
+                    vec = t_local_broadcast(
+                        net, lambda v: v, radius, execution=RUNTIME_FLOOD, faults=faults
+                    )
+                    ref = reference_flood(net, lambda v: v, radius, faults=faults)
+                    assert vec == ref, (name, radius, plan)
+
+    def test_distributed_sampler(self, atlas):
+        raised = 0
+        for name, net in atlas:
+            for k in (1, 2):
+                for seed in (0, 1):
+                    params = SamplerParams(k=k, h=2, seed=seed)
+                    vec = outcome(lambda: build_spanner_distributed(net, params))
+                    with reference_engines():
+                        ref = outcome(lambda: build_spanner_distributed(net, params))
+                    assert vec == ref, (name, k, seed)
+                    raised += vec[0] == "raised"
+        assert raised  # the refusals are compared too

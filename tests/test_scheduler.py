@@ -1,13 +1,16 @@
-"""The active-set scheduler contract (DESIGN.md §3.6).
+"""The active-set runtime contract (DESIGN.md §3.6).
 
 Two pillars:
 
-1. **Equivalence** — ``scheduler="active"`` and ``scheduler="dense"``
-   produce identical :class:`~repro.local.metrics.RunReport`s (outputs,
-   rounds, ``total``, ``by_tag``, ``per_round``, ``halted``) for the
-   distributed ``Sampler`` and every simulate path, across graph
-   families × seeds, including runs with fault plans and
-   ``fixed_rounds``.
+1. **Equivalence** — the runtime, which steps only the active set, and
+   the seed's dense loop of ``tests/reference_runtime.py``, which steps
+   every non-halted node every round, produce identical
+   :class:`~repro.local.metrics.RunReport`s (outputs, rounds, ``total``,
+   ``by_tag``, ``per_round``, ``halted``) for the distributed
+   ``Sampler`` and every simulate path, across graph families × seeds,
+   including runs with fault plans and ``fixed_rounds``.  Parameters
+   named ``scheduler`` pick ``"active"`` (the runtime) or ``"dense"``
+   (the oracle).
 2. **Quiescence** — sleeping nodes are genuinely not stepped on
    empty-inbox rounds, inbound messages always wake them, and the wake
    API enforces its declared invariants.
@@ -30,6 +33,14 @@ from repro.local import FaultPlan, Network, NodeProgram
 from repro.local.runtime import run_program
 from repro.simulate import run_one_stage, run_two_stage, t_local_broadcast
 from repro.simulate.gossip import run_push_pull
+from reference_runtime import (
+    dense_program,
+    reference_direct,
+    reference_engines,
+    reference_flood,
+    reference_push_pull,
+    unregistered,
+)
 
 FAMILIES = {
     "gnp": lambda: erdos_renyi(60, 0.12, seed=5),
@@ -37,6 +48,7 @@ FAMILIES = {
     "ba": lambda: barabasi_albert(64, 2, seed=7),
 }
 SEEDS = (0, 1, 2)
+RUN = {"active": run_program, "dense": dense_program}
 
 
 def assert_reports_equal(dense, active):
@@ -51,13 +63,12 @@ def assert_reports_equal(dense, active):
 
 def run_sampler(net, params, scheduler):
     schedule = Schedule.build(params)
-    return run_program(
+    return RUN[scheduler](
         net,
         lambda node: SamplerProgram(node, params, schedule),
         seed=params.seed,
         max_rounds=schedule.total_rounds + 2,
         n_hint=net.n,
-        execution=Exec(scheduler=scheduler),
     )
 
 
@@ -75,12 +86,10 @@ class TestSamplerEquivalence:
     def test_spanner_results_identical(self, family):
         net = FAMILIES[family]()
         params = SamplerParams(k=1, h=3, seed=11, c_query=0.7, c_target=1.0)
-        dense = build_spanner_distributed(
-            net, params, execution=Exec(scheduler="dense")
-        )
-        active = build_spanner_distributed(
-            net, params, execution=Exec(scheduler="active")
-        )
+        with reference_engines() as calls:
+            dense = build_spanner_distributed(net, params)
+        assert calls["dense"] == 1
+        active = build_spanner_distributed(net, params)
         assert dense.edges == active.edges
         assert dense.rounds == active.rounds
         assert dense.trace.signature() == active.trace.signature()
@@ -93,7 +102,7 @@ class TestSamplerEquivalence:
         schedule = Schedule.build(params)
 
         def run(scheduler):
-            return run_program(
+            return RUN[scheduler](
                 er_small,
                 lambda node: SamplerProgram(node, params, schedule),
                 seed=params.seed,
@@ -101,7 +110,6 @@ class TestSamplerEquivalence:
                 n_hint=er_small.n,
                 faults=plan,
                 fixed_rounds=schedule.total_rounds,
-                execution=Exec(scheduler=scheduler),
             )
 
         # Dropped broadcasts can strand convergecasts, so run under a
@@ -122,17 +130,15 @@ class TestSimulatePathsEquivalence:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("seed", SEEDS)
     def test_flood_runtime_engine(self, family, seed):
+        # The flood draws no randomness, so the seed picks the radius.
         net = FAMILIES[family]()
-        reports = {}
-        for scheduler in ("dense", "active"):
-            reports[scheduler] = t_local_broadcast(
-                net,
-                payload_of=lambda v: ("ball", v),
-                radius=3,
-                seed=seed,
-                execution=Exec(flood_engine="runtime", scheduler=scheduler),
-            )
-        dense, active = reports["dense"], reports["active"]
+        active = t_local_broadcast(
+            net,
+            payload_of=lambda v: ("ball", v),
+            radius=seed + 1,
+            execution=Exec(flood_engine="runtime"),
+        )
+        dense = reference_flood(net, lambda v: ("ball", v), seed + 1)
         assert dense.collected == active.collected
         assert dense.rounds == active.rounds
         assert dense.messages.total == active.messages.total
@@ -142,10 +148,8 @@ class TestSimulatePathsEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_direct_runner(self, er_small, seed):
         algo = MinIdAggregation(2)
-        dense = run_direct(er_small, algo, seed=seed, execution=Exec(scheduler="dense"))
-        active = run_direct(
-            er_small, algo, seed=seed, execution=Exec(scheduler="active")
-        )
+        dense = reference_direct(er_small, algo, seed=seed)
+        active = run_direct(er_small, algo, seed=seed)
         assert dense.outputs == active.outputs
         assert dense.rounds == active.rounds
         assert dense.messages.total == active.messages.total
@@ -153,67 +157,63 @@ class TestSimulatePathsEquivalence:
 
     def test_direct_runner_with_isolated_nodes(self):
         # 0-1 edge plus isolated nodes 2, 3: the degree-0 fast path must
-        # not change rounds, outputs, or metering on either scheduler.
+        # not change rounds, outputs, or metering on either loop.
         net = Network.from_edge_pairs(4, [(0, 1)])
         algo = MinIdAggregation(2)
-        dense = run_direct(net, algo, seed=1, execution=Exec(scheduler="dense"))
-        active = run_direct(net, algo, seed=1, execution=Exec(scheduler="active"))
+        dense = reference_direct(net, algo, seed=1)
+        active = run_direct(net, unregistered(algo), seed=1)
+        assert active == run_direct(net, algo, seed=1)
         assert dense.outputs == active.outputs
         assert dense.rounds == active.rounds == algo.rounds(net.n)
         assert dense.messages.total == active.messages.total
 
     def test_direct_runner_on_edgeless_network(self):
         # All nodes isolated: precomputed nodes must still halt at round
-        # t on BOTH schedulers (the dense one steps them every round).
+        # t on both loops (the dense one steps them every round).
         net = Network.from_edge_pairs(3, [])
         algo = BallCollect(4)
-        dense = run_direct(net, algo, seed=1, execution=Exec(scheduler="dense"))
-        active = run_direct(net, algo, seed=1, execution=Exec(scheduler="active"))
+        dense = reference_direct(net, algo, seed=1)
+        active = run_direct(net, unregistered(algo), seed=1)
+        assert active == run_direct(net, algo, seed=1)
         assert dense.outputs == active.outputs
         assert dense.rounds == active.rounds == algo.rounds(net.n)
         assert dense.messages.per_round == active.messages.per_round
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_push_pull_gossip(self, er_small, seed):
-        dense = run_push_pull(
-            er_small, rounds=6, t=2, seed=seed, execution=Exec(scheduler="dense")
-        )
-        active = run_push_pull(
-            er_small, rounds=6, t=2, seed=seed, execution=Exec(scheduler="active")
-        )
+        dense = reference_push_pull(er_small, rounds=6, t=2, seed=seed)
+        active = run_push_pull(er_small, rounds=6, t=2, seed=seed)
         assert dense.coverage == active.coverage
         assert dense.rounds == active.rounds
         assert dense.messages.total == active.messages.total
         assert dense.messages.per_round == active.messages.per_round
 
-    def test_one_and_two_stage_schemes(self):
+    def test_one_and_two_stage_schemes(self, monkeypatch):
+        # The process-default store would price both constructions.
+        monkeypatch.delenv("REPRO_STORE", raising=False)
         net = erdos_renyi(80, 0.15, seed=13)
         params = SamplerParams(k=1, h=2, seed=7, c_query=0.7, c_target=1.0)
         payload = BallCollect(2)
-        one_d = run_one_stage(
-            net, payload, params=params, seed=5, execution=Exec(scheduler="dense")
-        )
-        one_a = run_one_stage(
-            net, payload, params=params, seed=5, execution=Exec(scheduler="active")
-        )
+        runtime = Exec(flood_engine="runtime")
+        with reference_engines() as calls:
+            one_d = run_one_stage(
+                net, payload, params=params, seed=5, execution=runtime
+            )
+            two_d = run_two_stage(
+                net,
+                payload,
+                stage1_params=params,
+                stage2_k=3,
+                seed=5,
+                execution=runtime,
+            )
+        assert calls["dense"] == 2 and calls["flood"] == 3
+        one_a = run_one_stage(net, payload, params=params, seed=5, execution=runtime)
         assert one_d.outputs == one_a.outputs
         assert one_d.total_messages == one_a.total_messages
         assert one_d.total_rounds == one_a.total_rounds
-        two_d = run_two_stage(
-            net,
-            payload,
-            stage1_params=params,
-            stage2_k=3,
-            seed=5,
-            execution=Exec(scheduler="dense"),
-        )
         two_a = run_two_stage(
-            net,
-            payload,
-            stage1_params=params,
-            stage2_k=3,
-            seed=5,
-            execution=Exec(scheduler="active"),
+            net, payload, stage1_params=params, stage2_k=3, seed=5, execution=runtime
         )
         assert two_d.outputs == two_a.outputs
         assert two_d.total_messages == two_a.total_messages
@@ -225,10 +225,7 @@ class TestSimulatePathsEquivalence:
             net, lambda v: v, radius=3, execution=Exec(flood_engine="fast")
         )
         runtime = t_local_broadcast(
-            net,
-            lambda v: v,
-            radius=3,
-            execution=Exec(flood_engine="runtime", scheduler="active"),
+            net, lambda v: v, radius=3, execution=Exec(flood_engine="runtime")
         )
         assert fast.collected == runtime.collected
         assert fast.messages.total == runtime.messages.total
@@ -269,35 +266,18 @@ class _TimerProgram(NodeProgram):
 class TestWakeContract:
     def test_sleeping_nodes_not_stepped_on_empty_rounds(self, path4):
         _Sleeper.steps = 0
-        report = run_program(
-            path4,
-            lambda n: _Sleeper(),
-            seed=0,
-            fixed_rounds=5,
-            execution=Exec(scheduler="active"),
-        )
+        report = run_program(path4, lambda n: _Sleeper(), seed=0, fixed_rounds=5)
         assert _Sleeper.steps == 0
         assert report.rounds == 5
         # dense steps them every round; outputs are still identical
         _Sleeper.steps = 0
-        dense = run_program(
-            path4,
-            lambda n: _Sleeper(),
-            seed=0,
-            fixed_rounds=5,
-            execution=Exec(scheduler="dense"),
-        )
+        dense = dense_program(path4, lambda n: _Sleeper(), seed=0, fixed_rounds=5)
         assert _Sleeper.steps == 4 * 5
         assert dense.rounds == report.rounds
         assert dense.messages.per_round == report.messages.per_round
 
     def test_wake_me_at_schedule_is_honoured(self, path4):
-        report = run_program(
-            path4,
-            lambda n: _TimerProgram((2, 5, 7)),
-            seed=0,
-            execution=Exec(scheduler="active"),
-        )
+        report = run_program(path4, lambda n: _TimerProgram((2, 5, 7)), seed=0)
         assert report.rounds == 7
         assert all(out == (2, 5, 7) for out in report.outputs.values())
 
@@ -327,12 +307,7 @@ class TestWakeContract:
             def output(self):
                 return tuple(self.woken_at)
 
-        report = run_program(
-            net,
-            lambda n: Poker() if n == 0 else Sleepy(),
-            seed=0,
-            execution=Exec(scheduler="active"),
-        )
+        report = run_program(net, lambda n: Poker() if n == 0 else Sleepy(), seed=0)
         # woken once by the message at round 1, again by the timer at 9
         assert report.outputs[1] == ((1, 1), (9, 0))
 
@@ -345,9 +320,7 @@ class TestWakeContract:
                 pass
 
         with pytest.raises(ProtocolError):
-            run_program(
-                path4, lambda n: Bad(), seed=0, execution=Exec(scheduler="active")
-            )
+            run_program(path4, lambda n: Bad(), seed=0)
 
     def test_unsorted_bulk_schedule_raises(self, path4):
         class Bad(NodeProgram):
@@ -358,15 +331,7 @@ class TestWakeContract:
                 pass
 
         with pytest.raises(ProtocolError):
-            run_program(
-                path4, lambda n: Bad(), seed=0, execution=Exec(scheduler="active")
-            )
-
-    def test_unknown_scheduler_rejected(self, path4):
-        with pytest.raises(ValueError):
-            run_program(
-                path4, lambda n: _Sleeper(), seed=0, execution=Exec(scheduler="eager")
-            )
+            run_program(path4, lambda n: Bad(), seed=0)
 
     def test_wake_cancels_sleep(self, path4):
         class Napper(NodeProgram):
@@ -385,9 +350,7 @@ class TestWakeContract:
             def output(self):
                 return self.steps
 
-        report = run_program(
-            path4, lambda n: Napper(), seed=0, execution=Exec(scheduler="active")
-        )
+        report = run_program(path4, lambda n: Napper(), seed=0)
         # slept through rounds 1-2, then stepped 3, 4, 5
         assert all(out == 3 for out in report.outputs.values())
         assert report.rounds == 5
@@ -429,8 +392,8 @@ class _Prober(NodeProgram):
 
 
 class TestReactiveFaultsFixedRoundsInterplay:
-    """Satellite: reactive halt × FaultPlan × fixed_rounds on both
-    schedulers."""
+    """Reactive halt × FaultPlan × fixed_rounds on the runtime and the
+    dense loop."""
 
     @pytest.mark.parametrize("scheduler", ("dense", "active"))
     @pytest.mark.parametrize("fixed", (None, 0, 3, 6))
@@ -440,13 +403,12 @@ class TestReactiveFaultsFixedRoundsInterplay:
             seed=5,
             rule=lambda r, eid, sender: (r + eid) % 5 == 0,
         )
-        report = run_program(
+        report = RUN[scheduler](
             star6,
             lambda n: _Prober(4) if n == 0 else _ReactiveEcho(),
             seed=2,
             faults=plan,
             fixed_rounds=fixed,
-            execution=Exec(scheduler=scheduler),
         )
         assert sum(report.messages.per_round) == report.messages.total
         if fixed is not None:
@@ -460,25 +422,18 @@ class TestReactiveFaultsFixedRoundsInterplay:
                 seed=5,
                 rule=lambda r, eid, sender: (r + eid) % 5 == 0,
             )
-            return run_program(
+            return RUN[scheduler](
                 star6,
                 lambda n: _Prober(4) if n == 0 else _ReactiveEcho(),
                 seed=2,
                 faults=plan,
                 fixed_rounds=fixed,
-                execution=Exec(scheduler=scheduler),
             )
 
         assert_reports_equal(run("dense"), run("active"))
 
     @pytest.mark.parametrize("scheduler", ("dense", "active"))
     def test_fixed_rounds_discards_final_sends_unmetered(self, path4, scheduler):
-        report = run_program(
-            path4,
-            lambda n: _Prober(10),
-            seed=0,
-            fixed_rounds=2,
-            execution=Exec(scheduler=scheduler),
-        )
+        report = RUN[scheduler](path4, lambda n: _Prober(10), seed=0, fixed_rounds=2)
         delivered = sum(len(out) for out in report.outputs.values())
         assert report.messages.total == delivered

@@ -2,9 +2,11 @@
 written: one-stage and two-stage reports, and churned serving through
 the repaired path (cases and digest in ``tests/scheme_cases.py``).
 
-The default engines and the oracle engines (:data:`ORACLE`: the literal
-flood program and a replay per center on the per-node interpreter,
-which touch no distance-plane code) must both give every pinned digest.
+The default engines and the oracles must both give every pinned
+digest.  The oracles are :data:`ORACLE` (the runtime flood and a replay
+per center, which touch no distance-plane code) run under
+``reference_runtime.reference_engines()``: the per-node flood program
+and the ``Sampler`` on the seed's dense loop, no vector population.
 
 Regenerate ``tests/data/golden_schemes.json`` only for a deliberate
 semantic change (``tools/capture_golden_signatures.py --schemes``).
@@ -17,6 +19,7 @@ import pathlib
 
 import pytest
 
+from reference_runtime import reference_engines
 from repro.execution import Exec
 from scheme_cases import scheme_digests
 
@@ -24,7 +27,7 @@ GOLDENS = json.loads(
     (pathlib.Path(__file__).parent / "data" / "golden_schemes.json").read_text()
 )
 
-ORACLE = Exec(flood_engine="runtime", round_engine="reference")
+ORACLE = Exec(flood_engine="runtime")
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +37,18 @@ def digests():
 
 @pytest.fixture(scope="module")
 def oracle_digests():
-    return scheme_digests(ORACLE)
+    with pytest.MonkeyPatch.context() as patch:
+        # The process-default store would price the constructions.
+        patch.delenv("REPRO_STORE", raising=False)
+        with reference_engines() as calls:
+            digests = scheme_digests(ORACLE)
+    # Every construction on the dense loop (three graphs × six payloads
+    # one-stage, and the two-stage H1), and every simulated flood (those
+    # eighteen, the two two-stage floods and the eighteen served
+    # requests, whose store prices their construction).
+    assert calls["dense"] == 3 * 6 + 1
+    assert calls["flood"] == 3 * 6 + 2 + 18
+    return digests
 
 
 def test_every_case_is_pinned(digests):

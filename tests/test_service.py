@@ -100,10 +100,16 @@ class TestRequestValidation:
             service.submit(SimulationRequest(algo=BallCollect(2), t=3))
 
     def test_faults_require_the_runtime_engine(self, net):
+        """A plan the fast flood cannot run is refused when the request
+        is built: no construction is paid, cached, or counted as a miss."""
         service = SimulationService(net, params=PARAMS, seed=5)
         plan = FaultPlan(drop_probability=0.2, seed=4)
         with pytest.raises(ValueError, match="runtime"):
             service.submit(SimulationRequest(algo=BallCollect(2), faults=plan))
+        assert service.store.stats.misses == 0
+        assert service.store.peek_spanner(net, PARAMS) == (None, None)
+        # A plan that injects nothing is no fault plan.
+        assert SimulationRequest(algo=BallCollect(2), faults=FaultPlan.none())
 
     def test_faulty_runtime_serve_matches_direct_call(self, net):
         service = SimulationService(net, params=PARAMS, seed=5)
@@ -132,10 +138,12 @@ class TestRequestValidation:
         "field", ["flood_engine", "scheduler", "round_engine"]
     )
     def test_unknown_implementation_refused_before_any_work(self, net, field):
-        """A misspelt choice fails when the request is built: no
-        construction is paid, cached, or counted as a miss."""
+        """A misspelt choice, or one ``Exec`` no longer offers (the round
+        engine and the scheduler have one implementation each), fails
+        when the request is built: no construction is paid, cached, or
+        counted as a miss."""
         service = SimulationService(net, params=PARAMS, seed=5)
-        with pytest.raises(ValueError, match="unknown"):
+        with pytest.raises((ValueError, TypeError), match="unknown|unexpected"):
             service.submit(
                 SimulationRequest(
                     algo=BallCollect(2), execution=Exec(**{field: "typo"})

@@ -23,10 +23,11 @@ kernel, yields the same digest on every case.
 
 ``--schemes`` digests what the pipelines produce on the cases of
 ``tests/scheme_cases.py`` (one-stage, two-stage and churned serving);
-it refuses to write unless ``Exec(flood_engine="runtime",
-round_engine="reference")`` yields the same digests.  That value runs
-the literal flood program and one replay per center on the per-node
-interpreter, so the cross-check touches no distance-plane code.
+it refuses to write unless the oracles of ``tests/reference_runtime.py``
+yield the same digests: ``Exec(flood_engine="runtime")`` under
+``reference_engines()``, which runs the per-node flood program and the
+``Sampler`` on the seed's dense loop and one replay per center, so the
+cross-check touches no distance-plane code and no vector population.
 
 Only regenerate a file for a *deliberate* semantic change to the sampler
 or the pipelines (and say so in the PR description) — the whole point
@@ -149,17 +150,23 @@ def main() -> None:
 
 
 def scheme_goldens() -> dict[str, str]:
-    """The scheme digests, checked against the reference engines."""
+    """The scheme digests, checked against the ``tests/`` oracles."""
     from repro.execution import Exec
 
     sys.path.insert(0, TESTS)
+    from reference_runtime import reference_engines
     from scheme_cases import scheme_digests
 
+    # The process-default store would price the oracle's constructions.
+    os.environ.pop("REPRO_STORE", None)
     goldens = scheme_digests()
-    reference = scheme_digests(Exec(flood_engine="runtime", round_engine="reference"))
+    with reference_engines() as calls:
+        reference = scheme_digests(Exec(flood_engine="runtime"))
+    if not (calls["dense"] and calls["flood"]):
+        sys.exit("the oracles were not reached; nothing written")
     for name, digest in goldens.items():
         if reference.get(name) != digest:
-            sys.exit(f"{name}: the reference engines disagree; nothing written")
+            sys.exit(f"{name}: the oracles disagree; nothing written")
         print(f"{name}: {digest[:16]}…")
     return goldens
 

@@ -5,20 +5,18 @@ Hot-path PRs should start from data, not guesses::
 
     PYTHONPATH=src python tools/profile_kernel.py spanner_dist/gnp/n2000
     PYTHONPATH=src python tools/profile_kernel.py scheme/one_stage/gnp --sort tottime
-    PYTHONPATH=src python tools/profile_kernel.py spanner_dist/gnp/n2000 --engine reference
+    PYTHONPATH=src python tools/profile_kernel.py service/gnp/n2000 --baseline
     PYTHONPATH=src python tools/profile_kernel.py spanner/gnp/n2000 --top-alloc
     PYTHONPATH=src python tools/profile_kernel.py spanner/gnp/n2000 --obs-trace /tmp/build.trace.json
     PYTHONPATH=src python tools/profile_kernel.py --list
 
 The kernel's ``build()`` (input construction) runs outside the profile;
 only the measured body is profiled — the same split the harness times.
-``--engine`` pins the round engine (``REPRO_ROUND_ENGINE``) for the
-profiled process, so comparing the competing paths needs no env-var
-juggling.  ``--top-alloc`` swaps the
-time profile for a ``tracemalloc`` allocation profile: the top
-``--limit`` allocation sites plus the traced-peak size — the place to
-start when a kernel's ``peak_rss_mb`` regresses.  (tracemalloc sees
-this process only.)
+``--baseline`` profiles the kernel's baseline body instead.
+``--top-alloc`` swaps the time profile for a ``tracemalloc``
+allocation profile: the top ``--limit`` allocation sites plus the
+traced-peak size — the place to start when a kernel's ``peak_rss_mb``
+regresses.  (tracemalloc sees this process only.)
 ``--obs-trace PATH`` additionally runs the body under ``REPRO_OBS=1``
 and writes its span tree as a Chrome ``trace_event`` file — open it in
 chrome://tracing or Perfetto to see where the profiled wall-time went
@@ -59,13 +57,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--baseline",
         action="store_true",
-        help="profile the kernel's baseline body instead (e.g. the dense "
-        "scheduler of a spanner_dist kernel)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("vector", "reference"),
-        help="round engine for the profiled run (sets REPRO_ROUND_ENGINE)",
+        help="profile the kernel's baseline body instead: the cold serve "
+        "(service/*), the serial front (service/concurrent/*), the rebuild "
+        "(repair/*) or the obs-on build (obs/overhead)",
     )
     parser.add_argument(
         "--top-alloc",
@@ -82,11 +76,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # Process-wide switches must be pinned before repro imports: kernels
-    # resolve their engines lazily at run time, but keeping the order
-    # strict means a future eager resolver cannot silently ignore them.
-    if args.engine:
-        os.environ["REPRO_ROUND_ENGINE"] = args.engine
+    # The telemetry switch must be pinned before repro imports, so a
+    # future eager reader of REPRO_OBS cannot silently ignore it.
     if args.obs_trace:
         os.environ["REPRO_OBS"] = "1"
 
