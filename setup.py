@@ -1,9 +1,11 @@
-"""Legacy-compatible entry point.
+"""Package metadata for ``repro``.
 
-The offline build environment ships setuptools without ``wheel``, so
-``pip install -e .`` needs the classic ``setup.py develop`` code path.
-All project metadata lives in ``pyproject.toml``; this shim only exists
-to make editable installs work without network access.
+This file is the project's only packaging metadata: there is no
+``pyproject.toml``.  The offline build environment ships setuptools
+without ``wheel``, so ``pip install -e .`` takes the classic
+``setup.py develop`` code path.  NumPy 2.0 is the floor because the
+coloring population and the distance plane count bits with
+``np.bitwise_count``, which NumPy added in 2.0.
 """
 
 from setuptools import find_packages, setup
@@ -14,5 +16,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["networkx>=3.0", "numpy>=1.24"],
+    install_requires=["networkx>=3.0", "numpy>=2.0"],
 )

@@ -44,6 +44,7 @@ from repro.local.engine import (
     PopulationOutbox,
     VectorProgram,
     broadcast_outbox,
+    delivery_plan,
 )
 from repro.local.network import Network
 
@@ -58,16 +59,16 @@ class _AlgoPopulation(VectorProgram):
         n = network.n
         self._n = n
         self._t = algo.rounds(n)
-        indptr, inc = network.incidence_csr()
-        self._indptr = np.frombuffer(indptr, dtype=np.int64)
-        self._inc = np.frombuffer(inc, dtype=np.int64)
+        self._plan = delivery_plan(network)
+        self._indptr = self._plan.indptr
+        self._inc = self._plan.inc
         self._degs = np.diff(self._indptr)
         # Every node halts after step t (reference `_finish` at r == t,
         # or straight from on_start when t == 0).
         self._live = 0 if self._t == 0 else n
 
     def _broadcast(self, nodes: np.ndarray) -> PopulationOutbox | None:
-        return broadcast_outbox(self._indptr, self._inc, nodes)
+        return broadcast_outbox(self._plan, nodes)
 
     def _receivers(self, inbox: PopulationInbox) -> np.ndarray:
         return np.repeat(
@@ -429,8 +430,7 @@ class _VectorMatching(_AlgoPopulation):
         self._slot_live = np.ones(self._inc.size, dtype=bool)
         # (node, eid) -> incidence slot, by searchsorted on node * span + eid.
         self._span = int(self._inc.max()) + 1 if self._inc.size else 1
-        owners = np.repeat(np.arange(n, dtype=np.int64), self._degs)
-        self._slot_key = owners * self._span + self._inc
+        self._slot_key = self._plan.owner * self._span + self._inc
         self._matched = np.full(n, -1, dtype=np.int64)
         self._proposal = np.full(n, -1, dtype=np.int64)
         self._acceptor = np.zeros(n, dtype=bool)

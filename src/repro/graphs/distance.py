@@ -208,9 +208,7 @@ def _pack_rows(matrix: np.ndarray) -> np.ndarray:
 
 def _popcounts(packed_u8: np.ndarray) -> np.ndarray:
     """Per-row set-bit counts of a ``(rows, bytes)`` uint8 bitset."""
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(packed_u8).sum(axis=1, dtype=np.int64)
-    return np.unpackbits(packed_u8, axis=1).sum(axis=1, dtype=np.int64)
+    return np.bitwise_count(packed_u8).sum(axis=1, dtype=np.int64)
 
 
 class BallFamily(Sequence):

@@ -7,7 +7,7 @@ program, differing only in per-node state — a synchronous round is
 data-parallel by construction: deliver all messages at once, step all
 nodes at once.  This module provides that execution path.
 
-Three pieces (DESIGN.md §3.10):
+Four pieces (DESIGN.md §3.10):
 
 * :class:`VectorProgram` — the population protocol: declare state as
   arrays, emit one :class:`PopulationOutbox` per round, digest one
@@ -21,6 +21,10 @@ Three pieces (DESIGN.md §3.10):
   byte-identical.  Fault plans are applied as drop/corrupt masks over
   the same per-message coin stream, so dropped/corrupted counters agree
   with the per-node interpreter bit for bit.
+* :class:`DeliveryPlan` — one network's routing tables, built once
+  per network: the receiver of every incidence-CSR position and the
+  inbox of a round in which every node broadcasts, so such a round is
+  delivered without sorting and no broadcast looks its edges up.
 * the dispatch: registered payloads (:mod:`repro.algorithms.vector`),
   the runtime flood and push–pull gossip always run as populations;
   unregistered payloads and corrupt-capable plans fall back to the
@@ -50,12 +54,14 @@ from repro.local.metrics import MessageStats, RunReport
 from repro.local.network import Network
 
 __all__ = [
+    "DeliveryPlan",
     "PopulationOutbox",
     "PopulationInbox",
     "VectorProgram",
     "VectorRuntime",
-    "gather_segments",
     "broadcast_outbox",
+    "delivery_plan",
+    "gather_segments",
 ]
 
 @dataclass
@@ -73,6 +79,9 @@ class PopulationOutbox:
     eids: np.ndarray  # int64, one entry per message
     senders: np.ndarray  # int64, ascending
     data: Any = None
+    # The incidence-CSR position of each row when the outbox is a
+    # broadcast_outbox, else None.
+    positions: np.ndarray | None = None
 
 
 @dataclass
@@ -132,16 +141,103 @@ class VectorProgram(ABC):
         """Number of non-halted nodes (reactive halts count as halted)."""
 
 
-def gather_segments(
-    indptr: np.ndarray, values: np.ndarray, nodes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate the CSR segments of ``nodes`` (vectorized gather).
+def _receiver_order(receivers: np.ndarray, n: int) -> np.ndarray:
+    """The stable permutation that sorts messages by receiver.
 
-    Returns ``(owners, gathered)`` where ``owners`` repeats each node id
-    ``len(segment)`` times and ``gathered`` is the matching slice of
-    ``values`` — i.e. ``values[indptr[v]:indptr[v+1]]`` for each ``v``
-    in order.  Used to expand "these nodes broadcast on every port"
-    into explicit (sender, eid) message rows.
+    Stability keeps in-flight order inside each receiver's segment,
+    which is exactly the reference per-receiver inbox order.  Receivers
+    fit uint16 below 2**16 nodes, where NumPy's stable sort is a radix
+    sort; a stable sort's permutation is unique, so either key width
+    yields the same order.
+    """
+    key = receivers.astype(np.uint16, copy=False) if n <= 1 << 16 else receivers
+    return np.argsort(key, kind="stable")
+
+
+@dataclass(frozen=True, eq=False)
+class DeliveryPlan:
+    """A network's read-only routing tables for :class:`VectorRuntime`.
+
+    Every broadcast's rows are positions of the incidence CSR, so the
+    receiver of each position, and the stable receiver order of all of
+    them, are constants of the network.  With ``perm`` that order, an
+    all-node broadcast's inbox is ``indptr`` (the incidence ``indptr``:
+    every node receives one message per port), ``rows = perm``,
+    ``senders = owner[perm]`` and ``eids = inc[perm]``.  Built once per
+    network by :func:`delivery_plan`.
+    """
+
+    indptr: np.ndarray  # incidence indptr, shape (n + 1,)
+    inc: np.ndarray  # the eid at each CSR position
+    owner: np.ndarray  # the node whose segment holds each position
+    receiver: np.ndarray  # the other end of each position's edge
+    perm: np.ndarray  # positions in stable receiver order
+    senders: np.ndarray  # owner[perm]
+    eids: np.ndarray  # inc[perm]
+    ep_u: np.ndarray  # the network's row-indexed endpoint arrays
+    ep_v: np.ndarray
+    # The sorted eids when ids are not consecutive (eid -> row is then
+    # one searchsorted), else None (every eid is its own row).
+    eid_sorted: np.ndarray | None
+
+
+def _build_plan(network: Network) -> DeliveryPlan:
+    n = network.n
+    indptr_buf, inc_buf = network.incidence_csr()
+    eid_row, ep_u_buf, ep_v_buf = network.endpoints_flat()
+    indptr = np.frombuffer(indptr_buf, dtype=np.int64)
+    inc = np.frombuffer(inc_buf, dtype=np.int64)
+    ep_u = np.frombuffer(ep_u_buf, dtype=np.int64)
+    ep_v = np.frombuffer(ep_v_buf, dtype=np.int64)
+    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    if eid_row is None:
+        eid_sorted = None
+        rows = inc
+    else:
+        eid_sorted = np.fromiter(network.edge_ids, dtype=np.int64, count=network.m)
+        rows = np.searchsorted(eid_sorted, inc)
+    receiver = ep_u[rows] + ep_v[rows] - owner
+    perm = _receiver_order(receiver, n)
+    plan = DeliveryPlan(
+        indptr=indptr,
+        inc=inc,
+        owner=owner,
+        receiver=receiver,
+        perm=perm,
+        senders=owner[perm],
+        eids=inc[perm],
+        ep_u=ep_u,
+        ep_v=ep_v,
+        eid_sorted=eid_sorted,
+    )
+    for column in vars(plan).values():
+        if column is not None:
+            column.flags.writeable = False
+    return plan
+
+
+def delivery_plan(network: Network) -> DeliveryPlan:
+    """The network's :class:`DeliveryPlan`, built on the first call.
+
+    The plan lives in the network (``with_knowledge`` clones share it).
+    Threads racing the first build store equal plans.
+    """
+    plan = network._delivery
+    if plan is None:
+        plan = network._delivery = _build_plan(network)
+    return plan
+
+
+def gather_segments(
+    indptr: np.ndarray, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR positions of the segments of ``nodes`` (vectorized gather).
+
+    Returns ``(owners, positions)``: ``positions`` concatenates
+    ``range(indptr[v], indptr[v + 1])`` for each ``v`` in order, and
+    ``owners`` repeats each node id ``len(segment)`` times.  Used to
+    expand "these nodes broadcast on every port" into explicit
+    (sender, eid) message rows.
     """
     counts = indptr[nodes + 1] - indptr[nodes]
     total = int(counts.sum())
@@ -150,14 +246,13 @@ def gather_segments(
         return empty, empty
     owners = np.repeat(nodes, counts)
     offsets = np.cumsum(counts) - counts
-    idx = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-    idx += np.repeat(indptr[nodes], counts)
-    return owners, values[idx]
+    positions = np.arange(total, dtype=np.int64)
+    positions += np.repeat(indptr[nodes] - offsets, counts)
+    return owners, positions
 
 
 def broadcast_outbox(
-    indptr: np.ndarray,
-    inc_eids: np.ndarray,
+    plan: DeliveryPlan,
     nodes: np.ndarray,
     data: Any = None,
 ) -> PopulationOutbox | None:
@@ -165,23 +260,28 @@ def broadcast_outbox(
 
     ``nodes`` must be ascending and distinct; the incident eids of one
     node are already ascending inside the incidence CSR, which matches
-    the reference ``for port in ctx.ports`` send order.  When ``nodes``
-    is every node, the rows are the whole CSR: the outbox takes a
-    read-only view of ``inc_eids`` and one ``np.repeat`` owner column
-    instead of gathering segments.
+    the reference ``for port in ctx.ports`` send order.  The rows record
+    their CSR positions, from which delivery reads their receivers.
+    When ``nodes`` is every node, the rows are the whole CSR: the outbox
+    takes the plan's read-only eid and owner columns instead of
+    gathering segments.
     """
-    n = indptr.size - 1
-    if nodes.size == n:
-        if inc_eids.size == 0:
+    inc = plan.inc
+    if nodes.size == plan.indptr.size - 1:
+        if inc.size == 0:
             return None
-        eids = inc_eids.view()
-        eids.flags.writeable = False
-        owners = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        return PopulationOutbox(eids=eids, senders=owners, data=data)
-    owners, eids = gather_segments(indptr, inc_eids, nodes)
+        return PopulationOutbox(
+            eids=inc,
+            senders=plan.owner,
+            data=data,
+            positions=np.arange(inc.size, dtype=np.int64),
+        )
+    owners, positions = gather_segments(plan.indptr, nodes)
     if owners.size == 0:
         return None
-    return PopulationOutbox(eids=eids, senders=owners, data=data)
+    return PopulationOutbox(
+        eids=inc[positions], senders=owners, data=data, positions=positions
+    )
 
 
 @dataclass
@@ -193,6 +293,7 @@ class _InFlight:
     senders: np.ndarray
     corrupted: np.ndarray
     data: Any
+    positions: np.ndarray | None  # CSR positions of a broadcast's rows
 
 
 class VectorRuntime:
@@ -218,21 +319,7 @@ class VectorRuntime:
         self._max_rounds = max_rounds
         self._fixed_rounds = fixed_rounds
         self._faults = faults or FaultPlan.none()
-        eid_row, ep_u, ep_v = network.endpoints_flat()
-        self._ep_u = np.frombuffer(ep_u, dtype=np.int64)
-        self._ep_v = np.frombuffer(ep_v, dtype=np.int64)
-        # Consecutive ids make every eid its own endpoint row.  Otherwise
-        # rows are sorted by eid, so the sorted eid array turns
-        # eid -> row into one searchsorted per round.
-        self._eid_sorted = (
-            None
-            if eid_row is None
-            else np.fromiter(network.edge_ids, dtype=np.int64, count=network.m)
-        )
-        # Receivers fit uint16 below 2**16 nodes, where NumPy's stable
-        # sort is a radix sort; a stable sort's permutation is unique,
-        # so either key width yields the same inbox.
-        self._receiver_dtype = np.uint16 if network.n <= 1 << 16 else np.int64
+        self._plan = delivery_plan(network)
 
     def run(self) -> RunReport:
         stats = MessageStats()
@@ -291,6 +378,7 @@ class VectorRuntime:
             return None
         eids = outbox.eids
         senders = outbox.senders
+        positions = outbox.positions
         rows = np.arange(eids.size, dtype=np.int64)
         faults = self._faults
         if faults.can_drop:
@@ -305,6 +393,8 @@ class VectorRuntime:
                 stats.dropped += dropped
                 keep = ~mask
                 rows, eids, senders = rows[keep], eids[keep], senders[keep]
+                if positions is not None:
+                    positions = positions[keep]
                 if eids.size == 0:
                     return None
         if faults.can_corrupt:
@@ -327,10 +417,17 @@ class VectorRuntime:
             senders=senders,
             corrupted=corrupted,
             data=outbox.data,
+            positions=positions,
         )
 
     def _deliver(self, in_flight: _InFlight | None, n: int) -> PopulationInbox:
-        """Route survivors to receivers and build the CSR inbox."""
+        """Route survivors to receivers and build the CSR inbox.
+
+        An all-node broadcast with nothing dropped gets the plan's
+        inbox; any other broadcast reads its receivers from the plan by
+        CSR position, and any other outbox from the endpoint arrays by
+        eid.  Both sort their round stably by receiver.
+        """
         empty = np.empty(0, dtype=np.int64)
         if in_flight is None:
             return PopulationInbox(
@@ -341,18 +438,33 @@ class VectorRuntime:
                 corrupted=np.empty(0, dtype=bool),
                 data=None,
             )
-        if self._eid_sorted is None:
-            table_rows = in_flight.eids
+        plan = self._plan
+        positions = in_flight.positions
+        if positions is not None and positions.size == plan.perm.size:
+            # Broadcast rows are distinct positions, so every one of
+            # them is here: the rows are the CSR in order.
+            corrupted = in_flight.corrupted
+            if self._faults.can_corrupt:
+                corrupted = corrupted[plan.perm]
+            return PopulationInbox(
+                indptr=plan.indptr,
+                rows=plan.perm,
+                senders=plan.senders,
+                eids=plan.eids,
+                corrupted=corrupted,
+                data=in_flight.data,
+            )
+        if positions is not None:
+            receivers = plan.receiver[positions]
         else:
-            table_rows = np.searchsorted(self._eid_sorted, in_flight.eids)
-        receivers = (
-            self._ep_u[table_rows] + self._ep_v[table_rows] - in_flight.senders
-        )
-        # Stable sort by receiver keeps in-flight order inside each
-        # segment — exactly the reference per-receiver inbox order.
-        order = np.argsort(
-            receivers.astype(self._receiver_dtype, copy=False), kind="stable"
-        )
+            if plan.eid_sorted is None:
+                table_rows = in_flight.eids
+            else:
+                table_rows = np.searchsorted(plan.eid_sorted, in_flight.eids)
+            receivers = (
+                plan.ep_u[table_rows] + plan.ep_v[table_rows] - in_flight.senders
+            )
+        order = _receiver_order(receivers, n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(receivers, minlength=n), out=indptr[1:])
         return PopulationInbox(

@@ -55,6 +55,9 @@ class Network:
         "_neighbors",
         "_adjacency",
         "_fingerprint",
+        # The round engine's DeliveryPlan (repro.local.engine), built
+        # there on first use and shared by with_knowledge clones.
+        "_delivery",
     )
 
     def __init__(
@@ -133,6 +136,7 @@ class Network:
         self._neighbors = None
         self._adjacency = None
         self._fingerprint = None
+        self._delivery = None
 
     @classmethod
     def _trusted(
@@ -255,6 +259,7 @@ class Network:
         self._neighbors = None
         self._adjacency = None
         self._fingerprint = None
+        self._delivery = None
         return self
 
     @classmethod
@@ -507,6 +512,7 @@ class Network:
         clone._incident = self._incident
         clone._neighbors = self._neighbors
         clone._adjacency = self._adjacency
+        clone._delivery = self._delivery
         # The knowledge tag participates in the fingerprint, so the
         # clone re-derives its own hash instead of sharing the parent's.
         clone._fingerprint = None

@@ -1,12 +1,12 @@
 """The amortized simulation service (DESIGN.md §3.8).
 
-The operational form of the paper's free lunch: the preprocessing that
-makes simulation message-cheap (the ``Sampler`` spanner, the Lemma 12
-flood schedule) is payload-independent, so a service that holds those
-artifacts answers *any* stream of ``t``-round payload requests on a
-graph while paying construction exactly once — "Invitation to Local
-Algorithms" (Rozhoň 2023) frames precisely this preprocess-then-query
-view of LOCAL simulation.
+Build once, serve many: the preprocessing that makes simulation
+message-cheap where the spanner drops edges (the ``Sampler`` spanner,
+the Lemma 12 flood schedule) is payload-independent, so a service that
+holds those artifacts answers *any* stream of ``t``-round payload
+requests on a graph while paying construction exactly once —
+"Invitation to Local Algorithms" (Rozhoň 2023) frames precisely this
+preprocess-then-query view of LOCAL simulation.
 
 :class:`SimulationService` wraps an :class:`~repro.store.ArtifactStore`
 and answers :class:`SimulationRequest`\\ s:
@@ -26,8 +26,10 @@ and answers :class:`SimulationRequest`\\ s:
   test suite asserts equality cold, warm, and store-off.
 
 :class:`ServiceMetrics` records hit/miss/truncation/extension counters
-and the amortized per-request message and round accounting that makes
-the free lunch visible as a served-traffic number.
+and the amortized per-request message and round accounting, which
+shows how construction cost spreads over served traffic.  Where the
+spanner keeps every edge (H = G), that is amortization, not the paper's
+message saving (DESIGN.md §3.8).
 """
 
 from __future__ import annotations

@@ -51,6 +51,7 @@ from repro.local.engine import (
     VectorProgram,
     VectorRuntime,
     broadcast_outbox,
+    delivery_plan,
 )
 from repro.local.metrics import MessageStats
 from repro.local.network import Network
@@ -134,9 +135,7 @@ class _VectorFlood(VectorProgram):
         self._n = n
         self._payloads = [payload_of(v) for v in range(n)]
         self._rounds = rounds
-        indptr, inc = network.incidence_csr()
-        self._indptr = np.frombuffer(indptr, dtype=np.int64)
-        self._inc = np.frombuffer(inc, dtype=np.int64)
+        self._plan = delivery_plan(network)
         words = (n + 63) // 64
         self._known = np.zeros((n, words), dtype=np.uint64)
         idx = np.arange(n, dtype=np.int64)
@@ -149,9 +148,7 @@ class _VectorFlood(VectorProgram):
     def on_start(self) -> PopulationOutbox | None:
         if self._rounds <= 0:
             return None
-        return broadcast_outbox(
-            self._indptr, self._inc, np.arange(self._n, dtype=np.int64)
-        )
+        return broadcast_outbox(self._plan, np.arange(self._n, dtype=np.int64))
 
     def step_population(
         self, round_index: int, inbox: PopulationInbox
@@ -177,7 +174,7 @@ class _VectorFlood(VectorProgram):
         self._known[uniq] |= new
         emitters = uniq[emit_sel]
         self._fresh[emitters] = new[emit_sel]
-        return broadcast_outbox(self._indptr, self._inc, emitters)
+        return broadcast_outbox(self._plan, emitters)
 
     def outputs(self) -> dict[int, dict[int, Any]]:
         n = self._n

@@ -33,13 +33,22 @@ import reference_distance as oracle
 import repro.graphs.distance as distance_plane
 from reference_sampler import reference_build
 from repro import obs
-from repro.algorithms import BallCollect, LubyMis, MinIdAggregation, RandomMatching
+from repro.algorithms import (
+    BallCollect,
+    LubyMis,
+    MinIdAggregation,
+    RandomizedColoring,
+    RandomMatching,
+    run_direct,
+    run_inprocess,
+)
 from repro.core import SamplerParams
 from repro.core.sampler import SamplerRun
 from repro.execution import Exec
 from repro.graphs import barabasi_albert, erdos_renyi, random_regular
 from repro.graphs.distance import BallFamily
-from repro.local import EdgeRef, Network
+from repro.dynamic import ChurnPlan, apply_churn
+from repro.local import EdgeRef, Knowledge, Network, engine
 from repro.service import SimulationRequest, SimulationService
 from repro.simulate import flood_schedule, simulate_over_spanner
 
@@ -305,6 +314,66 @@ class TestWarmServeContracts:
                 assert results == serial
         finally:
             sys.setswitchinterval(switch)
+
+
+class TestDeliveryPlanContracts:
+    """A network builds one delivery plan, shared by its
+    ``with_knowledge`` clones, and an all-node round without drops takes
+    the plan's inbox instead of sorting by receiver (DESIGN.md §3.10)."""
+
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        """Counts the engine's plan builds and receiver sorts."""
+        calls: Counter = Counter()
+        for name in ("_build_plan", "_receiver_order"):
+            original = getattr(engine, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, counting)
+        return calls
+
+    def test_repeat_coloring_builds_and_sorts_nothing(self, engine_calls):
+        net = erdos_renyi(200, 0.04, seed=3)
+        first = run_inprocess(net, RandomizedColoring(2), seed=1)
+        # The build sorts the positions once; both rounds are all-node.
+        assert engine_calls == {"_build_plan": 1, "_receiver_order": 1}
+        engine_calls.clear()
+        assert run_inprocess(net, RandomizedColoring(2), seed=1) == first
+        assert engine_calls == {}
+
+    def test_min_id_sorts_only_partial_rounds(self, engine_calls):
+        net = erdos_renyi(200, 0.04, seed=3)
+        engine.delivery_plan(net)
+        engine_calls.clear()
+        algo = MinIdAggregation(3)
+        per_round = run_direct(net, algo, seed=1).messages.per_round
+        sent = per_round[: algo.rounds(net.n)]  # the delivered rounds
+        partial = sum(0 < count < 2 * net.m for count in sent)
+        assert sent[0] == 2 * net.m and partial >= 1
+        assert engine_calls == {"_receiver_order": partial}
+
+    def test_with_knowledge_clone_builds_no_plan(self, engine_calls):
+        net = erdos_renyi(200, 0.04, seed=3)
+        outputs = run_inprocess(net, MinIdAggregation(3), seed=1)
+        clone = net.with_knowledge(Knowledge.KT0)
+        engine_calls.clear()
+        assert run_inprocess(clone, MinIdAggregation(3), seed=1) == outputs
+        assert engine_calls["_build_plan"] == 0
+        assert engine.delivery_plan(clone) is engine.delivery_plan(net)
+
+    def test_churned_network_builds_its_eid_table_once(self, engine_calls):
+        base = erdos_renyi(200, 0.04, seed=3)
+        net, _ = apply_churn(base, ChurnPlan(seed=5, edge_removal=0.1, edge_addition=0.05))
+        table = engine.delivery_plan(net).eid_sorted
+        assert table is not None  # ids have gaps
+        for algo in (MinIdAggregation(3), RandomMatching(2), LubyMis(2)):
+            for seed in (1, 2):
+                run_direct(net, algo, seed=seed)
+        assert engine_calls["_build_plan"] == 1
+        assert engine.delivery_plan(net).eid_sorted is table
 
 
 FAMILIES = {

@@ -44,8 +44,14 @@ from repro.dynamic import ChurnPlan, apply_churn
 from repro.errors import ProtocolError
 from repro.execution import Exec
 from repro.graphs import barabasi_albert, dense_gnm, erdos_renyi, torus
-from repro.local import FaultPlan, Network
-from repro.local.engine import VectorRuntime, broadcast_outbox, gather_segments
+from repro.local import EdgeRef, FaultPlan, Network
+from repro.local.engine import (
+    VectorProgram,
+    VectorRuntime,
+    broadcast_outbox,
+    delivery_plan,
+    gather_segments,
+)
 from repro.local.runtime import Runtime, run_program
 from repro.simulate import t_local_broadcast
 from repro.simulate.gossip import _VectorGossip, run_push_pull
@@ -549,54 +555,183 @@ class TestReferenceFallback:
 
 
 # ---------------------------------------------------------------------------
-# the two delivery paths
+# the delivery paths
 # ---------------------------------------------------------------------------
+class _AllNodeProbe(VectorProgram):
+    """Every node broadcasts in round 0; round 1's inbox is kept."""
+
+    tag = "probe"
+
+    def __init__(self, net: Network) -> None:
+        self._plan = delivery_plan(net)
+        self._n = net.n
+        self.inbox = None
+
+    def on_start(self):
+        return broadcast_outbox(self._plan, np.arange(self._n, dtype=np.int64))
+
+    def step_population(self, round_index, inbox):
+        self.inbox = inbox
+        return None
+
+    def outputs(self):
+        return {}
+
+    @property
+    def live(self):
+        return 0
+
+
+def probe_inbox(net: Network, faults=None):
+    probe = _AllNodeProbe(net)
+    VectorRuntime(net, probe, fixed_rounds=1, faults=faults).run()
+    return probe.inbox
+
+
+def argsort_inbox(net: Network, faults=None) -> dict:
+    """An all-node round's inbox, built one message at a time: the
+    fault plan's coins drop and mark rows in outbox order, then a plain
+    int64 stable argsort groups the survivors by receiver."""
+    faults = faults or FaultPlan.none()
+    indptr, inc = (np.frombuffer(a, dtype=np.int64) for a in net.incidence_csr())
+    owners = np.repeat(np.arange(net.n, dtype=np.int64), np.diff(indptr))
+    sends = list(zip(inc.tolist(), owners.tolist()))
+    rows = np.asarray(
+        [i for i, (eid, v) in enumerate(sends) if not faults.drops(0, eid, v)],
+        dtype=np.int64,
+    )
+    receivers = np.asarray(
+        [net.other_end(*sends[i]) for i in rows.tolist()], dtype=np.int64
+    )
+    corrupted = np.asarray(
+        [faults.corrupts(0, *sends[i]) for i in rows.tolist()], dtype=bool
+    )
+    order = np.argsort(receivers, kind="stable")
+    return {
+        "indptr": np.r_[0, np.cumsum(np.bincount(receivers, minlength=net.n))],
+        "rows": rows[order],
+        "senders": owners[rows][order],
+        "eids": inc[rows][order],
+        "corrupted": corrupted[order],
+    }
+
+
+def assert_inbox_equal(inbox, expected: dict, case) -> None:
+    for field, column in expected.items():
+        assert np.array_equal(getattr(inbox, field), column), (case, field)
+
+
+def beyond_uint16() -> Network:
+    n = (1 << 16) + 5
+    rng = random.Random(11)
+    pairs = {(rng.randrange(n // 2), rng.randrange(n // 2, n)) for _ in range(600)}
+    # Receivers at or above 2**16 would wrap under a uint16 key.
+    top = range(1 << 16, n)
+    pairs |= {(v - 1, v) for v in top} | {(7, v) for v in top}
+    return Network.from_edge_pairs(n, sorted(pairs))
+
+
+def churned() -> Network:
+    base = erdos_renyi(80, 0.1, seed=2)
+    net, _ = apply_churn(base, ChurnPlan(seed=3, edge_removal=0.1, edge_addition=0.05))
+    return net
+
+
+PLAN_GRAPHS = {
+    "churned": churned,
+    "beyond-uint16": beyond_uint16,
+    "isolated-nodes": lambda: Network.from_edge_pairs(
+        9, [(0, 1), (0, 2), (1, 2), (4, 7), (5, 7)]
+    ),
+    # Nodes 0 and 1 are joined by edges 3 and 8.
+    "parallel-edges": lambda: Network(
+        4,
+        [EdgeRef(3, 0, 1), EdgeRef(8, 1, 0), EdgeRef(5, 1, 2), EdgeRef(9, 0, 3)],
+    ),
+}
+
+
 class TestDeliveryPaths:
-    """Consecutive eids and n <= 2**16 take the fast delivery path; the
-    inputs below keep the searchsorted lookup or the int64 sort.  A
-    broadcast from every node takes the incidence CSR as its rows."""
+    """An all-node broadcast without drops takes the network's delivery
+    plan as its inbox; other broadcasts read their receivers from the
+    plan, and other outboxes look their edges up by eid (searchsorted
+    when ids have gaps), then sort stably by receiver (an int64 sort
+    above 2**16 nodes)."""
 
     def test_non_consecutive_eids(self):
-        base = erdos_renyi(80, 0.1, seed=2)
-        net, _ = apply_churn(
-            base, ChurnPlan(seed=3, edge_removal=0.1, edge_addition=0.05)
-        )
+        net = churned()
         assert net.endpoints_flat()[0] is not None  # ids have gaps
-        population = vector_population(MinIdAggregation(2), net, 0)
-        assert VectorRuntime(net, population)._eid_sorted is not None
+        assert delivery_plan(net).eid_sorted is not None
         for algo in ALGORITHMS:
             for plan in DROP_PLANS:
                 assert_engines_agree(net, algo, seed=4, faults=PLANS[plan])
 
+    @pytest.mark.parametrize("plan", ["none", "corrupt", "both"])
+    @pytest.mark.parametrize("graph", sorted(PLAN_GRAPHS))
+    def test_plan_inbox_equals_the_sort(self, graph, plan):
+        net = PLAN_GRAPHS[graph]()
+        inbox = probe_inbox(net, PLANS[plan])
+        expected = argsort_inbox(net, PLANS[plan])
+        assert_inbox_equal(inbox, expected, (graph, plan))
+        every_row = expected["rows"].size == 2 * net.m
+        assert (inbox.rows is delivery_plan(net).perm) == every_row
+
+    def test_drop_in_an_all_node_round_sorts(self):
+        net = FAMILIES["gnp"]()
+        faults = PLANS["drops"]
+        inbox = probe_inbox(net, faults)
+        assert inbox.rows.size < 2 * net.m
+        assert_inbox_equal(inbox, argsort_inbox(net, faults), "gnp")
+        for algo in (MinIdAggregation(1), RandomizedColoring(2), LubyMis(1)):
+            assert_engines_agree(net, algo, seed=3, faults=faults)
+
+    def test_runtime_flood_corrupt_round_is_permuted(self):
+        net = FAMILIES["ba"]()
+        faults = PLANS["corrupt"]
+        corrupted = probe_inbox(net, faults).corrupted
+        assert corrupted.any()
+        assert np.array_equal(corrupted, argsort_inbox(net, faults)["corrupted"])
+        for radius in (1, 2):
+            vec = t_local_broadcast(
+                net, lambda v: v, radius, execution=RUNTIME_FLOOD, faults=faults
+            )
+            ref = reference_flood(net, lambda v: v, radius, faults=faults)
+            assert vec.messages.corrupted > 0
+            assert vec == ref
+
+    def test_plan_inbox_is_read_only(self):
+        inbox = probe_inbox(FAMILIES["torus"]())
+        for field in ("indptr", "rows", "senders", "eids"):
+            with pytest.raises(ValueError):
+                getattr(inbox, field)[0] = 0
+
     def test_all_node_broadcast_views_the_incidence(self):
         net = Network.from_edge_pairs(6, [(0, 1), (0, 2), (1, 2), (3, 4)])
-        indptr, inc = (np.frombuffer(a, dtype=np.int64) for a in net.incidence_csr())
+        plan = delivery_plan(net)
         every = np.arange(net.n, dtype=np.int64)
-        outbox = broadcast_outbox(indptr, inc, every)
-        owners, eids = gather_segments(indptr, inc, every)
+        outbox = broadcast_outbox(plan, every)
+        owners, positions = gather_segments(plan.indptr, every)
         assert outbox.senders.tolist() == owners.tolist() == [0, 0, 1, 1, 2, 2, 3, 4]
-        assert outbox.eids.tolist() == eids.tolist()
+        assert outbox.positions.tolist() == positions.tolist() == list(range(8))
+        assert outbox.eids.tolist() == plan.inc[positions].tolist()
         # The rows are the network's own incidence array, which no
         # consumer of the outbox may write.
+        indptr, inc = (np.frombuffer(a, dtype=np.int64) for a in net.incidence_csr())
         assert np.shares_memory(outbox.eids, inc)
         assert not outbox.eids.flags.writeable
+        assert not outbox.senders.flags.writeable
+        # A partial broadcast records the CSR positions of its rows.
+        partial = broadcast_outbox(plan, np.asarray([1, 4], dtype=np.int64))
+        assert partial.positions.tolist() == [2, 3, 7]
+        assert partial.eids.tolist() == inc[[2, 3, 7]].tolist()
         portless = Network(3, [])
-        indptr, inc = (
-            np.frombuffer(a, dtype=np.int64) for a in portless.incidence_csr()
+        assert (
+            broadcast_outbox(delivery_plan(portless), np.arange(3, dtype=np.int64))
+            is None
         )
-        assert broadcast_outbox(indptr, inc, np.arange(3, dtype=np.int64)) is None
 
     def test_more_nodes_than_uint16(self):
-        n = (1 << 16) + 5
-        rng = random.Random(11)
-        pairs = {(rng.randrange(n // 2), rng.randrange(n // 2, n)) for _ in range(600)}
-        # Receivers at or above 2**16 would wrap under a uint16 key.
-        top = range(1 << 16, n)
-        pairs |= {(v - 1, v) for v in top} | {(7, v) for v in top}
-        net = Network.from_edge_pairs(n, sorted(pairs))
-        population = vector_population(MinIdAggregation(2), net, 0)
-        assert VectorRuntime(net, population)._receiver_dtype is np.int64
-        assert_engines_agree(net, MinIdAggregation(2), seed=1)
+        assert_engines_agree(beyond_uint16(), MinIdAggregation(2), seed=1)
 
 
 # ---------------------------------------------------------------------------
