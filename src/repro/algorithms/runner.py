@@ -209,19 +209,17 @@ class _AlgorithmProgram(NodeProgram):
 
 
 def _vector_or_fallback(
-    algo: LocalAlgorithm, network: Network, seed: int, corrupt_plan: bool
+    algo: LocalAlgorithm, network: Network, seed: int
 ) -> VectorProgram | None:
     """The vector population for ``algo``, or ``None`` — announced as an
-    ``algorithms/reference_fallback`` event — when the reference
-    interpreter must run it instead."""
+    ``algorithms/reference_fallback`` event — when no population serves
+    it and the reference interpreter must run it instead."""
     from repro.algorithms.vector import vector_population
 
-    population = None if corrupt_plan else vector_population(algo, network, seed)
+    population = vector_population(algo, network, seed)
     if population is None:
         obs.event(
-            "algorithms/reference_fallback",
-            algo=algo.name,
-            reason="corrupt_plan" if corrupt_plan else "unregistered",
+            "algorithms/reference_fallback", algo=algo.name, reason="unregistered"
         )
     return population
 
@@ -235,15 +233,14 @@ def run_direct(
 ) -> DirectOutcome:
     """Execute on the kernel; messages and rounds are metered exactly.
 
-    Registered algorithms run as array populations; everything else —
-    and every corrupt-capable fault plan, whose tampered payloads only
-    the per-node programs' error behaviour defines — runs on the
-    per-node interpreter.  Each fallback emits an
-    ``algorithms/reference_fallback`` event on the telemetry plane.
+    Registered algorithms run as array populations under every fault
+    plan; everything else runs on the per-node interpreter, and each
+    such fallback emits an ``algorithms/reference_fallback`` event on
+    the telemetry plane.  A message the plan drops or erases never
+    reaches the algorithm: its ``step`` just finds that port missing.
     """
     t = algo.rounds(network.n)
-    plan = faults or FaultPlan.none()
-    population = _vector_or_fallback(algo, network, seed, plan.can_corrupt)
+    population = _vector_or_fallback(algo, network, seed)
     if population is not None:
         report = VectorRuntime(
             network, population, max_rounds=t + 2, faults=faults
@@ -273,7 +270,7 @@ def run_inprocess(
     """
     n = network.n
     t = algo.rounds(n)
-    population = _vector_or_fallback(algo, network, seed, False)
+    population = _vector_or_fallback(algo, network, seed)
     if population is not None:
         return VectorRuntime(network, population, max_rounds=t + 2).run().outputs
     states: list[Any] = []

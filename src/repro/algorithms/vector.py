@@ -10,7 +10,8 @@ identical ``node_tape`` draws through
 :func:`~repro.algorithms.runner.run_direct` is RunReport-identical
 across engines.  Every population updates its state from the delivered
 inbox alone, never from what a sender *would* have said, so the two
-engines also agree under drop plans.
+engines also agree under fault plans, whose dropped and erased
+messages never reach an inbox.
 
 A message in these populations always carries "the value its sender
 last announced" (or a value the receiver can recompute from the

@@ -113,7 +113,7 @@ class ChurnPlan:
     def fault_plan(self, epoch: int) -> FaultPlan:
         """The message-fault plan in force during ``epoch``.
 
-        Inside a corruption window the plan corrupts payloads with the
+        Inside a corruption window the plan erases messages with the
         window's probability under an epoch-derived seed (so coins never
         repeat across epochs); outside every window it is a no-op.
         """

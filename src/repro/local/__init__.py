@@ -32,10 +32,9 @@ from repro.local.metrics import MessageStats, RunReport
 from repro.local.network import Network
 from repro.local.node import Context, HybridPlane, NodeProgram
 from repro.local.runtime import Runtime
-from repro.local.faults import CORRUPTED, FaultPlan
+from repro.local.faults import FaultPlan
 
 __all__ = [
-    "CORRUPTED",
     "Context",
     "EdgeRef",
     "FaultPlan",

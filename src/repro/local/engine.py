@@ -18,16 +18,17 @@ Four pieces (DESIGN.md §3.10):
   round ``r`` are delivered at the start of ``r + 1``; under
   ``fixed_rounds`` the final round's sends are discarded unmetered
   (``total == delivered`` always); the ``max_rounds`` error text is
-  byte-identical.  Fault plans are applied as drop/corrupt masks over
-  the same per-message coin stream, so dropped/corrupted counters agree
-  with the per-node interpreter bit for bit.
+  byte-identical.  Fault plans act through the same
+  :meth:`~repro.local.faults.FaultPlan.fates` masks the per-node
+  interpreter asks for, so both engines drop and erase the same
+  messages and meter them alike.
 * :class:`DeliveryPlan` — one network's routing tables, built once
   per network: the receiver of every incidence-CSR position and the
   inbox of a round in which every node broadcasts, so such a round is
   delivered without sorting and no broadcast looks its edges up.
 * the dispatch: registered payloads (:mod:`repro.algorithms.vector`),
-  the runtime flood and push–pull gossip always run as populations;
-  unregistered payloads and corrupt-capable plans fall back to the
+  the runtime flood and push–pull gossip always run as populations,
+  under every fault plan; unregistered payloads fall back to the
   per-node interpreter.
 
 The equality contract is *RunReport-identical*: outputs, rounds,
@@ -94,20 +95,14 @@ class PopulationInbox:
     order, which within one receiver is ascending sender, per-sender
     send order).  ``rows`` are indices into the *previous* outbox, so a
     program recovers its payload columns with ``payload_col[rows]``.
-    ``corrupted`` marks messages whose payload a fault plan replaced
-    with the ``CORRUPTED`` sentinel; vector programs must skip (or
-    otherwise mirror the reference handling of) those rows.
+    Messages a fault plan dropped or erased are not in it.
     """
 
     indptr: np.ndarray  # int64, shape (n + 1,)
     rows: np.ndarray  # int64, indices into the producing outbox
     senders: np.ndarray  # int64
     eids: np.ndarray  # int64 (the receiver-side port under EDGE_IDS)
-    corrupted: np.ndarray  # bool
     data: Any = None  # the producing outbox's ``data``, passed through
-
-    def segment(self, node: int) -> slice:
-        return slice(int(self.indptr[node]), int(self.indptr[node + 1]))
 
 
 class VectorProgram(ABC):
@@ -291,7 +286,6 @@ class _InFlight:
     rows: np.ndarray  # indices into the producing outbox
     eids: np.ndarray
     senders: np.ndarray
-    corrupted: np.ndarray
     data: Any
     positions: np.ndarray | None  # CSR positions of a broadcast's rows
 
@@ -373,7 +367,11 @@ class VectorRuntime:
         outbox: PopulationOutbox | None,
         round_index: int,
     ) -> _InFlight | None:
-        """Apply the fault plan and meter one round's sends in bulk."""
+        """Apply the fault plan and meter one round's sends in bulk.
+
+        An erased message is metered like a delivered one and counted
+        as ``corrupted``, but it is not in flight: no receiver sees it.
+        """
         if outbox is None or outbox.eids.size == 0:
             return None
         eids = outbox.eids
@@ -381,41 +379,28 @@ class VectorRuntime:
         positions = outbox.positions
         rows = np.arange(eids.size, dtype=np.int64)
         faults = self._faults
-        if faults.can_drop:
-            drops = faults.drops
-            mask = np.fromiter(
-                (drops(round_index, e, s) for e, s in zip(eids.tolist(), senders.tolist())),
-                dtype=bool,
-                count=eids.size,
+        if faults.is_noop:
+            stats.record_uniform(self._program.tag, int(eids.size))
+        else:
+            dropped, erased = faults.fates(
+                round_index, eids.tolist(), senders.tolist()
             )
-            dropped = int(mask.sum())
-            if dropped:
-                stats.dropped += dropped
-                keep = ~mask
-                rows, eids, senders = rows[keep], eids[keep], senders[keep]
+            n_dropped = int(dropped.sum())
+            stats.dropped += n_dropped
+            stats.corrupted += int(erased.sum())
+            stats.record_uniform(self._program.tag, int(eids.size) - n_dropped)
+            delivered = ~(dropped | erased)
+            if not delivered.all():
+                rows, eids = rows[delivered], eids[delivered]
+                senders = senders[delivered]
                 if positions is not None:
-                    positions = positions[keep]
+                    positions = positions[delivered]
                 if eids.size == 0:
                     return None
-        if faults.can_corrupt:
-            corrupts = faults.corrupts
-            corrupted = np.fromiter(
-                (
-                    corrupts(round_index, e, s)
-                    for e, s in zip(eids.tolist(), senders.tolist())
-                ),
-                dtype=bool,
-                count=eids.size,
-            )
-            stats.corrupted += int(corrupted.sum())
-        else:
-            corrupted = np.zeros(eids.size, dtype=bool)
-        stats.record_uniform(self._program.tag, int(eids.size))
         return _InFlight(
             rows=rows,
             eids=eids,
             senders=senders,
-            corrupted=corrupted,
             data=outbox.data,
             positions=positions,
         )
@@ -423,10 +408,10 @@ class VectorRuntime:
     def _deliver(self, in_flight: _InFlight | None, n: int) -> PopulationInbox:
         """Route survivors to receivers and build the CSR inbox.
 
-        An all-node broadcast with nothing dropped gets the plan's
-        inbox; any other broadcast reads its receivers from the plan by
-        CSR position, and any other outbox from the endpoint arrays by
-        eid.  Both sort their round stably by receiver.
+        An all-node broadcast with nothing dropped or erased gets the
+        plan's inbox; any other broadcast reads its receivers from the
+        plan by CSR position, and any other outbox from the endpoint
+        arrays by eid.  Both sort their round stably by receiver.
         """
         empty = np.empty(0, dtype=np.int64)
         if in_flight is None:
@@ -435,7 +420,6 @@ class VectorRuntime:
                 rows=empty,
                 senders=empty,
                 eids=empty,
-                corrupted=np.empty(0, dtype=bool),
                 data=None,
             )
         plan = self._plan
@@ -443,15 +427,11 @@ class VectorRuntime:
         if positions is not None and positions.size == plan.perm.size:
             # Broadcast rows are distinct positions, so every one of
             # them is here: the rows are the CSR in order.
-            corrupted = in_flight.corrupted
-            if self._faults.can_corrupt:
-                corrupted = corrupted[plan.perm]
             return PopulationInbox(
                 indptr=plan.indptr,
                 rows=plan.perm,
                 senders=plan.senders,
                 eids=plan.eids,
-                corrupted=corrupted,
                 data=in_flight.data,
             )
         if positions is not None:
@@ -472,6 +452,5 @@ class VectorRuntime:
             rows=in_flight.rows[order],
             senders=in_flight.senders[order],
             eids=in_flight.eids[order],
-            corrupted=in_flight.corrupted[order],
             data=in_flight.data,
         )

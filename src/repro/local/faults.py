@@ -11,47 +11,32 @@ Two fault kinds share the same coin discipline:
 
 * **drops** remove a message entirely (it is metered as ``dropped``,
   never delivered);
-* **corruption** tampers with a message in flight: the payload is
-  replaced by the :data:`CORRUPTED` sentinel but the envelope (edge,
-  sender, tag) survives and the message *is* delivered and metered in
-  ``total`` — the receiving program sees garbage, exactly as a
-  checksum-less transport would hand it over.
+* **corruption** erases a message in flight: it was sent, so it is
+  metered in ``total`` (and ``by_tag``/``per_round``) and counted as
+  ``corrupted``, but no receiver ever sees it — a checksummed transport
+  discards what fails its check.
+
+:meth:`FaultPlan.fates` decides both for one round's messages, for
+every round engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.rng import stable_uniform
 
-__all__ = ["FaultPlan", "DropRule", "CorruptRule", "CORRUPTED"]
+__all__ = ["FaultPlan", "DropRule", "CorruptRule"]
 
 DropRule = Callable[[int, int, int], bool]
 """``rule(round_index, eid, sender) -> bool``: True drops the message."""
 
 CorruptRule = Callable[[int, int, int], bool]
-"""``rule(round_index, eid, sender) -> bool``: True corrupts the payload."""
-
-
-class _CorruptedPayload:
-    """Singleton sentinel replacing a tampered payload (identity equality)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "CORRUPTED"
-
-    def __reduce__(self):  # pickling preserves the singleton
-        return (_corrupted_instance, ())
-
-
-def _corrupted_instance() -> "_CorruptedPayload":
-    return CORRUPTED
-
-
-CORRUPTED = _CorruptedPayload()
-"""What a receiver finds in place of a corrupted payload."""
+"""``rule(round_index, eid, sender) -> bool``: True erases the message."""
 
 
 @dataclass(frozen=True)
@@ -63,15 +48,15 @@ class FaultPlan:
     ``(round, eid, sender)`` — i.e. per direction of the edge; ``rule``
     allows arbitrary deterministic drop predicates over the same triple.
     Either (or both) may be used.  ``corrupt_probability`` and
-    ``corrupt_rule`` mirror the same discipline for payload tampering;
-    the corruption coin is drawn from an independent stream (key prefix
+    ``corrupt_rule`` mirror the same discipline for erasure; the
+    corruption coin is drawn from an independent stream (key prefix
     ``"corrupt"`` instead of ``"drop"``), so drop and corruption
     decisions never correlate through the shared seed.
 
-    Evaluation order (the runtime's contract): the drop decision is
-    made first — a dropped message is gone and is **never** also
-    corrupted — and within each decision the deterministic rule is
-    consulted *before* the probability coin (see :meth:`drops`).
+    Evaluation order (see :meth:`fates`): the drop decision is made
+    first — a dropped message is gone and is **never** also corrupted —
+    and within each decision the deterministic rule is consulted
+    *before* the probability coin (see :meth:`drops`).
     """
 
     drop_probability: float = 0.0
@@ -89,7 +74,7 @@ class FaultPlan:
     @property
     def is_noop(self) -> bool:
         """True when no message can ever be dropped or corrupted (the
-        runtime skips the per-message coins entirely on this fast path)."""
+        round engines skip :meth:`fates` entirely on this fast path)."""
         return not (self.can_drop or self.can_corrupt)
 
     @property
@@ -99,7 +84,7 @@ class FaultPlan:
 
     @property
     def can_corrupt(self) -> bool:
-        """True when some payload *could* be tampered with."""
+        """True when some message *could* be erased."""
         return self.corrupt_rule is not None or self.corrupt_probability > 0.0
 
     def drops(self, round_index: int, eid: int, sender: int) -> bool:
@@ -110,8 +95,6 @@ class FaultPlan:
         ``stable_uniform(seed, ("drop", round, eid, sender))`` decide —
         so a rule hit never consumes nor depends on the coin, and the
         coin stream is identical whether or not a rule is installed.
-        The runtime asks :meth:`drops` before :meth:`corrupts`: dropped
-        messages are never also counted as corrupted.
         """
         if self.rule is not None and self.rule(round_index, eid, sender):
             return True
@@ -121,7 +104,7 @@ class FaultPlan:
         return False
 
     def corrupts(self, round_index: int, eid: int, sender: int) -> bool:
-        """Whether the (delivered) message's payload is tampered with.
+        """Whether the (undropped) message is erased.
 
         Same rule-before-coin discipline as :meth:`drops`, over the
         independent ``("corrupt", round, eid, sender)`` stream.
@@ -134,6 +117,35 @@ class FaultPlan:
             coin = stable_uniform(self.seed, ("corrupt", round_index, eid, sender))
             return coin < self.corrupt_probability
         return False
+
+    def fates(
+        self, round_index: int, eids: Sequence[int], senders: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(dropped, erased)`` masks of one round's messages.
+
+        Message ``i`` went out over ``eids[i]`` from ``senders[i]``.
+        :meth:`drops` is asked of every message first, in order, then
+        :meth:`corrupts` of the survivors only, in order, so no message
+        is in both masks and adding corruption never shifts the drop
+        coins.
+        """
+        count = len(eids)
+        dropped = np.zeros(count, dtype=bool)
+        if self.can_drop:
+            drops = partial(self.drops, round_index)
+            dropped = np.fromiter(map(drops, eids, senders), dtype=bool, count=count)
+        erased = np.zeros(count, dtype=bool)
+        if self.can_corrupt:
+            corrupts = partial(self.corrupts, round_index)
+            erased = np.fromiter(
+                (
+                    not lost and corrupts(eid, sender)
+                    for eid, sender, lost in zip(eids, senders, dropped.tolist())
+                ),
+                dtype=bool,
+                count=count,
+            )
+        return dropped, erased
 
     @classmethod
     def none(cls) -> "FaultPlan":

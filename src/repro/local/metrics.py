@@ -13,16 +13,18 @@ __all__ = ["MessageStats", "RunReport"]
 class MessageStats:
     """Exact message counters for one run.
 
-    ``total`` counts every delivered message once.  ``by_tag`` breaks the
-    total down by the free-form tag the sender attached (the distributed
-    ``Sampler`` uses tags like ``"query"``, ``"bcast"``, ``"finish"`` so
-    experiments can attribute cost to protocol phases).  ``dropped``
-    counts messages removed by a fault plan; they are *not* included in
-    ``total``.  ``corrupted`` counts messages whose payload a fault plan
-    tampered with; corrupted messages *are* delivered, so they are
-    included in ``total`` (and ``by_tag``/``per_round``) as well.  ``per_round[r]`` holds the messages recorded while round
-    ``r`` was open; ``sum(per_round) == total`` is an unconditional
-    invariant (``record`` opens an implicit round if none is open yet).
+    ``total`` counts every sent message that a fault plan did not drop,
+    once.  ``by_tag`` breaks the total down by the free-form tag the
+    sender attached (the distributed ``Sampler`` uses tags like
+    ``"query"``, ``"bcast"``, ``"finish"`` so experiments can attribute
+    cost to protocol phases).  ``dropped`` counts messages removed by a
+    fault plan; they are *not* included in ``total``.  ``corrupted``
+    counts messages a fault plan erased: they were sent, so they *are*
+    included in ``total`` (and ``by_tag``/``per_round``), but no
+    receiver saw them, so ``total == delivered + corrupted``.
+    ``per_round[r]`` holds the messages recorded while round ``r`` was
+    open; ``sum(per_round) == total`` is an unconditional invariant
+    (``record`` opens an implicit round if none is open yet).
 
     ``stage_offsets`` records where merged runs begin inside
     ``per_round``: empty for a single run, and after :meth:`merge` one
@@ -49,7 +51,7 @@ class MessageStats:
         self.per_round[-1] += 1
 
     def record_batch(self, msgs) -> None:
-        """Meter one round's deliveries in bulk (fault-free fast path).
+        """Meter one round's messages in bulk.
 
         Exactly equivalent to calling :meth:`record` once per message —
         same ``total``, ``by_tag``, ``per_round`` — but with one Counter
@@ -66,7 +68,7 @@ class MessageStats:
         self.by_tag.update(msg[3] for msg in msgs)
 
     def record_uniform(self, tag: str, count: int) -> None:
-        """Meter ``count`` deliveries that all share one ``tag``.
+        """Meter ``count`` messages that all share one ``tag``.
 
         Exactly equivalent to ``count`` calls to :meth:`record` — the
         vector round engine's populations are single-tag, so one integer

@@ -280,12 +280,6 @@ class Context:
         return self._sleeping
 
     # -- runtime-side helpers (not part of the program-facing API) ------
-    def _drain(self) -> Sequence[Outbound]:
-        if not self._outbox:
-            return ()
-        queued, self._outbox = self._outbox, []
-        return queued
-
     def _port_of(self, eid: int) -> int:
         return self._eid_to_port[eid]
 

@@ -5,10 +5,12 @@ Semantics (fully synchronous LOCAL model):
 * all nodes run in lockstep; a message sent in round ``r`` is delivered
   at the start of round ``r + 1``;
 * message size is unbounded and not metered; the *count* of messages is
-  metered exactly — one per ``Context.send`` call *that is delivered*.
-  Under a fixed round budget, sends queued in the final round have no
-  delivery round left; they are discarded unmetered, so ``total`` always
-  equals the number of messages actually received;
+  metered exactly — one per ``Context.send`` call that a fault plan
+  does not drop.  A message the plan erases is metered (and counted as
+  ``corrupted``) but reaches no receiver.  Under a fixed round budget,
+  sends queued in the final round have no delivery round left; they
+  are discarded unmetered, so ``total`` always equals the number of
+  messages received plus the number erased;
 * the run ends when every non-reactive program has halted and no
   messages are in flight, or when an optional fixed round budget is
   reached.
@@ -29,16 +31,17 @@ holds the two :class:`RunReport`-identical.
 A homogeneous population whose program class declares
 :class:`~repro.local.node.HybridPlane`\\ s has its plane-tagged messages
 serviced during delivery instead of by stepping the receivers
-(DESIGN.md §3.10), except under corrupt-capable fault plans.
+(DESIGN.md §3.10).
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Iterable
 
 from repro import obs
 from repro.errors import SimulationError
-from repro.local.faults import CORRUPTED, FaultPlan
+from repro.local.faults import FaultPlan
 from repro.local.message import Inbound, Outbound
 from repro.local.metrics import MessageStats, RunReport
 from repro.local.network import Network
@@ -131,11 +134,9 @@ class Runtime:
         # Hybrid rounds (DESIGN.md §3.10): a homogeneous population
         # whose program class declares HybridPlanes gets its
         # plane-tagged messages serviced during delivery instead of by
-        # stepping the receivers.  Corrupt-capable plans disable the
-        # planes — a tampered payload has no declared effect, only the
-        # per-node dispatch defines its error behavior.
+        # stepping the receivers.
         self._planes: dict[str, HybridPlane] | None = None
-        if not self._faults.can_corrupt and self._programs:
+        if self._programs:
             cls = type(self._programs[0])
             planes = getattr(cls, "hybrid_planes", None)
             if planes and all(type(p) is cls for p in self._programs):
@@ -391,51 +392,39 @@ class Runtime:
         round_index: int,
         nodes: Iterable[int] | None = None,
     ) -> list[Outbound]:
+        """Drain one round's outboxes (of ``nodes``, ascending, or of
+        every node), apply the fault plan and meter the round in bulk.
+
+        Returns the messages to deliver: an erased message is metered
+        and counted as ``corrupted`` but is not among them.
+        """
         queued: list[Outbound] = []
-        faults = self._faults
         all_contexts = self._contexts
         contexts = (
             all_contexts
             if nodes is None
             else [all_contexts[node] for node in nodes]
         )
-        if not faults.can_drop:
-            # Batched path for noop *and* corrupt-only plans: nothing
-            # can be dropped, so whole outboxes move in one extend and
-            # metering happens per round (record_batch) instead of per
-            # message; corruption — which keeps the envelope and the
-            # delivery — is an in-place payload swap over the batch.
-            for ctx in contexts:
-                if ctx._outbox:
-                    queued.extend(ctx._outbox)
-                    ctx._outbox = []
-            if faults.can_corrupt:
-                corrupts = faults.corrupts
-                for i, (eid, sender, _payload, tag) in enumerate(queued):
-                    if corrupts(round_index, eid, sender):
-                        stats.record_corrupt()
-                        queued[i] = (eid, sender, CORRUPTED, tag)
+        for ctx in contexts:
+            if ctx._outbox:
+                queued.extend(ctx._outbox)
+                ctx._outbox = []
+        faults = self._faults
+        if faults.is_noop or not queued:
             stats.record_batch(queued)
             return queued
-        for ctx in contexts:
-            for msg in ctx._drain():
-                eid, sender, _payload, tag = msg
-                # Drop first: a lost message cannot also be corrupted
-                # (the FaultPlan contract documented on ``drops``).
-                if faults.drops(round_index, eid, sender):
-                    stats.record_drop()
-                    continue
-                if faults.corrupts(round_index, eid, sender):
-                    stats.record_corrupt()
-                    msg = (eid, sender, CORRUPTED, tag)
-                stats.record(tag)
-                queued.append(msg)
-        return queued
+        dropped, erased = faults.fates(
+            round_index, [msg[0] for msg in queued], [msg[1] for msg in queued]
+        )
+        stats.dropped += int(dropped.sum())
+        stats.corrupted += int(erased.sum())
+        stats.record_batch(list(compress(queued, (~dropped).tolist())))
+        return list(compress(queued, (~(dropped | erased)).tolist()))
 
     def _discard_undelivered(self) -> None:
         """Drop queued sends that have no delivery round left (unmetered)."""
         for ctx in self._contexts:
-            ctx._drain()
+            ctx._outbox = []
 
 
 def run_program(

@@ -63,7 +63,7 @@ class _VectorGossip(VectorProgram):
     port per round (round 0 included); a node answers each push it
     receives with a reply holding its known set as of that message,
     and learns from pushes and replies alike.  Portless nodes halt
-    reactively at once; corrupted messages teach and trigger nothing.
+    reactively at once.
 
     Known sets are Python big-int bitsets: one ``|`` is a single C-level
     word-wise union, and because ints are immutable the mid-inbox reply
@@ -119,7 +119,6 @@ class _VectorGossip(VectorProgram):
         indptr = inbox.indptr.tolist()
         rows = inbox.rows.tolist()
         eids = inbox.eids.tolist()
-        corrupted = inbox.corrupted.tolist()
         out_eids: list[int] = []
         out_senders: list[int] = []
         out_payloads: list[int] = []
@@ -127,8 +126,6 @@ class _VectorGossip(VectorProgram):
         for v in self._live_nodes:
             row_v = known[v]
             for i in range(indptr[v], indptr[v + 1]):
-                if corrupted[i]:
-                    continue
                 row = rows[i]
                 row_v |= in_payloads[row]
                 if in_push[row]:

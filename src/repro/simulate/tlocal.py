@@ -115,8 +115,8 @@ class _VectorFlood(VectorProgram):
     Round 0 sends every node's own item on all of its ports; afterwards
     a node forwards, on all of its ports and bundled into one message
     per edge, exactly the items it learnt in the previous round, so a
-    round with nothing new sends nothing.  A corrupted bundle is
-    delivered and metered but carries no items.
+    round with nothing new sends nothing.  A bundle the fault plan
+    erases is metered but never arrives.
 
     Per-node knowledge is one row of an ``(n, ceil(n/64))`` uint64
     matrix; a round is a segment-OR of the senders' last bundles into
@@ -153,15 +153,12 @@ class _VectorFlood(VectorProgram):
     def step_population(
         self, round_index: int, inbox: PopulationInbox
     ) -> PopulationOutbox | None:
-        counts = np.diff(inbox.indptr)
-        receivers = np.repeat(
-            np.arange(self._n, dtype=np.int64), counts
-        )
-        ok = ~inbox.corrupted
-        senders = inbox.senders[ok]
+        senders = inbox.senders
         if senders.size == 0:
             return None
-        receivers = receivers[ok]
+        receivers = np.repeat(
+            np.arange(self._n, dtype=np.int64), np.diff(inbox.indptr)
+        )
         starts = np.flatnonzero(
             np.r_[True, receivers[1:] != receivers[:-1]]
         )
@@ -284,8 +281,8 @@ def t_local_broadcast(
     from batched CSR sweeps (:func:`flood_schedule`); ``"runtime"``
     simulates the flood round by round.  Both produce equal reports.
 
-    ``faults`` (a :class:`~repro.local.faults.FaultPlan`) injects
-    message drops and requires ``flood_engine="runtime"`` — the fast engine is
+    ``faults`` (a :class:`~repro.local.faults.FaultPlan`) drops and
+    erases messages and requires ``flood_engine="runtime"`` — the fast engine is
     an analytic derivation of the failure-free flood, so a non-noop plan
     under it raises.  ``store`` (an
     :class:`~repro.store.ArtifactStore`, or ``None`` for the

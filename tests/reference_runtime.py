@@ -23,7 +23,8 @@ for the level kernel and the distance plane:
   whole pipeline runs on them.
 
 It shares with the package the per-node plumbing a built ``Runtime``
-holds (contexts, routing table, fault-aware collection), the payload
+holds (contexts, routing table, and the fault-aware collection that
+meters a round and holds back what the plan drops or erases), the payload
 adapter ``_AlgorithmProgram`` that the per-node interpreter runs, and
 the report value types; ``reference_push_pull`` measures coverage on
 the seed BFS of :mod:`reference_distance`.
@@ -42,7 +43,6 @@ import repro.simulate.transformer as transformer_module
 import reference_distance
 from repro.algorithms.runner import DirectOutcome, _AlgorithmProgram
 from repro.errors import SimulationError
-from repro.local.faults import CORRUPTED
 from repro.local.message import Inbound, Outbound
 from repro.local.metrics import MessageStats, RunReport
 from repro.local.node import Context, NodeProgram
@@ -176,10 +176,6 @@ class FloodProgram(NodeProgram):
     def on_round(self, ctx: Context, inbox: Sequence[Inbound]) -> None:
         fresh: list[tuple[int, Any]] = []
         for msg in inbox:
-            if msg.payload is CORRUPTED:
-                # A tampered bundle carries nothing recoverable; it was
-                # delivered (and metered) but contributes no items.
-                continue
             for origin, payload in msg.payload:
                 if origin not in self._known:
                     self._known[origin] = payload
@@ -227,10 +223,6 @@ class PushPullGossip(NodeProgram):
 
     def on_round(self, ctx: Context, inbox: Sequence[Inbound]) -> None:
         for msg in inbox:
-            if msg.payload is CORRUPTED:
-                # Garbage in flight: nothing to learn, nothing to answer
-                # (a tampered push is indistinguishable from a reply).
-                continue
             kind, items = msg.payload
             self._known.update(items)
             if kind == "push-pull":

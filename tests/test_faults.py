@@ -1,14 +1,17 @@
-"""Message-corruption faults: determinism, ordering, metering (§3.9)."""
+"""Message-corruption faults: determinism, ordering, metering (§3.9).
+
+A corrupted message is an erasure: it is metered in ``total`` (and
+``by_tag``/``per_round``) and counted as ``corrupted``, but no receiver
+ever sees it, on the runtime and on the dense loop alike.
+"""
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
 import reference_runtime
 from reference_runtime import dense_program
-from repro.local import CORRUPTED, FaultPlan, NodeProgram
+from repro.local import FaultPlan, NodeProgram
 from repro.local.metrics import MessageStats
 from repro.local.runtime import run_program
 
@@ -18,7 +21,7 @@ RUN = {"active": run_program, "dense": dense_program}
 
 
 class Collector(NodeProgram):
-    """Echo once, record every received payload — corruption-tolerant."""
+    """Echo once, record every received payload."""
 
     def __init__(self, rounds: int = 1) -> None:
         self.rounds = rounds
@@ -36,26 +39,68 @@ class Collector(NodeProgram):
             ctx.halt()
 
     def output(self):
-        return tuple(
-            "CORRUPTED" if payload is CORRUPTED else payload
-            for payload in self.received
-        )
+        return tuple(self.received)
+
+
+class Sleeper(NodeProgram):
+    """Send on every port in round 0, then wait for mail: asleep
+    (``sleep_until(None)``) or halted reactively, so that only a
+    delivery steps the node.  Outputs how often it was stepped."""
+
+    def __init__(self, reactive: bool) -> None:
+        self.reactive = reactive
+        self.steps = 0
+
+    def on_start(self, ctx):
+        for port in ctx.ports:
+            ctx.send(port, ctx.node, tag="test")
+        if self.reactive:
+            ctx.halt(reactive=True)
+        else:
+            ctx.sleep_until(None)
+
+    def on_round(self, ctx, inbox):
+        self.steps += 1
+
+    def output(self):
+        return self.steps
+
+
+ERASE_ALL = FaultPlan(corrupt_rule=lambda r, eid, sender: True)
 
 
 class TestCorruptionSemantics:
-    def test_corrupted_payload_is_the_sentinel(self, path4):
-        plan = FaultPlan(corrupt_rule=lambda r, eid, sender: True)
-        report = run_program(path4, lambda n: Collector(), seed=0, faults=plan)
-        # every message is delivered (total unchanged) but tampered
+    @pytest.mark.parametrize("loop", ("active", "dense"))
+    def test_erased_message_reaches_no_inbox(self, path4, loop):
+        report = RUN[loop](path4, lambda n: Collector(), seed=0, faults=ERASE_ALL)
+        # every message is sent and metered, and none is delivered
         assert report.messages.total == 2 * path4.m
         assert report.messages.corrupted == 2 * path4.m
+        assert report.messages.by_tag == {"test": 2 * path4.m}
+        assert report.messages.per_round == [2 * path4.m, 0]
         assert report.messages.dropped == 0
-        for out in report.outputs.values():
-            assert out, "corrupted messages must still be delivered"
-            assert all(payload == "CORRUPTED" for payload in out)
+        assert all(out == () for out in report.outputs.values())
+
+    # The dense loop steps every live node every round, so there only a
+    # reactively halted node waits for mail.
+    @pytest.mark.parametrize(
+        "loop, reactive", [("active", False), ("active", True), ("dense", True)]
+    )
+    def test_erased_message_wakes_no_sleeper(self, path4, loop, reactive):
+        def run(faults):
+            return RUN[loop](
+                path4, lambda n: Sleeper(reactive), fixed_rounds=2, faults=faults
+            )
+
+        clean, erased = run(None), run(ERASE_ALL)
+        assert set(clean.outputs.values()) == {1}  # mail wakes every node
+        assert set(erased.outputs.values()) == {0}
+        assert erased.messages.total == erased.messages.corrupted == 2 * path4.m
+        assert erased.messages.per_round == clean.messages.per_round
 
     def test_envelope_survives_corruption(self, path4):
-        """Edge/tag metering is untouched: only the payload is garbage."""
+        """Edge/tag metering is untouched: an erased message is metered
+        as if it had been delivered."""
         plan = FaultPlan(corrupt_probability=1.0, seed=1)
         clean = run_program(path4, lambda n: Collector(), seed=0)
         dirty = run_program(path4, lambda n: Collector(), seed=0, faults=plan)
@@ -159,8 +204,28 @@ class TestFaultPlanSurface:
         with pytest.raises(ValueError):
             FaultPlan(corrupt_probability=-0.1)
 
-    def test_corrupted_singleton_survives_pickling(self):
-        assert pickle.loads(pickle.dumps(CORRUPTED)) is CORRUPTED
+    def test_fates_asks_corrupts_of_survivors_only(self):
+        asked = []
+
+        def corrupt_rule(r, eid, sender):
+            asked.append((eid, sender))
+            return eid % 2 == 0
+
+        plan = FaultPlan(
+            drop_probability=0.5, seed=3, corrupt_rule=corrupt_rule
+        )
+        eids = list(range(40))
+        senders = [eid % 3 for eid in eids]
+        dropped, erased = plan.fates(5, eids, senders)
+        assert dropped.tolist() == [plan.drops(5, e, s) for e, s in zip(eids, senders)]
+        assert 0 < dropped.sum() < len(eids)
+        survivors = [(e, s) for e, s, d in zip(eids, senders, dropped) if not d]
+        assert asked == survivors
+        assert erased.tolist() == [
+            not d and e % 2 == 0 for e, d in zip(eids, dropped.tolist())
+        ]
+        none_dropped, none_erased = FaultPlan.none().fates(5, eids, senders)
+        assert not none_dropped.any() and not none_erased.any()
 
     def test_stats_merge_carries_corrupted(self):
         a, b = MessageStats(), MessageStats()
@@ -191,13 +256,13 @@ class _SpyStats(MessageStats):
 
 
 class TestBatchedMetering:
-    """Corrupt-only plans must stay on the batched collect path: nothing
-    can drop, so outboxes move whole and metering is per round
-    (``record_batch``), never per message (``record``) — the corruption
-    swap happens in place over the batch."""
+    """Every plan takes the one batched collect path: outboxes move
+    whole and metering is per round (``record_batch``), never per
+    message (``record``); the plan only holds back what it drops or
+    erases."""
 
-    @pytest.mark.parametrize("scheduler", ("active", "dense"))
-    def test_corrupt_only_never_meters_per_message(self, path4, scheduler, monkeypatch):
+    @staticmethod
+    def spy_on_stats(monkeypatch) -> list[_SpyStats]:
         import repro.local.runtime as runtime_mod
 
         spies: list[_SpyStats] = []
@@ -209,6 +274,11 @@ class TestBatchedMetering:
 
         monkeypatch.setattr(runtime_mod, "MessageStats", make_spy)
         monkeypatch.setattr(reference_runtime, "MessageStats", make_spy)
+        return spies
+
+    @pytest.mark.parametrize("scheduler", ("active", "dense"))
+    def test_corrupt_only_never_meters_per_message(self, path4, scheduler, monkeypatch):
+        spies = self.spy_on_stats(monkeypatch)
         plan = FaultPlan(corrupt_probability=0.5, seed=7)
         report = RUN[scheduler](path4, lambda n: Collector(2), seed=0, faults=plan)
         assert spies, "runtime did not construct its stats object"
@@ -217,25 +287,28 @@ class TestBatchedMetering:
         assert report.messages.total > 0
         assert report.messages.corrupted > 0
 
-    def test_drop_plans_use_the_per_message_path(self, path4, monkeypatch):
-        import repro.local.runtime as runtime_mod
-
-        spies: list[_SpyStats] = []
-
-        def make_spy():
-            spy = _SpyStats()
-            spies.append(spy)
-            return spy
-
-        monkeypatch.setattr(runtime_mod, "MessageStats", make_spy)
-        plan = FaultPlan(drop_probability=0.3, corrupt_probability=0.3, seed=7)
-        report = run_program(path4, lambda n: Collector(2), seed=0, faults=plan)
-        assert sum(s.record_calls for s in spies) == report.messages.total > 0
+    @pytest.mark.parametrize("loop", ("active", "dense"))
+    @pytest.mark.parametrize(
+        "plan",
+        (
+            FaultPlan.none(),
+            FaultPlan(drop_probability=0.3, seed=7),
+            FaultPlan(drop_probability=0.3, corrupt_probability=0.3, seed=7),
+        ),
+        ids=("none", "drops", "both"),
+    )
+    def test_every_plan_meters_per_round(self, path4, plan, loop, monkeypatch):
+        spies = self.spy_on_stats(monkeypatch)
+        report = RUN[loop](path4, lambda n: Collector(2), seed=0, faults=plan)
+        assert sum(s.record_calls for s in spies) == 0
+        assert sum(s.batch_calls for s in spies) > 0
+        assert report.messages.total > 0
+        assert (report.messages.dropped > 0) == plan.can_drop
 
     def test_corrupt_only_report_matches_per_message_semantics(self, path4):
-        # The batched path must meter exactly what the per-message path
-        # would have: same totals, same per-round series, same corrupted
-        # count, on the runtime and the dense loop.
+        # The batched path meters what per-message metering would: the
+        # same counters on the runtime and the dense loop, and every
+        # metered message either delivered or erased.
         plan = FaultPlan(corrupt_probability=0.4, seed=11)
         active = run_program(path4, lambda n: Collector(2), seed=0, faults=plan)
         dense = dense_program(path4, lambda n: Collector(2), seed=0, faults=plan)
@@ -243,3 +316,6 @@ class TestBatchedMetering:
         assert active.messages.per_round == dense.messages.per_round
         assert active.messages.corrupted == dense.messages.corrupted
         assert active.outputs == dense.outputs
+        delivered = sum(len(out) for out in active.outputs.values())
+        assert 0 < delivered < active.messages.total
+        assert active.messages.total == delivered + active.messages.corrupted

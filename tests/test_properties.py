@@ -15,11 +15,13 @@ from repro.analysis.stretch import adjacent_pair_stretch
 from repro.core import SamplerParams, build_spanner
 from repro.core.distributed.schedule import PhaseKind, Schedule
 from repro.core.trials import NodeLabel, QueryResult, TrialMachine
+from repro.execution import Exec
 from repro.graphs import dense_gnm
 from repro.local import FaultPlan
 from repro.local.network import Network
 from repro.local.runtime import run_program
 from repro.rng import RngFactory
+from repro.simulate import t_local_broadcast
 from reference_runtime import FloodProgram, dense_program
 
 _SETTINGS = settings(
@@ -266,12 +268,15 @@ class TestSchedulerEquivalenceProperties:
         seed=st.integers(min_value=0, max_value=100),
         radius=st.integers(min_value=0, max_value=5),
         drop=st.floats(min_value=0.0, max_value=0.4),
+        corrupt=st.floats(min_value=0.0, max_value=0.4),
         drop_seed=st.integers(min_value=0, max_value=50),
     )
     def test_flood_reports_identical_across_schedulers(
-        self, net, seed, radius, drop, drop_seed
+        self, net, seed, radius, drop, corrupt, drop_seed
     ):
-        plan = FaultPlan(drop_probability=drop, seed=drop_seed)
+        plan = FaultPlan(
+            drop_probability=drop, corrupt_probability=corrupt, seed=drop_seed
+        )
 
         def run(loop):
             return loop(
@@ -288,7 +293,14 @@ class TestSchedulerEquivalenceProperties:
         assert dense.outputs == active.outputs
         assert dense.rounds == active.rounds
         assert dense.halted == active.halted
-        assert dense.messages.total == active.messages.total
-        assert dense.messages.dropped == active.messages.dropped
-        assert dense.messages.per_round == active.messages.per_round
-        assert dense.messages.by_tag == active.messages.by_tag
+        population = t_local_broadcast(
+            net, lambda v: v, radius, execution=Exec("runtime"), faults=plan
+        )
+        assert population.collected == dense.outputs
+        assert population.rounds == dense.rounds
+        for side in (active.messages, population.messages):
+            assert side.total == dense.messages.total
+            assert side.dropped == dense.messages.dropped
+            assert side.corrupted == dense.messages.corrupted
+            assert side.per_round == dense.messages.per_round
+            assert side.by_tag == dense.messages.by_tag

@@ -16,6 +16,9 @@ only witnesses.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import pathlib
 import random
 
 import numpy as np
@@ -107,7 +110,6 @@ ZERO_ROUND_ALGORITHMS = (
     RandomMatching(0),
     RandomizedColoring(0),
 )
-DROP_PLANS = ("none", "drops")
 RUN = {"active": run_program, "dense": dense_program}
 RUNTIME_FLOOD = Exec(flood_engine="runtime")
 
@@ -281,6 +283,61 @@ class TestGossipEngine:
 
 
 # ---------------------------------------------------------------------------
+# flood and gossip metering under corrupt plans
+# ---------------------------------------------------------------------------
+CORRUPT_PINS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "corrupt_plan_metering.json").read_text()
+)
+
+
+def pinned(report, outputs) -> dict:
+    """A report's counters, rounds and a digest of ``outputs`` (one
+    sorted list per node), in the pin file's shape."""
+    messages = report.messages
+    rows = json.dumps(
+        [sorted(outputs[v]) for v in range(len(outputs))], separators=(",", ":")
+    )
+    return {
+        "by_tag": dict(messages.by_tag),
+        "corrupted": messages.corrupted,
+        "dropped": messages.dropped,
+        "outputs_sha256": hashlib.sha256(rows.encode()).hexdigest(),
+        "per_round": messages.per_round,
+        "rounds": report.rounds,
+        "total": messages.total,
+    }
+
+
+class TestCorruptPlanPins:
+    """The runtime flood and push–pull gossip under corrupt plans report
+    what they reported at commit a8e0f64, when a corrupted message was
+    delivered as a sentinel that both populations skipped
+    (``tests/data/corrupt_plan_metering.json``).  The equalities with
+    the oracles cannot see a drift here: the engines and the oracles
+    share the fault decision, so both sides would move together."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("plan", ("corrupt", "both"))
+    def test_runtime_flood(self, family, plan):
+        net = FAMILIES[family]()
+        for radius in (1, 2, 3):
+            report = t_local_broadcast(
+                net, lambda v: v, radius, execution=RUNTIME_FLOOD, faults=PLANS[plan]
+            )
+            pin = CORRUPT_PINS[f"flood/{family}/{plan}/r{radius}"]
+            assert pinned(report, report.collected) == pin, radius
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("plan", ("corrupt", "both"))
+    def test_push_pull_gossip(self, family, plan):
+        net = FAMILIES[family]()
+        report = vector_gossip(net, rounds=5, seed=3, faults=PLANS[plan])
+        pin = CORRUPT_PINS[f"gossip/{family}/{plan}"]
+        assert pinned(report, report.outputs) == pin
+        assert report.messages.corrupted > 0
+
+
+# ---------------------------------------------------------------------------
 # registered LOCAL algorithm populations
 # ---------------------------------------------------------------------------
 class TestAlgorithmEngine:
@@ -311,28 +368,13 @@ class TestAlgorithmEngine:
         assert vec.messages.per_round == ref.messages.per_round
         assert vec.messages.dropped == ref.messages.dropped
 
-    def test_corrupt_plans_fall_back_identically(self):
-        # Corrupt-capable plans route run_direct to the per-node
-        # interpreter (tampered payloads are defined per node program).
-        # Pure LOCAL algorithms define no corrupted-payload handling —
-        # they fail — so the engine contract here is *identical
-        # failure*: same exception type, same message.
-        net = FAMILIES["gnp"]()
-        plan = PLANS["both"]
-        vec = outcome(lambda: run_direct(net, MinIdAggregation(3), seed=2, faults=plan))
-        ref = outcome(
-            lambda: reference_direct(net, MinIdAggregation(3), seed=2, faults=plan)
-        )
-        if vec[0] == "ok":
-            assert_outcomes_equal(vec[1], ref[1])
-        else:
-            assert vec == ref
-
     @pytest.mark.parametrize("algo", ALGORITHMS, ids=ALGORITHM_IDS)
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    @pytest.mark.parametrize("plan", DROP_PLANS)
+    @pytest.mark.parametrize("plan", tuple(PLANS))
     @pytest.mark.parametrize("seed", SEEDS)
     def test_full_matrix_identical(self, algo, family, plan, seed):
+        # Under corrupt plans too: an erased message reaches the
+        # population no more than a dropped one does.
         assert_engines_agree(FAMILIES[family](), algo, seed, PLANS[plan])
 
     def test_isolated_nodes(self):
@@ -428,7 +470,7 @@ class TestColoringPalettes:
 
     @pytest.mark.parametrize("family", sorted(PALETTE_FAMILIES))
     @pytest.mark.parametrize("algo", COLORINGS, ids=("t2", "t5", "default"))
-    @pytest.mark.parametrize("plan", DROP_PLANS)
+    @pytest.mark.parametrize("plan", tuple(PLANS))
     def test_full_runreport_identical(self, family, algo, plan):
         net = PALETTE_FAMILIES[family]()
         t = algo.rounds(net.n)
@@ -528,14 +570,13 @@ class TestReferenceFallback:
             run_inprocess(net, algo, seed=1)
         assert fallback_events() == []
 
-    def test_corrupt_plan_announced(self, obs_on):
+    def test_corrupt_plan_announces_nothing(self, obs_on):
+        # Corrupt plans run on the populations: nothing falls back.
         net = FAMILIES["torus"]()
         plan = FaultPlan(corrupt_probability=0.05, seed=3)
         out = run_direct(net, RandomMatching(2), seed=1, faults=plan)
         assert out.messages.corrupted > 0
-        assert fallback_events() == [
-            {"algo": "rand-matching", "reason": "corrupt_plan"}
-        ]
+        assert fallback_events() == []
 
     def test_unregistered_subclasses_take_the_per_node_paths(self, obs_on):
         # The per-node interpreter and the message-free loop serve what
@@ -590,21 +631,22 @@ def probe_inbox(net: Network, faults=None):
 
 def argsort_inbox(net: Network, faults=None) -> dict:
     """An all-node round's inbox, built one message at a time: the
-    fault plan's coins drop and mark rows in outbox order, then a plain
-    int64 stable argsort groups the survivors by receiver."""
+    fault plan's coins drop or erase rows in outbox order, then a plain
+    int64 stable argsort groups the delivered rows by receiver."""
     faults = faults or FaultPlan.none()
     indptr, inc = (np.frombuffer(a, dtype=np.int64) for a in net.incidence_csr())
     owners = np.repeat(np.arange(net.n, dtype=np.int64), np.diff(indptr))
     sends = list(zip(inc.tolist(), owners.tolist()))
     rows = np.asarray(
-        [i for i, (eid, v) in enumerate(sends) if not faults.drops(0, eid, v)],
+        [
+            i
+            for i, (eid, v) in enumerate(sends)
+            if not (faults.drops(0, eid, v) or faults.corrupts(0, eid, v))
+        ],
         dtype=np.int64,
     )
     receivers = np.asarray(
         [net.other_end(*sends[i]) for i in rows.tolist()], dtype=np.int64
-    )
-    corrupted = np.asarray(
-        [faults.corrupts(0, *sends[i]) for i in rows.tolist()], dtype=bool
     )
     order = np.argsort(receivers, kind="stable")
     return {
@@ -612,7 +654,6 @@ def argsort_inbox(net: Network, faults=None) -> dict:
         "rows": rows[order],
         "senders": owners[rows][order],
         "eids": inc[rows][order],
-        "corrupted": corrupted[order],
     }
 
 
@@ -652,8 +693,8 @@ PLAN_GRAPHS = {
 
 
 class TestDeliveryPaths:
-    """An all-node broadcast without drops takes the network's delivery
-    plan as its inbox; other broadcasts read their receivers from the
+    """An all-node broadcast that loses nothing to a fault plan takes
+    the network's delivery plan as its inbox; other broadcasts read their receivers from the
     plan, and other outboxes look their edges up by eid (searchsorted
     when ids have gaps), then sort stably by receiver (an int64 sort
     above 2**16 nodes)."""
@@ -663,7 +704,7 @@ class TestDeliveryPaths:
         assert net.endpoints_flat()[0] is not None  # ids have gaps
         assert delivery_plan(net).eid_sorted is not None
         for algo in ALGORITHMS:
-            for plan in DROP_PLANS:
+            for plan in PLANS:
                 assert_engines_agree(net, algo, seed=4, faults=PLANS[plan])
 
     @pytest.mark.parametrize("plan", ["none", "corrupt", "both"])
@@ -685,12 +726,12 @@ class TestDeliveryPaths:
         for algo in (MinIdAggregation(1), RandomizedColoring(2), LubyMis(1)):
             assert_engines_agree(net, algo, seed=3, faults=faults)
 
-    def test_runtime_flood_corrupt_round_is_permuted(self):
+    def test_corrupt_in_an_all_node_round_sorts(self):
         net = FAMILIES["ba"]()
         faults = PLANS["corrupt"]
-        corrupted = probe_inbox(net, faults).corrupted
-        assert corrupted.any()
-        assert np.array_equal(corrupted, argsort_inbox(net, faults)["corrupted"])
+        inbox = probe_inbox(net, faults)
+        assert inbox.rows.size < 2 * net.m
+        assert_inbox_equal(inbox, argsort_inbox(net, faults), "ba")
         for radius in (1, 2):
             vec = t_local_broadcast(
                 net, lambda v: v, radius, execution=RUNTIME_FLOOD, faults=faults
@@ -797,13 +838,11 @@ class TestSamplerEngine:
         vec = run("active")
         assert_reports_equal(vec, ref)
 
-    def test_corruption_disables_planes_not_equality(self):
-        # can_corrupt plans keep every message on the per-node dispatch
-        # path (hybrid planes are delivery-time absorption and cannot
-        # express tampered payloads), so the runtime must match the
-        # dense loop — here, identical reports or identical failure,
-        # since the Sampler defines no corrupted-payload handling and
-        # faults on a handshake tag blow up the protocol.
+    def test_corruption_keeps_planes_and_equality(self):
+        # An erased message reaches no receiver, so the runtime services
+        # the planes under corrupt plans too.  Erasing a handshake
+        # strands the protocol as a drop does: both loops raise the same
+        # ProtocolError, or agree on the whole report.
         net = FAMILIES["torus"]()
         plan = FaultPlan(corrupt_probability=0.03, seed=5)
         params = SamplerParams(k=1, h=2, seed=3)
@@ -820,11 +859,18 @@ class TestSamplerEngine:
                 fixed_rounds=schedule.total_rounds,
             )
 
-        active, dense = outcome(lambda: run("active")), outcome(lambda: run("dense"))
-        if active[0] == "ok":
-            assert_reports_equal(active[1], dense[1])
-        else:
-            assert active == dense
+        runtime = Runtime(
+            net, lambda node: SamplerProgram(node, params, schedule), faults=plan
+        )
+        assert runtime._planes
+        try:
+            ref = run("dense")
+        except ProtocolError as exc:
+            with pytest.raises(ProtocolError) as vec_exc:
+                run("active")
+            assert str(vec_exc.value) == str(exc)
+            return
+        assert_reports_equal(run("active"), ref)
 
 
 # ---------------------------------------------------------------------------
@@ -842,6 +888,7 @@ ATLAS_PLANS = {
     "none": None,
     "drops": FaultPlan(drop_probability=0.2, seed=7),
     "corrupt": FaultPlan(corrupt_probability=0.2, seed=7),
+    "both": FaultPlan(drop_probability=0.1, corrupt_probability=0.1, seed=7),
 }
 
 
@@ -852,11 +899,11 @@ def atlas():
 
 class TestAtlas:
     """Every connected atlas graph on 2-6 nodes against the oracles:
-    equal outcomes, or the same exception type and text where both
-    sides raise (corrupted payloads break some algorithms, and some
-    Sampler schedules end on an empty level, which the distributed run
-    refuses as a round mismatch).  A failure names the atlas graph, the
-    payload, the seed and the plan."""
+    equal outcomes under every plan, where every payload run completes;
+    a distributed Sampler run may instead raise the oracle's exception
+    type and text (some schedules end on an empty level, which the
+    distributed run refuses as a round mismatch).  A failure names the
+    atlas graph, the payload, the seed and the plan."""
 
     def test_atlas_has_142_connected_graphs(self, atlas):
         assert len(atlas) == 142
@@ -866,10 +913,8 @@ class TestAtlas:
             for algo in ATLAS_PAYLOADS:
                 for seed in (0, 1):
                     for plan, faults in ATLAS_PLANS.items():
-                        vec = outcome(lambda: run_direct(net, algo, seed, faults=faults))
-                        ref = outcome(
-                            lambda: reference_direct(net, algo, seed, faults=faults)
-                        )
+                        vec = run_direct(net, algo, seed, faults=faults)
+                        ref = reference_direct(net, algo, seed, faults=faults)
                         assert vec == ref, (name, algo.name, seed, plan)
                     assert (
                         run_inprocess(net, algo, seed)
