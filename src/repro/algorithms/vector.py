@@ -52,6 +52,16 @@ from repro.local.network import Network
 __all__ = ["vector_population"]
 
 
+def _ints_or_none(values: np.ndarray) -> dict[int, int | None]:
+    """``{v: values[v]}`` as Python ints, ``None`` where negative.
+
+    Built with whole-array ops and one ``tolist``: no per-node bytecode.
+    """
+    boxed = values.astype(object)
+    boxed[values < 0] = None
+    return dict(enumerate(boxed.tolist()))
+
+
 class _AlgoPopulation(VectorProgram):
     """Shared scaffolding: incidence CSR, round budget, halting."""
 
@@ -118,9 +128,7 @@ class _VectorBfs(_AlgoPopulation):
         return self._broadcast(newly) if newly.size else None
 
     def outputs(self) -> dict[int, int | None]:
-        return {
-            v: (d if d >= 0 else None) for v, d in enumerate(self._dist.tolist())
-        }
+        return _ints_or_none(self._dist)
 
 
 class _VectorMinId(_AlgoPopulation):
@@ -196,10 +204,19 @@ class _VectorBallCollect(_AlgoPopulation):
         return self._broadcast(emitters) if emitters.size else None
 
     def outputs(self) -> dict[int, tuple[int, ...]]:
+        # One flat nonzero over the bool view (NumPy's fast path; bits
+        # past n are clear) and one bulk tolist.  Row-major order lists
+        # each node's members ascending.
         bits = np.unpackbits(
             self._known.view(np.uint8), axis=1, bitorder="little"
-        )[:, : self._n]
-        return {v: tuple(np.flatnonzero(bits[v]).tolist()) for v in range(self._n)}
+        ).view(bool)
+        owners, members = np.divmod(np.flatnonzero(bits), bits.shape[1])
+        ends = np.cumsum(np.bincount(owners, minlength=self._n)).tolist()
+        members = members.tolist()
+        return {
+            v: tuple(members[start:end])
+            for v, (start, end) in enumerate(zip([0, *ends], ends))
+        }
 
 
 # _HIGH_BITS[k]: the bits at or above position k of one uint64 word.
@@ -351,12 +368,12 @@ class _VectorColoring(_AlgoPopulation):
         return self._emit_round(round_index)
 
     def outputs(self) -> dict[int, int | None]:
-        return {
-            v: (c if c >= 0 else None) for v, c in enumerate(self._fixed.tolist())
-        }
+        return _ints_or_none(self._fixed)
 
 
 _UNDECIDED, _IN, _OUT = 0, 1, 2
+# A node's output by status, looked up for all nodes at once.
+_LUBY_OUTPUTS = np.array([None, True, False], dtype=object)
 
 
 class _VectorLuby(_AlgoPopulation):
@@ -407,8 +424,7 @@ class _VectorLuby(_AlgoPopulation):
         return self._broadcast(emitters) if emitters.size else None
 
     def outputs(self) -> dict[int, bool | None]:
-        value = {_UNDECIDED: None, _IN: True, _OUT: False}
-        return {v: value[s] for v, s in enumerate(self._status.tolist())}
+        return dict(enumerate(_LUBY_OUTPUTS[self._status].tolist()))
 
 
 class _VectorMatching(_AlgoPopulation):
@@ -505,10 +521,7 @@ class _VectorMatching(_AlgoPopulation):
         return self._broadcast(fresh) if fresh.size else None
 
     def outputs(self) -> dict[int, int | None]:
-        return {
-            v: (e if e >= 0 else None)
-            for v, e in enumerate(self._matched.tolist())
-        }
+        return _ints_or_none(self._matched)
 
 
 _BUILDERS: dict[type, Callable[..., VectorProgram]] = {

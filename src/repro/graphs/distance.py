@@ -8,9 +8,11 @@ computationally, the same kernel: level sets of an unweighted BFS,
 capped at a radius, from one or many sources.  This module owns that
 kernel once, as NumPy bitset frontier sweeps.  The graph lives as a
 flat neighbor CSR (``indptr``/``indices``); a block of sources is
-packed along a uint64 bit dimension, so one BFS level is a row-gather
-of the packed frontier through ``indices`` plus a segmented
-``bitwise_or.reduceat`` per destination node, then
+packed along a uint64 bit dimension, and each sweep renumbers the
+nodes by descending degree, so column ``j`` of the adjacency lists
+covers a prefix of the rows.  One BFS level ORs each wide column's
+gathered frontier rows into that prefix, folds the narrow columns in
+with one segmented ``bitwise_or.reduceat``, then takes
 ``newly = expanded & ~visited`` — all 64 sources of a word advance per
 machine word.  No per-node Python loop ever runs; memory is bounded by
 processing sources in blocks sized so the *unpacked* ``(rows, n)``
@@ -31,12 +33,15 @@ from typing import Iterator
 
 import numpy as np
 
+from repro import obs
+
 __all__ = [
     "BallFamily",
     "adjacency_csr",
     "component_labels",
     "balls_and_eccentricities",
     "distance_blocks",
+    "distance_matrix",
     "ball_matrix_blocks",
     "eccentricities",
 ]
@@ -51,6 +56,10 @@ _BLOCK_CELLS_DIST = 1 << 23
 # A uint8 distance counter holds up to L + 1 after L levels, so a sweep
 # widens it when it reaches this level.
 _COUNTER_LEVELS = np.iinfo(np.uint8).max
+# A column of the degree-ordered CSR is folded into a level by its own
+# gather-OR when it spans at least this many uint64 words (width x
+# words); the narrower columns share one reduceat (DESIGN.md §3.7).
+_COLUMN_WORDS = 1024
 
 
 # ----------------------------------------------------------------------
@@ -112,6 +121,68 @@ def _block_rows(n: int, n_sources: int, *, track_dist: bool = False) -> int:
 # ----------------------------------------------------------------------
 # the batched sweep
 # ----------------------------------------------------------------------
+class _LevelStep:
+    """One BFS level over a CSR renumbered by descending degree.
+
+    Node ``v`` becomes row ``rank[v]``, so the nodes with more than
+    ``j`` neighbors are a prefix of the rows, and column ``j`` of the
+    adjacency lists (each such node's ``j``-th neighbor) is one index
+    array over that prefix.  :meth:`expand` ORs each wide column in
+    with one gather; the narrow columns, which are a suffix, share one
+    segmented ``reduceat`` over the high-degree rows' remaining
+    neighbors, so a star's hub or a heavy-tailed graph's hubs cost one
+    ``reduceat`` segment each rather than one Python op per column.
+    """
+
+    __slots__ = ("rank", "width", "columns", "tail", "tail_starts")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, words: int) -> None:
+        deg = indptr[1:] - indptr[:-1]
+        order = np.argsort(-deg, kind="stable")
+        rank = np.empty(len(deg), dtype=np.int64)
+        rank[order] = np.arange(len(deg))
+        deg = deg[order]
+        starts = indptr[order]
+        neighbors = rank[indices]
+        # widths[j]: how many rows have more than j neighbors.
+        widths = np.searchsorted(-deg, -np.arange(deg.max(initial=0)))
+        head = int(np.count_nonzero(widths * words >= _COLUMN_WORDS))
+        self.rank = rank
+        self.width = int(widths[0]) if len(widths) else 0
+        self.columns = [
+            neighbors[starts[:width] + j]
+            for j, width in enumerate(widths[:head].tolist())
+        ]
+        self.tail = self.tail_starts = None
+        if head < len(widths):
+            lengths = deg[: widths[head]] - head
+            self.tail_starts = np.zeros(len(lengths), dtype=np.int64)
+            np.cumsum(lengths[:-1], out=self.tail_starts[1:])
+            slots = np.arange(int(lengths.sum())) + np.repeat(
+                starts[: len(lengths)] + head - self.tail_starts, lengths
+            )
+            self.tail = neighbors[slots]
+
+    def expand(self, frontier: np.ndarray) -> np.ndarray:
+        """Every row's OR over its neighbors' ``frontier`` rows."""
+        expanded = np.empty_like(frontier)
+        columns = self.columns
+        if columns:
+            expanded[: self.width] = frontier[columns[0]]
+            for column in columns[1:]:
+                expanded[: len(column)] |= frontier[column]
+        if self.tail is not None:
+            folded = np.bitwise_or.reduceat(
+                frontier[self.tail], self.tail_starts, axis=0
+            )
+            if columns:
+                expanded[: len(folded)] |= folded
+            else:
+                expanded[: len(folded)] = folded
+        expanded[self.width :] = 0
+        return expanded
+
+
 def _sweep(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -126,24 +197,39 @@ def _sweep(
     The block's sources are packed along a uint64 bit dimension:
     ``visited[v, w]`` holds, in bit ``i % 64`` of word ``w == i // 64``,
     whether source ``i`` has reached node ``v``.  A level is then one
-    row-gather of the packed frontier through the flat ``indices`` array
-    plus a segmented ``bitwise_or.reduceat`` per destination node — all
-    64 sources of a word advance per machine word, which is what makes
-    the sweep memory-bound rather than interpreter-bound.
+    :class:`_LevelStep` expansion of the packed frontier (one gather-OR
+    per wide column of the degree-ordered CSR, one ``reduceat`` for the
+    narrow rest) and ``newly = expanded & ~visited`` — all 64 sources
+    of a word advance per machine word, which is what makes the sweep
+    memory-bound rather than interpreter-bound.
 
-    Returns ``(visited, dist, ecc)``: ``visited`` is the packed
-    ``(n, words)`` uint64 bitset, ``dist`` is ``(n, rows)`` int32 with
-    ``-1`` for unreached (``None`` unless tracked; callers transpose),
-    and ``ecc[i]`` is the last level at which source ``i``'s frontier
-    was non-empty — its ``levels``-capped eccentricity.  ``levels=None``
-    sweeps until every frontier dies.
+    Returns ``(visited, count, ecc)``: ``visited`` is the packed
+    ``(n, words)`` uint64 bitset, ``count`` is the ``(n, rows)``
+    distance counter (``None`` unless tracked; :func:`_distances` turns
+    it into distances), and ``ecc[i]`` is the last level at which
+    source ``i``'s frontier was non-empty — its ``levels``-capped
+    eccentricity.  ``levels=None`` sweeps until every frontier dies.
     """
+    if not obs.enabled():
+        return _sweep_block(indptr, indices, sources, n, levels, track_dist)
+    with obs.span(
+        "distance/sweep", rows=len(sources), track_dist=track_dist
+    ) as sweep_span:
+        swept = _sweep_block(indptr, indices, sources, n, levels, track_dist)
+        sweep_span.set(levels=int(swept[2].max(initial=0)))
+    return swept
+
+
+def _sweep_block(indptr, indices, sources, n, levels, track_dist):
     rows = len(sources)
     words = (rows + 63) >> 6
     bits = np.uint64(1) << (np.arange(rows, dtype=np.uint64) & np.uint64(63))
     word_of = np.arange(rows) >> 6
+    step = _LevelStep(indptr, indices, words)
+    rank = step.rank
+    # The sweep runs on the renumbered rows; results go back through rank.
     visited = np.zeros((n, words), dtype=np.uint64)
-    visited[sources, word_of] = bits
+    visited[rank[sources], word_of] = bits
     # Distances are tracked as per-cell counters: every level adds the
     # unpacked ``visited`` rows, so after the last level L a cell first
     # reached at level d has counted L - d + 1 (never reached: 0).
@@ -152,19 +238,11 @@ def _sweep(
         count = np.zeros((n, rows), dtype=np.uint8)
         count[sources, np.arange(rows)] = 1
     ecc = np.zeros(rows, dtype=np.int64)
-    # reduceat boundaries over non-isolated nodes only: consecutive
-    # boundaries then always cut non-empty, correctly-owned segments
-    # (zero-degree nodes in between contribute empty ranges).
-    deg = indptr[1:] - indptr[:-1]
-    live = np.nonzero(deg > 0)[0]
-    boundaries = indptr[live]
     frontier = visited.copy()
     level = 0
-    while live.size and (levels is None or level < levels):
-        gathered = frontier[indices]
-        expanded = np.zeros_like(frontier)
-        expanded[live] = np.bitwise_or.reduceat(gathered, boundaries, axis=0)
-        newly = expanded & ~visited
+    while step.width and (levels is None or level < levels):
+        newly = step.expand(frontier)
+        newly &= ~visited
         alive = np.bitwise_or.reduce(newly, axis=0)
         if not alive.any():
             break
@@ -180,18 +258,24 @@ def _sweep(
                 # to the int32 the distances end in.
                 count = count.astype(np.int32)
             count += np.unpackbits(
-                visited.view(np.uint8), axis=1, count=rows, bitorder="little"
+                visited[rank].view(np.uint8), axis=1, count=rows, bitorder="little"
             )
         frontier = newly
-    if count is None:
-        return visited, None, ecc
-    # dist = L + 1 - count, in place once the counter is int32; cells
-    # never reached (count 0) come out as L + 1 and are marked -1.
-    dist = count.astype(np.int32, copy=False)
-    del count
-    np.subtract(level + 1, dist, out=dist)
-    dist[dist == level + 1] = -1
-    return visited, dist, ecc
+    return visited[rank], count, ecc
+
+
+def _distances(count: np.ndarray, ecc: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the distances a sweep's counters hold into ``out``.
+
+    ``dist = L + 1 - count`` for the sweep's last level ``L`` (its
+    largest ``ecc``), cast straight into ``out``'s dtype; cells never
+    reached (count 0) come out as ``L + 1`` and are marked ``-1``.
+    ``out`` may be ``count`` itself (in place) or any view of its shape.
+    """
+    top = int(ecc.max(initial=0)) + 1
+    np.subtract(top, count, out=out, dtype=out.dtype)
+    out[out == top] = -1
+    return out
 
 
 def _unpack_bool(packed: np.ndarray, columns: int) -> np.ndarray:
@@ -476,14 +560,43 @@ def distance_blocks(
     block = _block_rows(n, len(src), track_dist=True)
     for start in range(0, len(src), block):
         chunk = src[start : start + block]
-        _, dist, ecc = _sweep(indptr, indices, chunk, n, levels, track_dist=True)
-        assert dist is not None
+        _, count, ecc = _sweep(indptr, indices, chunk, n, levels, track_dist=True)
+        # A counter the sweep widened to int32 converts in place.
+        dist = _distances(
+            count,
+            ecc,
+            count if count.dtype == np.int32 else np.empty(count.shape, np.int32),
+        )
         exhausted = (
             np.ones(len(chunk), dtype=bool)
             if levels is None
             else ecc < cutoff
         )
         yield start, dist.T, exhausted
+
+
+def distance_matrix(
+    indptr: np.ndarray, indices: np.ndarray, radius: int, dtype=np.int16
+) -> np.ndarray:
+    """All-pairs hop distances up to ``radius`` as one ``(n, n)`` matrix.
+
+    ``dist[v, w]`` is the distance between ``v`` and ``w`` when it is at
+    most ``radius``, else ``-1``; ``dtype`` must hold ``radius + 1``.
+    Hop distances are symmetric, so a block of sources lands as
+    columns, written straight from the sweep's node-major counters in
+    ``dtype``: no int32 block, no transpose and no second full-matrix
+    pass.
+    """
+    n = len(indptr) - 1
+    dist = np.empty((n, n), dtype=dtype)
+    block = _block_rows(n, n, track_dist=True)
+    for start in range(0, n, block):
+        src = np.arange(start, min(start + block, n), dtype=np.int64)
+        _, count, ecc = _sweep(
+            indptr, indices, src, n, max(0, radius), track_dist=True
+        )
+        _distances(count, ecc, dist[:, start : start + len(src)])
+    return dist
 
 
 def ball_matrix_blocks(

@@ -21,7 +21,8 @@ radius-capped distance matrix of the spanner, from which the exact
 :class:`~repro.simulate.tlocal.FloodSchedule` of **any** smaller radius
 (and of any radius at all once every BFS ended below the cap) is
 re-derived by truncation — balls are ``dist <= r`` rows, capped
-eccentricities are row maxima, and the message counters come from the
+eccentricities are the stored row maxima capped at ``r``, and the
+message counters come from the
 same suffix-sum code path the live derivation uses
 (:func:`~repro.simulate.tlocal.flood_stats`).
 """
@@ -34,6 +35,7 @@ from collections import Counter
 
 import numpy as np
 
+from repro import obs
 from repro.core.params import SamplerParams
 from repro.core.spanner import SpannerResult
 from repro.core.trace import (
@@ -43,7 +45,7 @@ from repro.core.trace import (
     SamplerTrace,
 )
 from repro.core.trials import NodeLabel, TrialStats
-from repro.graphs.distance import BallFamily, adjacency_csr, distance_blocks
+from repro.graphs.distance import BallFamily, adjacency_csr, distance_matrix
 from repro.local.metrics import MessageStats
 from repro.local.network import Network
 from repro.simulate.tlocal import FloodSchedule, flood_stats
@@ -330,10 +332,11 @@ class FloodProfile:
     of any radius ``r' <= radius`` depends on.  :meth:`schedule`
     re-derives the precise :class:`FloodSchedule` for such an ``r'``:
     the balls are the ``0 <= dist <= r'`` rows (bit-packed, no Python
-    sets), the capped eccentricities their row maxima, and the message
-    counters come from :func:`~repro.simulate.tlocal.flood_stats` — the
-    very code path the live derivation uses, so equality with
-    ``flood_schedule(spanner, r')`` is structural.
+    sets), the capped eccentricities ``min(rowmax, r')`` over the row
+    maxima stored once per profile, and the message counters come from
+    :func:`~repro.simulate.tlocal.flood_stats` — the very code path the
+    live derivation uses, so equality with ``flood_schedule(spanner,
+    r')`` is structural.
 
     A profile is :attr:`exhausted` when every stored distance is below
     its radius: each BFS then died before the cap, so the matrix holds
@@ -346,6 +349,7 @@ class FloodProfile:
         "exhausted",
         "_dist",
         "_degs",
+        "_rowmax",
         "_schedules",
     )
 
@@ -360,7 +364,13 @@ class FloodProfile:
         self.radius = radius
         self._dist = dist
         self._degs = degs
-        self.exhausted = bool(dist.max(initial=_UNREACHED) < radius)
+        # Each row's largest stored distance is its eccentricity capped
+        # at the radius.  BFS levels are contiguous (a node with a member
+        # at distance d has members at every smaller distance), so
+        # min(rowmax, r') is the r'-capped eccentricity for every radius
+        # the profile serves.
+        self._rowmax = dist.max(axis=1, initial=0).astype(np.int64)
+        self.exhausted = bool(self._rowmax.max(initial=_UNREACHED) < radius)
         # Truncated schedules memoized per requested radius.  Schedules
         # are immutable by the simulator's result conventions, so one
         # object safely serves every request at that radius; distinct
@@ -374,24 +384,30 @@ class FloodProfile:
     def nbytes(self) -> int:
         """Array footprint; the store's LRU weighs profile entries by
         this against its byte budget (``MEMORY_BYTE_BUDGET``)."""
-        return int(self._dist.nbytes + self._degs.nbytes)
+        return int(self._dist.nbytes + self._degs.nbytes + self._rowmax.nbytes)
 
     @classmethod
     def build(cls, spanner: Network, radius: int) -> "FloodProfile":
         """Measure the spanner's truncated distances once, up front."""
-        n = spanner.n
         radius = max(0, radius)
+        if not obs.enabled():
+            return cls._build(spanner, radius)
+        with obs.span(
+            "store/profile_build", n=spanner.n, radius=radius
+        ) as build_span:
+            profile = cls._build(spanner, radius)
+            build_span.set(
+                levels=int(profile._rowmax.max(initial=0)),
+                exhausted=profile.exhausted,
+            )
+        return profile
+
+    @classmethod
+    def _build(cls, spanner: Network, radius: int) -> "FloodProfile":
         dtype = np.int16 if radius < 2**15 - 1 else np.int32
-        dist = np.full((n, n), _UNREACHED, dtype=dtype)
         indptr, indices = adjacency_csr(spanner)
-        for offset, block, _ in distance_blocks(
-            indptr, indices, range(n), cutoff=radius
-        ):
-            # Hop distances are symmetric, so the sweep's node-major
-            # block lands as columns: a plain copy, not a transpose.
-            dist[:, offset : offset + block.shape[0]] = block.T
-        degs = np.asarray([spanner.degree(v) for v in range(n)], dtype=np.int64)
-        return cls(spanner.fingerprint(), radius, dist, degs)
+        dist = distance_matrix(indptr, indices, radius, dtype)
+        return cls(spanner.fingerprint(), radius, dist, np.diff(indptr))
 
     def serves(self, radius: int) -> bool:
         """Whether :meth:`schedule` can derive ``radius`` exactly."""
@@ -407,15 +423,16 @@ class FloodProfile:
         cached = self._schedules.get(radius)
         if cached is not None:
             return cached
-        member = (self._dist >= 0) & (self._dist <= radius)
+        # One unsigned comparison: -1 (unreached) reads as the largest
+        # value, and no stored distance exceeds self.radius.
+        member = self._dist.view(f"u{self._dist.itemsize}") <= min(
+            radius, self.radius
+        )
         balls = BallFamily.from_packed(
             np.packbits(member, axis=1, bitorder="little"), self.n
         )
-        # Row maxima over members: every row holds dist[v, v] == 0, so
-        # the masked maximum is exactly the radius-capped eccentricity.
-        ecc = np.where(member, self._dist, 0).max(axis=1, initial=0)
-        ecc_list = [int(e) for e in ecc]
-        degs = [int(d) for d in self._degs]
+        ecc_list = np.minimum(self._rowmax, radius).tolist()
+        degs = self._degs.tolist()
         built = FloodSchedule(
             balls=balls,
             ecc=tuple(ecc_list),
@@ -463,6 +480,8 @@ class FloodProfile:
                 or dist.shape[0] != len(degs)
             ):
                 raise ValueError(f"distance matrix shape {dist.shape} inconsistent")
+            if dist.dtype.kind != "i":
+                raise ValueError(f"distance matrix dtype {dist.dtype} is not signed")
             profile = cls(
                 str(manifest["graph"]),
                 int(manifest["radius"]),

@@ -39,6 +39,7 @@ from repro.graphs.distance import (
     balls_and_eccentricities,
     component_labels,
     distance_blocks,
+    distance_matrix,
     eccentricities,
 )
 from repro.local.network import Network
@@ -416,6 +417,127 @@ class TestBatchedPrimitives:
         fast = flood_schedule(islands, 2)
         assert all(ball == {v} for v, ball in enumerate(fast.balls))
         assert fast == oracle.flood_schedule(islands, 2)
+
+
+def _star(n: int, hub: int) -> Network:
+    return Network.from_edge_pairs(
+        n, [(hub, w) for w in range(n) if w != hub], name="star"
+    )
+
+
+def _interleaved() -> Network:
+    """A G(n, p) on the odd ids with every even id isolated, so the
+    level step's degree order moves every node."""
+    inner = erdos_renyi(24, 0.2, seed=6)
+    pairs = [
+        (2 * a + 1, 2 * b + 1)
+        for a, b in (inner.endpoints(eid) for eid in inner.edge_ids)
+    ]
+    return Network.from_edge_pairs(48, pairs, name="interleaved")
+
+
+# At most 64 nodes, so every sweep block packs its sources in one word
+# and a column's width is its cost in words.
+_SPLIT_SHAPES = {
+    "star": lambda: _star(60, hub=23),
+    "ba": lambda: barabasi_albert(60, 3, seed=5),
+    "parallel": lambda: Network.from_edge_pairs(
+        9,
+        [(0, 1), (0, 1), (1, 2), (1, 2), (1, 2), (2, 3), (3, 0), (1, 4),
+         (4, 5), (5, 6), (6, 4), (6, 4), (1, 7)],
+        name="parallel",
+    ),
+    "interleaved": _interleaved,
+}
+
+
+def _column_words(net: Network, split: str) -> int:
+    """A ``_COLUMN_WORDS`` that puts the level step's head/tail split
+    before every column ("tail"), after every column ("head"), or
+    inside the widest node's adjacency list ("mid")."""
+    if split == "head":
+        return 1
+    if split == "tail":
+        return net.n + 1
+    deg = np.diff(adjacency_csr(net)[0])
+    # how many nodes have more than j neighbors, for each column j
+    widths = [int((deg > j).sum()) for j in range(int(deg.max()))]
+    return widths[len(widths) // 2] + 1
+
+
+class TestLevelStep:
+    """The degree-sliced level step against the oracle, with its
+    head/tail split forced before, inside and after the adjacency lists
+    and the sweeps cut into one or several source blocks."""
+
+    @pytest.fixture(params=["one-block", "blocks"])
+    def blocks(self, request, monkeypatch):
+        def apply(net: Network) -> None:
+            if request.param == "blocks":
+                rows = max(2, net.n // 3)
+                monkeypatch.setattr(distance_plane, "_BLOCK_CELLS", rows * net.n)
+                monkeypatch.setattr(distance_plane, "_BLOCK_CELLS_DIST", rows * net.n)
+
+        return apply
+
+    @pytest.mark.parametrize("split", ["head", "mid", "tail"])
+    @pytest.mark.parametrize("shape", sorted(_SPLIT_SHAPES))
+    def test_consumers_match_the_oracle(self, shape, split, blocks, monkeypatch):
+        net = _SPLIT_SHAPES[shape]()
+        blocks(net)
+        monkeypatch.setattr(distance_plane, "_COLUMN_WORDS", _column_words(net, split))
+        indptr, indices = adjacency_csr(net)
+        step = distance_plane._LevelStep(indptr, indices, words=1)
+        assert (bool(step.columns), step.tail is not None) == {
+            "head": (True, False),
+            "mid": (True, True),
+            "tail": (False, True),
+        }[split]
+        adj = oracle.adjacency(net)
+        for cutoff in (math.inf, 1, 2):
+            for offset, dist, exhausted in distance_blocks(
+                indptr, indices, range(net.n), cutoff=cutoff
+            ):
+                for i, row in enumerate(dist):
+                    ref = single_source_distances(adj, offset + i, cutoff)
+                    assert {w: int(d) for w, d in enumerate(row) if d >= 0} == ref
+                    assert bool(exhausted[i]) == bfs_exhausted(ref, cutoff)
+        for radius in range(4):
+            expected = oracle.flood_schedule(net, radius)
+            balls, ecc = balls_and_eccentricities(net, radius)
+            assert balls == expected.balls
+            assert tuple(ecc) == expected.ecc
+            for offset, rows in ball_matrix_blocks(indptr, indices, range(net.n), radius):
+                for i, row in enumerate(rows):
+                    assert frozenset(np.flatnonzero(row).tolist()) == balls[offset + i]
+            matrix = distance_matrix(indptr, indices, radius)
+            for v in range(net.n):
+                ref = single_source_distances(adj, v, radius)
+                assert {w: int(d) for w, d in enumerate(matrix[v]) if d >= 0} == ref
+        assert eccentricities(net) == oracle.eccentricities(net)
+
+    def test_star_hub_is_one_tail_segment(self):
+        # column 0 is every node; the hub's other n - 2 neighbors are
+        # narrow columns, folded in as one reduceat segment
+        net = _star(20_000, hub=7)
+        indptr, indices = adjacency_csr(net)
+        step = distance_plane._LevelStep(indptr, indices, words=27)
+        assert [len(column) for column in step.columns] == [net.n]
+        assert step.tail_starts.tolist() == [0]
+        assert len(step.tail) == net.n - 2
+
+    def test_no_nodes_and_a_single_node(self):
+        indptr, indices = np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        assert list(distance_blocks(indptr, indices, [])) == []
+        assert list(ball_matrix_blocks(indptr, indices, [], 2)) == []
+        assert distance_matrix(indptr, indices, 3).shape == (0, 0)
+        lone = Network.from_edge_pairs(1, [])
+        indptr, indices = adjacency_csr(lone)
+        assert distance_matrix(indptr, indices, 3).tolist() == [[0]]
+        [(offset, dist, exhausted)] = distance_blocks(indptr, indices, [0])
+        assert (offset, dist.tolist(), exhausted.tolist()) == (0, [[0]], [True])
+        assert balls_and_eccentricities(lone, 2)[1] == [0]
+        assert eccentricities(lone) == ([0], [1])
 
 
 class TestBallFamily:

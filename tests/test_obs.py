@@ -194,6 +194,26 @@ class TestCoverageTelemetry:
         fetches = self._attrs("store/fetch_flood_schedule", "source", "exhausted")
         assert fetches == [("built", False), ("built", True), ("memory", True)]
 
+    def test_profile_build_and_its_sweeps(self, obs_on):
+        from repro.store import ArtifactStore
+
+        store = ArtifactStore()
+        for radius in (1, 4, 6):
+            self._simulate(radius, store=store)
+        builds = self._attrs("store/profile_build", "n", "radius", "levels", "exhausted")
+        # radius 1 is cut short; the longest path has 3 hops, so the
+        # radius-4 profile is exhausted and also serves radius 6
+        assert builds == [(12, 1, 1, False), (12, 4, 3, True)]
+        records = obs.collector().finished()
+        parents = {record["id"]: record["name"] for record in records}
+        sweeps = [
+            tuple(record["attrs"][key] for key in ("rows", "levels", "track_dist"))
+            for record in records
+            if record["name"] == "distance/sweep"
+            and parents.get(record["parent"]) == "store/profile_build"
+        ]
+        assert sweeps == [(12, 1, True), (12, 3, True)]
+
     def test_repeat_reports_the_memoized_verdict(self, obs_on):
         from repro.store import ArtifactStore
 

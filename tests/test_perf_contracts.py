@@ -120,6 +120,28 @@ class TestSubnetworkContracts:
         elapsed = time.perf_counter() - started
         assert elapsed < 2.0, f"subnetwork of a 50k path took {elapsed:.2f}s"
 
+    def test_star_hub_sweep_is_fast(self):
+        """Time-bounded sanity: a hub's adjacency list is one segment.
+
+        The level step folds each wide column of the degree-ordered CSR
+        in with one gather-OR and the narrow rest with one ``reduceat``
+        (DESIGN.md §3.7).  A star's hub has n - 1 columns of width one;
+        on a 2-core host, folding each by its own NumPy op took about
+        2.5 s, while the sweep takes 0.02-0.04 s (the reduceat-only level
+        step it replaced, 0.02-0.03 s): the bound leaves over 10x
+        headroom above both and still catches that loop."""
+        n = 200_000
+        star = Network.from_edge_pairs(n, [(0, w) for w in range(1, n)])
+        indptr, indices = distance_plane.adjacency_csr(star)
+        started = time.perf_counter()
+        blocks = list(
+            distance_plane.ball_matrix_blocks(indptr, indices, range(1, 65), 2)
+        )
+        elapsed = time.perf_counter() - started
+        assert [offset for offset, _ in blocks] == [0]
+        assert blocks[0][1].all()  # two hops from a leaf reach every node
+        assert elapsed < 0.5, f"64-source sweep of a 200k star took {elapsed:.2f}s"
+
     def test_edge_view_is_lazy_but_correct(self):
         net = Network.from_edge_pairs(4, [(0, 1), (1, 2), (2, 3)])
         edge = net.edge(1)

@@ -194,6 +194,30 @@ class TestFloodProfile:
                     with pytest.raises(ValueError, match="cannot serve"):
                         cut_short.schedule(r)
 
+    @pytest.mark.parametrize("radius", [2, 12])
+    def test_every_radius_equals_the_live_derivation(self, tmp_path, radius):
+        # A BA graph thinned into a few components, isolated nodes among
+        # them: radius 2 caps its BFS, radius 12 outlasts every one of
+        # them.  The stored row maxima capped at r are the eccentricities
+        # of every radius the profile serves, read back from disk too.
+        net = barabasi_albert(70, 2, seed=11)
+        sub = net.subnetwork(sorted(net.edge_ids)[::3])
+        profile = FloodProfile.build(sub, radius)
+        assert profile.exhausted == (radius == 12)
+        path = tmp_path / "profile.npz"
+        profile.to_npz(path)
+        loaded = FloodProfile.from_npz(path)
+        for r in range(radius + 6):
+            expected = flood_schedule(sub, r)
+            for served in (profile, loaded):
+                if r > radius and not served.exhausted:
+                    assert not served.serves(r)
+                    continue
+                schedule = served.schedule(r)
+                assert schedule.ecc == expected.ecc, r
+                assert schedule.balls == expected.balls, r
+                assert schedule == expected
+
     def test_profile_npz_round_trip(self, tmp_path):
         sub = torus(5, 5)
         profile = FloodProfile.build(sub, 5)
