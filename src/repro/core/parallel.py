@@ -239,13 +239,8 @@ def _run_level_kernel(
     # --- center coins (the per-cluster ("center", j, cid) streams) ---
     centers = np.empty(0, dtype=np.int64)
     if j < params.k:
-        pref = st.rngf.prefix("center", j)
-        p_j = params.center_probability(j, n)
-        uniform = pref.uniform
-        centers = np.asarray(
-            [cid for cid in cids.tolist() if uniform(cid) < p_j],
-            dtype=np.int64,
-        )
+        coins = st.rngf.prefix("center", j).uniforms(cids.tolist())
+        centers = cids[coins < params.center_probability(j, n)]
 
     active_edges = int(act.sum())
     return LevelPartial(

@@ -23,12 +23,24 @@ Model choices, all in service of determinism and CSR stability:
   *parent* graph: per-edge and per-node coins come from
   :class:`~repro.rng.RngFactory` streams keyed by purpose and epoch,
   exactly the public-coin discipline the sampler itself uses.
+
+An epoch is decided in whole-array passes over the parent's CSR
+(DESIGN.md §3.9): degrees from ``indptr``, one batched
+:meth:`~repro.rng.RngPrefix.uniforms` call per coin purpose (crash,
+drop-edge, recovery), removals as one endpoint mask, and pair occupancy
+as a set of ``u * n + v`` keys.  Only the recovery picks and the edge
+additions stay loops, because each consumes a ``random.Random`` stream
+in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
+import numpy as np
+
+from repro import obs
 from repro.errors import ConfigurationError
 from repro.local.faults import FaultPlan
 from repro.local.network import Network
@@ -137,69 +149,80 @@ def apply_churn(
     """
     if epoch < 0:
         raise ConfigurationError("epoch must be >= 0")
+    if not obs.enabled():
+        return _apply_churn(network, plan, epoch)
+    with obs.span(
+        "dynamic/churn", n=network.n, m=network.m, epoch=epoch
+    ) as churn_span:
+        mutated, log = _apply_churn(network, plan, epoch)
+        churn_span.set(
+            removed=len(log.removed_edges),
+            added=len(log.added_edges),
+            crashed=len(log.crashed),
+            recovered=len(log.recovered),
+        )
+    return mutated, log
+
+
+def _apply_churn(
+    network: Network, plan: ChurnPlan, epoch: int
+) -> tuple[Network, MutationLog]:
     rngf = RngFactory(plan.seed)
     n = network.n
-    eid_row, ep_u, ep_v = network.endpoints_flat()
+    eids = network.edge_ids
+    _, ep_u, ep_v = network.endpoints_flat()
+    us = np.frombuffer(ep_u, dtype=np.int64)
+    vs = np.frombuffer(ep_v, dtype=np.int64)
+    degree = np.diff(np.frombuffer(network.incidence_csr()[0], dtype=np.int64))
 
-    crashed: list[int] = []
+    # Crash coins for every node with edges; a crash drops them all.
+    down = np.zeros(n, dtype=bool)
     if plan.node_crash > 0.0:
-        crash_rng = rngf.prefix("crash", epoch)
-        crashed = [
-            v
-            for v in range(n)
-            if network.degree(v) > 0 and crash_rng.uniform(v) < plan.node_crash
-        ]
-    down = set(crashed)
+        live = np.flatnonzero(degree)
+        coins = rngf.prefix("crash", epoch).uniforms(live.tolist())
+        down[live[coins < plan.node_crash]] = True
+    crashed = np.flatnonzero(down).tolist()
 
-    removed: list[tuple[int, int, int]] = []
-    removal_rng = rngf.prefix("drop-edge", epoch) if plan.edge_removal > 0.0 else None
-    for row, eid in enumerate(network.edge_ids):
-        u = ep_u[row]
-        v = ep_v[row]
-        if u in down or v in down:
-            removed.append((eid, u, v))
-        elif removal_rng is not None and removal_rng.uniform(eid) < plan.edge_removal:
-            removed.append((eid, u, v))
+    # A row goes with a crashed endpoint, or on its drop-edge coin.
+    gone = down[us] | down[vs]
+    if plan.edge_removal > 0.0:
+        rest = np.flatnonzero(~gone)
+        coins = rngf.prefix("drop-edge", epoch).uniforms(
+            compress(eids, (~gone).tolist())
+        )
+        gone[rest[coins < plan.edge_removal]] = True
+    removed_ids = list(compress(eids, gone.tolist()))
+    removed = list(zip(removed_ids, us[gone].tolist(), vs[gone].tolist()))
 
-    # Pair occupancy of the post-removal graph, so additions never
-    # create a parallel edge (the simple-graph families stay simple).
-    removed_ids = {r[0] for r in removed}
-    pairs = {
-        (ep_u[row], ep_v[row])
-        for row, eid in enumerate(network.edge_ids)
-        if eid not in removed_ids
-    }
-    next_eid = max(network.edge_ids, default=-1) + 1
+    # Pair occupancy of the post-removal graph, as u * n + v keys, so
+    # additions never create a parallel edge (the simple-graph families
+    # stay simple).
+    pairs = set((us[~gone] * n + vs[~gone]).tolist())
+    next_eid = eids[-1] + 1 if eids else 0
     added: list[tuple[int, int, int]] = []
 
     if plan.node_recovery > 0.0:
-        recover_rng = rngf.prefix("recover", epoch)
-        # Live nodes a recovering node may attach to: kept their edges
-        # this epoch and are not crashing now.
-        alive = [
-            v
-            for v in range(n)
-            if v not in down and network.degree(v) > 0
-        ]
-        for v in range(n):
-            if network.degree(v) > 0 or v in down:
-                continue
-            if recover_rng.uniform(v) >= plan.node_recovery:
-                continue
-            candidates = [w for w in alive if w != v]
-            if not candidates:
-                continue
+        # Recovery targets: every node that has edges in the parent
+        # graph and is not crashing now, including one whose edges were
+        # all dropped this epoch.  A recovering node has degree 0, so it
+        # is never among them.
+        alive = np.flatnonzero(degree.astype(bool) & ~down).tolist()
+        isolated = np.flatnonzero(degree == 0)
+        coins = rngf.prefix("recover", epoch).uniforms(isolated.tolist())
+        for v in isolated[coins < plan.node_recovery].tolist():
+            if not alive:
+                break
             pick_rng = rngf.stream("recover-edges", epoch, v)
-            want = min(plan.recovery_degree, len(candidates))
-            for w in sorted(pick_rng.sample(candidates, want)):
-                pair = (v, w) if v <= w else (w, v)
-                if pair in pairs:
-                    continue
-                pairs.add(pair)
-                added.append((next_eid, pair[0], pair[1]))
-                next_eid += 1
+            want = min(plan.recovery_degree, len(alive))
+            for w in sorted(pick_rng.sample(alive, want)):
+                a, b = (v, w) if v <= w else (w, v)
+                if a * n + b not in pairs:
+                    pairs.add(a * n + b)
+                    added.append((next_eid, a, b))
+                    next_eid += 1
 
     if plan.edge_addition > 0.0:
+        is_down = down.tolist()
         want = round(plan.edge_addition * network.m)
         add_rng = rngf.stream("add-edge", epoch)
         attempts = 0
@@ -208,13 +231,14 @@ def apply_churn(
             attempts += 1
             a = add_rng.randrange(n)
             b = add_rng.randrange(n)
-            if a == b or a in down or b in down:
+            if a == b or is_down[a] or is_down[b]:
                 continue
-            pair = (a, b) if a <= b else (b, a)
-            if pair in pairs:
+            if a > b:
+                a, b = b, a
+            if a * n + b in pairs:
                 continue
-            pairs.add(pair)
-            added.append((next_eid, pair[0], pair[1]))
+            pairs.add(a * n + b)
+            added.append((next_eid, a, b))
             next_eid += 1
             want -= 1
 
@@ -228,16 +252,14 @@ def apply_churn(
         )
     # Recovered = previously isolated nodes that gained an edge this epoch.
     regained = {u for _e, u, v in added} | {v for _e, u, v in added}
-    recovered = tuple(
-        sorted(v for v in regained if network.degree(v) == 0)
-    )
+    recovered = tuple(sorted(v for v in regained if degree[v] == 0))
     log = MutationLog(
         epoch=epoch,
         parent_fingerprint=network.fingerprint(),
         child_fingerprint=mutated.fingerprint(),
-        removed_edges=tuple(sorted(removed)),
-        added_edges=tuple(sorted(added)),
-        crashed=tuple(sorted(crashed)),
+        removed_edges=tuple(removed),
+        added_edges=tuple(added),
+        crashed=tuple(crashed),
         recovered=recovered,
     )
     return mutated, log

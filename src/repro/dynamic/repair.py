@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
+from repro import obs
 from repro.core.params import SamplerParams
 from repro.core.sampler import SamplerRun
 from repro.core.spanner import SpannerResult
@@ -103,4 +104,11 @@ def repair_spanner(
             f"mutation chain ends at {expected[:12]}…, but the target "
             f"network is {network.fingerprint()[:12]}…"
         )
-    return RepairRun(network, parent.params, parent=parent).run()
+    if not obs.enabled():
+        return RepairRun(network, parent.params, parent=parent).run()
+    with obs.span(
+        "dynamic/repair", n=network.n, m=network.m, chain=len(chain)
+    ) as repair_span:
+        result = RepairRun(network, parent.params, parent=parent).run()
+        repair_span.set(edges=len(result.edges))
+    return result

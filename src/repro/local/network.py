@@ -5,14 +5,22 @@ Storage is CSR-style flat arrays (see DESIGN.md §3): endpoint arrays
 order) and an incidence index ``(_indptr, _inc_eids)`` over nodes.
 :class:`~repro.local.edges.EdgeRef` remains the public edge view, built
 on demand by :meth:`Network.edge`; no per-edge objects are stored.
+
+Every constructor and derivation ends in one NumPy fill
+(``Network._assemble``, DESIGN.md §3.1): a stable sort of the
+interleaved endpoints gives the incidence index.  :meth:`Network.subnetwork`
+and :meth:`Network.mutated` pick the parent's rows with a mask, so a
+derived network costs whole-array passes, not one Python step per row.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.local.edges import EdgeRef
@@ -38,7 +46,7 @@ class Network:
       ``_eid_row`` dict is elided entirely (``None``);
     * ``_ep_u[row] <= _ep_v[row]`` (the canonical ``EdgeRef`` orientation);
     * each node's slice of ``_inc_eids`` is ascending, because the CSR
-      fill walks rows in ascending-eid order.
+      fill's stable sort keeps row order within each node.
     """
 
     __slots__ = (
@@ -82,9 +90,9 @@ class Network:
         rows.sort()
         self._assemble(
             n,
-            [r[0] for r in rows],
-            [r[1] for r in rows],
-            [r[2] for r in rows],
+            tuple(r[0] for r in rows),
+            np.array([r[1] for r in rows], dtype=np.int64),
+            np.array([r[2] for r in rows], dtype=np.int64),
             knowledge,
             name,
         )
@@ -96,12 +104,19 @@ class Network:
         self,
         n: int,
         eids: Sequence[int],
-        us: Sequence[int],
-        vs: Sequence[int],
+        us: np.ndarray,
+        vs: np.ndarray,
         knowledge: Knowledge,
         name: str,
+        eid_values: np.ndarray | None = None,
     ) -> None:
-        """Set every slot from pre-validated rows sorted by ascending eid."""
+        """Set every slot from pre-validated rows sorted by ascending eid.
+
+        ``us``/``vs`` are int64 endpoint arrays with ``us <= vs``.
+        ``eids`` becomes the ``_eids`` tuple as given, so a derived
+        network holds its parent's int objects; ``eid_values`` is the
+        same ids as an int64 array, when the caller already has one.
+        """
         if n <= 0:
             raise ConfigurationError("a network needs at least one node")
         m = len(eids)
@@ -110,28 +125,28 @@ class Network:
         self._name = name or f"network(n={n},m={m})"
         self._eids = tuple(eids)
         identity = m == 0 or (eids[0] == 0 and eids[m - 1] == m - 1)
-        self._eid_row = None if identity else {eid: row for row, eid in enumerate(eids)}
-        self._ep_u = array("q", us)
-        self._ep_v = array("q", vs)
-        indptr = array("q", bytes(8 * (n + 1)))
-        for u in us:
-            indptr[u + 1] += 1
-        for v in vs:
-            indptr[v + 1] += 1
-        for i in range(n):
-            indptr[i + 1] += indptr[i]
-        inc = array("q", bytes(8 * 2 * m))
-        cursor = array("q", indptr)
-        for row in range(m):
-            eid = eids[row]
-            u = us[row]
-            v = vs[row]
-            inc[cursor[u]] = eid
-            cursor[u] += 1
-            inc[cursor[v]] = eid
-            cursor[v] += 1
-        self._indptr = indptr
-        self._inc_eids = inc
+        self._eid_row = None if identity else dict(zip(self._eids, range(m)))
+        self._ep_u = array("q", us.tobytes())
+        self._ep_v = array("q", vs.tobytes())
+        # The CSR fill: one stable sort of the interleaved endpoints
+        # (u_0, v_0, u_1, v_1, ...) by node.  Position // 2 is the row,
+        # so every node's slice lists its rows in ascending order, as
+        # §3.1 invariant 1 requires; sorting concat(us, vs) instead would
+        # put a node's u-rows before its v-rows.  Node ids below 2**16
+        # sort as uint16, which NumPy's stable sort radix-sorts.
+        ends = np.empty(2 * m, dtype=np.int64)
+        ends[0::2] = us
+        ends[1::2] = vs
+        keys = ends.astype(np.uint16) if n <= 1 << 16 else ends
+        rows = np.argsort(keys, kind="stable") >> 1
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+        if not identity:
+            if eid_values is None:
+                eid_values = np.array(self._eids, dtype=np.int64)
+            rows = eid_values[rows]
+        self._indptr = array("q", indptr.tobytes())
+        self._inc_eids = array("q", rows.tobytes())
         self._incident = None
         self._neighbors = None
         self._adjacency = None
@@ -143,15 +158,80 @@ class Network:
         cls,
         n: int,
         eids: Sequence[int],
-        us: Sequence[int],
-        vs: Sequence[int],
+        us: np.ndarray,
+        vs: np.ndarray,
         knowledge: Knowledge,
         name: str,
+        eid_values: np.ndarray | None = None,
     ) -> "Network":
         """Build from rows already known valid and sorted by eid."""
         self = object.__new__(cls)
-        self._assemble(n, eids, us, vs, knowledge, name)
+        self._assemble(n, eids, us, vs, knowledge, name, eid_values)
         return self
+
+    def _eid_values(self) -> np.ndarray:
+        """The sorted edge ids as an int64 array."""
+        m = len(self._eids)
+        if self._eid_row is None:
+            return np.arange(m, dtype=np.int64)
+        return np.fromiter(self._eids, dtype=np.int64, count=m)
+
+    def _rows_of(
+        self, eids: Iterable[int], values: np.ndarray, unknown: str
+    ) -> np.ndarray:
+        """The rows of ``eids`` (any order, repeats allowed).
+
+        ``values`` is :meth:`_eid_values`.  An id that is not an edge of
+        this network raises :class:`ConfigurationError` with ``unknown``
+        formatted on the smallest such id.
+        """
+        ids = list(eids)
+        try:
+            wanted = np.fromiter(ids, dtype=np.int64, count=len(ids))
+        except OverflowError:  # beyond int64, so no edge id of ours
+            wanted = None
+        if wanted is not None:
+            m = len(values)
+            if self._eid_row is None:
+                rows = wanted
+                found = (wanted >= 0) & (wanted < m)
+            else:
+                rows = np.searchsorted(values, wanted)
+                found = rows < m
+                found[found] = values[rows[found]] == wanted[found]
+            if found.all():
+                return rows
+        raise ConfigurationError(
+            unknown.format(min(e for e in ids if not self.has_edge_id(e)))
+        )
+
+    def _select(
+        self,
+        keep: np.ndarray,
+        values: np.ndarray,
+        added: Sequence[tuple[int, int, int]],
+        name: str,
+    ) -> "Network":
+        """The rows ``keep`` marks plus the validated ``added`` rows
+        (sorted by eid), as a new network of the same node universe."""
+        eids = list(compress(self._eids, keep.tolist()))
+        us = np.frombuffer(self._ep_u, dtype=np.int64)[keep]
+        vs = np.frombuffer(self._ep_v, dtype=np.int64)[keep]
+        kept = values[keep]
+        if added:
+            extra = np.array(added, dtype=np.int64)
+            merge = len(kept) and extra[0, 0] < kept[-1]
+            eids += [row[0] for row in added]
+            kept = np.concatenate([kept, extra[:, 0]])
+            us = np.concatenate([us, extra[:, 1]])
+            vs = np.concatenate([vs, extra[:, 2]])
+            if merge:
+                order = np.argsort(kept)
+                eids = [eids[i] for i in order.tolist()]
+                kept, us, vs = kept[order], us[order], vs[order]
+        return Network._trusted(
+            self._n, eids, us, vs, self._knowledge, name, kept
+        )
 
     # ------------------------------------------------------------------
     # constructors
@@ -178,11 +258,12 @@ class Network:
         for u, v in pairs:
             if u == v:
                 raise ConfigurationError(f"self-loop on node {u} not allowed")
+        ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
         return cls._trusted(
             len(nodes),
             range(len(pairs)),
-            [p[0] for p in pairs],
-            [p[1] for p in pairs],
+            ends[:, 0],
+            ends[:, 1],
             knowledge,
             name or str(graph),
         )
@@ -202,13 +283,11 @@ class Network:
         ``us``/``vs`` are equal-length integer sequences (any orientation;
         rows are canonicalized to ``u <= v``).  Edge ids are consecutive
         ``0..m-1`` in the given row order, exactly like
-        :meth:`from_edge_pairs` — but validation and the CSR fill run as
-        whole-array NumPy passes, which is what makes ``n >= 10^5``
-        generator outputs (DESIGN.md §3.11) constructible in tenths of a
-        second instead of minutes of per-edge Python.
+        :meth:`from_edge_pairs` — but validation runs as whole-array
+        NumPy passes before the shared CSR fill, which is what makes
+        ``n >= 10^5`` generator outputs (DESIGN.md §3.11) constructible
+        in tenths of a second instead of minutes of per-edge Python.
         """
-        import numpy as np
-
         if n <= 0:
             raise ConfigurationError("a network needs at least one node")
         au = np.ascontiguousarray(us, dtype=np.int64)
@@ -227,40 +306,9 @@ class Network:
                 raise ConfigurationError(
                     f"edge endpoint outside 0..{n - 1}"
                 )
-        u = np.minimum(au, av)
-        v = np.maximum(au, av)
-        self = object.__new__(cls)
-        self._n = n
-        self._knowledge = knowledge
-        self._name = name or f"network(n={n},m={m})"
-        self._eids = tuple(range(m))
-        self._eid_row = None  # consecutive ids: row == eid
-        ep_u = array("q")
-        ep_u.frombytes(u.tobytes())
-        ep_v = array("q")
-        ep_v.frombytes(v.tobytes())
-        self._ep_u = ep_u
-        self._ep_v = ep_v
-        # CSR fill: each edge id appears once per endpoint; sorting the
-        # doubled (node, eid) pairs by node keeps every node's slice in
-        # ascending-eid order (the §3 invariant the trial pools rely on).
-        nodes2 = np.concatenate([u, v])
-        rows2 = np.concatenate([np.arange(m, dtype=np.int64)] * 2)
-        order = np.lexsort((rows2, nodes2))
-        indptr_np = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(nodes2, minlength=n), out=indptr_np[1:])
-        indptr = array("q")
-        indptr.frombytes(indptr_np.tobytes())
-        inc = array("q")
-        inc.frombytes(rows2[order].tobytes())
-        self._indptr = indptr
-        self._inc_eids = inc
-        self._incident = None
-        self._neighbors = None
-        self._adjacency = None
-        self._fingerprint = None
-        self._delivery = None
-        return self
+        return cls._trusted(
+            n, range(m), np.minimum(au, av), np.maximum(au, av), knowledge, name
+        )
 
     @classmethod
     def from_edge_pairs(
@@ -283,7 +331,14 @@ class Network:
                 )
             us.append(u)
             vs.append(v)
-        return cls._trusted(n, range(len(pairs)), us, vs, knowledge, name)
+        return cls._trusted(
+            n,
+            range(len(pairs)),
+            np.array(us, dtype=np.int64),
+            np.array(vs, dtype=np.int64),
+            knowledge,
+            name,
+        )
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -346,8 +401,6 @@ class Network:
         cached = self._fingerprint
         if cached is None:
             import hashlib
-
-            import numpy as np
 
             digest = hashlib.sha256()
             digest.update(b"repro.network.v1\x00")
@@ -417,30 +470,14 @@ class Network:
     def subnetwork(self, eids: Iterable[int], *, name: str = "") -> "Network":
         """Same node set, subset of edges, **same edge IDs**.
 
-        Builds the child's arrays straight from the parent's rows — no
-        per-edge ``EdgeRef`` construction and no re-validation.
+        Picks the child's rows out of the parent's arrays with one mask —
+        no per-edge ``EdgeRef`` construction and no re-validation.  An id
+        that is not an edge here raises :class:`ConfigurationError`.
         """
-        keep = sorted(set(eids))
-        ep_u = self._ep_u
-        ep_v = self._ep_v
-        us: list[int] = []
-        vs: list[int] = []
-        eid_row = self._eid_row
-        m = len(self._eids)
-        for eid in keep:
-            if eid_row is None:
-                if not 0 <= eid < m:
-                    raise ConfigurationError(f"edge id {eid} not in network")
-                row = eid
-            else:
-                row = eid_row.get(eid)
-                if row is None:
-                    raise ConfigurationError(f"edge id {eid} not in network")
-            us.append(ep_u[row])
-            vs.append(ep_v[row])
-        return Network._trusted(
-            self._n, keep, us, vs, self._knowledge, name or f"{self._name}|sub"
-        )
+        values = self._eid_values()
+        keep = np.zeros(len(values), dtype=bool)
+        keep[self._rows_of(eids, values, "edge id {} not in network")] = True
+        return self._select(keep, values, (), name or f"{self._name}|sub")
 
     def mutated(
         self,
@@ -460,10 +497,9 @@ class Network:
         ids, duplicate/colliding added ids, self-loops, and out-of-range
         endpoints all raise :class:`ConfigurationError`.
         """
-        drop = set(remove)
-        for eid in drop:
-            if not self.has_edge_id(eid):
-                raise ConfigurationError(f"cannot remove unknown edge id {eid}")
+        values = self._eid_values()
+        keep = np.ones(len(values), dtype=bool)
+        keep[self._rows_of(remove, values, "cannot remove unknown edge id {}")] = False
         rows: list[tuple[int, int, int]] = []
         added_ids: set[int] = set()
         for eid, a, b in add:
@@ -474,24 +510,12 @@ class Network:
                 raise ConfigurationError(
                     f"edge ({a}, {b}) has endpoint outside 0..{self._n - 1}"
                 )
-            if eid in added_ids or (self.has_edge_id(eid) and eid not in drop):
+            if eid in added_ids or (self.has_edge_id(eid) and keep[self._row(eid)]):
                 raise ConfigurationError(f"duplicate edge id {eid}")
             added_ids.add(eid)
             rows.append((eid, u, v))
-        ep_u = self._ep_u
-        ep_v = self._ep_v
-        for row, eid in enumerate(self._eids):
-            if eid not in drop:
-                rows.append((eid, ep_u[row], ep_v[row]))
         rows.sort()
-        return Network._trusted(
-            self._n,
-            [r[0] for r in rows],
-            [r[1] for r in rows],
-            [r[2] for r in rows],
-            self._knowledge,
-            name or f"{self._name}|mut",
-        )
+        return self._select(keep, values, rows, name or f"{self._name}|mut")
 
     def with_knowledge(self, knowledge: Knowledge) -> "Network":
         """A view of the same graph under a different knowledge model.

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import reference_churn as oracle
+from reference_churn import assert_same_network
 from repro.analysis.validation import validate_spanner
 from repro.core import SamplerParams, build_spanner
 from repro.core.distributed import build_spanner_distributed
@@ -18,6 +25,7 @@ from repro.dynamic import (
 from repro.dynamic.repair import RepairRun
 from repro.errors import ConfigurationError
 from repro.graphs import barabasi_albert, erdos_renyi, torus
+from repro.local import EdgeRef
 from repro.local.network import Network
 
 _SETTINGS = settings(
@@ -148,6 +156,189 @@ class TestFingerprintProperty:
         else:
             assert after.fingerprint() == net.fingerprint()
         assert log.child_fingerprint == after.fingerprint()
+
+
+def assert_same_epochs(network: Network, plan: ChurnPlan) -> None:
+    """Run every epoch of ``plan`` on the package and on the oracle."""
+    new = ref = network
+    for epoch in range(plan.epochs):
+        new, new_log = apply_churn(new, plan, epoch)
+        ref, ref_log = oracle.apply_churn(ref, plan, epoch)
+        assert new_log == ref_log
+        assert new.name == ref.name
+        assert_same_network(new, ref)
+
+
+def _multigraph(n: int, seed: int, m: int) -> Network:
+    """Parallel edges under scattered, unordered edge ids."""
+    rng = random.Random(seed)
+    pairs = [rng.sample(range(n), 2) for _ in range(m // 2)]
+    pairs += pairs[: m - len(pairs)]  # every pair at least twice
+    ids = rng.sample(range(10 * m + 1), len(pairs))
+    return Network(n, [EdgeRef(eid, a, b) for eid, (a, b) in zip(ids, pairs)])
+
+
+@st.composite
+def churn_case(draw):
+    """A graph of one of four kinds plus a plan of 1-3 epochs."""
+    kind = draw(st.sampled_from(["gnp", "ba", "isolated", "multi"]))
+    n = draw(st.integers(min_value=2, max_value=40))
+    seed = draw(st.integers(0, 1000))
+    if kind == "gnp":
+        net = erdos_renyi(n, draw(st.sampled_from([0.05, 0.2, 0.6])), seed=seed)
+    elif kind == "ba":
+        net = barabasi_albert(n + 2, draw(st.integers(1, 2)), seed=seed)
+    elif kind == "isolated":
+        # edges only among the first half: the rest start isolated
+        half = max(2, n // 2)
+        end = st.integers(0, half - 1)
+        pair = st.tuples(end, end).filter(lambda p: p[0] < p[1])
+        pairs = draw(st.sets(pair, max_size=3 * half))
+        net = Network.from_edge_pairs(n + 2, sorted(pairs))
+    else:
+        net = _multigraph(n + 2, seed, draw(st.integers(2, 3 * n)))
+    rate = st.sampled_from([0.0, 0.05, 0.5, 1.0])
+    plan = ChurnPlan(
+        seed=draw(st.integers(0, 1000)),
+        epochs=draw(st.integers(1, 3)),
+        edge_removal=draw(rate),
+        edge_addition=draw(rate),
+        node_crash=draw(rate),
+        node_recovery=draw(rate),
+        recovery_degree=draw(st.integers(1, 5)),
+    )
+    return net, plan
+
+
+class TestChurnOracle:
+    """``apply_churn`` equals the per-edge loop it replaced
+    (``tests/reference_churn.py``): logs, names, hashes and raw slots."""
+
+    @given(case=churn_case())
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_equals_the_per_edge_oracle(self, case):
+        assert_same_epochs(*case)
+
+    def test_no_edges(self):
+        plan = ChurnPlan(
+            seed=3, epochs=2, edge_removal=1.0, edge_addition=1.0,
+            node_crash=1.0, node_recovery=1.0,
+        )
+        for net in (Network(1, []), Network.from_edge_pairs(5, [])):
+            after, log = apply_churn(net, plan, 0)
+            assert after is net and log.is_noop and not log.recovered
+            assert_same_epochs(net, plan)
+
+    def test_everything_goes(self):
+        # nodes 30..39 start isolated and recover onto the emptied ones
+        base = erdos_renyi(30, 0.2, seed=1)
+        net = Network.from_edge_pairs(
+            40, [base.endpoints(eid) for eid in base.edge_ids]
+        )
+        for plan in (
+            ChurnPlan(seed=2, epochs=2, edge_removal=1.0, node_recovery=0.5),
+            ChurnPlan(seed=2, epochs=2, edge_removal=0.0, node_crash=1.0, node_recovery=0.5),
+        ):
+            after, log = apply_churn(net, plan, 0)
+            assert len(log.removed_edges) == net.m
+            assert after.m == len(log.added_edges)
+            assert_same_epochs(net, plan)
+
+    def test_crash_coins_only_for_nodes_with_edges(self):
+        # nodes 4..9 start isolated; a certain crash takes only 0..3
+        net = Network.from_edge_pairs(10, [(0, 1), (1, 2), (2, 3)])
+        plan = ChurnPlan(seed=5, edge_removal=0.0, node_crash=1.0)
+        _, log = apply_churn(net, plan, 0)
+        assert log.crashed == (0, 1, 2, 3)
+        assert_same_epochs(net, plan)
+
+    def test_no_live_node_to_recover_onto(self):
+        # every node with edges crashes, so the isolated ones find no one
+        net = Network.from_edge_pairs(8, [(0, 1), (2, 3)])
+        plan = ChurnPlan(seed=1, edge_removal=0.0, node_crash=1.0, node_recovery=1.0)
+        after, log = apply_churn(net, plan, 0)
+        assert after.m == 0 and not log.added_edges and not log.recovered
+        assert_same_epochs(net, plan)
+
+    def test_recovery_attaches_onto_emptied_nodes(self):
+        # node 2 loses its only edge this epoch, yet stays a recovery
+        # target: targets are the parent graph's nodes with edges
+        net = Network.from_edge_pairs(4, [(1, 2)])
+        plan = ChurnPlan(
+            seed=0, edge_removal=1.0, node_recovery=1.0, recovery_degree=2
+        )
+        after, log = apply_churn(net, plan, 0)
+        assert log.removed_edges == ((0, 1, 2),)
+        assert log.recovered == (0, 3)
+        assert {(u, v) for _e, u, v in log.added_edges} == {
+            (0, 1), (0, 2), (1, 3), (2, 3)
+        }
+        assert_same_epochs(net, plan)
+
+    def test_node_that_is_v_before_it_is_u(self):
+        # node 1 is the v of row 0 and the u of row 1, and node 3 the v
+        # of row 2 and the u of added rows: slices must follow row order
+        net = Network.from_edge_pairs(6, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        assert net.incident(1) == (0, 1)
+        plan = ChurnPlan(
+            seed=4, epochs=3, edge_removal=0.3, edge_addition=1.0, node_recovery=1.0
+        )
+        assert_same_epochs(net, plan)
+        after, _ = apply_churn(net, plan, 0)
+        for v in range(after.n):
+            assert list(after.incident(v)) == sorted(after.incident(v))
+
+
+# The five-epoch chain of tests/data/churn_chain_pinned.json: the serving
+# benchmark's churn rates on G(2000, 8/1999), captured with the per-edge
+# engine the array passes replaced.
+_PINNED = Path(__file__).parent / "data" / "churn_chain_pinned.json"
+_PINNED_PLAN = ChurnPlan(
+    seed=3, epochs=5, edge_removal=0.02, edge_addition=0.01,
+    node_crash=0.002, node_recovery=0.5,
+)
+
+
+def _log_digest(log: MutationLog) -> str:
+    payload = json.dumps([
+        log.epoch, log.parent_fingerprint, log.child_fingerprint,
+        log.removed_edges, log.added_edges, log.crashed, log.recovered,
+    ])
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
+def _csr_digest(network: Network) -> str:
+    indptr, inc = network.incidence_csr()
+    digest = hashlib.sha256()
+    digest.update(indptr.tobytes())
+    digest.update(inc.tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedChain:
+    def test_serving_rates_chain_is_unchanged(self):
+        pinned = json.loads(_PINNED.read_text())
+        net = erdos_renyi(pinned["n"], 8 / (pinned["n"] - 1), seed=pinned["graph_seed"])
+        assert net.fingerprint() == pinned["base_fingerprint"]
+        got = []
+        for child, log in churn_sequence(net, _PINNED_PLAN):
+            got.append({
+                "epoch": log.epoch,
+                "name": child.name,
+                "m": child.m,
+                "child_fingerprint": child.fingerprint(),
+                "log_digest": _log_digest(log),
+                "csr_digest": _csr_digest(child),
+                "removed": len(log.removed_edges),
+                "added": len(log.added_edges),
+                "crashed": len(log.crashed),
+                "recovered": len(log.recovered),
+            })
+        assert got == pinned["epochs"]
 
 
 class TestRepair:

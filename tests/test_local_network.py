@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
+import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import reference_churn as oracle
+from reference_churn import assert_same_network
 from repro.errors import ConfigurationError
 from repro.graphs import erdos_renyi
 from repro.local import EdgeRef, Knowledge, Network
@@ -113,3 +120,123 @@ class TestKnowledge:
         assert Knowledge.EDGE_IDS.exposes_edge_ids
         assert not Knowledge.EDGE_IDS.exposes_neighbor_ids
         assert Knowledge.KT1.exposes_neighbor_ids
+
+
+@st.composite
+def edge_rows(draw):
+    """``(n, [(eid, a, b), ...])``: unordered scattered ids, either
+    orientation, parallel edges allowed, possibly no edges at all."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    if n == 1:
+        return n, []
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda p: p[0] != p[1]
+            ),
+            max_size=60,
+        )
+    )
+    ids = draw(
+        st.lists(
+            st.integers(0, 500), min_size=len(pairs), max_size=len(pairs), unique=True
+        )
+    )
+    return n, [(eid, a, b) for eid, (a, b) in zip(ids, pairs)]
+
+
+_ORACLE_SETTINGS = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestCsrFillOracle:
+    """Every constructor and derivation fills the CSR as the per-row
+    loop it replaced (``tests/reference_churn.py``) did, slot for slot."""
+
+    @given(case=edge_rows())
+    @_ORACLE_SETTINGS
+    def test_constructors(self, case):
+        n, rows = case
+        edges = [EdgeRef(eid, a, b) for eid, a, b in rows]
+        assert_same_network(Network(n, edges), oracle.network(n, edges))
+        pairs = [(a, b) for _eid, a, b in rows]
+        assert_same_network(
+            Network.from_edge_pairs(n, pairs), oracle.from_edge_pairs(n, pairs)
+        )
+        us = np.array([a for a, _b in pairs], dtype=np.int64)
+        vs = np.array([b for _a, b in pairs], dtype=np.int64)
+        assert_same_network(Network.from_arrays(n, us, vs), oracle.from_arrays(n, us, vs))
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(pairs)
+        assert_same_network(Network.from_graph(graph), oracle.from_graph(graph))
+
+    @given(case=edge_rows(), seed=st.integers(0, 1000))
+    @_ORACLE_SETTINGS
+    def test_subnetwork_and_mutated(self, case, seed):
+        n, rows = case
+        rng = random.Random(seed)
+        for parent in (
+            Network(n, [EdgeRef(eid, a, b) for eid, a, b in rows]),
+            Network.from_edge_pairs(n, [(a, b) for _eid, a, b in rows]),
+        ):
+            ids = list(parent.edge_ids)
+            # repeats allowed, any order
+            keep = rng.choices(ids, k=rng.randrange(len(ids) + 1))
+            assert_same_network(parent.subnetwork(keep), oracle.subnetwork(parent, keep))
+            drop = rng.sample(ids, rng.randrange(len(ids) + 1))
+            # re-add half the dropped ids (below the survivors) and three
+            # fresh ones, in no particular order
+            fresh = range(max(ids, default=0) + 1, max(ids, default=0) + 4)
+            add = [
+                (eid, *rng.sample(range(n), 2))
+                for eid in [*drop[: len(drop) // 2], *fresh]
+            ] if n > 1 else []
+            rng.shuffle(add)
+            assert_same_network(
+                parent.mutated(remove=drop, add=add),
+                oracle.mutated(parent, remove=drop, add=add),
+            )
+
+    def test_path_node_is_v_then_u(self):
+        # node 1 is the v of row 0 and the u of row 1, so its slice is
+        # (0, 1); sorting concat(us, vs) would list row 1 first
+        pairs = [(0, 1), (1, 2)]
+        for net in (
+            Network.from_edge_pairs(3, pairs),
+            Network.from_arrays(3, [0, 1], [1, 2]),
+            Network(3, [EdgeRef(7, 0, 1), EdgeRef(9, 1, 2)]),
+        ):
+            assert net.incident(1) == tuple(net.edge_ids)
+        assert_same_network(
+            Network.from_edge_pairs(3, pairs), oracle.from_edge_pairs(3, pairs)
+        )
+
+    def test_unsorted_additions_are_merged_in_eid_order(self):
+        net = Network.from_edge_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        add = [(9, 0, 4), (1, 0, 2), (6, 1, 3)]
+        child = net.mutated(remove=[1], add=add)
+        assert child.edge_ids == (0, 1, 2, 3, 6, 9)
+        assert_same_network(child, oracle.mutated(net, remove=[1], add=add))
+
+    def test_derived_ids_are_the_parents_objects(self):
+        net = erdos_renyi(60, 0.2, seed=1)
+        child = net.mutated(remove=net.edge_ids[:5], add=[(10**6, 0, 1)])
+        assert all(a is b for a, b in zip(child.edge_ids, net.edge_ids[5:]))
+        sub = child.subnetwork(child.edge_ids[::2])
+        assert all(a is b for a, b in zip(sub.edge_ids, child.edge_ids[::2]))
+
+    @pytest.mark.parametrize("bad", [999, -1, 2**64, 10**6])
+    def test_unknown_ids_are_named(self, er_small, bad):
+        sparse = er_small.subnetwork(er_small.edge_ids[1::2])
+        for net in (er_small, sparse):
+            ids = [net.edge_ids[0], bad]
+            with pytest.raises(ConfigurationError, match=f"edge id {bad} not in network"):
+                net.subnetwork(ids)
+            with pytest.raises(ConfigurationError, match=f"unknown edge id {bad}"):
+                net.mutated(remove=ids)
+
+    def test_smallest_unknown_id_is_named(self, path4):
+        with pytest.raises(ConfigurationError, match="edge id 7 not in network"):
+            path4.subnetwork([0, 9, 7, 2])

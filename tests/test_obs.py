@@ -242,6 +242,60 @@ class TestCoverageTelemetry:
         assert replays == [("ball-collect", 2, 6), ("ball-collect", 2, 0)]
 
 
+class TestChurnTelemetry:
+    """``dynamic/churn`` counts what an epoch did; ``dynamic/repair``
+    wraps the checked rebuild of a churned spanner."""
+
+    PLAN = dict(edge_removal=0.1, edge_addition=0.05, node_crash=0.05, node_recovery=1.0)
+
+    def test_churn_and_repair_spans(self, net, obs_on):
+        from repro.dynamic import ChurnPlan, churn_sequence, repair_spanner
+
+        parent = build_spanner(net, PARAMS)
+        steps = churn_sequence(net, ChurnPlan(seed=5, epochs=2, **self.PLAN))
+        records = obs.collector().finished()
+        churns = [r["attrs"] for r in records if r["name"] == "dynamic/churn"]
+        expected = []
+        before = net
+        for child, log in steps:
+            expected.append({
+                "n": 60,
+                "m": before.m,
+                "epoch": log.epoch,
+                "removed": len(log.removed_edges),
+                "added": len(log.added_edges),
+                "crashed": len(log.crashed),
+                "recovered": len(log.recovered),
+            })
+            before = child
+        assert churns == expected
+        assert all(c["removed"] for c in churns)
+        obs.collector().reset()
+        final = steps[-1][0]
+        repaired = repair_spanner(parent, final, [log for _, log in steps])
+        records = obs.collector().finished()
+        (repair,) = [r for r in records if r["name"] == "dynamic/repair"]
+        assert repair["attrs"] == {
+            "n": 60, "m": final.m, "chain": 2, "edges": len(repaired.edges)
+        }
+        (build,) = [r for r in records if r["name"] == "build/spanner"]
+        assert build["parent"] == repair["id"]
+
+    def test_off_path_records_nothing_and_agrees(self, net, obs_off):
+        from repro.dynamic import ChurnPlan, apply_churn, repair_spanner
+
+        plan = ChurnPlan(seed=5, **self.PLAN)
+        parent = build_spanner(net, PARAMS)
+        child, log = apply_churn(net, plan, 0)
+        repaired = repair_spanner(parent, child, log)
+        assert obs.collector().finished() == []
+        obs.set_enabled(True)
+        traced_child, traced_log = apply_churn(net, plan, 0)
+        traced = repair_spanner(parent, traced_child, traced_log)
+        obs.set_enabled(False)
+        assert (traced_child, traced_log, traced) == (child, log, repaired)
+
+
 class TestExporters:
     def test_jsonl_round_trip_and_append(self, tmp_path, obs_on):
         with obs.span("a", x=1):

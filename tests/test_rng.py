@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.rng import RngFactory, derive_seed, stable_uniform
@@ -80,3 +81,51 @@ class TestRngFactory:
     def test_requires_int_seed(self):
         with pytest.raises(TypeError):
             RngFactory("seed")  # type: ignore[arg-type]
+
+
+class TestBatchedCoins:
+    """``RngPrefix.uniforms`` is one ``uniform`` call per id, bit for bit."""
+
+    IDS = [0, 1, 2, 255, 256, 10**6, -1, -(2**63), 2**63 - 1, 2**63, 2**64 + 7, 10**30]
+
+    def test_equals_uniform_child_seed_and_derive_seed(self):
+        prefix = RngFactory(11).prefix("drop-edge", 3)
+        coins = prefix.uniforms(self.IDS)
+        assert coins.dtype == np.float64 and coins.shape == (len(self.IDS),)
+        for coin, i in zip(coins.tolist(), self.IDS):
+            assert coin == prefix.uniform(i)
+            assert coin == prefix.child_seed(i) / 2**64
+            assert coin == derive_seed(11, ("drop-edge", 3, i)) / 2**64
+
+    def test_many_ids_under_several_prefixes(self):
+        ids = list(range(3000)) + [7 * i + 2**62 for i in range(500)]
+        for key in (("crash", 0), ("center", 2), ()):
+            prefix = RngFactory(2**40 + 3).prefix(*key)
+            assert prefix.uniforms(ids).tolist() == [prefix.uniform(i) for i in ids]
+
+    def test_empty_input(self):
+        coins = RngFactory(1).prefix("crash", 0).uniforms([])
+        assert coins.shape == (0,) and coins.dtype == np.float64
+
+    def test_accepts_any_iterable(self):
+        prefix = RngFactory(4).prefix("recover", 1)
+        assert prefix.uniforms(iter(range(5))).tolist() == prefix.uniforms([0, 1, 2, 3, 4]).tolist()
+
+    def test_bools_are_encoded_as_uniform_encodes_them(self):
+        prefix = RngFactory(9).prefix("x")
+        coins = prefix.uniforms([True, False, 1, 0])
+        assert coins.tolist() == [prefix.uniform(v) for v in (True, False, 1, 0)]
+        assert coins[0] != coins[2]  # a bool is not its int
+
+    @pytest.mark.parametrize("part", [np.int64(1), np.bool_(True), np.uint8(3), 1.0])
+    def test_numpy_scalars_are_refused_like_uniform(self, part):
+        prefix = RngFactory(9).prefix("x")
+        with pytest.raises(TypeError):
+            prefix.uniform(part)
+        with pytest.raises(TypeError):
+            prefix.uniforms([0, part])
+
+    def test_tolist_values_are_the_int_coins(self):
+        prefix = RngFactory(9).prefix("x")
+        ids = np.array([3, 70000, 2**40], dtype=np.int64)
+        assert prefix.uniforms(ids.tolist()).tolist() == [prefix.uniform(int(i)) for i in ids]
