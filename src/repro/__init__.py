@@ -21,11 +21,9 @@ of Theorem 3, and :mod:`repro.bench` for the experiment harness.
 from repro._version import __version__
 from repro.core import SamplerParams, SpannerResult, build_spanner
 from repro.core.distributed import build_spanner_distributed
-from repro.execution import Exec
 from repro.local import Knowledge, Network
 
 __all__ = [
-    "Exec",
     "Knowledge",
     "Network",
     "SamplerParams",

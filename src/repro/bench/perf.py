@@ -74,12 +74,11 @@ from repro.analysis.stretch import adjacent_pair_stretch
 from repro.core import SamplerParams, build_spanner
 from repro.core.distributed import build_spanner_distributed
 from repro.dynamic import ChurnPlan, apply_churn, repair_spanner
-from repro.execution import Exec
 from repro.graphs import barabasi_albert, dense_gnm, erdos_renyi, torus
 from repro.local.network import Network
 from repro.service import ConcurrentSimulationService, SimulationService
 from repro.store import ArtifactStore
-from repro.simulate import flood_schedule, run_one_stage, run_two_stage, t_local_broadcast
+from repro.simulate import flood_schedule, run_one_stage, run_two_stage, runtime_flood
 from repro.simulate.gossip import run_push_pull
 
 __all__ = [
@@ -404,18 +403,13 @@ def _repair_rebuild(built: tuple) -> object:
 
 
 # runtime_vec/* kernels time the array-native round engine (DESIGN.md
-# §3.10) on one n=2000 instance each: a radius-2 runtime-engine flood
+# §3.10) on one n=2000 instance each: a radius-2 literal flood
 # on a *dense* G(n,m) with m=90000 — the paper's m >> n regime, where
 # the bitset rounds pay one word-OR per 64 origins — 12 rounds of
 # push-pull gossip (long enough that known sets saturate), and a
 # registered LOCAL algorithm run end to end.
 def _vec_flood(net: Network) -> object:
-    return t_local_broadcast(
-        net,
-        payload_of=lambda v: (v,),
-        radius=2,
-        execution=Exec(flood_engine="runtime"),
-    )
+    return runtime_flood(net, payload_of=lambda v: (v,), radius=2)
 
 
 def _vec_gossip(net: Network) -> object:

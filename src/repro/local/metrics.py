@@ -24,7 +24,8 @@ class MessageStats:
     receiver saw them, so ``total == delivered + corrupted``.
     ``per_round[r]`` holds the messages recorded while round ``r`` was
     open; ``sum(per_round) == total`` is an unconditional invariant
-    (``record`` opens an implicit round if none is open yet).
+    (metering before any :meth:`open_round` lands in an implicit
+    round 0).
 
     ``stage_offsets`` records where merged runs begin inside
     ``per_round``: empty for a single run, and after :meth:`merge` one
@@ -41,27 +42,20 @@ class MessageStats:
     per_round: list[int] = field(default_factory=list)
     stage_offsets: list[int] = field(default_factory=list)
 
-    def record(self, tag: str) -> None:
-        self.total += 1
-        self.by_tag[tag] += 1
-        if not self.per_round:
-            # A record before any open_round still has to land in a
-            # bucket: sum(per_round) == total is an invariant.
-            self.per_round.append(0)
-        self.per_round[-1] += 1
-
     def record_batch(self, msgs) -> None:
-        """Meter one round's messages in bulk.
+        """Meter one round's messages in bulk, each under its own tag.
 
-        Exactly equivalent to calling :meth:`record` once per message —
-        same ``total``, ``by_tag``, ``per_round`` — but with one Counter
-        update per round instead of one dict operation per message.
+        Exactly equivalent to one ``record_uniform(tag, 1)`` per
+        message — same ``total``, ``by_tag``, ``per_round`` — but with
+        one Counter update per round instead of one per message.
         """
         count = len(msgs)
         if not count:
             return
         self.total += count
         if not self.per_round:
+            # Metering before any open_round still has to land in a
+            # bucket: sum(per_round) == total is an invariant.
             self.per_round.append(0)
         self.per_round[-1] += count
         # Entries are (eid, sender, payload, tag) tuples; index 3 is the tag.
@@ -70,9 +64,9 @@ class MessageStats:
     def record_uniform(self, tag: str, count: int) -> None:
         """Meter ``count`` messages that all share one ``tag``.
 
-        Exactly equivalent to ``count`` calls to :meth:`record` — the
-        vector round engine's populations are single-tag, so one integer
-        add replaces per-message Counter updates entirely.
+        The vector round engine's populations are single-tag, so one
+        integer add meters a whole round with no per-message Counter
+        update at all.
         """
         if not count:
             return
@@ -99,12 +93,6 @@ class MessageStats:
             "by_tag": dict(self.by_tag),
             "stage_offsets": list(self.stage_offsets),
         }
-
-    def record_drop(self) -> None:
-        self.dropped += 1
-
-    def record_corrupt(self) -> None:
-        self.corrupted += 1
 
     def open_round(self) -> None:
         self.per_round.append(0)

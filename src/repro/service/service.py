@@ -46,7 +46,6 @@ from repro.dynamic.churn import ChurnPlan, MutationLog
 from repro.dynamic.churn import apply_churn as _apply_churn
 from repro.dynamic.repair import repair_spanner
 from repro.errors import ConfigurationError
-from repro.execution import Exec
 from repro.local.faults import FaultPlan
 from repro.local.network import Network
 from repro.simulate.scheme import SchemeReport, theorem3_params
@@ -83,17 +82,13 @@ class SimulationRequest:
     silently honoured).  ``radius`` overrides the flood radius
     ``alpha * t`` the same way it does on
     :func:`~repro.simulate.transformer.simulate_over_spanner`.
-    ``execution`` (:class:`~repro.execution.Exec`, ``None`` for the
-    defaults) picks the flood engine of the serve — responses are
-    identical under both; ``faults`` requires its
-    ``flood_engine="runtime"``, and a plan the fast flood cannot run is
-    refused here, before the service pays for any artifact.
-    ``allow_stale`` opts the
-    request into degraded answers: when the requested graph's spanner is
-    not cached but a cached churn *ancestor* is, the service serves the
-    ancestor's graph outright (marked ``"stale"`` in the response) —
-    the outputs describe the pre-churn topology, which is the explicit
-    trade the flag buys.
+    ``faults`` is served as it is there: a plan that can drop or erase a
+    message runs the literal flood, and the serve fetches no flood
+    schedule.  ``allow_stale`` opts the request into degraded answers:
+    when the requested graph's spanner is not cached but a cached churn
+    *ancestor* is, the service serves the ancestor's graph outright
+    (marked ``"stale"`` in the response) — the outputs describe the
+    pre-churn topology, which is the explicit trade the flag buys.
     """
 
     algo: LocalAlgorithm
@@ -102,12 +97,8 @@ class SimulationRequest:
     radius: int | None = None
     params: SamplerParams | None = None
     seed: int | None = None
-    execution: Exec | None = None
     faults: FaultPlan | None = None
     allow_stale: bool = False
-
-    def __post_init__(self) -> None:
-        (self.execution or Exec()).check_faults(self.faults)
 
     def identity(self) -> tuple:
         """The dedupe token: the concurrent front's batching window
@@ -123,7 +114,6 @@ class SimulationRequest:
             self.radius,
             self.params,
             self.seed,
-            self.execution,
             self.faults,
             self.allow_stale,
         )
@@ -135,7 +125,7 @@ class SimulationResponse:
 
     report: SchemeReport
     spanner_info: FetchInfo
-    schedule_info: FetchInfo | None  # None under flood_engine="runtime"
+    schedule_info: FetchInfo | None  # None under a fault plan
     construction_messages_paid: int  # 0 on a warm serve
 
     @property
@@ -319,9 +309,10 @@ class SimulationService:
         self.metrics = ServiceMetrics()
         # Spanner subnetworks memoized per (graph, edge set): building
         # one is O(|S|) Python work per request otherwise, and every
-        # fast-engine serve needs it to address the flood-schedule
-        # cache.  Insertion-ordered with a small cap so a long-lived
-        # service streaming distinct graphs cannot pin memory unboundedly.
+        # serve without a fault plan needs it to address the
+        # flood-schedule cache.  Insertion-ordered with a small cap so a
+        # long-lived service streaming distinct graphs cannot pin memory
+        # unboundedly.
         self._subnets: dict[tuple[str, frozenset[int]], Network] = {}
         # Churn lineage: child fingerprint -> (parent network, mutation
         # log), the last _LINEAGE_DEPTH_CAP epochs.  This is what lets a
@@ -457,7 +448,7 @@ class SimulationService:
             raise ValueError("request has no network and the service has no default")
         params = request.params if request.params is not None else self._params
         seed = request.seed if request.seed is not None else self._seed
-        execution = request.execution or Exec()
+        faults = request.faults
         algo = request.algo
         t = algo.rounds(network.n)
         if request.t is not None and request.t != t:
@@ -476,7 +467,7 @@ class SimulationService:
         radius = request.radius if request.radius is not None else spanner.stretch_bound * t
         schedule = None
         schedule_info = None
-        if execution.flood_engine == "fast":
+        if faults is None or faults.is_noop:
             sub_key = (network.fingerprint(), spanner.edges)
             spanner_net = self._subnets.get(sub_key)
             if spanner_net is None:
@@ -493,9 +484,8 @@ class SimulationService:
             algo=algo,
             seed=seed,
             radius=radius,
-            execution=execution,
             schedule=schedule,
-            faults=request.faults,
+            faults=faults,
         )
         report = SchemeReport(
             outputs=simulation.outputs, spanner=spanner, simulation=simulation

@@ -22,9 +22,14 @@ from repro.simulate.tlocal import (
     FloodReport,
     FloodSchedule,
     flood_schedule,
+    runtime_flood,
     t_local_broadcast,
 )
-from repro.simulate.transformer import SimulationOutcome, simulate_over_spanner
+from repro.simulate.transformer import (
+    SimulationOutcome,
+    runtime_simulation,
+    simulate_over_spanner,
+)
 from repro.simulate.scheme import SchemeReport, run_one_stage, theorem3_params
 from repro.simulate.two_stage import TwoStageReport, run_two_stage
 from repro.simulate.direct import run_direct_baseline
@@ -42,6 +47,8 @@ __all__ = [
     "run_direct_baseline",
     "run_one_stage",
     "run_two_stage",
+    "runtime_flood",
+    "runtime_simulation",
     "simulate_over_spanner",
     "t_local_broadcast",
 ]

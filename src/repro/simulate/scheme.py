@@ -21,7 +21,6 @@ from typing import Any
 from repro import obs
 from repro.algorithms.base import LocalAlgorithm
 from repro.core.params import SamplerParams
-from repro.execution import Exec
 from repro.core.spanner import SpannerResult
 from repro.core.distributed import build_spanner_distributed
 from repro.local.network import Network
@@ -95,22 +94,19 @@ def run_one_stage(
     gamma: int = 1,
     params: SamplerParams | None = None,
     seed: int = 0,
-    execution: Exec | None = None,
     store=None,
 ) -> SchemeReport:
     """Simulate ``algo`` with the spanner-based scheme, metering both stages.
 
     ``params`` overrides the Theorem 3 parameter choice when supplied
     (used by experiments that tune the practical constants).
-    ``execution`` picks the simulation stage's flood engine (DESIGN.md
-    §3.5, §3.14); both produce identical reports.
 
     ``store`` (an :class:`~repro.store.ArtifactStore`, or ``None`` for
     the ``REPRO_STORE``-driven process default) reuses the
-    payload-independent artifacts — the constructed spanner and, under
-    the fast engine, the flood schedule — across calls that share a
-    graph and parameters; reports are bit-identical with the store on,
-    off, cold, or warm (DESIGN.md §3.8).  A store builds the spanner
+    payload-independent artifacts — the constructed spanner and the
+    flood schedule — across calls that share a graph and parameters;
+    reports are bit-identical with the store on, off, cold, or warm
+    (DESIGN.md §3.8).  A store builds the spanner
     priced on the level kernel instead of metering the distributed run;
     the two results are equal by contract (§3.15).
     """
@@ -131,7 +127,6 @@ def run_one_stage(
             alpha=spanner.stretch_bound,
             algo=algo,
             seed=seed,
-            execution=execution,
             store=active_store,
         )
         scheme_span.set(messages=simulation.messages.total)

@@ -10,10 +10,11 @@ message (the LOCAL model does not meter message size), so the total is
 at most ``2 |S| * alpha * t`` — the bound used in the proof of
 Lemma 12.
 
-Two flood engines compute the outcome (DESIGN.md §3.5), chosen by the
-``flood_engine`` field of :class:`~repro.execution.Exec`:
+Two paths compute the outcome (DESIGN.md §3.5), and the input picks
+one:
 
-* ``flood_engine="fast"`` (default) derives the :class:`FloodReport` directly
+* without a fault plan (or under one that injects nothing),
+  :func:`t_local_broadcast` derives the :class:`FloodReport` directly
   from batched CSR frontier sweeps (the distance plane, DESIGN.md
   §3.7): the flood is a deterministic function of the spanner and the
   radius, so collected sets are radius-balls in ``H`` and the exact
@@ -22,15 +23,15 @@ Two flood engines compute the outcome (DESIGN.md §3.5), chosen by the
   reached it in round ``r``, i.e. iff ``r`` is at most ``v``'s
   (radius-capped) eccentricity in ``H``.  No ``Inbound``/``Outbound``
   object is ever allocated.
-* ``flood_engine="runtime"`` simulates the literal forward-new-items
-  flood round by round (:class:`_VectorFlood`, a bitset population on
-  the vector round engine, DESIGN.md §3.10) — the equivalence baseline
-  and the only engine that runs under a fault plan; the test suite
-  asserts report equality between the engines across graph families,
-  radii, and seeds, and holds the population equal to the per-node
-  flood program of ``tests/reference_runtime.py``.
+* :func:`runtime_flood` simulates the literal forward-new-items flood
+  round by round (:class:`_VectorFlood`, a bitset population on the
+  vector round engine, DESIGN.md §3.10).  It is what runs under a
+  fault plan that drops or erases messages, and the derivation's
+  oracle: the test suite asserts report equality between the two
+  across graph families, radii, and seeds, and holds the population
+  equal to the per-node flood program of ``tests/reference_runtime.py``.
 
-The fast engine's sweeps have one implementation; the test suite holds
+The derivation's sweeps have one implementation; the test suite holds
 its :class:`FloodSchedule` equal to one built on the seed's
 frontier-list BFS (``tests/reference_distance.py``).
 """
@@ -43,7 +44,6 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.execution import Exec
 from repro.graphs.distance import BallFamily, balls_and_eccentricities
 from repro.local.engine import (
     PopulationInbox,
@@ -61,6 +61,7 @@ __all__ = [
     "FloodSchedule",
     "flood_schedule",
     "flood_stats",
+    "runtime_flood",
     "t_local_broadcast",
 ]
 
@@ -265,46 +266,59 @@ def flood_stats(ecc: Sequence[int], degs: Sequence[int], radius: int) -> Message
     return stats
 
 
+def runtime_flood(
+    spanner: Network,
+    payload_of: Callable[[int], Any],
+    radius: int,
+    *,
+    faults=None,
+) -> FloodReport:
+    """Flood each node's payload ``radius`` hops through ``spanner``,
+    round by round.
+
+    The literal flood on the vector round engine: every message is
+    sent, metered and, under ``faults`` (a
+    :class:`~repro.local.faults.FaultPlan`), dropped or erased as the
+    plan decides.  Without faults its report equals the derivation of
+    :func:`t_local_broadcast`.
+    """
+    report = VectorRuntime(
+        spanner,
+        _VectorFlood(spanner, payload_of, radius),
+        fixed_rounds=radius,
+        max_rounds=radius + 1,
+        faults=faults,
+    ).run()
+    return FloodReport(
+        collected=report.outputs,
+        messages=report.messages,
+        rounds=report.rounds,
+    )
+
+
 def t_local_broadcast(
     spanner: Network,
     payload_of: Callable[[int], Any],
     radius: int,
     *,
-    execution: Exec | None = None,
     faults=None,
     store=None,
 ) -> FloodReport:
     """Flood each node's payload ``radius`` hops through ``spanner``.
 
     ``spanner`` is typically ``network.subnetwork(S)``; payloads opaque.
-    Under ``execution``'s ``flood_engine="fast"`` the report is derived
-    from batched CSR sweeps (:func:`flood_schedule`); ``"runtime"``
-    simulates the flood round by round.  Both produce equal reports.
-
-    ``faults`` (a :class:`~repro.local.faults.FaultPlan`) drops and
-    erases messages and requires ``flood_engine="runtime"`` — the fast engine is
-    an analytic derivation of the failure-free flood, so a non-noop plan
-    under it raises.  ``store`` (an
+    The report is derived from batched CSR sweeps
+    (:func:`flood_schedule`).  A ``faults`` plan (a
+    :class:`~repro.local.faults.FaultPlan`) that can drop or erase a
+    message runs the literal flood instead (:func:`runtime_flood`): the
+    derivation describes the failure-free flood only.  ``store`` (an
     :class:`~repro.store.ArtifactStore`, or ``None`` for the
-    ``REPRO_STORE``-driven process default) lets the fast engine reuse a
+    ``REPRO_STORE``-driven process default) lets the derivation reuse a
     cached :class:`FloodSchedule` for this spanner; omitted or off, the
     schedule is derived from scratch exactly as before (DESIGN.md §3.8).
     """
-    execution = execution or Exec()
-    if execution.flood_engine == "runtime":
-        report = VectorRuntime(
-            spanner,
-            _VectorFlood(spanner, payload_of, radius),
-            fixed_rounds=radius,
-            max_rounds=radius + 1,
-            faults=faults,
-        ).run()
-        return FloodReport(
-            collected=report.outputs,
-            messages=report.messages,
-            rounds=report.rounds,
-        )
-    execution.check_faults(faults)
+    if faults is not None and not faults.is_noop:
+        return runtime_flood(spanner, payload_of, radius, faults=faults)
     from repro.store.store import resolve_store  # lazy: store sits above simulate
 
     active_store = resolve_store(store)

@@ -18,20 +18,22 @@ to the direct runner's derivation, so the simulated outputs equal the
 direct outputs *bit for bit* — the property the test suite asserts for
 every payload algorithm.
 
-Flood engines (DESIGN.md §3.5).  ``flood_engine="runtime"`` is the
-literal reference: a simulated flood, then one independent replay per
-center, each rebuilding its own ``owners``/``endpoint_of`` maps from the
-collected reports.  ``flood_engine="fast"`` (default) exploits that the
-replays are all prefixes of one deterministic execution: the flood's
-first-learn schedule (:func:`~repro.simulate.tlocal.flood_schedule`)
-gives every center's collected ball, the reconstruction every center
-would perform is the network's own adjacency restricted to that ball,
-and whenever the ball covers ``B_t(center)`` the center's replayed
-output equals the shared global replay's.  So the fast path runs *one*
-``t``-round replay over the shared adjacency and hands every covered
-center its output; only centers whose collected ball fails to cover
-``B_t`` (an under-flooded radius) fall back to the literal per-center
-replay, keeping the two engines output-identical in every case.
+Two paths (DESIGN.md §3.5), and the input picks one.
+:func:`runtime_simulation` is the literal reference: a simulated flood,
+then one independent replay per center, each rebuilding its own
+``owners``/``endpoint_of`` maps from the collected reports; it is what
+runs under a fault plan that drops or erases messages.  Otherwise
+:func:`simulate_over_spanner` exploits that the replays are all
+prefixes of one deterministic execution: the flood's first-learn
+schedule (:func:`~repro.simulate.tlocal.flood_schedule`) gives every
+center's collected ball, the reconstruction every center would perform
+is the network's own adjacency restricted to that ball, and whenever
+the ball covers ``B_t(center)`` the center's replayed output equals
+the shared global replay's.  So it runs *one* ``t``-round replay over
+the shared adjacency and hands every covered center its output; only
+centers whose collected ball fails to cover ``B_t`` (an under-flooded
+radius) fall back to the literal per-center replay, keeping the two
+paths output-identical in every failure-free case.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from typing import Any, Iterable, Mapping
 from repro import obs
 from repro.algorithms.base import LocalAlgorithm, NodeInit
 from repro.algorithms.runner import node_tape, run_inprocess
-from repro.execution import Exec
 from repro.graphs.distance import BallFamily
 from repro.local.metrics import MessageStats
 from repro.local.network import Network
@@ -51,10 +52,15 @@ from repro.simulate.tlocal import (
     FloodReport,
     FloodSchedule,
     flood_schedule,
-    t_local_broadcast,
+    runtime_flood,
 )
 
-__all__ = ["SimulationOutcome", "simulate_over_spanner", "replay_ball"]
+__all__ = [
+    "SimulationOutcome",
+    "replay_ball",
+    "runtime_simulation",
+    "simulate_over_spanner",
+]
 
 
 @dataclass(frozen=True)
@@ -80,49 +86,27 @@ def simulate_over_spanner(
     seed: int = 0,
     *,
     radius: int | None = None,
-    execution: Exec | None = None,
     schedule: FloodSchedule | None = None,
     faults=None,
     store=None,
 ) -> SimulationOutcome:
     """Run ``algo`` via ``t``-local broadcast over the given spanner.
 
-    ``execution`` picks the flood engine (DESIGN.md §3.5); both
-    produce identical outcomes.
-
     ``schedule`` lets a caller that already holds this spanner's
     :class:`FloodSchedule` at exactly the flood radius (the simulation
     service, a batch driver) skip the re-derivation; omitted, behaviour
     is unchanged.  ``store`` (or the ``REPRO_STORE`` process default)
     caches the derivation instead (DESIGN.md §3.8); an explicit
-    ``schedule`` wins over both.  ``faults`` injects message drops and
-    requires ``flood_engine="runtime"`` (the fast engine is the
-    analytic failure-free derivation).
+    ``schedule`` wins over both.  A ``faults`` plan that can drop or
+    erase a message runs :func:`runtime_simulation` instead, which
+    reads neither: the derivation describes the failure-free flood only.
     """
-    execution = execution or Exec()
+    if faults is not None and not faults.is_noop:
+        return runtime_simulation(
+            network, spanner_edges, alpha, algo, seed, radius=radius, faults=faults
+        )
     t = algo.rounds(network.n)
     flood_radius = radius if radius is not None else alpha * t
-    if execution.flood_engine == "runtime":
-        flood: FloodReport = t_local_broadcast(
-            network.subnetwork(spanner_edges),
-            payload_of=lambda node: tuple(network.incident(node)),
-            radius=flood_radius,
-            execution=execution,
-            faults=faults,
-        )
-        outputs = {
-            node: replay_ball(algo, node, flood.collected[node], t, seed, network.n)
-            for node in network.nodes()
-        }
-        mean_reports = sum(len(r) for r in flood.collected.values()) / max(1, network.n)
-        return SimulationOutcome(
-            outputs=outputs,
-            messages=flood.messages,
-            rounds=flood.rounds,
-            radius=flood_radius,
-            mean_reports=mean_reports,
-        )
-    execution.check_faults(faults)
     if schedule is None:
         # The spanner subnetwork exists only to derive the schedule, so
         # a caller who supplies one saves the whole construction.
@@ -149,6 +133,45 @@ def simulate_over_spanner(
     )
 
 
+def runtime_simulation(
+    network: Network,
+    spanner_edges: Iterable[int],
+    alpha: int,
+    algo: LocalAlgorithm,
+    seed: int = 0,
+    *,
+    radius: int | None = None,
+    faults=None,
+) -> SimulationOutcome:
+    """Run ``algo`` via the literal flood and one replay per center.
+
+    The paper's simulation as written: :func:`runtime_flood` over the
+    spanner subnetwork (under ``faults``, if given), then each center
+    replays ``algo`` on the reports it collected (:func:`replay_ball`).
+    Without faults its outcome equals :func:`simulate_over_spanner`'s.
+    """
+    t = algo.rounds(network.n)
+    flood_radius = radius if radius is not None else alpha * t
+    flood: FloodReport = runtime_flood(
+        network.subnetwork(spanner_edges),
+        payload_of=lambda node: tuple(network.incident(node)),
+        radius=flood_radius,
+        faults=faults,
+    )
+    outputs = {
+        node: replay_ball(algo, node, flood.collected[node], t, seed, network.n)
+        for node in network.nodes()
+    }
+    mean_reports = sum(len(r) for r in flood.collected.values()) / max(1, network.n)
+    return SimulationOutcome(
+        outputs=outputs,
+        messages=flood.messages,
+        rounds=flood.rounds,
+        radius=flood_radius,
+        mean_reports=mean_reports,
+    )
+
+
 def _replay_shared(
     network: Network,
     algo: LocalAlgorithm,
@@ -164,7 +187,7 @@ def _replay_shared(
     global one — so those centers share a single ``t``-round execution.
     Centers left uncovered by the flood (radius below ``alpha * t``, or
     a non-spanner edge set) replay literally on their partial ball, which
-    keeps this path output-identical to ``flood_engine="runtime"``
+    keeps this path output-identical to :func:`runtime_simulation`
     always.
 
     The coverage verdict ``B_t(center) ⊆ ball(center)`` is
@@ -227,8 +250,8 @@ def replay_ball(
     ``reports`` maps node ids to their incident edge-id tuples; it must
     cover at least ``B_t(center)`` (guaranteed by flooding an
     ``alpha``-spanner for ``alpha * t`` rounds).  This is the literal
-    per-center reconstruction the paper describes; the fast engine calls
-    it only for centers the flood failed to cover.
+    per-center reconstruction the paper describes; the shared replay
+    calls it only for centers the flood failed to cover.
     """
     # Reconstruct adjacency: an edge id reported twice joins its reporters.
     owners: dict[int, list[int]] = {}

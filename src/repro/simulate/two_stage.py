@@ -25,7 +25,6 @@ from typing import Any
 from repro.algorithms.base import LocalAlgorithm
 from repro.baselines.baswana_sen import BaswanaSenLocal
 from repro.core.params import SamplerParams
-from repro.execution import Exec
 from repro.core.spanner import SpannerResult
 from repro.core.distributed import build_spanner_distributed
 from repro.local.network import Network
@@ -89,15 +88,9 @@ def run_two_stage(
     stage1_params: SamplerParams,
     stage2_k: int = 3,
     seed: int = 0,
-    execution: Exec | None = None,
     store=None,
 ) -> TwoStageReport:
     """Run the full two-stage pipeline, metering every stage.
-
-    ``execution`` picks the flood engine of both simulated stages
-    (DESIGN.md §3.14) — ``"fast"`` (array-native flood + shared replay)
-    or ``"runtime"`` (the literal baseline); both produce identical
-    reports.
 
     ``store`` (or the ``REPRO_STORE`` process default) caches the
     payload-independent artifacts of *all three* stages: the ``H1``
@@ -124,7 +117,6 @@ def run_two_stage(
         alpha=stage1.stretch_bound,
         algo=stage2_algo,
         seed=seed,
-        execution=execution,
         store=active_store,
     )
     stage2_edges: set[int] = set()
@@ -137,7 +129,6 @@ def run_two_stage(
         alpha=stage2_algo.stretch_bound,
         algo=algo,
         seed=seed,
-        execution=execution,
         store=active_store,
     )
     return TwoStageReport(

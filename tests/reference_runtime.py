@@ -19,6 +19,9 @@ for the level kernel and the distance plane:
   package's entry points on those;
 * :func:`unregistered` — a payload the package must run on its own
   per-node paths;
+* :func:`literal_simulation` — routes the scheme entry points and the
+  service through ``runtime_simulation``, the literal flood and one
+  replay per center;
 * :func:`reference_engines` — swaps the oracles into the package, so a
   whole pipeline runs on them.
 
@@ -39,7 +42,10 @@ from typing import Any, Sequence
 from unittest import mock
 
 import repro.algorithms.vector as vector_module
+import repro.service.service as service_module
+import repro.simulate.scheme as scheme_module
 import repro.simulate.transformer as transformer_module
+import repro.simulate.two_stage as two_stage_module
 import reference_distance
 from repro.algorithms.runner import DirectOutcome, _AlgorithmProgram
 from repro.errors import SimulationError
@@ -192,8 +198,8 @@ class FloodProgram(NodeProgram):
 def reference_flood(
     spanner, payload_of, radius: int, *, faults=None, run=dense_program
 ) -> FloodReport:
-    """``t_local_broadcast`` under ``flood_engine="runtime"``, one
-    :class:`FloodProgram` per node on the dense loop (or on ``run``)."""
+    """``runtime_flood``, one :class:`FloodProgram` per node on the
+    dense loop (or on ``run``)."""
     report = run(
         spanner,
         lambda node: FloodProgram(node, payload_of(node), radius),
@@ -274,19 +280,42 @@ def reference_push_pull(
     )
 
 
+def _literal(
+    network, spanner_edges, alpha, algo, seed=0, *, radius=None, faults=None, **_
+):
+    """``simulate_over_spanner`` on the literal path; the schedule or
+    store a caller passes is ignored."""
+    return transformer_module.runtime_simulation(
+        network, spanner_edges, alpha, algo, seed, radius=radius, faults=faults
+    )
+
+
+@contextmanager
+def literal_simulation():
+    """Run every ``simulate_over_spanner`` call of ``run_one_stage``,
+    ``run_two_stage`` and ``SimulationService`` as ``runtime_simulation``
+    while the block is open, fault plan or not."""
+    with ExitStack() as stack:
+        for module in (scheme_module, two_stage_module, service_module):
+            stack.enter_context(
+                mock.patch.object(module, "simulate_over_spanner", _literal)
+            )
+        yield
+
+
 @contextmanager
 def reference_engines():
     """Run the package on the oracles while the block is open.
 
     ``Runtime.run`` becomes :func:`run_dense`; no payload gets a vector
     population, so ``run_direct`` runs the per-node interpreter and
-    ``run_inprocess`` its message-free loop; and the transformer's
-    runtime flood becomes :func:`reference_flood`.  Yields a counter of
-    the oracle runs (``"dense"``, ``"flood"``, ``"payload"``), so a
-    caller can check that the swap reached the code it meant to test.
+    ``run_inprocess`` its message-free loop; the pipelines simulate on
+    the literal path (:func:`literal_simulation`), whose flood becomes
+    :func:`reference_flood`.  Yields a counter of the oracle runs
+    (``"dense"``, ``"flood"``, ``"payload"``), so a caller can check
+    that the swap reached the code it meant to test.
     """
     calls: Counter[str] = Counter()
-    broadcast = transformer_module.t_local_broadcast
 
     def dense(runtime: Runtime) -> RunReport:
         calls["dense"] += 1
@@ -296,13 +325,9 @@ def reference_engines():
         calls["payload"] += 1
         return None
 
-    def flood(spanner, payload_of, radius, *, execution=None, **kwargs):
-        if execution is None or execution.flood_engine == "fast":
-            return broadcast(spanner, payload_of, radius, execution=execution, **kwargs)
+    def flood(spanner, payload_of, radius, *, faults=None):
         calls["flood"] += 1
-        return reference_flood(
-            spanner, payload_of, radius, faults=kwargs.get("faults")
-        )
+        return reference_flood(spanner, payload_of, radius, faults=faults)
 
     with ExitStack() as stack:
         stack.enter_context(mock.patch.object(Runtime, "run", dense))
@@ -310,6 +335,7 @@ def reference_engines():
             mock.patch.object(vector_module, "vector_population", no_population)
         )
         stack.enter_context(
-            mock.patch.object(transformer_module, "t_local_broadcast", flood)
+            mock.patch.object(transformer_module, "runtime_flood", flood)
         )
+        stack.enter_context(literal_simulation())
         yield calls

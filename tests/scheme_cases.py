@@ -110,13 +110,13 @@ def two_stage_digest(report) -> str:
     )
 
 
-def scheme_digests(execution=None) -> dict[str, str]:
-    """Every case's digest under one :class:`~repro.execution.Exec`."""
+def scheme_digests() -> dict[str, str]:
+    """Every case's digest."""
     digests: dict[str, str] = {}
     for name, build in GRAPHS.items():
         net = build()
         for algo in payloads():
-            report = run_one_stage(net, algo, seed=3, execution=execution)
+            report = run_one_stage(net, algo, seed=3)
             digests[f"one_stage/{name}/{algo.name}"] = one_stage_digest(report)
     report = run_two_stage(
         GRAPHS["er50"](),
@@ -124,7 +124,6 @@ def scheme_digests(execution=None) -> dict[str, str]:
         stage1_params=theorem3_params(1, seed=3),
         stage2_k=2,
         seed=3,
-        execution=execution,
     )
     digests["two_stage/er50/ball-collect"] = two_stage_digest(report)
     service = SimulationService(
@@ -134,9 +133,7 @@ def scheme_digests(execution=None) -> dict[str, str]:
         if label != "base":
             service.apply_churn(CHURN, int(label[-1]))
         for algo in payloads():
-            response = service.submit(
-                SimulationRequest(algo=algo, execution=execution)
-            )
+            response = service.submit(SimulationRequest(algo=algo))
             digests[f"served/{label}/{algo.name}"] = one_stage_digest(
                 response.report
             )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core import SamplerParams, build_spanner
@@ -32,30 +34,33 @@ class TestMessageStats:
     def test_record_and_rounds(self):
         stats = MessageStats()
         stats.open_round()
-        stats.record("a")
-        stats.record("a")
+        stats.record_uniform("a", 2)
         stats.open_round()
-        stats.record("b")
+        stats.record_batch([(0, 0, None, "b")])
         assert stats.total == 3
         assert stats.by_tag == {"a": 2, "b": 1}
         assert stats.per_round == [2, 1]
         assert stats.rounds_with_traffic == 2
 
     def test_record_before_open_round_keeps_invariant(self):
-        # a record with no open round lands in an implicit round 0
+        # metering with no open round lands in an implicit round 0
         # rather than silently vanishing from per_round
-        stats = MessageStats()
-        stats.record("early")
-        assert stats.per_round == [1]
-        stats.open_round()
-        stats.record("late")
-        assert stats.per_round == [1, 1]
-        assert sum(stats.per_round) == stats.total == 2
+        uniform, batched = MessageStats(), MessageStats()
+        uniform.record_uniform("early", 1)
+        batched.record_batch([(0, 0, None, "early")])
+        for stats in (uniform, batched):
+            assert stats.per_round == [1]
+        uniform.open_round()
+        uniform.record_uniform("late", 1)
+        batched.open_round()
+        batched.record_batch([(0, 0, None, "late")])
+        for stats in (uniform, batched):
+            assert stats.per_round == [1, 1]
+            assert sum(stats.per_round) == stats.total == 2
 
     def test_merge(self):
-        a, b = MessageStats(), MessageStats()
-        a.open_round(); a.record("x")
-        b.open_round(); b.record("y"); b.record_drop()
+        a = MessageStats(total=1, by_tag=Counter(x=1), per_round=[1])
+        b = MessageStats(total=1, dropped=1, by_tag=Counter(y=1), per_round=[1])
         merged = a.merge(b)
         assert merged.total == 2
         assert merged.dropped == 1
@@ -65,9 +70,9 @@ class TestMessageStats:
         a, b, c = MessageStats(), MessageStats(), MessageStats()
         for _ in range(3):
             a.open_round()
-        a.record("x")
-        b.open_round(); b.record("y"); b.record("y")
-        c.open_round(); c.open_round(); c.record("z")
+        a.record_uniform("x", 1)
+        b.open_round(); b.record_uniform("y", 2)
+        c.open_round(); c.open_round(); c.record_uniform("z", 1)
         merged = a.merge(b).merge(c)
         # stage i's rounds start at stage_offsets[i] in per_round
         assert merged.stage_offsets == [0, 3, 4]
@@ -77,16 +82,20 @@ class TestMessageStats:
         assert sum(sum(s) for s in slices) == merged.total == 4
 
     def test_record_batch_equals_per_message_recording(self):
-        batched, singly = MessageStats(), MessageStats()
         msgs = [(0, 0, None, "x"), (1, 1, None, "y"), (2, 0, None, "x")]
+        batched = MessageStats()
         batched.open_round()
         batched.record_batch(msgs)
-        singly.open_round()
+        # The per-message reference, metered by hand: each message adds
+        # one to the total, to its tag and to the open round.
+        total, by_tag, open_round = 0, Counter(), 0
         for msg in msgs:
-            singly.record(msg[3])
-        assert batched.total == singly.total
-        assert batched.by_tag == singly.by_tag
-        assert batched.per_round == singly.per_round
+            total += 1
+            by_tag[msg[3]] += 1
+            open_round += 1
+        assert batched.total == total
+        assert batched.by_tag == by_tag
+        assert batched.per_round == [open_round]
 
     def test_run_report_summary(self):
         stats = MessageStats()

@@ -1,32 +1,31 @@
 """A census of the knobs and catch-all handlers in ``src/repro``.
 
-Five checks keep these counts from creeping back (ROADMAP aims 2 and 3):
+Four checks keep these counts from creeping back (ROADMAP aims 2 and 3):
 
 * the ``REPRO_*`` environment variables the package names as whole
   string constants are exactly :data:`ENV_VARS`;
 * every ``except Exception``, ``except BaseException`` and bare
   ``except`` sits in a function listed in :data:`CATCH_ALLS`;
-* the fields of :class:`repro.Exec`, one per pair of interchangeable
-  implementations, are exactly :data:`EXEC_FIELDS`, and the functions
-  and fields that take an ``execution`` are exactly
-  :data:`EXECUTION_TAKERS`;
+* there is no ``Exec`` value, and no function or class field takes an
+  ``execution``: no caller picks an engine, the input does (a fault
+  plan runs the literal flood);
 * the constructor parameters of the serving stack's artifact store,
   concurrent front and file lock are exactly :data:`CONSTRUCTORS`.
 
-A change that adds a variable, a catch-all, an engine twin or a
-constructor knob has to edit these lists, with its reason, in its own
+A change that adds a variable, a catch-all, an engine switch or a
+constructor knob has to edit this file, with its reason, in its own
 diff.
 """
 
 from __future__ import annotations
 
 import ast
-import dataclasses
+import importlib.util
 import inspect
 import re
 from pathlib import Path
 
-from repro.execution import Exec
+import repro
 from repro.service import ConcurrentSimulationService
 from repro.store import ArtifactStore, FileLock
 
@@ -44,19 +43,6 @@ CATCH_ALLS = {
     "store/serialize.py::_read_npz",
     # Records the failed request's outcome, then re-raises.
     "service/concurrent.py::ConcurrentSimulationService.submit",
-}
-
-EXEC_FIELDS = ("flood_engine",)  # the fast flood derivation or the literal one
-
-EXECUTION_TAKERS = {
-    # The scheme entry points and the two flood consumers pick the
-    # flood engine; nothing below them has a choice left.
-    "simulate/scheme.py::run_one_stage",
-    "simulate/two_stage.py::run_two_stage",
-    "simulate/transformer.py::simulate_over_spanner",
-    "simulate/tlocal.py::t_local_broadcast",
-    # A served request carries its choice as a field.
-    "service/service.py::SimulationRequest.execution",
 }
 
 CONSTRUCTORS = {
@@ -172,11 +158,14 @@ def test_catch_alls_sit_in_allowlisted_functions():
 
 
 def test_exec_fields_are_the_census():
-    assert tuple(f.name for f in dataclasses.fields(Exec)) == EXEC_FIELDS
+    """No engine value is left to hold a field: ``repro.execution`` and
+    the package's ``Exec`` export are gone."""
+    assert importlib.util.find_spec("repro.execution") is None
+    assert not hasattr(repro, "Exec")
 
 
 def test_execution_takers_are_the_census():
-    assert _execution_takers() == EXECUTION_TAKERS
+    assert _execution_takers() == set()
 
 
 def test_serving_constructors_are_the_census():

@@ -22,8 +22,8 @@ import repro.service.concurrent as front_module
 from repro.algorithms import BfsLayers, MinIdAggregation
 from repro.core import SamplerParams
 from repro.errors import ServiceTimeout
-from repro.execution import Exec
 from repro.graphs import erdos_renyi
+from repro.local import FaultPlan
 from repro.service import (
     ConcurrentSimulationService,
     SimulationRequest,
@@ -193,11 +193,11 @@ class TestBatchingWindow:
         snapshot = front.metrics.snapshot()
         assert snapshot["merged"] == 0
 
-    def test_requests_differing_only_in_execution_are_not_merged(self, net):
+    def test_requests_differing_only_in_faults_not_merged(self, net):
         payload = MinIdAggregation(2)
         requests = [
-            SimulationRequest(algo=payload, execution=Exec(flood_engine=engine))
-            for engine in ("fast", "runtime")
+            SimulationRequest(algo=payload),
+            SimulationRequest(algo=payload, faults=FaultPlan.none()),
         ]
         assert requests[0].identity() != requests[1].identity()
         front = ConcurrentSimulationService(
@@ -208,6 +208,23 @@ class TestBatchingWindow:
         assert front.metrics.snapshot()["merged"] == 0
         assert first is not second
         assert first.report == second.report
+
+    def test_corrupt_only_plan_is_metered(self, net):
+        """A plan that only erases messages is served on the literal
+        flood through the front: the erasures are metered, and the
+        merged repeat shares the one faulty answer."""
+        plan = FaultPlan(corrupt_probability=0.3, seed=2)
+        request = SimulationRequest(algo=MinIdAggregation(2), faults=plan)
+        front = ConcurrentSimulationService(
+            net, params=PARAMS, seed=0, max_workers=2, merge_window=0.5
+        )
+        with front:
+            first, second = front.serve([request, request])
+        assert first.schedule_info is None
+        assert first.simulation.messages.corrupted > 0
+        assert first.simulation.messages.dropped == 0
+        assert second.report == first.report
+        assert front.metrics.snapshot()["merged"] == 1
 
     def test_window_expires(self, net):
         front = ConcurrentSimulationService(

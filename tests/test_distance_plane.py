@@ -31,7 +31,6 @@ from repro.analysis.stretch import adjacent_pair_stretch, pairwise_stretch
 from repro.core import SamplerParams, build_spanner
 from repro.dynamic import ChurnPlan, apply_churn
 from repro.graphs import barabasi_albert, dense_gnm, erdos_renyi, torus
-from repro.execution import Exec
 from repro.graphs.distance import (
     BallFamily,
     adjacency_csr,
@@ -43,7 +42,7 @@ from repro.graphs.distance import (
     eccentricities,
 )
 from repro.local.network import Network
-from repro.simulate import flood_schedule, simulate_over_spanner
+from repro.simulate import flood_schedule, runtime_simulation, simulate_over_spanner
 from repro.simulate.global_tasks import graph_diameter
 from test_pricing import connected_atlas
 
@@ -216,20 +215,10 @@ class TestSimulationEquality:
         flood_radius = radius if radius is not None else result.stretch_bound * t
         balls = oracle.flood_schedule(net.subnetwork(result.edges), flood_radius).balls
 
-        def simulate(engine):
-            return simulate_over_spanner(
-                net,
-                result.edges,
-                result.stretch_bound,
-                algo,
-                seed=7,
-                radius=radius,
-                execution=Exec(flood_engine=engine),
-            )
-
-        fast = simulate("fast")
+        args = (net, result.edges, result.stretch_bound, algo)
+        fast = simulate_over_spanner(*args, seed=7, radius=radius)
         assert sorted(replayed) == oracle.uncovered_centers(net, balls, t)
-        assert fast == simulate("runtime")
+        assert fast == runtime_simulation(*args, seed=7, radius=radius)
 
     @pytest.mark.parametrize("radius", [0, 1, 2, None])
     @pytest.mark.parametrize("keep", [1.0, 0.6])
@@ -249,21 +238,10 @@ class TestSimulationEquality:
         t = algo.rounds(net.n)
         flood_radius = radius if radius is not None else result.stretch_bound * t
         balls = oracle.flood_schedule(net.subnetwork(edges), flood_radius).balls
-        outcomes = {}
-        for engine in ("fast", "runtime"):
-            replayed.clear()
-            outcomes[engine] = simulate_over_spanner(
-                net,
-                edges,
-                result.stretch_bound,
-                algo,
-                seed=7,
-                radius=radius,
-                execution=Exec(flood_engine=engine),
-            )
-            if engine == "fast":
-                assert sorted(replayed) == oracle.uncovered_centers(net, balls, t)
-        assert outcomes["fast"] == outcomes["runtime"]
+        args = (net, edges, result.stretch_bound, algo)
+        fast = simulate_over_spanner(*args, seed=7, radius=radius)
+        assert sorted(replayed) == oracle.uncovered_centers(net, balls, t)
+        assert fast == runtime_simulation(*args, seed=7, radius=radius)
 
     @pytest.mark.parametrize("graph", sorted(_DISCONNECTED))
     def test_schedule_from_another_graph(self, graph, replayed):
@@ -308,7 +286,7 @@ class TestSimulationEquality:
         assert set(fooled) & set(replayed)
 
     def test_one_stage_under_reference_engine(self, monkeypatch):
-        """The whole pipeline under the runtime flood on the per-node
+        """The whole pipeline on the literal flood and the per-node
         oracles, which touch no distance-plane code, equals the default
         run on the plane."""
         from reference_runtime import reference_engines
@@ -320,13 +298,7 @@ class TestSimulationEquality:
         params = SamplerParams(k=1, h=2, seed=5)
         fast = run_one_stage(net, algo, params=params, seed=2)
         with reference_engines() as calls:
-            reference = run_one_stage(
-                net,
-                algo,
-                params=params,
-                seed=2,
-                execution=Exec(flood_engine="runtime"),
-            )
+            reference = run_one_stage(net, algo, params=params, seed=2)
         assert calls["dense"] == calls["flood"] == 1
         assert fast == reference
 

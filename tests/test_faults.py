@@ -229,37 +229,40 @@ class TestFaultPlanSurface:
 
     def test_stats_merge_carries_corrupted(self):
         a, b = MessageStats(), MessageStats()
-        a.record("t")
-        a.record_corrupt()
-        b.record("t")
-        b.record_corrupt()
-        b.record_corrupt()
+        a.record_uniform("t", 1)
+        a.corrupted += 1
+        b.record_uniform("t", 1)
+        b.corrupted += 2
         merged = MessageStats.merge(a, b)
         assert merged.corrupted == 3
+        assert merged.total == 2  # an erased message was sent
 
 
 class _SpyStats(MessageStats):
-    """MessageStats that tallies which metering entry points ran."""
+    """MessageStats that counts its ``record_batch`` calls, in all and
+    in its busiest round."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.record_calls = 0
         self.batch_calls = 0
+        self.busiest = 0
+        self._this_round = 0
 
-    def record(self, tag):
-        self.record_calls += 1
-        super().record(tag)
+    def open_round(self):
+        super().open_round()
+        self._this_round = 0
 
     def record_batch(self, msgs):
         self.batch_calls += 1
+        self._this_round += 1
+        self.busiest = max(self.busiest, self._this_round)
         super().record_batch(msgs)
 
 
 class TestBatchedMetering:
     """Every plan takes the one batched collect path: outboxes move
-    whole and metering is per round (``record_batch``), never per
-    message (``record``); the plan only holds back what it drops or
-    erases."""
+    whole and metering is one ``record_batch`` per round, never one per
+    message; the plan only holds back what it drops or erases."""
 
     @staticmethod
     def spy_on_stats(monkeypatch) -> list[_SpyStats]:
@@ -282,7 +285,7 @@ class TestBatchedMetering:
         plan = FaultPlan(corrupt_probability=0.5, seed=7)
         report = RUN[scheduler](path4, lambda n: Collector(2), seed=0, faults=plan)
         assert spies, "runtime did not construct its stats object"
-        assert sum(s.record_calls for s in spies) == 0
+        assert max(s.busiest for s in spies) == 1
         assert sum(s.batch_calls for s in spies) > 0
         assert report.messages.total > 0
         assert report.messages.corrupted > 0
@@ -300,7 +303,7 @@ class TestBatchedMetering:
     def test_every_plan_meters_per_round(self, path4, plan, loop, monkeypatch):
         spies = self.spy_on_stats(monkeypatch)
         report = RUN[loop](path4, lambda n: Collector(2), seed=0, faults=plan)
-        assert sum(s.record_calls for s in spies) == 0
+        assert max(s.busiest for s in spies) == 1
         assert sum(s.batch_calls for s in spies) > 0
         assert report.messages.total > 0
         assert (report.messages.dropped > 0) == plan.can_drop

@@ -1,12 +1,13 @@
-"""Engine-equivalence tests for the fast flood (DESIGN.md §3.5).
+"""Equivalence tests for the fast flood (DESIGN.md §3.5).
 
-The fast engine derives :class:`FloodReport` from CSR frontier sweeps;
-``flood_engine="runtime"`` simulates the literal flood round by round
-(its per-node oracle is ``tests/reference_runtime.py``).  The
-contract: *equal reports* — collected sets, rounds, and the full
+:func:`t_local_broadcast` derives :class:`FloodReport` from CSR
+frontier sweeps; :func:`runtime_flood` simulates the literal flood
+round by round (its per-node oracle is ``tests/reference_runtime.py``).
+The contract: *equal reports* — collected sets, rounds, and the full
 ``MessageStats`` (total, ``by_tag``, ``per_round``) — on every tested
-family × radius × seed combination, and identical simulation outcomes
-through :func:`simulate_over_spanner` either way.
+family × radius × seed combination, identical simulation outcomes from
+:func:`simulate_over_spanner` and :func:`runtime_simulation`, and a
+fault plan that injects nothing running the derivation, as no plan does.
 """
 
 from __future__ import annotations
@@ -14,14 +15,17 @@ from __future__ import annotations
 import pytest
 
 import reference_distance as oracle
+from reference_runtime import literal_simulation
 from repro.algorithms import BallCollect, LubyMis, MinIdAggregation, run_direct
 from repro.core import SamplerParams, build_spanner
-from repro.execution import Exec
 from repro.graphs import barabasi_albert, erdos_renyi, torus
+from repro.local import FaultPlan
 from repro.simulate import (
     flood_schedule,
     run_one_stage,
     run_two_stage,
+    runtime_flood,
+    runtime_simulation,
     simulate_over_spanner,
     t_local_broadcast,
 )
@@ -45,12 +49,8 @@ class TestEngineEquivalence:
     def test_flood_reports_equal(self, family, make, radius, seed):
         net = make(seed)
         sub, _ = _spanner_sub(net, seed)
-        fast = t_local_broadcast(
-            sub, lambda v: (v, "p"), radius, execution=Exec(flood_engine="fast")
-        )
-        slow = t_local_broadcast(
-            sub, lambda v: (v, "p"), radius, execution=Exec(flood_engine="runtime")
-        )
+        fast = t_local_broadcast(sub, lambda v: (v, "p"), radius)
+        slow = runtime_flood(sub, lambda v: (v, "p"), radius)
         assert fast.collected == slow.collected
         assert fast.rounds == slow.rounds
         assert fast.messages.total == slow.messages.total
@@ -64,20 +64,10 @@ class TestEngineEquivalence:
         sub, result = _spanner_sub(net, 3)
         for algo in (BallCollect(2), MinIdAggregation(2), LubyMis(phases=3)):
             fast = simulate_over_spanner(
-                net,
-                result.edges,
-                result.stretch_bound,
-                algo,
-                seed=11,
-                execution=Exec(flood_engine="fast"),
+                net, result.edges, result.stretch_bound, algo, seed=11
             )
-            slow = simulate_over_spanner(
-                net,
-                result.edges,
-                result.stretch_bound,
-                algo,
-                seed=11,
-                execution=Exec(flood_engine="runtime"),
+            slow = runtime_simulation(
+                net, result.edges, result.stretch_bound, algo, seed=11
             )
             assert fast.outputs == slow.outputs
             assert fast.messages == slow.messages
@@ -88,39 +78,46 @@ class TestEngineEquivalence:
     def test_under_flooded_radius_still_matches_runtime(self):
         """With a radius below alpha*t some balls are not covered; the
         fast path must fall back to the literal per-center replay and
-        stay output-identical to the runtime engine."""
+        stay output-identical to ``runtime_simulation``."""
         net = erdos_renyi(40, 0.08, seed=9)
         sub, result = _spanner_sub(net, 9)
         algo = BallCollect(2)
         for radius in (0, 1, 2):
             fast = simulate_over_spanner(
-                net, result.edges, result.stretch_bound, algo,
-                seed=7, radius=radius, execution=Exec(flood_engine="fast"),
+                net, result.edges, result.stretch_bound, algo, seed=7, radius=radius
             )
-            slow = simulate_over_spanner(
-                net, result.edges, result.stretch_bound, algo,
-                seed=7, radius=radius, execution=Exec(flood_engine="runtime"),
+            slow = runtime_simulation(
+                net, result.edges, result.stretch_bound, algo, seed=7, radius=radius
             )
             assert fast.outputs == slow.outputs
             assert fast.messages == slow.messages
 
-    def test_unknown_engine_rejected(self):
-        net = torus(4, 4)
-        with pytest.raises(ValueError):
-            t_local_broadcast(net, lambda v: v, 2, execution=Exec(flood_engine="warp"))
-        with pytest.raises(ValueError):
-            simulate_over_spanner(
-                net,
-                net.edge_ids,
-                1,
-                BallCollect(1),
-                execution=Exec(flood_engine="warp"),
-            )
+    def test_noop_plan_takes_the_derivation(self, monkeypatch):
+        """A plan that injects nothing is no fault plan: both entry
+        points answer on the derivation, equal to no plan at all."""
+        import repro.simulate.tlocal as tlocal_module
+        import repro.simulate.transformer as transformer_module
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a no-op plan reached the literal path")
+
+        monkeypatch.setattr(tlocal_module, "runtime_flood", refuse)
+        monkeypatch.setattr(transformer_module, "runtime_simulation", refuse)
+        net = erdos_renyi(40, 0.1, seed=2)
+        sub, result = _spanner_sub(net, 2)
+        none = FaultPlan.none()
+        assert t_local_broadcast(sub, lambda v: v, 3, faults=none) == (
+            t_local_broadcast(sub, lambda v: v, 3)
+        )
+        algo = MinIdAggregation(2)
+        assert simulate_over_spanner(
+            net, result.edges, result.stretch_bound, algo, seed=4, faults=none
+        ) == simulate_over_spanner(net, result.edges, result.stretch_bound, algo, seed=4)
 
     @pytest.mark.parametrize("family,make", FAMILIES, ids=[f[0] for f in FAMILIES])
     def test_distance_engines_agree_through_broadcast(self, family, make):
-        """The fast engine's FloodReport, derived on the vector distance
-        plane, is the one the oracle's frontier-list BFS implies."""
+        """The derived FloodReport, on the vector distance plane, is the
+        one the oracle's frontier-list BFS implies."""
         net = make(4)
         sub, _ = _spanner_sub(net, 4)
         report = t_local_broadcast(sub, lambda v: (v, "p"), 3)
@@ -171,19 +168,16 @@ class TestFloodSchedule:
 
 
 class TestSchemesThroughEngines:
-    """The one- and two-stage pipelines accept the engine switch and
-    produce identical reports either way (outputs also equal direct)."""
+    """The one- and two-stage pipelines produce identical reports on the
+    derivation and on the literal path (outputs also equal direct)."""
 
     def test_one_stage(self):
         net = erdos_renyi(60, 0.18, seed=14)
         algo = MinIdAggregation(2)
         params = SamplerParams(k=1, h=2, seed=5)
-        fast = run_one_stage(
-            net, algo, params=params, seed=2, execution=Exec(flood_engine="fast")
-        )
-        slow = run_one_stage(
-            net, algo, params=params, seed=2, execution=Exec(flood_engine="runtime")
-        )
+        fast = run_one_stage(net, algo, params=params, seed=2)
+        with literal_simulation():
+            slow = run_one_stage(net, algo, params=params, seed=2)
         direct = run_direct(net, algo, seed=2)
         assert fast.outputs == slow.outputs == direct.outputs
         assert fast.total_messages == slow.total_messages
@@ -193,22 +187,11 @@ class TestSchemesThroughEngines:
         net = erdos_renyi(60, 0.18, seed=14)
         algo = BallCollect(2)
         params = SamplerParams(k=1, h=2, seed=5)
-        fast = run_two_stage(
-            net,
-            algo,
-            stage1_params=params,
-            stage2_k=2,
-            seed=2,
-            execution=Exec(flood_engine="fast"),
-        )
-        slow = run_two_stage(
-            net,
-            algo,
-            stage1_params=params,
-            stage2_k=2,
-            seed=2,
-            execution=Exec(flood_engine="runtime"),
-        )
+        fast = run_two_stage(net, algo, stage1_params=params, stage2_k=2, seed=2)
+        with literal_simulation():
+            slow = run_two_stage(
+                net, algo, stage1_params=params, stage2_k=2, seed=2
+            )
         direct = run_direct(net, algo, seed=2)
         assert fast.outputs == slow.outputs == direct.outputs
         assert fast.stage2_edges == slow.stage2_edges

@@ -341,9 +341,8 @@ class TestExporters:
         stats.bump(memory_hits=3, misses=1)
         registry.register("store", stats)
         messages = MessageStats()
-        messages.record("query")
-        messages.record("query")
-        messages.record("bcast")
+        messages.record_uniform("query", 2)
+        messages.record_uniform("bcast", 1)
         registry.register("simulation", messages)
         text = obs.prometheus_text(registry)
         assert "repro_store_memory_hits 3" in text
@@ -370,11 +369,8 @@ class TestExporters:
 
 class TestMessageStatsSnapshot:
     def test_snapshot_contract(self):
-        stats = MessageStats()
-        stats.record("query")
-        stats.record("bcast")
-        stats.record_drop()
-        stats.record_corrupt()
+        stats = MessageStats(dropped=1, corrupted=1)
+        stats.record_batch([(0, 0, None, "query"), (1, 1, None, "bcast")])
         merged = stats.merge(stats)
         snap = merged.snapshot()
         assert snap == {

@@ -44,13 +44,12 @@ from repro.algorithms import (
 )
 from repro.core import SamplerParams
 from repro.core.sampler import SamplerRun
-from repro.execution import Exec
 from repro.graphs import barabasi_albert, erdos_renyi, random_regular
 from repro.graphs.distance import BallFamily
 from repro.dynamic import ChurnPlan, apply_churn
 from repro.local import EdgeRef, Knowledge, Network, engine
 from repro.service import SimulationRequest, SimulationService
-from repro.simulate import flood_schedule, simulate_over_spanner
+from repro.simulate import flood_schedule, runtime_simulation, simulate_over_spanner
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -257,13 +256,8 @@ class TestWarmServeContracts:
             # 6 of the 12 centers stay uncovered at radius 1
             assert coverage == [(6, False), (6, True), (6, True)]
         spanner = responses[0].spanner
-        reference = simulate_over_spanner(
-            net,
-            spanner.edges,
-            spanner.stretch_bound,
-            BallCollect(2),
-            radius=1,
-            execution=Exec(flood_engine="runtime"),
+        reference = runtime_simulation(
+            net, spanner.edges, spanner.stretch_bound, BallCollect(2), radius=1
         )
         assert all(r.simulation == reference for r in responses)
 

@@ -15,13 +15,12 @@ from repro.analysis.stretch import adjacent_pair_stretch
 from repro.core import SamplerParams, build_spanner
 from repro.core.distributed.schedule import PhaseKind, Schedule
 from repro.core.trials import NodeLabel, QueryResult, TrialMachine
-from repro.execution import Exec
 from repro.graphs import dense_gnm
 from repro.local import FaultPlan
 from repro.local.network import Network
 from repro.local.runtime import run_program
 from repro.rng import RngFactory
-from repro.simulate import t_local_broadcast
+from repro.simulate import runtime_flood
 from reference_runtime import FloodProgram, dense_program
 
 _SETTINGS = settings(
@@ -293,9 +292,7 @@ class TestSchedulerEquivalenceProperties:
         assert dense.outputs == active.outputs
         assert dense.rounds == active.rounds
         assert dense.halted == active.halted
-        population = t_local_broadcast(
-            net, lambda v: v, radius, execution=Exec("runtime"), faults=plan
-        )
+        population = runtime_flood(net, lambda v: v, radius, faults=plan)
         assert population.collected == dense.outputs
         assert population.rounds == dense.rounds
         for side in (active.messages, population.messages):

@@ -45,7 +45,6 @@ from repro.core.distributed.program import SamplerProgram
 from repro.core.distributed.schedule import Schedule
 from repro.dynamic import ChurnPlan, apply_churn
 from repro.errors import ProtocolError
-from repro.execution import Exec
 from repro.graphs import barabasi_albert, dense_gnm, erdos_renyi, torus
 from repro.local import EdgeRef, FaultPlan, Network
 from repro.local.engine import (
@@ -56,7 +55,7 @@ from repro.local.engine import (
     gather_segments,
 )
 from repro.local.runtime import Runtime, run_program
-from repro.simulate import t_local_broadcast
+from repro.simulate import runtime_flood
 from repro.simulate.gossip import _VectorGossip, run_push_pull
 from reference_runtime import (
     dense_program,
@@ -111,7 +110,6 @@ ZERO_ROUND_ALGORITHMS = (
     RandomizedColoring(0),
 )
 RUN = {"active": run_program, "dense": dense_program}
-RUNTIME_FLOOD = Exec(flood_engine="runtime")
 
 _SETTINGS = settings(
     max_examples=15,
@@ -179,11 +177,10 @@ class TestFloodEngine:
     @pytest.mark.parametrize("plan", sorted(PLANS))
     def test_runtime_flood_identical(self, family, plan):
         net = FAMILIES[family]()
-        vec = t_local_broadcast(
+        vec = runtime_flood(
             net,
             payload_of=lambda v: ("ball", v),
             radius=3,
-            execution=RUNTIME_FLOOD,
             faults=PLANS[plan],
         )
         ref = reference_flood(net, lambda v: ("ball", v), 3, faults=PLANS[plan])
@@ -198,7 +195,7 @@ class TestFloodEngine:
     @pytest.mark.parametrize("scheduler", ("active", "dense"))
     def test_against_both_reference_schedulers(self, scheduler):
         net = FAMILIES["gnp"]()
-        vec = t_local_broadcast(net, lambda v: (v,), radius=2, execution=RUNTIME_FLOOD)
+        vec = runtime_flood(net, lambda v: (v,), radius=2)
         ref = reference_flood(net, lambda v: (v,), 2, run=RUN[scheduler])
         assert vec.collected == ref.collected
         assert vec.messages.per_round == ref.messages.per_round
@@ -208,7 +205,7 @@ class TestFloodEngine:
         # the same singleton balls and round count the reference does.
         net = Network.from_edge_pairs(7, [(0, 1), (1, 2), (2, 3)])
         reports = [
-            t_local_broadcast(net, lambda v: v, radius=2, execution=RUNTIME_FLOOD),
+            runtime_flood(net, lambda v: v, radius=2),
             reference_flood(net, lambda v: v, 2),
         ]
         assert reports[0].collected == reports[1].collected
@@ -222,11 +219,10 @@ class TestFloodEngine:
     )
     def test_property_flood(self, net: Network, radius: int, plan: str):
         reports = [
-            t_local_broadcast(
+            runtime_flood(
                 net,
                 payload_of=lambda v: (v, v * v),
                 radius=radius,
-                execution=RUNTIME_FLOOD,
                 faults=PLANS[plan],
             ),
             reference_flood(net, lambda v: (v, v * v), radius, faults=PLANS[plan]),
@@ -321,9 +317,7 @@ class TestCorruptPlanPins:
     def test_runtime_flood(self, family, plan):
         net = FAMILIES[family]()
         for radius in (1, 2, 3):
-            report = t_local_broadcast(
-                net, lambda v: v, radius, execution=RUNTIME_FLOOD, faults=PLANS[plan]
-            )
+            report = runtime_flood(net, lambda v: v, radius, faults=PLANS[plan])
             pin = CORRUPT_PINS[f"flood/{family}/{plan}/r{radius}"]
             assert pinned(report, report.collected) == pin, radius
 
@@ -733,9 +727,7 @@ class TestDeliveryPaths:
         assert inbox.rows.size < 2 * net.m
         assert_inbox_equal(inbox, argsort_inbox(net, faults), "ba")
         for radius in (1, 2):
-            vec = t_local_broadcast(
-                net, lambda v: v, radius, execution=RUNTIME_FLOOD, faults=faults
-            )
+            vec = runtime_flood(net, lambda v: v, radius, faults=faults)
             ref = reference_flood(net, lambda v: v, radius, faults=faults)
             assert vec.messages.corrupted > 0
             assert vec == ref
@@ -925,9 +917,7 @@ class TestAtlas:
         for name, net in atlas:
             for radius in range(4):
                 for plan, faults in ATLAS_PLANS.items():
-                    vec = t_local_broadcast(
-                        net, lambda v: v, radius, execution=RUNTIME_FLOOD, faults=faults
-                    )
+                    vec = runtime_flood(net, lambda v: v, radius, faults=faults)
                     ref = reference_flood(net, lambda v: v, radius, faults=faults)
                     assert vec == ref, (name, radius, plan)
 

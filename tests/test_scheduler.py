@@ -27,14 +27,14 @@ from repro.core.distributed import build_spanner_distributed
 from repro.core.distributed.program import SamplerProgram
 from repro.core.distributed.schedule import Schedule
 from repro.errors import ProtocolError
-from repro.execution import Exec
 from repro.graphs import barabasi_albert, erdos_renyi, torus
 from repro.local import FaultPlan, Network, NodeProgram
 from repro.local.runtime import run_program
-from repro.simulate import run_one_stage, run_two_stage, t_local_broadcast
+from repro.simulate import run_one_stage, run_two_stage, runtime_flood, t_local_broadcast
 from repro.simulate.gossip import run_push_pull
 from reference_runtime import (
     dense_program,
+    literal_simulation,
     reference_direct,
     reference_engines,
     reference_flood,
@@ -132,12 +132,7 @@ class TestSimulatePathsEquivalence:
     def test_flood_runtime_engine(self, family, seed):
         # The flood draws no randomness, so the seed picks the radius.
         net = FAMILIES[family]()
-        active = t_local_broadcast(
-            net,
-            payload_of=lambda v: ("ball", v),
-            radius=seed + 1,
-            execution=Exec(flood_engine="runtime"),
-        )
+        active = runtime_flood(net, payload_of=lambda v: ("ball", v), radius=seed + 1)
         dense = reference_flood(net, lambda v: ("ball", v), seed + 1)
         assert dense.collected == active.collected
         assert dense.rounds == active.rounds
@@ -194,39 +189,28 @@ class TestSimulatePathsEquivalence:
         net = erdos_renyi(80, 0.15, seed=13)
         params = SamplerParams(k=1, h=2, seed=7, c_query=0.7, c_target=1.0)
         payload = BallCollect(2)
-        runtime = Exec(flood_engine="runtime")
         with reference_engines() as calls:
-            one_d = run_one_stage(
-                net, payload, params=params, seed=5, execution=runtime
-            )
+            one_d = run_one_stage(net, payload, params=params, seed=5)
             two_d = run_two_stage(
-                net,
-                payload,
-                stage1_params=params,
-                stage2_k=3,
-                seed=5,
-                execution=runtime,
+                net, payload, stage1_params=params, stage2_k=3, seed=5
             )
         assert calls["dense"] == 2 and calls["flood"] == 3
-        one_a = run_one_stage(net, payload, params=params, seed=5, execution=runtime)
+        with literal_simulation():
+            one_a = run_one_stage(net, payload, params=params, seed=5)
+            two_a = run_two_stage(
+                net, payload, stage1_params=params, stage2_k=3, seed=5
+            )
         assert one_d.outputs == one_a.outputs
         assert one_d.total_messages == one_a.total_messages
         assert one_d.total_rounds == one_a.total_rounds
-        two_a = run_two_stage(
-            net, payload, stage1_params=params, stage2_k=3, seed=5, execution=runtime
-        )
         assert two_d.outputs == two_a.outputs
         assert two_d.total_messages == two_a.total_messages
         assert two_d.stage2_edges == two_a.stage2_edges
 
     def test_runtime_engine_matches_fast_engine_under_active(self):
         net = erdos_renyi(70, 0.12, seed=3)
-        fast = t_local_broadcast(
-            net, lambda v: v, radius=3, execution=Exec(flood_engine="fast")
-        )
-        runtime = t_local_broadcast(
-            net, lambda v: v, radius=3, execution=Exec(flood_engine="runtime")
-        )
+        fast = t_local_broadcast(net, lambda v: v, radius=3)
+        runtime = runtime_flood(net, lambda v: v, radius=3)
         assert fast.collected == runtime.collected
         assert fast.messages.total == runtime.messages.total
         assert fast.messages.per_round == runtime.messages.per_round

@@ -3,10 +3,11 @@ written: one-stage and two-stage reports, and churned serving through
 the repaired path (cases and digest in ``tests/scheme_cases.py``).
 
 The default engines and the oracles must both give every pinned
-digest.  The oracles are :data:`ORACLE` (the runtime flood and a replay
-per center, which touch no distance-plane code) run under
-``reference_runtime.reference_engines()``: the per-node flood program
-and the ``Sampler`` on the seed's dense loop, no vector population.
+digest.  The oracles run under ``reference_runtime.reference_engines()``:
+the literal flood and a replay per center (``runtime_simulation``), the
+per-node flood program and the ``Sampler`` on the seed's dense loop, no
+vector population.  No distance-plane output reaches their digests: the
+service still fetches a flood schedule, which the literal path ignores.
 
 Regenerate ``tests/data/golden_schemes.json`` only for a deliberate
 semantic change (``tools/capture_golden_signatures.py --schemes``).
@@ -20,14 +21,11 @@ import pathlib
 import pytest
 
 from reference_runtime import reference_engines
-from repro.execution import Exec
 from scheme_cases import scheme_digests
 
 GOLDENS = json.loads(
     (pathlib.Path(__file__).parent / "data" / "golden_schemes.json").read_text()
 )
-
-ORACLE = Exec(flood_engine="runtime")
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +39,7 @@ def oracle_digests():
         # The process-default store would price the constructions.
         patch.delenv("REPRO_STORE", raising=False)
         with reference_engines() as calls:
-            digests = scheme_digests(ORACLE)
+            digests = scheme_digests()
     # Every construction on the dense loop (three graphs × six payloads
     # one-stage, and the two-stage H1), and every simulated flood (those
     # eighteen, the two two-stage floods and the eighteen served

@@ -2,8 +2,8 @@
 
 The load-bearing claim (ISSUE/DESIGN.md §3.8): a served response equals
 a fresh ``run_one_stage`` with the same inputs — cold, warm, truncated,
-disk-backed, either engine — and the metrics make the amortization
-visible.
+disk-backed, on the derivation or on the literal flood — and the
+metrics make the amortization visible.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.core import SamplerParams
 from repro.core.distributed import build_spanner_distributed
 from repro.dynamic import ChurnPlan, apply_churn
 from repro.errors import ConfigurationError, SimulationError
-from repro.execution import Exec
 from repro.graphs import erdos_renyi, torus
 from repro.local.faults import FaultPlan
 from repro.service import SimulationRequest, SimulationService
@@ -34,6 +33,7 @@ from repro.simulate import run_one_stage, run_two_stage, simulate_over_spanner
 from repro.simulate.global_tasks import compute_global, elect_leader
 from repro.simulate.tlocal import flood_schedule
 from repro.store import ArtifactStore
+from reference_runtime import literal_simulation
 
 PARAMS = SamplerParams(k=1, h=2, seed=13)
 
@@ -72,15 +72,13 @@ class TestServedEqualsRunOneStage:
             assert response.report == fresh
 
     def test_runtime_engine_served_exactly(self, net):
+        """Served on the literal flood with a replay per center, the
+        response still equals a fresh run on the derivation."""
         service = SimulationService(net, params=PARAMS, seed=5)
-        runtime = Exec(flood_engine="runtime")
-        request = SimulationRequest(algo=BallCollect(2), execution=runtime)
-        response = service.submit(request)
-        fresh = run_one_stage(
-            net, BallCollect(2), params=PARAMS, seed=5, execution=runtime
-        )
+        with literal_simulation():
+            response = service.submit(BallCollect(2))
+        fresh = run_one_stage(net, BallCollect(2), params=PARAMS, seed=5)
         assert response.report == fresh
-        assert response.schedule_info is None  # no schedule cache involved
 
     def test_disk_store_shared_across_services(self, net, tmp_path):
         first = SimulationService(net, store=ArtifactStore(tmp_path), params=PARAMS, seed=5)
@@ -99,28 +97,31 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="declares t=3"):
             service.submit(SimulationRequest(algo=BallCollect(2), t=3))
 
-    def test_faults_require_the_runtime_engine(self, net):
-        """A plan the fast flood cannot run is refused when the request
-        is built: no construction is paid, cached, or counted as a miss."""
+    def test_noop_plan_serves_like_no_plan(self, net):
+        """A plan that injects nothing is no fault plan: the serve takes
+        the derivation and fetches a flood schedule, as without one."""
         service = SimulationService(net, params=PARAMS, seed=5)
-        plan = FaultPlan(drop_probability=0.2, seed=4)
-        with pytest.raises(ValueError, match="runtime"):
-            service.submit(SimulationRequest(algo=BallCollect(2), faults=plan))
-        assert service.store.stats.misses == 0
-        assert service.store.peek_spanner(net, PARAMS) == (None, None)
-        # A plan that injects nothing is no fault plan.
-        assert SimulationRequest(algo=BallCollect(2), faults=FaultPlan.none())
-
-    def test_faulty_runtime_serve_matches_direct_call(self, net):
-        service = SimulationService(net, params=PARAMS, seed=5)
-        plan = FaultPlan(drop_probability=0.2, seed=4)
-        response = service.submit(
-            SimulationRequest(
-                algo=BallCollect(1),
-                execution=Exec(flood_engine="runtime"),
-                faults=plan,
-            )
+        plain = service.submit(SimulationRequest(algo=BallCollect(2)))
+        noop = service.submit(
+            SimulationRequest(algo=BallCollect(2), faults=FaultPlan.none())
         )
+        assert noop.report == plain.report
+        assert noop.schedule_info is not None
+        assert noop.schedule_info.source == "memory"
+
+    def test_faulty_runtime_serve_matches_direct_call(self, net, monkeypatch):
+        """A plan that can drop a message is served on the literal
+        flood: the response is the direct call's, and no flood schedule
+        is fetched or reported."""
+        service = SimulationService(net, params=PARAMS, seed=5)
+        fetched = []
+        monkeypatch.setattr(
+            service.store,
+            "fetch_flood_schedule",
+            lambda *args, **kwargs: fetched.append(args),
+        )
+        plan = FaultPlan(drop_probability=0.2, seed=4)
+        response = service.submit(SimulationRequest(algo=BallCollect(1), faults=plan))
         spanner = response.spanner
         direct = simulate_over_spanner(
             net,
@@ -128,29 +129,12 @@ class TestRequestValidation:
             alpha=spanner.stretch_bound,
             algo=BallCollect(1),
             seed=5,
-            execution=Exec(flood_engine="runtime"),
             faults=plan,
         )
         assert response.simulation == direct
+        assert response.schedule_info is None
+        assert fetched == []
         assert direct.messages.dropped > 0  # the plan actually bit
-
-    @pytest.mark.parametrize(
-        "field", ["flood_engine", "scheduler", "round_engine"]
-    )
-    def test_unknown_implementation_refused_before_any_work(self, net, field):
-        """A misspelt choice, or one ``Exec`` no longer offers (the round
-        engine and the scheduler have one implementation each), fails
-        when the request is built: no construction is paid, cached, or
-        counted as a miss."""
-        service = SimulationService(net, params=PARAMS, seed=5)
-        with pytest.raises((ValueError, TypeError), match="unknown|unexpected"):
-            service.submit(
-                SimulationRequest(
-                    algo=BallCollect(2), execution=Exec(**{field: "typo"})
-                )
-            )
-        assert service.store.stats.misses == 0
-        assert service.store.peek_spanner(net, PARAMS) == (None, None)
 
     def test_no_network_anywhere_is_refused(self):
         service = SimulationService(params=PARAMS, seed=5)

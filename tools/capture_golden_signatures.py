@@ -24,10 +24,12 @@ kernel, yields the same digest on every case.
 ``--schemes`` digests what the pipelines produce on the cases of
 ``tests/scheme_cases.py`` (one-stage, two-stage and churned serving);
 it refuses to write unless the oracles of ``tests/reference_runtime.py``
-yield the same digests: ``Exec(flood_engine="runtime")`` under
-``reference_engines()``, which runs the per-node flood program and the
-``Sampler`` on the seed's dense loop and one replay per center, so the
-cross-check touches no distance-plane code and no vector population.
+yield the same digests: ``reference_engines()`` routes every simulation
+through ``runtime_simulation`` and runs the per-node flood program and
+the ``Sampler`` on the seed's dense loop with one replay per center, so
+no distance-plane output and no vector population reaches the
+cross-check (the service still fetches a flood schedule, which the
+literal path ignores).
 
 Only regenerate a file for a *deliberate* semantic change to the sampler
 or the pipelines (and say so in the PR description) — the whole point
@@ -151,8 +153,6 @@ def main() -> None:
 
 def scheme_goldens() -> dict[str, str]:
     """The scheme digests, checked against the ``tests/`` oracles."""
-    from repro.execution import Exec
-
     sys.path.insert(0, TESTS)
     from reference_runtime import reference_engines
     from scheme_cases import scheme_digests
@@ -161,7 +161,7 @@ def scheme_goldens() -> dict[str, str]:
     os.environ.pop("REPRO_STORE", None)
     goldens = scheme_digests()
     with reference_engines() as calls:
-        reference = scheme_digests(Exec(flood_engine="runtime"))
+        reference = scheme_digests()
     if not (calls["dense"] and calls["flood"]):
         sys.exit("the oracles were not reached; nothing written")
     for name, digest in goldens.items():
