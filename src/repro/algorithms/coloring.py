@@ -92,12 +92,3 @@ class RandomizedColoring(LocalAlgorithm):
 
     def output(self, state: _ColorState) -> int | None:
         return state.fixed
-
-
-def is_proper_coloring(colors: dict[int, int | None], edges) -> bool:
-    """Helper for tests/examples: no edge joins two equal colors."""
-    for u, v in edges:
-        cu, cv = colors.get(u), colors.get(v)
-        if cu is None or cv is None or cu == cv:
-            return False
-    return True

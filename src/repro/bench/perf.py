@@ -448,7 +448,7 @@ def default_kernels() -> list[Kernel]:
     spanner of the largest instance of each family (plus the
     vector-only ``n10000`` instances), the exact adjacent-pair stretch
     measurement at ``n5000``, the one- and two-stage schemes
-    (distributed stage 1 + every simulation) on a small and one larger
+    (priced stage 1 + every simulation) on a small and one larger
     instance, the simulation service's warm payload batches with
     their cold-store baselines, and the vector round engine on
     flood/gossip/algorithm bodies."""

@@ -94,7 +94,8 @@ def expected_rounds(params: SamplerParams) -> int:
 def expected_per_round(network: Network, trace: SamplerTrace) -> list[int]:
     """Messages *sent* in each round of the distributed run, round 0 first.
 
-    ``total_rounds + 1`` buckets.  Every level's broadcasts and
+    One bucket per round up to the run's halt
+    (:meth:`Schedule.halting_round`).  Every level's broadcasts and
     convergecasts run over the cluster trees at the level's start,
     which the trace's joins determine: replayed on a
     :class:`ClusterForest`, each joiner is re-rooted at its endpoint of
@@ -175,7 +176,7 @@ def expected_per_round(network: Network, trace: SamplerTrace) -> list[int]:
         x_of = joiner_end[pre_root]
         flooded = np.flatnonzero((x_of >= 0) & (np.arange(n) != x_of))
         tree(PhaseKind.REROOT, depth[flooded] - depth[x_of[flooded]] - 1)
-    return rounds.tolist()
+    return rounds[: schedule.halting_round(trace.levels) + 1].tolist()
 
 
 def _tree_shape(forest: ClusterForest, n: int):
@@ -209,38 +210,31 @@ def build_spanner_priced(
 ) -> SpannerResult:
     """The metered distributed run's :class:`SpannerResult`, priced.
 
-    Runs the level kernel (:func:`~repro.core.sampler.build_spanner`)
-    and returns what
+    The one construction every pipeline runs, store or not.  It runs
+    the level kernel (:func:`~repro.core.sampler.build_spanner`) and
+    returns what
     :func:`~repro.core.distributed.build_spanner_distributed` returns
-    for the same inputs, field for field: the kernel's edges, its trace
-    in the distributed view, the schedule's round count, and message
-    stats whose ``total``, ``by_tag`` and ``per_round`` are the closed
-    forms above.  ``tests/test_pricing.py`` holds the two equal.
+    for the same inputs, field for field, on every input: the kernel's
+    edges, its trace in the distributed view, the round the run halts
+    in (:meth:`Schedule.halting_round`, the schedule's length unless a
+    level is empty), and message stats whose ``total``, ``by_tag`` and
+    ``per_round`` are the closed forms above.  ``tests/test_pricing.py``
+    holds the two equal.
 
-    Raises :class:`SimulationError` where the metered run does: on a
-    level with population 0 every node halts before the schedule ends,
-    which ``build_spanner_distributed`` refuses as a round mismatch.
-    It also raises when the priced counts disagree with each other; it
-    never falls back to the simulation.
+    Raises :class:`SimulationError` when the priced counts disagree
+    with each other; it never falls back to the simulation.
     """
     built = build_spanner(network, params)
     with obs.span("build/price", n=network.n) as price_span:
         trace = built.trace
-        empty = [lvl.level for lvl in trace.levels if lvl.population == 0]
-        if empty:
-            raise SimulationError(
-                f"level {empty[0]} has population 0: the distributed "
-                "Sampler halts before its schedule ends (round mismatch)"
-            )
-        rounds = expected_rounds(params)
         by_tag = expected_message_counts(trace)
         total = sum(by_tag.values())
         per_round = expected_per_round(network, trace)
-        if len(per_round) != rounds + 1 or sum(per_round) != total:
+        rounds = len(per_round) - 1
+        if sum(per_round) != total:
             raise SimulationError(
                 f"priced run disagrees with itself: {sum(per_round)} "
-                f"messages over {len(per_round)} round buckets, expected "
-                f"{total} over {rounds + 1}"
+                f"messages by round up to round {rounds}, {total} by tag"
             )
         price_span.set(messages=total, rounds=rounds)
     return dataclasses.replace(

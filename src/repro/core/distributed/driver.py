@@ -42,7 +42,9 @@ def build_spanner_distributed(
     program's declared hybrid planes (query/response and the status
     handshake) during delivery (DESIGN.md §3.10).  The tests hold the
     report equal to the seed's dense loop, which steps every node
-    every round and dispatches every message.
+    every round and dispatches every message.  A level no cluster
+    reaches has population 0, and the run halts early
+    (:meth:`Schedule.halting_round`).
     """
     schedule = Schedule.build(params)
     with obs.span(
@@ -60,11 +62,6 @@ def build_spanner_distributed(
         )
     if not report.halted:
         raise SimulationError("distributed Sampler did not halt")
-    if report.rounds != schedule.total_rounds:
-        raise SimulationError(
-            f"round mismatch: ran {report.rounds}, schedule says "
-            f"{schedule.total_rounds}"
-        )
 
     records_by_level: dict[int, dict[int, dict]] = defaultdict(dict)
     for out in report.outputs.values():
@@ -80,7 +77,7 @@ def build_spanner_distributed(
     trace = SamplerTrace(n=network.n, m=network.m, params=params)
     spanner: set[int] = set()
     sizes: dict[int, int] = {v: 1 for v in network.nodes()}
-    for level in sorted(records_by_level):
+    for level in range(params.levels):
         records = records_by_level[level]
         f_edges: set[int] = set()
         nodes: dict[int, NodeLevelTrace] = {}
@@ -116,6 +113,11 @@ def build_spanner_distributed(
         for joiner, center, _eid in joins:
             sizes[center] += sizes.pop(joiner)
 
+    halt = schedule.halting_round(trace.levels)
+    if report.rounds != halt:
+        raise SimulationError(
+            f"round mismatch: ran {report.rounds}, schedule says {halt}"
+        )
     return SpannerResult(
         network=network,
         params=params,

@@ -25,8 +25,9 @@ FINISH      1               finished clusters announce over their F edges
 PLAN/QUERY/RESPONSE/COLLECT repeat ``2h`` times per level; the
 STATUS..FINISH block is skipped at the final level ``k``.  A 1-round END
 phase closes the run.  The total is ``O(3^k * h)`` rounds — Theorem 11's
-round complexity — and is a deterministic function of ``(k, h)``, which
-the tests assert equals the measured round count.
+round complexity — and is a deterministic function of ``(k, h)``; a run
+whose clusters all finish below level ``k`` halts earlier.  The tests
+assert :meth:`Schedule.halting_round` equals the measured round count.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.params import SamplerParams
+from repro.core.trace import LevelTrace
 
 __all__ = ["PhaseKind", "Phase", "Schedule", "tree_height_bound"]
 
@@ -183,6 +186,21 @@ class Schedule:
             raise ValueError(
                 f"no {kind.value} phase at level {level}, trial {trial}"
             ) from None
+
+    def halting_round(self, levels: Sequence[LevelTrace]) -> int:
+        """The round a run with these levels halts in: END, unless no
+        cluster of a level ``j < k`` becomes a center.  Then every
+        cluster finishes there, level ``j + 1`` is empty, every node
+        halts at level ``j``'s FINISH, and the run ends there, or one
+        round later, where the finish messages sent at FINISH arrive.
+        """
+        for level in levels[:-1]:
+            if not level.centers:
+                finishing = any(
+                    level.nodes[vid].f_active for vid in level.unclustered
+                )
+                return self.start_of(PhaseKind.FINISH, level.level) + finishing
+        return self.total_rounds
 
     def skeleton_wake_rounds(self) -> tuple[int, ...]:
         """The wake rounds *every* node needs unconditionally.

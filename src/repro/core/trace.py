@@ -114,10 +114,6 @@ class SamplerTrace:
     def total_queries(self) -> int:
         return sum(level.total_queries for level in self.levels)
 
-    @property
-    def stranded_count(self) -> int:
-        return sum(level.count_label(NodeLabel.STRANDED) for level in self.levels)
-
     def level(self, j: int) -> LevelTrace:
         return self.levels[j]
 

@@ -95,10 +95,6 @@ class MetricsRegistry:
             self._sources[name] = source
         return source
 
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._sources.pop(name, None)
-
     def sources(self) -> Dict[str, SnapshotSource]:
         with self._lock:
             return dict(self._sources)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro.graphs.distance import eccentricities
+from repro.core.accounting import build_spanner_priced
 from repro.core.params import SamplerParams
 from repro.core.spanner import SpannerResult
-from repro.core.distributed import build_spanner_distributed
 from repro.local.network import Network
 from repro.simulate.tlocal import t_local_broadcast
 
@@ -79,7 +79,8 @@ def compute_global(
     The round cost is ``O(3^k h) + alpha * D = O(D)`` for fixed ``k, h``
     once ``D`` dominates the construction constant, and the message cost
     is the spanner construction plus ``O(alpha * D * |S|)`` — both
-    independent of ``m``.
+    independent of ``m``.  The construction is priced by
+    ``build_spanner_priced``, equal to the metered run (DESIGN.md §3.15).
 
     ``store`` (or the ``REPRO_STORE`` process default) reuses every
     input-independent artifact — spanner, diameter, flood schedule — so
@@ -94,7 +95,7 @@ def compute_global(
         spanner = active_store.spanner(network, sampler_params)
         d = diameter if diameter is not None else active_store.graph_diameter(network)
     else:
-        spanner = build_spanner_distributed(network, sampler_params)
+        spanner = build_spanner_priced(network, sampler_params)
         d = diameter if diameter is not None else graph_diameter(network)
     radius = spanner.stretch_bound * max(1, d)
     payload = dict(inputs) if inputs is not None else {v: v for v in network.nodes()}

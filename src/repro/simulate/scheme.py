@@ -7,8 +7,10 @@ exponent and the message exponent coincide, yielding
 * message complexity ``O~(t * n^{1 + 2/(2^{gamma+1}-1)})`` and
 * round complexity ``O(3^gamma * t + 6^gamma)``
 
-for any ``t``-round payload.  The construction stage runs the real
-distributed ``Sampler`` (metered), and the simulation stage floods the
+for any ``t``-round payload.  The construction stage builds the
+``Sampler`` spanner on the level kernel and prices the distributed run
+in closed form (:func:`~repro.core.accounting.build_spanner_priced`,
+equal to the metered run), and the simulation stage floods the
 payload's initial knowledge ``alpha * t`` rounds over the constructed
 spanner and replays locally (:mod:`repro.simulate.transformer`).
 """
@@ -20,9 +22,9 @@ from typing import Any
 
 from repro import obs
 from repro.algorithms.base import LocalAlgorithm
+from repro.core.accounting import build_spanner_priced
 from repro.core.params import SamplerParams
 from repro.core.spanner import SpannerResult
-from repro.core.distributed import build_spanner_distributed
 from repro.local.network import Network
 from repro.simulate.transformer import SimulationOutcome, simulate_over_spanner
 
@@ -101,14 +103,14 @@ def run_one_stage(
     ``params`` overrides the Theorem 3 parameter choice when supplied
     (used by experiments that tune the practical constants).
 
-    ``store`` (an :class:`~repro.store.ArtifactStore`, or ``None`` for
-    the ``REPRO_STORE``-driven process default) reuses the
+    The construction is priced (``build_spanner_priced``), equal to the
+    metered distributed run (DESIGN.md §3.15).  ``store`` (an
+    :class:`~repro.store.ArtifactStore`, or ``None`` for the
+    ``REPRO_STORE``-driven process default) reuses the
     payload-independent artifacts — the constructed spanner and the
     flood schedule — across calls that share a graph and parameters;
     reports are bit-identical with the store on, off, cold, or warm
-    (DESIGN.md §3.8).  A store builds the spanner
-    priced on the level kernel instead of metering the distributed run;
-    the two results are equal by contract (§3.15).
+    (DESIGN.md §3.8).
     """
     sampler_params = params if params is not None else theorem3_params(gamma, seed=seed)
     from repro.store.store import resolve_store  # lazy: store sits above simulate
@@ -120,7 +122,7 @@ def run_one_stage(
         if active_store is not None:
             spanner = active_store.spanner(network, sampler_params)
         else:
-            spanner = build_spanner_distributed(network, sampler_params)
+            spanner = build_spanner_priced(network, sampler_params)
         simulation = simulate_over_spanner(
             network,
             spanner.edges,

@@ -5,8 +5,8 @@ The paper's improvement: use the ``Sampler`` spanner ``H1`` only as a
 construction with a better size/stretch trade-off, then run the payload
 over that second spanner ``H2``:
 
-1. build ``H1`` with distributed ``Sampler`` (messages independent of
-   ``m``);
+1. build ``H1`` with the ``Sampler``, its distributed run priced in
+   closed form (messages independent of ``m``);
 2. simulate the stage-2 construction — a ``t2``-round LOCAL algorithm —
    via ``t2``-local broadcast over ``H1``; its outputs assemble ``H2``;
 3. simulate the payload via ``t``-local broadcast over ``H2``.
@@ -24,9 +24,9 @@ from typing import Any
 
 from repro.algorithms.base import LocalAlgorithm
 from repro.baselines.baswana_sen import BaswanaSenLocal
+from repro.core.accounting import build_spanner_priced
 from repro.core.params import SamplerParams
 from repro.core.spanner import SpannerResult
-from repro.core.distributed import build_spanner_distributed
 from repro.local.network import Network
 from repro.simulate.transformer import SimulationOutcome, simulate_over_spanner
 
@@ -90,7 +90,8 @@ def run_two_stage(
     seed: int = 0,
     store=None,
 ) -> TwoStageReport:
-    """Run the full two-stage pipeline, metering every stage.
+    """Run the full two-stage pipeline, metering every stage; the ``H1``
+    construction is priced (``build_spanner_priced``, DESIGN.md §3.15).
 
     ``store`` (or the ``REPRO_STORE`` process default) caches the
     payload-independent artifacts of *all three* stages: the ``H1``
@@ -98,9 +99,7 @@ def run_two_stage(
     stage-2 algorithm, and — because flood artifacts are keyed by the
     spanner's own fingerprint — the payload flood over ``H2`` as well,
     since the assembled ``H2`` is deterministic per (graph, seed).
-    Reports are bit-identical with the store on or off (DESIGN.md §3.8);
-    a store prices the ``H1`` construction on the level kernel instead
-    of metering it, with an equal result (§3.15).
+    Reports are bit-identical with the store on or off (DESIGN.md §3.8).
     """
     from repro.store.store import resolve_store  # lazy: store sits above simulate
 
@@ -108,7 +107,7 @@ def run_two_stage(
     if active_store is not None:
         stage1 = active_store.spanner(network, stage1_params)
     else:
-        stage1 = build_spanner_distributed(network, stage1_params)
+        stage1 = build_spanner_priced(network, stage1_params)
 
     stage2_algo = BaswanaSenLocal(k=stage2_k, coin_seed=seed)
     stage2_sim = simulate_over_spanner(

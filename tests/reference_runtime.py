@@ -23,7 +23,7 @@ for the level kernel and the distance plane:
   service through ``runtime_simulation``, the literal flood and one
   replay per center;
 * :func:`reference_engines` — swaps the oracles into the package, so a
-  whole pipeline runs on them.
+  whole pipeline runs on them, its construction metered.
 
 It shares with the package the per-node plumbing a built ``Runtime``
 holds (contexts, routing table, and the fault-aware collection that
@@ -43,11 +43,13 @@ from unittest import mock
 
 import repro.algorithms.vector as vector_module
 import repro.service.service as service_module
+import repro.simulate.global_tasks as global_tasks_module
 import repro.simulate.scheme as scheme_module
 import repro.simulate.transformer as transformer_module
 import repro.simulate.two_stage as two_stage_module
 import reference_distance
 from repro.algorithms.runner import DirectOutcome, _AlgorithmProgram
+from repro.core.distributed import build_spanner_distributed
 from repro.errors import SimulationError
 from repro.local.message import Inbound, Outbound
 from repro.local.metrics import MessageStats, RunReport
@@ -309,11 +311,15 @@ def reference_engines():
 
     ``Runtime.run`` becomes :func:`run_dense`; no payload gets a vector
     population, so ``run_direct`` runs the per-node interpreter and
-    ``run_inprocess`` its message-free loop; the pipelines simulate on
-    the literal path (:func:`literal_simulation`), whose flood becomes
-    :func:`reference_flood`.  Yields a counter of the oracle runs
-    (``"dense"``, ``"flood"``, ``"payload"``), so a caller can check
-    that the swap reached the code it meant to test.
+    ``run_inprocess`` its message-free loop; ``run_one_stage``,
+    ``run_two_stage`` and ``compute_global`` meter their construction
+    with ``build_spanner_distributed`` (on the dense loop) instead of
+    pricing it, so the pipeline goldens check priced ≡ metered too (a
+    store still prices); and the pipelines simulate on the literal path
+    (:func:`literal_simulation`), whose flood becomes
+    :func:`reference_flood`.  Yields a counter of the
+    oracle runs (``"dense"``, ``"flood"``, ``"payload"``), so a caller
+    can check that the swap reached the code it meant to test.
     """
     calls: Counter[str] = Counter()
 
@@ -337,5 +343,11 @@ def reference_engines():
         stack.enter_context(
             mock.patch.object(transformer_module, "runtime_flood", flood)
         )
+        for module in (scheme_module, two_stage_module, global_tasks_module):
+            stack.enter_context(
+                mock.patch.object(
+                    module, "build_spanner_priced", build_spanner_distributed
+                )
+            )
         stack.enter_context(literal_simulation())
         yield calls

@@ -17,6 +17,7 @@ import pytest
 from repro import obs
 from repro.algorithms import MinIdAggregation
 from repro.core import SamplerParams, build_spanner
+from repro.core.distributed import build_spanner_distributed
 from repro.graphs import erdos_renyi
 from repro.local.metrics import MessageStats
 from repro.simulate import run_one_stage
@@ -132,21 +133,28 @@ class TestDeterminism:
         )
         assert all(r["parent"] == roots[0]["id"] for r in levels)
 
-    def test_runtime_span_carries_roll_ups(self, net, obs_on, monkeypatch):
-        # The store-less path meters the distributed run; a store would
-        # price the construction and record no runtime/run span.
+    def test_runtime_span_carries_roll_ups(self, net, obs_on):
+        metered = build_spanner_distributed(net, PARAMS)
+        records = obs.collector().finished()
+        (run,) = [r for r in records if r["name"] == "runtime/run"]
+        assert run["attrs"]["messages"] == metered.messages.total
+        assert run["attrs"]["rounds"] == metered.rounds
+        (build,) = [r for r in records if r["name"] == "build/distributed"]
+        assert run["parent"] == build["id"]
+
+    def test_one_stage_prices_its_construction(self, net, obs_on, monkeypatch):
+        # No store: the pipeline prices the construction itself.
         monkeypatch.delenv("REPRO_STORE", raising=False)
         report = run_one_stage(net, MinIdAggregation(2), params=PARAMS, seed=0)
         records = obs.collector().finished()
-        runs = [r for r in records if r["name"] == "runtime/run"]
-        assert runs, "no runtime/run span recorded"
-        assert (
-            sum(r["attrs"]["messages"] for r in runs)
-            == report.spanner.messages.total
-        )
-        scheme = [r for r in records if r["name"] == "scheme/one_stage"]
-        assert len(scheme) == 1
-        assert scheme[0]["attrs"]["messages"] == report.simulation.messages.total
+        names = {r["name"] for r in records}
+        assert not names & {"build/distributed", "runtime/run"}
+        (price,) = [r for r in records if r["name"] == "build/price"]
+        assert price["attrs"]["messages"] == report.spanner.messages.total
+        assert price["attrs"]["rounds"] == report.spanner.rounds
+        (scheme,) = [r for r in records if r["name"] == "scheme/one_stage"]
+        assert price["parent"] == scheme["id"]
+        assert scheme["attrs"]["messages"] == report.simulation.messages.total
 
 
 class TestCoverageTelemetry:

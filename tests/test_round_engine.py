@@ -891,11 +891,10 @@ def atlas():
 
 class TestAtlas:
     """Every connected atlas graph on 2-6 nodes against the oracles:
-    equal outcomes under every plan, where every payload run completes;
-    a distributed Sampler run may instead raise the oracle's exception
-    type and text (some schedules end on an empty level, which the
-    distributed run refuses as a round mismatch).  A failure names the
-    atlas graph, the payload, the seed and the plan."""
+    equal outcomes under every plan, and every run completes, the
+    distributed Sampler's included (some of its schedules end on an
+    empty level, where the run halts early).  A failure names the atlas
+    graph, the payload, the seed and the plan."""
 
     def test_atlas_has_142_connected_graphs(self, atlas):
         assert len(atlas) == 142
@@ -922,7 +921,7 @@ class TestAtlas:
                     assert vec == ref, (name, radius, plan)
 
     def test_distributed_sampler(self, atlas):
-        raised = 0
+        runs = 0
         for name, net in atlas:
             for k in (1, 2):
                 for seed in (0, 1):
@@ -931,5 +930,6 @@ class TestAtlas:
                     with reference_engines():
                         ref = outcome(lambda: build_spanner_distributed(net, params))
                     assert vec == ref, (name, k, seed)
-                    raised += vec[0] == "raised"
-        assert raised  # the refusals are compared too
+                    assert vec[0] == "ok", (name, k, seed, vec)
+                    runs += 1
+        assert runs == 568

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 
+import networkx as nx
 import pytest
 
 from repro import obs
@@ -20,6 +21,7 @@ from repro.algorithms import (
     MinIdAggregation,
     RandomMatching,
     RandomizedColoring,
+    run_direct,
 )
 from repro.core import SamplerParams
 from repro.core.distributed import build_spanner_distributed
@@ -27,9 +29,15 @@ from repro.dynamic import ChurnPlan, apply_churn
 from repro.errors import ConfigurationError, SimulationError
 from repro.graphs import erdos_renyi, torus
 from repro.local.faults import FaultPlan
+from repro.local.network import Network
 from repro.service import SimulationRequest, SimulationService
 from repro.service.service import _LINEAGE_DEPTH_CAP
-from repro.simulate import run_one_stage, run_two_stage, simulate_over_spanner
+from repro.simulate import (
+    run_one_stage,
+    run_two_stage,
+    simulate_over_spanner,
+    theorem3_params,
+)
 from repro.simulate.global_tasks import compute_global, elect_leader
 from repro.simulate.tlocal import flood_schedule
 from repro.store import ArtifactStore
@@ -258,6 +266,17 @@ class TestConstructionPrice:
         assert cold.construction_messages_priced == metered
         assert warm.construction_messages_paid == 0
         assert warm.construction_messages_priced == metered
+
+    def test_a_graph_whose_run_halts_early_serves(self):
+        """Atlas G29, a 5-node tree, at γ=2: level 2 is empty, so the
+        distributed run halts at round 170 of the schedule's 348."""
+        g29 = Network.from_graph(nx.graph_atlas(29))
+        response = SimulationService(g29, gamma=2, seed=0).submit(BallCollect(2))
+        assert response.outputs == run_direct(g29, BallCollect(2), 0).outputs
+        metered = build_spanner_distributed(g29, theorem3_params(2, seed=0))
+        assert response.spanner == metered
+        assert response.construction_messages_paid == metered.messages.total == 72
+        assert response.spanner.rounds == 170
 
     def test_repaired_response_is_priced_at_a_metered_rebuild(self, net):
         service = SimulationService(net, params=PARAMS, seed=5)
