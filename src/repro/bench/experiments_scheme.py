@@ -120,6 +120,10 @@ def run_e9(scale: str = "quick") -> TableResult:
     assert len(two.stage2_edges) <= two.stage1.size, (
         "E9: stage-2 spanner should not be larger than stage-1"
     )
+    assert two.payload_sim.total_messages < one.simulation_messages, (
+        "E9: the payload flood over the stage-2 spanner should cost less "
+        "than over the stage-1 spanner"
+    )
     table = TableResult(
         experiment="E9",
         title="two-stage scheme  (Theorem 3, bullet 2; stage 2 = Baswana-Sen)",

@@ -71,6 +71,10 @@ def run_e1(scale: str = "quick") -> TableResult:
         assert slope < 1.95, f"E1: |S| must grow subquadratically (m grows ~n^2), got {slope:.2f}"
     for earlier, later in zip(slopes, slopes[1:]):
         assert later < earlier + 0.05, "E1: slope must decrease with k"
+    densest = table.column("|S|/m")[-1]
+    assert densest < 0.5, (
+        f"E1: the densest graph keeps {densest:.2f} of its edges, not well under half"
+    )
     table.add_note(
         "slope decreases with k and sits below the 1+delta+eps envelope while "
         "m grows ~ n^2 (paper: |S| = O~(n^{1+1/(2^{k+1}-1)}), Theorem 2)"
@@ -153,13 +157,20 @@ def run_e3(scale: str = "quick") -> TableResult:
         flood = 2 * net.m * 3
         table.add_row(net.m, msgs, result.size, bs, flood, msgs / bs)
     # Shape: the last density step grows m by >= 1.8x; sampler messages
-    # must grow by well under that (they are flattening), and the
-    # sampler must beat BS at the dense end.
+    # must grow by well under that (they are flattening), by under 0.3x
+    # of the whole sweep's density growth, and the sampler must beat BS
+    # at the dense end.
     m_growth = ms[-1] / ms[-2]
     sampler_growth = sampler_msgs[-1] / sampler_msgs[-2]
     assert sampler_growth < 0.6 * m_growth, (
         f"E3: sampler messages grew {sampler_growth:.2f}x over a {m_growth:.2f}x "
         "density step — not flattening"
+    )
+    edges = table.column("m")
+    sweep_growth = sampler_msgs[-1] / sampler_msgs[0]
+    assert sweep_growth < 0.3 * (edges[-1] / edges[0]), (
+        f"E3: sampler messages grew {sweep_growth:.2f}x over the sweep's "
+        f"{edges[-1] / edges[0]:.1f}x density growth — above 0.3x of it"
     )
     assert sampler_msgs[-1] < baswana_sen_messages_estimate(
         dense_gnm(n, ms[-1], seed=1), k=3

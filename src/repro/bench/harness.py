@@ -13,14 +13,11 @@ Examples::
     python -m repro.bench --perf --repeats 3        # override best-of counts
     python -m repro.bench --perf --jobs 4           # kernels across 4 processes
     python -m repro.bench --experiment all --jobs 4 # experiments in parallel
-    python -m repro.bench --experiment all --store /tmp/artifacts
-                                                    # reuse spanners/schedules
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -144,43 +141,14 @@ def main(argv: list[str] | None = None) -> int:
         "Serving with --perf, Robustness with an experiment run that "
         "includes E11",
     )
-    parser.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="serve the experiments through a shared artifact store at "
-        "DIR (sets REPRO_STORE for this run, workers included), so "
-        "cells that share a graph + SamplerParams reuse the spanner "
-        "and flood schedule instead of rebuilding them; tables are "
-        "bit-identical either way (DESIGN.md §3.8).  Ignored with "
-        "--perf: the perf kernels pin their own store state so "
-        "committed timings stay comparable",
-    )
     args = parser.parse_args(argv)
-
-    if args.store and not args.perf:
-        # Environment (not a parameter) so --jobs worker processes
-        # inherit the same store without any plumbing.
-        os.environ["REPRO_STORE"] = args.store
 
     if args.perf:
         from repro.bench.perf import BENCH_FILE, main_perf
 
         if args.bench_file is None:
             args.bench_file = BENCH_FILE
-        # A store warm from earlier runs would let the scheme kernels
-        # skip the very construction they exist to time, so perf runs
-        # are always store-off (BENCH_core.json numbers stay
-        # comparable).  The variable is restored afterwards: in-process
-        # callers keep their configured store.
-        saved_store = os.environ.pop("REPRO_STORE", None)
-        if saved_store is not None:
-            print("perf: ignoring inherited REPRO_STORE (kernels run store-off)")
-        try:
-            return main_perf(args)
-        finally:
-            if saved_store is not None:
-                os.environ["REPRO_STORE"] = saved_store
+        return main_perf(args)
 
     names = (
         sorted(EXPERIMENTS, key=_experiment_key)

@@ -44,8 +44,8 @@ def dense_graph(n: int, seed: int = 1) -> Network:
     combinations that produce content-identical graphs.  Every
     experiment cell asking for the same instance therefore gets the
     *same* ``Network`` object back, sharing its lazily built caches
-    (adjacency, neighbor tuples, the fingerprint itself, any
-    artifact-store entries keyed by it) across the sweep.
+    (adjacency, neighbor tuples, the fingerprint itself) across the
+    sweep.
     """
     key = (n, seed)
     cached = _DENSE_BY_ARGS.get(key)

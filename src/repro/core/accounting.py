@@ -210,7 +210,7 @@ def build_spanner_priced(
 ) -> SpannerResult:
     """The metered distributed run's :class:`SpannerResult`, priced.
 
-    The one construction every pipeline runs, store or not.  It runs
+    The one construction every pipeline and the store run.  It runs
     the level kernel (:func:`~repro.core.sampler.build_spanner`) and
     returns what
     :func:`~repro.core.distributed.build_spanner_distributed` returns

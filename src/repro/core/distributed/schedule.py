@@ -86,9 +86,6 @@ class Schedule:
         self._phases = phases
         self._starts = [p.start for p in phases]
         self.total_rounds = phases[-1].end if phases else 0
-        # One shared tuple: every node of a run registers this same
-        # object as its wake schedule, so the per-node cost is a pointer.
-        self._phase_starts = tuple(self._starts)
         self._start_of: dict[tuple[PhaseKind, int, int], int] = {
             (p.kind, p.level, p.trial): p.start for p in phases
         }
@@ -168,16 +165,6 @@ class Schedule:
     # ------------------------------------------------------------------
     # wake-round helpers (active-set scheduling, DESIGN.md §3.6)
     # ------------------------------------------------------------------
-    @property
-    def phase_starts(self) -> tuple[int, ...]:
-        """First round of every phase, ascending (one shared tuple)."""
-        return self._phase_starts
-
-    def next_phase_start(self, round_index: int) -> int | None:
-        """Smallest phase start strictly after ``round_index`` (or None)."""
-        idx = bisect.bisect_right(self._starts, round_index)
-        return self._starts[idx] if idx < len(self._starts) else None
-
     def start_of(self, kind: PhaseKind, level: int, trial: int = 0) -> int:
         """First round of the unique ``(kind, level, trial)`` phase."""
         try:
@@ -259,7 +246,3 @@ class Schedule:
             cached = ((query, collect), (collect,))
             self._trial_wakes[(level, trial)] = cached
         return cached
-
-    def rounds_bound(self, params: SamplerParams) -> int:
-        """A closed-form ``O(3^k h)`` upper bound used in tests."""
-        return 30 * 3**params.k * (params.h + 1) + 30

@@ -42,17 +42,10 @@ class ClusterForest:
     def size(self, cid: int) -> int:
         return len(self._members[cid])
 
-    def cluster_of(self, phys: int) -> int:
-        """The root id of the cluster currently containing ``phys``."""
-        return self._root_of[phys]
-
     @property
     def root_of(self) -> list[int]:
         """The flat phys -> cluster-id array (runtime-side; do not mutate)."""
         return self._root_of
-
-    def cluster_ids(self) -> list[int]:
-        return sorted(self._members)
 
     def attach(self, joiner: int, center: int, eid: int) -> None:
         """Merge cluster ``joiner`` into ``center`` via spanner edge ``eid``."""
@@ -111,51 +104,14 @@ class ClusterForest:
             raise ValidationError(f"members without parents in cluster {cid}: {missing}")
         return RootedTree(root=cid, parent=parent)
 
-    def parent_edge(self, phys: int) -> tuple[int, int] | None:
-        """``(parent phys, eid)`` for a non-root member, else ``None``."""
-        return self._parent.get(phys)
-
     def parent_items(self):
         """All ``(child phys, (parent phys, eid))`` pairs (runtime-side;
         do not mutate).  Lets callers assemble flat parent arrays for
         vectorized depth sweeps without per-node method calls."""
         return self._parent.items()
 
-    def tree_edge_ids(self, cid: int) -> frozenset[int]:
-        return self.tree(cid).edge_ids()
-
     def heights(self) -> dict[int, int]:
         return {cid: self.tree(cid).height for cid in self._members}
-
-    def heights_of(self, cids) -> dict[int, int]:
-        """Tree heights for ``cids`` via one memoized-depth sweep.
-
-        Equivalent to ``{cid: self.tree(cid).height for cid in cids}``
-        but O(total members) instead of one BFS per cluster: each
-        physical node's depth is found by chasing parent pointers until
-        a node with a known depth, then the chased path is backfilled.
-        """
-        parent = self._parent
-        depth: dict[int, int] = {}
-        heights: dict[int, int] = {}
-        for cid in cids:
-            depth[cid] = 0
-            top = 0
-            for phys in self._members[cid]:
-                path: list[int] = []
-                node = phys
-                d = depth.get(node)
-                while d is None:
-                    path.append(node)
-                    node = parent[node][0]
-                    d = depth.get(node)
-                for hop in reversed(path):
-                    d += 1
-                    depth[hop] = d
-                if d > top:
-                    top = d
-            heights[cid] = top
-        return heights
 
     # ------------------------------------------------------------------
     def _reroot(self, old_root: int, new_root: int) -> None:

@@ -169,23 +169,6 @@ class SamplerParams:
             seed=seed,
         )
 
-    @classmethod
-    def for_epsilon(cls, epsilon: float, seed: int = 0) -> "SamplerParams":
-        """Pick ``k`` and ``h`` so that ``delta <= eps/2`` and ``1/h <= eps/2``.
-
-        This realizes the introduction's reading of Theorem 2: an
-        ``O(n^{1+epsilon})``-edge, constant-stretch spanner with
-        ``O(n^{1+epsilon})`` messages.
-        """
-        if not 0 < epsilon <= 2:
-            raise ConfigurationError("epsilon must be in (0, 2]")
-        half = epsilon / 2.0
-        k = 1
-        while 1.0 / (2 ** (k + 1) - 1) > half:
-            k += 1
-        h = max(1, math.ceil(1.0 / half))
-        return cls(k=k, h=h, seed=seed)
-
     def with_seed(self, seed: int) -> "SamplerParams":
         return replace(self, seed=seed)
 

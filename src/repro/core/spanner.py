@@ -56,31 +56,6 @@ class SpannerResult:
         """``|S| / |E|`` — how much of the graph the spanner keeps."""
         return self.size / max(1, self.network.m)
 
-    def to_npz(self, path) -> None:
-        """Persist everything but the network (store codec, DESIGN.md §3.8).
-
-        The file embeds the network's content fingerprint;
-        :meth:`from_npz` refuses to rebind the artifact to a graph with
-        a different fingerprint, so a saved spanner can never silently
-        attach to the wrong network.
-        """
-        from repro.store.serialize import save_spanner  # lazy: store sits above core
-
-        save_spanner(path, self)
-
-    @classmethod
-    def from_npz(cls, path, network: Network) -> "SpannerResult":
-        """Load a persisted result and rebind it to ``network``.
-
-        Raises :class:`~repro.store.serialize.ArtifactError` when the
-        file is damaged or was saved for a different graph; the exact
-        round-trip (edges, params, trace, messages, rounds) is asserted
-        by tests/test_store.py.
-        """
-        from repro.store.serialize import load_spanner  # lazy: store sits above core
-
-        return load_spanner(path, network)
-
     def summary(self) -> str:
         parts = [
             f"spanner over {self.network.name}:",

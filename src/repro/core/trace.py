@@ -49,10 +49,6 @@ class NodeLevelTrace(NamedTuple):
     trial_stats: tuple[TrialStats, ...] = ()
 
     @property
-    def is_light(self) -> bool:
-        return self.label is NodeLabel.LIGHT
-
-    @property
     def is_heavy(self) -> bool:
         return self.label is NodeLabel.HEAVY
 

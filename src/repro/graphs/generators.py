@@ -57,8 +57,8 @@ def _check_engine(engine: str) -> None:
 # instances — because replaying networkx exactly would need one draw
 # per node *pair* (O(n^2), the very cost this engine removes).  The
 # ``engine="reference"`` default keeps every existing seed reproducing
-# byte-identically; cross-checks against the pure-Python mirrors below
-# pin the vectorized decode and assembly (tests/test_graphs.py).
+# byte-identically; cross-checks against pure-Python mirrors in
+# tests/test_graphs.py pin the vectorized decode and assembly.
 # ----------------------------------------------------------------------
 
 
@@ -77,15 +77,6 @@ def _decode_pair_index(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     off = u * n - u * (u + 1) // 2
     v = idx - off + u + 1
     return u, v
-
-
-def _decode_pair_index_mirror(idx: int, n: int) -> tuple[int, int]:
-    """Scalar mirror of :func:`_decode_pair_index` by direct scan."""
-    u = 0
-    while idx >= n - 1 - u:
-        idx -= n - 1 - u
-        u += 1
-    return u, u + 1 + idx
 
 
 def _sample_distinct_indices(

@@ -97,10 +97,6 @@ class MessageStats:
     def open_round(self) -> None:
         self.per_round.append(0)
 
-    @property
-    def rounds_with_traffic(self) -> int:
-        return sum(1 for c in self.per_round if c)
-
     def merge(self, other: "MessageStats") -> "MessageStats":
         """Combine counters from two runs (used by multi-stage schemes).
 

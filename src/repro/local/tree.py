@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.errors import ValidationError
 
@@ -86,20 +86,6 @@ class RootedTree:
     def edge_ids(self) -> frozenset[int]:
         return frozenset(eid for _parent, eid in self.parent.values())
 
-    def path_to_root(self, node: int) -> list[int]:
-        """Edge ids along the path ``node -> root``."""
-        path = []
-        current = node
-        seen = set()
-        while current != self.root:
-            if current in seen:
-                raise ValidationError("cycle in parent map")
-            seen.add(current)
-            parent, eid = self.parent[current]
-            path.append(eid)
-            current = parent
-        return path
-
 
 def tree_from_parent_map(
     root: int, parent: Mapping[int, tuple[int, int]]
@@ -108,18 +94,3 @@ def tree_from_parent_map(
     tree = RootedTree(root=root, parent=dict(parent))
     tree.depths()  # raises ValidationError when malformed
     return tree
-
-
-def bfs_tree(adjacency: Mapping[int, Iterable[tuple[int, int]]], root: int) -> RootedTree:
-    """Build a BFS tree from ``node -> [(neighbor, eid), ...]`` adjacency."""
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        for neighbor, eid in adjacency.get(node, ()):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                parent[neighbor] = (node, eid)
-                queue.append(neighbor)
-    return RootedTree(root=root, parent=parent)

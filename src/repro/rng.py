@@ -166,9 +166,5 @@ class RngFactory:
             hasher.update(_encode_part(part))
         return RngPrefix(hasher)
 
-    def spawn(self, *key: _KeyPart) -> "RngFactory":
-        """A sub-factory whose streams are independent of the parent's."""
-        return RngFactory(self.child_seed(*key))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngFactory(root_seed={self._root_seed})"

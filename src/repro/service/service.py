@@ -364,21 +364,6 @@ class SimulationService:
             self._network = child
         return child, log
 
-    def record_churn(self, parent: Network, log: MutationLog) -> None:
-        """Register an externally applied churn epoch.
-
-        The service only needs the parent graph and the log to repair —
-        callers that mutate graphs through :func:`repro.dynamic.churn`
-        directly can still get graceful degradation by reporting here.
-        """
-        if log.parent_fingerprint != parent.fingerprint():
-            raise ValueError(
-                "mutation log does not describe this parent graph: "
-                f"log says {log.parent_fingerprint[:12]}…, "
-                f"network is {parent.fingerprint()[:12]}…"
-            )
-        self._remember_epoch(parent, log)
-
     def _remember_epoch(self, parent: Network, log: MutationLog) -> None:
         """Record one churn epoch as the newest lineage entry.
 

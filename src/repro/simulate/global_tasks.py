@@ -70,7 +70,6 @@ def compute_global(
     params: SamplerParams | None = None,
     seed: int = 0,
     diameter: int | None = None,
-    store=None,
 ) -> GlobalComputation:
     """Evaluate ``function`` over all node inputs at every node.
 
@@ -81,29 +80,16 @@ def compute_global(
     is the spanner construction plus ``O(alpha * D * |S|)`` — both
     independent of ``m``.  The construction is priced by
     ``build_spanner_priced``, equal to the metered run (DESIGN.md §3.15).
-
-    ``store`` (or the ``REPRO_STORE`` process default) reuses every
-    input-independent artifact — spanner, diameter, flood schedule — so
-    a second global computation on the same graph pays only the local
-    function evaluations (DESIGN.md §3.8).
     """
     sampler_params = params if params is not None else SamplerParams(k=1, h=2, seed=seed)
-    from repro.store.store import resolve_store  # lazy: store sits above simulate
-
-    active_store = resolve_store(store)
-    if active_store is not None:
-        spanner = active_store.spanner(network, sampler_params)
-        d = diameter if diameter is not None else active_store.graph_diameter(network)
-    else:
-        spanner = build_spanner_priced(network, sampler_params)
-        d = diameter if diameter is not None else graph_diameter(network)
+    spanner = build_spanner_priced(network, sampler_params)
+    d = diameter if diameter is not None else graph_diameter(network)
     radius = spanner.stretch_bound * max(1, d)
     payload = dict(inputs) if inputs is not None else {v: v for v in network.nodes()}
     flood = t_local_broadcast(
         network.subnetwork(spanner.edges),
         payload_of=lambda v: payload[v],
         radius=radius,
-        store=active_store,
     )
     outputs = {
         v: function(flood.collected[v]) for v in network.nodes()
@@ -122,7 +108,6 @@ def elect_leader(
     *,
     params: SamplerParams | None = None,
     seed: int = 0,
-    store=None,
 ) -> GlobalComputation:
     """Leader election: every node outputs the minimum node id.
 
@@ -130,6 +115,4 @@ def elect_leader(
     CONGEST KT0 — here solved with ``o(m)`` messages thanks to the
     edge-ID model and the spanner.
     """
-    return compute_global(
-        network, lambda known: min(known), params=params, seed=seed, store=store
-    )
+    return compute_global(network, lambda known: min(known), params=params, seed=seed)

@@ -44,10 +44,6 @@ class GossipEstimate:
     rounds: int
     messages: int
 
-    @property
-    def messages_per_round(self) -> float:
-        return self.messages / max(1, self.rounds)
-
 
 def gossip_estimate(n: int, t: int, c1: float = 1.0) -> GossipEstimate:
     """``O(t log n + log^2 n)`` rounds at ``n`` messages per round."""

@@ -96,7 +96,6 @@ def run_one_stage(
     gamma: int = 1,
     params: SamplerParams | None = None,
     seed: int = 0,
-    store=None,
 ) -> SchemeReport:
     """Simulate ``algo`` with the spanner-based scheme, metering both stages.
 
@@ -104,32 +103,23 @@ def run_one_stage(
     (used by experiments that tune the practical constants).
 
     The construction is priced (``build_spanner_priced``), equal to the
-    metered distributed run (DESIGN.md §3.15).  ``store`` (an
-    :class:`~repro.store.ArtifactStore`, or ``None`` for the
-    ``REPRO_STORE``-driven process default) reuses the
-    payload-independent artifacts — the constructed spanner and the
-    flood schedule — across calls that share a graph and parameters;
-    reports are bit-identical with the store on, off, cold, or warm
-    (DESIGN.md §3.8).
+    metered distributed run (DESIGN.md §3.15), and the flood schedule is
+    derived afresh on every call.  A caller that serves many payloads on
+    one graph reuses both through
+    :class:`~repro.service.SimulationService`, whose responses carry
+    this function's report bit for bit (DESIGN.md §3.8).
     """
     sampler_params = params if params is not None else theorem3_params(gamma, seed=seed)
-    from repro.store.store import resolve_store  # lazy: store sits above simulate
-
     with obs.span(
         "scheme/one_stage", algo=algo.name, n=network.n
     ) as scheme_span:
-        active_store = resolve_store(store)
-        if active_store is not None:
-            spanner = active_store.spanner(network, sampler_params)
-        else:
-            spanner = build_spanner_priced(network, sampler_params)
+        spanner = build_spanner_priced(network, sampler_params)
         simulation = simulate_over_spanner(
             network,
             spanner.edges,
             alpha=spanner.stretch_bound,
             algo=algo,
             seed=seed,
-            store=active_store,
         )
         scheme_span.set(messages=simulation.messages.total)
     return SchemeReport(outputs=simulation.outputs, spanner=spanner, simulation=simulation)

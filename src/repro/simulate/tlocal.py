@@ -302,7 +302,6 @@ def t_local_broadcast(
     radius: int,
     *,
     faults=None,
-    store=None,
 ) -> FloodReport:
     """Flood each node's payload ``radius`` hops through ``spanner``.
 
@@ -311,21 +310,11 @@ def t_local_broadcast(
     (:func:`flood_schedule`).  A ``faults`` plan (a
     :class:`~repro.local.faults.FaultPlan`) that can drop or erase a
     message runs the literal flood instead (:func:`runtime_flood`): the
-    derivation describes the failure-free flood only.  ``store`` (an
-    :class:`~repro.store.ArtifactStore`, or ``None`` for the
-    ``REPRO_STORE``-driven process default) lets the derivation reuse a
-    cached :class:`FloodSchedule` for this spanner; omitted or off, the
-    schedule is derived from scratch exactly as before (DESIGN.md §3.8).
+    derivation describes the failure-free flood only.
     """
     if faults is not None and not faults.is_noop:
         return runtime_flood(spanner, payload_of, radius, faults=faults)
-    from repro.store.store import resolve_store  # lazy: store sits above simulate
-
-    active_store = resolve_store(store)
-    if active_store is not None:
-        schedule = active_store.flood_schedule(spanner, radius)
-    else:
-        schedule = flood_schedule(spanner, radius)
+    schedule = flood_schedule(spanner, radius)
     payloads = [payload_of(v) for v in range(spanner.n)]
     collected = {
         v: {origin: payloads[origin] for origin in ball}

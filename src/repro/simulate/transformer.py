@@ -88,18 +88,16 @@ def simulate_over_spanner(
     radius: int | None = None,
     schedule: FloodSchedule | None = None,
     faults=None,
-    store=None,
 ) -> SimulationOutcome:
     """Run ``algo`` via ``t``-local broadcast over the given spanner.
 
     ``schedule`` lets a caller that already holds this spanner's
     :class:`FloodSchedule` at exactly the flood radius (the simulation
-    service, a batch driver) skip the re-derivation; omitted, behaviour
-    is unchanged.  ``store`` (or the ``REPRO_STORE`` process default)
-    caches the derivation instead (DESIGN.md §3.8); an explicit
-    ``schedule`` wins over both.  A ``faults`` plan that can drop or
-    erase a message runs :func:`runtime_simulation` instead, which
-    reads neither: the derivation describes the failure-free flood only.
+    service, which fetches it from its artifact store) skip the
+    derivation; omitted, the schedule is derived afresh.  A ``faults``
+    plan that can drop or erase a message runs
+    :func:`runtime_simulation` instead, which reads no schedule: the
+    derivation describes the failure-free flood only.
     """
     if faults is not None and not faults.is_noop:
         return runtime_simulation(
@@ -110,14 +108,7 @@ def simulate_over_spanner(
     if schedule is None:
         # The spanner subnetwork exists only to derive the schedule, so
         # a caller who supplies one saves the whole construction.
-        spanner = network.subnetwork(spanner_edges)
-        from repro.store.store import resolve_store  # lazy: store sits above simulate
-
-        active_store = resolve_store(store)
-        if active_store is not None:
-            schedule = active_store.flood_schedule(spanner, flood_radius)
-        else:
-            schedule = flood_schedule(spanner, flood_radius)
+        schedule = flood_schedule(network.subnetwork(spanner_edges), flood_radius)
     elif schedule.rounds != max(0, flood_radius):
         raise ValueError(
             f"precomputed schedule covers radius {schedule.rounds}, "

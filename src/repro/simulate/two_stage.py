@@ -88,26 +88,12 @@ def run_two_stage(
     stage1_params: SamplerParams,
     stage2_k: int = 3,
     seed: int = 0,
-    store=None,
 ) -> TwoStageReport:
     """Run the full two-stage pipeline, metering every stage; the ``H1``
-    construction is priced (``build_spanner_priced``, DESIGN.md §3.15).
-
-    ``store`` (or the ``REPRO_STORE`` process default) caches the
-    payload-independent artifacts of *all three* stages: the ``H1``
-    construction, the flood schedule over ``H1`` that simulates the
-    stage-2 algorithm, and — because flood artifacts are keyed by the
-    spanner's own fingerprint — the payload flood over ``H2`` as well,
-    since the assembled ``H2`` is deterministic per (graph, seed).
-    Reports are bit-identical with the store on or off (DESIGN.md §3.8).
+    construction is priced (``build_spanner_priced``, DESIGN.md §3.15),
+    and both flood schedules are derived afresh on every call.
     """
-    from repro.store.store import resolve_store  # lazy: store sits above simulate
-
-    active_store = resolve_store(store)
-    if active_store is not None:
-        stage1 = active_store.spanner(network, stage1_params)
-    else:
-        stage1 = build_spanner_priced(network, stage1_params)
+    stage1 = build_spanner_priced(network, stage1_params)
 
     stage2_algo = BaswanaSenLocal(k=stage2_k, coin_seed=seed)
     stage2_sim = simulate_over_spanner(
@@ -116,7 +102,6 @@ def run_two_stage(
         alpha=stage1.stretch_bound,
         algo=stage2_algo,
         seed=seed,
-        store=active_store,
     )
     stage2_edges: set[int] = set()
     for added in stage2_sim.outputs.values():
@@ -128,7 +113,6 @@ def run_two_stage(
         alpha=stage2_algo.stretch_bound,
         algo=algo,
         seed=seed,
-        store=active_store,
     )
     return TwoStageReport(
         outputs=payload_sim.outputs,

@@ -12,16 +12,18 @@ number of ``t``-round simulations.  This package makes that operational
   :class:`~repro.core.spanner.SpannerResult` and :class:`FloodProfile`,
   the truncatable cached form of a flood schedule;
 * :mod:`repro.store.store` — :class:`ArtifactStore` (in-memory LRU +
-  optional on-disk layer with atomic writes, corruption-tolerant
-  reads with bounded immediate retries, and per-key cross-process
-  build locks) and the ``REPRO_STORE``-driven process default;
+  an optional on-disk directory, its one argument, with atomic writes,
+  corruption-tolerant reads with bounded immediate retries, and per-key
+  cross-process build locks);
 * :mod:`repro.store.locks` — :class:`FileLock`, the ``fcntl``-based
   per-artifact mutex with dead-holder reclamation that lets multiple
   worker processes share one store directory safely;
 * :mod:`repro.store.chaos` — :class:`ChaosPlan`, the seeded faults the
   ``REPRO_STORE_CHAOS`` variable injects into the store's read path.
 
-The serving layer on top lives in :mod:`repro.service`.
+The serving layer on top, :mod:`repro.service`, is the store's one
+consumer: the scheme pipelines of :mod:`repro.simulate` always build
+and derive, and nothing below the service imports this package.
 """
 
 from repro.store.chaos import CHAOS_ENV_VAR, ChaosPlan, chaos_from_env
@@ -33,13 +35,7 @@ from repro.store.serialize import (
     load_spanner,
     save_spanner,
 )
-from repro.store.store import (
-    ArtifactStore,
-    FetchInfo,
-    StoreStats,
-    default_store,
-    resolve_store,
-)
+from repro.store.store import ArtifactStore, FetchInfo, StoreStats
 
 __all__ = [
     "ArtifactError",
@@ -53,12 +49,10 @@ __all__ = [
     "STORE_SCHEMA",
     "StoreStats",
     "chaos_from_env",
-    "default_store",
     "flood_key",
     "load_spanner",
     "pid_alive",
     "plant_stale_lock",
-    "resolve_store",
     "save_spanner",
     "spanner_key",
     "store_key",

@@ -1,6 +1,6 @@
 """Cross-process file locks for the artifact store (DESIGN.md §3.12).
 
-Multiple worker processes sharing one ``REPRO_STORE`` directory must
+Multiple worker processes sharing one store directory must
 not duplicate a spanner build N ways, and — harder — a worker that
 crashes mid-build must never wedge the store for everyone else.
 :class:`FileLock` provides the per-artifact-key exclusion both

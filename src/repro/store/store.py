@@ -11,18 +11,19 @@ and the Lemma 12 flood schedule in its extendable
 artifact (:mod:`repro.store.keys`).  Two layers:
 
 * an in-memory LRU (:data:`LRU_CAPACITY` entries and
-  :data:`MEMORY_BYTE_BUDGET` weighed bytes) shared by every consumer in
-  the process;
-* an optional on-disk directory, enabled by constructing with a path or
-  process-wide via the ``REPRO_STORE`` environment variable
-  (:func:`default_store`).  Writes are atomic (temp file +
-  ``os.replace``) so a crashed writer never leaves a half entry;
-  reads are corruption-tolerant — any unreadable, schema-mismatched or
-  wrong-graph entry counts as a miss and is rebuilt, never raised.
+  :data:`MEMORY_BYTE_BUDGET` weighed bytes);
+* an optional on-disk directory, the one constructor argument.  Writes
+  are atomic (temp file + ``os.replace``) so a crashed writer never
+  leaves a half entry; reads are corruption-tolerant — any unreadable,
+  schema-mismatched or wrong-graph entry counts as a miss and is
+  rebuilt, never raised.
 
-Every get-or-build method has a ``fetch_*`` twin returning the artifact
-plus a :class:`FetchInfo` provenance record; the simulation service
-turns those into hit/miss/amortization metrics.
+There is one get-or-build method per artifact,
+:meth:`ArtifactStore.fetch_spanner` and
+:meth:`ArtifactStore.fetch_flood_schedule`; each returns the artifact
+plus a :class:`FetchInfo` provenance record, which the simulation
+service (the store's one consumer) turns into hit/miss/amortization
+metrics.
 """
 
 from __future__ import annotations
@@ -48,13 +49,7 @@ from repro.store.locks import FileLock, LockTimeout
 from repro.store.locks import plant_stale_lock as _plant_stale_lock
 from repro.store.serialize import ArtifactError, FloodProfile
 
-__all__ = [
-    "ArtifactStore",
-    "FetchInfo",
-    "StoreStats",
-    "default_store",
-    "resolve_store",
-]
+__all__ = ["ArtifactStore", "FetchInfo", "StoreStats"]
 
 # A flood profile's distance matrix has n^2 cells; beyond this budget
 # the store derives schedules directly instead of caching the profile
@@ -67,8 +62,6 @@ LRU_CAPACITY = 64
 # Python object graphs the store cannot meaningfully weigh and count as
 # zero, so LRU_CAPACITY bounds those).
 MEMORY_BYTE_BUDGET = 1 << 28
-
-ENV_VAR = "REPRO_STORE"
 
 # How many times a disk read is retried after a transient OSError
 # before the entry degrades to a miss.  Small and bounded: a flaky NFS
@@ -187,10 +180,9 @@ class ArtifactStore:
         read here — see :mod:`repro.store.chaos`."""
         self._dir = Path(path) if path is not None else None
         self._lru = _Lru()
-        self._diameters: dict[str, int] = {}
         self.stats = StoreStats()
         self.chaos = chaos_from_env()
-        # Guards the in-memory layer (LRU order + diameter memos); disk
+        # Guards the in-memory layer (LRU order, chaos tick); disk
         # reads/writes run outside it — they are atomic on their own.
         self._mem_lock = threading.RLock()
         self._tick = 0
@@ -199,13 +191,6 @@ class ArtifactStore:
     def directory(self) -> Path | None:
         """The on-disk layer's directory (``None`` = memory-only)."""
         return self._dir
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory layer (disk entries survive)."""
-        with self._mem_lock:
-            self._lru.entries.clear()
-            self._lru.weighed_bytes = 0
-            self._diameters.clear()
 
     # ------------------------------------------------------------------
     # spanners
@@ -288,9 +273,6 @@ class ArtifactStore:
         failed peek the service answered by repair instead of build)."""
         self.stats.bump(misses=1)
 
-    def spanner(self, network: Network, params: SamplerParams) -> SpannerResult:
-        return self.fetch_spanner(network, params)[0]
-
     # ------------------------------------------------------------------
     # flood schedules
     # ------------------------------------------------------------------
@@ -357,9 +339,6 @@ class ArtifactStore:
             "built", extended=extended, exhausted=profile.exhausted
         )
 
-    def flood_schedule(self, spanner: Network, radius: int) -> FloodSchedule:
-        return self.fetch_flood_schedule(spanner, radius)[0]
-
     @staticmethod
     def _checked_spanner(path, network: Network, params: SamplerParams) -> SpannerResult:
         """Load a spanner artifact and verify it matches its key.
@@ -393,22 +372,6 @@ class ArtifactStore:
                 f"{profile.fingerprint[:12]}…, expected {fingerprint[:12]}…"
             )
         return profile
-
-    # ------------------------------------------------------------------
-    # small payload-independent memos (in-memory only)
-    # ------------------------------------------------------------------
-    def graph_diameter(self, network: Network) -> int:
-        """Memoized exact diameter (see ``simulate.global_tasks``)."""
-        key = network.fingerprint()
-        with self._mem_lock:
-            cached = self._diameters.get(key)
-        if cached is None:
-            from repro.simulate.global_tasks import graph_diameter
-
-            cached = graph_diameter(network)
-            with self._mem_lock:
-                self._diameters[key] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # layers
@@ -563,39 +526,3 @@ class ArtifactStore:
             except OSError:
                 pass
 
-
-# ----------------------------------------------------------------------
-# the process-default store (REPRO_STORE)
-# ----------------------------------------------------------------------
-_default: ArtifactStore | None = None
-_default_source: str | None = None
-
-
-def default_store() -> ArtifactStore | None:
-    """The ``REPRO_STORE``-driven process default, or ``None``.
-
-    Setting ``REPRO_STORE=/some/dir`` makes every store-aware consumer
-    (``run_one_stage``, ``run_two_stage``, ``t_local_broadcast``,
-    ``simulate_over_spanner``, ``compute_global``) cache through one
-    shared disk-backed store without touching call sites — the lever
-    the store-enabled CI job and ``repro.bench --store`` pull.  With
-    the variable unset (the default), consumers that were not handed an
-    explicit store run exactly the historical derivation paths.
-    """
-    global _default, _default_source
-    configured = os.environ.get(ENV_VAR)
-    if not configured:
-        _default = None
-        _default_source = None
-        return None
-    if _default is None or _default_source != configured:
-        _default = ArtifactStore(configured)
-        _default_source = configured
-    return _default
-
-
-def resolve_store(store: ArtifactStore | None) -> ArtifactStore | None:
-    """An explicit store wins; ``None`` falls back to the env default."""
-    if store is not None:
-        return store
-    return default_store()

@@ -45,7 +45,7 @@ def reference_build(network, params) -> SpannerResult:
                 results = []
                 for eid in machine.begin_trial():
                     a, b = network.endpoints(eid)
-                    other = forest.cluster_of(b if forest.cluster_of(a) == cid else a)
+                    other = forest.root_of[b if forest.root_of[a] == cid else a]
                     results.append((eid, other, groups[cid][other], other in active))
                 machine.deliver(results)
             machines[cid] = machine
@@ -81,7 +81,7 @@ def reference_build(network, params) -> SpannerResult:
                 active_edges=(sum(len(pools[c]) for c in active) - stale) // 2,
                 stale_edges=stale,
                 cluster_sizes={cid: forest.size(cid) for cid in active},
-                cluster_heights=forest.heights_of(active),
+                cluster_heights={cid: forest.tree(cid).height for cid in active},
                 nodes={
                     cid: _node_trace(cid, machines[cid], pools[cid], groups[cid])
                     for cid in active
@@ -126,7 +126,7 @@ def _by_neighbor(network, forest, cid, pool) -> dict[int, list[int]]:
     groups: dict[int, list[int]] = {}
     for eid in pool:
         a, b = network.endpoints(eid)
-        other = forest.cluster_of(b if forest.cluster_of(a) == cid else a)
+        other = forest.root_of[b if forest.root_of[a] == cid else a]
         groups.setdefault(other, []).append(eid)
     return groups
 

@@ -110,6 +110,33 @@ def two_stage_digest(report) -> str:
     )
 
 
+def serve_payloads(service, prefix: str) -> dict:
+    """``{case name: response}``: every payload served on the service's
+    current graph."""
+    return {
+        f"{prefix}/{algo.name}": service.submit(SimulationRequest(algo=algo))
+        for algo in payloads()
+    }
+
+
+def serve_churned(store=None) -> dict:
+    """The ``served/*`` cases' responses: one graph before and after
+    each churn epoch, through ``store`` (a fresh in-memory one if
+    ``None``)."""
+    service = SimulationService(
+        erdos_renyi(60, 0.12, seed=8),
+        store=store,
+        params=theorem3_params(1, seed=5),
+        seed=5,
+    )
+    responses = {}
+    for label in ("base", "epoch0", "epoch1"):
+        if label != "base":
+            service.apply_churn(CHURN, int(label[-1]))
+        responses.update(serve_payloads(service, f"served/{label}"))
+    return responses
+
+
 def scheme_digests() -> dict[str, str]:
     """Every case's digest."""
     digests: dict[str, str] = {}
@@ -126,15 +153,6 @@ def scheme_digests() -> dict[str, str]:
         seed=3,
     )
     digests["two_stage/er50/ball-collect"] = two_stage_digest(report)
-    service = SimulationService(
-        erdos_renyi(60, 0.12, seed=8), params=theorem3_params(1, seed=5), seed=5
-    )
-    for label in ("base", "epoch0", "epoch1"):
-        if label != "base":
-            service.apply_churn(CHURN, int(label[-1]))
-        for algo in payloads():
-            response = service.submit(SimulationRequest(algo=algo))
-            digests[f"served/{label}/{algo.name}"] = one_stage_digest(
-                response.report
-            )
+    for name, response in serve_churned().items():
+        digests[name] = one_stage_digest(response.report)
     return digests

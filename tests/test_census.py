@@ -1,6 +1,6 @@
-"""A census of the knobs and catch-all handlers in ``src/repro``.
+"""A census of the knobs, catch-all handlers and public names in ``src/repro``.
 
-Four checks keep these counts from creeping back (ROADMAP aims 2 and 3):
+Six checks keep these counts from creeping back (ROADMAP aims 2 and 3):
 
 * the ``REPRO_*`` environment variables the package names as whole
   string constants are exactly :data:`ENV_VARS`;
@@ -9,12 +9,19 @@ Four checks keep these counts from creeping back (ROADMAP aims 2 and 3):
 * there is no ``Exec`` value, and no function or class field takes an
   ``execution``: no caller picks an engine, the input does (a fault
   plan runs the literal flood);
+* the only functions that take a ``store`` are :data:`STORE_TAKERS`:
+  the serving layer owns the artifact store, and the scheme pipelines
+  always build and derive;
 * the constructor parameters of the serving stack's artifact store,
-  concurrent front and file lock are exactly :data:`CONSTRUCTORS`.
+  concurrent front and file lock are exactly :data:`CONSTRUCTORS`;
+* every public top-level function and class, and every public method
+  of a public class, is named in ``src/``, ``examples/``, ``tools/``,
+  ``servebench/`` or ``benchmarks/`` outside its own ``def`` line, or
+  is listed in :data:`UNCALLED` with its reason.
 
-A change that adds a variable, a catch-all, an engine switch or a
-constructor knob has to edit this file, with its reason, in its own
-diff.
+A change that adds a variable, a catch-all, an engine switch, a store
+parameter, a constructor knob or a name nothing calls has to edit this
+file, with its reason, in its own diff.
 """
 
 from __future__ import annotations
@@ -29,12 +36,27 @@ import repro
 from repro.service import ConcurrentSimulationService
 from repro.store import ArtifactStore, FileLock
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 
 ENV_VARS = {
     "REPRO_OBS",  # the telemetry plane's gate
-    "REPRO_STORE",  # directory of the process-default artifact store
     "REPRO_STORE_CHAOS",  # the store's fault-injection hook
+}
+
+STORE_TAKERS = {
+    "service/service.py::SimulationService.__init__",
+    "service/concurrent.py::ConcurrentSimulationService.__init__",
+}
+
+# Where a public name counts as called: everything but the tests.
+CALLER_DIRS = ("src", "examples", "tools", "servebench", "benchmarks")
+
+UNCALLED = {
+    # Network is exported in repro.__all__; this is its networkx bridge.
+    "local/network.py::Network.to_networkx",
+    # Knowledge is exported in repro.__all__; the KT0/KT1 edge-id flag.
+    "local/knowledge.py::Knowledge.exposes_edge_ids",
 }
 
 CATCH_ALLS = {
@@ -65,6 +87,7 @@ CONSTRUCTORS = {
 }
 
 _ENV_NAME = re.compile(r"REPRO_[A-Z0-9_]+")
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _BROAD = {"Exception", "BaseException"}
 
 
@@ -113,9 +136,9 @@ def _catch_alls() -> list[tuple[str, str]]:
     return found
 
 
-def _execution_takers() -> set[str]:
-    """``file::function`` with an ``execution`` parameter, and
-    ``file::Class.execution`` for a class-level ``execution`` field."""
+def _takers(name: str) -> set[str]:
+    """``file::function`` with a parameter called ``name``, and
+    ``file::Class.name`` for a class-level field called ``name``."""
     found: set[str] = set()
 
     def visit(node: ast.AST, rel: str, scope: tuple[str, ...]) -> None:
@@ -123,7 +146,7 @@ def _execution_takers() -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = child.args
                 names = args.posonlyargs + args.args + args.kwonlyargs
-                if any(arg.arg == "execution" for arg in names):
+                if any(arg.arg == name for arg in names):
                     found.add(f"{rel}::{'.'.join(scope + (child.name,))}")
                 visit(child, rel, scope + (child.name,))
             elif isinstance(child, ast.ClassDef):
@@ -131,14 +154,56 @@ def _execution_takers() -> set[str]:
                     if (
                         isinstance(item, ast.AnnAssign)
                         and isinstance(item.target, ast.Name)
-                        and item.target.id == "execution"
+                        and item.target.id == name
                     ):
-                        found.add(f"{rel}::{child.name}.execution")
+                        found.add(f"{rel}::{child.name}.{name}")
                 visit(child, rel, scope + (child.name,))
 
     for rel, tree in _modules():
         visit(tree, rel, ())
     return found
+
+
+def _public_defs() -> list[tuple[str, str, Path, int]]:
+    """``(file::qualified name, name, path, def line)`` of every public
+    top-level function and class, and every public method of a public
+    top-level class."""
+    found = []
+    for rel, tree in _modules():
+        path = SRC / rel
+        for node in tree.body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) or node.name.startswith("_"):
+                continue
+            found.append((f"{rel}::{node.name}", node.name, path, node.lineno))
+            if isinstance(node, ast.ClassDef):
+                found.extend(
+                    (f"{rel}::{node.name}.{item.name}", item.name, path, item.lineno)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.name.startswith("_")
+                )
+    return found
+
+
+def _uncalled() -> set[str]:
+    """Public names no line under :data:`CALLER_DIRS` names, apart from
+    their own ``def`` line."""
+    seen: dict[str, set[tuple[Path, int]]] = {}
+    for directory in CALLER_DIRS:
+        for path in sorted((ROOT / directory).rglob("*")):
+            if path.suffix not in (".py", ".sh") or "__pycache__" in path.parts:
+                continue
+            lines = path.read_text(encoding="utf-8").splitlines()
+            for lineno, line in enumerate(lines, 1):
+                for word in set(_WORD.findall(line)):
+                    seen.setdefault(word, set()).add((path, lineno))
+    return {
+        qualified
+        for qualified, name, path, lineno in _public_defs()
+        if not seen.get(name, set()) - {(path, lineno)}
+    }
 
 
 def test_repro_env_vars_are_the_census():
@@ -165,7 +230,18 @@ def test_exec_fields_are_the_census():
 
 
 def test_execution_takers_are_the_census():
-    assert _execution_takers() == set()
+    assert _takers("execution") == set()
+
+
+def test_store_takers_are_the_census():
+    assert _takers("store") == STORE_TAKERS
+
+
+def test_every_public_name_is_called_or_listed():
+    found = _uncalled()
+    assert found <= UNCALLED, f"public names nothing calls: {sorted(found - UNCALLED)}"
+    stale = UNCALLED - found
+    assert not stale, f"UNCALLED entries that are called now: {sorted(stale)}"
 
 
 def test_serving_constructors_are_the_census():

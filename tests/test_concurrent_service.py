@@ -83,8 +83,6 @@ class TestColdBuilds:
     def test_n_threads_one_cold_key_builds_exactly_once(self, net, monkeypatch):
         """The headline: builds == 1 and hits == N-1, exactly."""
         n_threads = 6
-        # Before patching: under REPRO_STORE the reference run builds
-        # through the default store.
         reference = _reference(net, MinIdAggregation(2))
         import repro.core.accounting as accounting
 
@@ -433,7 +431,7 @@ def _worker_outputs(store_dir, chaos_spec, queue):
 
 class TestCrossProcess:
     def test_two_processes_share_one_store_under_chaos(self, net, tmp_path):
-        """Two workers, one REPRO_STORE directory, transient chaos:
+        """Two workers, one store directory, transient chaos:
         identical results in both, and the store never raised."""
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()

@@ -19,7 +19,7 @@ class TestAttach:
         forest = ClusterForest(line6)
         forest.attach(joiner=1, center=0, eid=0)
         assert sorted(forest.members(0)) == [0, 1]
-        assert forest.cluster_of(1) == 0
+        assert forest.root_of[1] == 0
         assert forest.tree(0).height == 1
 
     def test_chain_of_merges_rerooted(self, line6):
@@ -40,7 +40,7 @@ class TestAttach:
         forest.attach(2, 0, 1)
         tree = forest.tree(0)
         assert tree.size == 4
-        assert forest.cluster_of(3) == 0
+        assert forest.root_of[3] == 0
 
     def test_reroot_flips_path(self, line6):
         forest = ClusterForest(line6)
@@ -76,19 +76,17 @@ class TestAttach:
 class TestAccessors:
     def test_initial_state(self, line6):
         forest = ClusterForest(line6)
-        assert forest.cluster_ids() == list(range(6))
         assert forest.size(3) == 1
-        assert forest.parent_edge(3) is None
+        assert forest.tree(3).parent == {}
         assert forest.heights() == {v: 0 for v in range(6)}
 
     def test_parent_edge_after_attach(self, line6):
         forest = ClusterForest(line6)
         forest.attach(1, 0, 0)
-        assert forest.parent_edge(1) == (0, 0)
-        assert forest.parent_edge(0) is None
+        assert forest.tree(0).parent == {1: (0, 0)}  # the root has no parent edge
 
     def test_tree_edges_subset_of_used(self, line6):
         forest = ClusterForest(line6)
         forest.attach(1, 0, 0)
         forest.attach(2, 0, 1)
-        assert forest.tree_edge_ids(0) <= {0, 1, 2, 3, 4}
+        assert forest.tree(0).edge_ids() <= {0, 1, 2, 3, 4}

@@ -80,15 +80,6 @@ class TestConstructors:
         # paper budgets exceed n at laptop scale — that is the point
         assert params.queries_per_trial(0, 1000) > 1000
 
-    def test_for_epsilon(self):
-        params = SamplerParams.for_epsilon(0.5)
-        assert params.delta <= 0.25 + 1e-9
-        assert params.eps <= 0.25 + 1e-9
-
-    def test_for_epsilon_rejects_bad(self):
-        with pytest.raises(ConfigurationError):
-            SamplerParams.for_epsilon(0)
-
     def test_with_seed(self):
         params = SamplerParams(seed=1).with_seed(9)
         assert params.seed == 9

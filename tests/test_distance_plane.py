@@ -285,14 +285,13 @@ class TestSimulationEquality:
         )
         assert set(fooled) & set(replayed)
 
-    def test_one_stage_under_reference_engine(self, monkeypatch):
+    def test_one_stage_under_reference_engine(self):
         """The whole pipeline on the literal flood and the per-node
         oracles, which touch no distance-plane code, equals the default
         run on the plane."""
         from reference_runtime import reference_engines
         from repro.simulate import run_one_stage
 
-        monkeypatch.delenv("REPRO_STORE", raising=False)
         net = erdos_renyi(50, 0.15, seed=3)
         algo = MinIdAggregation(2)
         params = SamplerParams(k=1, h=2, seed=5)

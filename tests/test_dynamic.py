@@ -27,6 +27,7 @@ from repro.errors import ConfigurationError
 from repro.graphs import barabasi_albert, erdos_renyi, torus
 from repro.local import EdgeRef
 from repro.local.network import Network
+from repro.store import load_spanner, save_spanner
 
 _SETTINGS = settings(
     max_examples=20,
@@ -462,8 +463,8 @@ class TestProvenanceSerialization:
         child, log = apply_churn(er_medium, _mixed_plan(41, 0.1), epoch=0)
         repaired = repair_spanner(parent, child, log)
         path = tmp_path / "repaired.npz"
-        repaired.to_npz(path)
-        loaded = type(repaired).from_npz(path, child)
+        save_spanner(path, repaired)
+        loaded = load_spanner(path, child)
         assert loaded == repaired
         assert loaded.provenance == repaired.provenance == (er_medium.fingerprint(),)
 
@@ -471,5 +472,5 @@ class TestProvenanceSerialization:
         fresh = build_spanner_distributed(er_medium, _PARAMS)
         assert fresh.provenance == ()
         path = tmp_path / "fresh.npz"
-        fresh.to_npz(path)
-        assert type(fresh).from_npz(path, er_medium).provenance == ()
+        save_spanner(path, fresh)
+        assert load_spanner(path, er_medium).provenance == ()

@@ -111,14 +111,14 @@ class TestValueEquality:
         # rebound to a content-identical graph equals the live build.
         from repro.core import SamplerParams
         from repro.core.distributed import build_spanner_distributed
-        from repro.core.spanner import SpannerResult
+        from repro.store import load_spanner, save_spanner
 
         net = erdos_renyi(30, 0.2, seed=4)
         twin = erdos_renyi(30, 0.2, seed=4)
         result = build_spanner_distributed(net, SamplerParams(k=1, h=1, seed=2))
         path = tmp_path / "sp.npz"
-        result.to_npz(path)
-        assert SpannerResult.from_npz(path, twin) == result
+        save_spanner(path, result)
+        assert load_spanner(path, twin) == result
 
 
 class TestDenseGraphDedupe:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ValidationError
-from repro.local.tree import RootedTree, bfs_tree, tree_from_parent_map
+from repro.local.tree import RootedTree, tree_from_parent_map
 
 
 def chain_tree(length: int) -> RootedTree:
@@ -38,34 +38,9 @@ class TestRootedTree:
         tree = RootedTree(root=0, parent={2: (0, 5), 1: (0, 4)})
         assert tree.children()[0] == [(1, 4), (2, 5)]
 
-    def test_path_to_root(self):
-        tree = chain_tree(4)
-        assert tree.path_to_root(3) == [3, 2, 1]
-        assert tree.path_to_root(0) == []
-
     def test_edge_ids(self):
         assert chain_tree(3).edge_ids() == frozenset({1, 2})
 
     def test_disconnected_parent_map_rejected(self):
         with pytest.raises(ValidationError):
             tree_from_parent_map(0, {2: (3, 0)})
-
-    def test_cycle_detected_in_path(self):
-        tree = RootedTree(root=0, parent={1: (2, 0), 2: (1, 1)})
-        with pytest.raises(ValidationError):
-            tree.path_to_root(1)
-
-
-class TestBfsTree:
-    def test_builds_shortest_paths(self):
-        # square: 0-1, 1-2, 2-3, 3-0
-        adjacency = {
-            0: [(1, 0), (3, 3)],
-            1: [(0, 0), (2, 1)],
-            2: [(1, 1), (3, 2)],
-            3: [(2, 2), (0, 3)],
-        }
-        tree = bfs_tree(adjacency, 0)
-        assert tree.size == 4
-        assert tree.height == 2
-        assert tree.depths()[2] == 2

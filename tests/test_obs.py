@@ -142,9 +142,7 @@ class TestDeterminism:
         (build,) = [r for r in records if r["name"] == "build/distributed"]
         assert run["parent"] == build["id"]
 
-    def test_one_stage_prices_its_construction(self, net, obs_on, monkeypatch):
-        # No store: the pipeline prices the construction itself.
-        monkeypatch.delenv("REPRO_STORE", raising=False)
+    def test_one_stage_prices_its_construction(self, net, obs_on):
         report = run_one_stage(net, MinIdAggregation(2), params=PARAMS, seed=0)
         records = obs.collector().finished()
         names = {r["name"] for r in records}
@@ -165,11 +163,18 @@ class TestCoverageTelemetry:
     EDGES = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)]
 
     def _simulate(self, radius, store=None):
+        """Simulate over the whole graph; with a ``store``, fetch the
+        flood schedule from it first, as the service does."""
         from repro.algorithms import BallCollect
         from repro.local.network import Network
         from repro.simulate import simulate_over_spanner
 
         net = Network.from_edge_pairs(12, self.EDGES)
+        schedule = None
+        if store is not None:
+            schedule, _ = store.fetch_flood_schedule(
+                net.subnetwork(net.edge_ids), radius
+            )
         return simulate_over_spanner(
             net,
             net.edge_ids,
@@ -177,7 +182,7 @@ class TestCoverageTelemetry:
             BallCollect(2),
             seed=1,
             radius=radius,
-            store=store,
+            schedule=schedule,
         )
 
     def _attrs(self, name, *keys):

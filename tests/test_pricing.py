@@ -231,15 +231,13 @@ class TestEmptyLevel:
 
 
 class TestStorePrices:
-    """Every construction prices: the store's, and the pipelines'
-    without a store."""
+    """Every construction prices: the store's and the pipelines'."""
 
     @staticmethod
     def refuse_simulation(monkeypatch):
         def refuse(*_args, **_kwargs):
             raise AssertionError("construction must price, not simulate")
 
-        monkeypatch.delenv("REPRO_STORE", raising=False)
         monkeypatch.setattr(Runtime, "run", refuse)
 
     def test_store_build_never_runs_the_simulation(self, monkeypatch):

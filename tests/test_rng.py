@@ -71,7 +71,7 @@ class TestRngFactory:
 
     def test_spawn_independent(self):
         parent = RngFactory(5)
-        child = parent.spawn("sub")
+        child = RngFactory(parent.child_seed("sub"))
         assert child.root_seed != parent.root_seed
         assert child.stream("t").random() != parent.stream("t").random()
 

@@ -183,9 +183,7 @@ class TestSimulatePathsEquivalence:
         assert dense.messages.total == active.messages.total
         assert dense.messages.per_round == active.messages.per_round
 
-    def test_one_and_two_stage_schemes(self, monkeypatch):
-        # The process-default store would price both constructions.
-        monkeypatch.delenv("REPRO_STORE", raising=False)
+    def test_one_and_two_stage_schemes(self):
         net = erdos_renyi(80, 0.15, seed=13)
         params = SamplerParams(k=1, h=2, seed=7, c_query=0.7, c_target=1.0)
         payload = BallCollect(2)

@@ -25,20 +25,14 @@ from repro.algorithms import (
 )
 from repro.core import SamplerParams
 from repro.core.distributed import build_spanner_distributed
-from repro.dynamic import ChurnPlan, apply_churn
+from repro.dynamic import ChurnPlan
 from repro.errors import ConfigurationError, SimulationError
-from repro.graphs import erdos_renyi, torus
+from repro.graphs import erdos_renyi
 from repro.local.faults import FaultPlan
 from repro.local.network import Network
 from repro.service import SimulationRequest, SimulationService
 from repro.service.service import _LINEAGE_DEPTH_CAP
-from repro.simulate import (
-    run_one_stage,
-    run_two_stage,
-    simulate_over_spanner,
-    theorem3_params,
-)
-from repro.simulate.global_tasks import compute_global, elect_leader
+from repro.simulate import run_one_stage, simulate_over_spanner, theorem3_params
 from repro.simulate.tlocal import flood_schedule
 from repro.store import ArtifactStore
 from reference_runtime import literal_simulation
@@ -181,29 +175,7 @@ class TestBatchServing:
 
 
 class TestStoreAwareConsumers:
-    def test_two_stage_with_store_is_bit_identical(self):
-        net = erdos_renyi(50, 0.15, seed=9)
-        store = ArtifactStore()
-        plain = run_two_stage(net, BallCollect(1), stage1_params=PARAMS, seed=3)
-        cold = run_two_stage(net, BallCollect(1), stage1_params=PARAMS, seed=3, store=store)
-        warm = run_two_stage(net, BallCollect(1), stage1_params=PARAMS, seed=3, store=store)
-        assert plain == cold == warm
-        # stage-1 spanner, H1 flood, H2 flood all cached on the warm run
-        assert store.stats.hits >= 3
-
-    def test_global_tasks_with_store_are_bit_identical(self):
-        net = torus(5, 5)
-        store = ArtifactStore()
-        plain = elect_leader(net, seed=2)
-        cold = elect_leader(net, seed=2, store=store)
-        warm = elect_leader(net, seed=2, store=store)
-        assert plain == cold == warm
-        plain_sum = compute_global(net, lambda known: sum(known.values()), seed=2)
-        warm_sum = compute_global(
-            net, lambda known: sum(known.values()), seed=2, store=store
-        )
-        assert plain_sum.outputs == warm_sum.outputs
-        assert plain_sum.flood_messages == warm_sum.flood_messages
+    """A caller holding a flood schedule (the service) passes it in."""
 
     def test_precomputed_schedule_short_circuits(self, net):
         spanner = run_one_stage(net, BallCollect(2), params=PARAMS, seed=5).spanner
@@ -386,17 +358,6 @@ class TestResilientServing:
         fresh = run_one_stage(child, BallCollect(2), params=PARAMS, seed=5)
         assert service.submit(BallCollect(2)).outputs == fresh.outputs
 
-    def test_record_churn_validates_the_parent(self, net):
-        service = SimulationService(net, params=PARAMS, seed=5)
-        service.submit(BallCollect(2))
-        child, log = apply_churn(net, churn_plan(seed=51), 0)
-        stranger = erdos_renyi(60, 0.12, seed=99)
-        with pytest.raises(ValueError, match="does not describe"):
-            service.record_churn(stranger, log)
-        service.record_churn(net, log)  # externally applied churn
-        response = service.submit(SimulationRequest(algo=BallCollect(2), network=child))
-        assert response.spanner_info.source == "repaired"
-
     def test_repair_failure_degrades_to_a_counted_rebuild(self, net, monkeypatch):
         service = SimulationService(net, params=PARAMS, seed=5)
         service.submit(BallCollect(2))
@@ -447,7 +408,8 @@ class TestResilientServing:
         cold = service.submit(BallCollect(2))
         for name in os.listdir(tmp_path):  # disk rots under the service
             (tmp_path / name).write_bytes(b"\x00rot\x00")
-        store.clear_memory()
+        store._lru.entries.clear()  # drop the memory layer; disk survives
+        store._lru.weighed_bytes = 0
         again = service.submit(BallCollect(2))
         assert again.report == cold.report  # served, not crashed
         assert again.spanner_info.source == "built"
@@ -461,7 +423,8 @@ class TestResilientServing:
         store = ArtifactStore(tmp_path)
         service = SimulationService(net, store=store, params=PARAMS, seed=5)
         service.submit(BallCollect(2))
-        store.clear_memory()
+        store._lru.entries.clear()  # drop the memory layer; disk survives
+        store._lru.weighed_bytes = 0
         real = serialize.load_spanner
         state = {"failures": 1}
 

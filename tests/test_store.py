@@ -3,8 +3,7 @@
 Covers the DESIGN.md §3.8 contracts: content-addressed keys, exact
 ``.npz`` round-trips (hypothesis-quantified across gnp/torus/ba),
 ``FloodProfile`` truncation equality with the live derivation, LRU and
-disk behaviour, atomic writes, corruption tolerance, and the
-``REPRO_STORE`` process default.
+disk behaviour, atomic writes and corruption tolerance.
 """
 
 from __future__ import annotations
@@ -20,12 +19,10 @@ import reference_distance as oracle
 from repro import obs
 from repro.core import SamplerParams, build_spanner
 from repro.core.distributed import build_spanner_distributed
-from repro.core.spanner import SpannerResult
 from repro.graphs import barabasi_albert, complete_graph, erdos_renyi, torus
 from repro.local.network import Network
-from repro.simulate import flood_schedule, run_one_stage
+from repro.simulate import flood_schedule
 from repro.simulate.tlocal import FloodSchedule
-from repro.algorithms import BallCollect
 from repro.service import ServiceMetrics
 from repro.store import (
     STORE_SCHEMA,
@@ -33,9 +30,9 @@ from repro.store import (
     ArtifactStore,
     FloodProfile,
     StoreStats,
-    default_store,
     flood_key,
-    resolve_store,
+    load_spanner,
+    save_spanner,
     spanner_key,
 )
 from repro.store.store import DISK_READ_RETRIES, PROFILE_CELL_LIMIT
@@ -115,8 +112,8 @@ class TestSpannerRoundTrip:
         budget = {"c_query": 0.1, "c_target": 0.3} if small_budget else {}
         path = tmp_path_factory.mktemp("store") / "spanner.npz"
         result = builder(net, SamplerParams(k=k, h=2, seed=seed, **budget))
-        result.to_npz(path)
-        loaded = SpannerResult.from_npz(path, net)
+        save_spanner(path, result)
+        loaded = load_spanner(path, net)
         assert loaded == result  # edges, params, trace, messages, rounds
         assert loaded.trace.signature() == result.trace.signature()
         assert loaded.trace.full_signature() == result.trace.full_signature()
@@ -126,15 +123,15 @@ class TestSpannerRoundTrip:
         other = erdos_renyi(24, 0.2, seed=3)
         result = build_spanner_distributed(net, SamplerParams(k=1, h=1, seed=1))
         path = tmp_path / "spanner.npz"
-        result.to_npz(path)
+        save_spanner(path, result)
         with pytest.raises(ArtifactError, match="different graph"):
-            SpannerResult.from_npz(path, other)
+            load_spanner(path, other)
 
     def test_garbage_file_raises_artifact_error(self, tmp_path):
         path = tmp_path / "junk.npz"
         path.write_bytes(b"not a zip archive at all")
         with pytest.raises(ArtifactError):
-            SpannerResult.from_npz(path, erdos_renyi(10, 0.3, seed=1))
+            load_spanner(path, erdos_renyi(10, 0.3, seed=1))
 
     @pytest.mark.parametrize(
         "manifest, message",
@@ -156,7 +153,7 @@ class TestSpannerRoundTrip:
             members["manifest"] = manifest
         np.savez(path, **members)
         with pytest.raises(ArtifactError, match=message):
-            SpannerResult.from_npz(path, erdos_renyi(10, 0.3, seed=1))
+            load_spanner(path, erdos_renyi(10, 0.3, seed=1))
 
 
 class TestFloodProfile:
@@ -441,7 +438,7 @@ class TestArtifactStore:
         with open(path, "wb") as handle:
             np.savez(handle, manifest=np.frombuffer(payload, dtype=np.uint8))
         with pytest.raises(ArtifactError, match="different graph"):
-            SpannerResult.from_npz(path, net)
+            load_spanner(path, net)
 
     def test_schema_1_file_under_a_current_key_is_a_counted_miss(self, tmp_path):
         # The upgrade path: a file in the schema-1 container (the manifest
@@ -478,42 +475,6 @@ class TestArtifactStore:
         assert store.stats.bypasses == 1
         assert schedule == flood_schedule(sub, 3)
         assert PROFILE_CELL_LIMIT > 10  # the module constant is untouched
-
-    def test_store_off_and_on_are_bit_identical(self):
-        net = self._net()
-        params = SamplerParams(k=1, h=2, seed=9)
-        plain = run_one_stage(net, BallCollect(2), params=params, seed=5)
-        store = ArtifactStore()
-        cold = run_one_stage(net, BallCollect(2), params=params, seed=5, store=store)
-        warm = run_one_stage(net, BallCollect(2), params=params, seed=5, store=store)
-        assert plain == cold == warm
-
-    def test_graph_diameter_memo(self):
-        store = ArtifactStore()
-        net = torus(4, 5)
-        from repro.simulate.global_tasks import graph_diameter
-
-        assert store.graph_diameter(net) == graph_diameter(net)
-        assert store.graph_diameter(net) == graph_diameter(net)  # memo hit
-
-
-class TestDefaultStore:
-    def test_unset_env_means_no_store(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
-        assert default_store() is None
-        assert resolve_store(None) is None
-
-    def test_env_enables_a_shared_disk_store(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", str(tmp_path))
-        store = default_store()
-        assert store is not None and store.directory == tmp_path
-        assert default_store() is store  # one instance per configuration
-        assert resolve_store(None) is store
-
-    def test_explicit_store_wins_over_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", str(tmp_path))
-        mine = ArtifactStore()
-        assert resolve_store(mine) is mine
 
 
 class _FlakyLoader:

@@ -157,8 +157,6 @@ def scheme_goldens() -> dict[str, str]:
     from reference_runtime import reference_engines
     from scheme_cases import scheme_digests
 
-    # The process-default store would price the oracle's constructions.
-    os.environ.pop("REPRO_STORE", None)
     goldens = scheme_digests()
     with reference_engines() as calls:
         reference = scheme_digests()
