@@ -9,7 +9,7 @@ bug, not noise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.algorithms.base import Inbox, LocalAlgorithm, NodeInit, Outbox
 

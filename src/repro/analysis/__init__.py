@@ -4,12 +4,12 @@
   subgraph (the quantity Theorem 9 bounds).
 * :mod:`repro.analysis.validation` — end-to-end spanner checks used by
   tests and examples.
-* :mod:`repro.analysis.bounds` — the paper's predicted exponents and
-  log–log slope fitting for the benchmark tables.
+* :mod:`repro.analysis.bounds` — the paper's predicted size exponent
+  and log–log slope fitting for the benchmark tables.
 * :mod:`repro.analysis.stats` — tiny statistics helpers.
 """
 
-from repro.analysis.stretch import StretchReport, adjacent_pair_stretch, pairwise_stretch
+from repro.analysis.stretch import StretchReport, adjacent_pair_stretch
 from repro.analysis.validation import validate_spanner
 from repro.analysis.bounds import fit_loglog_slope, predicted_size_exponent
 
@@ -17,7 +17,6 @@ __all__ = [
     "StretchReport",
     "adjacent_pair_stretch",
     "fit_loglog_slope",
-    "pairwise_stretch",
     "predicted_size_exponent",
     "validate_spanner",
 ]

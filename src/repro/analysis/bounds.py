@@ -10,33 +10,12 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-__all__ = [
-    "predicted_size_exponent",
-    "predicted_message_exponent",
-    "predicted_round_bound",
-    "scheme_message_exponent",
-    "fit_loglog_slope",
-]
+__all__ = ["predicted_size_exponent", "fit_loglog_slope"]
 
 
 def predicted_size_exponent(k: int) -> float:
     """Theorem 2: ``|S| = O~(n^{1 + 1/(2^{k+1}-1)})``."""
     return 1.0 + 1.0 / (2 ** (k + 1) - 1)
-
-
-def predicted_message_exponent(k: int, h: int) -> float:
-    """Theorem 2: messages ``O~(n^{1 + 1/(2^{k+1}-1) + 1/h})``."""
-    return predicted_size_exponent(k) + 1.0 / h
-
-
-def predicted_round_bound(k: int, h: int) -> int:
-    """Theorem 2: rounds ``O(3^k h)`` (constant folded as 30, see Schedule)."""
-    return 30 * 3**k * (h + 1) + 30
-
-
-def scheme_message_exponent(gamma: int) -> float:
-    """Theorem 3, first bullet: ``O~(t n^{1 + 2/(2^{gamma+1}-1)})``."""
-    return 1.0 + 2.0 / (2 ** (gamma + 1) - 1)
 
 
 def fit_loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -2,40 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
-__all__ = ["mean", "geometric_mean", "percentile", "relative_spread"]
+__all__ = ["mean"]
 
 
 def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("mean of empty sequence")
     return sum(values) / len(values)
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("geometric mean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric mean needs positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile, ``q`` in [0, 100]."""
-    if not values:
-        raise ValueError("percentile of empty sequence")
-    if not 0 <= q <= 100:
-        raise ValueError("q must be in [0, 100]")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100 * len(ordered)))
-    return ordered[rank - 1]
-
-
-def relative_spread(values: Sequence[float]) -> float:
-    """``(max - min) / mean`` — concentration measure used by E5."""
-    m = mean(values)
-    if m == 0:
-        raise ValueError("relative spread undefined for zero mean")
-    return (max(values) - min(values)) / m

@@ -11,7 +11,7 @@ Distances come from the shared distance plane
 (:mod:`repro.graphs.distance`, DESIGN.md §3.7), which batches one
 truncated BFS per queried source through NumPy bitset sweeps; that
 keeps *exact* measurement usable at tens of thousands of nodes.  The
-test suite holds both reports equal to the seed's deque BFS per source
+test suite holds the report equal to the seed's deque BFS per source
 (``tests/reference_distance.py``).
 """
 
@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 from repro.graphs.distance import adjacency_csr, distance_blocks
 from repro.local.network import Network
 
-__all__ = ["StretchReport", "adjacent_pair_stretch", "pairwise_stretch"]
+__all__ = ["StretchReport", "adjacent_pair_stretch"]
 
 _UNREACHABLE = math.inf
 
@@ -37,19 +37,14 @@ class StretchReport:
     ``unreachable_pairs`` counts pairs *proven* disconnected in ``H``
     (their BFS exhausted the component).  ``beyond_cutoff`` counts pairs
     whose distance exceeds a finite BFS ``cutoff`` — the search was
-    truncated, so they are unverified rather than disconnected.  ``ok``
-    is a connectivity verdict and therefore ignores ``beyond_cutoff``.
+    truncated, so they are unverified rather than disconnected.
     """
 
     max_stretch: float
     mean_stretch: float
     pairs_measured: int
     unreachable_pairs: int
-    beyond_cutoff: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.unreachable_pairs == 0
+    beyond_cutoff: int
 
 
 def _distance_rows(graph: Network, sources: Sequence[int], cutoff: float):
@@ -124,47 +119,4 @@ def adjacent_pair_stretch(
         pairs_measured=measured,
         unreachable_pairs=unreachable,
         beyond_cutoff=beyond,
-    )
-
-
-def pairwise_stretch(
-    network: Network,
-    spanner_edges: Iterable[int],
-    *,
-    sources: int | None = None,
-    seed: int = 0,
-) -> StretchReport:
-    """Max/mean of ``dist_H / dist_G`` over (sampled-source) node pairs.
-
-    Ratios are summed with :func:`math.fsum`: exact, hence independent
-    of target enumeration order.
-    """
-    nodes = list(network.nodes())
-    if sources is not None and sources < len(nodes):
-        nodes = random.Random(seed).sample(nodes, sources)
-    worst = 0.0
-    ratios: list[float] = []
-    measured = 0
-    unreachable = 0
-    rows_g = _distance_rows(network, nodes, _UNREACHABLE)
-    rows_h = _distance_rows(network.subnetwork(spanner_edges), nodes, _UNREACHABLE)
-    for (source, dg, _), (_, dh, _) in zip(rows_g, rows_h):
-        for target in range(network.n):
-            d_g = dg(target)
-            if d_g is None or target == source or d_g == 0:
-                continue
-            measured += 1
-            d_h = dh(target)
-            if d_h is None:
-                unreachable += 1
-            else:
-                ratio = d_h / d_g
-                worst = max(worst, ratio)
-                ratios.append(ratio)
-    mean = math.fsum(ratios) / max(1, measured - unreachable)
-    return StretchReport(
-        max_stretch=worst,
-        mean_stretch=mean,
-        pairs_measured=measured,
-        unreachable_pairs=unreachable,
     )

@@ -25,8 +25,6 @@ def validate_spanner(
     result: SpannerResult,
     *,
     check_size_envelope: bool = True,
-    stretch_sample: int | None = None,
-    seed: int = 0,
 ) -> SpannerValidation:
     """Raise :class:`ValidationError` unless ``result`` is a valid spanner.
 
@@ -42,13 +40,7 @@ def validate_spanner(
             raise ValidationError(f"spanner edge {eid} is not an edge of G")
 
     bound = result.stretch_bound
-    report = adjacent_pair_stretch(
-        network,
-        result.edges,
-        sample=stretch_sample,
-        seed=seed,
-        cutoff=bound + 1,
-    )
+    report = adjacent_pair_stretch(network, result.edges, cutoff=bound + 1)
     if report.unreachable_pairs or report.beyond_cutoff:
         # Both buckets violate the bound here: the BFS cutoff is bound+1,
         # so a pair beyond it has spanner distance > bound even when the

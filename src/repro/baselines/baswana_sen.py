@@ -20,10 +20,8 @@ makes the node program a clean ``(k+1)``-round LOCAL algorithm whose
 direct execution costs ``Theta(m)`` messages per round (the baseline
 behaviour experiment E3 measures).
 
-The same step logic backs both entry points: :class:`BaswanaSenLocal`
-(a :class:`~repro.algorithms.base.LocalAlgorithm`; each node outputs the
-edge ids it added) and :func:`baswana_sen_spanner` (fast centralized
-wrapper via :func:`~repro.algorithms.runner.run_inprocess`).
+:class:`BaswanaSenLocal` is a :class:`~repro.algorithms.base.LocalAlgorithm`;
+each node outputs the edge ids it added, and the spanner is their union.
 """
 
 from __future__ import annotations
@@ -32,16 +30,11 @@ import random
 from dataclasses import dataclass, field
 
 from repro.algorithms.base import Inbox, LocalAlgorithm, NodeInit, Outbox
-from repro.algorithms.runner import run_inprocess
 from repro.errors import ConfigurationError
 from repro.local.network import Network
 from repro.rng import stable_uniform
 
-__all__ = [
-    "BaswanaSenLocal",
-    "baswana_sen_spanner",
-    "baswana_sen_messages_estimate",
-]
+__all__ = ["BaswanaSenLocal", "baswana_sen_messages_estimate"]
 
 
 @dataclass
@@ -135,18 +128,6 @@ class BaswanaSenLocal(LocalAlgorithm):
             by_cluster.setdefault(cluster, []).append(eid)
         for _cluster, eids in sorted(by_cluster.items()):
             state.added.add(min(eids))
-
-
-def baswana_sen_spanner(
-    network: Network, k: int, seed: int = 0
-) -> frozenset[int]:
-    """Centralized Baswana–Sen: the spanner edge set (same logic, no kernel)."""
-    algo = BaswanaSenLocal(k=k, coin_seed=seed)
-    outputs = run_inprocess(network, algo, seed=seed)
-    edges: set[int] = set()
-    for added in outputs.values():
-        edges.update(added)
-    return frozenset(edges)
 
 
 def baswana_sen_messages_estimate(network: Network, k: int) -> int:

@@ -41,7 +41,7 @@ def _families(scale: str):
     ]
 
 
-def run_e11(scale: str = "quick") -> TableResult:
+def run_e11(scale: str) -> TableResult:
     """E11 — spanner bounds under churn; repair vs rebuild equivalence.
 
     For each family × churn rate: build the spanner once, run a

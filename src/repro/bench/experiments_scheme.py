@@ -3,8 +3,6 @@ and the Figure-1 / Section-1.3 peeling ablation."""
 
 from __future__ import annotations
 
-import random
-
 from repro.algorithms import BallCollect, LubyMis, MinIdAggregation
 from repro.algorithms.runner import run_direct
 from repro.bench.tables import TableResult
@@ -17,7 +15,7 @@ from repro.simulate import gossip_estimate, run_one_stage, run_two_stage
 __all__ = ["run_e8", "run_e9", "run_e10"]
 
 
-def run_e8(scale: str = "quick") -> TableResult:
+def run_e8(scale: str) -> TableResult:
     """E8 — one-stage scheme (Theorem 3, first bullet) vs baselines.
 
     For each payload: direct execution cost, scheme cost split into
@@ -99,7 +97,7 @@ def _stage_peaks_note(labels, combined) -> str:
     return ", ".join(peaks) + f" (stage offsets {combined.stage_offsets})"
 
 
-def run_e9(scale: str = "quick") -> TableResult:
+def run_e9(scale: str) -> TableResult:
     """E9 — two-stage scheme (Theorem 3, second bullet).
 
     Stage 2 is Baswana–Sen simulated *over* the stage-1 spanner
@@ -160,7 +158,7 @@ def run_e9(scale: str = "quick") -> TableResult:
     return table
 
 
-def run_e10(scale: str = "quick") -> TableResult:
+def run_e10(scale: str) -> TableResult:
     """E10 — iterative peeling ablation (Section 1.3, Figure 1's mechanism).
 
     A virtual node with one massively parallel neighbor (multiplicity

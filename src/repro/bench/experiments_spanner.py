@@ -31,7 +31,7 @@ def _dense_params(k: int, h: int, seed: int = 2) -> SamplerParams:
     return SamplerParams(k=k, h=h, seed=seed, **_DENSE)
 
 
-def run_e1(scale: str = "quick") -> TableResult:
+def run_e1(scale: str) -> TableResult:
     """E1 — spanner size growth (Theorem 2 / Lemma 10).
 
     ``|S|`` against ``n`` on quarter-complete graphs; the log–log slope
@@ -82,7 +82,7 @@ def run_e1(scale: str = "quick") -> TableResult:
     return table
 
 
-def run_e2(scale: str = "quick") -> TableResult:
+def run_e2(scale: str) -> TableResult:
     """E2 — stretch bound (Theorem 9): measured stretch <= 2*3^k - 1.
 
     Dense workloads with small budget constants so the spanner actually
@@ -133,7 +133,7 @@ def run_e2(scale: str = "quick") -> TableResult:
     return table
 
 
-def run_e3(scale: str = "quick") -> TableResult:
+def run_e3(scale: str) -> TableResult:
     """E3 — the free-lunch headline (Theorem 11): messages independent of m.
 
     Fixed ``n``, growing ``m``.  ``Sampler`` message counts flatten once
@@ -182,7 +182,7 @@ def run_e3(scale: str = "quick") -> TableResult:
     return table
 
 
-def run_e4(scale: str = "quick") -> TableResult:
+def run_e4(scale: str) -> TableResult:
     """E4 — round complexity (Theorem 11): rounds = O(3^k h), measured."""
     net = erdos_renyi(120, 0.12, seed=7)
     table = TableResult(
@@ -207,7 +207,7 @@ def run_e4(scale: str = "quick") -> TableResult:
     return table
 
 
-def run_e5(scale: str = "quick") -> TableResult:
+def run_e5(scale: str) -> TableResult:
     """E5 — level populations (Lemma 4): n_j concentrates at n^(1-(2^j-1)d)."""
     n = 1500 if scale == "quick" else 4000
     seeds = (1, 2, 3, 4, 5)
@@ -236,7 +236,7 @@ def run_e5(scale: str = "quick") -> TableResult:
     return table
 
 
-def run_e6(scale: str = "quick") -> TableResult:
+def run_e6(scale: str) -> TableResult:
     """E6 — the light/heavy dichotomy (Lemmas 5 and 6)."""
     seeds = (1, 2, 3) if scale == "quick" else (1, 2, 3, 4, 5, 6)
     net = dense_gnm(400, 24_000, seed=4)
@@ -265,7 +265,7 @@ def run_e6(scale: str = "quick") -> TableResult:
     return table
 
 
-def run_e7(scale: str = "quick") -> TableResult:
+def run_e7(scale: str) -> TableResult:
     """E7 — cluster-tree geometry (Lemma 8): height <= (3^j - 1)/2."""
     net = erdos_renyi(300, 0.12, seed=8) if scale == "quick" else erdos_renyi(800, 0.05, seed=8)
     params = SamplerParams(k=3, h=2, seed=5, c_query=0.7, c_target=1.0)

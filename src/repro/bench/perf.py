@@ -278,7 +278,9 @@ def _concurrent_input(workers: int):
     def build() -> tuple[Network, ConcurrentSimulationService]:
         net = _gnp(2000)
         front = ConcurrentSimulationService(
-            service=SimulationService(net, params=_SERVICE_PARAMS, seed=33),
+            net,
+            params=_SERVICE_PARAMS,
+            seed=33,
             max_workers=workers,
             merge_window=1.0,
         )
@@ -311,9 +313,7 @@ def _concurrent_cold(built: tuple[Network, None]) -> object:
     cold key, the first through the serve slot builds, the rest hit."""
     net, _ = built
     front = ConcurrentSimulationService(
-        service=SimulationService(net, params=_SERVICE_PARAMS, seed=33),
-        max_workers=4,
-        merge_window=1.0,
+        net, params=_SERVICE_PARAMS, seed=33, max_workers=4, merge_window=1.0
     )
     with front:
         return front.serve(_concurrent_batch())
@@ -332,7 +332,10 @@ def _concurrent_proc_worker(store_dir: str, queue) -> None:
     net = _gnp(2000)
     store = ArtifactStore(store_dir)
     front = ConcurrentSimulationService(
-        service=SimulationService(net, store=store, params=_SERVICE_PARAMS, seed=33),
+        net,
+        store=store,
+        params=_SERVICE_PARAMS,
+        seed=33,
         max_workers=2,
         merge_window=1.0,
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 __all__ = ["TableResult", "format_table"]
 
@@ -15,8 +15,8 @@ class TableResult:
     experiment: str
     title: str
     columns: list[str]
-    rows: list[list[Any]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    rows: list[list[Any]] = field(default_factory=list, init=False)
+    notes: list[str] = field(default_factory=list, init=False)
 
     def add_row(self, *values: Any) -> None:
         if len(values) != len(self.columns):

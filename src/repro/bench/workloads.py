@@ -2,19 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 from repro.local.network import Network
-from repro.graphs import dense_gnm, erdos_renyi, hypercube, torus
+from repro.graphs import dense_gnm
 
-__all__ = ["Workload", "density_sweep", "size_sweep", "stretch_workloads"]
-
-
-@dataclass(frozen=True)
-class Workload:
-    name: str
-    build: Callable[[], Network]
+__all__ = ["dense_graph", "density_sweep", "size_sweep"]
 
 
 def size_sweep(scale: str) -> list[int]:
@@ -59,15 +50,3 @@ def dense_graph(n: int, seed: int = 1) -> Network:
 
 _DENSE_BY_ARGS: dict[tuple[int, int], Network] = {}
 _DENSE_BY_FINGERPRINT: dict[str, Network] = {}
-
-
-def stretch_workloads(scale: str) -> list[Workload]:
-    loads = [
-        Workload("er(220,0.10)", lambda: erdos_renyi(220, 0.10, seed=5)),
-        Workload("hypercube(8)", lambda: hypercube(8)),
-        Workload("torus(14x14)", lambda: torus(14, 14)),
-    ]
-    if scale == "full":
-        loads.append(Workload("er(500,0.06)", lambda: erdos_renyi(500, 0.06, seed=6)))
-        loads.append(Workload("hypercube(10)", lambda: hypercube(10)))
-    return loads

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from repro.errors import ValidationError
 from repro.local.network import Network
-from repro.local.tree import RootedTree
 
 __all__ = ["ClusterForest"]
 
@@ -35,10 +34,6 @@ class ClusterForest:
         self._root_of: list[int] = list(network.nodes())
 
     # ------------------------------------------------------------------
-    def members(self, cid: int) -> list[int]:
-        """Physical members of cluster ``cid`` (unsorted, root included)."""
-        return list(self._members[cid])
-
     def size(self, cid: int) -> int:
         return len(self._members[cid])
 
@@ -95,23 +90,11 @@ class ClusterForest:
             for phys in moved:
                 root_of[phys] = center
 
-    def tree(self, cid: int) -> RootedTree:
-        """The current spanning tree of cluster ``cid``."""
-        members = set(self._members[cid])
-        parent = {p: self._parent[p] for p in members if p != cid}
-        missing = members - set(parent) - {cid}
-        if missing:
-            raise ValidationError(f"members without parents in cluster {cid}: {missing}")
-        return RootedTree(root=cid, parent=parent)
-
     def parent_items(self):
         """All ``(child phys, (parent phys, eid))`` pairs (runtime-side;
         do not mutate).  Lets callers assemble flat parent arrays for
         vectorized depth sweeps without per-node method calls."""
         return self._parent.items()
-
-    def heights(self) -> dict[int, int]:
-        return {cid: self.tree(cid).height for cid in self._members}
 
     # ------------------------------------------------------------------
     def _reroot(self, old_root: int, new_root: int) -> None:

@@ -35,16 +35,15 @@ in order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.local.faults import FaultPlan
 from repro.local.network import Network
-from repro.rng import RngFactory, derive_seed
+from repro.rng import RngFactory
 
 __all__ = ["ChurnPlan", "MutationLog", "apply_churn", "churn_sequence"]
 
@@ -84,11 +83,7 @@ class ChurnPlan:
     ``recovery_degree`` edges to sampled live nodes); every surviving
     edge is independently removed with probability ``edge_removal``; and
     ``round(edge_addition * m)`` fresh random edges are added between
-    non-crashed nodes.  ``corruption`` lists message-corruption windows
-    as ``(start_epoch, stop_epoch, probability)`` half-open intervals;
-    :meth:`fault_plan` turns the window covering an epoch into the
-    :class:`~repro.local.faults.FaultPlan` payload simulations should
-    run under during that epoch.
+    non-crashed nodes.
     """
 
     seed: int = 0
@@ -98,7 +93,6 @@ class ChurnPlan:
     node_crash: float = 0.0
     node_recovery: float = 0.0
     recovery_degree: int = 2
-    corruption: tuple[tuple[int, int, float], ...] = field(default=())
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -113,29 +107,6 @@ class ChurnPlan:
                 raise ConfigurationError(f"{label} must be in [0, 1], got {p}")
         if self.recovery_degree < 1:
             raise ConfigurationError("recovery_degree must be >= 1")
-        for window in self.corruption:
-            start, stop, p = window
-            if start >= stop:
-                raise ConfigurationError(f"empty corruption window {window}")
-            if not 0.0 < p <= 1.0:
-                raise ConfigurationError(
-                    f"corruption probability must be in (0, 1], got {p}"
-                )
-
-    def fault_plan(self, epoch: int) -> FaultPlan:
-        """The message-fault plan in force during ``epoch``.
-
-        Inside a corruption window the plan erases messages with the
-        window's probability under an epoch-derived seed (so coins never
-        repeat across epochs); outside every window it is a no-op.
-        """
-        for start, stop, probability in self.corruption:
-            if start <= epoch < stop:
-                return FaultPlan(
-                    corrupt_probability=probability,
-                    seed=derive_seed(self.seed, ("corrupt-epoch", epoch)),
-                )
-        return FaultPlan.none()
 
 
 def apply_churn(

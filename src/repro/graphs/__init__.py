@@ -1,8 +1,8 @@
 """Graph workloads and the distance plane.
 
 * :mod:`repro.graphs.generators` — deterministic families of test and
-  benchmark networks (Erdős–Rényi, random regular, hypercube, torus,
-  complete, Barabási–Albert, caveman, fixed-m G(n,m)).
+  benchmark networks (Erdős–Rényi, random regular, torus, complete,
+  Barabási–Albert, caveman, fixed-m G(n,m)).
 * :mod:`repro.graphs.distance` — the distance plane: batched truncated
   BFS over CSR arrays (NumPy bitset sweeps) behind every
   flood/stretch/coverage computation.
@@ -19,8 +19,6 @@ from repro.graphs.generators import (
     complete_graph,
     dense_gnm,
     erdos_renyi,
-    grid,
-    hypercube,
     random_regular,
     torus,
 )
@@ -34,8 +32,6 @@ __all__ = [
     "complete_graph",
     "dense_gnm",
     "erdos_renyi",
-    "grid",
-    "hypercube",
     "random_regular",
     "torus",
 ]

@@ -341,11 +341,6 @@ class BallFamily(Sequence):
     def from_sets(cls, sets: Sequence[frozenset[int]], n: int) -> "BallFamily":
         return cls(n, sets=sets)
 
-    @property
-    def universe(self) -> int:
-        """Number of nodes the member sets draw from."""
-        return self._n
-
     def __len__(self) -> int:
         if self._sets is not None:
             return len(self._sets)

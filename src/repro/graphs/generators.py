@@ -20,15 +20,12 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.graphs.distance import component_labels
-from repro.local.knowledge import Knowledge
 from repro.local.network import Network
 
 __all__ = [
     "erdos_renyi",
     "dense_gnm",
     "random_regular",
-    "hypercube",
-    "grid",
     "torus",
     "complete_graph",
     "barabasi_albert",
@@ -142,7 +139,6 @@ def _finish_array_graph(
     v: np.ndarray,
     seed: int,
     connected: bool,
-    knowledge: Knowledge,
     name: str,
 ) -> Network:
     if connected:
@@ -150,9 +146,7 @@ def _finish_array_graph(
     # Content-derived consecutive ids: rows in (u, v) lexicographic
     # order, matching the id discipline of ``Network.from_graph``.
     order = np.lexsort((v, u))
-    return Network.from_arrays(
-        n, u[order], v[order], knowledge=knowledge, name=name
-    )
+    return Network.from_arrays(n, u[order], v[order], name=name)
 
 
 def _gnp_pairs_array(
@@ -227,8 +221,6 @@ def erdos_renyi(
     p: float,
     seed: int = 0,
     *,
-    connected: bool = True,
-    knowledge: Knowledge = Knowledge.EDGE_IDS,
     engine: str = "reference",
 ) -> Network:
     """G(n, p) random graph.
@@ -242,13 +234,9 @@ def erdos_renyi(
     name = f"er(n={n},p={p},s={seed})"
     if engine == "array":
         u, v = _gnp_pairs_array(n, p, seed)
-        return _finish_array_graph(
-            n, u, v, seed, connected, knowledge, name + "[array]"
-        )
-    graph = nx.gnp_random_graph(n, p, seed=seed)
-    if connected:
-        graph = ensure_connected(graph, seed)
-    return Network.from_graph(graph, knowledge=knowledge, name=name)
+        return _finish_array_graph(n, u, v, seed, True, name + "[array]")
+    graph = ensure_connected(nx.gnp_random_graph(n, p, seed=seed), seed)
+    return Network.from_graph(graph, name=name)
 
 
 def dense_gnm(
@@ -257,7 +245,6 @@ def dense_gnm(
     seed: int = 0,
     *,
     connected: bool = True,
-    knowledge: Knowledge = Knowledge.EDGE_IDS,
     engine: str = "reference",
 ) -> Network:
     """G(n, m): exactly ``m`` uniformly random edges — the density-sweep workload.
@@ -274,59 +261,33 @@ def dense_gnm(
     name = f"gnm(n={n},m={m},s={seed})"
     if engine == "array":
         u, v = _gnm_pairs_array(n, m, seed)
-        return _finish_array_graph(
-            n, u, v, seed, connected, knowledge, name + "[array]"
-        )
+        return _finish_array_graph(n, u, v, seed, connected, name + "[array]")
     graph = nx.gnm_random_graph(n, m, seed=seed)
     if connected:
         graph = ensure_connected(graph, seed)
-    return Network.from_graph(graph, knowledge=knowledge, name=name)
+    return Network.from_graph(graph, name=name)
 
 
-def random_regular(
-    n: int,
-    d: int,
-    seed: int = 0,
-    *,
-    knowledge: Knowledge = Knowledge.EDGE_IDS,
-) -> Network:
+def random_regular(n: int, d: int, seed: int = 0) -> Network:
     """Random ``d``-regular graph (a standard expander family for d >= 3)."""
     if n * d % 2 != 0:
         raise ConfigurationError("n*d must be even for a d-regular graph")
     graph = nx.random_regular_graph(d, n, seed=seed)
     graph = ensure_connected(graph, seed)
-    return Network.from_graph(graph, knowledge=knowledge, name=f"reg(n={n},d={d},s={seed})")
+    return Network.from_graph(graph, name=f"reg(n={n},d={d},s={seed})")
 
 
-def hypercube(dim: int, *, knowledge: Knowledge = Knowledge.EDGE_IDS) -> Network:
-    """The ``dim``-dimensional hypercube (n = 2**dim) — Peleg–Ullman's habitat."""
-    graph = nx.hypercube_graph(dim)
-    relabel = {node: int("".join(map(str, node)), 2) for node in graph.nodes()}
-    graph = nx.relabel_nodes(graph, relabel)
-    return Network.from_graph(graph, knowledge=knowledge, name=f"hypercube(d={dim})")
-
-
-def grid(rows: int, cols: int, *, knowledge: Knowledge = Knowledge.EDGE_IDS) -> Network:
-    """2D grid (open boundary): sparse, large diameter."""
-    graph = nx.grid_2d_graph(rows, cols)
-    relabel = {(r, c): r * cols + c for r, c in graph.nodes()}
-    graph = nx.relabel_nodes(graph, relabel)
-    return Network.from_graph(graph, knowledge=knowledge, name=f"grid({rows}x{cols})")
-
-
-def torus(rows: int, cols: int, *, knowledge: Knowledge = Knowledge.EDGE_IDS) -> Network:
+def torus(rows: int, cols: int) -> Network:
     """2D torus (periodic grid)."""
     graph = nx.grid_2d_graph(rows, cols, periodic=True)
     relabel = {(r, c): r * cols + c for r, c in graph.nodes()}
     graph = nx.relabel_nodes(graph, relabel)
-    return Network.from_graph(graph, knowledge=knowledge, name=f"torus({rows}x{cols})")
+    return Network.from_graph(graph, name=f"torus({rows}x{cols})")
 
 
-def complete_graph(n: int, *, knowledge: Knowledge = Knowledge.EDGE_IDS) -> Network:
+def complete_graph(n: int) -> Network:
     """K_n — the densest workload (m = n(n-1)/2)."""
-    return Network.from_graph(
-        nx.complete_graph(n), knowledge=knowledge, name=f"complete(n={n})"
-    )
+    return Network.from_graph(nx.complete_graph(n), name=f"complete(n={n})")
 
 
 def barabasi_albert(
@@ -334,7 +295,6 @@ def barabasi_albert(
     attach: int,
     seed: int = 0,
     *,
-    knowledge: Knowledge = Knowledge.EDGE_IDS,
     engine: str = "reference",
 ) -> Network:
     """Preferential-attachment graph: heavy-tailed degrees.
@@ -347,20 +307,16 @@ def barabasi_albert(
     name = f"ba(n={n},m={attach},s={seed})"
     if engine == "array":
         u, v = _ba_pairs_array(n, attach, seed)
-        return _finish_array_graph(
-            n, u, v, seed, False, knowledge, name + "[array]"
-        )
+        return _finish_array_graph(n, u, v, seed, False, name + "[array]")
     graph = nx.barabasi_albert_graph(n, attach, seed=seed)
-    return Network.from_graph(graph, knowledge=knowledge, name=name)
+    return Network.from_graph(graph, name=name)
 
 
-def caveman(cliques: int, clique_size: int, *, knowledge: Knowledge = Knowledge.EDGE_IDS) -> Network:
+def caveman(cliques: int, clique_size: int) -> Network:
     """Connected caveman graph: dense clusters, sparse inter-cluster edges.
 
     A stress test for the clustering hierarchy — most edges are
     intra-cluster and must be recognized as such by the dedup rule.
     """
     graph = nx.connected_caveman_graph(cliques, clique_size)
-    return Network.from_graph(
-        graph, knowledge=knowledge, name=f"caveman({cliques}x{clique_size})"
-    )
+    return Network.from_graph(graph, name=f"caveman({cliques}x{clique_size})")

@@ -246,11 +246,7 @@ def gather_segments(
     return owners, positions
 
 
-def broadcast_outbox(
-    plan: DeliveryPlan,
-    nodes: np.ndarray,
-    data: Any = None,
-) -> PopulationOutbox | None:
+def broadcast_outbox(plan: DeliveryPlan, nodes: np.ndarray) -> PopulationOutbox | None:
     """Outbox for "every node in ``nodes`` sends on all its ports".
 
     ``nodes`` must be ascending and distinct; the incident eids of one
@@ -268,15 +264,12 @@ def broadcast_outbox(
         return PopulationOutbox(
             eids=inc,
             senders=plan.owner,
-            data=data,
             positions=np.arange(inc.size, dtype=np.int64),
         )
     owners, positions = gather_segments(plan.indptr, nodes)
     if owners.size == 0:
         return None
-    return PopulationOutbox(
-        eids=inc[positions], senders=owners, data=data, positions=positions
-    )
+    return PopulationOutbox(eids=inc[positions], senders=owners, positions=positions)
 
 
 @dataclass

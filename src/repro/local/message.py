@@ -44,4 +44,4 @@ class Outbound(NamedTuple):
     eid: int
     sender: int
     payload: Any
-    tag: str = ""
+    tag: str

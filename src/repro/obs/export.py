@@ -8,7 +8,7 @@ One span record schema feeds all three::
 
 ``ts`` is seconds on the process-shared monotonic clock, ``dur`` is
 seconds.  ``parent == 0`` marks a root.  The same shape is what
-``ConcurrentSimulationService.dump_traces`` emits, what
+``RequestTrace.to_record`` returns for a serving front's request, what
 ``python -m repro.obs report`` reads back, and what
 :func:`chrome_trace` converts to ``trace_event`` JSON for
 chrome://tracing / Perfetto (microsecond units there, per the format).

@@ -95,10 +95,6 @@ class MetricsRegistry:
             self._sources[name] = source
         return source
 
-    def sources(self) -> Dict[str, SnapshotSource]:
-        with self._lock:
-            return dict(self._sources)
-
     def collect(self) -> Dict[str, Dict[str, Any]]:
         """Snapshot every source, keyed by source name.
 

@@ -142,10 +142,6 @@ class RngFactory:
             raise TypeError("root seed must be an int")
         self._root_seed = root_seed
 
-    @property
-    def root_seed(self) -> int:
-        return self._root_seed
-
     def child_seed(self, *key: _KeyPart) -> int:
         return derive_seed(self._root_seed, key)
 

@@ -21,22 +21,21 @@ outermost first:
   window doing fewer serves, not from racing the interpreter.
 
 Every wait honours a per-call **deadline** (``deadline=`` on
-:meth:`~ConcurrentSimulationService.submit` or
-:meth:`~ConcurrentSimulationService.serve`): waiting on a merge or the
+:meth:`~ConcurrentSimulationService.submit`): waiting on a merge or the
 serve slot past the deadline raises :class:`~repro.errors.ServiceTimeout`
 and counts ``timeouts`` — a bounded, counted refusal, never an unbounded
 block, and never a half-served response.
 
 Each request leaves a :class:`RequestTrace` span record (outcome,
-phase timings, fetch provenance) exportable as JSON lines via
-:meth:`ConcurrentSimulationService.dump_traces` — the structured
-complement to the cumulative :class:`ServiceMetrics` counters.  The
-front keeps the newest :data:`TRACE_CAPACITY` of them.
+phase timings, fetch provenance) — the structured complement to the
+cumulative :class:`ServiceMetrics` counters.  The front keeps the
+newest :data:`TRACE_CAPACITY` of them in
+:attr:`ConcurrentSimulationService.traces`; ``obs.write_jsonl((t.to_record()
+for t in front.traces), path)`` exports them as JSON lines.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -129,9 +128,6 @@ class RequestTrace:
             }
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_record(), sort_keys=True)
-
 
 class _Pending:
     """One in-progress serve that batching-window followers wait on."""
@@ -146,12 +142,12 @@ class _Pending:
 class ConcurrentSimulationService:
     """Thread-safe serving front over one :class:`SimulationService`.
 
-    Construct it either around an existing service (``service=``) or
-    with the inner service's own constructor arguments.  ``submit`` is
-    safe to call from any number of threads; ``serve`` fans a batch out
-    over an internal pool of ``max_workers`` threads.  Responses are
-    bit-identical to the inner service's — and therefore to a fresh
-    ``run_one_stage`` — whatever the interleaving; the concurrency
+    It builds its inner service from that service's own constructor
+    arguments (``network``, ``store``, ``params``, ``seed``).
+    ``submit`` is safe to call from any number of threads; ``serve``
+    fans a batch out over an internal pool of ``max_workers`` threads.
+    Responses are bit-identical to the inner service's — and therefore
+    to a fresh ``run_one_stage`` — whatever the interleaving; the concurrency
     layers only decide *who pays* for shared work, never what a
     response contains.
     """
@@ -160,28 +156,17 @@ class ConcurrentSimulationService:
         self,
         network: Network | None = None,
         *,
-        service: SimulationService | None = None,
         store: ArtifactStore | None = None,
         params: SamplerParams | None = None,
-        gamma: int | None = None,
-        seed: int | None = None,
+        seed: int = 0,
         max_workers: int = 4,
         merge_window: float = 0.05,
     ) -> None:
-        inner = {"store": store, "params": params, "gamma": gamma, "seed": seed}
-        inner = {name: value for name, value in inner.items() if value is not None}
-        if service is not None and (network is not None or inner):
-            raise ValueError(
-                "pass either service= or the inner service's constructor "
-                "arguments, not both"
-            )
-        if service is None:
-            service = SimulationService(network, **inner)
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if merge_window < 0:
             raise ValueError("merge_window must be >= 0")
-        self.service = service
+        self.service = SimulationService(network, store=store, params=params, seed=seed)
         self.max_workers = max_workers
         self.merge_window = merge_window
         self._traces: deque[RequestTrace] = deque(maxlen=TRACE_CAPACITY)
@@ -262,10 +247,7 @@ class ConcurrentSimulationService:
         return response
 
     def serve(
-        self,
-        requests: Iterable[SimulationRequest | LocalAlgorithm],
-        *,
-        deadline: float | None = None,
+        self, requests: Iterable[SimulationRequest | LocalAlgorithm]
     ) -> list[SimulationResponse]:
         """Serve a batch concurrently; responses come back in order.
 
@@ -282,9 +264,7 @@ class ConcurrentSimulationService:
         if not items:
             return []
         pool = self._ensure_pool()
-        futures = [
-            pool.submit(self.submit, item, deadline=deadline) for item in items
-        ]
+        futures = [pool.submit(self.submit, item) for item in items]
         return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
@@ -295,26 +275,6 @@ class ConcurrentSimulationService:
         """The newest :data:`TRACE_CAPACITY` request traces, oldest first."""
         with self._trace_lock:
             return tuple(self._traces)
-
-    def trace_lines(self) -> list[str]:
-        """Every retained request trace as one JSON object per line."""
-        return [trace.to_json() for trace in self.traces]
-
-    def dump_traces(self, path, *, append: bool = False) -> int:
-        """Write the span records as JSON lines; returns the count.
-
-        ``append=True`` adds to an existing file instead of clobbering
-        it — multi-batch runs dump after each batch and keep the earlier
-        spans.  Every line carries the obs schema-version field, so the
-        file validates under ``python -m repro.obs validate`` and
-        appended batches from different schema eras cannot silently mix.
-        """
-        lines = self.trace_lines()
-        mode = "a" if append else "w"
-        with open(path, mode, encoding="utf-8") as handle:
-            for line in lines:
-                handle.write(line + "\n")
-        return len(lines)
 
     # ------------------------------------------------------------------
     # the batching window

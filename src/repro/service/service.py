@@ -75,8 +75,9 @@ _LINEAGE_DEPTH_CAP = 16
 class SimulationRequest:
     """One payload simulation to serve.
 
-    Only ``algo`` is required; ``network``/``params``/``seed`` default
-    to the service's own.  ``t`` is declarative — when given it must
+    Only ``algo`` is required; ``network`` defaults to the service's
+    own, and the construction parameters and payload seed are always
+    the service's.  ``t`` is declarative — when given it must
     equal ``algo.rounds(n)`` (the replay's correctness depends on the
     algorithm's real round budget, so a mismatch is refused rather than
     silently honoured).  ``radius`` overrides the flood radius
@@ -95,8 +96,6 @@ class SimulationRequest:
     network: Network | None = None
     t: int | None = None
     radius: int | None = None
-    params: SamplerParams | None = None
-    seed: int | None = None
     faults: FaultPlan | None = None
     allow_stale: bool = False
 
@@ -112,8 +111,6 @@ class SimulationRequest:
             None if self.network is None else self.network.fingerprint(),
             self.t,
             self.radius,
-            self.params,
-            self.seed,
             self.faults,
             self.allow_stale,
         )
@@ -287,8 +284,9 @@ class ServiceMetrics(obs.Counters):
 class SimulationService:
     """Serves payload simulations over shared cached artifacts.
 
-    ``network``, ``params`` (or ``gamma``) and ``seed`` are the
-    service's defaults; a request may override any of them.  ``store``
+    ``network`` is the service's default graph, which a request may
+    override; ``params`` (or ``gamma``) and ``seed`` are the
+    construction parameters and payload seed of every request.  ``store``
     defaults to a fresh in-memory :class:`ArtifactStore` — pass a
     disk-backed one to share artifacts across processes and runs.
     """
@@ -343,25 +341,20 @@ class SimulationService:
     # churn lineage
     # ------------------------------------------------------------------
     def apply_churn(
-        self,
-        plan: ChurnPlan,
-        epoch: int = 0,
-        *,
-        network: Network | None = None,
+        self, plan: ChurnPlan, epoch: int = 0
     ) -> tuple[Network, MutationLog]:
-        """Run one churn epoch and record its lineage for later repair.
+        """Run one churn epoch on the service's default graph and record
+        its lineage for later repair.
 
-        Without ``network`` the service's own default graph is churned
-        and the default is advanced to the mutated graph — subsequent
+        The default is advanced to the mutated graph, so subsequent
         default-graph requests hit the repair path instead of failing.
         """
-        base = network if network is not None else self._network
+        base = self._network
         if base is None:
-            raise ValueError("no network to churn and the service has no default")
+            raise ValueError("the service has no default network to churn")
         child, log = _apply_churn(base, plan, epoch)
         self._remember_epoch(base, log)
-        if network is None:
-            self._network = child
+        self._network = child
         return child, log
 
     def _remember_epoch(self, parent: Network, log: MutationLog) -> None:
@@ -431,8 +424,8 @@ class SimulationService:
         network = request.network if request.network is not None else self._network
         if network is None:
             raise ValueError("request has no network and the service has no default")
-        params = request.params if request.params is not None else self._params
-        seed = request.seed if request.seed is not None else self._seed
+        params = self._params
+        seed = self._seed
         faults = request.faults
         algo = request.algo
         t = algo.rounds(network.n)

@@ -14,8 +14,9 @@ The pipeline realizes the paper's scheme end to end:
 :mod:`repro.simulate.scheme` packages 1–3 with Theorem 3's first-bullet
 parameters; :mod:`repro.simulate.two_stage` adds the second bullet
 (simulate a better spanner construction over the first spanner, then
-use it); :mod:`repro.simulate.direct` and :mod:`repro.simulate.gossip`
-provide the baselines the paper compares against.
+use it); :mod:`repro.simulate.gossip` provides the gossip baseline the
+paper compares against, and :func:`repro.algorithms.run_direct` the
+direct execution.
 """
 
 from repro.simulate.tlocal import (
@@ -32,7 +33,6 @@ from repro.simulate.transformer import (
 )
 from repro.simulate.scheme import SchemeReport, run_one_stage, theorem3_params
 from repro.simulate.two_stage import TwoStageReport, run_two_stage
-from repro.simulate.direct import run_direct_baseline
 from repro.simulate.gossip import GossipEstimate, gossip_estimate
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "TwoStageReport",
     "flood_schedule",
     "gossip_estimate",
-    "run_direct_baseline",
     "run_one_stage",
     "run_two_stage",
     "runtime_flood",

@@ -69,7 +69,6 @@ def compute_global(
     *,
     params: SamplerParams | None = None,
     seed: int = 0,
-    diameter: int | None = None,
 ) -> GlobalComputation:
     """Evaluate ``function`` over all node inputs at every node.
 
@@ -83,7 +82,7 @@ def compute_global(
     """
     sampler_params = params if params is not None else SamplerParams(k=1, h=2, seed=seed)
     spanner = build_spanner_priced(network, sampler_params)
-    d = diameter if diameter is not None else graph_diameter(network)
+    d = graph_diameter(network)
     radius = spanner.stretch_bound * max(1, d)
     payload = dict(inputs) if inputs is not None else {v: v for v in network.nodes()}
     flood = t_local_broadcast(

@@ -29,7 +29,6 @@ from repro.local.engine import (
     VectorProgram,
     VectorRuntime,
 )
-from repro.local.faults import FaultPlan
 from repro.local.metrics import MessageStats
 from repro.local.network import Network
 from repro.rng import RngFactory
@@ -45,10 +44,10 @@ class GossipEstimate:
     messages: int
 
 
-def gossip_estimate(n: int, t: int, c1: float = 1.0) -> GossipEstimate:
+def gossip_estimate(n: int, t: int) -> GossipEstimate:
     """``O(t log n + log^2 n)`` rounds at ``n`` messages per round."""
     log_n = max(1.0, math.log2(max(2, n)))
-    rounds = math.ceil(c1 * (t * log_n + log_n**2))
+    rounds = math.ceil(t * log_n + log_n**2)
     return GossipEstimate(rounds=rounds, messages=rounds * n)
 
 
@@ -175,12 +174,7 @@ class PushPullReport:
 
 
 def run_push_pull(
-    network: Network,
-    rounds: int,
-    t: int,
-    seed: int = 0,
-    *,
-    faults: FaultPlan | None = None,
+    network: Network, rounds: int, t: int, seed: int = 0
 ) -> PushPullReport:
     """Run push–pull for ``rounds`` rounds; measure ``t``-ball coverage."""
     from repro.graphs.distance import balls_and_eccentricities
@@ -190,7 +184,6 @@ def run_push_pull(
         _VectorGossip(network, seed),
         fixed_rounds=rounds,
         max_rounds=rounds + 1,
-        faults=faults,
     ).run()
     balls, _ = balls_and_eccentricities(network, t)
     delivered = 0

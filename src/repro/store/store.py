@@ -85,10 +85,6 @@ class FetchInfo(NamedTuple):
     extended: bool = False  # profile rebuilt because the radius grew
     exhausted: bool = False  # profile complete: it serves every radius
 
-    @property
-    def hit(self) -> bool:
-        return self.source in ("memory", "disk")
-
 
 def _served(source: str, profile: FloodProfile, radius: int) -> FetchInfo:
     """Provenance of a schedule a cached profile served."""
@@ -117,10 +113,6 @@ class StoreStats(obs.Counters):
         "lock_reclaimed",
         "chaos_injected",
     )
-
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
 
 
 @dataclass
@@ -186,11 +178,6 @@ class ArtifactStore:
         # reads/writes run outside it — they are atomic on their own.
         self._mem_lock = threading.RLock()
         self._tick = 0
-
-    @property
-    def directory(self) -> Path | None:
-        """The on-disk layer's directory (``None`` = memory-only)."""
-        return self._dir
 
     # ------------------------------------------------------------------
     # spanners

@@ -1,12 +1,33 @@
-"""Shared fixtures: small, deterministic networks and parameter sets."""
+"""Shared fixtures: small, deterministic networks and parameter sets.
+
+The hypercube and grid families are built here: only the tests use
+them, so :mod:`repro.graphs` does not ship them.
+"""
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from repro.core.params import SamplerParams
-from repro.graphs import caveman, erdos_renyi, grid, hypercube, torus
+from repro.graphs import caveman, erdos_renyi, torus
 from repro.local.network import Network
+
+
+def hypercube(dim: int) -> Network:
+    """The ``dim``-dimensional hypercube (n = 2**dim) — Peleg–Ullman's habitat."""
+    graph = nx.hypercube_graph(dim)
+    graph = nx.relabel_nodes(
+        graph, {node: int("".join(map(str, node)), 2) for node in graph.nodes()}
+    )
+    return Network.from_graph(graph, name=f"hypercube(d={dim})")
+
+
+def grid(rows: int, cols: int) -> Network:
+    """2D grid (open boundary): sparse, large diameter."""
+    graph = nx.grid_2d_graph(rows, cols)
+    graph = nx.relabel_nodes(graph, {(r, c): r * cols + c for r, c in graph.nodes()})
+    return Network.from_graph(graph, name=f"grid({rows}x{cols})")
 
 
 @pytest.fixture

@@ -163,35 +163,3 @@ def adjacent_pair_stretch(
         unreachable_pairs=unreachable,
         beyond_cutoff=beyond,
     )
-
-
-def pairwise_stretch(network, spanner_edges, *, sources=None, seed: int = 0) -> StretchReport:
-    """``repro.analysis.pairwise_stretch`` by two BFS per source."""
-    g_adj = adjacency(network)
-    h_adj = adjacency(network, sorted(set(spanner_edges)))
-    nodes = list(network.nodes())
-    if sources is not None and sources < len(nodes):
-        nodes = random.Random(seed).sample(nodes, sources)
-    worst = 0.0
-    ratios: list[float] = []
-    measured = unreachable = 0
-    for source in nodes:
-        dg = single_source_distances(g_adj, source)
-        dh = single_source_distances(h_adj, source)
-        for target, d_g in dg.items():
-            if target == source:
-                continue
-            measured += 1
-            d_h = dh.get(target)
-            if d_h is None:
-                unreachable += 1
-            else:
-                ratio = d_h / d_g
-                worst = max(worst, ratio)
-                ratios.append(ratio)
-    return StretchReport(
-        max_stretch=worst,
-        mean_stretch=math.fsum(ratios) / max(1, measured - unreachable),
-        pairs_measured=measured,
-        unreachable_pairs=unreachable,
-    )

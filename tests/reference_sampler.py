@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+from reference_forest import cluster_members, cluster_tree
 from repro.core.forest import ClusterForest
 from repro.core.spanner import SpannerResult
 from repro.core.trace import FinishedCluster, LevelTrace, NodeLevelTrace, SamplerTrace
@@ -81,7 +82,7 @@ def reference_build(network, params) -> SpannerResult:
                 active_edges=(sum(len(pools[c]) for c in active) - stale) // 2,
                 stale_edges=stale,
                 cluster_sizes={cid: forest.size(cid) for cid in active},
-                cluster_heights={cid: forest.tree(cid).height for cid in active},
+                cluster_heights={cid: cluster_tree(forest, cid).height for cid in active},
                 nodes={
                     cid: _node_trace(cid, machines[cid], pools[cid], groups[cid])
                     for cid in active
@@ -103,7 +104,7 @@ def reference_build(network, params) -> SpannerResult:
                 live_edges=frozenset(pools[cid]),
             )
             if j < params.k:
-                members = set(forest.members(cid))
+                members = set(cluster_members(forest, cid))
                 for eid in found[cid].values():
                     a, b = network.endpoints(eid)
                     announced[b if a in members else a] |= set(pools[cid])
@@ -116,7 +117,7 @@ def reference_build(network, params) -> SpannerResult:
 def _pool(network, forest, announced, cid) -> list[int]:
     counts: Counter[int] = Counter()
     dead: set[int] = set()
-    for phys in forest.members(cid):
+    for phys in cluster_members(forest, cid):
         counts.update(network.incident(phys))
         dead |= announced[phys]
     return sorted(e for e, c in counts.items() if c == 1 and e not in dead)

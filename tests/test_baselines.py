@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms import run_direct
+from repro.algorithms import run_direct, run_inprocess
 from repro.analysis.stretch import adjacent_pair_stretch
-from repro.baselines import (
-    BaswanaSenLocal,
-    baswana_sen_messages_estimate,
-    baswana_sen_spanner,
-)
+from repro.baselines import BaswanaSenLocal, baswana_sen_messages_estimate
 from repro.errors import ConfigurationError
 from repro.graphs import complete_graph, erdos_renyi
+
+
+def baswana_sen_spanner(network, k, seed=0):
+    """The spanner edge set: the union of a replayed run's node outputs."""
+    outputs = run_inprocess(network, BaswanaSenLocal(k=k, coin_seed=seed), seed=seed)
+    return frozenset().union(*outputs.values())
 
 
 class TestSpannerProperties:

@@ -46,8 +46,16 @@ class TestRegistry:
             run_experiment("E10", scale="huge")
 
 
+class TestExperimentClaims:
+    @pytest.mark.parametrize("name", ["E1", "E2", "E3", "E5", "E6", "E8", "E9", "E11"])
+    def test_claims_hold_at_quick_scale(self, name):
+        """Each experiment asserts the paper's claim it regenerates while
+        it runs; E4, E7 and E10 run in :class:`TestFastExperiments`."""
+        assert run_experiment(name, "quick").rows
+
+
 class TestFastExperiments:
-    """E4, E7, E10 are cheap enough to run inside the unit suite."""
+    """E4, E7 and E10, with checks beyond their own claims."""
 
     def test_e4_rounds(self):
         table = run_experiment("E4")
@@ -143,8 +151,7 @@ class TestPerfHarness:
             "networkx",
         } <= set(doc["environment"])
         # POSIX hosts also record the memory ceiling inputs
-        import resource  # noqa: F401  (POSIX-only; import failure = skip)
-
+        pytest.importorskip("resource")
         assert entry["peak_rss_mb"] > 0
         assert doc["environment"]["ram_total_mb"] > 0
 

@@ -10,6 +10,7 @@ corrupt reads.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import signal
@@ -24,11 +25,8 @@ from repro.core import SamplerParams
 from repro.errors import ServiceTimeout
 from repro.graphs import erdos_renyi
 from repro.local import FaultPlan
-from repro.service import (
-    ConcurrentSimulationService,
-    SimulationRequest,
-    SimulationService,
-)
+from repro.obs import read_jsonl, write_jsonl
+from repro.service import ConcurrentSimulationService, SimulationRequest
 from repro.simulate import run_one_stage
 from repro.store import CHAOS_ENV_VAR, ArtifactStore, FileLock, spanner_key
 
@@ -114,9 +112,8 @@ class TestColdBuilds:
         )
         store = ArtifactStore(tmp_path)
         assert store.chaos is not None
-        service = SimulationService(net, store=store, params=PARAMS, seed=0)
         front = ConcurrentSimulationService(
-            service=service, max_workers=6, merge_window=0.0
+            net, store=store, params=PARAMS, seed=0, max_workers=6, merge_window=0.0
         )
         self._race(front, reference, 6)
 
@@ -137,10 +134,7 @@ class TestColdBuilds:
             os.kill(crasher.pid, signal.SIGKILL)
             crasher.join(timeout=10.0)
             front = ConcurrentSimulationService(
-                service=SimulationService(
-                    net, store=store, params=PARAMS, seed=0
-                ),
-                max_workers=2,
+                net, store=store, params=PARAMS, seed=0, max_workers=2
             )
             response = front.submit(MinIdAggregation(2))
         finally:
@@ -274,26 +268,6 @@ class TestBatchingWindow:
         assert front.metrics.snapshot()["merged"] == 0
 
 
-class TestConstructor:
-    @pytest.mark.parametrize(
-        "argument", ["network", "store", "params", "gamma", "seed"]
-    )
-    def test_inner_arguments_next_to_service_are_refused(self, net, argument):
-        """An inner-service argument beside ``service=`` would be dropped
-        silently (the front serves with the given service's own), so it
-        is refused instead."""
-        values = {
-            "network": net,
-            "store": ArtifactStore(),
-            "params": PARAMS,
-            "gamma": 3,
-            "seed": 7,
-        }
-        service = SimulationService(net, params=PARAMS, seed=0)
-        with pytest.raises(ValueError, match="not both"):
-            ConcurrentSimulationService(service=service, **{argument: values[argument]})
-
-
 class TestDeadlines:
     def test_deadline_on_flight_wait_raises_and_counts(self, net, monkeypatch):
         """A leader holds the serve slot in a gated, in-flight build;
@@ -367,9 +341,7 @@ class TestTraces:
         assert any(t.cold for t in served)
         assert all(t.total_seconds >= t.serve_seconds >= 0 for t in traces)
         path = tmp_path / "traces.jsonl"
-        assert front.dump_traces(path) == 3
-        import json
-
+        assert write_jsonl((t.to_record() for t in traces), path) == 3
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         records = [json.loads(line) for line in lines]
@@ -379,11 +351,9 @@ class TestTraces:
         assert all(record["kind"] == "span" for record in records)
         assert all(record["name"] == "service/request" for record in records)
         assert all(record["attrs"]["algo"] for record in records)
-        from repro.obs import read_jsonl
-
         assert len(read_jsonl(path)) == 3  # schema-validating reader
         # append mode keeps earlier batches instead of clobbering them
-        assert front.dump_traces(path, append=True) == 3
+        assert write_jsonl((t.to_record() for t in traces), path, append=True) == 3
         assert len(path.read_text().splitlines()) == 6
 
     def test_front_keeps_the_newest_traces(self, net, tmp_path, monkeypatch):
@@ -397,9 +367,7 @@ class TestTraces:
         newest = list(range(13, 21))
         assert [trace.request_id for trace in front.traces] == newest
         path = tmp_path / "traces.jsonl"
-        assert front.dump_traces(path) == 8
-        import json
-
+        assert write_jsonl((t.to_record() for t in front.traces), path) == 8
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert [record["id"] for record in records] == newest
 
@@ -411,8 +379,7 @@ def _worker_outputs(store_dir, chaos_spec, queue):
         net = erdos_renyi(50, 0.12, seed=8)
         store = ArtifactStore(store_dir)
         front = ConcurrentSimulationService(
-            service=SimulationService(net, store=store, params=PARAMS, seed=0),
-            max_workers=2,
+            net, store=store, params=PARAMS, seed=0, max_workers=2
         )
         with front:
             responses = front.serve(

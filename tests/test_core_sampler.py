@@ -8,7 +8,7 @@ from repro.analysis import adjacent_pair_stretch, validate_spanner
 from repro.core import NodeLabel, SamplerParams, build_spanner
 from repro.core.sampler import SamplerRun
 from repro.errors import SimulationError
-from repro.graphs import complete_graph, dense_gnm, erdos_renyi
+from repro.graphs import complete_graph
 
 
 class TestBasicInvariants:

@@ -107,24 +107,11 @@ class TestChurnEngine:
         assert log.is_noop
         assert log.parent_fingerprint == log.child_fingerprint
 
-    def test_corruption_windows(self):
-        plan = ChurnPlan(seed=4, epochs=5, corruption=((1, 3, 0.2),))
-        assert plan.fault_plan(0).is_noop
-        assert plan.fault_plan(1).corrupt_probability == 0.2
-        assert plan.fault_plan(2).corrupt_probability == 0.2
-        assert plan.fault_plan(3).is_noop
-        # per-epoch seeds differ, so corruption coins never repeat
-        assert plan.fault_plan(1).seed != plan.fault_plan(2).seed
-
     def test_plan_validation(self):
         with pytest.raises(ConfigurationError):
             ChurnPlan(edge_removal=1.5)
         with pytest.raises(ConfigurationError):
             ChurnPlan(epochs=0)
-        with pytest.raises(ConfigurationError):
-            ChurnPlan(corruption=((3, 3, 0.5),))
-        with pytest.raises(ConfigurationError):
-            ChurnPlan(corruption=((0, 2, 0.0),))
 
 
 @st.composite

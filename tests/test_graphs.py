@@ -12,11 +12,10 @@ from repro.graphs import (
     complete_graph,
     dense_gnm,
     erdos_renyi,
-    grid,
-    hypercube,
     random_regular,
     torus,
 )
+from conftest import grid, hypercube
 
 
 def _decode_pair_index_by_scan(idx: int, n: int) -> tuple[int, int]:

@@ -1,11 +1,11 @@
-"""Tests for rooted-tree helpers."""
+"""Tests for the rooted-tree view of the cluster forest (``reference_forest``)."""
 
 from __future__ import annotations
 
 import pytest
 
+from reference_forest import RootedTree
 from repro.errors import ValidationError
-from repro.local.tree import RootedTree, tree_from_parent_map
 
 
 def chain_tree(length: int) -> RootedTree:
@@ -23,16 +23,7 @@ class TestRootedTree:
     def test_singleton(self):
         tree = RootedTree(root=7, parent={})
         assert tree.height == 0
-        assert tree.diameter() == 0
         assert tree.members == frozenset({7})
-
-    def test_star_diameter(self):
-        tree = RootedTree(root=0, parent={i: (0, i) for i in range(1, 5)})
-        assert tree.height == 1
-        assert tree.diameter() == 2
-
-    def test_chain_diameter(self):
-        assert chain_tree(5).diameter() == 4
 
     def test_children_sorted(self):
         tree = RootedTree(root=0, parent={2: (0, 5), 1: (0, 4)})
@@ -43,4 +34,4 @@ class TestRootedTree:
 
     def test_disconnected_parent_map_rejected(self):
         with pytest.raises(ValidationError):
-            tree_from_parent_map(0, {2: (3, 0)})
+            RootedTree(root=0, parent={2: (3, 0)}).depths()

@@ -7,7 +7,6 @@ import pytest
 from repro.algorithms import run_direct, run_inprocess
 from repro.algorithms.matching import RandomMatching
 from repro.core import SamplerParams, build_spanner
-from repro.graphs import erdos_renyi
 from repro.simulate import simulate_over_spanner
 
 

@@ -215,7 +215,7 @@ class TestWarmServeContracts:
 
     def test_sizes_are_one_read_only_array(self):
         packed = flood_schedule(erdos_renyi(40, 0.1, seed=2), 2).balls
-        sets = BallFamily.from_sets(list(packed), packed.universe)
+        sets = BallFamily.from_sets(list(packed), 40)
         for family in (packed, sets):
             sizes = family.sizes()
             assert family.sizes() is sizes

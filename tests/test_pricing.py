@@ -20,12 +20,13 @@ from repro.algorithms import BallCollect
 from repro.core import SamplerParams, build_spanner
 from repro.core.accounting import build_spanner_priced
 from repro.core.distributed import PhaseKind, Schedule, build_spanner_distributed
-from repro.graphs import barabasi_albert, erdos_renyi, grid, torus
+from repro.graphs import barabasi_albert, erdos_renyi, torus
 from repro.local.network import Network
 from repro.local.runtime import Runtime
 from repro.simulate import run_one_stage, run_two_stage, theorem3_params
 from repro.simulate.global_tasks import compute_global
 from repro.store import ArtifactStore
+from conftest import grid
 from test_core_equivalence import CASES
 
 

@@ -169,7 +169,8 @@ class TestBatchServing:
         warm = [service.submit(algo) for algo in payload_suite()]
         assert all(not response.cold for response in warm)
         assert all(
-            response.schedule_info is not None and response.schedule_info.hit
+            response.schedule_info is not None
+            and response.schedule_info.source in ("memory", "disk")
             for response in warm
         )
 
@@ -299,7 +300,7 @@ class TestResilientServing:
         assert metrics.repairs == 1 and metrics.rebuilds == 0
         # the repaired artifact is a first-class cache entry afterwards
         warm = service.submit(BallCollect(2))
-        assert warm.spanner_info.hit
+        assert warm.spanner_info.source in ("memory", "disk")
         assert metrics.repairs == 1
 
     def test_multi_epoch_gap_is_repaired_in_one_walk(self, net):

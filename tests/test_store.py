@@ -22,7 +22,6 @@ from repro.core.distributed import build_spanner_distributed
 from repro.graphs import barabasi_albert, complete_graph, erdos_renyi, torus
 from repro.local.network import Network
 from repro.simulate import flood_schedule
-from repro.simulate.tlocal import FloodSchedule
 from repro.service import ServiceMetrics
 from repro.store import (
     STORE_SCHEMA,
